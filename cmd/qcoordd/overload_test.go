@@ -18,9 +18,10 @@ import (
 
 // TestQcoorddDrainUnderOverload composes the two resilience mechanisms this
 // daemon has: admission control (this PR) and graceful drain. The daemon
-// runs with -admission and a deliberately pessimistic 2ms initial service
-// estimate, the generator offers roughly 2× that modeled capacity, and
-// SIGTERM lands mid-run. Required outcome:
+// runs with -admission and a deliberately pessimistic initial service
+// estimate — one request's modeled cost fills the whole backlog cap — the
+// generator offers far more than that modeled capacity, and SIGTERM lands
+// mid-run. Required outcome:
 //
 //   - the admission gate visibly shed work (Shed > 0): overload handling
 //     was active, not bypassed, when drain began;
@@ -48,11 +49,17 @@ func TestQcoorddDrainUnderOverload(t *testing.T) {
 		"-drain-timeout", "15s",
 		"-metrics-out", metricsOut,
 		"-admission",
-		// A 2ms seed models 500 decisions/sec of capacity. The EWMA adapts
+		// A 20ms seed against a 20ms cap models 50 decisions/sec per shard:
+		// every accepted request fills the modeled queue and the next ones
+		// shed until it drains. The EWMA moves 10% per accepted sample
 		// toward the real (much faster) service time, so shedding is
-		// concentrated in the opening burst — exactly the window where an
-		// unprotected server would build its queue.
-		"-admission-service", "2ms",
+		// concentrated in the opening few hundred milliseconds — exactly the
+		// window where an unprotected server would build its queue — and it
+		// follows from the model alone. (A 2ms seed used to be enough only
+		// because a race-built daemon spent milliseconds per request on
+		// supply catch-up; overload must not depend on the server being
+		// slow.)
+		"-admission-service", "20ms",
 		"-admission-max-backlog", "20ms",
 	)
 	stdout, err := cmd.StdoutPipe()
@@ -91,8 +98,8 @@ func TestQcoorddDrainUnderOverload(t *testing.T) {
 		}
 	}()
 
-	// ~2× the modeled capacity, decide-only so every request faces the
-	// admission gate.
+	// 250 requests/sec per session against 50/sec of modeled capacity,
+	// decide-only so every request faces the admission gate.
 	cfg := loadtest.Config{
 		Seed:      2027,
 		Duration:  2 * time.Second,

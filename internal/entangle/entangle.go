@@ -56,6 +56,9 @@ func (c SourceConfig) Validate() error {
 	if c.PairRate <= 0 {
 		return fmt.Errorf("entangle: pair rate must be positive")
 	}
+	if c.Interval() <= 0 {
+		return fmt.Errorf("entangle: pair rate %g/s leaves no interval on a nanosecond clock", c.PairRate)
+	}
 	if c.BaseVisibility < 0 || c.BaseVisibility > 1 {
 		return fmt.Errorf("entangle: visibility must lie in [0,1]")
 	}

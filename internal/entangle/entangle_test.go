@@ -24,6 +24,7 @@ func TestSourceValidateCatchesErrors(t *testing.T) {
 		{PairRate: 1, BaseVisibility: 1.2, NPhotonFalloff: 0.5},
 		{PairRate: 1, BaseVisibility: 1, NPhotonFalloff: 0},
 		{PairRate: 1, BaseVisibility: 1, NPhotonFalloff: 0.5, FiberLengthM: -1},
+		{PairRate: 2e9, BaseVisibility: 1, NPhotonFalloff: 0.5}, // interval rounds to 0 ns
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {

@@ -59,8 +59,9 @@ func TestPoolCapFullRacesExpiry(t *testing.T) {
 // TestPoolExpireReleasesBackingPrefix is the regression test for the
 // expired-prefix retention bug: expire used to re-slice forward
 // (p.pairs = p.pairs[i:]), which both kept the expired structs reachable
-// and permanently shrank the slice's usable capacity. The fixed copy-down
-// keeps capacity constant across arbitrarily many expiry cycles.
+// and permanently shrank the slice's usable capacity. The head-indexed ring
+// that replaced it reuses expired slots in place, so capacity stays constant
+// across arbitrarily many expiry cycles.
 func TestPoolExpireReleasesBackingPrefix(t *testing.T) {
 	q := testQNIC()
 	p := NewPool(q, 0)
@@ -70,7 +71,7 @@ func TestPoolExpireReleasesBackingPrefix(t *testing.T) {
 	base := poolCap(p)
 	// 1000 cycles of "everything expires, one new pair arrives". Under the
 	// forward re-slice the capacity erodes by the expired count per cycle
-	// and Add reallocates over and over; with copy-down it never moves.
+	// and Add reallocates over and over; the ring never moves.
 	now := time.Duration(0)
 	for cycle := 0; cycle < 1000; cycle++ {
 		now += q.StorageLimit + 1
@@ -84,7 +85,7 @@ func TestPoolExpireReleasesBackingPrefix(t *testing.T) {
 	}
 }
 
-func poolCap(p *Pool) int { return cap(p.pairs) }
+func poolCap(p *Pool) int { return len(p.pairs.buf) }
 
 // TestPoolSetT2ScaleExactPiecewiseDecay checks the spike math against the
 // closed form: a pair living t₁ at nominal T2, then t₂ at scaled T2 s,
@@ -100,8 +101,8 @@ func TestPoolSetT2ScaleExactPiecewiseDecay(t *testing.T) {
 	t3 := 15 * time.Microsecond
 	scale := 0.25
 
-	p.SetT2Scale(t1, scale)        // spike starts
-	p.SetT2Scale(t1+t2d, 1)        // spike ends
+	p.SetT2Scale(t1, scale) // spike starts
+	p.SetT2Scale(t1+t2d, 1) // spike ends
 	total := t1 + t2d + t3
 	v, ok := p.TryConsume(total)
 	if !ok {

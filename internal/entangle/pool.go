@@ -41,9 +41,13 @@ var (
 // oldest-first on delivered visibility and loses only pairs that were going
 // to expire anyway.
 type Pool struct {
-	QNIC  QNICConfig
-	Cap   int // maximum stored pairs (memory slots); 0 means unlimited
-	pairs []Pair
+	QNIC QNICConfig
+	Cap  int // maximum stored pairs (memory slots); 0 means unlimited
+
+	// Stored pairs, oldest first. Arrival order is age order, so expiry
+	// drops a prefix — O(expired), no copying, and the backing array never
+	// shrinks or drifts — and freshest-first consumption pops the tail.
+	pairs ring[Pair]
 	stats PoolStats
 
 	// Decoherence-spike state (SetT2Scale): while a spike is active, stored
@@ -66,48 +70,60 @@ func NewPool(q QNICConfig, capacity int) *Pool {
 // photons are measured out / discarded). Expiry runs first, so a slot freed
 // by a pair aging out in the same tick is immediately reusable.
 func (p *Pool) Add(pair Pair) bool {
-	p.expire(pair.ArrivedAt)
-	if p.Cap > 0 && len(p.pairs) >= p.Cap {
-		return false
+	stored, expired := p.add(pair)
+	if expired > 0 {
+		mPoolExpired.Add(int64(expired))
 	}
-	p.pairs = append(p.pairs, pair)
+	if stored {
+		mPoolAdded.Inc()
+	}
+	return stored
+}
+
+// add is Add without the process-wide counters: it reports how many pairs
+// expired on the way in, so the source service can publish a whole
+// catch-up's worth in one atomic add per counter.
+func (p *Pool) add(pair Pair) (stored bool, expired int) {
+	expired = p.expire(pair.ArrivedAt)
+	if p.Cap > 0 && p.pairs.n >= p.Cap {
+		return false, expired
+	}
+	p.pairs.push(pair)
 	p.stats.Added++
-	mPoolAdded.Inc()
-	return true
+	return true, expired
 }
 
 // Len returns the number of stored (possibly stale) pairs; call Expire first
 // for an exact live count.
-func (p *Pool) Len() int { return len(p.pairs) }
+func (p *Pool) Len() int { return p.pairs.n }
 
 // Expire drops pairs past the storage limit as of now.
-func (p *Pool) Expire(now time.Duration) { p.expire(now) }
+func (p *Pool) Expire(now time.Duration) {
+	if expired := p.expire(now); expired > 0 {
+		mPoolExpired.Add(int64(expired))
+	}
+}
 
-func (p *Pool) expire(now time.Duration) {
+// expire drops the expired prefix and returns its length; the caller
+// publishes it to the process-wide counter.
+func (p *Pool) expire(now time.Duration) int {
 	i := 0
-	for i < len(p.pairs) && p.pairs[i].Expired(now, p.QNIC) {
+	for i < p.pairs.n && p.pairs.at(i).Expired(now, p.QNIC) {
 		i++
 	}
-	if i > 0 {
-		p.stats.Expired += int64(i)
-		mPoolExpired.Add(int64(i))
-		// Copy the live suffix down instead of re-slicing forward: a
-		// forward re-slice keeps the expired prefix alive in the backing
-		// array (and shrinks usable capacity) until the next realloc, which
-		// a long-running service may never trigger.
-		n := copy(p.pairs, p.pairs[i:])
-		p.pairs = p.pairs[:n]
-	}
+	p.pairs.drop(i)
+	p.stats.Expired += int64(i)
+	return i
 }
 
 // TryConsume implements Supplier: pops the freshest live pair.
 func (p *Pool) TryConsume(now time.Duration) (float64, bool) {
-	p.expire(now)
-	if len(p.pairs) == 0 {
+	p.Expire(now)
+	if p.pairs.n == 0 {
 		return 0, false
 	}
-	pair := p.pairs[len(p.pairs)-1]
-	p.pairs = p.pairs[:len(p.pairs)-1]
+	p.pairs.n--
+	pair := *p.pairs.at(p.pairs.n)
 	p.stats.Consumed++
 	mPoolConsumed.Inc()
 	v := pair.VisibilityAt(now, p.QNIC)
@@ -146,13 +162,14 @@ func (p *Pool) absorbExtraDecay(now time.Duration) {
 	if p.extraRate == 0 {
 		return
 	}
-	for i := range p.pairs {
+	for i := 0; i < p.pairs.n; i++ {
+		pair := p.pairs.at(i)
 		from := p.extraSince
-		if p.pairs[i].ArrivedAt > from {
-			from = p.pairs[i].ArrivedAt
+		if pair.ArrivedAt > from {
+			from = pair.ArrivedAt
 		}
 		if now > from {
-			p.pairs[i].V0 *= math.Exp(-float64(now-from) * p.extraRate)
+			pair.V0 *= math.Exp(-float64(now-from) * p.extraRate)
 		}
 	}
 }
@@ -160,9 +177,9 @@ func (p *Pool) absorbExtraDecay(now time.Duration) {
 // Flush drops every stored pair — the pool-corruption fault (e.g. a QNIC
 // reset losing its quantum memory). Returns the number of pairs lost.
 func (p *Pool) Flush() int {
-	n := len(p.pairs)
+	n := p.pairs.n
 	if n > 0 {
-		p.pairs = p.pairs[:0]
+		p.pairs.drop(n)
 		p.stats.Flushed += int64(n)
 		mPoolFlushed.Add(int64(n))
 	}

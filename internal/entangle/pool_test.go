@@ -203,3 +203,42 @@ func BenchmarkPoolAddConsume(b *testing.B) {
 		p.TryConsume(time.Duration(i))
 	}
 }
+
+// TestServiceCatchUpAllocs gates the supply chain's steady state at zero
+// allocations: once the pool and in-flight rings have reached their working
+// size, an engine catch-up — a handful of pairs or thousands — queues
+// nothing and allocates nothing.
+func TestServiceCatchUpAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		src  func(*SourceConfig)
+		step time.Duration
+	}{
+		{"default/20us", func(*SourceConfig) {}, 20 * time.Microsecond},
+		{"default/25ms", func(*SourceConfig) {}, 25 * time.Millisecond},
+		// 255 pairs in flight, ~91 live in the pool.
+		{"provisioned/1ms", func(s *SourceConfig) { s.PairRate = 1e6; s.HeraldLatency = 250 * time.Microsecond }, time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var e netsim.Engine
+			src := DefaultSource()
+			tc.src(&src)
+			pool := NewPool(testQNIC(), 256)
+			svc := StartService(&e, src, pool, xrand.New(9, 1))
+			now := time.Duration(0)
+			catchUp := func() {
+				now += tc.step
+				e.RunUntil(now)
+			}
+			for i := 0; i < 16; i++ {
+				catchUp()
+			}
+			if avg := testing.AllocsPerRun(200, catchUp); avg != 0 {
+				t.Fatalf("catch-up of %v allocates %v per run", tc.step, avg)
+			}
+			if svc.Stats().Delivered == 0 {
+				t.Fatal("nothing was delivered: the gate measured an idle source")
+			}
+		})
+	}
+}

@@ -1,6 +1,8 @@
 package entangle
 
 import (
+	"time"
+
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/xrand"
@@ -33,6 +35,15 @@ var (
 // propagation delay. This is the "continuous stream of entangled qubits
 // distributed in advance" of Figure 2.
 //
+// The service is the engine's netsim.Stream: instead of queueing a callback
+// per generation tick and another per arrival, it keeps the next tick in a
+// cursor and the pairs in flight in a FIFO ring (delivery latency is
+// constant, so arrivals land in emission order). Every tick and arrival
+// still carries an engine sequence number, drawn where the callback chain
+// would have drawn it, so the order against fault-injector and driver
+// callbacks — and with it every RNG draw and counter — is what a
+// callback-per-event source produces.
+//
 // The fault hooks (SetOutage, SetDeliveryScale) model the supply-chain
 // failures a production deployment must survive — see internal/faults for
 // the deterministic injector that drives them.
@@ -43,68 +54,168 @@ type Service struct {
 	engine *netsim.Engine
 	rng    *xrand.RNG
 	stats  ServiceStats
-	cancel func()
+
+	interval time.Duration
+	latency  time.Duration // generation → usable: propagation + heralding
+	delivery float64       // nominal probability both photons arrive
+
+	// The next generation tick. After Stop the pending tick still fires once,
+	// as a no-op, and only then does the cursor go idle.
+	tickAt  time.Duration
+	tickSeq uint64
+	ticking bool
+
+	flights ring[flight] // pairs in flight, oldest first
 
 	stopped bool
 	outage  bool
 	// deliveryScale multiplies the fiber delivery probability (1 nominal);
 	// fiber-loss bursts and repeater BSM-failure windows collapse it.
 	deliveryScale float64
+	budget        int64 // stop once this many pairs are delivered; 0 = no cap
 }
 
-// StartService begins pair distribution on the engine. Call Stop to end it.
+// flight is one emitted pair on its way to the QNICs.
+type flight struct {
+	at  time.Duration // arrival time
+	seq uint64
+}
+
+// StartService begins pair distribution on the engine, occupying its stream
+// slot. Call Stop to end it.
 func StartService(e *netsim.Engine, src SourceConfig, pool *Pool, rng *xrand.RNG) *Service {
 	if err := src.Validate(); err != nil {
 		panic(err)
 	}
-	s := &Service{Source: src, Pool: pool, engine: e, rng: rng, deliveryScale: 1}
-	delivery := src.DeliveryProbability()
-	// Pairs become usable one full delivery latency (propagation +
-	// heralding) after generation; with the default zero herald latency this
-	// is exactly the historical propagation-only schedule.
-	propagation := src.DeliveryLatency()
-	s.cancel = e.Every(src.Interval(), func() {
-		if s.outage {
-			s.stats.Suppressed++
-			mSvcSuppressed.Inc()
-			return
-		}
-		s.stats.Generated++
-		mSvcGenerated.Inc()
-		p := delivery * s.deliveryScale
-		if !rng.Bool(p) {
-			s.stats.LostFiber++
-			mSvcLostFiber.Inc()
-			return
-		}
-		e.Schedule(propagation, func() {
-			// A propagation callback scheduled before Stop may fire after
-			// it; a stopped source must be silent, so the photons are
-			// discarded at the QNIC instead of mutating a pool the owner
-			// believes quiescent.
-			if s.stopped {
-				s.stats.DroppedAfterStop++
-				mSvcDropped.Inc()
-				return
-			}
-			pair := Pair{ArrivedAt: e.Now(), V0: src.BaseVisibility}
-			if pool.Add(pair) {
-				s.stats.Delivered++
-				mSvcDelivered.Inc()
-			} else {
-				s.stats.Rejected++
-				mSvcRejected.Inc()
-			}
-		})
-	})
+	interval := src.Interval()
+	s := &Service{
+		Source: src, Pool: pool, engine: e, rng: rng, deliveryScale: 1,
+		interval: interval,
+		// Pairs become usable one full delivery latency (propagation +
+		// heralding) after generation.
+		latency:  src.DeliveryLatency(),
+		delivery: src.DeliveryProbability(),
+		tickAt:   e.Now() + interval,
+		tickSeq:  e.NextSeq(),
+		ticking:  true,
+	}
+	e.Attach(s)
 	return s
+}
+
+// next returns the service's earliest pending event and whether it is an
+// arrival (true) or the generation tick (false).
+func (s *Service) next() (at time.Duration, seq uint64, arrival, ok bool) {
+	if s.flights.n > 0 {
+		f := s.flights.at(0)
+		if !s.ticking || f.at < s.tickAt || (f.at == s.tickAt && f.seq < s.tickSeq) {
+			return f.at, f.seq, true, true
+		}
+	}
+	return s.tickAt, s.tickSeq, false, s.ticking
+}
+
+// Head implements netsim.Stream.
+func (s *Service) Head() (time.Duration, uint64, bool) {
+	at, seq, _, ok := s.next()
+	return at, seq, ok
+}
+
+// RunBefore implements netsim.Stream: it runs ticks and arrivals in
+// (at, seq) order up to the bound, then publishes what they counted to the
+// process-wide registry — one atomic add per counter that moved, however
+// many pairs the catch-up covered.
+func (s *Service) RunBefore(at time.Duration, seq uint64) {
+	before := s.stats
+	expired := 0
+	for {
+		eat, eseq, arrival, ok := s.next()
+		if !ok || eat > at || (eat == at && eseq >= seq) {
+			break
+		}
+		if arrival {
+			s.flights.drop(1)
+			expired += s.arrive(eat)
+		} else {
+			s.tick()
+		}
+	}
+	s.publish(before, expired)
+}
+
+// tick is one generation attempt.
+func (s *Service) tick() {
+	if s.stopped {
+		s.ticking = false
+		return
+	}
+	if s.outage {
+		s.stats.Suppressed++
+	} else {
+		s.stats.Generated++
+		if s.rng.Bool(s.delivery * s.deliveryScale) {
+			s.flights.push(flight{at: s.tickAt + s.latency, seq: s.engine.NextSeq()})
+		} else {
+			s.stats.LostFiber++
+		}
+	}
+	s.tickAt += s.interval
+	s.tickSeq = s.engine.NextSeq()
+}
+
+// arrive lands one pair at the QNICs and returns how many stored pairs its
+// arrival expired from the pool.
+func (s *Service) arrive(at time.Duration) (expired int) {
+	// A pair emitted before Stop may land after it; a stopped source must be
+	// silent, so the photons are discarded at the QNIC instead of mutating a
+	// pool the owner believes quiescent.
+	if s.stopped {
+		s.stats.DroppedAfterStop++
+		return 0
+	}
+	stored, expired := s.Pool.add(Pair{ArrivedAt: at, V0: s.Source.BaseVisibility})
+	if !stored {
+		s.stats.Rejected++
+		return expired
+	}
+	s.stats.Delivered++
+	if s.stats.Delivered == s.budget {
+		s.stopped = true
+	}
+	return expired
+}
+
+// publish adds the counts accumulated since before to the process-wide
+// registry. Every stored pair is a delivered one, so the pool's added
+// counter moves with Delivered.
+func (s *Service) publish(before ServiceStats, poolExpired int) {
+	add := func(c *metrics.Counter, d int64) {
+		if d != 0 {
+			c.Add(d)
+		}
+	}
+	add(mSvcGenerated, s.stats.Generated-before.Generated)
+	add(mSvcLostFiber, s.stats.LostFiber-before.LostFiber)
+	add(mSvcDelivered, s.stats.Delivered-before.Delivered)
+	add(mPoolAdded, s.stats.Delivered-before.Delivered)
+	add(mSvcRejected, s.stats.Rejected-before.Rejected)
+	add(mSvcSuppressed, s.stats.Suppressed-before.Suppressed)
+	add(mSvcDropped, s.stats.DroppedAfterStop-before.DroppedAfterStop)
+	add(mPoolExpired, int64(poolExpired))
 }
 
 // Stop halts the source. Pairs already in flight are discarded on arrival
 // (counted as DroppedAfterStop), so after Stop the pool never changes.
-func (s *Service) Stop() {
-	s.stopped = true
-	s.cancel()
+func (s *Service) Stop() { s.stopped = true }
+
+// SetBudget caps the pairs the source may deliver over its lifetime: the
+// service stops itself on the arrival that brings Delivered to n, so the
+// cap is exact however far one engine run advances. n = 0 lifts the cap.
+func (s *Service) SetBudget(n int64) {
+	s.budget = n
+	if n > 0 && s.stats.Delivered >= n {
+		s.stopped = true
+	}
 }
 
 // SetOutage switches the source off (down=true) or back on — the

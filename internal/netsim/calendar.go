@@ -49,7 +49,7 @@ type calendarQueue struct {
 	curEnd  time.Duration // exclusive end of cur's current-year window
 	n       int           // pending events
 
-	// Cached location of the minimum event, so a peekAt immediately followed
+	// Cached location of the minimum event, so a peek immediately followed
 	// by pop (the RunUntil loop) scans the calendar once, not twice. A pop or
 	// resize invalidates it; a push keeps it when the new event cannot beat
 	// the cached minimum (pushes carry a fresh, larger seq, so at alone
@@ -242,12 +242,13 @@ func (c *calendarQueue) pop() (event, bool) {
 	return ev, true
 }
 
-func (c *calendarQueue) peekAt() (time.Duration, bool) {
+func (c *calendarQueue) peek() (time.Duration, uint64, bool) {
 	if c.n == 0 {
-		return 0, false
+		return 0, 0, false
 	}
 	bi, si := c.findMin()
-	return c.buckets[bi].at(si).at, true
+	ev := c.buckets[bi].at(si)
+	return ev.at, ev.seq, true
 }
 
 // resize re-buckets every pending event into nb buckets, re-estimating the

@@ -47,30 +47,109 @@ func buildScript(seed uint64, roots, maxNodes int) []scriptNode {
 	return nodes
 }
 
-// replay schedules the script's roots and runs the engine to completion,
-// returning the executed (id, time) sequence.
-func replay(e *Engine, script []scriptNode, roots int) []popRecord {
-	var trace []popRecord
+// A ticker adds a fixed-rate event source to a replay, recording its events
+// in the same trace as the script's (under negative ids).
+type ticker func(e *Engine, trace *[]popRecord)
+
+const (
+	tickInterval = time.Microsecond // on the script's delay grid, so ticks tie with callbacks
+	tickCount    = 3000
+)
+
+// tickStream is the source as a Stream: the pending tick is a cursor, and
+// each tick draws its successor's sequence number as it runs.
+type tickStream struct {
+	e     *Engine
+	trace *[]popRecord
+	at    time.Duration
+	seq   uint64
+	left  int
+}
+
+func streamTicker(e *Engine, trace *[]popRecord) {
+	e.Attach(&tickStream{e: e, trace: trace, at: e.Now() + tickInterval, seq: e.NextSeq(), left: tickCount})
+}
+
+func (s *tickStream) Head() (time.Duration, uint64, bool) { return s.at, s.seq, s.left > 0 }
+
+func (s *tickStream) RunBefore(at time.Duration, seq uint64) {
+	for s.left > 0 && (event{at: s.at, seq: s.seq}).less(event{at: at, seq: seq}) {
+		*s.trace = append(*s.trace, popRecord{id: -s.left, at: s.at})
+		if s.left--; s.left > 0 {
+			s.at += tickInterval
+			s.seq = s.e.NextSeq()
+		}
+	}
+}
+
+// chainTicker is the same source as the callback chain a Stream replaces:
+// one queued closure per tick. It is the reference the stream replays must
+// reproduce, on either scheduler.
+func chainTicker(e *Engine, trace *[]popRecord) {
+	left := tickCount
+	var tick func()
+	tick = func() {
+		*trace = append(*trace, popRecord{id: -left, at: e.Now()})
+		if left--; left > 0 {
+			e.Schedule(tickInterval, tick)
+		}
+	}
+	e.Schedule(tickInterval, tick)
+}
+
+// load starts the ticker (if any) and schedules the script's roots; the
+// returned trace fills as the engine runs.
+func load(e *Engine, script []scriptNode, roots int, tk ticker) *[]popRecord {
+	trace := new([]popRecord)
 	var schedule func(id int)
 	schedule = func(id int) {
 		e.Schedule(script[id].delay, func() {
-			trace = append(trace, popRecord{id: id, at: e.Now()})
+			*trace = append(*trace, popRecord{id: id, at: e.Now()})
 			for _, c := range script[id].children {
 				schedule(c)
 			}
 		})
 	}
-	for id := 0; id < roots; id++ {
+	// Half the roots go in before the ticker and half after, so callbacks
+	// sit on both sides of the first tick's sequence number.
+	for id := 0; id < roots/2; id++ {
 		schedule(id)
 	}
-	e.Run(0)
+	if tk != nil {
+		tk(e, trace)
+	}
+	for id := roots / 2; id < roots; id++ {
+		schedule(id)
+	}
 	return trace
+}
+
+// replay runs the script (and ticker) to completion, returning the executed
+// (id, time) sequence.
+func replay(e *Engine, script []scriptNode, roots int, tk ticker) []popRecord {
+	trace := load(e, script, roots, tk)
+	e.Run(0)
+	return *trace
+}
+
+func diffTraces(t *testing.T, what string, want, got []popRecord) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: trace lengths differ: %d vs %d", what, len(want), len(got))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%s: pop %d differs: %+v vs %+v", what, i, want[i], got[i])
+		}
+	}
 }
 
 // TestCalendarHeapDifferential is the scheduler-equivalence pin: identical
 // scripted event streams replayed through the heap engine and the
 // calendar-queue engine must produce byte-identical pop order, including
 // simultaneous-event FIFO ties (the zero-delay grid makes those plentiful).
+// With a fixed-rate source in the mix, both schedulers must also merge it as
+// a Stream into exactly the order its callback chain would have run in.
 func TestCalendarHeapDifferential(t *testing.T) {
 	for _, tc := range []struct {
 		seed   uint64
@@ -84,55 +163,80 @@ func TestCalendarHeapDifferential(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("seed=%d/n=%d", tc.seed, tc.budget), func(t *testing.T) {
 			script := buildScript(tc.seed, tc.roots, tc.budget)
-			heapTrace := replay(NewHeapEngine(), script, tc.roots)
-			calTrace := replay(NewEngine(), script, tc.roots)
-			if len(heapTrace) != len(calTrace) {
-				t.Fatalf("trace lengths differ: heap %d, calendar %d", len(heapTrace), len(calTrace))
+			diffTraces(t, "heap vs calendar", replay(NewHeapEngine(), script, tc.roots, nil),
+				replay(NewEngine(), script, tc.roots, nil))
+			chain := replay(NewHeapEngine(), script, tc.roots, chainTicker)
+			if len(chain) != len(script)+tickCount {
+				t.Fatalf("chain replay ran %d events, want %d", len(chain), len(script)+tickCount)
 			}
-			for i := range heapTrace {
-				if heapTrace[i] != calTrace[i] {
-					t.Fatalf("pop %d differs: heap %+v, calendar %+v", i, heapTrace[i], calTrace[i])
-				}
-			}
+			diffTraces(t, "chain vs heap+stream", chain, replay(NewHeapEngine(), script, tc.roots, streamTicker))
+			diffTraces(t, "chain vs calendar+stream", chain, replay(NewEngine(), script, tc.roots, streamTicker))
 		})
 	}
 }
 
 // TestCalendarHeapDifferentialRunUntil replays the same stream through both
 // engines in bounded RunUntil increments, checking that cursor bookkeeping
-// across partial drains cannot change the order.
+// across partial drains — and the stream batches RunUntil cuts between
+// callbacks — cannot change the order.
 func TestCalendarHeapDifferentialRunUntil(t *testing.T) {
 	script := buildScript(7, 200, 4000)
-	drive := func(e *Engine) []popRecord {
-		var trace []popRecord
-		var schedule func(id int)
-		schedule = func(id int) {
-			e.Schedule(script[id].delay, func() {
-				trace = append(trace, popRecord{id: id, at: e.Now()})
-				for _, c := range script[id].children {
-					schedule(c)
-				}
-			})
-		}
-		for id := 0; id < 200; id++ {
-			schedule(id)
-		}
-		for step := time.Microsecond; e.Pending() > 0; step *= 2 {
+	drive := func(e *Engine, tk ticker) []popRecord {
+		trace := load(e, script, 200, tk)
+		for step := time.Microsecond; len(*trace) < len(script)+tickCount; step *= 2 {
 			e.RunUntil(e.Now() + step)
 		}
-		return trace
+		return *trace
 	}
-	a := drive(NewHeapEngine())
-	b := drive(NewEngine())
-	if len(a) != len(b) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("pop %d differs: heap %+v, calendar %+v", i, a[i], b[i])
-		}
-	}
+	chain := drive(NewHeapEngine(), chainTicker)
+	diffTraces(t, "chain heap vs calendar", chain, drive(NewEngine(), chainTicker))
+	diffTraces(t, "chain vs heap+stream", chain, drive(NewHeapEngine(), streamTicker))
+	diffTraces(t, "chain vs calendar+stream", chain, drive(NewEngine(), streamTicker))
 }
+
+// TestStreamSlotContract pins the rest of the Stream contract: events a
+// stream holds are invisible to Pending, Step and Run count them one by one,
+// the slot holds one stream, and a stream event may not queue a callback.
+func TestStreamSlotContract(t *testing.T) {
+	e := NewEngine()
+	var trace []popRecord
+	streamTicker(e, &trace)
+	e.Schedule(tickInterval, func() {}) // ties with the first tick, larger seq
+	if e.Pending() != 1 {
+		t.Fatalf("pending %d, want 1 (stream events are not queued)", e.Pending())
+	}
+	if !e.Step() || len(trace) != 1 || e.Now() != tickInterval || e.Pending() != 1 {
+		t.Fatalf("first step should run the tick alone: trace %v, now %v, pending %d", trace, e.Now(), e.Pending())
+	}
+	if n := e.Run(3); n != 3 || len(trace) != 3 || e.Pending() != 0 {
+		t.Fatalf("Run(3) ran %d events, %d ticks so far, pending %d", n, len(trace), e.Pending())
+	}
+	if n := e.Run(0); n != tickCount-3 || e.Now() != tickCount*tickInterval {
+		t.Fatalf("drain ran %d events to %v", n, e.Now())
+	}
+	if e.Step() {
+		t.Fatal("step past the stream's last event")
+	}
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s should panic", what)
+			}
+		}()
+		fn()
+	}
+	mustPanic("second Attach", func() { streamTicker(e, &trace) })
+	bad := NewEngine()
+	bad.Attach(schedulingStream{bad})
+	mustPanic("Schedule inside a stream event", func() { bad.RunUntil(time.Second) })
+}
+
+// schedulingStream breaks the contract by queueing a callback from an event.
+type schedulingStream struct{ e *Engine }
+
+func (s schedulingStream) Head() (time.Duration, uint64, bool) { return 0, 0, true }
+func (s schedulingStream) RunBefore(time.Duration, uint64)     { s.e.Schedule(0, func() {}) }
 
 // TestCalendarSparseFarFuture exercises the direct-search fallback: a few
 // events scattered over a span vastly wider than one calendar year must

@@ -275,6 +275,39 @@ func TestDecideBatchInProcessAllocs(t *testing.T) {
 	}
 }
 
+// TestDecideAdvancingClockAllocs closes the gap the frozen-clock gates
+// leave: with the clock moving, every decide pays an engine catch-up, and
+// the catch-up — source ticks, pairs in flight, pool expiry — must stay off
+// the heap too, whether it covers two pairs (20 µs) or the full 25 ms cap.
+func TestDecideAdvancingClockAllocs(t *testing.T) {
+	for _, step := range []time.Duration{20 * time.Microsecond, 25 * time.Millisecond} {
+		clk := newManualClock(testEpoch)
+		srv := NewServer(Config{Clock: clk.Now})
+		t.Cleanup(srv.StopSessions)
+		if _, err := srv.CreateSession(SessionRequest{ID: "t-moving", Endpoints: twoEndpoints(), Seed: 5}); err != nil {
+			t.Fatal(err)
+		}
+		var out DecideResponse
+		i := 0
+		decide := func() {
+			clk.Advance(step)
+			if err := srv.Decide("t-moving", i%2, (i/2)%2, &out); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		// Warm past the transients: the pool and in-flight rings reach their
+		// steady size, and the health ladder settles on its rung (moving
+		// between rungs re-solves the game's strategy, which allocates).
+		for w := 0; w < 2000; w++ {
+			decide()
+		}
+		if avg := testing.AllocsPerRun(500, decide); avg != 0 {
+			t.Fatalf("decide with the clock stepping %v allocates %v per op", step, avg)
+		}
+	}
+}
+
 // TestClockInjectionDeterminism: two servers driven by the same virtual
 // clock schedule and seeds must emit byte-identical decision streams.
 func TestClockInjectionDeterminism(t *testing.T) {

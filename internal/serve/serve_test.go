@@ -238,11 +238,44 @@ func TestPairBudgetExhaustionDegradesSession(t *testing.T) {
 	if !got.BudgetExhausted {
 		t.Fatalf("budget not exhausted: %+v", got)
 	}
-	if got.PairsDelivered < got.PairBudget {
-		t.Fatalf("delivered %d < budget %d", got.PairsDelivered, got.PairBudget)
+	if got.PairsDelivered != got.PairBudget {
+		t.Fatalf("delivered %d, budget %d", got.PairsDelivered, got.PairBudget)
 	}
 	if got.Level != "classical" {
 		t.Fatalf("exhausted session level = %q, want classical", got.Level)
+	}
+}
+
+// TestPairBudgetIsExact is the regression test for the budget overshoot:
+// the cap used to be checked only after an engine catch-up returned, so a
+// 40-pair budget delivered every pair the catch-up covered (~2 280 in one
+// 25 ms step). The source now stops itself on the arrival that spends the
+// budget, however coarse the advance.
+func TestPairBudgetIsExact(t *testing.T) {
+	for _, step := range []time.Duration{20 * time.Microsecond, time.Millisecond, 25 * time.Millisecond} {
+		clk := newManualClock(testEpoch)
+		srv := NewServer(Config{Clock: clk.Now})
+		t.Cleanup(srv.StopSessions)
+		if _, err := srv.CreateSession(SessionRequest{
+			ID: "t-exact", Endpoints: twoEndpoints(), PairBudget: 40, Seed: 3,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var out DecideResponse
+		for i := 0; i < 100; i++ {
+			clk.Advance(step)
+			if err := srv.Decide("t-exact", i%2, i%2, &out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		info, err := srv.Info("t-exact")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.PairsDelivered != info.PairBudget || !info.BudgetExhausted {
+			t.Fatalf("step %v: delivered %d of a %d-pair budget (exhausted=%v)",
+				step, info.PairsDelivered, info.PairBudget, info.BudgetExhausted)
+		}
 	}
 }
 

@@ -185,8 +185,9 @@ const (
 // catch-up work proportional to wall time, and a session that falls behind
 // real time owes *more* work per decision, a divergent feedback loop. With
 // it, simulated time lags wall time under overload instead: supply/decision
-// dynamics stay physical, and each request does bounded engine work. 25 ms
-// at the default pair rate is 2500 source events per advance.
+// dynamics stay physical, and each request does bounded engine work: 25 ms
+// at the default pair rate is 2 500 generated pairs, which the source runs
+// as one in-engine batch (≈ 20 ns of host time per pair, README § Serving).
 const maxAdvancePerStep = 25 * time.Millisecond
 
 // session is one registered endpoint group: a discrete-event supply chain
@@ -214,8 +215,7 @@ type session struct {
 	core   *core.Session
 	game   *games.XORGame
 
-	pairBudget      int64
-	budgetExhausted bool
+	pairBudget int64
 }
 
 // parseFaultKind maps the wire spelling onto faults.Kind.
@@ -314,6 +314,7 @@ func newSession(id string, req SessionRequest, now time.Time) (*session, error) 
 	pool := entangle.NewPool(qnic, poolCap)
 	rng := xrand.New(seed, 0x5e55)
 	svc := entangle.StartService(engine, src, pool, rng.Split(1))
+	svc.SetBudget(req.PairBudget)
 	if len(sched.Windows) > 0 {
 		faults.NewInjector(engine, sched, faults.Target{Service: svc, Pool: pool}).Arm()
 	}
@@ -349,9 +350,9 @@ func newSession(id string, req SessionRequest, now time.Time) (*session, error) 
 }
 
 // advanceAt steps the session's virtual clock to the caller-supplied wall
-// reading (capped at maxAdvancePerStep since the last advance),
-// fast-forwards the supply chain to it, and enforces the pair budget. It
-// returns the new virtual now. Callers hold s.mu.
+// reading (capped at maxAdvancePerStep since the last advance) and
+// fast-forwards the supply chain to it; the source enforces the pair budget
+// itself, pair by pair. It returns the new virtual now. Callers hold s.mu.
 //
 // The wall read is hoisted to the caller deliberately: the HTTP handlers
 // and the in-process batch path read the server clock ONCE per request, so
@@ -370,10 +371,6 @@ func (s *session) advanceAt(wall time.Time) time.Duration {
 	}
 	s.simNow += delta
 	s.engine.RunUntil(s.simNow)
-	if s.pairBudget > 0 && !s.budgetExhausted && s.svc.Stats().Delivered >= s.pairBudget {
-		s.svc.Stop()
-		s.budgetExhausted = true
-	}
 	return s.simNow
 }
 
@@ -481,6 +478,7 @@ func (s *session) info(draining bool, wall time.Time) SessionInfo {
 	}
 	st := s.core.Stats()
 	h := s.core.Health()
+	delivered := s.svc.Stats().Delivered
 	return SessionInfo{
 		ID:   s.id,
 		Game: s.gameName,
@@ -498,9 +496,9 @@ func (s *session) info(draining bool, wall time.Time) SessionInfo {
 		FallbackRounds:     st.FallbackRounds,
 		WinRate:            st.Wins.Rate(),
 		PoolPairs:          s.pool.Len(),
-		PairsDelivered:     s.svc.Stats().Delivered,
+		PairsDelivered:     delivered,
 		PairBudget:         s.pairBudget,
-		BudgetExhausted:    s.budgetExhausted,
+		BudgetExhausted:    s.pairBudget > 0 && delivered >= s.pairBudget,
 		CriticalVisibility: s.core.CriticalVis(),
 		ClassicalValue:     s.core.ClassicalValue(),
 		QuantumValue:       s.core.QuantumValue(),
@@ -514,7 +512,5 @@ func (s *session) info(draining bool, wall time.Time) SessionInfo {
 func (s *session) stop() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.budgetExhausted {
-		s.svc.Stop()
-	}
+	s.svc.Stop()
 }
