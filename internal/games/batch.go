@@ -85,7 +85,8 @@ func SolveBatchFrom(n int, gen func(i int) *XORGame, workers int) []BatchResult 
 		}
 		for i := lo; i < hi; i++ {
 			g := gen(i)
-			out[i] = BatchResult{Classical: g.cachedClassical(), Quantum: g.cachedQuantum()}
+			c := g.cachedClassical()
+			out[i] = BatchResult{Classical: c, Quantum: g.cachedQuantum(&c)}
 		}
 	})
 	return out

@@ -213,7 +213,7 @@ func TestSolveBatchMatchesSequential(t *testing.T) {
 	ResetSolveCache()
 	want := make([]BatchResult, len(gs))
 	for i, g := range gs {
-		want[i] = BatchResult{Classical: g.ClassicalValue(), Quantum: g.cachedQuantum()}
+		want[i] = BatchResult{Classical: g.ClassicalValue(), Quantum: g.QuantumValue(nil)}
 	}
 	check := func(got []BatchResult, label string) {
 		t.Helper()

@@ -26,9 +26,12 @@ type QuantumResult struct {
 //	max Σ_{x,y} M[x][y]·⟨u_x, v_y⟩  over unit vectors u_x, v_y ∈ R^d,
 //
 // with d = NA + NB sufficient, where M is the sign matrix. This is an SDP
-// (the Grothendieck-type relaxation); we solve it with Burer–Monteiro
-// row-coordinate ascent at full rank (see QuantumValueUncached). This
-// replaces the paper's use of the Toqito Python package.
+// (the Grothendieck-type relaxation). A dual certificate built from the
+// classical optimum first settles the games with no quantum advantage,
+// returning that optimum as the rank-1 solution (see dualcert.go); every
+// other game is solved with Burer–Monteiro row-coordinate ascent at full
+// rank (see QuantumValueUncached). This replaces the paper's use of the
+// Toqito Python package.
 //
 // Results are memoized per sign matrix: repeated solves of the same game
 // (every paired-strategy constructor solves colocation-CHSH; the Figure 3
@@ -41,7 +44,7 @@ type QuantumResult struct {
 // retains the explicit-stream solver.
 func (g *XORGame) QuantumValue(rng *xrand.RNG) QuantumResult {
 	_ = rng
-	return g.cachedQuantum()
+	return g.cachedQuantum(nil)
 }
 
 // QuantumValueUncached runs the Burer–Monteiro solver directly with the
@@ -122,10 +125,8 @@ func (g *XORGame) quantumValueUncached(rng *xrand.RNG) QuantumResult {
 	best := QuantumResult{Bias: bestBias, Value: ValueFromBias(bestBias)}
 	best.U = unflatten(s.bu, na, d)
 	best.V = unflatten(s.bv, nb, d)
-	best.Dot = make([][]float64, na)
-	dotBacking := make([]float64, na*nb)
-	for x := 0; x < na; x++ {
-		row := dotBacking[x*nb : (x+1)*nb : (x+1)*nb]
+	best.Dot = newMatrix(na, nb)
+	for x, row := range best.Dot {
 		for y := 0; y < nb; y++ {
 			c := linalg.FlatDot(best.U[x], best.V[y])
 			// Clamp numerical dust so downstream samplers see valid
@@ -137,7 +138,6 @@ func (g *XORGame) quantumValueUncached(rng *xrand.RNG) QuantumResult {
 			}
 			row[y] = c
 		}
-		best.Dot[x] = row
 	}
 	return best
 }
@@ -268,14 +268,22 @@ func fillRandomUnitRows(buf []float64, n, d int, rng *xrand.RNG) {
 	}
 }
 
+// newMatrix returns a zeroed rows×cols matrix whose rows share one slab.
+func newMatrix(rows, cols int) [][]float64 {
+	out := make([][]float64, rows)
+	slab := make([]float64, rows*cols)
+	for i := range out {
+		out[i] = slab[i*cols : (i+1)*cols : (i+1)*cols]
+	}
+	return out
+}
+
 // unflatten copies a flat row-major block into the jagged [][]float64 the
 // public QuantumResult API exposes.
 func unflatten(buf []float64, n, d int) [][]float64 {
-	rows := make([][]float64, n)
-	backing := make([]float64, n*d)
-	copy(backing, buf[:n*d])
-	for i := range rows {
-		rows[i] = backing[i*d : (i+1)*d : (i+1)*d]
+	rows := newMatrix(n, d)
+	for i, row := range rows {
+		copy(row, buf[i*d:])
 	}
 	return rows
 }
@@ -404,7 +412,7 @@ const AdvantageTolerance = 1e-7
 // exceeds its classical value, together with both results.
 func (g *XORGame) HasQuantumAdvantage(rng *xrand.RNG) (bool, ClassicalResult, QuantumResult) {
 	c := g.ClassicalValue()
-	q := g.QuantumValue(rng)
+	q := g.cachedQuantum(&c) // rng is never read, as in QuantumValue
 	return q.Bias > c.Bias+AdvantageTolerance, c, q
 }
 

@@ -22,8 +22,8 @@ import (
 // experiment driver and the sharded simulation runner, dozens of goroutines
 // hit the cache at once; a single mutex serializes them all on a ~100 ns
 // critical section, while striping lets lookups for different games proceed
-// concurrently. Shard selection reuses the FNV-64a hash already computed
-// for the solver's restart stream, so striping adds no extra hashing.
+// concurrently. Shard selection folds the FNV-64a hash already computed for
+// the solver's restart stream, so striping adds no extra hashing.
 
 // solveCacheMaxEntries bounds memory across ALL shards: the per-shard
 // capacity is the total divided by the shard count, so reconfiguring the
@@ -61,6 +61,18 @@ type solveShardSet struct {
 	shards []*solveShard
 	mask   uint64
 	perCap int // per-shard clockCache capacity
+}
+
+// shardFor picks the stripe for a key hash by folding all eight hash bytes
+// into the low one (mask ≤ 255). FNV-64a's own low bits will not do: bit k
+// of the hash depends only on bits ≤ k of the key bytes, and the sign bit
+// that tells two Figure 3 labelings apart is bit 7 of a float64's top byte,
+// so hash&15 is the same for all 1024 of them.
+func (s *solveShardSet) shardFor(h uint64) *solveShard {
+	h ^= h >> 32
+	h ^= h >> 16
+	h ^= h >> 8
+	return s.shards[h&s.mask]
 }
 
 func newSolveShardSet(n, totalCap int) *solveShardSet {
@@ -156,7 +168,7 @@ func (g *XORGame) signKey() string {
 
 // solveKeyHash is FNV-64a over the sign key. One hash serves two masters:
 // the quantum solver's restart stream seed (internalSolveRNG) and the shard
-// index (hash & mask) — both are pure functions of the game, so neither
+// index (shardFor) — both are pure functions of the game, so neither
 // depends on which goroutine arrives first.
 func solveKeyHash(key string) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
@@ -180,7 +192,7 @@ func internalSolveRNG(key string) *xrand.RNG {
 func (g *XORGame) cachedClassical() ClassicalResult {
 	key := g.signKey()
 	set := solveShards.Load()
-	sh := set.shards[solveKeyHash(key)&set.mask]
+	sh := set.shardFor(solveKeyHash(key))
 
 	sh.mu.Lock()
 	var r ClassicalResult
@@ -211,12 +223,16 @@ func (g *XORGame) cachedClassical() ClassicalResult {
 }
 
 // cachedQuantum returns the memoized quantum optimum, computing it on first
-// use with a restart stream derived from the game itself. The returned
-// result shares no slices with the cache.
-func (g *XORGame) cachedQuantum() QuantumResult {
+// use: dual certificate first, and for every game that does not settle the
+// Burer–Monteiro ascent on a restart stream derived from the game itself.
+// classical is the game's classical optimum if the caller already holds it,
+// else nil; the certificate then enumerates for itself, uncounted, so one
+// quantum solve is one quantum miss and nothing else on the counters. The
+// returned result shares no slices with the cache.
+func (g *XORGame) cachedQuantum(classical *ClassicalResult) QuantumResult {
 	key := g.signKey()
 	set := solveShards.Load()
-	sh := set.shards[solveKeyHash(key)&set.mask]
+	sh := set.shardFor(solveKeyHash(key))
 
 	sh.mu.Lock()
 	var r QuantumResult
@@ -231,7 +247,10 @@ func (g *XORGame) cachedQuantum() QuantumResult {
 	} else {
 		quantumMisses.Inc()
 		sh.quantumMisses.Inc()
-		r = g.quantumValueUncached(internalSolveRNG(key))
+		var certified bool
+		if r, certified = g.certifiedQuantum(classical); !certified {
+			r = g.quantumValueUncached(internalSolveRNG(key))
+		}
 		sh.mu.Lock()
 		if sh.quantum == nil {
 			sh.quantum = newClockCache[QuantumResult](set.perCap)
@@ -258,10 +277,13 @@ func copyInts(xs []int) []int {
 	return out
 }
 
+// copyMatrix copies a rectangular matrix: two allocations however many rows.
 func copyMatrix(m [][]float64) [][]float64 {
-	out := make([][]float64, len(m))
+	if len(m) == 0 {
+		return [][]float64{}
+	}
+	out := newMatrix(len(m), len(m[0]))
 	for i, row := range m {
-		out[i] = make([]float64, len(row))
 		copy(out[i], row)
 	}
 	return out

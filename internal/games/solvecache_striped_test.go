@@ -194,3 +194,18 @@ func benchCacheLookup(b *testing.B, shards int) {
 
 func BenchmarkSolveCacheLookupSingleLock(b *testing.B) { benchCacheLookup(b, 1) }
 func BenchmarkSolveCacheLookupStriped16(b *testing.B)  { benchCacheLookup(b, 16) }
+
+// TestSolveCacheHitAllocs pins what a hit costs: the key (2) plus one row
+// table and one slab per copied matrix or answer table — however many rows
+// the game has. Copying a row at a time made a K5 quantum hit 20.
+func TestSolveCacheHitAllocs(t *testing.T) {
+	g := RandomGraphXORGame(5, 0.5, xrand.New(31, 7))
+	g.ClassicalValue()
+	g.QuantumValue(nil)
+	if n := testing.AllocsPerRun(100, func() { g.QuantumValue(nil) }); n > 8 {
+		t.Errorf("quantum cache hit: %v allocs, want ≤ 8", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { g.ClassicalValue() }); n > 4 {
+		t.Errorf("classical cache hit: %v allocs, want ≤ 4", n)
+	}
+}
