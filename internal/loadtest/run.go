@@ -168,15 +168,17 @@ loop:
 			defer wg.Done()
 			scheduled := start.Add(req.at)
 			budget := plan.Config.DeadlineBudget
+			var deadline time.Time
+			if budget > 0 {
+				deadline = scheduled.Add(budget)
+			}
 			var err error
 			var results []serve.DecideResponse
 			info := plan.Scenarios[req.scenario].Info
 			if info {
 				_, err = c.Session(ctx, sessionID(req.session))
-			} else if budget > 0 {
-				results, err = c.DecideBatchDeadline(ctx, sessionID(req.session), scheduled.Add(budget), req.rounds)
 			} else {
-				results, err = c.DecideBatch(ctx, sessionID(req.session), req.rounds)
+				results, err = c.DecideBatchDeadline(ctx, sessionID(req.session), deadline, req.rounds)
 			}
 			// Latency from the SCHEDULED arrival (coordinated-omission
 			// correction): a request that was shed and retried still counts

@@ -339,9 +339,9 @@ func TestAdmissionAcceptPathAllocs(t *testing.T) {
 	// preallocated sentinel; gate rejections build one small Decision on
 	// the stack and wrap it in a ShedError — allow that single object).
 	deadline := testEpoch // already past: every request sheds on deadline
+	rounds, results := []Round{{X: 0, Y: 0}}, make([]DecideResponse, 1)
 	avg = testing.AllocsPerRun(500, func() {
-		err := srv.DecideDeadline("t-adm-allocs", deadline, 0, 0, &out)
-		if err == nil {
+		if err := srv.DecideBatchDeadline("t-adm-allocs", deadline, rounds, results); err == nil {
 			t.Fatal("past-deadline decide must shed")
 		}
 	})
@@ -494,12 +494,12 @@ func TestAdmissionNilIsPreAdmissionBehavior(t *testing.T) {
 		t.Fatal(err)
 	}
 	// In-process: an already-lapsed deadline still serves.
-	var out DecideResponse
-	if err := srv2.DecideDeadline("t-nil", testEpoch.Add(-time.Hour), 0, 0, &out); err != nil {
+	var out [1]DecideResponse
+	if err := srv2.DecideBatchDeadline("t-nil", testEpoch.Add(-time.Hour), []Round{{X: 0, Y: 0}}, out[:]); err != nil {
 		t.Fatalf("nil-admission decide with lapsed deadline: %v", err)
 	}
-	if out.QueueNS != 0 {
-		t.Fatalf("nil-admission queue_ns = %d, want 0", out.QueueNS)
+	if out[0].QueueNS != 0 {
+		t.Fatalf("nil-admission queue_ns = %d, want 0", out[0].QueueNS)
 	}
 	// HTTP: same contract through the handler.
 	hc := &http.Client{}

@@ -372,33 +372,24 @@ func (c *Client) Decide(ctx context.Context, session string, x, y int) (DecideRe
 	return resp, err
 }
 
-// DecideDeadline is Decide with an absolute delivery deadline stamped on
-// the request, so an admission-enabled server can shed it rather than
-// serve it late.
-func (c *Client) DecideDeadline(ctx context.Context, session string, deadline time.Time, x, y int) (DecideResponse, error) {
-	var resp DecideResponse
-	err := c.do(ctx, http.MethodPost, "/v1/decide", DecideRequest{
-		Session: session, X: x, Y: y, DeadlineUnixNS: deadline.UnixNano(),
-	}, &resp)
-	return resp, err
-}
-
 // DecideBatch plays len(rounds) coordination rounds in one HTTP exchange,
 // amortizing connection, header and JSON overhead across the batch. Results
 // come back in request order.
 func (c *Client) DecideBatch(ctx context.Context, session string, rounds []Round) ([]DecideResponse, error) {
-	var resp DecideBatchResponse
-	err := c.do(ctx, http.MethodPost, "/v1/decide/batch", DecideBatchRequest{Session: session, Rounds: rounds}, &resp)
-	return resp.Results, err
+	return c.DecideBatchDeadline(ctx, session, time.Time{}, rounds)
 }
 
 // DecideBatchDeadline is DecideBatch with one absolute deadline shared by
-// the whole batch.
+// the whole batch, so an admission-enabled server can shed it rather than
+// serve it late. A zero deadline means unstamped — the wire spells that 0
+// (see deadlineOf), which time.Time{}.UnixNano() is not.
 func (c *Client) DecideBatchDeadline(ctx context.Context, session string, deadline time.Time, rounds []Round) ([]DecideResponse, error) {
+	req := DecideBatchRequest{Session: session, Rounds: rounds}
+	if !deadline.IsZero() {
+		req.DeadlineUnixNS = deadline.UnixNano()
+	}
 	var resp DecideBatchResponse
-	err := c.do(ctx, http.MethodPost, "/v1/decide/batch", DecideBatchRequest{
-		Session: session, Rounds: rounds, DeadlineUnixNS: deadline.UnixNano(),
-	}, &resp)
+	err := c.do(ctx, http.MethodPost, "/v1/decide/batch", req, &resp)
 	return resp.Results, err
 }
 

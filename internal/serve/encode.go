@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"io"
+	"net/http"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -31,7 +33,6 @@ type decideScratch struct {
 	out  []byte             // response encode buffer
 	req  DecideRequest      // single-round decode target
 	breq DecideBatchRequest // batch decode target (Rounds capacity reused)
-	resp DecideResponse     // single-round response
 	bres []DecideResponse   // batch responses (capacity reused)
 }
 
@@ -53,8 +54,6 @@ func getScratch() *decideScratch {
 	return sc
 }
 
-func putScratch(sc *decideScratch) { scratchPool.Put(sc) }
-
 // results returns the scratch's batch-response slice sized to n, reusing
 // capacity across requests.
 func (sc *decideScratch) results(n int) []DecideResponse {
@@ -63,6 +62,16 @@ func (sc *decideScratch) results(n int) []DecideResponse {
 	}
 	sc.bres = sc.bres[:n]
 	return sc.bres
+}
+
+// decode reads the request body into the pooled buffer and unmarshals it
+// into v (one of the scratch's own decode targets).
+func (sc *decideScratch) decode(r *http.Request, v any) error {
+	var err error
+	if sc.body, err = readBody(r.Body, sc.body, maxBodyBytes); err != nil {
+		return err
+	}
+	return json.Unmarshal(sc.body, v)
 }
 
 // readBody reads r fully into buf (reusing its capacity) up to limit bytes,

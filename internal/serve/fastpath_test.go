@@ -108,42 +108,6 @@ func TestDecideBatchErrors(t *testing.T) {
 	}
 }
 
-// TestInProcessDecideMatchesHTTP: the in-process fast path and the HTTP
-// handler must produce identical decision streams for identical sessions
-// under the same injected clock.
-func TestInProcessDecideMatchesHTTP(t *testing.T) {
-	clk := newManualClock(testEpoch)
-	srvA, c := newTestServer(t, Config{Clock: clk.Now})
-	srvB := NewServer(Config{Clock: clk.Now})
-	t.Cleanup(srvB.StopSessions)
-
-	ctx := context.Background()
-	req := SessionRequest{ID: "t-eq", Endpoints: twoEndpoints(), Seed: 21}
-	if _, err := c.CreateSession(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srvB.CreateSession(req); err != nil {
-		t.Fatal(err)
-	}
-	_ = srvA
-
-	var out DecideResponse
-	for i := 0; i < 200; i++ {
-		clk.Advance(50 * time.Microsecond)
-		x, y := i%2, (i/2)%2
-		http, err := c.Decide(ctx, "t-eq", x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srvB.Decide("t-eq", x, y, &out); err != nil {
-			t.Fatal(err)
-		}
-		if out != http {
-			t.Fatalf("round %d: in-process %+v != HTTP %+v", i, out, http)
-		}
-	}
-}
-
 // TestInfoDoesNotAdvancePerPoll: health polls within infoAdvanceTick must
 // not fast-forward the session engine — they'd otherwise perturb (and
 // serialize against) the decide path.
@@ -154,7 +118,7 @@ func TestInfoDoesNotAdvancePerPoll(t *testing.T) {
 	if _, err := srv.CreateSession(SessionRequest{ID: "t-info", Endpoints: twoEndpoints(), Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	sess := srv.lookup("t-info")
+	sess, _ := srv.lookup("t-info")
 
 	// Sub-tick polls: virtual clock frozen.
 	clk.Advance(infoAdvanceTick / 2)

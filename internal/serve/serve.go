@@ -24,9 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,14 +47,8 @@ type Config struct {
 	// paths: the adaptive concurrency limiter, the per-shard deadline
 	// gate, priority shedding and the load-driven brownout rung (see
 	// internal/admission). Nil preserves the pre-admission behavior
-	// exactly — every request is served, however late.
-	//
-	// Pipeline ordering is limiter → deadline gate → session lock: the
-	// limiter bounds handler concurrency before any admission math, the
-	// gate rejects requests that cannot finish in budget before they
-	// contend on the session's mutex, and only admitted requests touch
-	// session state. Drain checks precede all of it — a draining server
-	// answers 503 even for traffic admission would accept.
+	// exactly — every request is served, however late. Where the stages
+	// sit in the decide pipeline is documented once, on (*Server).play.
 	Admission *admission.Config
 }
 
@@ -68,6 +60,11 @@ var (
 	ErrDraining = errors.New("serve: draining")
 	// ErrNoSession is returned for an unknown session ID (HTTP 404).
 	ErrNoSession = errors.New("serve: no such session")
+	// ErrSessionExists is wrapped by CreateSession when the requested ID is
+	// already registered (HTTP 409).
+	ErrSessionExists = errors.New("already exists")
+	// errEmptyBatch rejects a decide request carrying no rounds (HTTP 400).
+	errEmptyBatch = errors.New("batch has no rounds")
 	// errBodyTooLarge guards the pooled read buffers against abuse.
 	errBodyTooLarge = errors.New("serve: request body too large")
 )
@@ -200,25 +197,17 @@ func fnv64a(s string) uint64 {
 	return h
 }
 
-// shardFor picks the stripe owning a session ID.
-func (s *Server) shardFor(id string) *shard {
-	return s.shards[fnv64a(id)&s.mask]
-}
-
-// shardIndex is shardFor as an index, for the admission gates.
-func (s *Server) shardIndex(id string) int {
-	return int(fnv64a(id) & s.mask)
-}
-
 // Admission returns the server's admission controller (nil when disabled).
 func (s *Server) Admission() *admission.Controller { return s.adm }
 
-// lookup resolves a session ID, or nil.
-func (s *Server) lookup(id string) *session {
-	sh := s.shardFor(id)
+// lookup resolves a session ID (nil when unknown) in one hash pass, also
+// returning the index of its shard — which is its admission gate's index.
+func (s *Server) lookup(id string) (*session, int) {
+	idx := int(fnv64a(id) & s.mask)
+	sh := s.shards[idx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.sessions[id]
+	return sh.sessions[id], idx
 }
 
 // SessionCount returns the number of registered sessions across all shards.
@@ -252,19 +241,6 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 func writeDraining(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", "1")
 	writeError(w, http.StatusServiceUnavailable, "server is draining")
-}
-
-// writeShed answers a request rejected by admission control: 429 with
-// Retry-After (whole seconds, rounded up, minimum 1 — the header has no
-// sub-second resolution). Clients treat it exactly like the drain 503:
-// retryable, after backoff.
-func writeShed(w http.ResponseWriter, e *ShedError) {
-	secs := int64(1)
-	if e.RetryAfter > time.Second {
-		secs = int64((e.RetryAfter + time.Second - 1) / time.Second)
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	writeError(w, http.StatusTooManyRequests, "%v", e)
 }
 
 // deadlineOf maps a wire deadline (UnixNano, 0 = unstamped) onto the
@@ -301,12 +277,12 @@ func (s *Server) CreateSession(req SessionRequest) (SessionInfo, error) {
 	if err != nil {
 		return SessionInfo{}, err
 	}
-	sh := s.shardFor(id)
+	sh := s.shards[fnv64a(id)&s.mask]
 	sh.mu.Lock()
 	if _, exists := sh.sessions[id]; exists {
 		sh.mu.Unlock()
 		sess.stop()
-		return SessionInfo{}, fmt.Errorf("session %q already exists", id)
+		return SessionInfo{}, fmt.Errorf("session %q %w", id, ErrSessionExists)
 	}
 	sh.sessions[id] = sess
 	sh.mu.Unlock()
@@ -315,100 +291,76 @@ func (s *Server) CreateSession(req SessionRequest) (SessionInfo, error) {
 	return sess.info(false, s.clock()), nil
 }
 
-// Decide plays one coordination round in-process, bypassing HTTP and JSON
-// entirely — the zero-allocation fast path the paper's microsecond claim
-// rests on. The response lands in *out (caller-owned, reusable). Drain
-// semantics match the HTTP handler: ErrDraining is the retryable signal.
-func (s *Server) Decide(session string, x, y int, out *DecideResponse) error {
-	return s.DecideDeadline(session, time.Time{}, x, y, out)
-}
-
-// DecideDeadline is Decide with an absolute deadline: with admission
-// control enabled, a request whose modeled queue+service time exceeds the
-// remaining budget returns a retryable *ShedError instead of being served
-// late. A zero deadline means unstamped. The admission-enabled path stays
-// allocation-free on accept.
-func (s *Server) DecideDeadline(session string, deadline time.Time, x, y int, out *DecideResponse) error {
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	if s.draining.Load() {
-		s.mDrainRejects.Inc()
-		return ErrDraining
-	}
-	sess := s.lookup(session)
-	if sess == nil {
-		return ErrNoSession
-	}
-	var queueNS int64
-	var brownout bool
-	start := s.clock()
-	if s.adm != nil {
-		lim := s.adm.Limiter()
-		if !lim.TryAcquire() {
-			return errShedLimiter
-		}
-		idx := s.shardIndex(session)
-		dec := s.adm.Admit(idx, start, deadline, sess.priority, 1)
-		if !dec.OK {
-			lim.Release(0, nil)
-			return shedError(dec)
-		}
-		queueNS, brownout = dec.QueueNS, dec.Brownout
-		defer func() {
-			elapsed := s.clock().Sub(start)
-			s.adm.Observe(idx, elapsed)
-			lim.Release(elapsed, s.clock)
-		}()
-	}
-	if err := sess.decideAt(start, x, y, out, queueNS, brownout); err != nil {
-		s.mDecideErrs.Inc()
-		return err
-	}
-	s.accountDeadline(start, deadline, out)
-	s.mDecisions.Inc()
-	return nil
-}
-
-// DecideBatch plays len(rounds) rounds in-process in one session-lock hold.
-// out must have at least len(rounds) elements; results land in request
-// order in out[:len(rounds)].
-func (s *Server) DecideBatch(session string, rounds []Round, out []DecideResponse) error {
-	return s.DecideBatchDeadline(session, time.Time{}, rounds, out)
-}
-
-// DecideBatchDeadline is DecideBatch with an absolute deadline shared by
-// the whole batch (it arrives, queues and plays together); see
-// DecideDeadline.
-func (s *Server) DecideBatchDeadline(session string, deadline time.Time, rounds []Round, out []DecideResponse) error {
+// play is the decide pipeline. Every entry point — in-process or HTTP,
+// single or batched — is a thin wrapper over it, and a single decision is a
+// batch of one. The stages, in order, and why each sits where it does:
+//
+//  1. Inflight gate, then drain check. Drain waits on the in-flight count,
+//     so a request past the gate completes even if StartDrain lands right
+//     after, and a draining server refuses even what admission would
+//     accept. The HTTP handlers decode before calling play: "in flight"
+//     means "past the gate, doing session work", and a slow body read or
+//     response write holds neither Drain nor a limiter slot.
+//  2. Lookup and input validation. Both read only immutable state, so a
+//     malformed request is refused before it can take a limiter slot or
+//     charge the shard's modeled backlog.
+//  3. Concurrency limiter, bounding concurrency before any admission math.
+//     The one stage that differs by caller: blocking (HTTP) queues FIFO in
+//     Acquire, bounded by the deadline; non-blocking (in-process) takes
+//     TryAcquire, which never waits and never allocates.
+//  4. The request's one clock read — after the limiter, so time queued
+//     there counts against the deadline. Returned as start for the
+//     handlers' timers.
+//  5. Deadline gate: Admit refuses what cannot finish inside its budget
+//     before it contends on the session's mutex. A batch is one admission
+//     unit costed at len(rounds) service quanta.
+//  6. Session play: one lock hold, one engine catch-up, len(rounds) draws.
+//  7. Accounting: goodput or late per decision, the decision counter, then
+//     (deferred) the service-time sample for the gate's EWMA and the
+//     limiter release.
+//
+// Results land in out[:len(rounds)] in request order; on error nothing was
+// played.
+func (s *Server) play(id string, deadline time.Time, rounds []Round, out []DecideResponse, blocking bool) (start time.Time, err error) {
 	if len(rounds) == 0 {
-		return fmt.Errorf("empty batch")
+		return start, errEmptyBatch
 	}
 	if len(out) < len(rounds) {
-		return fmt.Errorf("out holds %d responses for %d rounds", len(out), len(rounds))
+		return start, fmt.Errorf("out holds %d responses for %d rounds", len(out), len(rounds))
 	}
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	if s.draining.Load() {
 		s.mDrainRejects.Inc()
-		return ErrDraining
+		return start, ErrDraining
 	}
-	sess := s.lookup(session)
+	sess, idx := s.lookup(id)
 	if sess == nil {
-		return ErrNoSession
+		return start, ErrNoSession
 	}
+	if err := sess.checkRounds(rounds); err != nil {
+		s.mDecideErrs.Inc()
+		return start, err
+	}
+	var lim *admission.Limiter
+	if s.adm != nil {
+		lim = s.adm.Limiter()
+		if blocking {
+			if o := lim.Acquire(s.clock, deadline); o != admission.Accepted {
+				return start, &ShedError{Outcome: o}
+			}
+		} else if !lim.TryAcquire() {
+			return start, errShedLimiter
+		}
+	}
+	start = s.clock()
 	var queueNS int64
 	var brownout bool
-	start := s.clock()
 	if s.adm != nil {
-		lim := s.adm.Limiter()
-		if !lim.TryAcquire() {
-			return errShedLimiter
-		}
-		idx := s.shardIndex(session)
 		dec := s.adm.Admit(idx, start, deadline, sess.priority, len(rounds))
 		if !dec.OK {
 			lim.Release(0, nil)
-			return shedError(dec)
+			return start, &ShedError{Outcome: dec.Outcome, RetryAfter: dec.RetryAfter}
 		}
 		queueNS, brownout = dec.QueueNS, dec.Brownout
 		defer func() {
@@ -417,26 +369,17 @@ func (s *Server) DecideBatchDeadline(session string, deadline time.Time, rounds 
 			lim.Release(elapsed, s.clock)
 		}()
 	}
-	if err := sess.decideBatchAt(start, rounds, out[:len(rounds)], queueNS, brownout); err != nil {
-		s.mDecideErrs.Inc()
-		return err
-	}
+	sess.playAt(start, rounds, out, queueNS, brownout)
 	for i := range rounds {
 		s.accountDeadline(start, deadline, &out[i])
 	}
 	s.mDecisions.Add(int64(len(rounds)))
-	s.mBatches.Inc()
-	return nil
+	return start, nil
 }
 
 // errShedLimiter is the preallocated limiter rejection so the in-process
 // fast path sheds without allocating.
 var errShedLimiter = &ShedError{Outcome: admission.ShedLimiter}
-
-// shedError maps a rejected admission decision onto a *ShedError.
-func shedError(dec admission.Decision) *ShedError {
-	return &ShedError{Outcome: dec.Outcome, RetryAfter: dec.RetryAfter}
-}
 
 // accountDeadline classifies one delivered decision against its deadline:
 // in-deadline decisions feed the goodput timer, late ones the late
@@ -452,10 +395,45 @@ func (s *Server) accountDeadline(now time.Time, deadline time.Time, out *DecideR
 	s.mGoodput.Observe(total)
 }
 
+// Decide plays one coordination round in-process, bypassing HTTP and JSON
+// entirely — the zero-allocation fast path the paper's microsecond claim
+// rests on. The response lands in *out (caller-owned, reusable). Drain
+// semantics match the HTTP handler: ErrDraining is the retryable signal.
+func (s *Server) Decide(session string, x, y int, out *DecideResponse) error {
+	rounds := [1]Round{{X: x, Y: y}}
+	var res [1]DecideResponse
+	if _, err := s.play(session, time.Time{}, rounds[:], res[:], false); err != nil {
+		return singleRound(err)
+	}
+	*out = res[0]
+	return nil
+}
+
+// DecideBatch plays len(rounds) rounds in-process in one session-lock hold.
+// out must have at least len(rounds) elements; results land in request
+// order in out[:len(rounds)].
+func (s *Server) DecideBatch(session string, rounds []Round, out []DecideResponse) error {
+	return s.DecideBatchDeadline(session, time.Time{}, rounds, out)
+}
+
+// DecideBatchDeadline is DecideBatch with an absolute deadline shared by
+// the whole batch (it arrives, queues and plays together): with admission
+// control enabled, a request whose modeled queue+service time exceeds the
+// remaining budget returns a retryable *ShedError instead of being served
+// late. A zero deadline means unstamped. The admission-enabled path stays
+// allocation-free on accept.
+func (s *Server) DecideBatchDeadline(session string, deadline time.Time, rounds []Round, out []DecideResponse) error {
+	if _, err := s.play(session, deadline, rounds, out, false); err != nil {
+		return err
+	}
+	s.mBatches.Inc()
+	return nil
+}
+
 // Info reports a session's health in-process (the load-test harness's
 // health-poll scenario; the HTTP equivalent is GET /v1/sessions/{id}).
 func (s *Server) Info(id string) (SessionInfo, error) {
-	sess := s.lookup(id)
+	sess, _ := s.lookup(id)
 	if sess == nil {
 		return SessionInfo{}, ErrNoSession
 	}
@@ -463,120 +441,82 @@ func (s *Server) Info(id string) (SessionInfo, error) {
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.mDrainRejects.Inc()
-		writeDraining(w)
-		return
-	}
 	var req SessionRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad session request: %v", err)
 		return
 	}
 	info, err := s.CreateSession(req)
-	if err != nil {
-		if errors.Is(err, ErrDraining) {
-			writeDraining(w)
-			return
-		}
-		status := http.StatusBadRequest
-		if strings.HasSuffix(err.Error(), "already exists") {
-			status = http.StatusConflict
-		}
-		writeError(w, status, "session: %v", err)
-		return
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusCreated, info)
+	case errors.Is(err, ErrDraining):
+		writeDraining(w)
+	case errors.Is(err, ErrSessionExists):
+		writeError(w, http.StatusConflict, "session: %v", err)
+	default:
+		writeError(w, http.StatusBadRequest, "session: %v", err)
 	}
-	writeJSON(w, http.StatusCreated, info)
 }
 
 func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	sess := s.lookup(id)
-	if sess == nil {
+	info, err := s.Info(id)
+	if err != nil {
 		writeError(w, http.StatusNotFound, "no session %q", id)
 		return
 	}
-	info := sess.info(s.draining.Load(), s.clock())
 	// Health responses carry the server-wide decide latency so a polling
-	// client sees serving load next to session health. The health path may
-	// be polled at high rate, so these resolve with direct Registry.Get
-	// lookups — not a full sorted Snapshot per poll.
-	if v, ok := s.reg.Get("serve_decide_mean_ns"); ok {
-		info.DecideMeanNS = v
-	}
-	if v, ok := s.reg.Get("serve_decisions_total"); ok {
-		info.ServerDecisions = int64(v)
-	}
+	// client sees serving load next to session health.
+	info.DecideMeanNS = float64(s.mDecideTimer.Mean())
+	info.ServerDecisions = s.mDecisions.Value()
 	writeJSON(w, http.StatusOK, info)
 }
 
-func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
-	// Entry gate: count in-flight first, then honor drain. Drain waits for
-	// the in-flight count, so a decision that passed the gate completes
-	// even if StartDrain lands immediately after.
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	if s.draining.Load() {
-		s.mDrainRejects.Inc()
+// writePlayError renders a play error on the wire: drain is the retryable
+// 503, an unknown session 404, an admission shed 429, and anything else is
+// the client's request — 400. A shed carries Retry-After in whole seconds,
+// rounded up, minimum 1 (the header has no sub-second resolution); clients
+// treat it exactly like the drain 503: retryable, after backoff.
+func writePlayError(w http.ResponseWriter, id string, err error) {
+	var shed *ShedError
+	switch {
+	case errors.Is(err, ErrDraining):
 		writeDraining(w)
-		return
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	var err error
-	sc.body, err = readBody(r.Body, sc.body, maxBodyBytes)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad decide request: %v", err)
-		return
-	}
-	if err := json.Unmarshal(sc.body, &sc.req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad decide request: %v", err)
-		return
-	}
-	sess := s.lookup(sc.req.Session)
-	if sess == nil {
-		writeError(w, http.StatusNotFound, "no session %q", sc.req.Session)
-		return
-	}
-	// Admission pipeline: limiter → deadline gate → session lock. The
-	// limiter sits after the body read deliberately — a slow client
-	// trickling its request body occupies only its connection goroutine,
-	// never a concurrency slot.
-	deadline := deadlineOf(sc.req.DeadlineUnixNS)
-	var queueNS int64
-	var brownout bool
-	start := s.clock()
-	if s.adm != nil {
-		lim := s.adm.Limiter()
-		if o := lim.Acquire(s.clock, deadline); o != admission.Accepted {
-			writeShed(w, &ShedError{Outcome: o})
-			return
+	case errors.Is(err, ErrNoSession):
+		writeError(w, http.StatusNotFound, "no session %q", id)
+	case errors.As(err, &shed):
+		secs := int64(1)
+		if shed.RetryAfter > time.Second {
+			secs = int64((shed.RetryAfter + time.Second - 1) / time.Second)
 		}
-		idx := s.shardIndex(sc.req.Session)
-		now := s.clock() // re-read: the limiter queue may have held us
-		dec := s.adm.Admit(idx, now, deadline, sess.priority, 1)
-		if !dec.OK {
-			lim.Release(0, nil)
-			writeShed(w, shedError(dec))
-			return
-		}
-		queueNS, brownout = dec.QueueNS, dec.Brownout
-		start = now
-		defer func() {
-			elapsed := s.clock().Sub(start)
-			s.adm.Observe(idx, elapsed)
-			lim.Release(elapsed, s.clock)
-		}()
-	}
-	if err := sess.decideAt(start, sc.req.X, sc.req.Y, &sc.resp, queueNS, brownout); err != nil {
-		s.mDecideErrs.Inc()
+		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+		writeError(w, http.StatusTooManyRequests, "%v", shed)
+	case errors.Is(err, errEmptyBatch):
+		writeError(w, http.StatusBadRequest, "%v", err)
+	default:
 		writeError(w, http.StatusBadRequest, "decide: %v", err)
+	}
+}
+
+// handleDecide is decode → play → observe → encode; the round and its
+// result ride one-element stack arrays, exactly as in Decide.
+func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
+	sc := getScratch()
+	defer scratchPool.Put(sc)
+	if err := sc.decode(r, &sc.req); err != nil {
+		writeError(w, http.StatusBadRequest, "bad decide request: %v", err)
 		return
 	}
-	s.accountDeadline(start, deadline, &sc.resp)
+	rounds := [1]Round{{X: sc.req.X, Y: sc.req.Y}}
+	var res [1]DecideResponse
+	start, err := s.play(sc.req.Session, deadlineOf(sc.req.DeadlineUnixNS), rounds[:], res[:], true)
+	if err != nil {
+		writePlayError(w, sc.req.Session, singleRound(err))
+		return
+	}
 	s.mDecideTimer.Observe(s.clock().Sub(start))
-	s.mDecisions.Inc()
-	sc.out = sc.resp.appendJSON(sc.out[:0])
+	sc.out = res[0].appendJSON(sc.out[:0])
 	writeRaw(w, sc.out)
 }
 
@@ -584,78 +524,23 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 // catch-up and the session-lock hold over every round in the batch — the
 // serving path for callers that coordinate many tasks per scheduling tick.
 func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	if s.draining.Load() {
-		s.mDrainRejects.Inc()
-		writeDraining(w)
-		return
-	}
 	sc := getScratch()
-	defer putScratch(sc)
-	var err error
-	sc.body, err = readBody(r.Body, sc.body, maxBodyBytes)
-	if err != nil {
+	defer scratchPool.Put(sc)
+	if err := sc.decode(r, &sc.breq); err != nil {
 		writeError(w, http.StatusBadRequest, "bad batch request: %v", err)
 		return
-	}
-	if err := json.Unmarshal(sc.body, &sc.breq); err != nil {
-		writeError(w, http.StatusBadRequest, "bad batch request: %v", err)
-		return
-	}
-	if len(sc.breq.Rounds) == 0 {
-		writeError(w, http.StatusBadRequest, "batch has no rounds")
-		return
-	}
-	sess := s.lookup(sc.breq.Session)
-	if sess == nil {
-		writeError(w, http.StatusNotFound, "no session %q", sc.breq.Session)
-		return
-	}
-	// Admission pipeline: limiter → deadline gate → session lock (the
-	// same ordering as handleDecide; the whole batch is one admission
-	// unit costed at len(rounds) service quanta).
-	deadline := deadlineOf(sc.breq.DeadlineUnixNS)
-	var queueNS int64
-	var brownout bool
-	start := s.clock()
-	if s.adm != nil {
-		lim := s.adm.Limiter()
-		if o := lim.Acquire(s.clock, deadline); o != admission.Accepted {
-			writeShed(w, &ShedError{Outcome: o})
-			return
-		}
-		idx := s.shardIndex(sc.breq.Session)
-		now := s.clock()
-		dec := s.adm.Admit(idx, now, deadline, sess.priority, len(sc.breq.Rounds))
-		if !dec.OK {
-			lim.Release(0, nil)
-			writeShed(w, shedError(dec))
-			return
-		}
-		queueNS, brownout = dec.QueueNS, dec.Brownout
-		start = now
-		defer func() {
-			el := s.clock().Sub(start)
-			s.adm.Observe(idx, el/time.Duration(len(sc.breq.Rounds)))
-			lim.Release(el, s.clock)
-		}()
 	}
 	results := sc.results(len(sc.breq.Rounds))
-	if err := sess.decideBatchAt(start, sc.breq.Rounds, results, queueNS, brownout); err != nil {
-		s.mDecideErrs.Inc()
-		writeError(w, http.StatusBadRequest, "decide: %v", err)
+	start, err := s.play(sc.breq.Session, deadlineOf(sc.breq.DeadlineUnixNS), sc.breq.Rounds, results, true)
+	if err != nil {
+		writePlayError(w, sc.breq.Session, err)
 		return
-	}
-	for i := range results {
-		s.accountDeadline(start, deadline, &results[i])
 	}
 	elapsed := s.clock().Sub(start)
 	s.mBatchTimer.Observe(elapsed)
 	s.mDecideTimer.ObserveN(elapsed, int64(len(results)))
-	s.mDecisions.Add(int64(len(results)))
 	s.mBatches.Inc()
-	sc.out = appendBatchJSON(sc.out[:0], sess.id, results)
+	sc.out = appendBatchJSON(sc.out[:0], sc.breq.Session, results)
 	writeRaw(w, sc.out)
 }
 
@@ -672,9 +557,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // decisions get retryable 503s; decisions already past the gate complete.
 // Idempotent.
 func (s *Server) StartDrain() { s.draining.Store(true) }
-
-// Draining reports whether the server is refusing new work.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain waits until every in-flight decision has completed, or the deadline
 // elapses. It returns the number of decisions still in flight (0 on a clean
@@ -719,18 +601,4 @@ func (s *Server) WriteMetricsArtifact(path string) error {
 	}
 	a.Metrics = s.reg.Snapshot()
 	return a.WriteFile(path)
-}
-
-// SessionIDs lists registered session IDs in sorted order (test/debug aid).
-func (s *Server) SessionIDs() []string {
-	var ids []string
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for id := range sh.sessions {
-			ids = append(ids, id)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -333,7 +333,7 @@ func TestDrainRejectsNewWorkAndCompletesInflight(t *testing.T) {
 
 	// Hold the session lock so a decide is genuinely in flight (past the
 	// drain gate, blocked mid-request) when drain starts.
-	sess := srv.lookup(info.ID)
+	sess, _ := srv.lookup(info.ID)
 	sess.mu.Lock()
 	type result struct {
 		resp DecideResponse
@@ -447,9 +447,10 @@ func TestShardDistribution(t *testing.T) {
 		t.Fatalf("shard count = %d", len(srv.shards))
 	}
 	// FNV should not funnel distinct IDs into one stripe.
-	seen := map[*shard]bool{}
+	seen := map[int]bool{}
 	for _, id := range []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india", "juliet"} {
-		seen[srv.shardFor(id)] = true
+		_, idx := srv.lookup(id)
+		seen[idx] = true
 	}
 	if len(seen) < 3 {
 		t.Fatalf("10 IDs landed in only %d shards", len(seen))

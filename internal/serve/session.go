@@ -165,8 +165,8 @@ type SessionInfo struct {
 	SimNowNS           int64   `json:"sim_now_ns"`
 	Draining           bool    `json:"draining"`
 
-	// Server-wide serving load, resolved from the metrics registry on the
-	// health path (see handleSessionInfo).
+	// Server-wide serving load, read from the server's own instruments on
+	// the HTTP health path (see handleSessionInfo).
 	DecideMeanNS    float64 `json:"decide_mean_ns"`
 	ServerDecisions int64   `json:"server_decisions"`
 }
@@ -354,10 +354,10 @@ func newSession(id string, req SessionRequest, now time.Time) (*session, error) 
 // fast-forwards the supply chain to it; the source enforces the pair budget
 // itself, pair by pair. It returns the new virtual now. Callers hold s.mu.
 //
-// The wall read is hoisted to the caller deliberately: the HTTP handlers
-// and the in-process batch path read the server clock ONCE per request, so
-// a 64-round batch pays one clock read and one engine catch-up, not 64 —
-// and an injected test clock makes the whole decide path deterministic.
+// The wall read is hoisted to the caller deliberately: the decide pipeline
+// reads the server clock ONCE per request, so a 64-round batch pays one
+// clock read and one engine catch-up, not 64 — and an injected test clock
+// makes the whole decide path deterministic.
 func (s *session) advanceAt(wall time.Time) time.Duration {
 	delta := wall.Sub(s.lastWall)
 	if delta <= 0 {
@@ -374,18 +374,41 @@ func (s *session) advanceAt(wall time.Time) time.Duration {
 	return s.simNow
 }
 
-// checkInputs validates one round's inputs against the game alphabet. It
-// reads only immutable session fields, so it runs outside the lock.
-func (s *session) checkInputs(x, y int) error {
-	if x < 0 || x >= s.game.NA || y < 0 || y >= s.game.NB {
-		return fmt.Errorf("inputs (%d,%d) outside game alphabet %dx%d", x, y, s.game.NA, s.game.NB)
+// roundError is an input-validation failure tagged with the offending
+// round's index in its batch.
+type roundError struct {
+	round int
+	err   error
+}
+
+func (e *roundError) Error() string { return fmt.Sprintf("round %d: %v", e.round, e.err) }
+
+// singleRound renders a play error for the single-round entry points, whose
+// contract predates batching: an input error there names no round index.
+func singleRound(err error) error {
+	if re, ok := err.(*roundError); ok {
+		return re.err
+	}
+	return err
+}
+
+// checkRounds validates every round's inputs against the game alphabet. It
+// reads only immutable session fields, so it runs outside the lock — and
+// before admission, so a malformed request costs the shard nothing. One bad
+// round fails the whole batch (all-or-nothing, so a client never has to
+// guess which prefix executed).
+func (s *session) checkRounds(rounds []Round) error {
+	for i, r := range rounds {
+		if r.X < 0 || r.X >= s.game.NA || r.Y < 0 || r.Y >= s.game.NB {
+			return &roundError{i, fmt.Errorf("inputs (%d,%d) outside game alphabet %dx%d", r.X, r.Y, s.game.NA, s.game.NB)}
+		}
 	}
 	return nil
 }
 
 // fill maps a core round decision into the wire response. Alloc-free: the
 // Mode/Level names are fixed interned strings.
-func (s *session) fill(out *DecideResponse, x, y int, d core.Decision) {
+func (s *session) fill(out *DecideResponse, r Round, d core.Decision, queueNS int64) {
 	out.Session = s.id
 	out.A = d.A
 	out.B = d.B
@@ -394,68 +417,33 @@ func (s *session) fill(out *DecideResponse, x, y int, d core.Decision) {
 	out.Visibility = d.Visibility
 	out.LatencyNS = int64(d.Latency)
 	out.WaitedNS = int64(d.Waited)
-	out.Win = s.game.Wins(x, y, d.A, d.B)
+	out.QueueNS = queueNS
+	out.Win = s.game.Wins(r.X, r.Y, d.A, d.B)
 }
 
-// decideAt plays one coordination round at the given wall reading, writing
-// the response into *out (caller-owned, typically pooled). The lock covers
-// only the engine catch-up and the round itself; validation and response
-// encoding happen outside it.
+// playAt plays len(rounds) validated rounds in one lock hold at a single
+// wall reading: one engine catch-up, len(rounds) strategy draws. out must
+// have len(rounds) elements; results land in request order.
 //
 // queueNS and brownout come from the admission decision that let the
 // request through (0/false with admission disabled). While browned out the
 // session plays core.BrownoutRound — the cheap best-classical strategy
 // with no engine catch-up, no supply probe and no pool consumption — so
 // sustained overload sheds compute before it sheds high-priority traffic.
-func (s *session) decideAt(wall time.Time, x, y int, out *DecideResponse, queueNS int64, brownout bool) error {
-	if err := s.checkInputs(x, y); err != nil {
-		return err
-	}
+func (s *session) playAt(wall time.Time, rounds []Round, out []DecideResponse, queueNS int64, brownout bool) {
 	s.mu.Lock()
 	s.core.Health().SetBrownout(brownout)
-	var d core.Decision
 	if brownout {
-		d = s.core.BrownoutRound(x, y)
+		for i, r := range rounds {
+			s.fill(&out[i], r, s.core.BrownoutRound(r.X, r.Y), queueNS)
+		}
 	} else {
 		now := s.advanceAt(wall)
-		d = s.core.Round(now, x, y)
-	}
-	s.mu.Unlock()
-	s.fill(out, x, y, d)
-	out.QueueNS = queueNS
-	return nil
-}
-
-// decideBatchAt plays len(rounds) rounds in one lock hold at a single wall
-// reading: one clock read, one engine catch-up, len(rounds) strategy draws.
-// out must have len(rounds) elements; results land in request order. On an
-// input-validation error nothing is played (all-or-nothing, so a client
-// never has to guess which prefix executed).
-func (s *session) decideBatchAt(wall time.Time, rounds []Round, out []DecideResponse, queueNS int64, brownout bool) error {
-	for i := range rounds {
-		if err := s.checkInputs(rounds[i].X, rounds[i].Y); err != nil {
-			return fmt.Errorf("round %d: %w", i, err)
+		for i, r := range rounds {
+			s.fill(&out[i], r, s.core.Round(now, r.X, r.Y), queueNS)
 		}
 	}
-	s.mu.Lock()
-	s.core.Health().SetBrownout(brownout)
-	if brownout {
-		for i := range rounds {
-			d := s.core.BrownoutRound(rounds[i].X, rounds[i].Y)
-			s.fill(&out[i], rounds[i].X, rounds[i].Y, d)
-			out[i].QueueNS = queueNS
-		}
-		s.mu.Unlock()
-		return nil
-	}
-	now := s.advanceAt(wall)
-	for i := range rounds {
-		d := s.core.Round(now, rounds[i].X, rounds[i].Y)
-		s.fill(&out[i], rounds[i].X, rounds[i].Y, d)
-		out[i].QueueNS = queueNS
-	}
 	s.mu.Unlock()
-	return nil
 }
 
 // infoAdvanceTick bounds how often the read path may fast-forward the
