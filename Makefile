@@ -92,7 +92,7 @@ bench-overload-baseline:
 # single-round HTTP, batched HTTP) for the informational benchstat
 # comparison in CI. Run on a quiet machine.
 bench-serve-baseline:
-	$(GO) test ./internal/serve/ -run '^$$' -bench 'BenchmarkDecide' \
+	$(GO) test ./internal/serve/ -run '^$$' -bench 'BenchmarkDec(ide|ode)' \
 		-benchmem -count 6 | tee .github/bench-serve-baseline.txt
 
 repro:

@@ -21,6 +21,10 @@ import (
 //	BenchmarkDecideBatchHTTP64 — 64 rounds per HTTP exchange; decisions/sec
 //	                             should beat the single-round path ≥5×
 //
+// BenchmarkDecodeSingle and BenchmarkDecodeBatch64 isolate the request
+// decode underneath the handler numbers: the fast path against json.Unmarshal
+// on the same bytes.
+//
 // Each reports decisions/sec via b.ReportMetric so benchstat can trend the
 // throughput claim directly. Baselines live in
 // .github/bench-serve-baseline.txt (informational trend check in CI).
@@ -190,4 +194,37 @@ func TestBatchThroughputMultiplier(t *testing.T) {
 		}
 	}
 	t.Fatalf("batch=64 throughput %.0f decisions/s is under 5x single-round %.0f decisions/s", batch, single)
+}
+
+// benchDecode times the two decoders on one body. The bodies are byte for
+// byte what benchmark/benchlib's (*Op).Body renders for handler_mix.
+func benchDecode[T any](b *testing.B, body []byte, fast func([]byte, *T) ([]byte, bool)) {
+	b.Run("fast", func(b *testing.B) {
+		var req T
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			if _, ok := fast(body, &req); !ok {
+				b.Fatal("fast path declined its own canonical body")
+			}
+		}
+	})
+	b.Run("stdlib", func(b *testing.B) {
+		var req T
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			if err := json.Unmarshal(body, &req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkDecodeSingle(b *testing.B) {
+	benchDecode(b, []byte(`{"session":"hm-003","x":1,"y":0}`), fastDecodeSingle)
+}
+
+func BenchmarkDecodeBatch64(b *testing.B) {
+	benchDecode(b, canonicalBatch("hm-003", 64), fastDecodeBatch)
 }

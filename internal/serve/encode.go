@@ -3,31 +3,40 @@ package serve
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
 	"unicode/utf8"
 )
 
-// The decide path is the serving hot loop, so its HTTP plumbing avoids the
-// per-request allocation tax of the generic encoding/json round trip:
+// The decide path is the serving hot loop, so its HTTP plumbing stays off
+// the heap and out of reflection:
 //
 //   - request bodies are read into a pooled scratch buffer instead of a
 //     fresh io.ReadAll slice;
-//   - request structs are pooled and reused (json.Unmarshal reuses the
-//     Rounds backing array of a recycled DecideBatchRequest, so a steady
-//     stream of batch-64 requests decodes with no per-request slice
-//     growth);
+//   - a body in the canonical subset (decode.go) is decoded by the
+//     hand-written fast path straight into the scratch's pooled request
+//     struct: no reflection, no allocation, every field and every round
+//     written whole, the session named by a view into the body;
+//   - any other body goes to json.Unmarshal, into a target zeroed first —
+//     the recycled Rounds array included, because encoding/json extends a
+//     slice over its old elements without clearing them and a round that
+//     omits a key would otherwise inherit it from an earlier request;
 //   - responses are rendered by a hand-rolled append-style encoder into the
-//     same pooled buffer — strconv.Append* into a []byte, no reflection,
-//     no intermediate allocations.
+//     same scratch — strconv.Append* into a []byte, no reflection, no
+//     intermediate allocations.
 //
-// The encoder produces plain JSON that encoding/json decodes back into the
-// same struct (pinned by TestAppendEncoderMatchesEncodingJSON), so clients
-// keep using the standard library.
+// Both halves are pinned to encoding/json: the decoder accepts only what
+// the standard library accepts and agrees with it on every value
+// (FuzzFastDecode), and the encoder's output is byte-identical to
+// json.Marshal (TestAppendEncoderMatchesEncodingJSON), so clients keep
+// using the standard library.
 
 // decideScratch is the pooled per-request workspace for the decide
-// handlers: one Get/Put per HTTP request, everything inside reused.
+// handlers: one Get/Put per HTTP request, everything inside reused. The
+// decode methods overwrite their target completely, so nothing carries over
+// from the request that last held the scratch.
 type decideScratch struct {
 	body []byte             // request read buffer
 	out  []byte             // response encode buffer
@@ -43,17 +52,6 @@ var scratchPool = sync.Pool{New: func() any {
 	}
 }}
 
-// getScratch pops a workspace with decode targets zeroed (slices keep their
-// capacity).
-func getScratch() *decideScratch {
-	sc := scratchPool.Get().(*decideScratch)
-	sc.req = DecideRequest{}
-	sc.breq.Session = ""
-	sc.breq.Rounds = sc.breq.Rounds[:0]
-	sc.breq.DeadlineUnixNS = 0
-	return sc
-}
-
 // results returns the scratch's batch-response slice sized to n, reusing
 // capacity across requests.
 func (sc *decideScratch) results(n int) []DecideResponse {
@@ -64,18 +62,49 @@ func (sc *decideScratch) results(n int) []DecideResponse {
 	return sc.bres
 }
 
-// decode reads the request body into the pooled buffer and unmarshals it
-// into v (one of the scratch's own decode targets).
-func (sc *decideScratch) decode(r *http.Request, v any) error {
-	var err error
+// decodeSingle reads a POST /v1/decide body into the pooled buffer and
+// decodes it into sc.req: by the fast path when it accepts, else by
+// json.Unmarshal into a zeroed target.
+func (s *Server) decodeSingle(sc *decideScratch, r *http.Request) (err error) {
 	if sc.body, err = readBody(r.Body, sc.body, maxBodyBytes); err != nil {
 		return err
 	}
-	return json.Unmarshal(sc.body, v)
+	if id, ok := fastDecodeSingle(sc.body, &sc.req); ok {
+		sc.req.Session = s.sessionID(id)
+		return nil
+	}
+	sc.req = DecideRequest{}
+	return json.Unmarshal(sc.body, &sc.req)
+}
+
+// decodeBatch is decodeSingle for POST /v1/decide/batch and sc.breq.
+func (s *Server) decodeBatch(sc *decideScratch, r *http.Request) (err error) {
+	if sc.body, err = readBody(r.Body, sc.body, maxBodyBytes); err != nil {
+		return err
+	}
+	if id, ok := fastDecodeBatch(sc.body, &sc.breq); ok {
+		sc.breq.Session = s.sessionID(id)
+		return nil
+	}
+	rounds := sc.breq.Rounds[:cap(sc.breq.Rounds)]
+	clear(rounds)
+	sc.breq = DecideBatchRequest{Rounds: rounds[:0]}
+	return json.Unmarshal(sc.body, &sc.breq)
+}
+
+// sessionID resolves a view of a session ID to a string without copying it:
+// a registered session lends its own ID. Only an unknown ID — a 404 in the
+// making — is allocated.
+func (s *Server) sessionID(view []byte) string {
+	if sess, _ := find(s, view); sess != nil {
+		return sess.id
+	}
+	return string(view)
 }
 
 // readBody reads r fully into buf (reusing its capacity) up to limit bytes,
-// returning the filled buffer.
+// returning the filled buffer. The limit is checked before io.EOF is
+// honoured: a reader may hand over its last bytes and EOF in one call.
 func readBody(r io.Reader, buf []byte, limit int) ([]byte, error) {
 	buf = buf[:0]
 	for {
@@ -84,14 +113,14 @@ func readBody(r io.Reader, buf []byte, limit int) ([]byte, error) {
 		}
 		n, err := r.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
+		if len(buf) > limit {
+			return buf, errBodyTooLarge
+		}
 		if err == io.EOF {
 			return buf, nil
 		}
 		if err != nil {
 			return buf, err
-		}
-		if len(buf) > limit {
-			return buf, errBodyTooLarge
 		}
 	}
 }
@@ -182,21 +211,67 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, "false"...)
 }
 
-// appendJSON renders the response as a JSON object. Field order matches the
-// struct so the output is stable.
-func (r *DecideResponse) appendJSON(b []byte) []byte {
-	b = append(b, `{"session":`...)
-	b = appendJSONString(b, r.Session)
-	b = append(b, `,"a":`...)
+// appendName appends a mode or level name as a JSON string. The names the
+// core emits are written from pre-quoted literals; anything else takes the
+// escaping path, which renders those same names identically.
+func appendName(b []byte, s string) []byte {
+	switch s {
+	case "quantum":
+		return append(b, `"quantum"`...)
+	case "fallback":
+		return append(b, `"fallback"`...)
+	case "reoptimized":
+		return append(b, `"reoptimized"`...)
+	case "classical":
+		return append(b, `"classical"`...)
+	case "random":
+		return append(b, `"random"`...)
+	}
+	return appendJSONString(b, s)
+}
+
+// roundWriter renders DecideResponses one after another into one buffer. It
+// remembers where the previous response's `{"session":"…","a":` and its
+// formatted visibility landed, so a response that repeats either — every
+// round of a batch shares the session, every fallback round the visibility
+// — copies those bytes instead of escaping and formatting them again. The
+// zero value is ready to use.
+type roundWriter struct {
+	session        string
+	headLo, headHi int // the previous response's bytes up to `"a":`, in the buffer
+	visBits        uint64
+	visLo, visHi   int // the previous response's formatted visibility
+}
+
+// append renders r as a JSON object. Field order matches the struct so the
+// output is stable. b must be the buffer the previous call returned (or
+// that buffer with more appended to it).
+func (w *roundWriter) append(b []byte, r *DecideResponse) []byte {
+	if w.headHi > 0 && r.Session == w.session {
+		b = append(b, b[w.headLo:w.headHi]...)
+	} else {
+		w.session, w.headLo = r.Session, len(b)
+		b = append(b, `{"session":`...)
+		b = appendJSONString(b, r.Session)
+		b = append(b, `,"a":`...)
+		w.headHi = len(b)
+	}
 	b = strconv.AppendInt(b, int64(r.A), 10)
 	b = append(b, `,"b":`...)
 	b = strconv.AppendInt(b, int64(r.B), 10)
 	b = append(b, `,"mode":`...)
-	b = appendJSONString(b, r.Mode)
+	b = appendName(b, r.Mode)
 	b = append(b, `,"level":`...)
-	b = appendJSONString(b, r.Level)
+	b = appendName(b, r.Level)
 	b = append(b, `,"visibility":`...)
-	b = appendFloat(b, r.Visibility)
+	// Compared as bits: -0 equals 0 but renders differently.
+	if bits := math.Float64bits(r.Visibility); w.visHi > 0 && bits == w.visBits {
+		b = append(b, b[w.visLo:w.visHi]...)
+	} else {
+		w.visBits, w.visLo = bits, len(b)
+		b = appendFloat(b, r.Visibility)
+		w.visHi = len(b)
+	}
 	b = append(b, `,"latency_ns":`...)
 	b = strconv.AppendInt(b, r.LatencyNS, 10)
 	b = append(b, `,"waited_ns":`...)
@@ -208,17 +283,24 @@ func (r *DecideResponse) appendJSON(b []byte) []byte {
 	return append(b, '}')
 }
 
+// appendJSON renders the response as a JSON object.
+func (r *DecideResponse) appendJSON(b []byte) []byte {
+	var w roundWriter
+	return w.append(b, r)
+}
+
 // appendBatchJSON renders a DecideBatchResponse-shaped object from the
 // session ID and a results slice without materializing the wrapper struct.
 func appendBatchJSON(b []byte, session string, results []DecideResponse) []byte {
 	b = append(b, `{"session":`...)
 	b = appendJSONString(b, session)
 	b = append(b, `,"results":[`...)
+	var w roundWriter
 	for i := range results {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = results[i].appendJSON(b)
+		b = w.append(b, &results[i])
 	}
 	return append(b, ']', '}')
 }

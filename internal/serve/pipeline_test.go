@@ -286,19 +286,23 @@ func TestInProcessDecideMatchesHTTP(t *testing.T) {
 	}
 }
 
-// TestDecideWireErrors pins the error half of the wire contract for both
-// decide endpoints: status code, Retry-After and error text.
-func TestDecideWireErrors(t *testing.T) {
+// wireCase is one row of the decide endpoints' error contract: a body, the
+// state it arrives in, and the status, Retry-After and error text it draws.
+type wireCase struct {
+	name       string
+	path       string
+	body       string
+	arrange    func(t *testing.T, srv *Server) // optional pre-request state
+	status     int
+	retryAfter string
+	text       string // exact error text; prefix match when it ends in "…"
+}
+
+// decideWireCases is the error table TestDecideWireErrors asserts row by
+// row; TestWireParity replays its bodies against strings recorded before
+// the fast-path decoder existed.
+func decideWireCases() []wireCase {
 	const single, batch = "/v1/decide", "/v1/decide/batch"
-	type wireCase struct {
-		name       string
-		path       string
-		body       string
-		arrange    func(t *testing.T, srv *Server) // optional pre-request state
-		status     int
-		retryAfter string
-		text       string // exact error text; prefix match when it ends in "…"
-	}
 	past := deadlineField(testEpoch.Add(-time.Hour))
 	tight := deadlineField(testEpoch.Add(50 * time.Microsecond)) // under the 100µs modeled service time
 	drain := func(_ *testing.T, srv *Server) { srv.StartDrain() }
@@ -328,7 +332,7 @@ func TestDecideWireErrors(t *testing.T) {
 			}
 		})
 	}
-	cases := []wireCase{
+	return []wireCase{
 		{name: "drain", path: single, body: `{"session":"t-wire","x":0,"y":0}`, arrange: drain,
 			status: 503, retryAfter: "1", text: "server is draining"},
 		{name: "drain", path: batch, body: `{"session":"t-wire","rounds":[{"x":0,"y":0}]}`, arrange: drain,
@@ -366,7 +370,12 @@ func TestDecideWireErrors(t *testing.T) {
 		{name: "limiter queue full", path: batch, body: `{"session":"t-wire","rounds":[{"x":0,"y":0}]}`, arrange: fillQueue,
 			status: 429, retryAfter: "1", text: "serve: overloaded (shed: limiter)"},
 	}
-	for _, tc := range cases {
+}
+
+// TestDecideWireErrors pins the error half of the wire contract for both
+// decide endpoints: status code, Retry-After and error text.
+func TestDecideWireErrors(t *testing.T) {
+	for _, tc := range decideWireCases() {
 		t.Run(tc.name+" "+tc.path, func(t *testing.T) {
 			cfg := testAdmission()
 			cfg.Limiter = admission.LimiterConfig{Initial: 1, Min: 1, Max: 1, QueueDepth: 1}

@@ -183,8 +183,9 @@ func NewServer(cfg Config) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// fnv64a is the shard hash — same family the striped solve cache uses.
-func fnv64a(s string) uint64 {
+// fnv64a is the shard hash — same family the striped solve cache uses. It
+// takes the ID as a string or as the decoder's byte view of one.
+func fnv64a[S string | []byte](s S) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
@@ -200,15 +201,20 @@ func fnv64a(s string) uint64 {
 // Admission returns the server's admission controller (nil when disabled).
 func (s *Server) Admission() *admission.Controller { return s.adm }
 
-// lookup resolves a session ID (nil when unknown) in one hash pass, also
-// returning the index of its shard — which is its admission gate's index.
-func (s *Server) lookup(id string) (*session, int) {
+// find resolves a session ID — a string, or the request decoder's byte view
+// of one, which the map lookup does not copy — in one hash pass (nil when
+// unknown), also returning the index of its shard, which is its admission
+// gate's index.
+func find[S string | []byte](s *Server, id S) (*session, int) {
 	idx := int(fnv64a(id) & s.mask)
 	sh := s.shards[idx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.sessions[id], idx
+	return sh.sessions[string(id)], idx
 }
+
+// lookup is find for an ID held as a string.
+func (s *Server) lookup(id string) (*session, int) { return find(s, id) }
 
 // SessionCount returns the number of registered sessions across all shards.
 func (s *Server) SessionCount() int {
@@ -502,9 +508,9 @@ func writePlayError(w http.ResponseWriter, id string, err error) {
 // handleDecide is decode → play → observe → encode; the round and its
 // result ride one-element stack arrays, exactly as in Decide.
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
-	sc := getScratch()
+	sc := scratchPool.Get().(*decideScratch)
 	defer scratchPool.Put(sc)
-	if err := sc.decode(r, &sc.req); err != nil {
+	if err := s.decodeSingle(sc, r); err != nil {
 		writeError(w, http.StatusBadRequest, "bad decide request: %v", err)
 		return
 	}
@@ -524,9 +530,9 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 // catch-up and the session-lock hold over every round in the batch — the
 // serving path for callers that coordinate many tasks per scheduling tick.
 func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
-	sc := getScratch()
+	sc := scratchPool.Get().(*decideScratch)
 	defer scratchPool.Put(sc)
-	if err := sc.decode(r, &sc.breq); err != nil {
+	if err := s.decodeBatch(sc, r); err != nil {
 		writeError(w, http.StatusBadRequest, "bad batch request: %v", err)
 		return
 	}
