@@ -346,10 +346,11 @@ func BenchmarkE17Chaos(b *testing.B) {
 	}
 }
 
-// BenchmarkServeHotPath isolates the simulator's inner loop: one saturated
-// load-balancing run per iteration, dominated by Server push/serve/remove
-// traffic. The per-type counts, prefix-shift removal, and reused scratch
-// buffers keep the steady-state allocation count flat in Slots.
+// BenchmarkServeHotPath isolates the simulator's inner loop: one overloaded
+// load-balancing run per iteration, dominated by World push/serve traffic on
+// queues that grow to hundreds of tasks. The per-type FIFOs keep each serve
+// O(1) at any queue length, and the reused scratch buffers keep the
+// steady-state allocation count flat in Slots.
 func BenchmarkServeHotPath(b *testing.B) {
 	b.ReportAllocs()
 	cfg := loadbalance.Config{

@@ -24,6 +24,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/games"
 	"repro/internal/loadbalance"
+	"repro/internal/parallel"
 	"repro/internal/qkd"
 	"repro/internal/qsim"
 	"repro/internal/stats"
@@ -54,6 +55,30 @@ func (o Options) n(base int) int {
 	}
 	return v
 }
+
+// batch collects the independent simulations of one experiment block and
+// runs them together on the default worker pool — SweepLoad's contract one
+// level up. The block builds its strategies serially, in the order it always
+// has (so construction-time draws keep their order), registers one job per
+// run, waits, and only then prints from the collected results; each job
+// derives its randomness from its own Config.Seed and writes only its own
+// result, so the block's bytes are the same at any worker count. Everything
+// that draws from a stream the block owns (solving a game, building a
+// strategy from it) therefore happens before the first job is registered.
+type batch []func()
+
+// do registers an arbitrary job.
+func (b *batch) do(job func()) { *b = append(*b, job) }
+
+// run registers one loadbalance run; the result is valid after wait.
+func (b *batch) run(cfg loadbalance.Config, s loadbalance.Strategy) *loadbalance.Result {
+	res := new(loadbalance.Result)
+	b.do(func() { *res = loadbalance.Run(cfg, s) })
+	return res
+}
+
+// wait runs every registered job and returns when all have finished.
+func (b batch) wait() { parallel.ForEach(len(b), func(i int) { b[i]() }) }
 
 // Experiment is one reproducible unit: a figure or table of the paper.
 // Title is the full banner line (it includes the ID, matching the historical
@@ -210,14 +235,20 @@ func e6(w io.Writer, o Options) {
 		Workload:   workload.Bernoulli{PC: 0.5},
 		Seed:       o.Seed,
 	}
+	vis := []float64{1.0, 0.9, 0.8, 1 / math.Sqrt2}
+	var runs batch
+	quantum := make([]*loadbalance.Result, len(vis))
+	for i, v := range vis {
+		quantum[i] = runs.run(base, loadbalance.NewQuantumPairedStrategy(v, xrand.New(o.Seed, 6)))
+	}
+	random := runs.run(base, loadbalance.RandomStrategy{})
+	runs.wait()
 	fmt.Fprintln(w, "visibility  mean queue  colocation rate")
-	for _, v := range []float64{1.0, 0.9, 0.8, 1 / math.Sqrt2} {
-		s := loadbalance.NewQuantumPairedStrategy(v, xrand.New(o.Seed, 6))
-		r := loadbalance.Run(base, s)
+	for i, v := range vis {
+		r := quantum[i]
 		fmt.Fprintf(w, "%.3f       %8.2f    %.4f\n", v, r.QueueLen.Mean(), r.Colocation.Rate())
 	}
-	r := loadbalance.Run(base, loadbalance.RandomStrategy{})
-	fmt.Fprintf(w, "random      %8.2f    —\n", r.QueueLen.Mean())
+	fmt.Fprintf(w, "random      %8.2f    —\n", random.QueueLen.Mean())
 }
 
 func e7(w io.Writer, o Options) {
@@ -253,20 +284,24 @@ func e9(w io.Writer, o Options) {
 		Seed:       o.Seed,
 	}
 	demand := float64(cfg.NumBalancers/2) * 1000 // pair-rounds/s at 1ms slots
-	fmt.Fprintln(w, "supply/demand  quantum-fraction  colocation  mean queue")
-	for _, mult := range []float64{2, 1, 0.5, 0.25, 0} {
-		var s loadbalance.Strategy
-		var sl *loadbalance.SupplyLimitedStrategy
-		if mult == 0 {
-			sl = loadbalance.NewSupplyLimitedStrategy(entangle.EmptySupplier{}, time.Millisecond, xrand.New(o.Seed, 9))
-		} else {
-			sl = loadbalance.NewSupplyLimitedStrategy(
-				loadbalance.NewRatedSupplier(demand*mult, 1.0, 64), time.Millisecond, xrand.New(o.Seed, 9))
+	mults := []float64{2, 1, 0.5, 0.25, 0}
+	var runs batch
+	strats := make([]*loadbalance.SupplyLimitedStrategy, len(mults))
+	results := make([]*loadbalance.Result, len(mults))
+	for i, mult := range mults {
+		var supplier entangle.Supplier = entangle.EmptySupplier{}
+		if mult != 0 {
+			supplier = loadbalance.NewRatedSupplier(demand*mult, 1.0, 64)
 		}
-		s = sl
-		r := loadbalance.Run(cfg, s)
+		strats[i] = loadbalance.NewSupplyLimitedStrategy(supplier, time.Millisecond, xrand.New(o.Seed, 9))
+		results[i] = runs.run(cfg, strats[i])
+	}
+	runs.wait()
+	fmt.Fprintln(w, "supply/demand  quantum-fraction  colocation  mean queue")
+	for i, mult := range mults {
+		sl := strats[i]
 		fmt.Fprintf(w, "%.2f           %.3f             %.4f      %.2f\n",
-			mult, sl.QuantumFraction(), sl.ColocationStats().Rate(), r.QueueLen.Mean())
+			mult, sl.QuantumFraction(), sl.ColocationStats().Rate(), results[i].QueueLen.Mean())
 	}
 }
 
@@ -293,9 +328,11 @@ func e10(w io.Writer, o Options) {
 	}
 	qs := loadbalance.NewGraphPairedStrategy(game, 1.0, rng)
 	cs := loadbalance.NewGraphClassicalStrategy(game)
-	rq := loadbalance.Run(cfg, qs)
-	rc := loadbalance.Run(cfg, cs)
-	rr := loadbalance.Run(cfg, loadbalance.RandomStrategy{})
+	var runs batch
+	rq := runs.run(cfg, qs)
+	rc := runs.run(cfg, cs)
+	rr := runs.run(cfg, loadbalance.RandomStrategy{})
+	runs.wait()
 	fmt.Fprintf(w, "mean queue: random %.2f | graph-classical %.2f | graph-quantum %.2f\n",
 		rr.QueueLen.Mean(), rc.QueueLen.Mean(), rq.QueueLen.Mean())
 	fmt.Fprintf(w, "preference satisfaction: classical %.4f vs quantum %.4f\n",

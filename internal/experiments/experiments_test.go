@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/parallel"
 )
 
 // tinyOpts keeps every experiment to a few milliseconds so the invariance
@@ -134,5 +135,55 @@ func TestE17WorkerInvariance(t *testing.T) {
 	// used here are too short for that check to be meaningful.
 	if !strings.Contains(one, "phase") {
 		t.Fatalf("E17 block missing the phase table:\n%s", one)
+	}
+}
+
+// checkBlockWorkerInvariance runs one experiment block with the process-wide
+// default pool — the one a block's own fan-out (batch, SweepLoad) runs on —
+// pinned to 1, 2 and 8 workers and requires identical bytes, mirroring
+// loadbalance.TestSweepLoadWorkerInvariance one level up. RunAll's workers
+// argument only spreads whole blocks, so the RunAll invariance tests never
+// vary this inner width.
+func checkBlockWorkerInvariance(t *testing.T, id string) {
+	t.Helper()
+	var exp Experiment
+	for _, e := range All() {
+		if e.ID == id {
+			exp = e
+		}
+	}
+	if exp.Run == nil {
+		t.Fatalf("no experiment %s", id)
+	}
+	block := func(workers int) string {
+		parallel.SetDefaultWorkers(workers)
+		defer parallel.SetDefaultWorkers(0)
+		var out bytes.Buffer
+		exp.Run(&out, Options{Seed: 42, Scale: 0.05})
+		return out.String()
+	}
+	one := block(1)
+	if strings.Count(one, "\n") < 3 {
+		t.Fatalf("%s block suspiciously short:\n%s", id, one)
+	}
+	for _, workers := range []int{2, 8} {
+		if got := block(workers); got != one {
+			t.Fatalf("%s differs between 1 and %d workers:\n--- 1 ---\n%s\n--- %d ---\n%s",
+				id, workers, one, workers, got)
+		}
+	}
+}
+
+// TestE19WorkerInvariance: E19's eighteen runs execute concurrently, two per
+// mix row sharing one DiurnalMix/Bursty/CorrelatedBursts prototype (cloned
+// per run by RunE), and must print what the serial loop printed. CI also
+// runs it under the race detector.
+func TestE19WorkerInvariance(t *testing.T) { checkBlockWorkerInvariance(t, "E19") }
+
+// TestE6E9E10WorkerInvariance covers the other blocks whose row loops now
+// run as one batch.
+func TestE6E9E10WorkerInvariance(t *testing.T) {
+	for _, id := range []string{"E6", "E9", "E10"} {
+		checkBlockWorkerInvariance(t, id)
 	}
 }

@@ -85,10 +85,16 @@ func ServerlessAffinityWorkload() workload.MultiClass {
 // promoted examples/ scenarios run as first-class rows, plus the serving
 // path itself under non-stationary arrival profiles.
 func e19(w io.Writer, o Options) {
+	// The block's eighteen simulations are independent, so they are
+	// registered here in presentation order, run together (see batch), and
+	// printed from the collected results.
+	var runs batch
+
 	// Part 1: N=100 at load ≈ 1.1 (the E6 regime) under four type-mix
 	// processes. The quantum edge must survive non-stationarity: the pair
 	// strategy never conditions on the mix, so modulation moves both
-	// columns but should not erase the gap.
+	// columns but should not erase the gap. The two runs of a row share one
+	// generator prototype; RunE clones it per run (workload.Cloner).
 	warmup, slots := o.n(1000), o.n(4000)
 	mixes := []struct {
 		name string
@@ -99,7 +105,10 @@ func e19(w io.Writer, o Options) {
 		{"bursty", workload.NewBursty(0.8, 0.2, 0.02, 100)},
 		{"correlated-bursts", workload.NewCorrelatedBursts(0.8, 0.2, 0.02, 0.9, 100)},
 	}
-	fmt.Fprintln(w, "type mix            random queue  quantum queue  ratio  colocation")
+	// pair is one table row: the same configuration under the classical
+	// random baseline and under a quantum (or graph-quantum) strategy.
+	type pair struct{ random, quantum *loadbalance.Result }
+	mixRows := make([]pair, len(mixes))
 	for i, m := range mixes {
 		cfg := loadbalance.Config{
 			NumBalancers: 100, NumServers: 91,
@@ -108,36 +117,19 @@ func e19(w io.Writer, o Options) {
 			Workload:   m.gen,
 			Seed:       o.Seed,
 		}
-		rr, err := loadbalance.RunE(cfg, loadbalance.RandomStrategy{})
-		if err != nil {
-			panic(err)
-		}
-		qs := loadbalance.NewQuantumPairedStrategy(0.95, xrand.New(o.Seed, uint64(1900+i)))
-		rq, err := loadbalance.RunE(cfg, qs)
-		if err != nil {
-			panic(err)
-		}
-		fmt.Fprintf(w, "%-18s %10.2f  %12.2f   %.2f  %.4f\n",
-			m.name, rr.QueueLen.Mean(), rq.QueueLen.Mean(),
-			rr.QueueLen.Mean()/rq.QueueLen.Mean(), rq.Colocation.Rate())
+		mixRows[i].random = runs.run(cfg, loadbalance.RandomStrategy{})
+		mixRows[i].quantum = runs.run(cfg,
+			loadbalance.NewQuantumPairedStrategy(0.95, xrand.New(o.Seed, uint64(1900+i))))
 	}
 
 	// Part 2: the promoted GPU-scheduler scenario at the knee of its SM
 	// sweep — the regime the example exists to showcase.
-	fmt.Fprintln(w, "gpu-scheduler (64 dispatchers):")
-	fmt.Fprintln(w, "  SMs  random delay  entangled delay  speedup")
-	for _, sms := range []int{72, 58} {
+	gpuSMs := []int{72, 58}
+	gpuRows := make([]pair, len(gpuSMs))
+	for i, sms := range gpuSMs {
 		cfg := GPUSchedulerConfig(sms, warmup, slots)
-		rr, err := loadbalance.RunE(cfg, loadbalance.RandomStrategy{})
-		if err != nil {
-			panic(err)
-		}
-		rq, err := loadbalance.RunE(cfg, loadbalance.NewQuantumPairedStrategy(0.95, xrand.New(7, 19)))
-		if err != nil {
-			panic(err)
-		}
-		fmt.Fprintf(w, "  %-3d  %12.2f  %15.2f  %.2fx\n",
-			sms, rr.Delay.Mean(), rq.Delay.Mean(), rr.Delay.Mean()/rq.Delay.Mean())
+		gpuRows[i].random = runs.run(cfg, loadbalance.RandomStrategy{})
+		gpuRows[i].quantum = runs.run(cfg, loadbalance.NewQuantumPairedStrategy(0.95, xrand.New(7, 19)))
 	}
 
 	// Part 3: the promoted serverless-affinity scenario — game values plus
@@ -147,8 +139,6 @@ func e19(w io.Writer, o Options) {
 	rng := xrand.New(o.Seed, 1919)
 	c := game.ClassicalValue()
 	q := game.QuantumValue(rng)
-	fmt.Fprintf(w, "serverless-affinity: classical %.4f, quantum %.4f (gap %.4f)\n",
-		c.Value, q.Value, q.Value-c.Value)
 	saCfg := loadbalance.Config{
 		NumBalancers: 100, NumServers: 91,
 		Warmup: warmup, Slots: slots,
@@ -158,17 +148,8 @@ func e19(w io.Writer, o Options) {
 	}
 	sq := loadbalance.NewGraphPairedStrategy(game, 1.0, rng)
 	sc := loadbalance.NewGraphClassicalStrategy(game)
-	rq, err := loadbalance.RunE(saCfg, sq)
-	if err != nil {
-		panic(err)
-	}
-	rc, err := loadbalance.RunE(saCfg, sc)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Fprintf(w, "  mean queue: graph-classical %.2f | graph-quantum %.2f | preference %.4f vs %.4f\n",
-		rc.QueueLen.Mean(), rq.QueueLen.Mean(),
-		sc.ColocationStats().Rate(), sq.ColocationStats().Rate())
+	rq := runs.run(saCfg, sq)
+	rc := runs.run(saCfg, sc)
 
 	// Part 4: the serving path under non-stationary arrivals — the virtual
 	// load harness (byte-deterministic) across steady, diurnal, flash-crowd
@@ -187,17 +168,46 @@ func e19(w io.Writer, o Options) {
 			{Name: "heavy", Weight: 0.3, HeavyTail: &loadtest.HeavyTailBatch{Shape: 1.2, Scale: 2, Max: 256}},
 		}}},
 	}
-	fmt.Fprintln(w, "serving path (virtual):")
-	fmt.Fprintln(w, "  profile      requests  decisions  win-rate  p99 latency")
+	served := make([]*loadtest.Result, len(serving))
 	for i, s := range serving {
 		cfg := s.cfg
 		cfg.Seed = xrand.Derive(o.Seed, uint64(1950+i)).Uint64()
 		cfg.Duration = window
 		cfg.SessionTemplate = serve.SessionRequest{PairRate: 1e6, PoolCap: 512}
-		res, err := loadtest.RunVirtual(cfg)
-		if err != nil {
-			panic(err)
-		}
+		runs.do(func() {
+			res, err := loadtest.RunVirtual(cfg)
+			if err != nil {
+				panic(err)
+			}
+			served[i] = res
+		})
+	}
+
+	runs.wait()
+
+	fmt.Fprintln(w, "type mix            random queue  quantum queue  ratio  colocation")
+	for i, m := range mixes {
+		r, e := mixRows[i].random, mixRows[i].quantum
+		fmt.Fprintf(w, "%-18s %10.2f  %12.2f   %.2f  %.4f\n",
+			m.name, r.QueueLen.Mean(), e.QueueLen.Mean(),
+			r.QueueLen.Mean()/e.QueueLen.Mean(), e.Colocation.Rate())
+	}
+	fmt.Fprintln(w, "gpu-scheduler (64 dispatchers):")
+	fmt.Fprintln(w, "  SMs  random delay  entangled delay  speedup")
+	for i, sms := range gpuSMs {
+		r, e := gpuRows[i].random, gpuRows[i].quantum
+		fmt.Fprintf(w, "  %-3d  %12.2f  %15.2f  %.2fx\n",
+			sms, r.Delay.Mean(), e.Delay.Mean(), r.Delay.Mean()/e.Delay.Mean())
+	}
+	fmt.Fprintf(w, "serverless-affinity: classical %.4f, quantum %.4f (gap %.4f)\n",
+		c.Value, q.Value, q.Value-c.Value)
+	fmt.Fprintf(w, "  mean queue: graph-classical %.2f | graph-quantum %.2f | preference %.4f vs %.4f\n",
+		rc.QueueLen.Mean(), rq.QueueLen.Mean(),
+		sc.ColocationStats().Rate(), sq.ColocationStats().Rate())
+	fmt.Fprintln(w, "serving path (virtual):")
+	fmt.Fprintln(w, "  profile      requests  decisions  win-rate  p99 latency")
+	for i, s := range serving {
+		res := served[i]
 		fmt.Fprintf(w, "  %-11s %8d  %9d  %.4f    %s\n",
 			s.name, res.Requests, res.Decisions, res.WinRate,
 			time.Duration(res.Latency.P99NS))

@@ -99,19 +99,6 @@ func (s *Server) push(q queued) {
 // numOfType returns how many queued tasks have the given type.
 func (s *Server) numOfType(t workload.TaskType) int { return s.world().numOfType(s.id, t) }
 
-// firstOfType returns the buf index of the oldest queued task of type t, or -1.
-func (s *Server) firstOfType(t workload.TaskType) int { return s.world().firstOfType(s.id, t) }
-
-// frontIdx returns the buf index of the queue front (valid while non-empty).
-func (s *Server) frontIdx() int { return int(s.world().head[s.id]) }
-
-// removeAt removes and returns the task at buf index i, preserving the
-// relative order of the rest.
-func (s *Server) removeAt(i int) queued {
-	r := s.world().removeAt(s.id, i)
-	return queued{task: r.task(), arrivalSlot: int(r.arrival)}
-}
-
 // serve applies one slot of the discipline, removing the served tasks from
 // the queue and appending them to out.
 func (s *Server) serve(d Discipline, out []queued) []queued {
@@ -179,6 +166,9 @@ func (c Config) Validate() error {
 	if int64(c.Warmup)+int64(c.Slots) > math.MaxInt32 {
 		// Arrival slots are packed into int32 queue records.
 		return fmt.Errorf("loadbalance: total slots %d exceed the int32 slot index", c.Warmup+c.Slots)
+	}
+	if c.Discipline < BatchCFirst || c.Discipline > BatchSameClassC {
+		return fmt.Errorf("loadbalance: unknown discipline %d", int(c.Discipline))
 	}
 	if c.Workload == nil {
 		return fmt.Errorf("loadbalance: nil workload")

@@ -1,6 +1,7 @@
 package loadbalance
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -114,16 +115,16 @@ func TestServerDisciplineEFirst(t *testing.T) {
 
 func TestServeEmpty(t *testing.T) {
 	s := &Server{}
-	for _, d := range []Discipline{BatchCFirst, SingleCFirst, FIFOBatch, EFirst} {
+	for d := BatchCFirst; d <= BatchSameClassC; d++ {
 		if got := s.serve(d, nil); got != nil {
 			t.Fatalf("%v on empty queue served %v", d, got)
 		}
 	}
 }
 
-// TestServerQueueBookkeeping drives the ring-buffer queue through pushes,
-// head pops, and mid-queue removals, checking Len and the type-C count the
-// fast paths rely on.
+// TestServerQueueBookkeeping drives the two per-type FIFOs through pushes,
+// out-of-arrival-order serves and strict-order drains, checking Len and the
+// type counts the disciplines branch on.
 func TestServerQueueBookkeeping(t *testing.T) {
 	s := &Server{}
 	for i := 0; i < 5; i++ {
@@ -137,25 +138,29 @@ func TestServerQueueBookkeeping(t *testing.T) {
 	if s.Len() != 5 || s.numOfType(workload.TypeC) != 2 || s.numOfType(workload.TypeE) != 3 {
 		t.Fatalf("Len=%d numC=%d numE=%d", s.Len(), s.numOfType(workload.TypeC), s.numOfType(workload.TypeE))
 	}
-	// Mid-queue removal preserves FIFO order of the rest.
-	idx := s.firstOfType(workload.TypeC)
-	if got := s.removeAt(idx); got.arrivalSlot != 1 {
-		t.Fatalf("first C was slot %d, want 1", got.arrivalSlot)
+	// Serving the first C from behind an E preserves the arrival order of the
+	// rest: a strict-order drain then sees 0, 2, 3, 4 (C3 finds no partner).
+	if got := s.serve(SingleCFirst, nil); len(got) != 1 || got[0].arrivalSlot != 1 {
+		t.Fatalf("first C served %v, want slot 1", got)
 	}
-	wantOrder := []int{0, 2, 3, 4}
-	for _, want := range wantOrder {
-		if got := s.removeAt(s.frontIdx()); got.arrivalSlot != want {
-			t.Fatalf("pop got slot %d, want %d", got.arrivalSlot, want)
+	if s.Len() != 4 || s.numOfType(workload.TypeC) != 1 {
+		t.Fatalf("after one C: Len=%d numC=%d, want 4/1", s.Len(), s.numOfType(workload.TypeC))
+	}
+	for _, want := range []int{0, 2, 3, 4} {
+		if got := s.serve(FIFOBatch, nil); len(got) != 1 || got[0].arrivalSlot != want {
+			t.Fatalf("strict-order serve got %v, want slot %d", got, want)
 		}
 	}
 	if s.Len() != 0 || s.numOfType(workload.TypeC) != 0 {
 		t.Fatalf("queue not empty after draining: Len=%d numC=%d", s.Len(), s.numOfType(workload.TypeC))
 	}
-	// Interleave pushes and pops long enough to force prefix compaction.
+	// Interleave pushes and serves long enough to force prefix reclaim.
 	for i := 0; i < 1000; i++ {
 		s.push(queued{task: workload.Task{Type: workload.TypeC}, arrivalSlot: i})
 		if i%2 == 1 {
-			s.removeAt(s.firstOfType(workload.TypeC))
+			if got := s.serve(SingleCFirst, nil); len(got) != 1 || got[0].arrivalSlot != i/2 {
+				t.Fatalf("churn serve %d got %v, want slot %d", i, got, i/2)
+			}
 		}
 	}
 	if s.Len() != 500 || s.numOfType(workload.TypeC) != 500 {
@@ -164,9 +169,41 @@ func TestServerQueueBookkeeping(t *testing.T) {
 }
 
 func TestDisciplineStrings(t *testing.T) {
-	for _, d := range []Discipline{BatchCFirst, SingleCFirst, FIFOBatch, EFirst} {
-		if d.String() == "" {
-			t.Fatal("empty discipline name")
+	seen := map[string]bool{}
+	for d := BatchCFirst; d <= BatchSameClassC; d++ {
+		name := d.String()
+		if name == "" || name == fmt.Sprintf("Discipline(%d)", int(d)) || seen[name] {
+			t.Fatalf("discipline %d has no distinct name: %q", int(d), name)
+		}
+		seen[name] = true
+	}
+}
+
+// TestUnknownDisciplineIsAnError pins RunE's contract for the one Config
+// field Validate used to skip: an out-of-range discipline must come back as
+// an error, not as a panic inside serve on the first non-empty queue (which,
+// under a sweep, fires on a worker goroutine).
+func TestUnknownDisciplineIsAnError(t *testing.T) {
+	for _, d := range []Discipline{-1, BatchSameClassC + 1, 99} {
+		cfg := testConfig(1.0)
+		cfg.Discipline = d
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("Validate accepted discipline %d", int(d))
+		}
+		if _, err := RunE(cfg, RandomStrategy{}); err == nil {
+			t.Errorf("RunE accepted discipline %d", int(d))
+		}
+		sharded := ShardedConfig{Cells: 2, CellBalancers: 10, CellServers: 10, Slots: 10,
+			Discipline: d, Workload: workload.Bernoulli{PC: 0.5}}
+		if _, err := RunSharded(sharded, func(int) Strategy { return RandomStrategy{} }); err == nil {
+			t.Errorf("RunSharded accepted discipline %d", int(d))
+		}
+	}
+	for d := BatchCFirst; d <= BatchSameClassC; d++ {
+		cfg := testConfig(1.0)
+		cfg.Discipline = d
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Validate rejected %v: %v", d, err)
 		}
 	}
 }

@@ -2,13 +2,16 @@ package loadbalance
 
 import "repro/internal/workload"
 
-// rec is one queued task packed to 8 bytes: the low bit of meta is the task
-// type (1 = type-C), the remaining 31 bits the class, and arrival the slot
-// the task entered the queue. Three times denser than the boxed form, it
-// keeps a server's whole queue in one or two cache lines at typical loads.
+// rec is one queued task packed to 12 bytes: the low bit of meta is the task
+// type (1 = type-C), the remaining 31 bits the class; arrival is the slot the
+// task entered the queue; seq is its server's push counter at that moment,
+// which orders two tasks of different types pushed to one server in the same
+// slot. Half the size of the boxed form, so a server's queue at typical
+// loads still sits in one or two cache lines.
 type rec struct {
 	meta    int32
 	arrival int32
+	seq     uint32
 }
 
 const recTypeC = int32(1)
@@ -31,18 +34,53 @@ func (r rec) task() workload.Task {
 	return workload.Task{Type: typ, Class: int(r.meta >> 1)}
 }
 
+// fifo is one arrival-ordered queue of recs: the live region is buf[head:].
+type fifo struct {
+	buf  []rec
+	head int32
+}
+
+// push appends r. When the consumed prefix would force the backing array to
+// grow, it is reclaimed first, so a queue in steady state never reallocates.
+func (f *fifo) push(r rec) {
+	if f.head > 0 && len(f.buf) == cap(f.buf) {
+		n := copy(f.buf, f.buf[f.head:])
+		f.buf = f.buf[:n]
+		f.head = 0
+	}
+	f.buf = append(f.buf, r)
+}
+
+// front returns the oldest rec of a non-empty fifo.
+func (f *fifo) front() rec { return f.buf[f.head] }
+
+// removeAt removes and returns the rec at buf index i, preserving the order
+// of the rest: the prefix buf[head:i] shifts right by one. For i == head —
+// every removal but BatchSameClassC's class partner — that is a pointer bump.
+func (f *fifo) removeAt(i int) rec {
+	h := int(f.head)
+	r := f.buf[i]
+	copy(f.buf[h+1:i+1], f.buf[h:i])
+	if h++; h == len(f.buf) {
+		f.buf, h = f.buf[:0], 0
+	}
+	f.head = int32(h)
+	return r
+}
+
 // World is the structure-of-arrays simulation state for M servers: the
 // per-server scalars live in flat columns indexed by server ID, and each
-// queue's contents are packed recs. The serve step at N=10⁵ walks qlen,
-// numC, and head as three contiguous int32 arrays (a few hundred KB,
-// prefetch-friendly) instead of chasing a 48-byte struct per server, and
-// the cluster view aliases the qlen column so the per-slot "refresh"
-// costs nothing.
+// server keeps two FIFOs of packed recs, one per task type, so every
+// discipline finds the task it wants at a queue front instead of scanning a
+// mixed queue for it. The serve step at N=10⁵ walks qlen as one contiguous
+// int32 array and touches a server's 64-byte FIFO pair only when its queue
+// is non-empty, and the cluster view aliases the qlen column so the per-slot
+// "refresh" costs nothing.
 type World struct {
-	qlen []int32 // queue length per server
-	numC []int32 // queued type-C tasks per server
-	head []int32 // index of the queue front within bufs[id]
-	bufs [][]rec // queue storage; live region is bufs[id][head[id]:]
+	qlen []int32   // queue length per server
+	numC []int32   // queued type-C tasks per server
+	seq  []uint32  // pushes so far per server (wraps; see older)
+	q    [][2]fifo // per server: [0] the type-E FIFO, [recTypeC] the type-C FIFO
 }
 
 // NewWorld returns a World with m empty server queues.
@@ -50,8 +88,8 @@ func NewWorld(m int) *World {
 	return &World{
 		qlen: make([]int32, m),
 		numC: make([]int32, m),
-		head: make([]int32, m),
-		bufs: make([][]rec, m),
+		seq:  make([]uint32, m),
+		q:    make([][2]fifo, m),
 	}
 }
 
@@ -62,21 +100,14 @@ func (w *World) NumServers() int { return len(w.qlen) }
 // single-world run can expose live lengths without copying).
 func (w *World) QueueLen(id int) int { return int(w.qlen[id]) }
 
-// push appends a task to server id's queue tail. When the consumed prefix
-// would force the backing array to grow, it is reclaimed first, so a queue
-// in steady state never reallocates.
+// push appends a task to the tail of server id's queue of r's type, stamping
+// it with the server's push sequence.
 func (w *World) push(id int, r rec) {
-	buf := w.bufs[id]
-	if w.head[id] > 0 && len(buf) == cap(buf) {
-		n := copy(buf, buf[w.head[id]:])
-		buf = buf[:n]
-		w.head[id] = 0
-	}
-	w.bufs[id] = append(buf, r)
+	r.seq = w.seq[id]
+	w.seq[id]++
+	w.q[id][r.meta&recTypeC].push(r)
 	w.qlen[id]++
-	if r.meta&recTypeC != 0 {
-		w.numC[id]++
-	}
+	w.numC[id] += r.meta & recTypeC
 }
 
 // numOfType returns how many of server id's queued tasks have type t.
@@ -87,124 +118,67 @@ func (w *World) numOfType(id int, t workload.TaskType) int {
 	return int(w.qlen[id] - w.numC[id])
 }
 
-// firstOfType returns the buf index of the oldest queued task of type t on
-// server id, or -1. The count fast paths skip the scan when the queue holds
-// none of (or nothing but) that type — the two overwhelmingly common cases
-// under the Bernoulli workloads.
-func (w *World) firstOfType(id int, t workload.TaskType) int {
-	n := w.numOfType(id, t)
-	if n == 0 {
-		return -1
-	}
-	if n == int(w.qlen[id]) {
-		return int(w.head[id])
-	}
-	var want int32
-	if t == workload.TypeC {
-		want = recTypeC
-	}
-	buf := w.bufs[id]
-	for i := int(w.head[id]); i < len(buf); i++ {
-		if buf[i].meta&recTypeC == want {
-			return i
-		}
-	}
-	return -1
-}
-
-// firstOfClass returns the buf index of the oldest queued task of type t and
-// the given class on server id, or -1.
-func (w *World) firstOfClass(id int, t workload.TaskType, class int) int {
-	if w.numOfType(id, t) == 0 {
-		return -1
-	}
-	want := int32(class) << 1
-	if t == workload.TypeC {
-		want |= recTypeC
-	}
-	buf := w.bufs[id]
-	for i := int(w.head[id]); i < len(buf); i++ {
-		if buf[i].meta == want {
-			return i
-		}
-	}
-	return -1
-}
-
-// removeAt removes and returns the task at buf index i of server id,
-// preserving the relative order of the rest: the prefix buf[head:i] shifts
-// right by one. For i == head (the usual case) this is a pure pointer bump.
-func (w *World) removeAt(id, i int) rec {
-	buf := w.bufs[id]
-	h := int(w.head[id])
-	r := buf[i]
-	copy(buf[h+1:i+1], buf[h:i])
-	h++
-	w.head[id] = int32(h)
+// take removes the rec at buf index i of f, one of server id's two FIFOs.
+func (w *World) take(id int, f *fifo, i int) rec {
+	r := f.removeAt(i)
 	w.qlen[id]--
-	if r.meta&recTypeC != 0 {
-		w.numC[id]--
-	}
-	if h == len(buf) {
-		w.bufs[id] = buf[:0]
-		w.head[id] = 0
-	}
+	w.numC[id] -= r.meta & recTypeC
 	return r
 }
 
+// older reports whether push sequence a precedes b on one server. The
+// counter wraps, but a server's live tasks span fewer than 2³¹ pushes (qlen
+// is an int32), so the sign of the wrapped difference decides.
+func older(a, b uint32) bool { return int32(a-b) < 0 }
+
 // serve applies one slot of the discipline to server id, removing the served
 // tasks from the queue and appending them to out (the caller's reused
-// scratch buffer, at most two entries per slot).
+// scratch buffer, at most two entries per slot). Every discipline serves the
+// front of one of the two FIFOs and, when that task is type-C and the
+// discipline batches, one more type-C with it.
 func (w *World) serve(id int, d Discipline, out []rec) []rec {
 	if w.qlen[id] == 0 {
 		return out
 	}
+	nC := w.numC[id]
+	nE := w.qlen[id] - nC
+	q := &w.q[id]
+	var lead int32 // the type whose front is served first
 	switch d {
-	case BatchCFirst:
-		if idx := w.firstOfType(id, workload.TypeC); idx >= 0 {
-			out = append(out, w.removeAt(id, idx))
-			if idx2 := w.firstOfType(id, workload.TypeC); idx2 >= 0 {
-				out = append(out, w.removeAt(id, idx2))
-			}
-			return out
+	case BatchCFirst, SingleCFirst, BatchSameClassC:
+		if nC > 0 {
+			lead = recTypeC
 		}
-		return append(out, w.removeAt(id, int(w.head[id])))
-	case SingleCFirst:
-		if idx := w.firstOfType(id, workload.TypeC); idx >= 0 {
-			return append(out, w.removeAt(id, idx))
-		}
-		return append(out, w.removeAt(id, int(w.head[id])))
-	case FIFOBatch:
-		head := w.removeAt(id, int(w.head[id]))
-		out = append(out, head)
-		if head.meta&recTypeC != 0 {
-			if idx := w.firstOfType(id, workload.TypeC); idx >= 0 {
-				out = append(out, w.removeAt(id, idx))
-			}
-		}
-		return out
 	case EFirst:
-		if idx := w.firstOfType(id, workload.TypeE); idx >= 0 {
-			return append(out, w.removeAt(id, idx))
+		if nE == 0 {
+			lead = recTypeC
 		}
-		out = append(out, w.removeAt(id, int(w.head[id])))
-		if idx := w.firstOfType(id, workload.TypeC); idx >= 0 {
-			out = append(out, w.removeAt(id, idx))
+	case FIFOBatch:
+		// Strict arrival order: the older of the two fronts.
+		if nE == 0 || (nC > 0 && older(q[recTypeC].front().seq, q[0].front().seq)) {
+			lead = recTypeC
 		}
-		return out
-	case BatchSameClassC:
-		if idx := w.firstOfType(id, workload.TypeC); idx >= 0 {
-			first := w.removeAt(id, idx)
-			out = append(out, first)
-			if idx2 := w.firstOfClass(id, workload.TypeC, int(first.meta>>1)); idx2 >= 0 {
-				out = append(out, w.removeAt(id, idx2))
-			}
-			return out
-		}
-		return append(out, w.removeAt(id, int(w.head[id])))
 	default:
+		// Config.Validate rejects these before a run starts.
 		panic("loadbalance: unknown discipline")
 	}
+	first := w.take(id, &q[lead], int(q[lead].head))
+	out = append(out, first)
+	if lead != recTypeC || nC == 1 || d == SingleCFirst {
+		return out
+	}
+	c := &q[recTypeC]
+	if d != BatchSameClassC {
+		return append(out, w.take(id, c, int(c.head)))
+	}
+	// Only a type-C task of the first one's class may ride along, and only
+	// the type-C FIFO can hold it.
+	for i := int(c.head); i < len(c.buf); i++ {
+		if c.buf[i].meta == first.meta {
+			return append(out, w.take(id, c, i))
+		}
+	}
+	return out
 }
 
 // totalQueued sums the live queue lengths.
