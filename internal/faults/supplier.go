@@ -24,7 +24,7 @@ type Supplier struct {
 	Sched Schedule
 
 	lossDebt float64
-	flushed  int // flush windows already applied (by sorted position)
+	flushed  int // flush windows already applied
 }
 
 // NewSupplier wraps inner with the schedule.
@@ -61,18 +61,17 @@ func (f *Supplier) TryConsume(now time.Duration) (float64, bool) {
 	return v * f.Sched.VisibilityFactor(now), true
 }
 
-// applyFlushes drains the inner supplier for every flush window whose start
-// has passed since the last call.
+// applyFlushes drains the inner supplier once for every flush window whose
+// start has passed since the last call. Only the count of due windows
+// matters, so the schedule is read in place, in whatever order it is in.
 func (f *Supplier) applyFlushes(now time.Duration) {
-	i := 0
-	for _, w := range f.Sched.sorted() {
-		if w.Kind != KindPoolFlush || w.Start > now {
-			continue
+	due := 0
+	for _, w := range f.Sched.Windows {
+		if w.Kind == KindPoolFlush && w.Start <= now {
+			due++
 		}
-		i++
-		if i <= f.flushed {
-			continue
-		}
+	}
+	for i := f.flushed; i < due; i++ {
 		// Bounded drain: buffered suppliers run dry quickly; the bound
 		// keeps an (idealized) infinite supplier from hanging the run.
 		for n := 0; n < 1<<20; n++ {
@@ -81,5 +80,5 @@ func (f *Supplier) applyFlushes(now time.Duration) {
 			}
 		}
 	}
-	f.flushed = i
+	f.flushed = due
 }

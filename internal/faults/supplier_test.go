@@ -100,6 +100,56 @@ func TestSupplierFlushDrainsOnce(t *testing.T) {
 	}
 }
 
+// Flushing depends on how many flush windows have started, not on where they
+// sit in the slice: a schedule written out of start order (and interleaved
+// with other kinds) flushes at the same instants as its sorted form.
+func TestSupplierFlushIgnoresWindowOrder(t *testing.T) {
+	shuffled := []Window{
+		{Kind: KindPoolFlush, Start: ms(40), End: ms(40)},
+		{Kind: KindDecoherenceSpike, Start: ms(5), End: ms(50), Severity: 0.5},
+		{Kind: KindPoolFlush, Start: ms(10), End: ms(10)},
+		{Kind: KindPoolFlush, Start: ms(25), End: ms(25)},
+		{Kind: KindSourceOutage, Start: ms(30), End: ms(33)},
+		{Kind: KindPoolFlush, Start: ms(25), End: ms(26)},
+	}
+	flushedAt := func(windows []Window) (instants []int) {
+		inner := &queueSupplier{}
+		s := NewSupplier(inner, Schedule{Windows: windows})
+		for at := 0; at < 60; at++ {
+			inner.vs = fill(4, 0.9)
+			if _, ok := s.TryConsume(ms(at)); !ok && len(inner.vs) == 0 {
+				instants = append(instants, at)
+			}
+		}
+		return instants
+	}
+	got := flushedAt(shuffled)
+	want := flushedAt(Schedule{Windows: shuffled}.sorted())
+	if len(got) != 3 || got[0] != 10 || got[1] != 25 || got[2] != 40 {
+		t.Fatalf("shuffled schedule flushed at %v ms, want [10 25 40]", got)
+	}
+	if len(want) != len(got) || want[0] != got[0] || want[1] != got[1] || want[2] != got[2] {
+		t.Fatalf("shuffled schedule flushed at %v ms, sorted at %v ms", got, want)
+	}
+}
+
+// TryConsume runs once per balancer pair per slot; it used to copy and sort
+// the whole schedule every time.
+func TestSupplierTryConsumeDoesNotAllocate(t *testing.T) {
+	sched := Schedule{Windows: []Window{
+		{Kind: KindPoolFlush, Start: ms(40), End: ms(40)},
+		{Kind: KindFiberLossBurst, Start: ms(5), End: ms(50), Severity: 0.5},
+		{Kind: KindPoolFlush, Start: ms(10), End: ms(10)},
+		{Kind: KindSourceOutage, Start: ms(30), End: ms(33)},
+	}}
+	s := NewSupplier(entangle.PerfectSupplier{Visibility: 0.9}, sched)
+	s.TryConsume(ms(41)) // both flushes applied: the bounded drains are behind us
+	at := 0
+	if a := testing.AllocsPerRun(500, func() { s.TryConsume(ms(41 + at%19)); at++ }); a != 0 {
+		t.Fatalf("TryConsume: %v allocs/op, want 0", a)
+	}
+}
+
 func TestSupplierFlushBoundedOnInfiniteInner(t *testing.T) {
 	sched := Schedule{Windows: []Window{
 		{Kind: KindPoolFlush, Start: ms(10), End: ms(10)},

@@ -43,12 +43,21 @@ func ClassicalLeaderElectionValue(n int) float64 {
 // LeaderElection runs one W-state election round among n parties and
 // returns the elected leader's index. It always succeeds.
 func LeaderElection(n int, rng *xrand.RNG) int {
-	state := qsim.W(n)
-	bases := make([]qsim.Basis, n)
+	return electLeader(wElectionTable(n), n, rng)
+}
+
+// wElectionTable is the W(n) election measured once: every party measures in
+// the computational basis, so the whole protocol is one distribution.
+func wElectionTable(n int) *qsim.OutcomeTable {
+	bases := make([][]qsim.Basis, n)
 	for i := range bases {
-		bases[i] = qsim.Computational()
+		bases[i] = []qsim.Basis{qsim.Computational()}
 	}
-	outcome := state.SampleOutcomes(bases, rng)
+	return qsim.W(n).OutcomeTable(bases...)
+}
+
+func electLeader(w *qsim.OutcomeTable, n int, rng *xrand.RNG) int {
+	outcome := w.Sample(0, rng)
 	for p := 0; p < n; p++ {
 		if outcome>>(n-1-p)&1 == 1 {
 			return p
@@ -88,8 +97,9 @@ func RunLeaderElection(n, rounds int, rng *xrand.RNG) LeaderElectionStats {
 	st := LeaderElectionStats{N: n, Rounds: rounds}
 	counts := make([]float64, n)
 	qWins, cWins := 0, 0
+	w := wElectionTable(n)
 	for r := 0; r < rounds; r++ {
-		leader := LeaderElection(n, rng)
+		leader := electLeader(w, n, rng)
 		counts[leader]++
 		qWins++
 		if _, ok := ClassicalLeaderElection(n, rng); ok {

@@ -125,17 +125,19 @@ func (g *NPartyXORGame) Wins(inputIdx int, answers int) bool {
 type GHZSampler struct {
 	Players int
 	rng     *xrand.RNG
-	xBasis  qsim.Basis
-	yBasis  qsim.Basis
+	table   *qsim.OutcomeTable // GHZ(n) with each qubit in {X, Y}: the choice IS the joint input
 }
 
 // NewGHZSampler builds the sampler for the given number of players.
 func NewGHZSampler(players int, rng *xrand.RNG) *GHZSampler {
+	bases := make([][]qsim.Basis, players)
+	for p := range bases {
+		bases[p] = []qsim.Basis{qsim.Hadamard(), yEigenBasis()}
+	}
 	return &GHZSampler{
 		Players: players,
 		rng:     rng,
-		xBasis:  qsim.Hadamard(),
-		yBasis:  yEigenBasis(),
+		table:   qsim.GHZ(players).OutcomeTable(bases...),
 	}
 }
 
@@ -152,36 +154,18 @@ func yEigenBasis() qsim.Basis {
 // the packed outcome bits (player 0 most significant; only the XOR of the
 // bits matters to Wins, so packing order is irrelevant to scoring).
 func (s *GHZSampler) Sample(joint int, _ RoundRNG) int {
-	state := qsim.GHZ(s.Players)
-	bases := make([]qsim.Basis, s.Players)
-	for p := 0; p < s.Players; p++ {
-		if joint>>(s.Players-1-p)&1 == 1 {
-			bases[p] = s.yBasis
-		} else {
-			bases[p] = s.xBasis
-		}
-	}
-	return state.SampleOutcomes(bases, s.rng)
+	return s.table.Sample(joint, s.rng)
 }
 
-// ExactValue computes the GHZ strategy's exact winning probability on g.
+// ExactValue computes the GHZ strategy's exact winning probability on g. It
+// fills table cells, so like Sample it is not safe for concurrent use.
 func (s *GHZSampler) ExactValue(g *NPartyXORGame) float64 {
 	var v float64
 	for i, joint := range g.Inputs {
 		if g.Prob[i] == 0 {
 			continue
 		}
-		state := qsim.GHZ(s.Players)
-		bases := make([]qsim.Basis, s.Players)
-		for p := 0; p < s.Players; p++ {
-			if joint>>(s.Players-1-p)&1 == 1 {
-				bases[p] = s.yBasis
-			} else {
-				bases[p] = s.xBasis
-			}
-		}
-		dist := state.OutcomeDistribution(bases)
-		for o, prob := range dist {
+		for o, prob := range s.table.Distribution(joint) {
 			if g.Wins(i, o) {
 				v += g.Prob[i] * prob
 			}

@@ -110,45 +110,60 @@ func OptimalColocationAngles() CHSHAngles {
 }
 
 // BellSampler plays a two-player game by actually simulating the physics:
-// each round prepares the shared two-qubit state (a Werner state at the
-// given visibility), measures qubit 0 in Alice's basis and qubit 1 in Bob's,
-// and returns the outcomes. It cross-validates XORQuantumSampler.
+// the shared two-qubit state (a Werner state at the given visibility) is
+// measured with qubit 0 in Alice's basis and qubit 1 in Bob's, and a round
+// returns the outcomes. It cross-validates XORQuantumSampler.
 type BellSampler struct {
-	Angles     CHSHAngles
+	Angles     CHSHAngles // as constructed; not read again
 	Visibility float64
 
-	state *qsim.Density
-	rng   *xrand.RNG
+	table  *qsim.OutcomeTable // Werner(V) in ThetaA × ThetaB
+	nA, nB int
+	flipB  bool
+	rng    *xrand.RNG
 }
 
-// NewBellSampler prepares the shared state once (measurement statistics
-// depend only on the state, which is identical every round).
+// NewBellSampler prepares the shared state once: measurement statistics
+// depend only on the state and the angles, which are identical every round.
 func NewBellSampler(angles CHSHAngles, visibility float64, rng *xrand.RNG) *BellSampler {
+	alice, bob := qsim.RotatedRealSet(angles.ThetaA), qsim.RotatedRealSet(angles.ThetaB)
 	return &BellSampler{
 		Angles:     angles,
 		Visibility: visibility,
-		state:      qsim.Werner(visibility),
+		table:      qsim.Werner(visibility).OutcomeTable(alice, bob),
+		nA:         len(alice),
+		nB:         len(bob),
+		flipB:      angles.FlipB,
 		rng:        rng,
 	}
 }
 
+// cell is the table's basis choice for input (x, y).
+func (bs *BellSampler) cell(x, y int) int {
+	if x < 0 || x >= bs.nA || y < 0 || y >= bs.nB {
+		panic("games: BellSampler input out of range")
+	}
+	return x*bs.nB + y
+}
+
 // Sample measures a fresh entangled pair in the input-dependent bases.
 func (bs *BellSampler) Sample(x, y int, _ RoundRNG) (a, b int) {
-	bases := []qsim.Basis{
-		qsim.RotatedReal(bs.Angles.ThetaA[x]),
-		qsim.RotatedReal(bs.Angles.ThetaB[y]),
-	}
-	o := bs.state.SampleOutcomes(bases, bs.rng)
+	return bs.bits(bs.table.Sample(bs.cell(x, y), bs.rng))
+}
+
+// bits unpacks a joint outcome into the players' answers.
+func (bs *BellSampler) bits(o int) (a, b int) {
 	a = o >> 1 & 1
 	b = o & 1
-	if bs.Angles.FlipB {
+	if bs.flipB {
 		b = 1 - b
 	}
 	return a, b
 }
 
 // ExactValue computes the strategy's exact winning probability on g from
-// the Born rule (no sampling).
+// the Born rule (no sampling). It fills table cells, so like Sample it is not
+// safe for concurrent use.
 func (bs *BellSampler) ExactValue(g *XORGame) float64 {
 	var v float64
 	for x := 0; x < g.NA; x++ {
@@ -156,18 +171,8 @@ func (bs *BellSampler) ExactValue(g *XORGame) float64 {
 			if g.Prob[x][y] == 0 {
 				continue
 			}
-			bases := []qsim.Basis{
-				qsim.RotatedReal(bs.Angles.ThetaA[x]),
-				qsim.RotatedReal(bs.Angles.ThetaB[y]),
-			}
-			dist := bs.state.OutcomeDistribution(bases)
-			for o, p := range dist {
-				a := o >> 1 & 1
-				b := o & 1
-				if bs.Angles.FlipB {
-					b = 1 - b
-				}
-				if g.Wins(x, y, a, b) {
+			for o, p := range bs.table.Distribution(bs.cell(x, y)) {
+				if a, b := bs.bits(o); g.Wins(x, y, a, b) {
 					v += g.Prob[x][y] * p
 				}
 			}

@@ -105,6 +105,15 @@ func Run(cfg Config) Result {
 	if cfg.Visibility < 0 || cfg.Visibility > 1 {
 		panic("qkd: visibility out of [0,1]")
 	}
+	if cfg.Eve != nil && len(cfg.Eve.Bases) == 0 {
+		panic("qkd: eavesdropper needs at least one basis")
+	}
+	return run(cfg, newPairTable(cfg).measure)
+}
+
+// run is the protocol around one pair measurement; measure returns Alice's
+// and Bob's bits for their angle choices.
+func run(cfg Config, measure func(ai, bi int, rng *xrand.RNG) (a, b int)) Result {
 	rng := xrand.New(cfg.Seed, 0x96d)
 	var res Result
 	var corr [2][2]stats.Welford // CHSH correlator accumulators
@@ -112,7 +121,7 @@ func Run(cfg Config) Result {
 	for round := 0; round < cfg.Rounds; round++ {
 		ai := rng.IntN(3)
 		bi := rng.IntN(3)
-		a, b := measurePair(cfg, ai, bi, rng)
+		a, b := measure(ai, bi, rng)
 
 		switch {
 		case (ai == 0 && bi == 0) || (ai == 1 && bi == 1):
@@ -156,28 +165,59 @@ func Run(cfg Config) Result {
 	return res
 }
 
-// measurePair distributes one (possibly noisy, possibly intercepted) pair
-// and returns Alice's and Bob's outcome bits for their chosen angles.
-func measurePair(cfg Config, ai, bi int, rng *xrand.RNG) (a, b int) {
-	if cfg.Eve == nil {
-		// No interception: sample from the Werner state directly.
-		d := qsim.Werner(cfg.Visibility)
-		o := d.SampleOutcomes([]qsim.Basis{
-			qsim.RotatedReal(aliceAngles[ai]),
-			qsim.RotatedReal(bobAngles[bi]),
-		}, rng)
-		return o >> 1 & 1, o & 1
+// pairTable is the session's physics, measured once: every distributed pair
+// is the same Werner state and the angle sets are fixed, so a round only
+// samples. Draw order per round: Eve's basis (IntN), Eve's outcome (Float64),
+// then the joint outcome (Float64) from that branch's nine distributions.
+type pairTable struct {
+	werner *qsim.Density // the delivered pair: channel noise acts before Eve
+	angles [][]qsim.Basis
+	direct *qsim.OutcomeTable // nil when Eve intercepts
+	eve    []eveBranch
+}
+
+// eveBranch is one of Eve's bases: the probability she sees 0 on Bob's
+// qubit, and the two states she may forward — each collapsed when first
+// drawn, so never for an outcome of probability 0.
+type eveBranch struct {
+	basis qsim.Basis
+	p0    float64
+	post  [2]*qsim.OutcomeTable
+}
+
+func newPairTable(cfg Config) *pairTable {
+	t := &pairTable{
+		werner: qsim.Werner(cfg.Visibility),
+		angles: [][]qsim.Basis{qsim.RotatedRealSet(aliceAngles), qsim.RotatedRealSet(bobAngles)},
 	}
-	// Intercept-resend: Eve measures Bob's qubit first, collapsing the
-	// state; Alice and Bob then measure the (now separable) remainder.
-	// Channel noise is applied before Eve touches the qubit.
-	d := qsim.Werner(cfg.Visibility)
-	eveBasis := qsim.RotatedReal(cfg.Eve.Bases[rng.IntN(len(cfg.Eve.Bases))])
-	_, post := d.MeasureQubit(1, eveBasis, rng)
-	o := post.SampleOutcomes([]qsim.Basis{
-		qsim.RotatedReal(aliceAngles[ai]),
-		qsim.RotatedReal(bobAngles[bi]),
-	}, rng)
+	if cfg.Eve == nil {
+		t.direct = t.werner.OutcomeTable(t.angles...)
+	} else {
+		for _, b := range qsim.RotatedRealSet(cfg.Eve.Bases) {
+			t.eve = append(t.eve, eveBranch{basis: b, p0: t.werner.OutcomeProbability(1, b, 0)})
+		}
+	}
+	return t
+}
+
+// measure distributes one (possibly noisy, possibly intercepted) pair and
+// returns Alice's and Bob's outcome bits for their chosen angles.
+func (t *pairTable) measure(ai, bi int, rng *xrand.RNG) (a, b int) {
+	table := t.direct
+	if table == nil {
+		// Intercept-resend: Eve measures Bob's qubit first; Alice and Bob
+		// then measure the collapsed (now separable) remainder.
+		br := &t.eve[rng.IntN(len(t.eve))]
+		seen := 0
+		if rng.Float64() >= br.p0 {
+			seen = 1
+		}
+		if br.post[seen] == nil {
+			br.post[seen] = t.werner.Collapse(1, br.basis, seen).OutcomeTable(t.angles...)
+		}
+		table = br.post[seen]
+	}
+	o := table.Sample(ai*len(bobAngles)+bi, rng)
 	return o >> 1 & 1, o & 1
 }
 

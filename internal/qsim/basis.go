@@ -49,6 +49,16 @@ func RotatedReal(theta float64) Basis {
 	return Basis{u: u}
 }
 
+// RotatedRealSet returns RotatedReal(θ) for each angle: one party's
+// measurement choices, in the shape OutcomeTable takes them.
+func RotatedRealSet(thetas []float64) []Basis {
+	bases := make([]Basis, len(thetas))
+	for i, theta := range thetas {
+		bases[i] = RotatedReal(theta)
+	}
+	return bases
+}
+
 // FromVector returns the basis whose outcome-0 vector is the given
 // (normalized) single-qubit state; outcome 1 projects onto its orthogonal
 // complement.

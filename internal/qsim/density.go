@@ -128,16 +128,7 @@ func (d *Density) OutcomeDistribution(bases []Basis) []float64 {
 
 // SampleOutcomes draws a joint outcome without mutating the state.
 func (d *Density) SampleOutcomes(bases []Basis, rng *xrand.RNG) int {
-	dist := d.OutcomeDistribution(bases)
-	u := rng.Float64()
-	var acc float64
-	for i, p := range dist {
-		acc += p
-		if u < acc {
-			return i
-		}
-	}
-	return len(dist) - 1
+	return sampleDist(d.OutcomeDistribution(bases), rng)
 }
 
 // PartialTrace traces out the listed qubits and returns the reduced density

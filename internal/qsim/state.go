@@ -262,14 +262,5 @@ func (s *State) OutcomeDistribution(bases []Basis) []float64 {
 // SampleOutcomes draws a joint outcome (one bit per qubit, packed with qubit
 // 0 as the most significant bit) without mutating the state.
 func (s *State) SampleOutcomes(bases []Basis, rng *xrand.RNG) int {
-	dist := s.OutcomeDistribution(bases)
-	u := rng.Float64()
-	var acc float64
-	for i, p := range dist {
-		acc += p
-		if u < acc {
-			return i
-		}
-	}
-	return len(dist) - 1
+	return sampleDist(s.OutcomeDistribution(bases), rng)
 }

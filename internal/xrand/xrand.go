@@ -14,20 +14,27 @@ import (
 
 // RNG is a deterministic random stream. The zero value is not usable; create
 // streams with New or Split.
+//
+// r wraps src and holds no state of its own (rand/v2.Rand buffers nothing),
+// so the two are one stream: the hot draws (Uint64, Float64, Bool) call
+// the concrete PCG and skip rand.Source's interface dispatch, everything else
+// goes through r. TestDirectPCGMatchesRand pins that.
 type RNG struct {
-	r *rand.Rand
+	r   *rand.Rand
+	src *rand.PCG
 }
 
 // New returns a stream seeded from the two words. Using the pair (seed, salt)
 // rather than one word makes derived-stream construction collision-resistant.
 func New(seed, salt uint64) *RNG {
-	return &RNG{r: rand.New(rand.NewPCG(seed, salt))}
+	src := rand.NewPCG(seed, salt)
+	return &RNG{r: rand.New(src), src: src}
 }
 
 // Split derives a child stream. Children with distinct indices are
 // statistically independent of each other and of the parent's future output.
 func (g *RNG) Split(index uint64) *RNG {
-	return New(g.r.Uint64(), mix(index))
+	return New(g.src.Uint64(), mix(index))
 }
 
 // Derive builds the index-th member of an independent stream family rooted
@@ -47,17 +54,18 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Float64 returns a uniform sample in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+// Float64 returns a uniform sample in [0, 1): rand/v2's own expression, the
+// LOW 53 bits of one word over 2⁵³.
+func (g *RNG) Float64() float64 { return float64(g.src.Uint64()<<11>>11) / (1 << 53) }
 
 // IntN returns a uniform sample in [0, n).
 func (g *RNG) IntN(n int) int { return g.r.IntN(n) }
 
 // Uint64 returns a uniform 64-bit value.
-func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
+func (g *RNG) Uint64() uint64 { return g.src.Uint64() }
 
 // Bool returns true with probability p.
-func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
+func (g *RNG) Bool(p float64) bool { return g.Float64() < p }
 
 // NormFloat64 returns a standard normal sample.
 func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
@@ -77,7 +85,7 @@ func (g *RNG) Poisson(lambda float64) int {
 		k := 0
 		p := 1.0
 		for {
-			p *= g.r.Float64()
+			p *= g.Float64()
 			if p <= l {
 				return k
 			}
@@ -110,7 +118,7 @@ func (g *RNG) Categorical(weights []float64) int {
 	if total == 0 {
 		panic("xrand: categorical weights sum to zero")
 	}
-	u := g.r.Float64() * total
+	u := g.Float64() * total
 	var acc float64
 	for i, w := range weights {
 		acc += w
