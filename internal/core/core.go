@@ -204,12 +204,12 @@ func (s *Session) CriticalVis() float64 { return s.critVisibility }
 // and y. Each party's answer depends only on its own input and the shared
 // (pre-distributed) resources — the joint sampling here is the testbed
 // shortcut the paper's conclusion licenses for controlled studies.
-func (s *Session) Round(now time.Duration, x, y int) Decision {
+func (s *Session) Round(now time.Duration, x, y int) (d Decision) {
 	if s.health != nil {
-		return s.resilientRound(now, x, y)
+		s.resilientRound(&d, now, x, y)
+		return d
 	}
 	s.st.Rounds++
-	var d Decision
 	if vis, ok := s.cfg.Supplier.TryConsume(now); ok && vis > s.critVisibility {
 		s.quantum.Visibility = vis
 		a, b := s.quantum.Sample(x, y, s.rng)
@@ -227,10 +227,11 @@ func (s *Session) Round(now time.Duration, x, y int) Decision {
 
 // resilientRound is the graceful-degradation round: probe-gated consumption,
 // bounded retry for in-flight pairs, and strategy selection by the health
-// monitor's ladder rung.
-func (s *Session) resilientRound(now time.Duration, x, y int) Decision {
+// monitor's ladder rung. It builds the decision in the caller's zeroed *d
+// instead of returning it: the seven-word struct is then written once, in
+// Round's result, rather than copied out of two frames on every round.
+func (s *Session) resilientRound(d *Decision, now time.Duration, x, y int) {
 	s.st.Rounds++
-	var d Decision
 
 	vis, ok := 0.0, false
 	attempted := s.health.ShouldProbe(s.st.Rounds - 1)
@@ -294,7 +295,6 @@ func (s *Session) resilientRound(now time.Duration, x, y int) Decision {
 	}
 	s.st.LevelRounds[d.Level]++
 	s.st.Wins.Add(s.cfg.Game.Wins(x, y, d.A, d.B))
-	return d
 }
 
 // BrownoutRound plays one round at the load-driven brownout rung: the best

@@ -90,7 +90,11 @@ type HealthConfig struct {
 	// the DegradeNone reference. Default 1.
 	BaseVisibility float64
 	// MetricsName, when non-empty, labels session gauges in the default
-	// metrics registry (session_visibility{session=...} etc.).
+	// metrics registry (session_visibility{session=...} etc.). The gauges
+	// are a published copy of the monitor: Publish, SetBrownout and Force
+	// write them, ObserveAttempt does not. Whoever serializes access to the
+	// session calls Publish before letting go (serve does, under its session
+	// mutex), so no reader sees gauges older than the last finished request.
 	MetricsName string
 }
 
@@ -159,6 +163,10 @@ type HealthMonitor struct {
 	critVisibility float64
 
 	transitions int64
+	// stale is set by whatever can move what the gauges show and cleared by
+	// Publish, so publishing after a request that observed nothing (a
+	// non-probing classical round, a brownout batch) stores nothing.
+	stale bool
 
 	mVis    *metrics.Gauge
 	mSupply *metrics.Gauge
@@ -188,7 +196,8 @@ func NewHealthMonitor(cfg HealthConfig, critVisibility float64) *HealthMonitor {
 
 // ObserveAttempt records one consumption attempt: whether a pair was
 // available, and (if so) its delivered visibility. It then re-evaluates the
-// ladder and returns the current level.
+// ladder and returns the current level. It does not touch the gauges: a
+// batch observes many attempts and publishes once (see Publish).
 func (h *HealthMonitor) ObserveAttempt(available bool, visibility float64) DegradeLevel {
 	if available {
 		h.supply.Add(1)
@@ -196,8 +205,8 @@ func (h *HealthMonitor) ObserveAttempt(available bool, visibility float64) Degra
 	} else {
 		h.supply.Add(0)
 	}
+	h.stale = true
 	h.evaluate()
-	h.export()
 	return h.Level()
 }
 
@@ -250,10 +259,14 @@ func (h *HealthMonitor) setLevel(l DegradeLevel) {
 	}
 }
 
-func (h *HealthMonitor) export() {
-	if h.mVis == nil {
+// Publish copies the monitor's rolling visibility, supply rate and effective
+// level into the session gauges — a no-op without HealthConfig.MetricsName,
+// or when nothing has moved them since they were last written.
+func (h *HealthMonitor) Publish() {
+	if h.mVis == nil || !h.stale {
 		return
 	}
+	h.stale = false
 	h.mVis.Set(h.vis.Mean())
 	h.mSupply.Set(h.supply.Mean())
 	h.mLevel.Set(float64(h.Level()))
@@ -276,14 +289,14 @@ func (h *HealthMonitor) SetBrownout(on bool) {
 		return
 	}
 	before := h.Level()
-	h.brownout = on
+	h.brownout, h.stale = on, true
 	if h.Level() != before {
 		h.transitions++
 		if h.mTrans != nil {
 			h.mTrans.Inc()
 		}
 	}
-	h.export()
+	h.Publish()
 }
 
 // Brownout reports whether the load-driven brownout rung is engaged.
@@ -312,6 +325,7 @@ func (h *HealthMonitor) ShouldProbe(round int64) bool {
 // (operator override, or DegradeRandom for a dead monitor). Force(-1)
 // releases the pin.
 func (h *HealthMonitor) Force(l DegradeLevel) {
+	h.stale = true
 	if l < 0 {
 		h.forced = false
 		h.evaluate()
@@ -319,5 +333,5 @@ func (h *HealthMonitor) Force(l DegradeLevel) {
 	}
 	h.forced = true
 	h.setLevel(l)
-	h.export()
+	h.Publish()
 }

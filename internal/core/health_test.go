@@ -329,3 +329,32 @@ func TestBrownoutThrottlesProbing(t *testing.T) {
 		t.Fatalf("browned-out monitor probed %d of 16 rounds, want 4", probes)
 	}
 }
+
+// TestGaugesArePublishedNotObserved pins what HealthConfig.MetricsName
+// promises: attempts move the monitor, and the gauges follow at the next
+// Publish (or at once for SetBrownout and Force, which publish themselves).
+func TestGaugesArePublishedNotObserved(t *testing.T) {
+	h := NewHealthMonitor(HealthConfig{Window: 8, BaseVisibility: 0.98, MetricsName: "t-publish"}, critV)
+	agree := func() bool {
+		return h.mVis.Value() == h.Visibility() && h.mSupply.Value() == h.SupplyRate() &&
+			h.mLevel.Value() == float64(h.Level())
+	}
+	feed(h, 8, true, 0.5) // sub-critical: the monitor steps down to classical
+	if h.Level() != DegradeClassical || agree() {
+		t.Fatalf("attempts alone must not write the gauges (level %v, gauge %v)", h.Level(), h.mLevel.Value())
+	}
+	h.Publish()
+	if !agree() {
+		t.Fatal("Publish left the gauges behind the monitor")
+	}
+	h.Force(DegradeRandom)
+	if !agree() {
+		t.Fatal("Force must publish the level it pins")
+	}
+	h.Force(-1)
+	feed(h, 8, true, 0.97)
+	h.SetBrownout(true)
+	if h.Level() != DegradeClassical || !agree() {
+		t.Fatalf("SetBrownout must publish the clamp and what was pending (level %v)", h.Level())
+	}
+}

@@ -28,7 +28,6 @@ package loadtest
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/admission"
@@ -169,7 +168,12 @@ type request struct {
 type Plan struct {
 	Config    Config
 	Scenarios []Scenario
-	reqs      []request
+	// reqs is in arrival order (BuildPlan appends it so); the runners
+	// replay the slice as it stands.
+	reqs []request
+	// ids names the session set, indexed by request.session. The plan owns
+	// the strings so a replay formats nothing per request.
+	ids []string
 }
 
 // Requests returns the number of scheduled arrivals.
@@ -228,7 +232,10 @@ func BuildPlan(cfg Config) (*Plan, error) {
 	sizes := xrand.Derive(cfg.Seed, streamSizes)
 	thinning := xrand.Derive(cfg.Seed, streamThinning)
 
-	p := &Plan{Config: cfg, Scenarios: cfg.Scenarios}
+	p := &Plan{Config: cfg, Scenarios: cfg.Scenarios, ids: make([]string, cfg.Sessions)}
+	for i := range p.ids {
+		p.ids[i] = fmt.Sprintf("lt-%03d", i)
+	}
 	// next returns the following arrival offset, or false when the window is
 	// exhausted. Constant rate draws exponential gaps directly; a profile uses
 	// Lewis–Shedler thinning: candidates at the envelope rate, each accepted
@@ -254,6 +261,8 @@ func BuildPlan(cfg Config) (*Plan, error) {
 			}
 		}
 	}
+	// Both generators only ever add a non-negative gap to at, so reqs is
+	// appended in arrival order — the one place that order is established.
 	at := time.Duration(0)
 	for {
 		var ok bool
@@ -288,9 +297,6 @@ func BuildPlan(cfg Config) (*Plan, error) {
 	return p, nil
 }
 
-// sessionID names the i-th load-test session.
-func sessionID(i int) string { return fmt.Sprintf("lt-%03d", i) }
-
 // sessionRequests expands the template into the plan's session set, with
 // per-session seeds derived from the plan seed so sessions are independent
 // but replayable.
@@ -298,7 +304,7 @@ func (p *Plan) sessionRequests() []serve.SessionRequest {
 	out := make([]serve.SessionRequest, p.Config.Sessions)
 	for i := range out {
 		req := p.Config.SessionTemplate
-		req.ID = sessionID(i)
+		req.ID = p.ids[i]
 		if req.Seed == 0 {
 			req.Seed = xrand.Derive(p.Config.Seed, uint64(100+i)).Uint64()
 		}
@@ -327,15 +333,4 @@ func (p *Plan) scenarioNames() []string {
 		names[i] = name
 	}
 	return names
-}
-
-// sortedCopy returns the plan's requests sorted by arrival time (BuildPlan
-// already emits them in order; this is the invariant the runners rely on).
-func (p *Plan) sorted() []request {
-	if sort.SliceIsSorted(p.reqs, func(i, j int) bool { return p.reqs[i].at < p.reqs[j].at }) {
-		return p.reqs
-	}
-	reqs := append([]request(nil), p.reqs...)
-	sort.Slice(reqs, func(i, j int) bool { return reqs[i].at < reqs[j].at })
-	return reqs
 }

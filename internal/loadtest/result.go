@@ -82,7 +82,6 @@ func (r *Result) MarshalIndent() ([]byte, error) {
 // with its own mutex.
 type recorder struct {
 	names   []string
-	overall *stats.HDRHistogram
 	perScen []*stats.HDRHistogram
 	sumNS   []int64
 	scen    []ScenarioResult
@@ -91,7 +90,6 @@ type recorder struct {
 func newRecorder(names []string) *recorder {
 	rec := &recorder{
 		names:   names,
-		overall: stats.NewHDRHistogram(),
 		perScen: make([]*stats.HDRHistogram, len(names)),
 		sumNS:   make([]int64, len(names)),
 		scen:    make([]ScenarioResult, len(names)),
@@ -105,9 +103,10 @@ func newRecorder(names []string) *recorder {
 
 func (rec *recorder) request(scenario int) { rec.scen[scenario].Requests++ }
 
-// decision records one delivered decision. budgetNS classifies it against
-// the plan's deadline budget: zero (no budget) counts every decision as
-// in-deadline; otherwise a decision whose latency exceeds the budget is
+// decision records one delivered decision into its scenario's histogram
+// (finish merges the scenarios into the overall one). budgetNS classifies it
+// against the plan's deadline budget: zero (no budget) counts every decision
+// as in-deadline; otherwise a decision whose latency exceeds the budget is
 // late and falls out of goodput.
 func (rec *recorder) decision(scenario int, latencyNS int64, win bool, budgetNS int64) {
 	rec.scen[scenario].Decisions++
@@ -120,13 +119,13 @@ func (rec *recorder) decision(scenario int, latencyNS int64, win bool, budgetNS 
 		rec.scen[scenario].InDeadline++
 	}
 	rec.perScen[scenario].Record(latencyNS)
-	rec.overall.Record(latencyNS)
 	rec.sumNS[scenario] += latencyNS
 }
 
 // poll records a completed info request's latency (wall mode measures it;
-// virtual mode passes 0 and the value is excluded from decision histograms
-// either way — info polls never carry decisions).
+// virtual mode passes 0). It lands in the scenario's own histogram only:
+// info polls never carry decisions, and finish keeps them out of the
+// overall decision latency.
 func (rec *recorder) poll(scenario int, latencyNS int64) {
 	rec.perScen[scenario].Record(latencyNS)
 	rec.sumNS[scenario] += latencyNS
@@ -177,10 +176,18 @@ func (rec *recorder) finish(mode string, cfg Config, elapsed time.Duration) *Res
 		TargetRPS:  cfg.TargetRPS,
 		DurationNS: int64(elapsed),
 	}
+	// The overall latency is the exact merge of the decision-bearing
+	// scenarios. A scenario either polls or decides, so its histogram holds
+	// one kind only.
+	overall := stats.NewHDRHistogram()
 	var sumNS int64
 	for i := range rec.scen {
 		sc := rec.scen[i]
 		sc.Latency = quantiles(rec.perScen[i], rec.sumNS[i])
+		if sc.Decisions > 0 {
+			overall.Merge(rec.perScen[i])
+			sumNS += rec.sumNS[i]
+		}
 		res.Scenarios = append(res.Scenarios, sc)
 		res.Requests += sc.Requests
 		res.Decisions += sc.Decisions
@@ -191,9 +198,8 @@ func (rec *recorder) finish(mode string, cfg Config, elapsed time.Duration) *Res
 		res.Shed += sc.Shed
 		res.InDeadline += sc.InDeadline
 		res.Late += sc.Late
-		sumNS += rec.sumNS[i]
 	}
-	res.Latency = quantiles(rec.overall, sumNS)
+	res.Latency = quantiles(overall, sumNS)
 	if elapsed > 0 {
 		secs := elapsed.Seconds()
 		res.RequestsPerSec = float64(res.Requests) / secs

@@ -59,11 +59,11 @@ func RunVirtualPlan(plan *Plan) (*Result, error) {
 	out := make([]serve.DecideResponse, maxBatch)
 	budget := plan.Config.DeadlineBudget
 
-	for _, req := range plan.sorted() {
+	for _, req := range plan.reqs {
 		now = virtualEpoch.Add(req.at)
 		rec.request(req.scenario)
 		if plan.Scenarios[req.scenario].Info {
-			if _, err := srv.Info(sessionID(req.session)); err != nil {
+			if _, err := srv.Info(plan.ids[req.session]); err != nil {
 				rec.errorKind(req.scenario, classify(err))
 				continue
 			}
@@ -76,7 +76,7 @@ func RunVirtualPlan(plan *Plan) (*Result, error) {
 		if budget > 0 {
 			deadline = now.Add(budget)
 		}
-		if err := srv.DecideBatchDeadline(sessionID(req.session), deadline, req.rounds, out); err != nil {
+		if err := srv.DecideBatchDeadline(plan.ids[req.session], deadline, req.rounds, out); err != nil {
 			rec.errorKind(req.scenario, classify(err))
 			continue
 		}
@@ -150,7 +150,7 @@ func RunWallPlan(plan *Plan, opts WallOptions) (*Result, error) {
 	<-timer.C
 
 loop:
-	for _, req := range plan.sorted() {
+	for _, req := range plan.reqs {
 		// Open loop: wait for the scheduled offset, never for completions.
 		wait := time.Until(start.Add(req.at))
 		if wait > 0 {
@@ -176,9 +176,9 @@ loop:
 			var results []serve.DecideResponse
 			info := plan.Scenarios[req.scenario].Info
 			if info {
-				_, err = c.Session(ctx, sessionID(req.session))
+				_, err = c.Session(ctx, plan.ids[req.session])
 			} else {
-				results, err = c.DecideBatchDeadline(ctx, sessionID(req.session), deadline, req.rounds)
+				results, err = c.DecideBatchDeadline(ctx, plan.ids[req.session], deadline, req.rounds)
 			}
 			// Latency from the SCHEDULED arrival (coordinated-omission
 			// correction): a request that was shed and retried still counts
@@ -213,20 +213,30 @@ loop:
 // listener closed, a reset keep-alive, a canceled context — is
 // transport-level shutdown noise, distinct from a server that answered
 // wrongly.
+//
+// serve and its client return these errors bare, so a type switch and two
+// identity compares settle them without errors.As/Is's reflection — under
+// overload most requests end here. Anything wrapped takes the chain below.
 func classify(err error) errKind {
+	switch e := err.(type) {
+	case *serve.ShedError:
+		return errShed
+	case *serve.APIError:
+		return classifyAPI(e)
+	}
+	switch err {
+	case serve.ErrDraining:
+		return errRetryable
+	case serve.ErrNoSession:
+		return errHard
+	}
 	var se *serve.ShedError
 	if errors.As(err, &se) {
 		return errShed
 	}
 	var ae *serve.APIError
 	if errors.As(err, &ae) {
-		if ae.Status == http.StatusTooManyRequests {
-			return errShed
-		}
-		if ae.Retryable() {
-			return errRetryable
-		}
-		return errHard
+		return classifyAPI(ae)
 	}
 	if errors.Is(err, serve.ErrDraining) {
 		return errRetryable
@@ -235,4 +245,15 @@ func classify(err error) errKind {
 		return errHard
 	}
 	return errTransport
+}
+
+// classifyAPI buckets an HTTP error response by status.
+func classifyAPI(ae *serve.APIError) errKind {
+	if ae.Status == http.StatusTooManyRequests {
+		return errShed
+	}
+	if ae.Retryable() {
+		return errRetryable
+	}
+	return errHard
 }

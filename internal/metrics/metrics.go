@@ -53,28 +53,27 @@ type Timer struct {
 }
 
 // Observe folds one duration into the timer.
-func (t *Timer) Observe(d time.Duration) {
-	t.count.Add(1)
-	t.total.Add(int64(d))
-	for {
-		cur := t.max.Load()
-		if int64(d) <= cur || t.max.CompareAndSwap(cur, int64(d)) {
-			return
-		}
-	}
-}
+func (t *Timer) Observe(d time.Duration) { t.ObserveN(d, 1, d) }
 
-// ObserveN folds n observations whose summed duration is total into the
-// timer with two atomic adds — the batched-decision path pays one ObserveN
-// per batch instead of one Observe per round. Count and Total (and hence
-// Mean) stay exact; Max is left untouched because the individual durations
-// are unknown, so Max reflects only single Observe calls.
-func (t *Timer) ObserveN(total time.Duration, n int64) {
+// ObserveN folds n observations whose summed duration is total and whose
+// largest is longest into the timer with two atomic adds and, only when
+// longest raises the recorded maximum, one compare-and-swap — a batch pays
+// one ObserveN instead of one Observe per round, and Count, Total, Mean and
+// Max read exactly as if each had been observed alone. A caller that knows
+// the batch's sum but not its parts passes longest 0, which leaves Max to
+// the observations that do carry one.
+func (t *Timer) ObserveN(total time.Duration, n int64, longest time.Duration) {
 	if n <= 0 {
 		return
 	}
 	t.count.Add(n)
 	t.total.Add(int64(total))
+	for {
+		cur := t.max.Load()
+		if int64(longest) <= cur || t.max.CompareAndSwap(cur, int64(longest)) {
+			return
+		}
+	}
 }
 
 // Time runs fn and observes its wall time.

@@ -247,3 +247,35 @@ func TestArtifactRoundTrips(t *testing.T) {
 		t.Fatalf("missing build provenance: %+v", back)
 	}
 }
+
+func TestObserveNMatchesObserveEach(t *testing.T) {
+	// One ObserveN per batch must leave the timer exactly where one Observe
+	// per element leaves it — including Max when a later batch's largest is
+	// below an earlier one's, and when the batch carries no max at all.
+	batches := [][]time.Duration{
+		{5, 90, 3},
+		{7, 7},
+		{},
+		{120},
+		{0, 0},
+	}
+	var each, batched Timer
+	for _, b := range batches {
+		var sum, longest time.Duration
+		for _, d := range b {
+			each.Observe(d)
+			sum += d
+			longest = max(longest, d)
+		}
+		batched.ObserveN(sum, int64(len(b)), longest)
+		if batched.Count() != each.Count() || batched.Total() != each.Total() || batched.Max() != each.Max() {
+			t.Fatalf("after %v: batched count/total/max %d/%v/%v, per-element %d/%v/%v", b,
+				batched.Count(), batched.Total(), batched.Max(), each.Count(), each.Total(), each.Max())
+		}
+	}
+	// A sum with unknown parts (longest 0) moves count and total only.
+	batched.ObserveN(1000, 4, 0)
+	if batched.Count() != each.Count()+4 || batched.Total() != each.Total()+1000 || batched.Max() != each.Max() {
+		t.Fatalf("max-less batch moved max or lost the sum: %d/%v/%v", batched.Count(), batched.Total(), batched.Max())
+	}
+}

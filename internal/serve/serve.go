@@ -321,9 +321,11 @@ func (s *Server) CreateSession(req SessionRequest) (SessionInfo, error) {
 //     before it contends on the session's mutex. A batch is one admission
 //     unit costed at len(rounds) service quanta.
 //  6. Session play: one lock hold, one engine catch-up, len(rounds) draws.
-//  7. Accounting: goodput or late per decision, the decision counter, then
-//     (deferred) the service-time sample for the gate's EWMA and the
-//     limiter release.
+//  7. Accounting, once per request (accountDeadline): one pass over the
+//     results, then one goodput observation, one late add and the decision
+//     counter — a batch of 256 costs the shared counters what a single
+//     decide does. Then (deferred) the service-time sample for the gate's
+//     EWMA and the limiter release.
 //
 // Results land in out[:len(rounds)] in request order; on error nothing was
 // played.
@@ -376,9 +378,7 @@ func (s *Server) play(id string, deadline time.Time, rounds []Round, out []Decid
 		}()
 	}
 	sess.playAt(start, rounds, out, queueNS, brownout)
-	for i := range rounds {
-		s.accountDeadline(start, deadline, &out[i])
-	}
+	s.accountDeadline(start, deadline, out[:len(rounds)])
 	s.mDecisions.Add(int64(len(rounds)))
 	return start, nil
 }
@@ -387,18 +387,30 @@ func (s *Server) play(id string, deadline time.Time, rounds []Round, out []Decid
 // fast path sheds without allocating.
 var errShedLimiter = &ShedError{Outcome: admission.ShedLimiter}
 
-// accountDeadline classifies one delivered decision against its deadline:
-// in-deadline decisions feed the goodput timer, late ones the late
-// counter. The modeled latency is queue wait + decision latency + supply
-// wait — the same sum the loadtest harness records. Unstamped requests are
+// accountDeadline classifies one request's delivered decisions against its
+// deadline and publishes them in one step: the in-deadline ones as a single
+// batched goodput observation, the rest as one add to the late counter. A
+// decision's modeled latency is queue wait + decision latency + supply wait
+// — the same sum the loadtest harness records — and it is late when that
+// overruns what was left of the deadline at start. Unstamped requests are
 // goodput by definition.
-func (s *Server) accountDeadline(now time.Time, deadline time.Time, out *DecideResponse) {
-	total := time.Duration(out.QueueNS + out.LatencyNS + out.WaitedNS)
-	if !deadline.IsZero() && now.Add(total).After(deadline) {
-		s.mLate.Inc()
-		return
+func (s *Server) accountDeadline(start, deadline time.Time, out []DecideResponse) {
+	stamped, budget := !deadline.IsZero(), int64(deadline.Sub(start))
+	var good, late, sum, longest int64
+	for i := range out {
+		total := out[i].QueueNS + out[i].LatencyNS + out[i].WaitedNS
+		if stamped && total > budget {
+			late++
+			continue
+		}
+		good++
+		sum += total
+		longest = max(longest, total)
 	}
-	s.mGoodput.Observe(total)
+	s.mGoodput.ObserveN(time.Duration(sum), good, time.Duration(longest))
+	if late > 0 {
+		s.mLate.Add(late)
+	}
 }
 
 // Decide plays one coordination round in-process, bypassing HTTP and JSON
@@ -544,7 +556,10 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	elapsed := s.clock().Sub(start)
 	s.mBatchTimer.Observe(elapsed)
-	s.mDecideTimer.ObserveN(elapsed, int64(len(results)))
+	// The batch was timed as a whole: serve_decide gets its per-decision
+	// share of count and total but no per-decision max (serve_batch has the
+	// batch's own).
+	s.mDecideTimer.ObserveN(elapsed, int64(len(results)), 0)
 	s.mBatches.Inc()
 	sc.out = appendBatchJSON(sc.out[:0], sc.breq.Session, results)
 	writeRaw(w, sc.out)

@@ -408,7 +408,7 @@ func (s *session) checkRounds(rounds []Round) error {
 
 // fill maps a core round decision into the wire response. Alloc-free: the
 // Mode/Level names are fixed interned strings.
-func (s *session) fill(out *DecideResponse, r Round, d core.Decision, queueNS int64) {
+func (s *session) fill(out *DecideResponse, r Round, d *core.Decision, queueNS int64) {
 	out.Session = s.id
 	out.A = d.A
 	out.B = d.B
@@ -435,14 +435,20 @@ func (s *session) playAt(wall time.Time, rounds []Round, out []DecideResponse, q
 	s.core.Health().SetBrownout(brownout)
 	if brownout {
 		for i, r := range rounds {
-			s.fill(&out[i], r, s.core.BrownoutRound(r.X, r.Y), queueNS)
+			d := s.core.BrownoutRound(r.X, r.Y)
+			s.fill(&out[i], r, &d, queueNS)
 		}
 	} else {
 		now := s.advanceAt(wall)
 		for i, r := range rounds {
-			s.fill(&out[i], r, s.core.Round(now, r.X, r.Y), queueNS)
+			d := s.core.Round(now, r.X, r.Y)
+			s.fill(&out[i], r, &d, queueNS)
 		}
 	}
+	// Rounds move the monitor, not its gauges: publish once, before anyone
+	// else can take the lock, so the gauges equal the monitor whenever the
+	// session mutex is free.
+	s.core.Health().Publish()
 	s.mu.Unlock()
 }
 
