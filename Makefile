@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify race lint bench bench-report bench-solvers bench-solvers-baseline bench-simscale bench-simscale-baseline bench-loadtest bench-serve-baseline bench-overload bench-overload-baseline repro frontier soak qcoordd-smoke clean
+.PHONY: build test verify race lint bench bench-loadtest repro frontier soak qcoordd-smoke clean
 
 build:
 	$(GO) build ./...
@@ -32,68 +32,15 @@ lint:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# Regenerate BENCH_parallel.json (per-experiment wall times, serial vs
-# parallel, plus hot-path allocs/op).
-bench-report:
-	$(GO) run ./cmd/bench
-
-# Regenerate BENCH_solvers.json: the flat solver kernels (Gray-code
-# classical, contiguous-buffer quantum ascent) against the retained
-# reference implementations, plus the batched pipeline and cache-hit
-# numbers. CI uploads this as an artifact.
-bench-solvers:
-	$(GO) run ./cmd/bench -solvers -out BENCH_solvers.json
-
-# Refresh the committed benchstat baseline that CI compares against
-# (informational, non-blocking). Run on a quiet machine.
-bench-solvers-baseline:
-	$(GO) test ./internal/games/ -run '^$$' \
-		-bench 'BenchmarkClassicalValueKernel|BenchmarkQuantumAscentKernel|BenchmarkSolveBatch' \
-		-benchmem -count 6 | tee .github/bench-solvers-baseline.txt
-
-# Regenerate BENCH_simscale.json: scheduler throughput under the hold model
-# (heap vs calendar queue at N up to 10⁵ pending events), end-to-end task
-# throughput of the cell-sharded simulation, and warm solve-cache lookup
-# throughput single-lock vs striped. CI uploads this as an artifact.
-bench-simscale:
-	$(GO) run ./cmd/bench -simscale
-
-# Refresh the committed engine-benchmark baseline for the informational
-# benchstat comparison in CI. Run on a quiet machine.
-bench-simscale-baseline:
-	$(GO) test ./internal/netsim/ -run '^$$' -bench 'BenchmarkEngine' \
-		-benchtime 1000000x -benchmem -count 6 | tee .github/bench-simscale-baseline.txt
-
 # Regenerate BENCH_loadtest.json: the deterministic serving-path load test
 # (virtual-time open-loop generator, internal/loadtest), including the
-# goodput-vs-offered-load overload curve (-overload, EXPERIMENTS.md E21).
-# The report is a pure function of the seed — CI regenerates it and requires
-# a byte-for-byte match with the committed copy. Add -loadtest-wall for an
-# uncommitted wall-clock section.
+# goodput-vs-offered-load overload curve (EXPERIMENTS.md E21). The report is
+# a pure function of the seed — CI regenerates it and requires a
+# byte-for-byte match with the committed copy. Add -loadtest-wall for an
+# uncommitted wall-clock section. Timings are benchmark/'s job
+# (bash benchmark/run.sh, declared by BENCHMARK.json).
 bench-loadtest:
-	$(GO) run ./cmd/bench -loadtest -overload -out BENCH_loadtest.json
-
-# Admission-path microbenchmarks (gate accept/shed, limiter fast path, EWMA
-# update) — the hot-path cost of overload resilience. CI runs these and
-# compares against the committed baseline (informational, non-blocking).
-bench-overload:
-	$(GO) test ./internal/admission/ -run '^$$' \
-		-bench 'BenchmarkAdmission|BenchmarkLimiter' \
-		-benchmem -count 6 | tee bench-overload-current.txt
-
-# Refresh the committed admission-path baseline for the informational
-# benchstat comparison in CI. Run on a quiet machine.
-bench-overload-baseline:
-	$(GO) test ./internal/admission/ -run '^$$' \
-		-bench 'BenchmarkAdmission|BenchmarkLimiter' \
-		-benchmem -count 6 | tee .github/bench-overload-baseline.txt
-
-# Refresh the committed serving-path benchmark baseline (in-process decide,
-# single-round HTTP, batched HTTP) for the informational benchstat
-# comparison in CI. Run on a quiet machine.
-bench-serve-baseline:
-	$(GO) test ./internal/serve/ -run '^$$' -bench 'BenchmarkDec(ide|ode)' \
-		-benchmem -count 6 | tee .github/bench-serve-baseline.txt
+	$(GO) run ./cmd/bench
 
 repro:
 	$(GO) run ./cmd/repro

@@ -13,19 +13,12 @@ import (
 	"repro/internal/workload"
 )
 
-// The -loadtest report (BENCH_loadtest.json, regenerate with
-// `make bench-loadtest`) is the serving path's throughput and tail-latency
-// story, produced by internal/loadtest.
-//
 // The committed sections run in VIRTUAL mode: the open-loop plan drives an
 // in-process serve.Server on the plan's own arrival schedule and the
 // recorded latency is the simulated decision latency (quantum measurement +
-// pool wait), so the entire report is a pure function of the seed — CI
-// regenerates it and diffs byte-for-byte against the committed copy. Wall
-// throughput of the real HTTP stack is benchmarked separately
-// (internal/serve Benchmark*, baseline in .github/bench-serve-baseline.txt)
-// because wall numbers are measurements, not functions, and cannot be
-// committed as bytes.
+// pool wait), so the entire report is a pure function of the seed. Wall
+// throughput of the real HTTP stack is measured by benchmark/ because wall
+// numbers are measurements, not functions, and cannot be committed as bytes.
 //
 // -loadtest-wall appends an uncommitted wall-mode section against a live
 // loopback server for ad-hoc inspection.
@@ -53,11 +46,11 @@ type loadtestReport struct {
 	// Virtual runs are deterministic: byte-identical across reruns and
 	// machines at a fixed seed.
 	Virtual []loadtestRun `json:"virtual"`
-	// Overload is the goodput-vs-offered-load curve (-overload): the same
+	// Overload is the goodput-vs-offered-load curve: the same
 	// deadline-stamped workload at 1×/2×/3× saturation against an
 	// admission-controlled server, virtual-time and committed. The
 	// interesting read is GoodputPerSec staying flat while Shed grows.
-	Overload []loadtestRun `json:"overload,omitempty"`
+	Overload []loadtestRun `json:"overload"`
 	// Wall runs are real measurements (present only with -loadtest-wall;
 	// never committed).
 	Wall []loadtestRun `json:"wall,omitempty"`
@@ -185,7 +178,7 @@ func overloadConfigs(seed uint64) []struct {
 }
 
 // runLoadtestBench produces BENCH_loadtest.json.
-func runLoadtestBench(path string, seed uint64, wall, overload bool) {
+func runLoadtestBench(path string, seed uint64, wall bool) {
 	rep := loadtestReport{Bench: "loadtest", Seed: seed}
 
 	for _, c := range loadtestConfigs(seed) {
@@ -199,17 +192,15 @@ func runLoadtestBench(path string, seed uint64, wall, overload bool) {
 			c.name, res.Requests, res.Decisions, res.Latency.P50NS, res.Latency.P99NS, res.Latency.P999NS, res.WinRate)
 	}
 
-	if overload {
-		for _, c := range overloadConfigs(seed) {
-			res, err := loadtest.RunVirtual(c.cfg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bench: loadtest %s: %v\n", c.name, err)
-				os.Exit(1)
-			}
-			rep.Overload = append(rep.Overload, describeRun(c.name, c.cfg, res))
-			fmt.Fprintf(os.Stderr, "loadtest %-12s %7d req %7d shed  goodput %8.0f/s  p999 %7dns  max %7dns\n",
-				c.name, res.Requests, res.Shed, res.GoodputPerSec, res.Latency.P999NS, res.Latency.MaxNS)
+	for _, c := range overloadConfigs(seed) {
+		res, err := loadtest.RunVirtual(c.cfg)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "bench: loadtest %s: %v\n", c.name, err)
+			os.Exit(1)
 		}
+		rep.Overload = append(rep.Overload, describeRun(c.name, c.cfg, res))
+		fmt.Fprintf(os.Stderr, "loadtest %-12s %7d req %7d shed  goodput %8.0f/s  p999 %7dns  max %7dns\n",
+			c.name, res.Requests, res.Shed, res.GoodputPerSec, res.Latency.P999NS, res.Latency.MaxNS)
 	}
 
 	if wall {

@@ -1,366 +1,26 @@
-// Command bench measures the performance story of the parallel execution
-// layer and writes it to a machine-readable JSON report (BENCH_parallel.json
-// at the repo root, regenerate with `go run ./cmd/bench`):
+// Command bench writes BENCH_loadtest.json (regenerate with
+// `make bench-loadtest`): the deterministic serving-path load test — six
+// virtual-time traffic mixes plus the goodput-vs-offered-load overload curve
+// (EXPERIMENTS.md E21). The report is a pure function of -seed, so CI
+// regenerates it and requires a byte-for-byte match with the committed copy:
+// it is a behaviour oracle for the decide path, not a timing.
 //
-//   - per-experiment wall time, serial (1 worker) vs the full pool, with the
-//     resulting speedup — the solve cache is reset before every timed run so
-//     neither pass rides on the other's warm cache. Each experiment gets one
-//     untimed warmup pass and then -passes interleaved serial/parallel pairs,
-//     with the minimum of each side reported: a single serial-then-parallel
-//     ordering credits the second pass with the first pass's page-cache,
-//     heap-size, and branch-predictor warmup, which manufactured both fake
-//     speedups and fake regressions on quiet single-core machines;
-//   - the end-to-end E1–E16 wall time at both worker counts;
-//   - microbenchmarks (ns/op, B/op, allocs/op via testing.Benchmark) for the
-//     simulator's serve hot path, the uncached Burer–Monteiro ascent, and a
-//     warm solve-cache hit.
-//
-// Speedups scale with GOMAXPROCS; on a single-core machine the pool width
-// resolves to 1, both passes are the identical serial code, and the report
-// carries speedup 1.0 by construction — the hot-path numbers carry the
-// story there. The report records GOMAXPROCS and the worker count so
-// results from different machines stay comparable.
-//
-// Long bench runs are supervised by the run control plane: -timeout bounds
-// the whole run, and SIGINT/SIGTERM stops after the pass in flight instead
-// of dying mid-measurement. Either way the passes already measured are
-// written out as a partial report whose "interrupted" field records why the
-// run stopped early.
+// Timings live in benchmark/ (qbench, declared by BENCHMARK.json), the
+// repo's one performance stick.
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"flag"
-	"fmt"
-	"io"
-	"os"
-	"runtime"
-	"runtime/pprof"
-	"syscall"
-	"testing"
 	"time"
-
-	"repro/internal/experiments"
-	"repro/internal/games"
-	"repro/internal/loadbalance"
-	"repro/internal/metrics"
-	"repro/internal/parallel"
-	"repro/internal/run"
-	"repro/internal/workload"
-	"repro/internal/xrand"
 )
-
-type experimentTiming struct {
-	ID         string  `json:"id"`
-	SerialMS   float64 `json:"serial_ms"`
-	ParallelMS float64 `json:"parallel_ms"`
-	Speedup    float64 `json:"speedup"`
-}
-
-type microBench struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-type report struct {
-	GoVersion       string             `json:"go_version"`
-	GOMAXPROCS      int                `json:"gomaxprocs"`
-	Workers         int                `json:"workers"`
-	Passes          int                `json:"passes"`
-	Seed            uint64             `json:"seed"`
-	Scale           float64            `json:"scale"`
-	Experiments     []experimentTiming `json:"experiments"`
-	TotalSerialMS   float64            `json:"total_serial_ms"`
-	TotalParallelMS float64            `json:"total_parallel_ms"`
-	TotalSpeedup    float64            `json:"total_speedup"`
-	Micro           []microBench       `json:"micro"`
-	// Interrupted records why a partial report stopped early (deadline or
-	// operator signal); empty for a complete run.
-	Interrupted string `json:"interrupted,omitempty"`
-}
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-// timeRun times fn with the shared worker pool pinned to `workers`, starting
-// from a cold solve cache.
-func timeRun(workers int, fn func()) time.Duration {
-	parallel.SetDefaultWorkers(workers)
-	defer parallel.SetDefaultWorkers(0)
-	games.ResetSolveCache()
-	start := time.Now()
-	fn()
-	return time.Since(start)
-}
-
-// timePair measures fn serially and at w workers: one untimed warmup, then
-// `passes` interleaved serial/parallel pairs, reporting the minimum of each
-// side. Interleaving cancels slow drift on a shared machine, and min-of-K is
-// the standard noise floor estimator — both sides converge to their true
-// cost instead of whichever pass ran on the quieter slice of wall clock.
-func timePair(w, passes int, fn func()) (ser, par time.Duration) {
-	timeRun(1, fn) // warmup: page cache, heap growth, branch predictors
-	for k := 0; k < passes; k++ {
-		if d := timeRun(1, fn); k == 0 || d < ser {
-			ser = d
-		}
-		if w == 1 {
-			continue
-		}
-		if d := timeRun(w, fn); k == 0 || d < par {
-			par = d
-		}
-	}
-	if w == 1 {
-		// On a single-core machine the pool width resolves to 1 and the
-		// "parallel" pass would execute the byte-for-byte identical serial
-		// fast path. Timing the same code twice and dividing reports pure
-		// machine noise as a speedup — the committed report once carried a
-		// fake 1.37× on E1 and a fake 0.97× "regression" on E2 this way.
-		// One measurement is the truth for both sides.
-		par = ser
-	}
-	return ser, par
-}
-
-func speedup(serial, par time.Duration) float64 {
-	if par <= 0 {
-		return 0
-	}
-	return float64(serial) / float64(par)
-}
-
 func main() {
-	out := flag.String("out", "BENCH_parallel.json", "report path (- for stdout)")
+	out := flag.String("out", "BENCH_loadtest.json", "report path (- for stdout)")
 	seed := flag.Uint64("seed", 42, "master seed")
-	scale := flag.Float64("scale", 1.0, "experiment scale factor")
-	workers := flag.Int("workers", 0, "pool width for the parallel pass (0 = GOMAXPROCS)")
-	passes := flag.Int("passes", 3, "interleaved serial/parallel pairs per experiment (min of each side is reported)")
-	solvers := flag.Bool("solvers", false, "benchmark the solver kernels only (flat vs reference) and write a solver report instead of the parallel one")
-	simscale := flag.Bool("simscale", false, "benchmark the scaled simulator stack (calendar engine, sharded sim, striped cache) and write BENCH_simscale.json")
-	loadtestFlag := flag.Bool("loadtest", false, "run the deterministic serving-path load test (virtual-time open-loop generator) and write BENCH_loadtest.json")
-	loadtestWall := flag.Bool("loadtest-wall", false, "with -loadtest: append an uncommitted wall-clock section against a live loopback server")
-	overload := flag.Bool("overload", false, "with -loadtest: append the committed goodput-vs-offered-load curve (deadline-stamped decide stream at 1x/2x/3x saturation behind admission control)")
-	timeout := flag.Duration("timeout", 0, "whole-run deadline; passes measured so far are written as a partial report (0 = none)")
-	metricsPath := flag.String("metrics", "", "write a JSON metrics artifact for the whole bench run (- for stdout)")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this path")
+	wall := flag.Bool("loadtest-wall", false, "append an uncommitted wall-clock section against a live loopback server")
 	flag.Parse()
 
-	if *solvers {
-		path := *out
-		if path == "BENCH_parallel.json" { // flag left at default
-			path = "BENCH_solvers.json"
-		}
-		runSolverBench(path)
-		return
-	}
-	if *loadtestFlag {
-		path := *out
-		if path == "BENCH_parallel.json" { // flag left at default
-			path = "BENCH_loadtest.json"
-		}
-		runLoadtestBench(path, *seed, *loadtestWall, *overload)
-		return
-	}
-	if *simscale {
-		path := *out
-		if path == "BENCH_parallel.json" { // flag left at default
-			path = "BENCH_simscale.json"
-		}
-		w := *workers
-		if w <= 0 {
-			w = parallel.DefaultWorkers()
-		}
-		runSimscaleBench(path, w, *passes)
-		return
-	}
-
-	benchStart := time.Now()
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	// A bench pass is a timed measurement, so interruption is coarse: the
-	// controller is consulted between passes, never inside one — a pass
-	// either completes and is reported, or never starts.
-	ctrl := run.NewController(context.Background(), run.Config{Timeout: *timeout})
-	stopSignals := ctrl.HandleSignals(os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	w := *workers
-	if w <= 0 {
-		w = parallel.DefaultWorkers()
-	}
-	opts := experiments.Options{Seed: *seed, Scale: *scale}
-	rep := report{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    w,
-		Passes:     *passes,
-		Seed:       *seed,
-		Scale:      *scale,
-	}
-
-	for _, e := range experiments.All() {
-		if ctrl.Err() != nil {
-			break
-		}
-		pass := func() { e.Run(io.Discard, opts) }
-		ser, par := timePair(w, *passes, pass)
-		rep.Experiments = append(rep.Experiments, experimentTiming{
-			ID: e.ID, SerialMS: ms(ser), ParallelMS: ms(par), Speedup: speedup(ser, par),
-		})
-		fmt.Fprintf(os.Stderr, "%-4s serial %8.1fms  parallel(%d) %8.1fms  %.2fx\n",
-			e.ID, ms(ser), w, ms(par), speedup(ser, par))
-	}
-
-	if ctrl.Err() == nil {
-		// The end-to-end pair is measured once each (already warm from the
-		// per-experiment passes): its job is the aggregate picture, and
-		// 2×10s more of min-of-K would double the bench's runtime for a
-		// number the per-experiment rows already pin down. Same w==1 rule
-		// as timePair: both sides are the same code, measure once.
-		totalSer := timeRun(1, func() { experiments.RunAll(io.Discard, opts, 1) })
-		totalPar := totalSer
-		if w > 1 {
-			totalPar = timeRun(w, func() { experiments.RunAll(io.Discard, opts, w) })
-		}
-		rep.TotalSerialMS, rep.TotalParallelMS = ms(totalSer), ms(totalPar)
-		rep.TotalSpeedup = speedup(totalSer, totalPar)
-		fmt.Fprintf(os.Stderr, "E1-E16 end-to-end: serial %.1fms, parallel(%d) %.1fms, %.2fx\n",
-			ms(totalSer), w, ms(totalPar), rep.TotalSpeedup)
-	}
-
-	if ctrl.Err() == nil {
-		rep.Micro = microBenches()
-		for _, m := range rep.Micro {
-			fmt.Fprintf(os.Stderr, "%-24s %12.0f ns/op %8d B/op %6d allocs/op\n",
-				m.Name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp)
-		}
-	}
-
-	if err := ctrl.Err(); err != nil {
-		rep.Interrupted = err.Error()
-		fmt.Fprintf(os.Stderr, "bench interrupted: %v — writing partial report (%d/%d experiments measured)\n",
-			err, len(rep.Experiments), len(experiments.All()))
-	}
-
-	// The metrics artifact complements the bench report: the report carries
-	// what bench measured (timings), the artifact what the instrumented
-	// packages observed across every pass (cache hit rates, pool
-	// utilization, simulator task flow).
-	if *metricsPath != "" {
-		art := metrics.NewArtifact("bench")
-		art.Seed = *seed
-		art.Config = map[string]any{"scale": *scale, "workers": w, "out": *out}
-		art.WallMS = ms(time.Since(benchStart))
-		for _, e := range rep.Experiments {
-			art.Experiments = append(art.Experiments, metrics.ExperimentMetrics{ID: e.ID, WallMS: e.ParallelMS})
-		}
-		art.Metrics = metrics.Default().Snapshot()
-		if err := art.WriteFile(*metricsPath); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		if *metricsPath != "-" {
-			fmt.Fprintln(os.Stderr, "wrote", *metricsPath)
-		}
-	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		f.Close()
-	}
-
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
-	enc = append(enc, '\n')
-	if *out == "-" {
-		os.Stdout.Write(enc)
-	} else {
-		if err := os.WriteFile(*out, enc, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "wrote", *out)
-	}
-
-	if err := ctrl.Err(); err != nil {
-		if errors.Is(err, run.ErrCanceled) && !errors.Is(err, run.ErrDeadline) {
-			os.Exit(130)
-		}
-		os.Exit(1)
-	}
-}
-
-func microBenches() []microBench {
-	record := func(name string, fn func(b *testing.B)) microBench {
-		r := testing.Benchmark(fn)
-		return microBench{
-			Name:        name,
-			NsPerOp:     float64(r.NsPerOp()),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		}
-	}
-
-	serveCfg := loadbalance.Config{
-		NumBalancers: 100, NumServers: 80,
-		Warmup: 0, Slots: 2000,
-		Discipline: loadbalance.BatchCFirst,
-		Workload:   workload.Bernoulli{PC: 0.5},
-		Seed:       17,
-	}
-	game := games.MultiClassColocationGame(
-		[]games.ClassKind{games.KindExclusive, games.KindCaching, games.KindCaching},
-		[]float64{1, 1, 1})
-
-	return []microBench{
-		record("serve_hot_path_2000_slots", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				loadbalance.Run(serveCfg, loadbalance.RandomStrategy{})
-			}
-		}),
-		record("quantum_value_uncached", func(b *testing.B) {
-			b.ReportAllocs()
-			rng := xrand.New(18, 1)
-			for i := 0; i < b.N; i++ {
-				game.QuantumValueUncached(rng)
-			}
-		}),
-		record("quantum_value_cached", func(b *testing.B) {
-			b.ReportAllocs()
-			rng := xrand.New(18, 2)
-			game.QuantumValue(rng) // warm the cache once
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				game.QuantumValue(rng)
-			}
-		}),
-	}
+	runLoadtestBench(*out, *seed, *wall)
 }

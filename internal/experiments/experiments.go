@@ -1,7 +1,6 @@
 // Package experiments holds the paper's experiments (E1–E20, E18 reserved) as
 // self-contained, writer-directed jobs, plus the parallel runner that
-// regenerates them all. cmd/repro is a thin CLI over RunAll; cmd/bench
-// times the same jobs individually to track the performance trajectory.
+// regenerates them all. cmd/repro is a thin CLI over RunAll.
 //
 // Every experiment derives all of its randomness from xrand.New(Seed, k)
 // with a per-experiment constant k, writes only to the io.Writer it is
@@ -82,7 +81,8 @@ func (b batch) wait() { parallel.ForEach(len(b), func(i int) { b[i]() }) }
 
 // Experiment is one reproducible unit: a figure or table of the paper.
 // Title is the full banner line (it includes the ID, matching the historical
-// cmd/repro output byte-for-byte); ID alone is used by cmd/bench and tests.
+// cmd/repro output byte-for-byte); ID alone keys checkpoints, timings and
+// the -metrics artifact.
 type Experiment struct {
 	ID    string
 	Title string
@@ -91,7 +91,7 @@ type Experiment struct {
 
 // All returns the experiments in their presentation order. E18 is reserved
 // by the serving-path load-test family (see EXPERIMENTS.md), which reports
-// through cmd/bench artifacts rather than a repro block.
+// through BENCH_loadtest.json rather than a repro block.
 func All() []Experiment {
 	return []Experiment{
 		{"E1", "E1: CHSH values (§2)", e1},

@@ -102,7 +102,8 @@ func (s *classicalScratch) grab(na, nb int) {
 // candidate maximizers (every mask within a conservative error bound of the
 // running maximum); the few survivors are then re-scored with exactly the
 // brute-force arithmetic and tie-break (lowest mask wins), making the
-// returned result bit-identical to ClassicalValueReference.
+// returned result bit-identical to the brute-force enumeration (kept in
+// export_test.go as the differential oracle).
 func (g *XORGame) classicalGray(transposed bool) ClassicalResult {
 	na, nb := g.NA, g.NB
 	if transposed {
@@ -275,7 +276,7 @@ func assembleClassical(transposed bool, na, nb int, m []float64, mask uint32, bi
 
 // classicalBruteForce is the fallback for candidate overflow: the full
 // O(2^na·na·nb) sweep on the (possibly transposed) flat matrix, with the
-// brute-force arithmetic, so results stay bit-identical to the reference.
+// brute-force arithmetic, so results stay bit-identical to that oracle.
 func (g *XORGame) classicalBruteForce(transposed bool, na, nb int, m []float64) ClassicalResult {
 	bestBias := -2.0
 	bestMask := uint32(0)
@@ -287,48 +288,6 @@ func (g *XORGame) classicalBruteForce(transposed bool, na, nb int, m []float64) 
 		}
 	}
 	return assembleClassical(transposed, na, nb, m, bestMask, bestBias)
-}
-
-// ClassicalValueReference is the pre-Gray-code brute-force enumeration,
-// retained verbatim as the differential-testing oracle and benchmark
-// baseline for the flat kernel. It bypasses (and does not populate) the
-// solve cache. Panics if NA > 24.
-func (g *XORGame) ClassicalValueReference() ClassicalResult {
-	if g.NA > 24 {
-		panic("games: ClassicalValue enumeration too large; reformulate with the smaller alphabet on Alice's side")
-	}
-	m := g.SignMatrix()
-	best := ClassicalResult{Bias: -2}
-	for mask := 0; mask < 1<<g.NA; mask++ {
-		var bias float64
-		bSigns := make([]int, g.NB)
-		for y := 0; y < g.NB; y++ {
-			var col float64
-			for x := 0; x < g.NA; x++ {
-				sx := 1.0
-				if mask>>x&1 == 1 {
-					sx = -1
-				}
-				col += m[x][y] * sx
-			}
-			// Bob's answer contributes (−1)^{b_y}·col; pick the better sign.
-			if col >= 0 {
-				bias += col
-				bSigns[y] = 0
-			} else {
-				bias -= col
-				bSigns[y] = 1
-			}
-		}
-		if bias > best.Bias {
-			a := make([]int, g.NA)
-			for x := range a {
-				a[x] = mask >> x & 1
-			}
-			best = ClassicalResult{Bias: bias, Value: ValueFromBias(bias), A: a, B: bSigns}
-		}
-	}
-	return best
 }
 
 // DeterministicSampler is a classical strategy: fixed answer tables for both

@@ -15,7 +15,7 @@ func checkDualCertificate(t *testing.T, g *XORGame) (certified bool) {
 	t.Helper()
 	c := g.classicalValueUncached()
 	gap := g.dualGap(c)
-	q := g.quantumValueUncached(internalSolveRNG(g.signKey()))
+	q := g.QuantumValueUncached(internalSolveRNG(g.signKey()))
 	if q.Bias > c.Bias+gap+1e-9 {
 		t.Fatalf("%s: ascent bias %v exceeds the dual bound %v + %g", g.Name, q.Bias, c.Bias, gap)
 	}

@@ -76,6 +76,33 @@ func TestGrayCodeMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// requireSameQuantum fails unless got and want agree bit for bit in bias,
+// value, vectors and correlators.
+func requireSameQuantum(t *testing.T, name string, got, want QuantumResult) {
+	t.Helper()
+	if math.Float64bits(got.Bias) != math.Float64bits(want.Bias) || math.Float64bits(got.Value) != math.Float64bits(want.Value) {
+		t.Fatalf("%s: flat bias %v != reference %v", name, got.Bias, want.Bias)
+	}
+	for _, m := range []struct {
+		name      string
+		got, want [][]float64
+	}{{"U", got.U, want.U}, {"V", got.V, want.V}, {"Dot", got.Dot, want.Dot}} {
+		if len(m.got) != len(m.want) {
+			t.Fatalf("%s: %s has %d rows, reference %d", name, m.name, len(m.got), len(m.want))
+		}
+		for i := range m.want {
+			if len(m.got[i]) != len(m.want[i]) {
+				t.Fatalf("%s: %s[%d] has %d entries, reference %d", name, m.name, i, len(m.got[i]), len(m.want[i]))
+			}
+			for j := range m.want[i] {
+				if math.Float64bits(m.got[i][j]) != math.Float64bits(m.want[i][j]) {
+					t.Fatalf("%s: %s[%d][%d] = %v, reference %v", name, m.name, i, j, m.got[i][j], m.want[i][j])
+				}
+			}
+		}
+	}
+}
+
 // TestFlatQuantumMatchesReference checks the flat Burer–Monteiro solver is
 // bit-identical to the retained jagged reference under the same restart
 // stream: bias, vectors, and correlators must agree exactly.
@@ -92,28 +119,40 @@ func TestFlatQuantumMatchesReference(t *testing.T) {
 		seed := uint64(1000 + gi)
 		want := g.QuantumValueReference(xrand.New(seed, 7))
 		got := g.QuantumValueUncached(xrand.New(seed, 7))
-		if got.Bias != want.Bias || got.Value != want.Value {
-			t.Fatalf("%s: flat bias %v != reference %v", g.Name, got.Bias, want.Bias)
+		requireSameQuantum(t, g.Name, got, want)
+	}
+}
+
+// TestQuantumValueRankMatchesJaggedOracle pins that the rank-restricted
+// solve is the flat kernel at another dimension: at ranks below, at and
+// above full it reproduces the jagged solver QuantumValueRank used to run —
+// same restart count, same draws, same bits — and leaves the stream where
+// the oracle leaves it.
+func TestQuantumValueRankMatchesJaggedOracle(t *testing.T) {
+	// PR 23 ran this once at perSize 79 (1 190 solves, 33 s, 10× that under
+	// -race); the sizes here keep the same shapes and ranks at a tier-1
+	// price.
+	perSize := 6
+	if testing.Short() {
+		perSize = 2
+	}
+	rng := xrand.New(923, 1)
+	games := []*XORGame{NewCHSH()}
+	for n := 4; n <= 6; n++ {
+		for i := 0; i < perSize; i++ {
+			games = append(games, RandomGraphXORGame(n, rng.Float64(), rng))
 		}
-		for x := range want.U {
-			for j := range want.U[x] {
-				if got.U[x][j] != want.U[x][j] {
-					t.Fatalf("%s: U[%d][%d] = %v, reference %v", g.Name, x, j, got.U[x][j], want.U[x][j])
-				}
-			}
-		}
-		for y := range want.V {
-			for j := range want.V[y] {
-				if got.V[y][j] != want.V[y][j] {
-					t.Fatalf("%s: V[%d][%d] = %v, reference %v", g.Name, y, j, got.V[y][j], want.V[y][j])
-				}
-			}
-		}
-		for x := range want.Dot {
-			for y := range want.Dot[x] {
-				if got.Dot[x][y] != want.Dot[x][y] {
-					t.Fatalf("%s: Dot[%d][%d] = %v, reference %v", g.Name, x, y, got.Dot[x][y], want.Dot[x][y])
-				}
+	}
+	for gi, g := range games {
+		for _, rank := range []int{1, 2, 3, g.NA + g.NB, g.NA + g.NB + 2} {
+			seed := uint64(2000 + gi)
+			wantRNG, gotRNG := xrand.New(seed, 9), xrand.New(seed, 9)
+			want := g.quantumValueRankReference(wantRNG, rank)
+			got := g.QuantumValueRank(gotRNG, rank)
+			name := fmt.Sprintf("%s#%d rank %d", g.Name, gi, rank)
+			requireSameQuantum(t, name, got, want)
+			if gotRNG.Uint64() != wantRNG.Uint64() {
+				t.Fatalf("%s: flat and jagged solves consumed different draws", name)
 			}
 		}
 	}
@@ -381,7 +420,7 @@ func BenchmarkSolveBatch(b *testing.B) {
 
 // TestFlatSolversUnderRace is the small -race workload the CI race job
 // exercises: a batch fanned out over several workers with the flat kernels
-// and the clock cache underneath.
+// and the solve cache underneath.
 func TestFlatSolversUnderRace(t *testing.T) {
 	rng := xrand.New(911, 1)
 	gs := make([]*XORGame, 2*batchChunk)

@@ -67,26 +67,6 @@ func k5Orbit(mask int) int {
 	return best
 }
 
-// TestK5LabelingsSpreadAcrossStripes: the ensemble the striped cache was
-// built for has to use the stripes. Two labelings differ only in float64
-// sign bits, which FNV-64a never carries down into the hash's low nibble, so
-// selecting the stripe with hash&15 put all 1024 of them in one.
-func TestK5LabelingsSpreadAcrossStripes(t *testing.T) {
-	set := newSolveShardSet(defaultSolveCacheShards, solveCacheMaxEntries)
-	used := make(map[*solveShard]int)
-	for mask := 0; mask < 1<<len(k5Edges); mask++ {
-		used[set.shardFor(solveKeyHash(k5Labeling(mask).signKey()))]++
-	}
-	if len(used) < 12 {
-		t.Fatalf("1024 K5 labelings occupy %d of %d stripes, want ≥ 12", len(used), len(set.shards))
-	}
-	for _, n := range used {
-		if n > 4*1024/len(set.shards) {
-			t.Fatalf("one stripe holds %d of 1024 labelings, over 4× its share", n)
-		}
-	}
-}
-
 // TestK5QuantumNeverBelowClassical is the q ≥ c promise with no tolerance,
 // over every labeling of the Figure 3 ensemble. The ascent alone breaks it:
 // on a no-advantage labeling it stops 3.6e-10 short of the classical bias.

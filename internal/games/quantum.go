@@ -55,8 +55,12 @@ func (g *XORGame) QuantumValue(rng *xrand.RNG) QuantumResult {
 // the global optimum (cross-checked in tests against the known CHSH value
 // cos²(π/8) and against exactly solvable games).
 func (g *XORGame) QuantumValueUncached(rng *xrand.RNG) QuantumResult {
-	return g.quantumValueUncached(rng)
+	return g.quantumValueUncached(rng, g.NA+g.NB, fullRankRestarts)
 }
+
+// fullRankRestarts is the ascent's restart count at d ≥ NA+NB, where the
+// landscape has no spurious local maxima and a few restarts are insurance.
+const fullRankRestarts = 8
 
 // quantumScratch is the per-solve arena of the flat solver: the sign
 // matrix, current and best vector blocks, and the gradient row live in
@@ -86,13 +90,16 @@ func (s *quantumScratch) grab(na, nb, d int) {
 	s.grad = resize(s.grad, d)
 }
 
-// quantumValueUncached is the flat Burer–Monteiro solver. It performs the
-// same floating-point operations in the same order as the jagged reference
-// implementation (QuantumValueReference), so its results are bit-identical;
-// only the memory layout and allocation behavior differ.
-func (g *XORGame) quantumValueUncached(rng *xrand.RNG) QuantumResult {
+// quantumValueUncached is the flat Burer–Monteiro solver: the best of
+// `restarts` ascents over unit vectors of dimension d. It is the one ascent
+// in the package — the full-rank solve (d = NA+NB) and the rank-restricted
+// one (QuantumValueRank) differ only in these two arguments. It performs the
+// same floating-point operations in the same order as the jagged solver it
+// replaced (kept in export_test.go as the differential oracle), so its
+// results are bit-identical; only the memory layout and allocation behavior
+// differ.
+func (g *XORGame) quantumValueUncached(rng *xrand.RNG, d, restarts int) QuantumResult {
 	na, nb := g.NA, g.NB
-	d := na + nb
 	s := quantumScratchPool.Get().(*quantumScratch)
 	defer quantumScratchPool.Put(s)
 	s.grab(na, nb, d)
@@ -109,7 +116,6 @@ func (g *XORGame) quantumValueUncached(rng *xrand.RNG) QuantumResult {
 		}
 	}
 
-	const restarts = 8
 	bestBias := -2.0
 	for r := 0; r < restarts; r++ {
 		fillRandomUnitRows(s.u, na, d, rng)
@@ -143,15 +149,14 @@ func (g *XORGame) quantumValueUncached(rng *xrand.RNG) QuantumResult {
 }
 
 // ascendFlat runs coordinate ascent to convergence on the arena's current
-// restart and returns the final bias. Same update rule and stopping
-// criterion as the jagged reference: each row update is the exact best
+// restart and returns the final bias: each row update is the exact best
 // response, a zero gradient row (input never occurs) keeps its vector.
 //
 // The axpy/norm/dot kernels are inlined by hand: the vectors here are tiny
 // (d = NA+NB, a dozen elements for the Figure 3 ensemble), so call overhead
 // into the linalg kernels costs more than the arithmetic. Every loop keeps
-// the exact operation order of the reference (element-wise multiply-add in
-// ascending index, single sequential accumulator for norms and dots,
+// the exact operation order of the jagged oracle (element-wise multiply-add
+// in ascending index, single sequential accumulator for norms and dots,
 // division by the norm), so results stay bit-identical.
 func ascendFlat(s *quantumScratch, na, nb, d int) float64 {
 	m, u, v := s.m, s.u, s.v
@@ -213,8 +218,7 @@ func ascendFlat(s *quantumScratch, na, nb, d int) float64 {
 				vrow[j] = g / n
 			}
 		}
-		// Bias Σ M[x][y]·⟨u_x, v_y⟩, dot-then-scale-then-add per entry like
-		// the reference biasOf.
+		// Bias Σ M[x][y]·⟨u_x, v_y⟩, dot-then-scale-then-add per entry.
 		var bias float64
 		for x := 0; x < na; x++ {
 			urow := u[x*d : x*d+d : x*d+d]
@@ -241,12 +245,8 @@ func ascendFlat(s *quantumScratch, na, nb, d int) float64 {
 }
 
 // fillRandomUnitRows fills buf (n rows of stride d) with independent random
-// unit vectors, drawing exactly the same rng stream as the jagged
-// randomUnitVectors helper: fill d normals, re-draw the whole row while its
-// norm is tiny, then normalize by elementwise division. The reference
-// computes the norm twice (once for the check, once inside Normalize); the
-// two computations are identical, so dividing by the checked norm yields
-// bit-identical rows at half the norm cost.
+// unit vectors: fill d normals, re-draw the whole row while its norm is
+// tiny, then normalize by elementwise division.
 func fillRandomUnitRows(buf []float64, n, d int, rng *xrand.RNG) {
 	for i := 0; i < n; i++ {
 		row := buf[i*d : i*d+d : i*d+d]
@@ -286,115 +286,6 @@ func unflatten(buf []float64, n, d int) [][]float64 {
 		copy(row, buf[i*d:])
 	}
 	return rows
-}
-
-// QuantumValueReference is the pre-flat-kernel jagged solver, retained
-// verbatim as the differential-testing oracle and benchmark baseline: the
-// flat solver must reproduce its results bit for bit. It bypasses (and does
-// not populate) the solve cache.
-func (g *XORGame) QuantumValueReference(rng *xrand.RNG) QuantumResult {
-	m := g.SignMatrix()
-	d := g.NA + g.NB
-	const restarts = 8
-	best := QuantumResult{Bias: -2}
-	for r := 0; r < restarts; r++ {
-		u, v := randomUnitVectors(g.NA, d, rng), randomUnitVectors(g.NB, d, rng)
-		bias := ascend(m, u, v)
-		if bias > best.Bias {
-			best = QuantumResult{Bias: bias, Value: ValueFromBias(bias), U: u, V: v}
-		}
-	}
-	best.Dot = make([][]float64, g.NA)
-	for x := 0; x < g.NA; x++ {
-		best.Dot[x] = make([]float64, g.NB)
-		for y := 0; y < g.NB; y++ {
-			c := linalg.RVec(best.U[x]).Dot(linalg.RVec(best.V[y]))
-			if c > 1 {
-				c = 1
-			} else if c < -1 {
-				c = -1
-			}
-			best.Dot[x][y] = c
-		}
-	}
-	return best
-}
-
-// ascend runs coordinate ascent to convergence and returns the final bias.
-// u and v are updated in place. Reference implementation; the hot path is
-// ascendFlat.
-func ascend(m [][]float64, u, v [][]float64) float64 {
-	na, nb := len(u), len(v)
-	d := len(u[0])
-	// One gradient buffer for the whole ascent: the row update only needs
-	// the current row's gradient, so reusing it keeps the inner loop
-	// allocation-free (this solver runs once per Figure 3 trial × restart).
-	grad := make(linalg.RVec, d)
-	prev := math.Inf(-1)
-	for iter := 0; iter < 10000; iter++ {
-		for x := 0; x < na; x++ {
-			grad.Zero()
-			for y := 0; y < nb; y++ {
-				if m[x][y] != 0 {
-					grad.AddScaled(m[x][y], v[y])
-				}
-			}
-			if grad.Norm() < 1e-300 {
-				// This input never occurs (zero row): any unit vector is
-				// optimal; keep the current one.
-				continue
-			}
-			copy(u[x], grad.Normalize())
-		}
-		for y := 0; y < nb; y++ {
-			grad.Zero()
-			for x := 0; x < na; x++ {
-				if m[x][y] != 0 {
-					grad.AddScaled(m[x][y], u[x])
-				}
-			}
-			if grad.Norm() < 1e-300 {
-				continue
-			}
-			copy(v[y], grad.Normalize())
-		}
-		bias := biasOf(m, u, v)
-		if bias-prev < 1e-13 {
-			return bias
-		}
-		prev = bias
-	}
-	return prev
-}
-
-func biasOf(m [][]float64, u, v [][]float64) float64 {
-	var s float64
-	for x := range u {
-		for y := range v {
-			if m[x][y] != 0 {
-				s += m[x][y] * linalg.RVec(u[x]).Dot(linalg.RVec(v[y]))
-			}
-		}
-	}
-	return s
-}
-
-func randomUnitVectors(n, d int, rng *xrand.RNG) [][]float64 {
-	out := make([][]float64, n)
-	for i := range out {
-		v := make(linalg.RVec, d)
-		for {
-			for j := range v {
-				v[j] = rng.NormFloat64()
-			}
-			if v.Norm() > 1e-6 {
-				break
-			}
-		}
-		v.Normalize()
-		out[i] = v
-	}
-	return out
 }
 
 // QuantumSampler builds the correlation sampler realizing the optimal

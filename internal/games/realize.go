@@ -26,46 +26,21 @@ import (
 // (coordinate ascent over signs with restarts); rank ≥ NA+NB is the full
 // Tsirelson value. Higher rank can only help, so the result is monotone in
 // rank (verified in tests).
+//
+// Rank-restricted and full-rank solves are the same kernel
+// (quantumValueUncached) at a different dimension and restart count;
+// TestQuantumValueRankMatchesJaggedOracle pins it bit for bit against the
+// jagged solver this method used to run.
 func (g *XORGame) QuantumValueRank(rng *xrand.RNG, rank int) QuantumResult {
 	if rank < 1 {
 		panic("games: rank must be at least 1")
 	}
-	m := g.SignMatrix()
 	// Low-rank landscapes have more local maxima; spend more restarts.
-	restarts := 8
+	restarts := fullRankRestarts
 	if rank < g.NA+g.NB {
 		restarts = 24
 	}
-	best := QuantumResult{Bias: -2}
-	for r := 0; r < restarts; r++ {
-		u, v := randomUnitVectors(g.NA, rank, rng), randomUnitVectors(g.NB, rank, rng)
-		bias := ascend(m, u, v)
-		if bias > best.Bias {
-			best = QuantumResult{Bias: bias, Value: ValueFromBias(bias), U: u, V: v}
-		}
-	}
-	best.Dot = dotTable(best.U, best.V)
-	return best
-}
-
-func dotTable(u, v [][]float64) [][]float64 {
-	dot := make([][]float64, len(u))
-	for x := range u {
-		dot[x] = make([]float64, len(v))
-		for y := range v {
-			var s float64
-			for i := range u[x] {
-				s += u[x][i] * v[y][i]
-			}
-			if s > 1 {
-				s = 1
-			} else if s < -1 {
-				s = -1
-			}
-			dot[x][y] = s
-		}
-	}
-	return dot
+	return g.quantumValueUncached(rng, rank, restarts)
 }
 
 // PlanarRealization is a Bell-pair measurement strategy: party A measures

@@ -3,9 +3,7 @@ package games
 import (
 	"encoding/binary"
 	"math"
-	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/xrand"
@@ -17,96 +15,54 @@ import (
 // the Figure 3 K5 ensemble re-drawn thousands of times) are solved once per
 // process instead of once per construction.
 //
-// The cache is striped: the sign-matrix key hashes to one of 2^k shards,
-// each with its own mutex and CLOCK-evicting store. Under the parallel
-// experiment driver and the sharded simulation runner, dozens of goroutines
-// hit the cache at once; a single mutex serializes them all on a ~100 ns
-// critical section, while striping lets lookups for different games proceed
-// concurrently. Shard selection folds the FNV-64a hash already computed for
-// the solver's restart stream, so striping adds no extra hashing.
+// One mutex over two maps. Both decisions were measured (PR 23 in
+// CHANGES.md, 2-vCPU box) and should be revisited only on new evidence:
+//
+//   - One lock, not stripes: 16-way striping read 0.93× the single lock's
+//     warm lookup throughput at 2 workers (733 k vs 786 k lookups/s through
+//     SolveBatch), and BenchmarkSolveCacheLookup at -cpu 2 reads ≈ 217 ns
+//     here against ≈ 235 ns for the striped CLOCK cache this replaced.
+//     Building the key and copying the result out dominate a lookup; the
+//     critical section is one map operation.
+//   - Drop-all at the cap, not CLOCK eviction: a cold seed-42 sweep makes
+//     3 695 lookups, holds 1 144 entries and evicts 0; a default cmd/xorgame
+//     run solves ≈ 10 k games. The cap is a memory bound that no committed
+//     workload reaches, so the cheapest policy that honours it is the right
+//     one, and a drop only costs re-solving (results are pure functions of
+//     the game).
+//
+// What would justify revisiting either: a committed workload that fills the
+// cache, or games.cache_hit_ns (benchmark/) growing with workers on a host
+// with more than two cores.
 
-// solveCacheMaxEntries bounds memory across ALL shards: the per-shard
-// capacity is the total divided by the shard count, so reconfiguring the
-// stripe width never changes the cache's memory ceiling. Far above any
-// experiment's working set (Figure 3 on K_n has at most 2^(n(n−1)/2)
-// distinct labelings; n=5 gives 1024), so eviction only matters for
-// adversarial or exploratory workloads — which degrade to LRU-like behavior
-// instead of permanently refusing to cache anything new.
+// solveCacheMaxEntries bounds each map. Far above any experiment's working
+// set (Figure 3 on K_n has at most 2^(n(n−1)/2) distinct labelings; n=5
+// gives 1024).
 const solveCacheMaxEntries = 1 << 16
 
-// defaultSolveCacheShards is the stripe width: enough to make lock
-// collisions rare at the experiment driver's worker counts (birthday bound:
-// 8 workers over 16 shards collide on ~1/3 of concurrent lookups, and the
-// critical section is two map operations), small enough that per-shard
-// capacity stays deep.
-const defaultSolveCacheShards = 16
-
-// solveShard is one stripe: a mutex guarding a classical and a quantum
-// store, plus per-shard effectiveness counters (labeled by shard index)
-// that let the balance of the hash be observed at runtime.
-type solveShard struct {
+var solveCache = struct {
 	mu        sync.Mutex
-	classical *clockCache[ClassicalResult]
-	quantum   *clockCache[QuantumResult]
-
-	classicalHits, classicalMisses, classicalUnretained *metrics.Counter
-	quantumHits, quantumMisses, quantumUnretained       *metrics.Counter
+	classical map[string]ClassicalResult
+	quantum   map[string]QuantumResult
+}{
+	classical: make(map[string]ClassicalResult),
+	quantum:   make(map[string]QuantumResult),
 }
 
-// solveShardSet is an immutable shard configuration. Reconfiguration
-// (SetSolveCacheShards, ResetSolveCache) swaps the whole set atomically;
-// a solve already in flight may finish against the old set, which at worst
-// loses that one cache insert.
-type solveShardSet struct {
-	shards []*solveShard
-	mask   uint64
-	perCap int // per-shard clockCache capacity
-}
-
-// shardFor picks the stripe for a key hash by folding all eight hash bytes
-// into the low one (mask ≤ 255). FNV-64a's own low bits will not do: bit k
-// of the hash depends only on bits ≤ k of the key bytes, and the sign bit
-// that tells two Figure 3 labelings apart is bit 7 of a float64's top byte,
-// so hash&15 is the same for all 1024 of them.
-func (s *solveShardSet) shardFor(h uint64) *solveShard {
-	h ^= h >> 32
-	h ^= h >> 16
-	h ^= h >> 8
-	return s.shards[h&s.mask]
-}
-
-func newSolveShardSet(n, totalCap int) *solveShardSet {
-	perCap := totalCap / n
-	if perCap < 1 {
-		perCap = 1
+// putCapped stores key → v in m. An insert that would grow m past max first
+// drops the whole map; the number of entries dropped is returned.
+func putCapped[V any](m map[string]V, key string, v V, max int) (dropped int) {
+	if _, present := m[key]; !present && len(m) >= max {
+		dropped = len(m)
+		clear(m)
 	}
-	s := &solveShardSet{shards: make([]*solveShard, n), mask: uint64(n - 1), perCap: perCap}
-	for i := range s.shards {
-		lbl := strconv.Itoa(i)
-		s.shards[i] = &solveShard{
-			classicalHits:       metrics.Default().Counter("solvecache_shard_hits", "solver", "classical", "shard", lbl),
-			classicalMisses:     metrics.Default().Counter("solvecache_shard_misses", "solver", "classical", "shard", lbl),
-			classicalUnretained: metrics.Default().Counter("solvecache_shard_unretained", "solver", "classical", "shard", lbl),
-			quantumHits:         metrics.Default().Counter("solvecache_shard_hits", "solver", "quantum", "shard", lbl),
-			quantumMisses:       metrics.Default().Counter("solvecache_shard_misses", "solver", "quantum", "shard", lbl),
-			quantumUnretained:   metrics.Default().Counter("solvecache_shard_unretained", "solver", "quantum", "shard", lbl),
-		}
-	}
-	return s
+	m[key] = v
+	return dropped
 }
 
-var solveShards atomic.Pointer[solveShardSet]
-
-func init() {
-	solveShards.Store(newSolveShardSet(defaultSolveCacheShards, solveCacheMaxEntries))
-}
-
-// Cache effectiveness counters, one set per solver, aggregated across all
-// shards (the per-shard counters carry a "shard" label and sum to these).
-// "unretained" counts entries pushed out by the clock eviction — the metric
-// keeps its historical name, but it now means "a result was cached and
-// later evicted" rather than "a result was never cached"; either way it is
-// the signal that solveCacheMaxEntries needs revisiting if it ever climbs.
+// Cache effectiveness counters, one set per solver. "unretained" counts the
+// entries dropped at the cap; it is the signal that solveCacheMaxEntries
+// needs revisiting if it ever leaves zero.
 var (
 	classicalHits       = metrics.Default().Counter("solvecache_hits", "solver", "classical")
 	classicalMisses     = metrics.Default().Counter("solvecache_misses", "solver", "classical")
@@ -116,36 +72,13 @@ var (
 	quantumUnretained   = metrics.Default().Counter("solvecache_unretained", "solver", "quantum")
 )
 
-// SolveCacheShards returns the current stripe width of the solve cache.
-func SolveCacheShards() int { return len(solveShards.Load().shards) }
-
-// SetSolveCacheShards reconfigures the solve cache to use n stripes,
-// dropping all cached entries. n is rounded up to a power of two and
-// clamped to [1, 256]; the applied value is returned. The total capacity
-// bound is unchanged — per-shard capacity shrinks as the stripe count
-// grows. SetSolveCacheShards(1) degenerates to the single-lock cache,
-// which cmd/bench uses as the contention baseline.
-func SetSolveCacheShards(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	if n > 256 {
-		n = 256
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	solveShards.Store(newSolveShardSet(p, solveCacheMaxEntries))
-	return p
-}
-
-// ResetSolveCache empties the process-wide solve cache, keeping the current
-// stripe width. Benchmarks use it to measure the uncached path; no other
-// caller should need it.
+// ResetSolveCache empties the process-wide solve cache. Benchmarks use it to
+// measure the uncached path; no other caller should need it.
 func ResetSolveCache() {
-	cur := solveShards.Load()
-	solveShards.Store(newSolveShardSet(len(cur.shards), solveCacheMaxEntries))
+	solveCache.mu.Lock()
+	clear(solveCache.classical)
+	clear(solveCache.quantum)
+	solveCache.mu.Unlock()
 }
 
 // signKey serializes the sign matrix into a map key. Shape is included so
@@ -157,7 +90,12 @@ func (g *XORGame) signKey() string {
 	for x := 0; x < g.NA; x++ {
 		for y := 0; y < g.NB; y++ {
 			s := g.Prob[x][y]
-			if g.Parity[x][y] == 1 {
+			switch {
+			case s == 0:
+				// −0 and +0 differ in bits but not in the sign matrix: a
+				// cell that never occurs keys the same whatever its parity.
+				s = 0
+			case g.Parity[x][y] == 1:
 				s = -s
 			}
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s))
@@ -166,10 +104,8 @@ func (g *XORGame) signKey() string {
 	return string(buf)
 }
 
-// solveKeyHash is FNV-64a over the sign key. One hash serves two masters:
-// the quantum solver's restart stream seed (internalSolveRNG) and the shard
-// index (shardFor) — both are pure functions of the game, so neither
-// depends on which goroutine arrives first.
+// solveKeyHash is FNV-64a over the sign key: the seed of the quantum
+// solver's restart stream (internalSolveRNG), a pure function of the game.
 func solveKeyHash(key string) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
@@ -191,33 +127,18 @@ func internalSolveRNG(key string) *xrand.RNG {
 // first use. The returned result shares no slices with the cache.
 func (g *XORGame) cachedClassical() ClassicalResult {
 	key := g.signKey()
-	set := solveShards.Load()
-	sh := set.shardFor(solveKeyHash(key))
-
-	sh.mu.Lock()
-	var r ClassicalResult
-	var ok bool
-	if sh.classical != nil {
-		r, ok = sh.classical.get(key)
-	}
-	sh.mu.Unlock()
+	solveCache.mu.Lock()
+	r, ok := solveCache.classical[key]
+	solveCache.mu.Unlock()
 	if ok {
 		classicalHits.Inc()
-		sh.classicalHits.Inc()
 	} else {
 		classicalMisses.Inc()
-		sh.classicalMisses.Inc()
 		r = g.classicalValueUncached()
-		sh.mu.Lock()
-		if sh.classical == nil {
-			sh.classical = newClockCache[ClassicalResult](set.perCap)
-		}
-		evicted := sh.classical.put(key, r)
-		sh.mu.Unlock()
-		if evicted {
-			classicalUnretained.Inc()
-			sh.classicalUnretained.Inc()
-		}
+		solveCache.mu.Lock()
+		dropped := putCapped(solveCache.classical, key, r, solveCacheMaxEntries)
+		solveCache.mu.Unlock()
+		classicalUnretained.Add(int64(dropped))
 	}
 	return ClassicalResult{Bias: r.Bias, Value: r.Value, A: copyInts(r.A), B: copyInts(r.B)}
 }
@@ -231,36 +152,21 @@ func (g *XORGame) cachedClassical() ClassicalResult {
 // returned result shares no slices with the cache.
 func (g *XORGame) cachedQuantum(classical *ClassicalResult) QuantumResult {
 	key := g.signKey()
-	set := solveShards.Load()
-	sh := set.shardFor(solveKeyHash(key))
-
-	sh.mu.Lock()
-	var r QuantumResult
-	var ok bool
-	if sh.quantum != nil {
-		r, ok = sh.quantum.get(key)
-	}
-	sh.mu.Unlock()
+	solveCache.mu.Lock()
+	r, ok := solveCache.quantum[key]
+	solveCache.mu.Unlock()
 	if ok {
 		quantumHits.Inc()
-		sh.quantumHits.Inc()
 	} else {
 		quantumMisses.Inc()
-		sh.quantumMisses.Inc()
 		var certified bool
 		if r, certified = g.certifiedQuantum(classical); !certified {
-			r = g.quantumValueUncached(internalSolveRNG(key))
+			r = g.quantumValueUncached(internalSolveRNG(key), g.NA+g.NB, fullRankRestarts)
 		}
-		sh.mu.Lock()
-		if sh.quantum == nil {
-			sh.quantum = newClockCache[QuantumResult](set.perCap)
-		}
-		evicted := sh.quantum.put(key, r)
-		sh.mu.Unlock()
-		if evicted {
-			quantumUnretained.Inc()
-			sh.quantumUnretained.Inc()
-		}
+		solveCache.mu.Lock()
+		dropped := putCapped(solveCache.quantum, key, r, solveCacheMaxEntries)
+		solveCache.mu.Unlock()
+		quantumUnretained.Add(int64(dropped))
 	}
 	return QuantumResult{
 		Bias:  r.Bias,

@@ -1,7 +1,7 @@
 // Package metrics is the repository's allocation-light observability layer:
 // atomic counters, gauges and timers collected in a labeled registry whose
 // Snapshot() renders ordered key/value pairs for machine-readable run
-// artifacts (cmd/repro -metrics, cmd/bench -metrics).
+// artifacts (cmd/repro -metrics, qcoordd -metrics-out).
 //
 // Instrumented packages fetch their instruments once (package init or
 // constructor) and update them with single atomic operations, so the hot
@@ -223,25 +223,6 @@ func (r *Registry) Snapshot() []KV {
 	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
-}
-
-// Reset zeroes every instrument in place (existing instrument pointers held
-// by instrumented packages stay valid). cmd/bench uses it between timed
-// passes so each pass's artifact reflects only its own work.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.bits.Store(0)
-	}
-	for _, t := range r.timers {
-		t.count.Store(0)
-		t.total.Store(0)
-		t.max.Store(0)
-	}
 }
 
 // Get returns the snapshot value for a key (timers: use the expanded

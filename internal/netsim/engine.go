@@ -4,12 +4,10 @@
 // pre-shared entangled qubits complete locally. The engine is deterministic:
 // identical schedules replay identically.
 //
-// Two interchangeable schedulers sit behind the Engine API: the default
-// calendar queue (O(1) amortized, built for 10⁵–10⁶ pending events) and the
-// original binary heap (retained as the differential-test oracle and the
-// baseline the scale benchmarks compare against). Both order events by
-// (at, seq), so the pop sequence — and therefore every simulation result —
-// is byte-identical whichever scheduler runs it.
+// The Engine runs on one scheduler, a calendar queue (O(1) amortized, built
+// for 10⁵–10⁶ pending events), ordering events by (at, seq). The binary heap
+// it replaced lives in export_test.go as the differential-test oracle,
+// plugged in through the unexported scheduler interface.
 //
 // Beside the queue of one-shot callbacks the engine has one Stream slot: a
 // self-rescheduling event source (the entangled-pair supply) that keeps its
@@ -18,19 +16,16 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
 )
 
-// Engine is a discrete-event scheduler. The zero value is ready to use and
-// runs on the calendar-queue scheduler; NewHeapEngine selects the binary
-// heap.
+// Engine is a discrete-event scheduler. The zero value is ready to use.
 type Engine struct {
 	now     time.Duration
 	sched   scheduler
-	cal     *calendarQueue // non-nil iff sched is the calendar queue: devirtualized hot path
+	cal     *calendarQueue // non-nil unless a test plugged in its oracle: devirtualized hot path
 	seq     uint64
 	stopped bool
 
@@ -76,14 +71,8 @@ func (e *Engine) NextSeq() uint64 {
 	return s
 }
 
-// NewEngine returns an engine on the default calendar-queue scheduler
-// (equivalent to a zero-value Engine, spelled out for symmetry).
+// NewEngine returns a ready engine (equivalent to a zero-value Engine).
 func NewEngine() *Engine { return &Engine{} }
-
-// NewHeapEngine returns an engine on the original binary-heap scheduler.
-// It exists for differential tests and scheduler benchmarks; results are
-// identical to the default engine's, only the time complexity differs.
-func NewHeapEngine() *Engine { return &Engine{sched: new(eventHeap)} }
 
 type event struct {
 	at  time.Duration
@@ -100,9 +89,10 @@ func (e event) less(o event) bool {
 	return e.seq < o.seq
 }
 
-// scheduler is the priority-queue contract both engines implement: push
-// accepts any event at or after the last popped time, pop returns events in
-// (at, seq) order, and peek exposes the next event's key without dequeuing.
+// scheduler is the priority-queue contract, and the seam the test oracle
+// plugs into: push accepts any event at or after the last popped time, pop
+// returns events in (at, seq) order, and peek exposes the next event's key
+// without dequeuing.
 type scheduler interface {
 	push(event)
 	pop() (event, bool)
@@ -110,31 +100,8 @@ type scheduler interface {
 	len() int
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return h[i].less(h[j]) }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-
-func (h *eventHeap) push(e event) { heap.Push(h, e) }
-func (h *eventHeap) pop() (event, bool) {
-	if len(*h) == 0 {
-		return event{}, false
-	}
-	return heap.Pop(h).(event), true
-}
-func (h *eventHeap) peek() (time.Duration, uint64, bool) {
-	if len(*h) == 0 {
-		return 0, 0, false
-	}
-	return (*h)[0].at, (*h)[0].seq, true
-}
-func (h *eventHeap) len() int { return len(*h) }
-
-// scheduler returns the engine's event queue, installing the default
-// calendar queue on first use so the zero value stays ready.
+// scheduler returns the engine's event queue, installing the calendar queue
+// on first use so the zero value stays ready.
 func (e *Engine) scheduler() scheduler {
 	if e.sched == nil {
 		e.cal = newCalendarQueue()

@@ -9,9 +9,8 @@
 // point (Figure 2).
 //
 // Session state is sharded: FNV-64a(session ID) picks one of N
-// mutex-striped shards (the striped-cache pattern from the solve cache), so
-// registration and lookup never take a global lock, and each session's own
-// mutex serializes only its rounds.
+// mutex-striped shards, so registration and lookup never take a global
+// lock, and each session's own mutex serializes only its rounds.
 //
 // Shutdown is cooperative: StartDrain stops new sessions and makes further
 // decisions return a retryable 503 while in-flight decisions complete
@@ -85,9 +84,6 @@ type ShedError struct {
 func (e *ShedError) Error() string {
 	return fmt.Sprintf("serve: overloaded (shed: %s)", e.Outcome)
 }
-
-// Retryable marks the error as safe to retry after backoff.
-func (e *ShedError) Retryable() bool { return true }
 
 // maxBodyBytes bounds a decide request body (a 4096-round batch is ~64 KiB;
 // the limit leaves ample headroom without letting a client balloon the
@@ -183,8 +179,8 @@ func NewServer(cfg Config) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// fnv64a is the shard hash — same family the striped solve cache uses. It
-// takes the ID as a string or as the decoder's byte view of one.
+// fnv64a is the shard hash. It takes the ID as a string or as the decoder's
+// byte view of one.
 func fnv64a[S string | []byte](s S) uint64 {
 	const (
 		offset = 14695981039346656037
