@@ -53,20 +53,22 @@ func DefaultSource() SourceConfig {
 
 // Validate checks the configuration is physical.
 func (c SourceConfig) Validate() error {
-	if c.PairRate <= 0 {
+	// The guards are written as !(in range) so a NaN, which fails every
+	// comparison, is rejected with the out-of-range values.
+	if !(c.PairRate > 0) {
 		return fmt.Errorf("entangle: pair rate must be positive")
 	}
 	if c.Interval() <= 0 {
 		return fmt.Errorf("entangle: pair rate %g/s leaves no interval on a nanosecond clock", c.PairRate)
 	}
-	if c.BaseVisibility < 0 || c.BaseVisibility > 1 {
+	if !(c.BaseVisibility >= 0 && c.BaseVisibility <= 1) {
 		return fmt.Errorf("entangle: visibility must lie in [0,1]")
 	}
-	if c.NPhotonFalloff <= 0 || c.NPhotonFalloff > 1 {
+	if !(c.NPhotonFalloff > 0 && c.NPhotonFalloff <= 1) {
 		return fmt.Errorf("entangle: n-photon falloff must lie in (0,1]")
 	}
-	if c.FiberLengthM < 0 || c.AttenuationDBPerKm < 0 {
-		return fmt.Errorf("entangle: negative fiber parameters")
+	if !(c.FiberLengthM >= 0 && c.AttenuationDBPerKm >= 0) || math.IsInf(c.FiberLengthM, 1) || math.IsInf(c.AttenuationDBPerKm, 1) {
+		return fmt.Errorf("entangle: fiber parameters must be finite and non-negative")
 	}
 	if c.HeraldLatency < 0 {
 		return fmt.Errorf("entangle: negative herald latency")

@@ -33,6 +33,28 @@ func TestSourceValidateCatchesErrors(t *testing.T) {
 	}
 }
 
+// TestSourceValidateRejectsNonFinite: NaN fails every comparison, so a guard
+// of the shape x < lo || x > hi lets it through — and a NaN visibility or
+// attenuation then loses every pair forever without an error.
+func TestSourceValidateRejectsNonFinite(t *testing.T) {
+	fields := map[string]func(*SourceConfig, float64){
+		"PairRate":           func(c *SourceConfig, v float64) { c.PairRate = v },
+		"BaseVisibility":     func(c *SourceConfig, v float64) { c.BaseVisibility = v },
+		"NPhotonFalloff":     func(c *SourceConfig, v float64) { c.NPhotonFalloff = v },
+		"FiberLengthM":       func(c *SourceConfig, v float64) { c.FiberLengthM = v },
+		"AttenuationDBPerKm": func(c *SourceConfig, v float64) { c.AttenuationDBPerKm = v },
+	}
+	for name, set := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			c := DefaultSource()
+			set(&c, v)
+			if c.Validate() == nil {
+				t.Errorf("%s = %v should be invalid", name, v)
+			}
+		}
+	}
+}
+
 func TestInterval(t *testing.T) {
 	c := DefaultSource()
 	c.PairRate = 1e6

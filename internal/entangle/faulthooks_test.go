@@ -240,10 +240,16 @@ func TestServiceDeliveryScaleValidates(t *testing.T) {
 	pool := NewPool(testQNIC(), 0)
 	svc := StartService(&engine, DefaultSource(), pool, xrand.New(1, 1))
 	defer svc.Stop()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetDeliveryScale(1.5) should panic")
-		}
-	}()
-	svc.SetDeliveryScale(1.5)
+	// NaN included: it fails every comparison, and as a delivery scale it
+	// would lose every pair from then on.
+	for _, f := range []float64{1.5, -0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetDeliveryScale(%v) should panic", f)
+				}
+			}()
+			svc.SetDeliveryScale(f)
+		}()
+	}
 }

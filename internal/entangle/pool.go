@@ -2,6 +2,7 @@ package entangle
 
 import (
 	"math"
+	"sort"
 	"time"
 
 	"repro/internal/metrics"
@@ -91,6 +92,26 @@ func (p *Pool) add(pair Pair) (stored bool, expired int) {
 	p.pairs.push(pair)
 	p.stats.Added++
 	return true, expired
+}
+
+// addArrived is add for the k oldest pairs in flight, landing in order with
+// nothing reading the pool in between (the source's bulk catch-up, which
+// has checked that no add can meet a full pool). Each add expires as of its
+// own arrival, so after the last one, at time last, exactly the pairs — old
+// or new — that arrived before last − StorageLimit are gone: those are
+// counted, as added and expired, and never stored. The cutoff is the last
+// arrival's time and not the catch-up's bound because expiry is lazy: a
+// Flush or Len after the catch-up sees the stale pairs the last add left.
+func (p *Pool) addArrived(fl *ring[flight], k int, v0 float64) (expired int) {
+	last := fl.at(k - 1).at
+	expired = p.expire(last)
+	stale := sort.Search(k, func(i int) bool { return !Pair{ArrivedAt: fl.at(i).at}.Expired(last, p.QNIC) })
+	for i := stale; i < k; i++ {
+		p.pairs.push(Pair{ArrivedAt: fl.at(i).at, V0: v0})
+	}
+	p.stats.Added += int64(k)
+	p.stats.Expired += int64(stale)
+	return expired + stale
 }
 
 // Len returns the number of stored (possibly stale) pairs; call Expire first

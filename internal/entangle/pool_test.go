@@ -204,41 +204,87 @@ func BenchmarkPoolAddConsume(b *testing.B) {
 	}
 }
 
+// catchUpCase is one window shape of the engine catch-up: a source and how
+// far each catch-up advances the clock.
+type catchUpCase struct {
+	name string
+	src  func(*SourceConfig)
+	step time.Duration
+}
+
+func defaultRate(*SourceConfig) {}
+
+// provisionedRate keeps 255 pairs in flight and ~91 live in the pool.
+func provisionedRate(s *SourceConfig) { s.PairRate = 1e6; s.HeraldLatency = 250 * time.Microsecond }
+
+// start builds the case's supply chain, runs 16 catch-ups so the pool and
+// in-flight rings reach their working size, and returns the next catch-up.
+func (tc catchUpCase) start() (src SourceConfig, svc *Service, catchUp func()) {
+	e := new(netsim.Engine)
+	src = DefaultSource()
+	tc.src(&src)
+	svc = StartService(e, src, NewPool(testQNIC(), 256), xrand.New(9, 1))
+	now := time.Duration(0)
+	catchUp = func() {
+		now += tc.step
+		e.RunUntil(now)
+	}
+	for i := 0; i < 16; i++ {
+		catchUp()
+	}
+	return src, svc, catchUp
+}
+
 // TestServiceCatchUpAllocs gates the supply chain's steady state at zero
 // allocations: once the pool and in-flight rings have reached their working
 // size, an engine catch-up — a handful of pairs or thousands — queues
-// nothing and allocates nothing.
+// nothing and allocates nothing. That working size is itself gated: the bulk
+// catch-up pushes a chunk of ticks before it lands any, so the in-flight
+// ring may hold one chunk beside the pairs really in flight, never the
+// window's 2 500.
 func TestServiceCatchUpAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		src  func(*SourceConfig)
-		step time.Duration
-	}{
-		{"default/20us", func(*SourceConfig) {}, 20 * time.Microsecond},
-		{"default/25ms", func(*SourceConfig) {}, 25 * time.Millisecond},
-		// 255 pairs in flight, ~91 live in the pool.
-		{"provisioned/1ms", func(s *SourceConfig) { s.PairRate = 1e6; s.HeraldLatency = 250 * time.Microsecond }, time.Millisecond},
+	for _, tc := range []catchUpCase{
+		{"default/20us", defaultRate, 20 * time.Microsecond},
+		{"default/25ms", defaultRate, 25 * time.Millisecond},
+		{"provisioned/1ms", provisionedRate, time.Millisecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var e netsim.Engine
-			src := DefaultSource()
-			tc.src(&src)
-			pool := NewPool(testQNIC(), 256)
-			svc := StartService(&e, src, pool, xrand.New(9, 1))
-			now := time.Duration(0)
-			catchUp := func() {
-				now += tc.step
-				e.RunUntil(now)
-			}
-			for i := 0; i < 16; i++ {
-				catchUp()
-			}
+			src, svc, catchUp := tc.start()
 			if avg := testing.AllocsPerRun(200, catchUp); avg != 0 {
 				t.Fatalf("catch-up of %v allocates %v per run", tc.step, avg)
 			}
 			if svc.Stats().Delivered == 0 {
 				t.Fatal("nothing was delivered: the gate measured an idle source")
 			}
+			inFlight := int(src.DeliveryLatency()/src.Interval()) + 1
+			if got, most := len(svc.flights.buf), 2*(bulkChunk+inFlight); got > most {
+				t.Fatalf("in-flight ring grew to %d slots; a chunk plus %d in flight fits in %d", got, inFlight, most)
+			}
+		})
+	}
+}
+
+// BenchmarkServiceCatchUp times one engine catch-up per iteration at the
+// three window shapes serving sees — the daemon's 25 ms idle cap, a busy
+// session's one or two ticks, and a provisioned source with its ring of
+// pairs in flight — and reports host time per generation tick.
+func BenchmarkServiceCatchUp(b *testing.B) {
+	for _, tc := range []catchUpCase{
+		{"default-25ms", defaultRate, 25 * time.Millisecond},
+		{"default-16us", defaultRate, 16 * time.Microsecond},
+		{"provisioned-1ms", provisionedRate, time.Millisecond},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			_, svc, catchUp := tc.start()
+			ticks := svc.Stats().Generated
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				catchUp()
+			}
+			b.StopTimer()
+			ticks = svc.Stats().Generated - ticks
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ticks), "ns/tick")
 		})
 	}
 }

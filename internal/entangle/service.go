@@ -1,6 +1,7 @@
 package entangle
 
 import (
+	"sort"
 	"time"
 
 	"repro/internal/metrics"
@@ -125,9 +126,15 @@ func (s *Service) Head() (time.Duration, uint64, bool) {
 // (at, seq) order up to the bound, then publishes what they counted to the
 // process-wide registry — one atomic add per counter that moved, however
 // many pairs the catch-up covered.
+//
+// A window of bulkMinTicks or more first goes through bulkBefore; the loop
+// below is the reference, and finishes whatever the bulk pass left.
 func (s *Service) RunBefore(at time.Duration, seq uint64) {
 	before := s.stats
 	expired := 0
+	if at-s.tickAt >= bulkMinTicks*s.interval {
+		expired = s.bulkBefore(at)
+	}
 	for {
 		eat, eseq, arrival, ok := s.next()
 		if !ok || eat > at || (eat == at && eseq >= seq) {
@@ -141,6 +148,79 @@ func (s *Service) RunBefore(at time.Duration, seq uint64) {
 		}
 	}
 	s.publish(before, expired)
+}
+
+// Bulk catch-up shape: windows shorter than bulkMinTicks are not worth the
+// set-up, and a long window runs bulkChunk ticks at a time so the flights
+// ring holds one chunk's pairs plus those in flight, not the whole window's.
+const (
+	bulkMinTicks = 32
+	bulkChunk    = 256
+)
+
+// bulkBefore runs the whole ticks of a long catch-up window, and the
+// arrivals before the last of them, as the same events in a cheaper order:
+// per chunk, every tick (phase A), then every arrival the ticks' end bounds
+// (phase B, Pool.addArrived). It is a re-association of tick and arrive, not
+// a second source model. Inside one RunBefore no callback runs, a tick reads
+// only stopped/outage/deliveryScale, the RNG and Engine.NextSeq, and an
+// arrival writes none of those unless it exhausts a budget — so under the
+// three guards below the ticks draw the same numbers and sequence numbers in
+// the same order as the (at, seq) merge, the arrivals land in the same order
+// at the same times, and every counter ends where the merge leaves it:
+//
+//   - the source is up: ticking, not stopped, no outage (a dead or
+//     suppressed tick is the reference loop's business);
+//   - no pair budget is armed (the arrival that exhausts one stops the
+//     source, which the ticks after it must see);
+//   - the pool cannot fill: arrivals are an interval apart, so at most
+//     StorageLimit/interval + 1 of them are live beside what is stored now.
+//
+// Anything else returns at once. What is left before (at, seq) — under one
+// interval of events, ties on the bound included — runs in RunBefore's loop.
+// Out of line on purpose: RunBefore serves one- and two-tick windows on every
+// decide, and stays the code it was but for one compare.
+//
+//go:noinline
+func (s *Service) bulkBefore(at time.Duration) (expired int) {
+	if !s.ticking || s.stopped || s.outage || s.budget != 0 {
+		return 0
+	}
+	pool := s.Pool
+	if pool.Cap > 0 && int64(pool.pairs.n)+int64(pool.QNIC.StorageLimit/s.interval)+2 > int64(pool.Cap) {
+		return 0
+	}
+	// Counted in ticks, by division: a product of the interval can overflow
+	// for a source slower than one pair in nine years.
+	ticks := int64((at - s.tickAt) / s.interval)
+	if ticks < bulkMinTicks {
+		return 0
+	}
+	p := s.delivery * s.deliveryScale
+	for ticks > 0 {
+		n := min(ticks, bulkChunk)
+		ticks -= n
+		lost := int64(0)
+		for i := int64(0); i < n; i++ {
+			if s.rng.Bool(p) {
+				s.flights.push(flight{at: s.tickAt + s.latency, seq: s.engine.NextSeq()})
+			} else {
+				lost++
+			}
+			s.tickAt += s.interval
+			s.tickSeq = s.engine.NextSeq()
+		}
+		s.stats.Generated += n
+		s.stats.LostFiber += lost
+		// (tickAt, 0) bounds exactly the ticks just run and the arrivals
+		// stamped before the next one.
+		if k := sort.Search(s.flights.n, func(i int) bool { return s.flights.at(i).at >= s.tickAt }); k > 0 {
+			expired += pool.addArrived(&s.flights, k, s.Source.BaseVisibility)
+			s.flights.drop(k)
+			s.stats.Delivered += int64(k)
+		}
+	}
+	return expired
 }
 
 // tick is one generation attempt.
@@ -228,7 +308,7 @@ func (s *Service) SetOutage(down bool) { s.outage = down }
 // set it directly; repeater BSM-failure windows set it to the chain's
 // success-probability collapse.
 func (s *Service) SetDeliveryScale(f float64) {
-	if f < 0 || f > 1 {
+	if !(f >= 0 && f <= 1) { // NaN fails both comparisons
 		panic("entangle: delivery scale must lie in [0,1]")
 	}
 	s.deliveryScale = f

@@ -110,8 +110,11 @@ func play(start startFunc, seed uint64, data []byte) outcome {
 	}
 
 	ran := func(n int) { out.Partial = append(out.Partial, partial{Ran: n, Now: e.Now(), Service: svc.Stats()}) }
+	// 25 ms is the serving daemon's per-request cap, and with 1 ms and 5 ms
+	// the windows long enough for the source's bulk catch-up; it is appended
+	// so the corpus entries recorded with eight deltas decode as they did.
 	deltas := []time.Duration{0, 1, 700 * time.Nanosecond, 5 * time.Microsecond, 20 * time.Microsecond,
-		130 * time.Microsecond, time.Millisecond, 5 * time.Millisecond}
+		130 * time.Microsecond, time.Millisecond, 5 * time.Millisecond, 25 * time.Millisecond}
 	for ops := 0; len(s.b) > 0 && ops < 64; ops++ {
 		switch s.next() % 8 {
 		case 0, 1, 2:

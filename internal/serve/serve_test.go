@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -105,6 +106,36 @@ func TestCreateSessionConflictAndValidation(t *testing.T) {
 		_, err := c.CreateSession(ctx, req)
 		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
 			t.Fatalf("case %d: got %v, want 400", i, err)
+		}
+	}
+}
+
+// TestCreateSessionRejectsUnboundedSupply: a session's catch-up work per
+// request is ticks-per-25-ms, so the pair rate must be capped, and the two
+// sizes whose negative values silently meant something else (an unlimited
+// pool, core's health window instead of serve's) are refused, not reread.
+func TestCreateSessionRejectsUnboundedSupply(t *testing.T) {
+	srv := NewServer(Config{})
+	t.Cleanup(srv.StopSessions)
+	for _, tc := range []struct {
+		name string
+		req  SessionRequest
+		want int
+	}{
+		{"pair rate 1e9", SessionRequest{PairRate: 1e9}, http.StatusBadRequest},
+		{"pair rate just over the cap", SessionRequest{PairRate: 1.0001e7}, http.StatusBadRequest},
+		{"negative pool cap", SessionRequest{PoolCap: -1}, http.StatusBadRequest},
+		{"negative health window", SessionRequest{HealthWindow: -1}, http.StatusBadRequest},
+		{"pair rate at the cap", SessionRequest{PairRate: 1e7}, http.StatusCreated},
+		{"defaults", SessionRequest{}, http.StatusCreated},
+	} {
+		tc.req.Endpoints = twoEndpoints()
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := post(srv, "/v1/sessions", string(body)); rec.Code != tc.want {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.want, rec.Body)
 		}
 	}
 }

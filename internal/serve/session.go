@@ -171,13 +171,20 @@ type SessionInfo struct {
 	ServerDecisions int64   `json:"server_decisions"`
 }
 
-// Serving defaults. PairRate matches the simulator binaries' 1e5/s default;
-// catch-up work per request is bounded by maxAdvancePerStep, not the rate.
+// Serving defaults. PairRate matches the simulator binaries' 1e5/s default.
 const (
 	defaultPairRate     = 1e5
 	defaultPoolCap      = 256
 	defaultHealthWindow = 16
 )
+
+// maxPairRate is the highest generation rate a session may register: the top
+// of the paper's §3 range. Catch-up work per request is one generation tick
+// per source interval over at most maxAdvancePerStep, run under the session
+// lock, so it is bounded only if the rate is: 250 000 ticks (a few
+// milliseconds) at this rate, where an unchecked 1e9/s was 25 million ticks
+// and half a second inside one Decide.
+const maxPairRate = 1e7
 
 // maxAdvancePerStep caps how far a single request fast-forwards a session's
 // simulated clock. Without the cap, a session that idled (or a host slower
@@ -187,7 +194,8 @@ const (
 // it, simulated time lags wall time under overload instead: supply/decision
 // dynamics stay physical, and each request does bounded engine work: 25 ms
 // at the default pair rate is 2 500 generated pairs, which the source runs
-// as one in-engine batch (≈ 20 ns of host time per pair, README § Serving).
+// as one in-engine batch (≈ 9 ns of host time per pair on its bulk pass,
+// README § Serving), and maxPairRate bounds it for any session.
 const maxAdvancePerStep = 25 * time.Millisecond
 
 // session is one registered endpoint group: a discrete-event supply chain
@@ -272,6 +280,17 @@ func newSession(id string, req SessionRequest, now time.Time) (*session, error) 
 	}
 	if req.PairBudget < 0 {
 		return nil, fmt.Errorf("pair budget must be non-negative")
+	}
+	if req.PairRate > maxPairRate {
+		return nil, fmt.Errorf("pair rate %g/s exceeds the maximum %g/s", req.PairRate, float64(maxPairRate))
+	}
+	// Zero selects the default; a negative capacity would reach the pool as
+	// "unlimited" and a negative window would pick core's default, not ours.
+	if req.PoolCap < 0 {
+		return nil, fmt.Errorf("pool capacity must be non-negative")
+	}
+	if req.HealthWindow < 0 {
+		return nil, fmt.Errorf("health window must be non-negative")
 	}
 	sched, err := buildSchedule(req.Faults)
 	if err != nil {
