@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify race lint bench bench-loadtest repro frontier soak qcoordd-smoke clean
+.PHONY: build test verify race lint bench bench-loadtest repro frontier qcoordd-smoke clean
 
 build:
 	$(GO) build ./...
@@ -52,14 +52,6 @@ repro:
 # byte-for-byte match with the committed copy.
 frontier:
 	$(GO) run ./cmd/repro -frontier FRONTIER_advantage.csv
-
-# Kill/resume soak: storm the E1–E20 sweep with schedule-drawn kills,
-# resume from the crash-safe checkpoint each time, and require the
-# converged output to be byte-identical to an uninterrupted run. The log
-# lands in soak.log (uploaded as a CI artifact). Short budget by default;
-# crank -cycles/-scale for a longer burn.
-soak: build
-	$(GO) run ./cmd/soak -cycles 3 -scale 0.05 > soak.log 2>&1; s=$$?; cat soak.log; exit $$s
 
 # Serving smoke at full scale: build qcoordd with the race detector, start
 # it as a real process, register 64 sessions each scripted with a source

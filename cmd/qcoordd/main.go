@@ -10,7 +10,7 @@
 // Shutdown is graceful: the first SIGTERM/SIGINT stops accepting sessions
 // and makes further decisions return a retryable 503, in-flight decisions
 // drain under -drain-timeout, a final metrics artifact lands at
-// -metrics-out, and the process exits 0.
+// -metrics-out, and the process exits 0. A second signal kills it.
 package main
 
 import (
@@ -20,11 +20,11 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"syscall"
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/run"
 	"repro/internal/serve"
 )
 
@@ -53,9 +53,8 @@ func main() {
 // serveMain runs the daemon and returns the process exit code (split out so
 // deferred cleanup runs before os.Exit).
 func serveMain(addr string, cfg serve.Config, drainTimeout time.Duration, metricsOut string) int {
-	ctl := run.NewController(context.Background(), run.Config{})
-	stopSignals := ctl.HandleSignals(os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	srv := serve.NewServer(cfg)
 	ln, err := net.Listen("tcp", addr)
@@ -75,8 +74,10 @@ func serveMain(addr string, cfg serve.Config, drainTimeout time.Duration, metric
 	case err := <-serveErr:
 		fmt.Fprintf(os.Stderr, "qcoordd: serve: %v\n", err)
 		return 1
-	case <-ctl.Context().Done():
+	case <-ctx.Done():
 	}
+	// A second signal during the drain takes the default action.
+	stop()
 
 	// Drain: refuse new sessions and decisions, let in-flight ones finish.
 	fmt.Fprintln(os.Stderr, "qcoordd: draining")

@@ -6,18 +6,21 @@
 // E17 chaos experiment: a scripted entanglement-source outage pressed onto
 // the supply-limited quantum strategy.
 //
-// Long sweeps run under the internal/run control plane: Ctrl-C (or
-// -timeout) cancels between sweep units instead of killing the process
-// mid-write — completed series are still printed, the -csv/-series files
-// are flushed whole, and the exit status is the conventional 130/1.
+// One context governs a run: SIGINT/SIGTERM or the -timeout deadline stops
+// it between sweep units instead of killing the process mid-write —
+// completed series are still printed, the -csv/-series files are flushed
+// whole, a second signal kills the process, and the exit status is 130 on
+// interrupt and 1 on timeout.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"os"
+	"os/signal"
 	"strings"
 	"syscall"
 	"time"
@@ -25,7 +28,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/loadbalance"
 	"repro/internal/report"
-	"repro/internal/run"
 	"repro/internal/stats"
 	"repro/internal/workload"
 	"repro/internal/xrand"
@@ -60,25 +62,31 @@ func main() {
 		Seed:         *seed,
 	}
 
-	ctrl := run.NewController(context.Background(), run.Config{Timeout: *timeout})
-	stop := ctrl.HandleSignals(os.Interrupt, syscall.SIGTERM)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
+	// Once the run is stopping, a second signal takes the default action.
+	context.AfterFunc(ctx, stop)
 
 	switch {
 	case *scale > 1:
-		runScaled(ctrl, base, loads, *seed, *scale, *shards)
+		runScaled(ctx, base, loads, *seed, *scale, *shards)
 	case *chaos:
 		runFaultedQueue(base, *seed)
 	case *noise:
-		runNoiseSweep(ctrl, base, loads, *seed)
+		runNoiseSweep(ctx, base, loads, *seed)
 	case *ablation:
-		runDisciplineAblation(ctrl, base, loads, *seed)
+		runDisciplineAblation(ctx, base, loads, *seed)
 	default:
-		runFigure4(ctrl, base, loads, *seed, *all)
+		runFigure4(ctx, base, loads, *seed, *all)
 	}
-	if err := ctrl.Err(); err != nil {
+	if err := ctx.Err(); err != nil {
 		fmt.Printf("\nsweep interrupted: %v (completed units were flushed)\n", err)
-		if err == run.ErrDeadline {
+		if errors.Is(err, context.DeadlineExceeded) {
 			os.Exit(1)
 		}
 		os.Exit(130)
@@ -97,7 +105,7 @@ func parseLoads(s string) []float64 {
 	return loads
 }
 
-func runFigure4(ctrl *run.Controller, base loadbalance.Config, loads []float64, seed uint64, all bool) {
+func runFigure4(ctx context.Context, base loadbalance.Config, loads []float64, seed uint64, all bool) {
 	fmt.Printf("=== E3 / Figure 4: mean queue length vs load (N=%d, P(C)=0.5, discipline=%v) ===\n\n",
 		base.NumBalancers, base.Discipline)
 
@@ -124,7 +132,7 @@ func runFigure4(ctrl *run.Controller, base loadbalance.Config, loads []float64, 
 	delays := map[string]stats.Series{}
 	var swept []string
 	for _, name := range order {
-		if ctrl.Err() != nil {
+		if ctx.Err() != nil {
 			break
 		}
 		series[name], delays[name] = loadbalance.SweepBoth(base, factories[name], loads)
@@ -278,13 +286,13 @@ func runFaultedQueue(base loadbalance.Config, seed uint64) {
 	fmt.Println("during the outage — never below it — and snaps back when supply returns")
 }
 
-func runNoiseSweep(ctrl *run.Controller, base loadbalance.Config, loads []float64, seed uint64) {
+func runNoiseSweep(ctx context.Context, base loadbalance.Config, loads []float64, seed uint64) {
 	fmt.Printf("=== E6: quantum load balancing under Werner noise (N=%d) ===\n\n", base.NumBalancers)
 	visibilities := []float64{1.0, 0.95, 0.9, 0.85, 0.8, 1 / math.Sqrt2}
 
 	qSeries := make([]stats.Series, 0, len(visibilities))
 	for j, v := range visibilities {
-		if ctrl.Err() != nil {
+		if ctx.Err() != nil {
 			break
 		}
 		v := v
@@ -314,7 +322,7 @@ func runNoiseSweep(ctrl *run.Controller, base loadbalance.Config, loads []float6
 	fmt.Println("classical 0.75 there, so the quantum curve degrades toward classical-paired behavior")
 }
 
-func runDisciplineAblation(ctrl *run.Controller, base loadbalance.Config, loads []float64, seed uint64) {
+func runDisciplineAblation(ctx context.Context, base loadbalance.Config, loads []float64, seed uint64) {
 	fmt.Printf("=== discipline ablation (footnote 2): quantum minus random queue length ===\n\n")
 	disciplines := []loadbalance.Discipline{
 		loadbalance.BatchCFirst, loadbalance.SingleCFirst, loadbalance.FIFOBatch, loadbalance.EFirst,
@@ -323,7 +331,7 @@ func runDisciplineAblation(ctrl *run.Controller, base loadbalance.Config, loads 
 	type pair struct{ q, c stats.Series }
 	var results []pair
 	for j, d := range disciplines {
-		if ctrl.Err() != nil {
+		if ctx.Err() != nil {
 			break
 		}
 		cfg := base

@@ -1,13 +1,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
 	"time"
 
 	"repro/internal/loadbalance"
-	"repro/internal/run"
 	"repro/internal/stats"
 	"repro/internal/xrand"
 )
@@ -18,7 +18,7 @@ import (
 // Everything printed to stdout is a pure function of the flags and the
 // seed: the shard count moves only wall-clock time (reported on stderr), so
 // the same invocation is byte-identical at -shards 1 and -shards 64.
-func runScaled(ctrl *run.Controller, base loadbalance.Config, loads []float64, seed uint64, cells, shards int) {
+func runScaled(ctx context.Context, base loadbalance.Config, loads []float64, seed uint64, cells, shards int) {
 	fmt.Printf("=== E3 at scale: %d cells × N=%d balancers = %d endpoints (discipline=%v) ===\n\n",
 		cells, base.NumBalancers, cells*base.NumBalancers, base.Discipline)
 
@@ -58,7 +58,7 @@ func runScaled(ctrl *run.Controller, base loadbalance.Config, loads []float64, s
 	var swept []string
 	start := time.Now()
 	for _, s := range strategies {
-		if ctrl.Err() != nil {
+		if ctx.Err() != nil {
 			break
 		}
 		qlen, _, err := loadbalance.SweepSharded(shardedBase, s.factory, loads)

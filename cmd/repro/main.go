@@ -8,19 +8,17 @@
 // GOMAXPROCS); output is buffered per experiment and emitted in E1..E20
 // order, byte-identical at any worker count for a fixed seed.
 //
-// Resilience: the run is supervised by a control plane (internal/run).
-// SIGINT/SIGTERM drains gracefully — in-flight experiments get a moment to
-// land, the checkpoint and metrics artifact are flushed, and a second
-// signal force-exits. -timeout bounds the whole run and -exp-timeout each
-// experiment; -on-error picks what a failed experiment does to the rest
-// (fail | skip | retry). With -checkpoint the run snapshots every
-// completed block crash-safely, and -resume skips the snapshotted work:
-// because each experiment is a pure function of (seed, experiment number),
-// a resumed run's output is byte-identical to an uninterrupted one.
+// One context governs the run: SIGINT/SIGTERM or the -timeout deadline
+// stops it. Experiments already running finish and every block whose
+// predecessors finished is still printed; a second signal kills the process.
+// An experiment that panics stops the run the same way, with its ID, panic
+// value and stack in the error. Exit status: 130 on interrupt, 1 on a
+// timeout or failure. Each experiment is a pure function of (seed,
+// experiment number), so a stopped run is simply run again.
 //
 // Observability: -metrics out.json writes a structured run artifact (config,
-// seed, git describe, per-experiment wall times, solve-cache, worker-pool
-// and run.* control-plane counters — see README "Observability");
+// seed, git describe, per-experiment wall times, solve-cache and
+// worker-pool counters — see README "Observability");
 // -cpuprofile/-memprofile write standard pprof profiles of the run.
 package main
 
@@ -30,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"syscall"
@@ -38,7 +37,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
-	"repro/internal/run"
 )
 
 func main() {
@@ -46,25 +44,11 @@ func main() {
 	seed := flag.Uint64("seed", 42, "master seed")
 	workers := flag.Int("workers", 0, "worker goroutines for the experiment fan-out (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "whole-run deadline (0 = none)")
-	expTimeout := flag.Duration("exp-timeout", 0, "per-experiment deadline (0 = none)")
-	onErrorFlag := flag.String("on-error", "fail", "failed-experiment policy: fail, skip or retry")
-	checkpoint := flag.String("checkpoint", "", "snapshot completed experiments to this file (crash-safe)")
-	resume := flag.Bool("resume", false, "resume from -checkpoint, replaying completed experiments")
 	metricsPath := flag.String("metrics", "", "write a JSON run artifact to this path (- for stdout)")
 	frontier := flag.String("frontier", "", "write the E20 advantage-frontier CSV artifact to this path (- for stdout) and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this path")
 	flag.Parse()
-
-	onError, err := run.ParseOnError(*onErrorFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "repro:", err)
-		os.Exit(2)
-	}
-	if *resume && *checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "repro: -resume needs -checkpoint")
-		os.Exit(2)
-	}
 
 	// Inner fan-outs (sweeps, advantage trials, quantum searches) share the
 	// same pool width as the experiment-level fan-out.
@@ -113,35 +97,24 @@ func main() {
 		return
 	}
 
-	ctrl := run.NewController(context.Background(), run.Config{
-		Timeout: *timeout,
-		OnError: onError,
-	})
-	stopSignals := ctrl.HandleSignals(os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	opts := experiments.Options{Seed: *seed, Scale: scale}
-	rc := experiments.RunConfig{
-		Workers:        *workers,
-		TaskTimeout:    *expTimeout,
-		OnError:        onError,
-		CheckpointPath: *checkpoint,
-		Resume:         *resume,
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
 	}
+	// Once the run is stopping, a second signal takes the default action.
+	context.AfterFunc(ctx, stop)
+
 	start := time.Now()
-	statuses, runErr := experiments.RunControlled(ctrl, os.Stdout, experiments.All(), opts, rc)
+	timings, runErr := experiments.RunAll(ctx, os.Stdout, experiments.All(),
+		experiments.Options{Seed: *seed, Scale: scale}, *workers)
 	wall := time.Since(start)
 	if runErr != nil {
 		fmt.Printf("\nrun interrupted after %v: %v\n", wall.Round(time.Millisecond), runErr)
-		fmt.Printf("progress: %s\n", experiments.Summarize(statuses))
-		if *checkpoint != "" {
-			fmt.Printf("checkpoint flushed to %s — rerun with -resume -checkpoint %s to continue\n", *checkpoint, *checkpoint)
-		}
 	} else {
 		fmt.Printf("\nall experiments complete in %v\n", wall.Round(time.Millisecond))
-		if msg := experiments.Summarize(statuses); msg != fmt.Sprintf("%d/%d complete", len(statuses), len(statuses)) {
-			fmt.Printf("progress: %s\n", msg)
-		}
 	}
 
 	// The metrics artifact and heap profile flush even on an interrupted
@@ -151,19 +124,14 @@ func main() {
 		art := metrics.NewArtifact("repro")
 		art.Seed = *seed
 		art.Config = map[string]any{
-			"full":     *full,
-			"scale":    scale,
-			"workers":  *workers,
-			"on_error": onError.String(),
-			"resume":   *resume,
+			"full":    *full,
+			"scale":   scale,
+			"workers": *workers,
 		}
 		art.WallMS = float64(wall.Nanoseconds()) / 1e6
-		for _, s := range statuses {
-			if s.Err != nil {
-				continue
-			}
+		for _, tm := range timings {
 			art.Experiments = append(art.Experiments, metrics.ExperimentMetrics{
-				ID: s.ID, WallMS: float64(s.Wall.Nanoseconds()) / 1e6,
+				ID: tm.ID, WallMS: float64(tm.Wall.Nanoseconds()) / 1e6,
 			})
 		}
 		art.Metrics = metrics.Default().Snapshot()
@@ -193,15 +161,9 @@ func main() {
 	if runErr != nil {
 		// Conventional exit statuses: 130 for an operator interrupt, 1 for
 		// a failed or timed-out run.
-		if errors.Is(runErr, run.ErrCanceled) && !errors.Is(runErr, run.ErrDeadline) {
+		if errors.Is(runErr, context.Canceled) {
 			os.Exit(130)
 		}
 		os.Exit(1)
-	}
-	// -on-error=skip completes the run but must not mask failures.
-	for _, s := range statuses {
-		if s.Err != nil {
-			os.Exit(1)
-		}
 	}
 }

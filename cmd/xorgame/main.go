@@ -6,13 +6,10 @@
 // Tsirelson vector optimization.
 //
 // Each sweep point draws its game ensemble from its own derived stream
-// (xrand.New(seed, point-index)), which makes every point a pure function
-// of (seed, index) — the property the run control plane needs: -checkpoint
-// snapshots each completed point's row crash-safely, -resume replays the
-// snapshot and recomputes only the missing points (byte-identical to an
-// uninterrupted sweep), -timeout bounds the run, -on-error picks the
-// policy for a failed point, and Ctrl-C drains gracefully instead of
-// dying mid-table.
+// (xrand.New(seed, point-index)), so every point is a pure function of
+// (seed, index). SIGINT/SIGTERM or the -timeout deadline stops the sweep
+// between points: the rows already printed stand, a second signal kills the
+// process, and the exit status is 130 on interrupt and 1 on timeout.
 package main
 
 import (
@@ -21,12 +18,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
+	"os/signal"
 	"syscall"
-	"time"
 
 	"repro/internal/games"
-	"repro/internal/run"
 	"repro/internal/stats"
 	"repro/internal/xrand"
 )
@@ -39,29 +34,17 @@ func main() {
 	gaps := flag.Bool("gaps", false, "also print mean classical/quantum values per point")
 	vertexSweep := flag.Bool("vertex-sweep", false, "sweep vertex count at p=0.5 (Figure 3 caption: probability increases with vertices)")
 	timeout := flag.Duration("timeout", 0, "whole-run deadline (0 = none)")
-	pointTimeout := flag.Duration("point-timeout", 0, "per-point deadline (0 = none)")
-	onErrorFlag := flag.String("on-error", "fail", "failed-point policy: fail, skip or retry")
-	checkpoint := flag.String("checkpoint", "", "snapshot completed sweep points to this file (crash-safe)")
-	resume := flag.Bool("resume", false, "resume from -checkpoint, replaying completed points")
 	flag.Parse()
 
-	onError, err := run.ParseOnError(*onErrorFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xorgame:", err)
-		os.Exit(2)
-	}
-	if *resume && *checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "xorgame: -resume needs -checkpoint")
-		os.Exit(2)
-	}
-
-	ctrl := run.NewController(context.Background(), run.Config{
-		Timeout:     *timeout,
-		TaskTimeout: *pointTimeout,
-		OnError:     onError,
-	})
-	stop := ctrl.HandleSignals(os.Interrupt, syscall.SIGTERM)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
+	// Once the run is stopping, a second signal takes the default action.
+	context.AfterFunc(ctx, stop)
 
 	var sw sweep
 	if *vertexSweep {
@@ -69,111 +52,39 @@ func main() {
 	} else {
 		sw = probabilitySweepPlan(*n, *trials, *step, *seed, *gaps)
 	}
-	code := runSweep(ctrl, sw, *checkpoint, *resume, onError)
-	os.Exit(code)
+	os.Exit(runSweep(ctx, sw))
 }
 
-// point is one checkpointable sweep unit: a pure function of its derived
-// stream that renders one or more table rows.
+// point is one sweep unit: a pure function of its derived stream that
+// renders one or more table rows.
 type point struct {
-	id     string
 	stream uint64
 	render func(rng *xrand.RNG) string
 }
 
 // sweep is a full table: header, ordered points, footer.
 type sweep struct {
-	name        string // checkpoint fingerprint component
-	seed        uint64
-	header      string
-	footer      string
-	points      []point
-	fingerprint []any // extra identity beyond name/seed/point ids
+	seed   uint64
+	header string
+	footer string
+	points []point
 }
 
-// runSweep executes the points in order under the controller, streaming
-// rows as they land, checkpointing each completed point and replaying
-// snapshotted ones. Returns the process exit code.
-func runSweep(ctrl *run.Controller, sw sweep, ckptPath string, resume bool, onError run.OnError) int {
-	ids := make([]string, len(sw.points))
-	for i, p := range sw.points {
-		ids[i] = p.id
-	}
-	fp := run.Fingerprint(append([]any{"xorgame", sw.name, sw.seed, strings.Join(ids, ",")}, sw.fingerprint...)...)
-	cp := run.NewCheckpoint("xorgame", sw.seed, fp)
-	if ckptPath != "" && resume {
-		loaded, err := run.LoadCheckpoint(ckptPath)
-		switch {
-		case err == nil:
-			if loaded.Fingerprint != fp {
-				fmt.Fprintf(os.Stderr, "xorgame: checkpoint %s was written by a different sweep; refusing to resume\n", ckptPath)
-				return 2
-			}
-			cp = loaded
-		case os.IsNotExist(err):
-		default:
-			fmt.Fprintln(os.Stderr, "xorgame:", err)
-			return 1
-		}
-	}
-
+// runSweep prints the points in order until ctx is done and returns the
+// process exit code.
+func runSweep(ctx context.Context, sw sweep) int {
 	fmt.Print(sw.header)
-	var done, failed int
-	for _, p := range sw.points {
-		if ctrl.Err() != nil {
-			break
-		}
-		if slot, ok := cp.Done(p.id); ok {
-			run.TaskResumed()
-			fmt.Print(string(slot.Output))
-			done++
-			continue
-		}
-		var row string
-		var wall time.Duration
-		err := ctrl.Do(p.id, -1, func(*run.Task) error {
-			start := time.Now()
-			row = p.render(xrand.New(sw.seed, p.stream))
-			wall = time.Since(start)
-			return nil
-		})
-		if err != nil {
-			if errors.Is(err, run.ErrCanceled) {
-				break
+	for i, p := range sw.points {
+		if err := ctx.Err(); err != nil {
+			fmt.Printf("\nsweep interrupted: %v — %d/%d points done\n", err, i, len(sw.points))
+			if errors.Is(err, context.DeadlineExceeded) {
+				return 1
 			}
-			failed++
-			fmt.Printf("<%s failed: %v>\n", p.id, err)
-			if onError == run.FailFast {
-				ctrl.CancelCause(err)
-				break
-			}
-			continue
-		}
-		fmt.Print(row)
-		done++
-		if ckptPath != "" {
-			cp.Record(run.Slot{ID: p.id, Stream: p.stream, Output: []byte(row), WallNS: int64(wall)})
-			if err := cp.Save(ckptPath); err != nil {
-				fmt.Fprintln(os.Stderr, "xorgame:", err)
-			}
-		}
-	}
-
-	if err := ctrl.Err(); err != nil {
-		fmt.Printf("\nsweep interrupted: %v — %d/%d points done", err, done, len(sw.points))
-		if ckptPath != "" {
-			fmt.Printf("; resume with -resume -checkpoint %s", ckptPath)
-		}
-		fmt.Println()
-		if errors.Is(err, run.ErrCanceled) && !errors.Is(err, run.ErrDeadline) && failed == 0 {
 			return 130
 		}
-		return 1
+		fmt.Print(p.render(xrand.New(sw.seed, p.stream)))
 	}
 	fmt.Print(sw.footer)
-	if failed > 0 {
-		return 1
-	}
 	return 0
 }
 
@@ -193,7 +104,6 @@ func probabilitySweepPlan(n, trials int, step float64, seed uint64, gaps bool) s
 	for p := 0.0; p <= 1.0+1e-9; p += step {
 		p := p
 		points = append(points, point{
-			id:     fmt.Sprintf("p=%.2f", p),
 			stream: idx,
 			render: func(rng *xrand.RNG) string {
 				var adv stats.Proportion
@@ -222,13 +132,12 @@ func probabilitySweepPlan(n, trials int, step float64, seed uint64, gaps bool) s
 		idx++
 	}
 	return sweep{
-		name: "figure3", seed: seed,
+		seed:   seed,
 		header: header,
 		footer: "\nexpected shape: 0 at p=0 and p=1 (classically satisfiable labelings),\n" +
 			"high probability in between — 'most graphs with randomly labeled edges\n" +
 			"exhibit a quantum advantage, making it the typical case' (paper §4.1)\n",
-		points:      points,
-		fingerprint: []any{n, trials, gaps},
+		points: points,
 	}
 }
 
@@ -239,7 +148,6 @@ func vertexSweepPlan(trials int, seed uint64) sweep {
 	for n := 3; n <= 7; n++ {
 		n := n
 		points = append(points, point{
-			id:     fmt.Sprintf("n=%d", n),
 			stream: uint64(n),
 			render: func(rng *xrand.RNG) string {
 				var adv stats.Proportion
@@ -256,11 +164,10 @@ func vertexSweepPlan(trials int, seed uint64) sweep {
 		})
 	}
 	return sweep{
-		name: "vertex-sweep", seed: seed,
+		seed: seed,
 		header: "=== Figure 3 caption: P(advantage) at p=0.5 vs vertex count ===\n" +
 			"vertices   P(advantage)   [95% CI]\n",
-		footer:      "\nexpected: monotone increase with n (paper's Figure 3 caption)\n",
-		points:      points,
-		fingerprint: []any{trials},
+		footer: "\nexpected: monotone increase with n (paper's Figure 3 caption)\n",
+		points: points,
 	}
 }

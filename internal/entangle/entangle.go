@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"repro/internal/netsim"
 )
 
 // SourceConfig describes an SPDC entangled-photon source and the fiber runs
@@ -67,8 +69,13 @@ func (c SourceConfig) Validate() error {
 	if !(c.NPhotonFalloff > 0 && c.NPhotonFalloff <= 1) {
 		return fmt.Errorf("entangle: n-photon falloff must lie in (0,1]")
 	}
-	if !(c.FiberLengthM >= 0 && c.AttenuationDBPerKm >= 0) || math.IsInf(c.FiberLengthM, 1) || math.IsInf(c.AttenuationDBPerKm, 1) {
-		return fmt.Errorf("entangle: fiber parameters must be finite and non-negative")
+	if !(c.AttenuationDBPerKm >= 0) || math.IsInf(c.AttenuationDBPerKm, 1) {
+		return fmt.Errorf("entangle: fiber attenuation must be finite and non-negative")
+	}
+	// The one-way delay in ns must fit a time.Duration: past ≈ 1.8e18 m,
+	// PropagationDelay would overflow int64. +Inf fails this too.
+	if ns := c.FiberLengthM / netsim.SpeedOfLightFiber * float64(time.Second); !(c.FiberLengthM >= 0 && ns < math.MaxInt64) {
+		return fmt.Errorf("entangle: fiber length %g m must be non-negative with a one-way delay that fits a time.Duration", c.FiberLengthM)
 	}
 	if c.HeraldLatency < 0 {
 		return fmt.Errorf("entangle: negative herald latency")
@@ -111,8 +118,7 @@ func (c SourceConfig) RateForParties(n int) float64 {
 
 // PropagationDelay is the one-way fiber latency from source to endpoint.
 func (c SourceConfig) PropagationDelay() time.Duration {
-	const fiberSpeed = 2.0e8 // m/s
-	return time.Duration(c.FiberLengthM / fiberSpeed * float64(time.Second))
+	return netsim.PropagationDelay(c.FiberLengthM)
 }
 
 // DeliveryLatency is the total generation-to-usable delay of one pair:

@@ -25,6 +25,9 @@ func TestSourceValidateCatchesErrors(t *testing.T) {
 		{PairRate: 1, BaseVisibility: 1, NPhotonFalloff: 0},
 		{PairRate: 1, BaseVisibility: 1, NPhotonFalloff: 0.5, FiberLengthM: -1},
 		{PairRate: 2e9, BaseVisibility: 1, NPhotonFalloff: 0.5}, // interval rounds to 0 ns
+		// A fiber whose one-way delay overflows a time.Duration, and NaN.
+		{PairRate: 1, BaseVisibility: 1, NPhotonFalloff: 0.5, FiberLengthM: 1e19},
+		{PairRate: 1, BaseVisibility: 1, NPhotonFalloff: 0.5, FiberLengthM: math.NaN()},
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {
@@ -115,6 +118,11 @@ func TestPropagationDelayKilometer(t *testing.T) {
 	c.FiberLengthM = 1000
 	if c.PropagationDelay() != 5*time.Microsecond {
 		t.Fatalf("1 km delay = %v, want 5µs", c.PropagationDelay())
+	}
+	// A fiber just under the Duration limit validates, with a positive delay.
+	c.FiberLengthM = 1.8e18
+	if err := c.Validate(); err != nil || c.PropagationDelay() <= 0 {
+		t.Fatalf("1.8e18 m: err %v, delay %v", err, c.PropagationDelay())
 	}
 }
 

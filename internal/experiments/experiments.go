@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime/debug"
+	"strings"
 	"time"
 
 	"repro/internal/cachesim"
@@ -23,6 +25,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/games"
 	"repro/internal/loadbalance"
+	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/qkd"
 	"repro/internal/qsim"
@@ -81,8 +84,8 @@ func (b batch) wait() { parallel.ForEach(len(b), func(i int) { b[i]() }) }
 
 // Experiment is one reproducible unit: a figure or table of the paper.
 // Title is the full banner line (it includes the ID, matching the historical
-// cmd/repro output byte-for-byte); ID alone keys checkpoints, timings and
-// the -metrics artifact.
+// cmd/repro output byte-for-byte); ID alone keys timings, errors and the
+// -metrics artifact.
 type Experiment struct {
 	ID    string
 	Title string
@@ -122,31 +125,87 @@ type Timing struct {
 	Wall time.Duration
 }
 
-// RunAll regenerates every experiment, fanning them out over `workers`
-// goroutines (<= 0 means the parallel package default) while emitting each
-// experiment's output block to w in E1..E20 order as soon as it and all of
-// its predecessors have finished. Output bytes are identical at any worker
-// count.
+// RunAll regenerates exps, fanning them out over `workers` goroutines (<= 0
+// means the parallel package default) while emitting each experiment's output
+// block to w in list order as soon as it and all of its predecessors have
+// finished. Output bytes are identical at any worker count.
 //
-// Each experiment's wall time is returned in E1..E20 order and recorded in
+// Each streamed block's wall time is returned in list order and recorded in
 // the default metrics registry (experiment_wall{id=...} timers plus an
 // experiments_completed counter), so a -metrics artifact written after the
 // run carries the per-experiment breakdown.
 //
-// RunAll is the unsupervised entry point: it delegates to RunResilient
-// with no deadlines, checkpointing or failure policy, and panics if an
-// experiment fails (the historical contract). Callers needing
-// cancellation, -on-error policies or checkpoint/resume use RunResilient.
-func RunAll(w io.Writer, o Options, workers int) []Timing {
-	statuses, err := RunResilient(context.Background(), w, All(), o, RunConfig{Workers: workers})
-	if err != nil {
-		panic(err)
+// An experiment that panics becomes an error naming its ID, with the panic
+// value and stack, and cancels the experiments not yet started; so does ctx
+// being done. Experiments already running finish, and those whose
+// predecessors all finished are still streamed, so an interrupted run prints
+// everything up to the first gap. The error returned is the one that stopped
+// the first missing block: the panic, or ctx's cause.
+func RunAll(ctx context.Context, w io.Writer, exps []Experiment, o Options, workers int) ([]Timing, error) {
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	completed := metrics.Default().Counter("experiments_completed")
+	// Every job sends exactly one result, so each buffered slot is filled
+	// once and the streamer below never waits on a job that will not run.
+	ready := make([]chan blockResult, len(exps))
+	for i := range ready {
+		ready[i] = make(chan blockResult, 1)
 	}
-	timings := make([]Timing, len(statuses))
-	for i, s := range statuses {
-		timings[i] = Timing{ID: s.ID, Wall: s.Wall}
+	fanned := make(chan struct{})
+	go func() {
+		defer close(fanned)
+		parallel.ForEachN(workers, len(exps), func(i int) {
+			r := runBlock(ctx, exps[i], o)
+			if r.err != nil {
+				cancel(r.err)
+			} else {
+				completed.Inc()
+			}
+			ready[i] <- r
+		})
+	}()
+	// Return only once every job has finished or been skipped.
+	defer func() { <-fanned }()
+
+	timings := make([]Timing, 0, len(exps))
+	for i, e := range exps {
+		r := <-ready[i]
+		if r.err != nil {
+			return timings, r.err
+		}
+		if _, err := io.WriteString(w, r.block); err != nil {
+			err = fmt.Errorf("experiments: writing %s: %w", e.ID, err)
+			cancel(err)
+			return timings, err
+		}
+		timings = append(timings, Timing{ID: e.ID, Wall: r.wall})
 	}
-	return timings
+	return timings, nil
+}
+
+// blockResult is one experiment's rendered block, or why it has none.
+type blockResult struct {
+	block string
+	wall  time.Duration
+	err   error
+}
+
+// runBlock renders one experiment into its own buffer unless ctx is already
+// done, converting a panic into an error.
+func runBlock(ctx context.Context, e Experiment, o Options) (r blockResult) {
+	if ctx.Err() != nil {
+		return blockResult{err: context.Cause(ctx)}
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			r = blockResult{err: fmt.Errorf("experiments: %s panicked: %v\n%s", e.ID, v, debug.Stack())}
+		}
+	}()
+	var b strings.Builder
+	b.WriteString("\n──── " + e.Title + " ────\n")
+	r.wall = metrics.Default().Timer("experiment_wall", "id", e.ID).Time(func() { e.Run(&b, o) })
+	r.block = b.String()
+	return r
 }
 
 func e1(w io.Writer, o Options) {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -13,16 +14,24 @@ import (
 // test can afford two full E1–E20 passes.
 func tinyOpts() Options { return Options{Seed: 42, Scale: 0.02} }
 
+// runAll runs every experiment at o and returns the streamed output.
+func runAll(t *testing.T, o Options, workers int) string {
+	t.Helper()
+	var out bytes.Buffer
+	if _, err := RunAll(context.Background(), &out, All(), o, workers); err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	return out.String()
+}
+
 func TestRunAllWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full experiment passes")
 	}
-	var serial, fanned bytes.Buffer
-	RunAll(&serial, tinyOpts(), 1)
-	RunAll(&fanned, tinyOpts(), 8)
-	if serial.String() != fanned.String() {
+	serial, fanned := runAll(t, tinyOpts(), 1), runAll(t, tinyOpts(), 8)
+	if serial != fanned {
 		t.Fatalf("output differs between -workers 1 and -workers 8:\n--- serial ---\n%s\n--- workers=8 ---\n%s",
-			serial.String(), fanned.String())
+			serial, fanned)
 	}
 }
 
@@ -30,9 +39,7 @@ func TestRunAllEmitsEveryBannerInOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment pass")
 	}
-	var out bytes.Buffer
-	RunAll(&out, tinyOpts(), 4)
-	s := out.String()
+	s := runAll(t, tinyOpts(), 4)
 	pos := -1
 	for _, e := range All() {
 		banner := "──── " + e.Title + " ────"
@@ -87,8 +94,10 @@ func TestRunAllReturnsTimings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment pass")
 	}
-	var out bytes.Buffer
-	timings := RunAll(&out, tinyOpts(), 4)
+	timings, err := RunAll(context.Background(), &bytes.Buffer{}, All(), tinyOpts(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	exps := All()
 	if len(timings) != len(exps) {
 		t.Fatalf("%d timings for %d experiments", len(timings), len(exps))
@@ -114,9 +123,7 @@ func TestE17WorkerInvariance(t *testing.T) {
 		t.Skip("three full experiment passes")
 	}
 	extract := func(workers int) string {
-		var out bytes.Buffer
-		RunAll(&out, tinyOpts(), workers)
-		s := out.String()
+		s := runAll(t, tinyOpts(), workers)
 		i := strings.Index(s, "──── E17")
 		if i < 0 {
 			t.Fatalf("E17 banner missing at workers=%d", workers)

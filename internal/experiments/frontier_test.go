@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"bytes"
-	"context"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/parallel"
-	"repro/internal/run"
 )
 
 // extractBlockFrom returns the output from an experiment's banner onward.
@@ -31,9 +28,7 @@ func TestE19E20WorkerInvariance(t *testing.T) {
 		t.Skip("three full experiment passes")
 	}
 	extract := func(workers int) (string, string) {
-		var out bytes.Buffer
-		RunAll(&out, tinyOpts(), workers)
-		s := out.String()
+		s := runAll(t, tinyOpts(), workers)
 		e19 := extractBlockFrom(t, s, "──── E19")
 		return e19[:strings.Index(e19, "──── E20")], extractBlockFrom(t, s, "──── E20")
 	}
@@ -111,43 +106,5 @@ func TestFrontierRowsPhysicalShape(t *testing.T) {
 		if r.QuantumFraction == 0 && r.WinQuantum > 0.80 {
 			t.Fatalf("win rate %.3f without any quantum rounds (deadline %v, %vm)", r.WinQuantum, r.Deadline, r.DistanceM)
 		}
-	}
-}
-
-// TestResumeAcrossE19E20 kills the sweep right before the two new slots and
-// resumes: the snapshot must replay E1–E17 and regenerate E19/E20 into a
-// byte-identical transcript.
-func TestResumeAcrossE19E20(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full experiment passes")
-	}
-	o := tinyOpts()
-	var reference bytes.Buffer
-	if _, err := RunResilient(context.Background(), &reference, All(), o, RunConfig{Workers: 4}); err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-
-	ckpt := filepath.Join(t.TempDir(), "ckpt.json")
-	kill := len(All()) - 3 // cancel once E17 lands, before E19/E20 complete
-	ctrl := run.NewController(context.Background(), run.Config{})
-	var interrupted bytes.Buffer
-	if _, err := RunControlled(ctrl, &interrupted, killAfter(All(), kill, ctrl), o,
-		RunConfig{Workers: 1, CheckpointPath: ckpt}); err == nil {
-		t.Fatal("kill before E19/E20 did not interrupt the run")
-	}
-
-	var resumed bytes.Buffer
-	statuses, err := RunResilient(context.Background(), &resumed, All(), o,
-		RunConfig{Workers: 4, CheckpointPath: ckpt, Resume: true})
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	for _, s := range statuses {
-		if (s.ID == "E19" || s.ID == "E20") && s.Resumed {
-			t.Fatalf("%s should have been regenerated on resume, not replayed", s.ID)
-		}
-	}
-	if resumed.String() != reference.String() {
-		t.Fatal("resumed output across the E19/E20 boundary differs from an uninterrupted run")
 	}
 }

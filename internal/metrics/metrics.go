@@ -76,11 +76,13 @@ func (t *Timer) ObserveN(total time.Duration, n int64, longest time.Duration) {
 	}
 }
 
-// Time runs fn and observes its wall time.
-func (t *Timer) Time(fn func()) {
+// Time runs fn, observes its wall time and returns it.
+func (t *Timer) Time(fn func()) time.Duration {
 	start := time.Now()
 	fn()
-	t.Observe(time.Since(start))
+	d := time.Since(start)
+	t.Observe(d)
+	return d
 }
 
 // Count returns the number of observations.

@@ -12,8 +12,8 @@ const SpeedOfLightFiber = 2.0e8 // meters per second
 
 // PropagationDelay converts a fiber distance to a one-way delay.
 func PropagationDelay(distanceMeters float64) time.Duration {
-	if distanceMeters < 0 {
-		panic("netsim: negative distance")
+	if !(distanceMeters >= 0) {
+		panic("netsim: negative or NaN distance")
 	}
 	return time.Duration(distanceMeters / SpeedOfLightFiber * float64(time.Second))
 }

@@ -18,12 +18,16 @@ func TestPropagationDelay(t *testing.T) {
 }
 
 func TestPropagationDelayNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	PropagationDelay(-1)
+	for _, d := range []float64{-1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("PropagationDelay(%v): expected panic", d)
+				}
+			}()
+			PropagationDelay(d)
+		}()
+	}
 }
 
 func TestSendDeliversAfterLinkDelay(t *testing.T) {

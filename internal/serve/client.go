@@ -138,12 +138,12 @@ func (c *Client) Stats() ClientStats {
 // NewClient targets a qcoordd base URL ("http://host:port", no trailing
 // slash needed). The client rides a dedicated transport tuned for a
 // high-rate decide workload against a single host (see newTransport); for
-// the default pooling behavior use NewClientWith(base, nil).
+// the default pooling behavior use NewRetryClient(base, nil, RetryConfig{}).
 func NewClient(base string) *Client {
-	return NewClientWith(base, &http.Client{
+	return NewRetryClient(base, &http.Client{
 		Timeout:   30 * time.Second,
 		Transport: newTransport(defaultClientConns),
-	})
+	}, RetryConfig{})
 }
 
 // defaultClientConns sizes the per-host idle-connection pool. The load-test
@@ -171,15 +171,9 @@ func newTransport(conns int) *http.Transport {
 	}
 }
 
-// NewClientWith targets base using a caller-supplied http.Client (nil means
-// a default-transport client with a 30 s timeout) and default retry
-// behavior. The load-test harness uses this to size the connection pool to
-// its worker count.
-func NewClientWith(base string, hc *http.Client) *Client {
-	return NewRetryClient(base, hc, RetryConfig{})
-}
-
-// NewRetryClient is NewClientWith with explicit retry tuning.
+// NewRetryClient targets base using a caller-supplied http.Client (nil means
+// a default-transport client with a 30 s timeout) and retry tuning (the zero
+// RetryConfig is the default behavior).
 func NewRetryClient(base string, hc *http.Client, rc RetryConfig) *Client {
 	for len(base) > 0 && base[len(base)-1] == '/' {
 		base = base[:len(base)-1]

@@ -126,6 +126,7 @@ func TestCreateSessionRejectsUnboundedSupply(t *testing.T) {
 		{"pair rate just over the cap", SessionRequest{PairRate: 1.0001e7}, http.StatusBadRequest},
 		{"negative pool cap", SessionRequest{PoolCap: -1}, http.StatusBadRequest},
 		{"negative health window", SessionRequest{HealthWindow: -1}, http.StatusBadRequest},
+		{"fiber delay overflows a Duration", SessionRequest{FiberLengthM: 1e19}, http.StatusBadRequest},
 		{"pair rate at the cap", SessionRequest{PairRate: 1e7}, http.StatusCreated},
 		{"defaults", SessionRequest{}, http.StatusCreated},
 	} {
