@@ -35,7 +35,11 @@ func main() {
 	seed := flag.Uint64("seed", 8, "random seed")
 	flag.Parse()
 
-	names, labels, diag := parseGraph(*graph, *caching)
+	names, labels, diag, err := parseGraph(*graph, *caching)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "affinity:", err)
+		os.Exit(2)
+	}
 	n := len(names)
 	if n < 2 {
 		fmt.Fprintln(os.Stderr, "affinity: need at least two classes")
@@ -94,21 +98,19 @@ func main() {
 	fmt.Println("the outcome bit selects which of the pair's two agreed servers to use")
 }
 
-func parseGraph(spec, caching string) (names []string, labels [][]games.EdgeLabel, diag []bool) {
+// parseGraph reads the -graph and -caching flags. A self-edge is rejected
+// rather than ignored (the diagonal comes from -caching alone), and so is an
+// edge listed twice with different labels, which would otherwise keep
+// whichever came last.
+func parseGraph(spec, caching string) (names []string, labels [][]games.EdgeLabel, diag []bool, err error) {
 	idx := map[string]int{}
-	intern := func(name string) int {
-		if i, ok := idx[name]; ok {
-			return i
+	intern := func(name string) {
+		if _, ok := idx[name]; !ok {
+			idx[name] = len(names)
+			names = append(names, name)
 		}
-		idx[name] = len(names)
-		names = append(names, name)
-		return len(names) - 1
 	}
-	type edge struct {
-		a, b  string
-		label games.EdgeLabel
-	}
-	var edges []edge
+	edges := map[[2]string]games.EdgeLabel{} // keyed by the sorted endpoint pair
 	for _, tok := range strings.Split(spec, ",") {
 		tok = strings.TrimSpace(tok)
 		if tok == "" {
@@ -116,13 +118,11 @@ func parseGraph(spec, caching string) (names []string, labels [][]games.EdgeLabe
 		}
 		parts := strings.Split(tok, ":")
 		if len(parts) != 2 {
-			fmt.Fprintf(os.Stderr, "affinity: bad edge %q (want NAME-NAME:{c|x})\n", tok)
-			os.Exit(2)
+			return nil, nil, nil, fmt.Errorf("bad edge %q (want NAME-NAME:{c|x})", tok)
 		}
 		ends := strings.Split(parts[0], "-")
 		if len(ends) != 2 {
-			fmt.Fprintf(os.Stderr, "affinity: bad endpoints %q\n", parts[0])
-			os.Exit(2)
+			return nil, nil, nil, fmt.Errorf("bad endpoints %q", parts[0])
 		}
 		var l games.EdgeLabel
 		switch strings.ToLower(strings.TrimSpace(parts[1])) {
@@ -131,13 +131,22 @@ func parseGraph(spec, caching string) (names []string, labels [][]games.EdgeLabe
 		case "x":
 			l = games.Exclusive
 		default:
-			fmt.Fprintf(os.Stderr, "affinity: bad label %q (want c or x)\n", parts[1])
-			os.Exit(2)
+			return nil, nil, nil, fmt.Errorf("bad label %q (want c or x)", parts[1])
 		}
 		a, b := strings.TrimSpace(ends[0]), strings.TrimSpace(ends[1])
+		if a == b {
+			return nil, nil, nil, fmt.Errorf("self-edge %q: list %s in -caching to make its same-class pairs colocate", tok, a)
+		}
+		key := [2]string{a, b}
+		if b < a {
+			key = [2]string{b, a}
+		}
+		if prev, ok := edges[key]; ok && prev != l {
+			return nil, nil, nil, fmt.Errorf("edge %s-%s listed with both labels", key[0], key[1])
+		}
+		edges[key] = l
 		intern(a)
 		intern(b)
-		edges = append(edges, edge{a: a, b: b, label: l})
 	}
 	// Stable order for reproducible output regardless of map iteration.
 	sort.Strings(names)
@@ -154,9 +163,9 @@ func parseGraph(spec, caching string) (names []string, labels [][]games.EdgeLabe
 			labels[i][j] = games.Exclusive // default for unlisted pairs
 		}
 	}
-	for _, e := range edges {
-		a, b := reindex[e.a], reindex[e.b]
-		labels[a][b], labels[b][a] = e.label, e.label
+	for e, l := range edges {
+		a, b := reindex[e[0]], reindex[e[1]]
+		labels[a][b], labels[b][a] = l, l
 	}
 
 	diag = make([]bool, n)
@@ -165,14 +174,13 @@ func parseGraph(spec, caching string) (names []string, labels [][]games.EdgeLabe
 		if name == "" {
 			continue
 		}
-		if i, ok := reindex[name]; ok {
-			diag[i] = true
-		} else {
-			fmt.Fprintf(os.Stderr, "affinity: -caching names unknown class %q\n", name)
-			os.Exit(2)
+		i, ok := reindex[name]
+		if !ok {
+			return nil, nil, nil, fmt.Errorf("-caching names unknown class %q", name)
 		}
+		diag[i] = true
 	}
-	return names, labels, diag
+	return names, labels, diag, nil
 }
 
 // printClassical prints the optimal deterministic answer tables.

@@ -2,13 +2,17 @@ package main
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/games"
 )
 
 func TestParseGraphBasic(t *testing.T) {
-	names, labels, diag := parseGraph("b-a:c,a-c:x", "a")
+	names, labels, diag, err := parseGraph("b-a:c,a-c:x", "a")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(names) != 3 || names[0] != "a" || names[1] != "b" || names[2] != "c" {
 		t.Fatalf("names %v", names)
 	}
@@ -25,7 +29,10 @@ func TestParseGraphBasic(t *testing.T) {
 }
 
 func TestParseGraphWhitespaceAndEmpties(t *testing.T) {
-	names, labels, _ := parseGraph(" x-y:C , ,y-z:X ", "")
+	names, labels, _, err := parseGraph(" x-y:C , ,y-z:X ", "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(names) != 3 {
 		t.Fatalf("names %v", names)
 	}
@@ -47,7 +54,10 @@ func index(names []string, want string) int {
 }
 
 func TestBuildGameStructure(t *testing.T) {
-	names, labels, diag := parseGraph("a-b:c,a-c:x,b-c:x", "c")
+	names, labels, diag, err := parseGraph("a-b:c,a-c:x,b-c:x", "c")
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := buildGame(len(names), labels, diag)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
@@ -66,5 +76,42 @@ func TestBuildGameStructure(t *testing.T) {
 	// Diagonal: only c is caching.
 	if g.Parity[ic][ic] != 0 || g.Parity[ia][ia] != 1 {
 		t.Fatal("diagonal parities wrong")
+	}
+}
+
+// TestParseGraphRejectsSelfEdge: a self-edge used to land on the diagonal,
+// which buildGame takes from -caching alone, so "a colocates with itself"
+// silently became exclusive.
+func TestParseGraphRejectsSelfEdge(t *testing.T) {
+	_, _, _, err := parseGraph("a-a:c,a-b:x", "")
+	if err == nil || !strings.Contains(err.Error(), "-caching") {
+		t.Fatalf("self-edge: err %v, want a rejection pointing at -caching", err)
+	}
+}
+
+// TestParseGraphRejectsConflictingEdge: an edge given both labels used to
+// keep whichever came last. Repeating it with the same label is harmless.
+func TestParseGraphRejectsConflictingEdge(t *testing.T) {
+	for _, graph := range []string{"a-b:c,b-a:x", "a-b:x,a-b:c"} {
+		if _, _, _, err := parseGraph(graph, ""); err == nil {
+			t.Errorf("parseGraph(%q) accepted", graph)
+		}
+	}
+	_, labels, _, err := parseGraph("a-b:c,b-a:c", "")
+	if err != nil || labels[0][1] != games.Colocate {
+		t.Fatalf("repeated identical edge: labels %v, err %v", labels, err)
+	}
+}
+
+func TestParseGraphRejectsMalformed(t *testing.T) {
+	for _, tc := range []struct{ graph, caching string }{
+		{"a-b", ""},
+		{"a-b-c:x", ""},
+		{"a-b:y", ""},
+		{"a-b:c", "z"},
+	} {
+		if _, _, _, err := parseGraph(tc.graph, tc.caching); err == nil {
+			t.Errorf("parseGraph(%q, %q) accepted", tc.graph, tc.caching)
+		}
 	}
 }

@@ -1,10 +1,10 @@
 // Command qlbsim regenerates Figure 4 (experiment E3): average queue
 // length (and queueing delay) versus system load N/M for N = 100 load
 // balancers, comparing the paper's classical-random and quantum CHSH-paired
-// strategies, with optional context baselines, the noise sweep (E6), the
-// server-discipline ablation, and (with -faults) the queueing half of the
-// E17 chaos experiment: a scripted entanglement-source outage pressed onto
-// the supply-limited quantum strategy.
+// strategies, with optional context baselines (-all), the noise sweep (E6),
+// the server-discipline ablation, the cell-sharded scale-up (-scale,
+// -shards) and the -csv/-series knee-curve artifacts. It is the tunable
+// companion to cmd/repro, whose E3 and E6 blocks are the committed numbers.
 //
 // One context governs a run: SIGINT/SIGTERM or the -timeout deadline stops
 // it between sweep units instead of killing the process mid-write —
@@ -23,9 +23,7 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
-	"repro/internal/faults"
 	"repro/internal/loadbalance"
 	"repro/internal/report"
 	"repro/internal/stats"
@@ -41,7 +39,6 @@ func main() {
 	all := flag.Bool("all", false, "include context baselines (round-robin, po2c, classical-paired, dedicated, oracle)")
 	noise := flag.Bool("noise", false, "run the E6 visibility sweep instead of the strategy comparison")
 	ablation := flag.Bool("ablation", false, "run the server-discipline ablation")
-	chaos := flag.Bool("faults", false, "run the E17 queueing-under-outage experiment")
 	scale := flag.Int("scale", 1, "cell count: tile the N-balancer system this many times (scale×N endpoints total); >1 selects the sharded runner")
 	shards := flag.Int("shards", 0, "worker goroutines for the sharded runner (0 = GOMAXPROCS); never affects results, only wall time")
 	timeout := flag.Duration("timeout", 0, "whole-run deadline (0 = none)")
@@ -75,8 +72,6 @@ func main() {
 	switch {
 	case *scale > 1:
 		runScaled(ctx, base, loads, *seed, *scale, *shards)
-	case *chaos:
-		runFaultedQueue(base, *seed)
 	case *noise:
 		runNoiseSweep(ctx, base, loads, *seed)
 	case *ablation:
@@ -208,82 +203,6 @@ func writeCSV(path string, t *report.Table) {
 		panic(err)
 	}
 	fmt.Printf("\nwrote %s\n", path)
-}
-
-// runFaultedQueue is the queueing half of E17: a rated pair supply at 2×
-// demand is cut entirely for the middle third of the measured window while
-// the balancers run at load ≈ 1.1. Per-phase colocation is recovered by
-// differencing the recorder's cumulative tally at the phase boundaries
-// (pair-rounds per slot are constant, so the counts cancel).
-func runFaultedQueue(base loadbalance.Config, seed uint64) {
-	warmup, slots := base.Warmup, base.Slots
-	third := time.Duration(slots/3) * time.Millisecond
-	start := time.Duration(warmup) * time.Millisecond
-	end := time.Duration(warmup+slots) * time.Millisecond
-	sched := faults.Schedule{Windows: []faults.Window{
-		{Kind: faults.KindSourceOutage, Start: start + third, End: start + 2*third},
-	}}
-	demand := float64(base.NumBalancers/2) * 1000
-	sl := loadbalance.NewSupplyLimitedStrategy(
-		faults.NewSupplier(loadbalance.NewRatedSupplier(demand*2, 1.0, 64), sched),
-		time.Millisecond, xrand.New(seed, 17))
-	rec := &loadbalance.SlotSeries{}
-	cfg := base
-	cfg.NumServers = int(math.Round(float64(base.NumBalancers) / 1.1))
-	cfg.Discipline = loadbalance.BatchCFirst
-	cfg.Recorder = rec
-
-	fmt.Printf("=== E17 (queueing): entanglement outage under load ≈1.1 (N=%d, M=%d) ===\n\n",
-		cfg.NumBalancers, cfg.NumServers)
-	fmt.Println("fault timeline:")
-	fmt.Print(sched.Timeline())
-	fmt.Println()
-	loadbalance.Run(cfg, sl)
-
-	phase := func(lo, hi time.Duration) (coloc, queue float64) {
-		var cumLo, cumHi, nLo, nHi float64
-		var qSum, qN float64
-		for i, s := range rec.Slots {
-			if rec.Measured[i] != 1 {
-				continue
-			}
-			at := time.Duration(s) * time.Millisecond
-			if at < lo {
-				cumLo, nLo = rec.ColocationRate[i], nLo+1
-			}
-			if at < hi {
-				cumHi, nHi = rec.ColocationRate[i], nHi+1
-			} else {
-				break
-			}
-			if at >= lo {
-				qSum += rec.QueueTotal[i] / float64(cfg.NumServers)
-				qN++
-			}
-		}
-		if nHi > nLo {
-			coloc = (cumHi*nHi - cumLo*nLo) / (nHi - nLo)
-		}
-		if qN > 0 {
-			queue = qSum / qN
-		}
-		return coloc, queue
-	}
-	fmt.Println("phase    colocation  mean queue")
-	for _, ph := range []struct {
-		name   string
-		lo, hi time.Duration
-	}{
-		{"before", start, start + third},
-		{"outage", start + third, start + 2*third},
-		{"after", start + 2*third, end},
-	} {
-		c, q := phase(ph.lo, ph.hi)
-		fmt.Printf("%-7s  %.4f      %.2f\n", ph.name, c, q)
-	}
-	fmt.Printf("\nquantum fraction %.3f over the full run\n", sl.QuantumFraction())
-	fmt.Println("degradation is graceful: colocation collapses to the classical 0.75 floor")
-	fmt.Println("during the outage — never below it — and snaps back when supply returns")
 }
 
 func runNoiseSweep(ctx context.Context, base loadbalance.Config, loads []float64, seed uint64) {

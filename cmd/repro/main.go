@@ -1,8 +1,8 @@
 // Command repro runs every experiment end-to-end (E1–E20, E18 reserved) with reduced but
 // statistically meaningful sizes and prints the consolidated tables recorded
-// in EXPERIMENTS.md. Use -full for publication-scale runs (slower), or the
-// per-experiment binaries (cmd/chsh, cmd/xorgame, cmd/qlbsim, cmd/ecmpstudy,
-// cmd/latency) for finer control.
+// in EXPERIMENTS.md. Use -full for publication-scale runs (5× every round,
+// slot and trial count). Each experiment has one implementation, in
+// internal/experiments, and this is the one command that regenerates it.
 //
 // Independent experiments fan out over a worker pool (-workers, default
 // GOMAXPROCS); output is buffered per experiment and emitted in E1..E20

@@ -36,6 +36,18 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "whole-run deadline (0 = none)")
 	flag.Parse()
 
+	var sw sweep
+	var err error
+	if *vertexSweep {
+		sw, err = vertexSweepPlan(*trials, *seed)
+	} else {
+		sw, err = probabilitySweepPlan(*n, *trials, *step, *seed, *gaps)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "xorgame:", err)
+		os.Exit(2)
+	}
+
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *timeout > 0 {
@@ -46,12 +58,6 @@ func main() {
 	// Once the run is stopping, a second signal takes the default action.
 	context.AfterFunc(ctx, stop)
 
-	var sw sweep
-	if *vertexSweep {
-		sw = vertexSweepPlan(*trials, *seed)
-	} else {
-		sw = probabilitySweepPlan(*n, *trials, *step, *seed, *gaps)
-	}
 	os.Exit(runSweep(ctx, sw))
 }
 
@@ -88,9 +94,30 @@ func runSweep(ctx context.Context, sw sweep) int {
 	return 0
 }
 
+// checkTrials rejects an ensemble size that would leave every point empty
+// (trials = 0 prints a meaningless [0, 1] interval) or fail to allocate.
+func checkTrials(trials int) error {
+	if trials < 1 {
+		return fmt.Errorf("-trials %d: want at least 1", trials)
+	}
+	return nil
+}
+
 // probabilitySweepPlan is the Figure 3 sweep over the exclusive-edge
-// probability; point i draws its ensemble from xrand.New(seed, i).
-func probabilitySweepPlan(n, trials int, step float64, seed uint64, gaps bool) sweep {
+// probability; point i draws its ensemble from xrand.New(seed, i). A step of
+// zero or less never reaches p = 1, so the plan would grow until memory runs
+// out, and one above 1 sweeps p = 0 alone; both are errors, as are fewer than
+// two vertices (no edge to label).
+func probabilitySweepPlan(n, trials int, step float64, seed uint64, gaps bool) (sweep, error) {
+	if !(step > 0 && step <= 1) {
+		return sweep{}, fmt.Errorf("-step %g: want 0 < step ≤ 1", step)
+	}
+	if n < 2 {
+		return sweep{}, fmt.Errorf("-vertices %d: want at least 2", n)
+	}
+	if err := checkTrials(trials); err != nil {
+		return sweep{}, err
+	}
 	header := fmt.Sprintf("=== E2 / Figure 3: P(quantum advantage) for random XOR games on K%d ===\n", n) +
 		fmt.Sprintf("%d labelings per point; advantage = quantum bias > classical bias + %g\n\n",
 			trials, games.AdvantageTolerance)
@@ -138,12 +165,15 @@ func probabilitySweepPlan(n, trials int, step float64, seed uint64, gaps bool) s
 			"high probability in between — 'most graphs with randomly labeled edges\n" +
 			"exhibit a quantum advantage, making it the typical case' (paper §4.1)\n",
 		points: points,
-	}
+	}, nil
 }
 
 // vertexSweepPlan checks the Figure 3 caption: "The probability of
 // achieving a quantum advantage increases with the number of vertices."
-func vertexSweepPlan(trials int, seed uint64) sweep {
+func vertexSweepPlan(trials int, seed uint64) (sweep, error) {
+	if err := checkTrials(trials); err != nil {
+		return sweep{}, err
+	}
 	var points []point
 	for n := 3; n <= 7; n++ {
 		n := n
@@ -169,5 +199,5 @@ func vertexSweepPlan(trials int, seed uint64) sweep {
 			"vertices   P(advantage)   [95% CI]\n",
 		footer: "\nexpected: monotone increase with n (paper's Figure 3 caption)\n",
 		points: points,
-	}
+	}, nil
 }

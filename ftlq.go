@@ -19,9 +19,9 @@
 //	...
 //	d := session.Round(now, x, y) // both parties' correlated decisions
 //
-// See examples/ for runnable end-to-end scenarios (GPU SM scheduling,
-// serverless affinity routing, ECMP), and cmd/ for the binaries that
-// regenerate every figure of the paper.
+// The facade exports what the programs under examples/ call (GPU SM
+// scheduling, serverless affinity routing, ECMP, deployment planning);
+// everything else lives in the internal packages.
 package ftlq
 
 import (
@@ -38,20 +38,8 @@ type (
 	// XORGame is a two-party game whose win condition is a parity of the
 	// answers — the class with a polynomial-time computable quantum value.
 	XORGame = games.XORGame
-	// EdgeLabel marks a task-class pair as colocating or exclusive.
-	EdgeLabel = games.EdgeLabel
-	// ClassicalResult is a game's exact classical optimum and strategy.
-	ClassicalResult = games.ClassicalResult
-	// QuantumResult is a game's quantum optimum with its realizing vectors.
-	QuantumResult = games.QuantumResult
 	// JointSampler produces one round of correlated answers.
 	JointSampler = games.JointSampler
-)
-
-// Edge labels for affinity graphs.
-const (
-	Colocate  = games.Colocate
-	Exclusive = games.Exclusive
 )
 
 // NewCHSH returns the standard CHSH game (classical 3/4, quantum cos²(π/8)).
@@ -61,11 +49,6 @@ func NewCHSH() *XORGame { return games.NewCHSH() }
 // same server bit iff both tasks are colocation-loving.
 func NewColocationCHSH() *XORGame { return games.NewColocationCHSH() }
 
-// GraphXORGame builds an affinity game from a labeled task-class graph.
-func GraphXORGame(name string, n int, labels [][]EdgeLabel) *XORGame {
-	return games.GraphXORGame(name, n, labels)
-}
-
 // Re-exported coordination session API.
 type (
 	// Session coordinates two parties through a game and an entanglement
@@ -73,16 +56,6 @@ type (
 	Session = core.Session
 	// SessionConfig assembles a Session.
 	SessionConfig = core.Config
-	// Decision is one round's outcome.
-	Decision = core.Decision
-	// SessionStats aggregates a session's history.
-	SessionStats = core.Stats
-)
-
-// Decision modes.
-const (
-	ModeQuantum  = core.ModeQuantum
-	ModeFallback = core.ModeFallback
 )
 
 // NewSession builds a coordination session.
@@ -96,28 +69,14 @@ func CriticalVisibility(classical, quantum float64) float64 {
 
 // Re-exported entanglement substrate.
 type (
-	// Supplier provides entangled pairs to sessions.
-	Supplier = entangle.Supplier
 	// PerfectSupplier always supplies pairs at a fixed visibility.
 	PerfectSupplier = entangle.PerfectSupplier
-	// EmptySupplier never has a pair (always classical fallback).
-	EmptySupplier = entangle.EmptySupplier
-	// Pool buffers distributed pairs at a pair of QNICs.
-	Pool = entangle.Pool
-	// SourceConfig models an SPDC entangled-photon source.
-	SourceConfig = entangle.SourceConfig
 	// QNICConfig models the quantum NIC (storage, decoherence, latency).
 	QNICConfig = entangle.QNICConfig
 )
 
-// DefaultSource returns a mid-range room-temperature SPDC configuration.
-func DefaultSource() SourceConfig { return entangle.DefaultSource() }
-
 // DefaultQNIC returns a mid-range room-temperature QNIC configuration.
 func DefaultQNIC() QNICConfig { return entangle.DefaultQNIC() }
-
-// NewPool creates a pair pool with the given QNIC model and capacity.
-func NewPool(q QNICConfig, capacity int) *Pool { return entangle.NewPool(q, capacity) }
 
 // Re-exported load-balancing simulator (the paper's Figure 4 testbed).
 type (
@@ -162,17 +121,9 @@ func RunECMP(cfg ECMPConfig, s PathStrategy) ECMPResult { return ecmp.Run(cfg, s
 // colliding pairs (n switches, m paths, k active).
 func ECMPBestClassical(n, m, k int) float64 { return ecmp.ExactBestClassical(n, m, k) }
 
-// Re-exported certification and hardware-planning APIs.
-type (
-	// CHSHCertificate is the result of a Bell-certification run against
-	// black-box decision hardware.
-	CHSHCertificate = games.CHSHCertificate
-	// PlanarRealization is a single-Bell-pair measurement recipe (angles
-	// per party and input) realizing an XOR-game strategy.
-	PlanarRealization = games.PlanarRealization
-	// RepeaterChain plans multi-segment entanglement distribution.
-	RepeaterChain = entangle.RepeaterChain
-)
+// CHSHCertificate is the result of a Bell-certification run against black-box
+// decision hardware.
+type CHSHCertificate = games.CHSHCertificate
 
 // CertifyCHSH estimates the CHSH S-value of a sampler: S > 2 certifies
 // entanglement, S ≤ 2√2 is the quantum (Tsirelson) consistency check.
@@ -180,37 +131,5 @@ func CertifyCHSH(s JointSampler, roundsPerSetting int, rng *xrand.RNG) CHSHCerti
 	return games.CertifyCHSH(s, roundsPerSetting, rng)
 }
 
-// Bounds on the CHSH S-value.
-const (
-	// SClassicalBound is the local-hidden-variable limit (S ≤ 2).
-	SClassicalBound = games.ClassicalBound
-)
-
 // STsirelsonBound is the quantum limit on S (2√2).
 var STsirelsonBound = games.TsirelsonBound
-
-// Cluster is the fleet-level coordinator: N nodes paired into sessions
-// sharing one entanglement supply.
-type Cluster = core.Cluster
-
-// ClusterConfig assembles a Cluster.
-type ClusterConfig = core.ClusterConfig
-
-// NewCluster builds a fleet coordinator (node 2k pairs with node 2k+1).
-func NewCluster(cfg ClusterConfig) (*Cluster, error) { return core.NewCluster(cfg) }
-
-// BiasedColocationGame returns the colocation game tuned to a skewed task
-// mix: x = 1 with probability pA, y = 1 with probability pB.
-func BiasedColocationGame(pA, pB float64) *XORGame { return games.BiasedColocationGame(pA, pB) }
-
-// MultiClassColocationGame builds the game over k task classes where
-// same-class caching pairs colocate and everything else excludes.
-func MultiClassColocationGame(kinds []games.ClassKind, weights []float64) *XORGame {
-	return games.MultiClassColocationGame(kinds, weights)
-}
-
-// Class kinds for MultiClassColocationGame.
-const (
-	KindExclusive = games.KindExclusive
-	KindCaching   = games.KindCaching
-)

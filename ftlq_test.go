@@ -32,18 +32,6 @@ func TestFacadeGameConstructors(t *testing.T) {
 	if NewCHSH().Name != "CHSH" || NewColocationCHSH().Name != "colocation-CHSH" {
 		t.Fatal("constructors returned wrong games")
 	}
-	labels := [][]EdgeLabel{
-		{Colocate, Exclusive},
-		{Exclusive, Colocate},
-	}
-	g := GraphXORGame("tiny", 2, labels)
-	if g.NA != 2 {
-		t.Fatal("graph game wrong size")
-	}
-	// An all-exclusive K2 is classically winnable: value 1.
-	if v := g.ClassicalValue().Value; math.Abs(v-1) > 1e-9 {
-		t.Fatalf("K2 exclusive classical value %v", v)
-	}
 }
 
 func TestFacadeCriticalVisibility(t *testing.T) {
@@ -78,17 +66,6 @@ func TestFacadeECMP(t *testing.T) {
 	best := ECMPBestClassical(4, 2, 2)
 	if r.Collisions.Mean() < best-3*r.Collisions.CI95() {
 		t.Fatalf("ECMP result %v below the proved optimum %v", r.Collisions.Mean(), best)
-	}
-}
-
-func TestFacadePool(t *testing.T) {
-	p := NewPool(DefaultQNIC(), 4)
-	if _, ok := p.TryConsume(0); ok {
-		t.Fatal("fresh pool should be empty")
-	}
-	src := DefaultSource()
-	if src.PairRate <= 0 {
-		t.Fatal("default source invalid")
 	}
 }
 

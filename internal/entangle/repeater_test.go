@@ -71,13 +71,33 @@ func TestRepeaterBeatsDirectAtDistance(t *testing.T) {
 	if !c.RepeaterWins() {
 		t.Fatal("CrossoverSegments returned a non-winning configuration")
 	}
+	// E11's crossover line: at 300 km the first winning chain has 2 segments.
+	if s := CrossoverSegments(src, 300_000, 0.5, 16); s != 2 {
+		t.Fatalf("crossover at 300 km: %d segments, want 2", s)
+	}
+	// The fastest of {direct, 2, 4, 8 segments} by total distance, as
+	// EXPERIMENTS.md §E11 states it: the best chain lengthens with distance.
+	for _, tc := range []struct {
+		km   float64
+		best int
+	}{{20, 1}, {50, 2}, {100, 2}, {200, 4}, {400, 4}, {800, 8}} {
+		best, bestRate := 0, 0.0
+		for _, segs := range []int{1, 2, 4, 8} {
+			if r := chain(segs, tc.km/float64(2*segs)).EndToEndRate(); r > bestRate {
+				best, bestRate = segs, r
+			}
+		}
+		if best != tc.best {
+			t.Errorf("%g km: fastest is %d segments, want %d", tc.km, best, tc.best)
+		}
+	}
 }
 
 // TestSwapWernerMultiplicativeLaw verifies fact 1 against the exact
 // simulator: swapping Werner(v1) and Werner(v2) gives Werner(v1·v2).
 func TestSwapWernerMultiplicativeLaw(t *testing.T) {
 	for _, tc := range []struct{ v1, v2 float64 }{
-		{1, 1}, {0.9, 0.9}, {0.95, 0.8}, {1, 0.7}, {0.6, 0.5},
+		{1, 1}, {0.9, 0.9}, {0.95, 0.9}, {0.95, 0.8}, {1, 0.7}, {0.6, 0.5},
 	} {
 		_, veff := SwapWernerPairs(tc.v1, tc.v2)
 		want := tc.v1 * tc.v2

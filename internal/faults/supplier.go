@@ -8,9 +8,9 @@ import (
 
 // Supplier wraps an entangle.Supplier with a fault timeline for drivers
 // that advance time themselves instead of running a discrete-event engine
-// (cmd/qlbsim's slot loop, loadbalance sweeps). It is fully deterministic:
-// fault effects are pure functions of the schedule and the consumption
-// clock, with no sampling.
+// (the Figure 4 simulator's slot loop, as in E17's queueing half). It is
+// fully deterministic: fault effects are pure functions of the schedule and
+// the consumption clock, with no sampling.
 //
 //   - Source outages starve consumption outright.
 //   - Fiber-loss bursts and BSM-failure windows thin the supply by their

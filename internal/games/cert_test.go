@@ -40,7 +40,7 @@ func TestCertifyNoisySampler(t *testing.T) {
 	rng := xrand.New(82, 1)
 	g := NewCHSH()
 	q := g.QuantumValue(rng)
-	for _, vis := range []float64{0.9, 0.8} {
+	for _, vis := range []float64{0.95, 0.9, 0.8} {
 		s := q.QuantumSampler(vis)
 		cert := CertifyCHSH(s, 40000, rng)
 		want := ExpectedS(vis)
@@ -51,11 +51,11 @@ func TestCertifyNoisySampler(t *testing.T) {
 		if math.Abs(VisibilityFromS(cert.S)-vis) > 0.02 {
 			t.Fatalf("recovered visibility %v, want %v", VisibilityFromS(cert.S), vis)
 		}
-	}
-	// Above critical visibility the violation is still certifiable.
-	s := q.QuantumSampler(0.8)
-	if !CertifyCHSH(s, 40000, rng).ViolatesClassicalBound(3) {
-		t.Fatal("V=0.8 (S≈2.26) should still certify")
+		// Above critical visibility the violation is still certifiable,
+		// and never super-quantum.
+		if !cert.ViolatesClassicalBound(3) || !cert.WithinTsirelson(3) {
+			t.Fatalf("V=%v: S=%v ± %v should certify within 2√2", vis, cert.S, cert.SE)
+		}
 	}
 }
 

@@ -127,7 +127,7 @@ func TestBellSamplerAgreesWithCorrelationSampler(t *testing.T) {
 func TestWernerVisibilityClosedForm(t *testing.T) {
 	rng := xrand.New(16, 1)
 	g := NewCHSH()
-	for _, vis := range []float64{1.0, 0.9, 0.75, 0.5, 0} {
+	for _, vis := range []float64{1.0, 0.95, 0.9, 0.85, 0.8, 0.75, 1 / math.Sqrt2, 0.65, 0.5, 0} {
 		want := vis*chshQuantum + (1-vis)/2
 		bs := NewBellSampler(OptimalCHSHAngles(), vis, rng)
 		got := bs.ExactValue(g)

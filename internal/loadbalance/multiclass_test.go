@@ -113,6 +113,10 @@ func TestGraphQuantumBeatsGraphClassical(t *testing.T) {
 		t.Fatalf("quantum colocation %v not above classical %v",
 			q.ColocationStats().Rate(), c.ColocationStats().Rate())
 	}
+	// The game's quantum value is 5/6; the realized rate must be near it.
+	if q.ColocationStats().Rate() < 0.8 {
+		t.Fatalf("quantum colocation %v, want ≈ 0.833", q.ColocationStats().Rate())
+	}
 }
 
 func TestGraphStrategyClassOutOfRangePanics(t *testing.T) {
