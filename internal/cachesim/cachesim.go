@@ -94,6 +94,7 @@ func Run(cfg Config, strat loadbalance.Strategy) Result {
 	tasks := make([]workload.Task, cfg.NumDispatchers)
 	assign := make([]int, cfg.NumDispatchers) // reused across ticks
 	res := Result{Strategy: strat.Name()}
+	var sojourn, qlen stats.IntMoments // exact; converted once at the end
 
 	total := cfg.Warmup + cfg.Ticks
 	for tick := 0; tick < total; tick++ {
@@ -134,7 +135,7 @@ func Run(cfg Config, strat loadbalance.Strategy) Result {
 					sv.busy = false
 					if measured {
 						res.Completed++
-						res.Sojourn.Add(float64(tick - sv.current.arrived + 1))
+						sojourn.Add(int64(tick - sv.current.arrived + 1))
 					}
 				}
 			}
@@ -148,10 +149,11 @@ func Run(cfg Config, strat loadbalance.Strategy) Result {
 			}
 			view.lens[s] = l
 			if measured {
-				res.QueueLen.Add(float64(l))
+				qlen.Add(int64(l))
 			}
 		}
 	}
+	res.Sojourn, res.QueueLen = sojourn.Welford(), qlen.Welford()
 	return res
 }
 

@@ -314,5 +314,20 @@ func (s *Service) SetDeliveryScale(f float64) {
 	s.deliveryScale = f
 }
 
+// NextArrival returns a lower bound on when the next pair from this source
+// can land in the pool: the oldest pair in flight, else the next tick plus
+// the delivery latency. ok is false once none can (a stopped source never
+// restarts). An outage, a delivery scale or a fiber loss only make the real
+// arrival later, so a waiter may run the engine straight to this instant.
+func (s *Service) NextArrival() (at time.Duration, ok bool) {
+	if s.stopped {
+		return 0, false
+	}
+	if s.flights.n > 0 {
+		return s.flights.at(0).at, true
+	}
+	return s.tickAt + s.latency, true
+}
+
 // Stats returns source-side counters.
 func (s *Service) Stats() ServiceStats { return s.stats }

@@ -94,9 +94,9 @@ func frontierRows(o Options) []FrontierRow {
 	// The optimal measurement geometry is deterministic for CHSH; solve it
 	// once and share the read-only result across points.
 	q := game.QuantumValue(xrand.New(o.Seed, 20))
-	// 2500 rounds puts the binomial noise on WinQuantum near 0.009, under
-	// the 0.01 advantage threshold — sub-critical visibilities must not
-	// flicker into the advantaged set.
+	// 2500 rounds puts the binomial noise on WinQuantum near 0.009, about a
+	// third of the 0.025 advantage threshold — sub-critical visibilities
+	// must not flicker into the advantaged set.
 	rounds := o.n(2500)
 	baseSeed := xrand.New(o.Seed, 2020).Uint64()
 	n := len(deadlines) * len(dists) * len(viss)
@@ -142,7 +142,6 @@ func simulateFrontierPoint(deadline time.Duration, dist, vis float64,
 	engine.RunUntil(warmup)
 
 	budget := deadline - qnic.MeasureLatency
-	const waitStep = 5 * time.Microsecond
 	wins, quantum := 0, 0
 	for i := 0; i < rounds; i++ {
 		at := warmup + arrivals.Next(arrRng)
@@ -151,18 +150,9 @@ func simulateFrontierPoint(deadline time.Duration, dist, vis float64,
 		var a, b int
 		played := false
 		if budget >= 0 {
-			// Bounded wait: poll the pool in waitStep increments while the
-			// remaining budget still fits the measurement.
-			for waited := time.Duration(0); ; waited += waitStep {
-				if v, ok := pool.TryConsume(engine.Now()); ok {
-					a, b = q.QuantumSampler(v).Sample(x, y, playRng)
-					played = true
-					break
-				}
-				if waited+waitStep > budget {
-					break
-				}
-				engine.RunUntil(at + waited + waitStep)
+			var v float64
+			if v, played = awaitPair(&engine, svc, pool, at, budget); played {
+				a, b = q.QuantumSampler(v).Sample(x, y, playRng)
 			}
 		}
 		if played {
@@ -185,6 +175,30 @@ func simulateFrontierPoint(deadline time.Duration, dist, vis float64,
 	row.Advantage = row.WinQuantum - row.WinClassical
 	row.Advantaged = row.Advantage > advantageThreshold
 	return row
+}
+
+// waitStep is the pool-polling period of a waiting request.
+const waitStep = 5 * time.Microsecond
+
+// awaitPair is the bounded wait of a request that arrived at time at: the
+// pool is polled every waitStep while the budget still fits the measurement,
+// and a pair is consumed at the first poll at or after it lands. An empty poll
+// leaves the pool empty until the next arrival, so the engine runs straight
+// to the first poll at or after NextArrival (which lies after the clock). A
+// wait that finds nothing ends on the last poll: the next request starts there.
+func awaitPair(engine *netsim.Engine, svc *entangle.Service, pool *entangle.Pool, at, budget time.Duration) (float64, bool) {
+	last := at + budget/waitStep*waitStep
+	for {
+		if v, ok := pool.TryConsume(engine.Now()); ok {
+			return v, true
+		}
+		next, ok := svc.NextArrival()
+		if !ok || next > last {
+			engine.RunUntil(last)
+			return 0, false
+		}
+		engine.RunUntil(at + (next-at+waitStep-1)/waitStep*waitStep)
+	}
 }
 
 // WriteFrontierCSV emits the full advantage-frontier grid as the committed

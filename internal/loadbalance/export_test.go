@@ -1,6 +1,10 @@
 package loadbalance
 
-import "repro/internal/workload"
+import (
+	"repro/internal/stats"
+	"repro/internal/workload"
+	"repro/internal/xrand"
+)
 
 // scanWorld is the single-buffer World the per-type FIFOs replaced, kept
 // verbatim as their differential oracle: one arrival-ordered buffer per
@@ -170,4 +174,42 @@ func (w *scanWorld) serve(id int, d Discipline, out []rec) []rec {
 	default:
 		panic("loadbalance: unknown discipline")
 	}
+}
+
+// runFloatMoments replays RunE's slot loop for a stateless workload with the
+// per-sample float Welford chain the exact integer moments replaced, kept as
+// their oracle, and returns every measured queue-length and delay sample
+// beside the two accumulators.
+func runFloatMoments(cfg Config, strat Strategy) (qlen, delay stats.Welford, qs, ds []int64) {
+	rng := xrand.New(cfg.Seed, 0x10adba1)
+	world := NewWorld(cfg.NumServers)
+	view := &clusterView{lens: world.qlen}
+	tasks := make([]workload.Task, cfg.NumBalancers)
+	assign := make([]int, cfg.NumBalancers)
+	var scratch []rec
+	for slot := 0; slot < cfg.Warmup+cfg.Slots; slot++ {
+		measured := slot >= cfg.Warmup
+		for i := range tasks {
+			tasks[i] = cfg.Workload.Next(i, rng)
+		}
+		for i, srv := range strat.Assign(assign, tasks, view, rng) {
+			world.push(srv, rec{meta: packTask(tasks[i]), arrival: int32(slot)})
+		}
+		for s := 0; s < cfg.NumServers; s++ {
+			scratch = world.serve(s, cfg.Discipline, scratch[:0])
+			for _, done := range scratch {
+				if measured {
+					delay.Add(float64(slot - int(done.arrival)))
+					ds = append(ds, int64(slot-int(done.arrival)))
+				}
+			}
+		}
+		if measured {
+			for _, l := range world.qlen {
+				qlen.Add(float64(l))
+				qs = append(qs, int64(l))
+			}
+		}
+	}
+	return qlen, delay, qs, ds
 }

@@ -272,6 +272,9 @@ func RunE(cfg Config, strat Strategy) (Result, error) {
 	}
 
 	tracker, tracksColoc := strat.(ColocationTracker)
+	// Queue lengths and delays are whole numbers: their moments accumulate
+	// exactly and become res.QueueLen and res.Delay once, at the end.
+	var qlenM, delayM stats.IntMoments
 
 	total := cfg.Warmup + cfg.Slots
 	for slot := 0; slot < total; slot++ {
@@ -314,7 +317,7 @@ func RunE(cfg Config, strat Strategy) (Result, error) {
 			for _, done := range scratch {
 				if measured {
 					res.Served++
-					res.Delay.Add(float64(slot - int(done.arrival)))
+					delayM.Add(int64(slot - int(done.arrival)))
 				}
 				if cfg.Recorder != nil {
 					slotServed++
@@ -333,7 +336,7 @@ func RunE(cfg Config, strat Strategy) (Result, error) {
 				slotMax = l
 			}
 			if measured {
-				res.QueueLen.Add(float64(l))
+				qlenM.Add(int64(l))
 			}
 		}
 		if measured {
@@ -357,6 +360,7 @@ func RunE(cfg Config, strat Strategy) (Result, error) {
 		}
 	}
 
+	res.QueueLen, res.Delay = qlenM.Welford(), delayM.Welford()
 	res.QueuedAtEnd = world.totalQueued()
 	if tracksColoc {
 		res.Colocation = *tracker.ColocationStats()

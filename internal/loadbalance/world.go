@@ -34,37 +34,45 @@ func (r rec) task() workload.Task {
 	return workload.Task{Type: typ, Class: int(r.meta >> 1)}
 }
 
-// fifo is one arrival-ordered queue of recs: the live region is buf[head:].
+// fifo is one arrival-ordered queue of recs in a power-of-two ring: the i-th
+// oldest of the n live recs sits at buf[(head+i)&mask], mask = len(buf)-1, so
+// a queue in steady state never reallocates. The zero value is empty.
 type fifo struct {
 	buf  []rec
-	head int32
+	head uint32
+	n    uint32
 }
 
-// push appends r. When the consumed prefix would force the backing array to
-// grow, it is reclaimed first, so a queue in steady state never reallocates.
+// minFIFO is a queue's first allocation.
+const minFIFO = 4
+
+// at returns the i-th oldest rec.
+func (f *fifo) at(i int) rec { return f.buf[(int(f.head)+i)&(len(f.buf)-1)] }
+
+// push appends r, doubling a full ring and unrolling it so the oldest rec
+// lands at 0.
 func (f *fifo) push(r rec) {
-	if f.head > 0 && len(f.buf) == cap(f.buf) {
-		n := copy(f.buf, f.buf[f.head:])
-		f.buf = f.buf[:n]
-		f.head = 0
+	if int(f.n) == len(f.buf) {
+		buf := make([]rec, max(minFIFO, 2*len(f.buf)))
+		k := copy(buf, f.buf[f.head:])
+		copy(buf[k:], f.buf[:f.head])
+		f.buf, f.head = buf, 0
 	}
-	f.buf = append(f.buf, r)
+	f.buf[(int(f.head)+int(f.n))&(len(f.buf)-1)] = r
+	f.n++
 }
 
-// front returns the oldest rec of a non-empty fifo.
-func (f *fifo) front() rec { return f.buf[f.head] }
-
-// removeAt removes and returns the rec at buf index i, preserving the order
-// of the rest: the prefix buf[head:i] shifts right by one. For i == head —
-// every removal but BatchSameClassC's class partner — that is a pointer bump.
+// removeAt removes and returns the i-th oldest rec, preserving the order of
+// the rest: the i older ones shift one place toward the tail. For i == 0 —
+// every removal but BatchSameClassC's class partner — that is a head bump.
 func (f *fifo) removeAt(i int) rec {
-	h := int(f.head)
-	r := f.buf[i]
-	copy(f.buf[h+1:i+1], f.buf[h:i])
-	if h++; h == len(f.buf) {
-		f.buf, h = f.buf[:0], 0
+	mask, h := len(f.buf)-1, int(f.head)
+	r := f.buf[(h+i)&mask]
+	for ; i > 0; i-- {
+		f.buf[(h+i)&mask] = f.buf[(h+i-1)&mask]
 	}
-	f.head = int32(h)
+	f.head = uint32((h + 1) & mask)
+	f.n--
 	return r
 }
 
@@ -118,7 +126,7 @@ func (w *World) numOfType(id int, t workload.TaskType) int {
 	return int(w.qlen[id] - w.numC[id])
 }
 
-// take removes the rec at buf index i of f, one of server id's two FIFOs.
+// take removes the i-th oldest rec of f, one of server id's two FIFOs.
 func (w *World) take(id int, f *fifo, i int) rec {
 	r := f.removeAt(i)
 	w.qlen[id]--
@@ -155,26 +163,26 @@ func (w *World) serve(id int, d Discipline, out []rec) []rec {
 		}
 	case FIFOBatch:
 		// Strict arrival order: the older of the two fronts.
-		if nE == 0 || (nC > 0 && older(q[recTypeC].front().seq, q[0].front().seq)) {
+		if nE == 0 || (nC > 0 && older(q[recTypeC].at(0).seq, q[0].at(0).seq)) {
 			lead = recTypeC
 		}
 	default:
 		// Config.Validate rejects these before a run starts.
 		panic("loadbalance: unknown discipline")
 	}
-	first := w.take(id, &q[lead], int(q[lead].head))
+	first := w.take(id, &q[lead], 0)
 	out = append(out, first)
 	if lead != recTypeC || nC == 1 || d == SingleCFirst {
 		return out
 	}
 	c := &q[recTypeC]
 	if d != BatchSameClassC {
-		return append(out, w.take(id, c, int(c.head)))
+		return append(out, w.take(id, c, 0))
 	}
 	// Only a type-C task of the first one's class may ride along, and only
 	// the type-C FIFO can hold it.
-	for i := int(c.head); i < len(c.buf); i++ {
-		if c.buf[i].meta == first.meta {
+	for i := 0; i < int(c.n); i++ {
+		if c.at(i).meta == first.meta {
 			return append(out, w.take(id, c, i))
 		}
 	}

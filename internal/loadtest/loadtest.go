@@ -219,10 +219,14 @@ func BuildPlan(cfg Config) (*Plan, error) {
 	if total <= 0 {
 		return nil, fmt.Errorf("scenario weights sum to %v", total)
 	}
+	// A mean gap under 1 ns (or NaN) truncates every gap to 0: the clock would
+	// never leave the window.
 	if cfg.Rate != nil {
 		if err := cfg.Rate.Validate(); err != nil {
 			return nil, fmt.Errorf("rate profile: %w", err)
 		}
+	} else if !(float64(time.Second)/cfg.TargetRPS >= 1) {
+		return nil, fmt.Errorf("target rate %v/s leaves no gap on a nanosecond clock", cfg.TargetRPS)
 	}
 
 	arrivals := xrand.Derive(cfg.Seed, streamArrivals)
@@ -239,22 +243,27 @@ func BuildPlan(cfg Config) (*Plan, error) {
 	// next returns the following arrival offset, or false when the window is
 	// exhausted. Constant rate draws exponential gaps directly; a profile uses
 	// Lewis–Shedler thinning: candidates at the envelope rate, each accepted
-	// with probability λ(t)/λmax.
+	// with probability λ(t)/λmax. A gap is checked against the rest of the
+	// window before it becomes a Duration: one far past it can overflow.
 	var next func(at time.Duration) (time.Duration, bool)
 	if cfg.Rate == nil {
 		meanGap := float64(time.Second) / cfg.TargetRPS
 		next = func(at time.Duration) (time.Duration, bool) {
-			at += time.Duration(arrivals.ExpFloat64() * meanGap)
-			return at, at < cfg.Duration
+			gap := arrivals.ExpFloat64() * meanGap
+			if gap >= float64(cfg.Duration-at) {
+				return at, false
+			}
+			return at + time.Duration(gap), true
 		}
 	} else {
 		envGap := float64(time.Second) / cfg.Rate.MaxRate()
 		next = func(at time.Duration) (time.Duration, bool) {
 			for {
-				at += time.Duration(arrivals.ExpFloat64() * envGap)
-				if at >= cfg.Duration {
+				gap := arrivals.ExpFloat64() * envGap
+				if gap >= float64(cfg.Duration-at) {
 					return at, false
 				}
+				at += time.Duration(gap)
 				if thinning.Float64()*cfg.Rate.MaxRate() < cfg.Rate.Rate(at) {
 					return at, true
 				}

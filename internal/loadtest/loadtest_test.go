@@ -2,12 +2,14 @@ package loadtest
 
 import (
 	"bytes"
+	"math"
 	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/workload"
 )
 
 // testConfig is a small but non-trivial run: ~600 arrivals over 300ms of
@@ -82,6 +84,45 @@ func TestBuildPlanValidation(t *testing.T) {
 	bad.Scenarios = []Scenario{{Name: "x", Weight: -1}, {Name: "y", Weight: 2}}
 	if _, err := BuildPlan(bad); err == nil {
 		t.Fatal("negative weight must fail")
+	}
+}
+
+// TestBuildPlanRejectsRatesWithoutAGap: a rate whose arrival gaps truncate
+// to zero nanoseconds used to keep BuildPlan appending requests at one
+// instant until memory ran out, and a rate so low that one gap overflowed a
+// Duration wrapped the clock negative and did the same. Each must return an
+// error; each runs in a goroutine under a deadline, so a regression fails
+// instead of hanging.
+func TestBuildPlanRejectsRatesWithoutAGap(t *testing.T) {
+	inf := math.Inf(1)
+	for name, tc := range map[string]struct {
+		rps  float64
+		rate *workload.RateProfile
+	}{
+		"+Inf target":          {rps: inf},
+		"NaN target":           {rps: math.NaN()},
+		"1e18 target":          {rps: 1e18},
+		"+Inf profile base":    {rate: &workload.RateProfile{Base: inf}},
+		"+Inf flash magnitude": {rate: workload.FlashProfile(1000, 0, inf, time.Second)},
+		"1e10 profile base":    {rate: &workload.RateProfile{Base: 1e10}},
+		"1e-300 target":        {rps: 1e-300},
+		"1e-300 profile base":  {rate: &workload.RateProfile{Base: 1e-300}},
+	} {
+		cfg := testConfig()
+		cfg.TargetRPS, cfg.Rate = tc.rps, tc.rate
+		done := make(chan error, 1)
+		go func() {
+			_, err := BuildPlan(cfg)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s: BuildPlan accepted the rate", name)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: BuildPlan did not return within 2 s", name)
+		}
 	}
 }
 

@@ -133,20 +133,22 @@ func (p RateProfile) MaxRate() float64 {
 	return r
 }
 
-// Validate checks the profile is a usable intensity.
+// Validate checks the profile is a usable intensity. Guards read !(in range)
+// so a NaN fails them; an envelope above one arrival per nanosecond leaves
+// thinning no gap to advance the clock by.
 func (p RateProfile) Validate() error {
-	if p.Base <= 0 || math.IsNaN(p.Base) {
-		return fmt.Errorf("workload: rate profile needs a positive base rate (got %v)", p.Base)
+	if !(p.Base > 0 && p.Base <= math.MaxFloat64) {
+		return fmt.Errorf("workload: rate profile needs a positive, finite base rate (got %v)", p.Base)
 	}
-	if p.DiurnalAmp < 0 || p.DiurnalAmp >= 1 || math.IsNaN(p.DiurnalAmp) {
+	if !(p.DiurnalAmp >= 0 && p.DiurnalAmp < 1) {
 		return fmt.Errorf("workload: diurnal amplitude must lie in [0,1) (got %v)", p.DiurnalAmp)
 	}
 	if p.DiurnalAmp > 0 && p.DiurnalPeriod <= 0 {
 		return fmt.Errorf("workload: diurnal modulation needs a positive period")
 	}
 	for i, f := range p.Flashes {
-		if f.Magnitude < 0 || math.IsNaN(f.Magnitude) {
-			return fmt.Errorf("workload: flash %d has negative magnitude %v", i, f.Magnitude)
+		if !(f.Magnitude >= 0 && f.Magnitude <= math.MaxFloat64) {
+			return fmt.Errorf("workload: flash %d magnitude %v must be finite and non-negative", i, f.Magnitude)
 		}
 		if f.Magnitude > 0 && f.Decay <= 0 {
 			return fmt.Errorf("workload: flash %d needs a positive decay constant", i)
@@ -154,6 +156,9 @@ func (p RateProfile) Validate() error {
 		if f.At < 0 {
 			return fmt.Errorf("workload: flash %d starts before t=0", i)
 		}
+	}
+	if r := p.MaxRate(); !(r <= float64(time.Second)) {
+		return fmt.Errorf("workload: rate profile peaks at %v/s, above one arrival per nanosecond", r)
 	}
 	return nil
 }

@@ -103,11 +103,17 @@ func TestRateProfileShape(t *testing.T) {
 		}
 	}
 	for name, bad := range map[string]RateProfile{
-		"zero base":      {},
-		"amp ≥ 1":        {Base: 1, DiurnalAmp: 1, DiurnalPeriod: time.Second},
-		"amp, no period": {Base: 1, DiurnalAmp: 0.5},
-		"flash no decay": {Base: 1, Flashes: []Flash{{Magnitude: 2}}},
-		"negative flash": {Base: 1, Flashes: []Flash{{Magnitude: -1, Decay: time.Second}}},
+		"zero base":       {},
+		"amp ≥ 1":         {Base: 1, DiurnalAmp: 1, DiurnalPeriod: time.Second},
+		"amp, no period":  {Base: 1, DiurnalAmp: 0.5},
+		"flash no decay":  {Base: 1, Flashes: []Flash{{Magnitude: 2}}},
+		"negative flash":  {Base: 1, Flashes: []Flash{{Magnitude: -1, Decay: time.Second}}},
+		"+Inf base":       {Base: math.Inf(1)},
+		"NaN amp":         {Base: 1, DiurnalAmp: math.NaN(), DiurnalPeriod: time.Second},
+		"+Inf flash":      {Base: 1, Flashes: []Flash{{Magnitude: math.Inf(1), Decay: time.Second}}},
+		"NaN flash":       {Base: 1, Flashes: []Flash{{Magnitude: math.NaN(), Decay: time.Second}}},
+		"envelope > 1/ns": {Base: 6e8, Flashes: []Flash{{Magnitude: 1, Decay: time.Second}}},
+		"envelope +Inf":   {Base: 1e300, Flashes: []Flash{{Magnitude: 1e300, Decay: time.Second}}},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("%s: expected a validation error", name)

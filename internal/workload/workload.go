@@ -223,7 +223,7 @@ type PoissonArrivals struct {
 // the float gap exceeds int64 nanoseconds, and the old unchecked conversion
 // silently produced negative arrival times that walked the clock backwards.
 func (p *PoissonArrivals) Next(rng *xrand.RNG) time.Duration {
-	if p.Rate <= 0 {
+	if !(p.Rate > 0) { // NaN fails the comparison
 		panic("workload: arrival rate must be positive")
 	}
 	gapF := rng.ExpFloat64() / p.Rate * float64(time.Second)

@@ -275,12 +275,18 @@ func TestMultiClassValidate(t *testing.T) {
 }
 
 func TestPoissonArrivalsInvalidRatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	(&PoissonArrivals{Rate: 0}).Next(xrand.New(1, 1))
+	// NaN used to slip past a `<= 0` guard and pin the clock at the end of
+	// time instead of panicking.
+	for _, rate := range []float64{0, -1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("rate %v: expected panic", rate)
+				}
+			}()
+			(&PoissonArrivals{Rate: rate}).Next(xrand.New(1, 1))
+		}()
+	}
 }
 
 func TestTaskTypeString(t *testing.T) {
