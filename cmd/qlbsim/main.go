@@ -1,10 +1,11 @@
 // Command qlbsim regenerates Figure 4 (experiment E3): average queue
 // length (and queueing delay) versus system load N/M for N = 100 load
 // balancers, comparing the paper's classical-random and quantum CHSH-paired
-// strategies, with optional context baselines (-all), the noise sweep (E6),
-// the server-discipline ablation, the cell-sharded scale-up (-scale,
-// -shards) and the -csv/-series knee-curve artifacts. It is the tunable
-// companion to cmd/repro, whose E3 and E6 blocks are the committed numbers.
+// strategies, with optional context baselines (-all), the server-discipline
+// ablation, the cell-sharded scale-up (-scale, -shards) and the
+// -csv/-series knee-curve artifacts. It is the tunable companion to
+// cmd/repro, whose E3 block is the committed number and whose E6 block is
+// the one noise sweep.
 //
 // One context governs a run: SIGINT/SIGTERM or the -timeout deadline stops
 // it between sweep units instead of killing the process mid-write —
@@ -37,7 +38,6 @@ func main() {
 	warmup := flag.Int("warmup", 5000, "warmup slots per point")
 	seed := flag.Uint64("seed", 3, "random seed")
 	all := flag.Bool("all", false, "include context baselines (round-robin, po2c, classical-paired, dedicated, oracle)")
-	noise := flag.Bool("noise", false, "run the E6 visibility sweep instead of the strategy comparison")
 	ablation := flag.Bool("ablation", false, "run the server-discipline ablation")
 	scale := flag.Int("scale", 1, "cell count: tile the N-balancer system this many times (scale×N endpoints total); >1 selects the sharded runner")
 	shards := flag.Int("shards", 0, "worker goroutines for the sharded runner (0 = GOMAXPROCS); never affects results, only wall time")
@@ -72,8 +72,6 @@ func main() {
 	switch {
 	case *scale > 1:
 		runScaled(ctx, base, loads, *seed, *scale, *shards)
-	case *noise:
-		runNoiseSweep(ctx, base, loads, *seed)
 	case *ablation:
 		runDisciplineAblation(ctx, base, loads, *seed)
 	default:
@@ -203,42 +201,6 @@ func writeCSV(path string, t *report.Table) {
 		panic(err)
 	}
 	fmt.Printf("\nwrote %s\n", path)
-}
-
-func runNoiseSweep(ctx context.Context, base loadbalance.Config, loads []float64, seed uint64) {
-	fmt.Printf("=== E6: quantum load balancing under Werner noise (N=%d) ===\n\n", base.NumBalancers)
-	visibilities := []float64{1.0, 0.95, 0.9, 0.85, 0.8, 1 / math.Sqrt2}
-
-	qSeries := make([]stats.Series, 0, len(visibilities))
-	for j, v := range visibilities {
-		if ctx.Err() != nil {
-			break
-		}
-		v := v
-		qSeries = append(qSeries, loadbalance.SweepLoad(base, func() loadbalance.Strategy {
-			return loadbalance.NewQuantumPairedStrategy(v, xrand.New(seed, uint64(j)+100))
-		}, loads))
-	}
-	if len(qSeries) == 0 {
-		return
-	}
-	visibilities = visibilities[:len(qSeries)]
-	cSeries := loadbalance.SweepLoad(base, func() loadbalance.Strategy { return loadbalance.RandomStrategy{} }, loads)
-
-	fmt.Print("load(N/M)")
-	for _, v := range visibilities {
-		fmt.Printf("   V=%.3f", v)
-	}
-	fmt.Println("   classical-random")
-	for i, load := range loads {
-		fmt.Printf("%-9.2f", load)
-		for j := range visibilities {
-			fmt.Printf("  %7.2f", qSeries[j].Y[i])
-		}
-		fmt.Printf("  %7.2f\n", cSeries.Y[i])
-	}
-	fmt.Println("\nV = 1/√2 ≈ 0.707 is the critical visibility: the CHSH win rate equals the")
-	fmt.Println("classical 0.75 there, so the quantum curve degrades toward classical-paired behavior")
 }
 
 func runDisciplineAblation(ctx context.Context, base loadbalance.Config, loads []float64, seed uint64) {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/games"
 	"repro/internal/loadbalance"
 	"repro/internal/netsim"
+	"repro/internal/qsim"
 	"repro/internal/workload"
 	"repro/internal/xrand"
 )
@@ -82,7 +83,7 @@ func TestIntegrationGameSolversAgree(t *testing.T) {
 		full := g.QuantumValue(rng).Value
 		pr, q2 := g.PlanarRealize(rng)
 		phys := pr.ExactValue(g, 1.0)
-		seesaw := games.FromXOR(g).SeeSawQuantumValue(rng).Value
+		seesaw := games.FromXOR(g).SeeSawOnState(qsim.DensityFromPure(qsim.Bell()), rng).Value
 
 		if math.Abs(phys-q2.Value) > 1e-9 {
 			t.Fatalf("planar physics %v != rank-2 vectors %v", phys, q2.Value)

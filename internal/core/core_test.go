@@ -218,108 +218,6 @@ func BenchmarkSessionRound(b *testing.B) {
 	}
 }
 
-func TestClusterValidation(t *testing.T) {
-	if _, err := NewCluster(ClusterConfig{NumNodes: 3, Game: games.NewCHSH(), Supplier: entangle.PerfectSupplier{Visibility: 1}}); err == nil {
-		t.Fatal("odd node count should fail")
-	}
-	if _, err := NewCluster(ClusterConfig{NumNodes: 4}); err == nil {
-		t.Fatal("missing game/supplier should fail")
-	}
-}
-
-func TestClusterDecide(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{
-		Game:     games.NewColocationCHSH(),
-		NumNodes: 8,
-		Supplier: entangle.PerfectSupplier{Visibility: 1},
-		Seed:     44,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := xrand.New(45, 1)
-	game := games.NewColocationCHSH()
-	const slots = 20000
-	for slot := 0; slot < slots; slot++ {
-		inputs := make([]int, 8)
-		for i := range inputs {
-			inputs[i] = rng.IntN(2)
-		}
-		out := c.Decide(time.Duration(slot)*time.Microsecond, inputs)
-		if len(out) != 8 {
-			t.Fatal("wrong decision count")
-		}
-		_ = game
-	}
-	st := c.Stats()
-	if st.Rounds != slots*4 {
-		t.Fatalf("rounds %d, want %d", st.Rounds, slots*4)
-	}
-	// Inputs were uniform, so the win rate should approach the quantum value.
-	if !st.Wins.Contains95(0.8535533905932737) {
-		lo, hi := st.Wins.Wilson95()
-		t.Fatalf("cluster win rate %v [%v,%v]", st.Wins.Rate(), lo, hi)
-	}
-	if c.FairnessSpread() != 0 {
-		t.Fatalf("perfect supply should be perfectly fair, spread %v", c.FairnessSpread())
-	}
-	if c.NumNodes() != 8 {
-		t.Fatal("node count wrong")
-	}
-	if len(c.SessionStats()) != 4 {
-		t.Fatal("session stats count wrong")
-	}
-}
-
-func TestClusterSharedSupplyFairness(t *testing.T) {
-	// A rated supply at half demand: sessions earlier in slot order get
-	// first crack at the pool every slot. The fairness spread quantifies
-	// the resulting starvation asymmetry — it must be substantial here,
-	// documenting why production would rotate the service order.
-	sup := &halfSupplier{}
-	c, err := NewCluster(ClusterConfig{
-		Game:     games.NewColocationCHSH(),
-		NumNodes: 4,
-		Supplier: sup,
-		Seed:     46,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := xrand.New(47, 1)
-	for slot := 0; slot < 5000; slot++ {
-		inputs := []int{rng.IntN(2), rng.IntN(2), rng.IntN(2), rng.IntN(2)}
-		c.Decide(time.Duration(slot)*time.Microsecond, inputs)
-	}
-	// One pair per slot for two sessions: session 0 always wins the race.
-	if c.FairnessSpread() < 0.9 {
-		t.Fatalf("expected near-total starvation of the second session, spread %v",
-			c.FairnessSpread())
-	}
-	st := c.Stats()
-	if f := float64(st.QuantumRounds) / float64(st.Rounds); math.Abs(f-0.5) > 0.01 {
-		t.Fatalf("aggregate quantum fraction %v, want 0.5", f)
-	}
-}
-
-// halfSupplier provides exactly one pair per distinct timestamp.
-type halfSupplier struct {
-	last time.Duration
-	used bool
-}
-
-func (h *halfSupplier) TryConsume(now time.Duration) (float64, bool) {
-	if now != h.last {
-		h.last = now
-		h.used = false
-	}
-	if h.used {
-		return 0, false
-	}
-	h.used = true
-	return 1, true
-}
-
 // TestBrownoutRoundSkipsSupplyChain: the load-driven brownout round plays
 // the best-classical strategy without consuming pairs or probing the
 // supply — a counting supplier must see zero consumption attempts while

@@ -187,111 +187,3 @@ func minOf(vals []float64) float64 {
 func PigeonholeLowerBound(n, m, k int) float64 {
 	return ExactBestClassical(n, m, k)
 }
-
-// OptimizeGHZAngles runs coordinate-descent hill climbing over per-switch
-// measurement angles on a GHZ state, minimizing expected collisions — a
-// much stronger adversary than random search. It still cannot beat the
-// pigeonhole bound (the conjecture's no-input case is proved), and the
-// tests assert exactly that.
-func OptimizeGHZAngles(n, k, restarts int, rng *xrand.RNG) float64 {
-	base := rng.Uint64()
-	vals := parallel.Map(restarts, func(r int) float64 {
-		rrng := xrand.Derive(base, uint64(r))
-		angles := make([]float64, n)
-		for i := range angles {
-			angles[i] = rrng.Float64() * math.Pi
-		}
-		cur := GHZCandidate(n, angles).ExpectedCollisions(k)
-		trial := make([]float64, n)
-		step := 0.5
-		for step > 1e-4 {
-			improved := false
-			for i := 0; i < n; i++ {
-				for _, delta := range []float64{step, -step} {
-					copy(trial, angles)
-					trial[i] += delta
-					v := GHZCandidate(n, trial).ExpectedCollisions(k)
-					if v < cur-1e-12 {
-						cur = v
-						copy(angles, trial)
-						improved = true
-					}
-				}
-			}
-			if !improved {
-				step /= 2
-			}
-		}
-		return cur
-	})
-	return minOf(vals)
-}
-
-// MultiPathCandidate generalizes QuantumCandidate past binary outputs: each
-// switch holds TWO qubits of a shared 2n-qubit state and maps its 2-bit
-// measurement outcome onto one of m paths (outcome o → path o mod m). The
-// paper notes XOR-game outputs are binary; multi-qubit measurements are the
-// natural escape hatch, and the pigeonhole bound applies to them all the
-// same — which the tests confirm.
-type MultiPathCandidate struct {
-	State *qsim.State  // 2n qubits: switch i owns qubits 2i, 2i+1
-	Bases []qsim.Basis // one basis per qubit (2n entries)
-	Paths int
-}
-
-// RandomMultiPathCandidate draws a random shared state and bases for n
-// switches choosing among m paths.
-func RandomMultiPathCandidate(n, m int, rng *xrand.RNG) MultiPathCandidate {
-	amp := make([]complex128, 1<<(2*n))
-	for i := range amp {
-		amp[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	bases := make([]qsim.Basis, 2*n)
-	for i := range bases {
-		bases[i] = qsim.FromVector([]complex128{
-			complex(rng.NormFloat64(), rng.NormFloat64()),
-			complex(rng.NormFloat64(), rng.NormFloat64()),
-		})
-	}
-	return MultiPathCandidate{State: qsim.FromAmplitudes(amp), Bases: bases, Paths: m}
-}
-
-// ExpectedCollisions returns the exact expected colliding pairs per round
-// with exactly k of n switches active.
-func (mc MultiPathCandidate) ExpectedCollisions(k int) float64 {
-	n := mc.State.NumQubits / 2
-	dist := mc.State.OutcomeDistribution(mc.Bases)
-	p2 := pairActiveProb(n, k)
-	nq := mc.State.NumQubits
-	path := func(outcome, sw int) int {
-		hi := outcome >> (nq - 1 - 2*sw) & 1
-		lo := outcome >> (nq - 2 - 2*sw) & 1
-		return (hi<<1 | lo) % mc.Paths
-	}
-	var total float64
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			pSame := 0.0
-			for o, p := range dist {
-				if path(o, i) == path(o, j) {
-					pSame += p
-				}
-			}
-			total += p2 * pSame
-		}
-	}
-	return total
-}
-
-// MultiPathQuantumSearch searches random two-qubit-per-switch candidates for
-// the lowest expected collisions at m paths; the pigeonhole bound still
-// binds (note: the "o mod m" output map is itself biased for m=3, making
-// these candidates strictly weaker than the classical optimum's balanced
-// assignment — yet more support for the conjecture).
-func MultiPathQuantumSearch(n, m, k, trials int, rng *xrand.RNG) float64 {
-	base := rng.Uint64()
-	vals := parallel.Map(trials, func(t int) float64 {
-		return RandomMultiPathCandidate(n, m, xrand.Derive(base, uint64(t))).ExpectedCollisions(k)
-	})
-	return minOf(vals)
-}

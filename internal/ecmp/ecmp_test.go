@@ -226,51 +226,3 @@ func BenchmarkQuantumCandidateEval(b *testing.B) {
 		cand.ExpectedCollisions(2)
 	}
 }
-
-// TestOptimizedGHZAnglesHitTheClassicalBoundExactly: an adversarial hill
-// climber over GHZ measurement angles converges to the pigeonhole bound —
-// matching, never beating, the classical optimum. This is the strongest
-// numerical evidence the repository offers for the paper's conjecture.
-func TestOptimizedGHZAnglesHitTheClassicalBoundExactly(t *testing.T) {
-	rng := xrand.New(25, 2)
-	for _, n := range []int{3, 4} {
-		bound := PigeonholeLowerBound(n, 2, 2)
-		got := OptimizeGHZAngles(n, 2, 6, rng)
-		if got < bound-1e-9 {
-			t.Fatalf("n=%d: optimizer found %v below the proved bound %v", n, got, bound)
-		}
-		// The optimizer should essentially REACH the bound (within 2%):
-		// quantum strategies can match classical, just not beat it.
-		if got > bound*1.02+1e-9 {
-			t.Fatalf("n=%d: optimizer stuck at %v, bound %v — should converge", n, got, bound)
-		}
-	}
-}
-
-// TestMultiPathQuantumObeysPigeonhole extends the conjecture check to m=3
-// paths with two qubits per switch: still no candidate below the bound.
-func TestMultiPathQuantumObeysPigeonhole(t *testing.T) {
-	rng := xrand.New(26, 3)
-	for _, tc := range []struct{ n, m int }{{3, 3}, {4, 3}, {3, 4}} {
-		bound := PigeonholeLowerBound(tc.n, tc.m, 2)
-		got := MultiPathQuantumSearch(tc.n, tc.m, 2, 60, rng)
-		if got < bound-1e-9 {
-			t.Fatalf("n=%d m=%d: quantum search %v below proved bound %v",
-				tc.n, tc.m, got, bound)
-		}
-	}
-}
-
-// TestMultiPathCandidateDistributionSane: path choices are valid and the
-// collision expectation is within [0, maxPairs].
-func TestMultiPathCandidateDistributionSane(t *testing.T) {
-	rng := xrand.New(27, 3)
-	mc := RandomMultiPathCandidate(3, 3, rng)
-	v := mc.ExpectedCollisions(2)
-	if v < 0 || v > 1 {
-		t.Fatalf("expected collisions %v out of range for k=2", v)
-	}
-	if mc.State.NumQubits != 6 || len(mc.Bases) != 6 {
-		t.Fatal("candidate shape wrong")
-	}
-}

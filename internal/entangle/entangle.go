@@ -26,10 +26,6 @@ type SourceConfig struct {
 	// BaseVisibility is the Werner-state visibility of a freshly delivered
 	// pair (1 = perfect Bell pair).
 	BaseVisibility float64
-	// NPhotonFalloff is the multiplicative rate penalty per photon beyond
-	// two; §3 says multi-photon rates drop "by several orders of magnitude",
-	// so the default is 1e-3.
-	NPhotonFalloff float64
 	// FiberLengthM is the one-way fiber run to each endpoint, in meters.
 	FiberLengthM float64
 	// AttenuationDBPerKm is fiber loss; 0.2 dB/km is standard telecom fiber.
@@ -47,7 +43,6 @@ func DefaultSource() SourceConfig {
 	return SourceConfig{
 		PairRate:           1e5,
 		BaseVisibility:     0.98,
-		NPhotonFalloff:     1e-3,
 		FiberLengthM:       1000,
 		AttenuationDBPerKm: 0.2,
 	}
@@ -65,9 +60,6 @@ func (c SourceConfig) Validate() error {
 	}
 	if !(c.BaseVisibility >= 0 && c.BaseVisibility <= 1) {
 		return fmt.Errorf("entangle: visibility must lie in [0,1]")
-	}
-	if !(c.NPhotonFalloff > 0 && c.NPhotonFalloff <= 1) {
-		return fmt.Errorf("entangle: n-photon falloff must lie in (0,1]")
 	}
 	if !(c.AttenuationDBPerKm >= 0) || math.IsInf(c.AttenuationDBPerKm, 1) {
 		return fmt.Errorf("entangle: fiber attenuation must be finite and non-negative")
@@ -104,16 +96,6 @@ func (c SourceConfig) DeliveryProbability() float64 {
 // DeliveredPairRate is the effective rate of usable pairs after fiber loss.
 func (c SourceConfig) DeliveredPairRate() float64 {
 	return c.PairRate * c.DeliveryProbability()
-}
-
-// RateForParties returns the generation rate of n-photon entangled states,
-// applying the per-photon falloff (n = 2 is the base pair rate). §3: "the
-// rates of multi-photon entanglement drop off sharply".
-func (c SourceConfig) RateForParties(n int) float64 {
-	if n < 2 {
-		panic("entangle: entanglement needs at least 2 parties")
-	}
-	return c.PairRate * math.Pow(c.NPhotonFalloff, float64(n-2))
 }
 
 // PropagationDelay is the one-way fiber latency from source to endpoint.

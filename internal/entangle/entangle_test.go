@@ -20,14 +20,13 @@ func TestDefaultConfigsValid(t *testing.T) {
 
 func TestSourceValidateCatchesErrors(t *testing.T) {
 	bad := []SourceConfig{
-		{PairRate: 0, BaseVisibility: 1, NPhotonFalloff: 0.5},
-		{PairRate: 1, BaseVisibility: 1.2, NPhotonFalloff: 0.5},
-		{PairRate: 1, BaseVisibility: 1, NPhotonFalloff: 0},
-		{PairRate: 1, BaseVisibility: 1, NPhotonFalloff: 0.5, FiberLengthM: -1},
-		{PairRate: 2e9, BaseVisibility: 1, NPhotonFalloff: 0.5}, // interval rounds to 0 ns
+		{PairRate: 0, BaseVisibility: 1},
+		{PairRate: 1, BaseVisibility: 1.2},
+		{PairRate: 1, BaseVisibility: 1, FiberLengthM: -1},
+		{PairRate: 2e9, BaseVisibility: 1}, // interval rounds to 0 ns
 		// A fiber whose one-way delay overflows a time.Duration, and NaN.
-		{PairRate: 1, BaseVisibility: 1, NPhotonFalloff: 0.5, FiberLengthM: 1e19},
-		{PairRate: 1, BaseVisibility: 1, NPhotonFalloff: 0.5, FiberLengthM: math.NaN()},
+		{PairRate: 1, BaseVisibility: 1, FiberLengthM: 1e19},
+		{PairRate: 1, BaseVisibility: 1, FiberLengthM: math.NaN()},
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {
@@ -43,7 +42,6 @@ func TestSourceValidateRejectsNonFinite(t *testing.T) {
 	fields := map[string]func(*SourceConfig, float64){
 		"PairRate":           func(c *SourceConfig, v float64) { c.PairRate = v },
 		"BaseVisibility":     func(c *SourceConfig, v float64) { c.BaseVisibility = v },
-		"NPhotonFalloff":     func(c *SourceConfig, v float64) { c.NPhotonFalloff = v },
 		"FiberLengthM":       func(c *SourceConfig, v float64) { c.FiberLengthM = v },
 		"AttenuationDBPerKm": func(c *SourceConfig, v float64) { c.AttenuationDBPerKm = v },
 	}
@@ -86,31 +84,6 @@ func TestDeliveredPairRate(t *testing.T) {
 	if math.Abs(c.DeliveredPairRate()-1e6) > 1e-6 {
 		t.Fatal("zero fiber should deliver at the generation rate")
 	}
-}
-
-func TestRateForPartiesFalloff(t *testing.T) {
-	c := DefaultSource()
-	c.PairRate = 1e6
-	c.NPhotonFalloff = 1e-3
-	if math.Abs(c.RateForParties(2)-1e6) > 1e-6 {
-		t.Fatal("2-party rate should be the pair rate")
-	}
-	// §3: multi-photon rates drop by orders of magnitude.
-	if math.Abs(c.RateForParties(3)-1e3) > 1e-9 {
-		t.Fatalf("3-photon rate = %v", c.RateForParties(3))
-	}
-	if math.Abs(c.RateForParties(4)-1) > 1e-9 {
-		t.Fatalf("4-photon rate = %v", c.RateForParties(4))
-	}
-}
-
-func TestRateForPartiesPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	DefaultSource().RateForParties(1)
 }
 
 func TestPropagationDelayKilometer(t *testing.T) {

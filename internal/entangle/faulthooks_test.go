@@ -159,7 +159,6 @@ func TestServiceStopDropsInFlightPairs(t *testing.T) {
 	src := SourceConfig{
 		PairRate:       1e5, // 10µs interval
 		BaseVisibility: 0.98,
-		NPhotonFalloff: 1e-3,
 		FiberLengthM:   1000, // 5µs propagation
 	}
 	pool := NewPool(testQNIC(), 0)

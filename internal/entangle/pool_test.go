@@ -100,7 +100,6 @@ func TestServiceDeliversAtExpectedRate(t *testing.T) {
 	src := SourceConfig{
 		PairRate:           1e5, // one pair per 10µs
 		BaseVisibility:     0.95,
-		NPhotonFalloff:     1e-3,
 		FiberLengthM:       0, // lossless for rate check
 		AttenuationDBPerKm: 0.2,
 	}
@@ -128,7 +127,6 @@ func TestServiceFiberLoss(t *testing.T) {
 	src := SourceConfig{
 		PairRate:           1e5,
 		BaseVisibility:     0.95,
-		NPhotonFalloff:     1e-3,
 		FiberLengthM:       50_000, // 10 dB/arm → 1% pair delivery
 		AttenuationDBPerKm: 0.2,
 	}
@@ -169,7 +167,6 @@ func TestSupplyDemandBalance(t *testing.T) {
 	src := SourceConfig{
 		PairRate:           1e4, // 100µs between pairs
 		BaseVisibility:     0.95,
-		NPhotonFalloff:     1e-3,
 		FiberLengthM:       0,
 		AttenuationDBPerKm: 0.2,
 	}

@@ -299,7 +299,7 @@ func (s *Service) SetBudget(n int64) {
 }
 
 // SetOutage switches the source off (down=true) or back on — the
-// MTBF/MTTR source-outage fault. While down, generation ticks are counted
+// source-outage fault. While down, generation ticks are counted
 // as Suppressed and nothing enters the fiber.
 func (s *Service) SetOutage(down bool) { s.outage = down }
 

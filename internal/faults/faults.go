@@ -5,24 +5,21 @@
 // bursty and failure-prone, so this package models the §3 caveats as
 // first-class, reproducible events:
 //
-//   - source outages (an MTBF/MTTR on/off process on entangle.Service),
+//   - source outages (entangle.Service switched off),
 //   - fiber-loss bursts (transient delivery-probability collapse),
 //   - QNIC decoherence spikes (temporary T2 reduction in entangle.Pool),
 //   - repeater BSM-failure windows (swap success collapse along a chain),
 //   - pool corruption/flush events (quantum memory loss).
 //
-// Everything is driven by the netsim.Engine clock and xrand derived
-// streams: a fault timeline is a pure function of (seed, profiles), never
-// of event interleaving or worker count, so every chaos run replays
-// bit-for-bit.
+// Fault timelines are scripted windows driven by the netsim.Engine clock:
+// a timeline is data, never a function of event interleaving or worker
+// count, so every chaos run replays bit-for-bit.
 package faults
 
 import (
 	"fmt"
 	"sort"
 	"time"
-
-	"repro/internal/xrand"
 )
 
 // Kind identifies a fault class.
@@ -172,73 +169,4 @@ func (s Schedule) VisibilityFactor(t time.Duration) float64 {
 		return sev
 	}
 	return 1
-}
-
-// Timeline renders the schedule as one line per window for reports.
-func (s Schedule) Timeline() string {
-	out := ""
-	for _, w := range s.sorted() {
-		if w.Kind == KindPoolFlush {
-			out += fmt.Sprintf("%-18s at %v\n", w.Kind, w.Start)
-			continue
-		}
-		out += fmt.Sprintf("%-18s [%v, %v) severity %.3g\n", w.Kind, w.Start, w.End, w.Severity)
-	}
-	return out
-}
-
-// Profile is an MTBF/MTTR on/off renewal process for one fault kind: the
-// component stays up for an Exp(MTBF) time, then down for an Exp(MTTR)
-// time, repeating over the horizon. For KindPoolFlush the MTTR is ignored
-// (corruption is instantaneous) and MTBF is the mean time between flushes.
-type Profile struct {
-	Kind     Kind
-	MTBF     time.Duration
-	MTTR     time.Duration
-	Severity float64
-}
-
-// Validate checks the profile.
-func (p Profile) Validate() error {
-	if p.MTBF <= 0 {
-		return fmt.Errorf("faults: %v profile needs a positive MTBF", p.Kind)
-	}
-	if p.Kind != KindPoolFlush && p.MTTR <= 0 {
-		return fmt.Errorf("faults: %v profile needs a positive MTTR", p.Kind)
-	}
-	return Window{Kind: p.Kind, Severity: p.Severity}.Validate()
-}
-
-// Generate samples a fault timeline over [0, horizon): profile i draws its
-// on/off process from xrand.Derive(base, i), so the schedule depends only
-// on (base, profiles, horizon) — never on evaluation order, other streams,
-// or worker count. Identical inputs yield identical timelines.
-func Generate(base uint64, profiles []Profile, horizon time.Duration) Schedule {
-	var s Schedule
-	for i, p := range profiles {
-		if err := p.Validate(); err != nil {
-			panic(err)
-		}
-		rng := xrand.Derive(base, uint64(i))
-		t := time.Duration(0)
-		for {
-			up := time.Duration(rng.ExpFloat64() * float64(p.MTBF))
-			t += up
-			if t >= horizon {
-				break
-			}
-			w := Window{Kind: p.Kind, Start: t, End: t, Severity: p.Severity}
-			if p.Kind != KindPoolFlush {
-				down := time.Duration(rng.ExpFloat64() * float64(p.MTTR))
-				w.End = t + down
-				if w.End > horizon {
-					w.End = horizon
-				}
-				t = w.End
-			}
-			s.Windows = append(s.Windows, w)
-		}
-	}
-	s.Windows = Schedule{Windows: s.Windows}.sorted()
-	return s
 }

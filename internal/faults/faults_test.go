@@ -75,106 +75,6 @@ func TestSupplyAndVisibilityFactors(t *testing.T) {
 	}
 }
 
-func TestGenerateIsDeterministic(t *testing.T) {
-	profiles := []Profile{
-		{Kind: KindSourceOutage, MTBF: ms(10), MTTR: ms(2)},
-		{Kind: KindFiberLossBurst, MTBF: ms(7), MTTR: ms(3), Severity: 0.1},
-		{Kind: KindPoolFlush, MTBF: ms(20)},
-	}
-	a := Generate(42, profiles, ms(500))
-	b := Generate(42, profiles, ms(500))
-	if len(a.Windows) != len(b.Windows) {
-		t.Fatalf("window counts differ: %d vs %d", len(a.Windows), len(b.Windows))
-	}
-	for i := range a.Windows {
-		if a.Windows[i] != b.Windows[i] {
-			t.Fatalf("window %d differs: %+v vs %+v", i, a.Windows[i], b.Windows[i])
-		}
-	}
-	if len(a.Windows) == 0 {
-		t.Fatal("a 500ms horizon with 10ms MTBFs should produce windows")
-	}
-	if c := Generate(43, profiles, ms(500)); len(c.Windows) == len(a.Windows) {
-		same := true
-		for i := range c.Windows {
-			if c.Windows[i] != a.Windows[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.Fatal("different seeds produced identical timelines")
-		}
-	}
-}
-
-func TestGenerateRespectsHorizonAndOrder(t *testing.T) {
-	profiles := []Profile{
-		{Kind: KindSourceOutage, MTBF: ms(5), MTTR: ms(5)},
-		{Kind: KindDecoherenceSpike, MTBF: ms(6), MTTR: ms(4), Severity: 0.2},
-	}
-	horizon := ms(200)
-	s := Generate(1, profiles, horizon)
-	if err := s.Validate(); err != nil {
-		t.Fatalf("generated schedule invalid: %v", err)
-	}
-	prev := time.Duration(-1)
-	for _, w := range s.Windows {
-		if w.Start < prev {
-			t.Fatalf("windows not sorted by start: %v after %v", w.Start, prev)
-		}
-		prev = w.Start
-		if w.Start >= horizon || w.End > horizon {
-			t.Fatalf("window %+v exceeds horizon %v", w, horizon)
-		}
-	}
-}
-
-func TestGeneratePerProfileStreamsIndependent(t *testing.T) {
-	// Adding a profile must not change the windows the first profile draws:
-	// each profile derives its own stream from the base seed.
-	p0 := Profile{Kind: KindSourceOutage, MTBF: ms(10), MTTR: ms(2)}
-	solo := Generate(9, []Profile{p0}, ms(300))
-	both := Generate(9, []Profile{p0, {Kind: KindPoolFlush, MTBF: ms(15)}}, ms(300))
-	var outages []Window
-	for _, w := range both.Windows {
-		if w.Kind == KindSourceOutage {
-			outages = append(outages, w)
-		}
-	}
-	if len(outages) != len(solo.Windows) {
-		t.Fatalf("outage count changed when a profile was added: %d vs %d", len(outages), len(solo.Windows))
-	}
-	for i := range outages {
-		if outages[i] != solo.Windows[i] {
-			t.Fatalf("outage window %d changed: %+v vs %+v", i, outages[i], solo.Windows[i])
-		}
-	}
-}
-
-func TestGenerateValidatesProfiles(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Generate with a zero-MTBF profile should panic")
-		}
-	}()
-	Generate(1, []Profile{{Kind: KindSourceOutage, MTTR: ms(1)}}, ms(10))
-}
-
-func TestTimelineRendersEveryWindow(t *testing.T) {
-	s := Schedule{Windows: []Window{
-		{Kind: KindPoolFlush, Start: ms(3), End: ms(3)},
-		{Kind: KindSourceOutage, Start: ms(1), End: ms(2)},
-	}}
-	out := s.Timeline()
-	if !strings.Contains(out, "source-outage") || !strings.Contains(out, "pool-flush") {
-		t.Fatalf("timeline missing windows:\n%s", out)
-	}
-	if strings.Index(out, "source-outage") > strings.Index(out, "pool-flush") {
-		t.Fatalf("timeline not sorted by start:\n%s", out)
-	}
-}
-
 func TestKindStrings(t *testing.T) {
 	for k := KindNone; k < numKinds; k++ {
 		if s := k.String(); s == "" || strings.HasPrefix(s, "Kind(") {

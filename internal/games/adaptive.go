@@ -16,10 +16,13 @@ import (
 // measurements to the noise its certification run actually reveals.
 
 // SeeSawOnState computes a locally optimal strategy for a binary-output
-// game played on the given shared two-qubit state. Each half-step is an
-// exact best response (positive-eigenspace projector of the conditional
-// score operator), so the value is monotone and converges; restarts guard
-// against poor basins.
+// game played on the given shared two-qubit state (the Bell pair is
+// qsim.DensityFromPure(qsim.Bell())). Each half-step is an exact best
+// response (positive-eigenspace projector of the conditional score
+// operator), so the value is monotone and converges; restarts guard
+// against poor basins. The result is a valid quantum strategy, hence a
+// lower bound on the quantum value (the general decision problem is
+// undecidable, so a lower-bound method is the honest tool).
 func (g *GeneralGame) SeeSawOnState(rho *qsim.Density, rng *xrand.RNG) SeeSawResult {
 	if g.KA != 2 || g.KB != 2 {
 		panic("games: SeeSawOnState supports binary outputs only")

@@ -13,8 +13,9 @@ import (
 // sizes NA/NB, output alphabets of sizes KA/KB, an input distribution, and a
 // win predicate. §4.1 notes that "algorithms exist that can determine
 // whether a quantum advantage is possible for an arbitrary finite game" —
-// this file implements the classical side exactly and the quantum side as
-// the Liang–Doherty see-saw lower bound (the paper's reference [39]).
+// this file implements the classical side exactly; SeeSawOnState
+// (adaptive.go) is the quantum side, the Liang–Doherty see-saw lower bound
+// (the paper's reference [39]).
 type GeneralGame struct {
 	Name           string
 	NA, NB, KA, KB int
@@ -105,153 +106,17 @@ func (g *GeneralGame) ClassicalValue() float64 {
 
 // SeeSawResult is the outcome of the see-saw iteration: a certified-feasible
 // quantum strategy (a lower bound on the quantum value) with the projectors
-// that realize it on a shared Bell pair.
+// that realize it on the shared state.
 type SeeSawResult struct {
 	Value float64
 	// AliceProj[x] / BobProj[y] are the outcome-0 projectors on C².
 	AliceProj, BobProj []*linalg.Mat
 }
 
-// SeeSawQuantumValue runs the Liang–Doherty alternating optimization for
-// binary-output games on a shared Bell pair: holding Bob fixed, Alice's
-// optimal outcome-0 projector for each input is the projector onto the
-// positive eigenspace of her conditional score operator (and symmetrically).
-// Each half-step is the exact best response, so the value is monotonically
-// non-decreasing and converges; random restarts escape poor basins. The
-// result is a valid quantum strategy, hence a lower bound on the quantum
-// value (the paper notes the general decision problem is undecidable, so a
-// lower-bound method is the honest tool).
-func (g *GeneralGame) SeeSawQuantumValue(rng *xrand.RNG) SeeSawResult {
-	if g.KA != 2 || g.KB != 2 {
-		panic("games: SeeSawQuantumValue supports binary outputs only")
-	}
-	const restarts = 6
-	best := SeeSawResult{Value: -1}
-	for r := 0; r < restarts; r++ {
-		res := g.seeSawOnce(rng)
-		if res.Value > best.Value {
-			best = res
-		}
-	}
-	return best
-}
-
-func (g *GeneralGame) seeSawOnce(rng *xrand.RNG) SeeSawResult {
-	// Shared state: Bell pair Φ+. For B acting on Bob's side,
-	// Tr_B[(I ⊗ B)|Φ+⟩⟨Φ+|] = Bᵀ/2.
-	alice := make([]*linalg.Mat, g.NA)
-	bob := make([]*linalg.Mat, g.NB)
-	for x := range alice {
-		alice[x] = randomProjector(rng)
-	}
-	for y := range bob {
-		bob[y] = randomProjector(rng)
-	}
-
-	// Shared scratch for the whole see-saw: the score accumulator and the
-	// effect buffers are reused across iterations, so the inner loops only
-	// allocate for the eigenprojectors they return.
-	diff := linalg.NewMat(2, 2)
-	effA := linalg.NewMat(2, 2)
-	effB := linalg.NewMat(2, 2)
-
-	value := func() float64 {
-		var v float64
-		for x := 0; x < g.NA; x++ {
-			for y := 0; y < g.NB; y++ {
-				if g.Prob[x][y] == 0 {
-					continue
-				}
-				for a := 0; a < 2; a++ {
-					for b := 0; b < 2; b++ {
-						if g.Win(x, y, a, b) {
-							v += g.Prob[x][y] * bellProbInto(effA, effB, alice[x], bob[y], a, b)
-						}
-					}
-				}
-			}
-		}
-		return v
-	}
-
-	prev := -1.0
-	for iter := 0; iter < 500; iter++ {
-		// Alice best response: maximize Tr[A_x (R_x^0 − R_x^1)] over
-		// projectors A_x, where R_x^a = Σ_{y,b: win} π(x,y)·T(B_y^b) and
-		// T(B) = Bᵀ/2 is the Alice-side operator of Bob's effect.
-		for x := 0; x < g.NA; x++ {
-			diff.Zero()
-			for y := 0; y < g.NB; y++ {
-				if g.Prob[x][y] == 0 {
-					continue
-				}
-				for b := 0; b < 2; b++ {
-					eff := bobEffectInto(effB, bob[y], b)
-					c := complex(g.Prob[x][y]/2, 0)
-					if g.Win(x, y, 0, b) {
-						diff.AddScaledTransposeInPlace(c, eff)
-					}
-					if g.Win(x, y, 1, b) {
-						diff.SubScaledTransposeInPlace(c, eff)
-					}
-				}
-			}
-			alice[x] = positiveEigenprojector(diff)
-		}
-		// Bob best response, symmetrically: for A acting on Alice's side,
-		// Tr_A[(A ⊗ I)|Φ+⟩⟨Φ+|] = Aᵀ/2.
-		for y := 0; y < g.NB; y++ {
-			diff.Zero()
-			for x := 0; x < g.NA; x++ {
-				if g.Prob[x][y] == 0 {
-					continue
-				}
-				for a := 0; a < 2; a++ {
-					eff := bobEffectInto(effA, alice[x], a)
-					c := complex(g.Prob[x][y]/2, 0)
-					if g.Win(x, y, a, 0) {
-						diff.AddScaledTransposeInPlace(c, eff)
-					}
-					if g.Win(x, y, a, 1) {
-						diff.SubScaledTransposeInPlace(c, eff)
-					}
-				}
-			}
-			bob[y] = positiveEigenprojector(diff)
-		}
-		v := value()
-		if v-prev < 1e-12 {
-			break
-		}
-		prev = v
-	}
-	return SeeSawResult{Value: value(), AliceProj: alice, BobProj: bob}
-}
-
-// bellProb returns P(a, b | projectors) on the Bell pair:
-// Tr[(A^a ⊗ B^b)|Φ+⟩⟨Φ+|] = Tr[A^a (B^b)ᵀ]/2.
-func bellProb(aliceProj, bobProj *linalg.Mat, a, b int) float64 {
-	return bellProbInto(linalg.NewMat(2, 2), linalg.NewMat(2, 2), aliceProj, bobProj, a, b)
-}
-
-// bellProbInto is bellProb with caller-provided effect scratch, for the
-// see-saw hot loops.
-func bellProbInto(ea2, eb2, aliceProj, bobProj *linalg.Mat, a, b int) float64 {
-	ea := bobEffectInto(ea2, aliceProj, a)
-	eb := bobEffectInto(eb2, bobProj, b)
-	return real(linalg.TraceMulT(ea, eb)) / 2
-}
-
-// bobEffect returns the effect operator for outcome o given the outcome-0
-// projector p: p itself for o = 0, I − p for o = 1.
-func bobEffect(p *linalg.Mat, o int) *linalg.Mat {
-	return bobEffectInto(linalg.NewMat(2, 2), p, o)
-}
-
-// bobEffectInto is bobEffect writing the o = 1 complement into out instead
-// of allocating; for o = 0 it returns p itself and leaves out untouched.
-// The complement subtracts from explicit identity entries, matching
-// Identity(2).Sub(p) bit for bit.
+// bobEffectInto returns the effect operator for outcome o given the
+// outcome-0 projector p: p itself for o = 0 (out untouched), and for o = 1
+// the complement I − p written into out. The complement subtracts from
+// explicit identity entries, matching Identity(2).Sub(p) bit for bit.
 func bobEffectInto(out, p *linalg.Mat, o int) *linalg.Mat {
 	if o == 0 {
 		return p
@@ -291,25 +156,6 @@ func randomProjector(rng *xrand.RNG) *linalg.Mat {
 	}
 	v.Normalize()
 	return v.Outer(v)
-}
-
-// BehaviorFromProjectors converts a see-saw strategy into the conditional
-// distribution P[x][y][a][b] for scoring or sampling.
-func (r SeeSawResult) BehaviorFromProjectors(na, nb int) [][][][]float64 {
-	p := make([][][][]float64, na)
-	for x := 0; x < na; x++ {
-		p[x] = make([][][]float64, nb)
-		for y := 0; y < nb; y++ {
-			p[x][y] = make([][]float64, 2)
-			for a := 0; a < 2; a++ {
-				p[x][y][a] = make([]float64, 2)
-				for b := 0; b < 2; b++ {
-					p[x][y][a][b] = bellProb(r.AliceProj[x], r.BobProj[y], a, b)
-				}
-			}
-		}
-	}
-	return p
 }
 
 // VerifyBehaviorNoSignaling checks that a behavior's marginals are

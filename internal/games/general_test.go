@@ -4,8 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/qsim"
 	"repro/internal/xrand"
 )
+
+// bellState is the shared Φ⁺ pair the see-saw tests play on.
+func bellState() *qsim.Density { return qsim.DensityFromPure(qsim.Bell()) }
 
 func TestFromXORPreservesValue(t *testing.T) {
 	g := FromXOR(NewCHSH())
@@ -39,7 +43,7 @@ func TestGeneralClassicalValueNonXOR(t *testing.T) {
 func TestSeeSawReachesCHSHQuantumValue(t *testing.T) {
 	rng := xrand.New(30, 1)
 	g := FromXOR(NewCHSH())
-	res := g.SeeSawQuantumValue(rng)
+	res := g.SeeSawOnState(bellState(), rng)
 	if math.Abs(res.Value-chshQuantum) > 1e-6 {
 		t.Fatalf("see-saw CHSH value = %v, want %v", res.Value, chshQuantum)
 	}
@@ -51,7 +55,7 @@ func TestSeeSawNeverBelowClassicalOnXORGames(t *testing.T) {
 		x := RandomGraphXORGame(4, 0.5, rng)
 		g := FromXOR(x)
 		c := x.ClassicalValue()
-		res := g.SeeSawQuantumValue(rng)
+		res := g.SeeSawOnState(bellState(), rng)
 		// A 2-qubit see-saw may not reach the full Tsirelson optimum of a
 		// large game, but it should never fall meaningfully below the
 		// classical value (classical strategies are realizable with trivial
@@ -65,8 +69,9 @@ func TestSeeSawNeverBelowClassicalOnXORGames(t *testing.T) {
 func TestSeeSawBehaviorPhysical(t *testing.T) {
 	rng := xrand.New(32, 1)
 	g := FromXOR(NewCHSH())
-	res := g.SeeSawQuantumValue(rng)
-	p := res.BehaviorFromProjectors(g.NA, g.NB)
+	rho := bellState()
+	res := g.SeeSawOnState(rho, rng)
+	p := BehaviorOnState(rho, res.AliceProj, res.BobProj)
 	if v := VerifyBehaviorNoSignaling(p); v > 1e-9 {
 		t.Fatalf("see-saw behavior signals by %v", v)
 	}
@@ -94,7 +99,7 @@ func TestSeeSawTsirelsonBound(t *testing.T) {
 	rng := xrand.New(33, 1)
 	g := FromXOR(NewCHSH())
 	for trial := 0; trial < 5; trial++ {
-		res := g.SeeSawQuantumValue(rng)
+		res := g.SeeSawOnState(bellState(), rng)
 		if res.Value > chshQuantum+1e-9 {
 			t.Fatalf("see-saw value %v exceeds the Tsirelson bound", res.Value)
 		}
@@ -155,14 +160,5 @@ func TestSeeSawRejectsNonBinaryOutputs(t *testing.T) {
 		Prob: [][]float64{{1}},
 		Win:  func(x, y, a, b int) bool { return a == b },
 	}
-	g.SeeSawQuantumValue(xrand.New(1, 1))
-}
-
-func BenchmarkSeeSawCHSH(b *testing.B) {
-	rng := xrand.New(1, 7)
-	g := FromXOR(NewCHSH())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.SeeSawQuantumValue(rng)
-	}
+	g.SeeSawOnState(bellState(), xrand.New(1, 1))
 }

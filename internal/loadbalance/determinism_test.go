@@ -52,7 +52,8 @@ func TestSweepDelayWorkerInvariance(t *testing.T) {
 	run := func(workers int) stats.Series {
 		parallel.SetDefaultWorkers(workers)
 		defer parallel.SetDefaultWorkers(0)
-		return SweepDelay(base, func() Strategy { return RandomStrategy{} }, loads)
+		_, delay := SweepBoth(base, func() Strategy { return RandomStrategy{} }, loads)
+		return delay
 	}
 	if a, b := run(1), run(8); !reflect.DeepEqual(a, b) {
 		t.Fatalf("delay sweep differs across worker counts:\n1 worker: %+v\n8 workers: %+v", a, b)

@@ -337,16 +337,6 @@ func TestPowerOfTwoBeatsRandom(t *testing.T) {
 	}
 }
 
-func TestRepairingAblationRuns(t *testing.T) {
-	cfg := testConfig(1.0)
-	s := NewQuantumPairedStrategy(1.0, xrand.New(9, 9)).WithRepairing()
-	r := Run(cfg, s)
-	if math.Abs(s.ColocationStats().Rate()-0.8535) > 0.02 {
-		t.Fatalf("repairing pairing changed the per-round physics: %v", s.ColocationStats().Rate())
-	}
-	_ = r
-}
-
 func TestDedicatedHandlesDegenerateFractions(t *testing.T) {
 	cfg := testConfig(1.0)
 	for _, f := range []float64{0, 1} {
@@ -391,7 +381,7 @@ func TestSweepProducesMonotoneSeriesNames(t *testing.T) {
 	if s.Name != "classical-random" || s.Len() != 2 {
 		t.Fatalf("series %+v", s)
 	}
-	d := SweepDelay(base, func() Strategy { return RandomStrategy{} }, []float64{0.5, 1.0})
+	_, d := SweepBoth(base, func() Strategy { return RandomStrategy{} }, []float64{0.5, 1.0})
 	if d.Len() != 2 {
 		t.Fatal("delay sweep wrong length")
 	}
@@ -453,7 +443,7 @@ func TestBiasedWorkloadTunedStrategyWins(t *testing.T) {
 
 	rng := xrand.New(60, 1)
 	tunedGame := games.BiasedColocationGame(pc, pc)
-	tuned := NewPairedWithSampler("tuned", tunedGame.QuantumValue(rng).QuantumSampler(1.0))
+	tuned := &PairedStrategy{name: "tuned", sampler: tunedGame.QuantumValue(rng).QuantumSampler(1.0)}
 	untuned := NewQuantumPairedStrategy(1.0, rng.Split(1))
 
 	Run(cfg, tuned)

@@ -250,7 +250,7 @@ func TestRunAccountingReachesRegistry(t *testing.T) {
 }
 
 // TestSweepBothMatchesSingleSweeps: the bundled sweep must reproduce the
-// individual sweeps exactly (same simulations, same seeds).
+// queue-length-only sweep exactly (same simulations, same seeds).
 func TestSweepBothMatchesSingleSweeps(t *testing.T) {
 	base := Config{
 		NumBalancers: 20,
@@ -262,13 +262,12 @@ func TestSweepBothMatchesSingleSweeps(t *testing.T) {
 	}
 	loads := []float64{0.8, 1.0, 1.2}
 	factory := func() Strategy { return RandomStrategy{} }
-	q, d := SweepBoth(base, factory, loads)
+	q, _ := SweepBoth(base, factory, loads)
 	q2 := SweepLoad(base, factory, loads)
-	d2 := SweepDelay(base, factory, loads)
 	for i := range loads {
-		if q.Y[i] != q2.Y[i] || d.Y[i] != d2.Y[i] {
-			t.Fatalf("point %d: SweepBoth (%v, %v) != SweepLoad/SweepDelay (%v, %v)",
-				i, q.Y[i], d.Y[i], q2.Y[i], d2.Y[i])
+		if q.Y[i] != q2.Y[i] || q.CI[i] != q2.CI[i] {
+			t.Fatalf("point %d: SweepBoth (%v ±%v) != SweepLoad (%v ±%v)",
+				i, q.Y[i], q.CI[i], q2.Y[i], q2.CI[i])
 		}
 	}
 }

@@ -81,11 +81,7 @@ func (PowerOfTwoStrategy) Assign(dst []int, tasks []workload.Task, view View, rn
 type PairedStrategy struct {
 	name    string
 	sampler games.JointSampler
-	// repairEachSlot re-draws the balancer pairing every slot (ablation);
-	// default is static pairing (i, i+1).
-	repairEachSlot bool
-	coloc          stats.Proportion
-	order          []int // reused pairing order, rebuilt per slot
+	coloc   stats.Proportion
 }
 
 // NewQuantumPairedStrategy builds the paper's quantum strategy: each pair
@@ -111,19 +107,6 @@ func NewClassicalPairedStrategy() *PairedStrategy {
 	}
 }
 
-// NewPairedWithSampler builds a paired strategy from any game sampler
-// (used by tests and the noise ablations).
-func NewPairedWithSampler(name string, s games.JointSampler) *PairedStrategy {
-	return &PairedStrategy{name: name, sampler: s}
-}
-
-// WithRepairing re-draws the pairing each slot (ablation) and returns the
-// strategy for chaining.
-func (p *PairedStrategy) WithRepairing() *PairedStrategy {
-	p.repairEachSlot = true
-	return p
-}
-
 // Name implements Strategy.
 func (p *PairedStrategy) Name() string { return p.name }
 
@@ -133,19 +116,9 @@ func (p *PairedStrategy) Assign(dst []int, tasks []workload.Task, view View, rng
 	m := view.NumServers()
 	out := dst
 
-	if cap(p.order) < n {
-		p.order = make([]int, n)
-	}
-	order := p.order[:n]
-	for i := range order {
-		order[i] = i
-	}
-	if p.repairEachSlot {
-		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-	}
-
-	for k := 0; k+1 < n; k += 2 {
-		i, j := order[k], order[k+1]
+	// Static pairing: balancer i plays with balancer i+1.
+	for i := 0; i+1 < n; i += 2 {
+		j := i + 1
 		// Shared randomness: the pair agrees on two distinct servers.
 		s0, s1 := rng.TwoDistinct(m)
 		xIsC := tasks[i].Type == workload.TypeC
@@ -160,7 +133,7 @@ func (p *PairedStrategy) Assign(dst []int, tasks []workload.Task, view View, rng
 	}
 	// Odd balancer out: no partner, route randomly.
 	if n%2 == 1 {
-		out[order[n-1]] = rng.IntN(m)
+		out[n-1] = rng.IntN(m)
 	}
 	return out
 }

@@ -33,9 +33,9 @@ func sweepPoints(base Config, factory StrategyFactory, loads []float64) []Result
 
 // SweepBoth regenerates both Figure 4 series — mean queue length and mean
 // queueing delay — from a single sweep: one simulation per load point,
-// fanned out over the worker pool. Callers needing only one series use the
-// SweepLoad/SweepDelay wrappers; callers exporting both (cmd/qlbsim
-// -series) avoid simulating every point twice.
+// fanned out over the worker pool. Callers needing only the queue length
+// use the SweepLoad wrapper; callers exporting both (cmd/qlbsim -series)
+// avoid simulating every point twice.
 func SweepBoth(base Config, factory StrategyFactory, loads []float64) (qlen, delay stats.Series) {
 	for _, r := range sweepPoints(base, factory, loads) {
 		if qlen.Name == "" {
@@ -61,13 +61,6 @@ func SweepBoth(base Config, factory StrategyFactory, loads []float64) (qlen, del
 func SweepLoad(base Config, factory StrategyFactory, loads []float64) stats.Series {
 	qlen, _ := SweepBoth(base, factory, loads)
 	return qlen
-}
-
-// SweepDelay is SweepLoad but records mean queueing delay (Figure 4's
-// caption metric) instead of queue length.
-func SweepDelay(base Config, factory StrategyFactory, loads []float64) stats.Series {
-	_, delay := SweepBoth(base, factory, loads)
-	return delay
 }
 
 // serversForLoad returns M so that N/M ≈ load, clamped to at least 2 (the

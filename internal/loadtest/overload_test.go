@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -139,33 +138,25 @@ func TestOverloadCollapseWithoutShedding(t *testing.T) {
 	}
 }
 
-// TestWallCoordinatedOmissionUnderShedding is the satellite-4 regression:
-// in wall mode, a request that is shed server-side and retried by the
-// client must count its latency from the ORIGINAL scheduled arrival —
-// through the 429, the backoff, and the retry — not from the attempt that
-// finally succeeded. A scripted shed window at the front of the run makes
-// early arrivals take the shed-retry journey while late arrivals sail
-// through, and the recorded tail must show the journey.
+// TestWallCoordinatedOmissionUnderShedding: in wall mode, a request the
+// server holds back must count its latency from its SCHEDULED arrival —
+// through the whole wait — not from when it was finally served. A scripted
+// window at the front of the run holds every decide request until it
+// closes (as an overloaded server's queue would), so early arrivals wait
+// out the window while late arrivals sail through, and the recorded tail
+// must show the wait.
 func TestWallCoordinatedOmissionUnderShedding(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test")
 	}
-	const shedWindow = 100 * time.Millisecond
+	const holdWindow = 100 * time.Millisecond
 	srv := serve.NewServer(serve.Config{})
 	var windowOnce sync.Once
-	var windowStart atomic.Pointer[time.Time]
+	var windowEnd time.Time
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/v1/decide") {
-			windowOnce.Do(func() {
-				now := time.Now()
-				windowStart.Store(&now)
-			})
-			if time.Since(*windowStart.Load()) < shedWindow {
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(http.StatusTooManyRequests)
-				w.Write([]byte(`{"error":"loadtest: scripted shed window"}`))
-				return
-			}
+			windowOnce.Do(func() { windowEnd = time.Now().Add(holdWindow) })
+			time.Sleep(time.Until(windowEnd))
 		}
 		srv.ServeHTTP(w, r)
 	})
@@ -174,19 +165,7 @@ func TestWallCoordinatedOmissionUnderShedding(t *testing.T) {
 		ts.Close()
 		srv.StopSessions()
 	}()
-
-	// Retries are effectively unmetered (Budget 1.0) and back off a flat
-	// 40ms (Base == Max, Rand pinned to 1.0), so every arrival inside the
-	// window lands a successful retry shortly after it closes.
-	client := serve.NewRetryClient(ts.URL, nil, serve.RetryConfig{
-		StatusRetry: true,
-		MaxAttempts: 10,
-		Budget:      1.0,
-		Burst:       1000,
-		BaseBackoff: 40 * time.Millisecond,
-		MaxBackoff:  40 * time.Millisecond,
-		Rand:        func() float64 { return 1.0 },
-	})
+	client := serve.NewClient(ts.URL)
 
 	cfg := Config{
 		Seed:           11,
@@ -204,25 +183,24 @@ func TestWallCoordinatedOmissionUnderShedding(t *testing.T) {
 		res.Requests, res.Decisions, res.Errors, res.Shed, res.InDeadline, res.Late,
 		time.Duration(res.Latency.MaxNS), time.Duration(res.Latency.P50NS))
 
-	// Every request eventually succeeds: the shed-retry loop is invisible
-	// in the error counts...
+	// Every request succeeds: the hold is invisible in the error counts...
 	if res.Errors != 0 || res.Transport != 0 || res.Retryable != 0 || res.Shed != 0 {
-		t.Fatalf("run with in-window retries had failures: %+v", res)
+		t.Fatalf("run with a hold window had failures: %+v", res)
 	}
 	if res.Decisions == 0 {
 		t.Fatal("no decisions delivered")
 	}
 	// ...but NOT in the latency ledger. The earliest arrival (scheduled
 	// near t=0) cannot complete before the window closes at ~100ms, so its
-	// recorded latency must carry the full wait. If latency were measured
-	// from the last attempt instead, the max would be a few milliseconds.
+	// recorded latency must carry the full wait; a ledger that timed only
+	// the server's own work would show a few milliseconds.
 	if res.Latency.MaxNS < int64(80*time.Millisecond) {
-		t.Fatalf("max latency %v too small: shed-retry journey not charged from scheduled arrival",
+		t.Fatalf("max latency %v too small: the hold was not charged from scheduled arrival",
 			time.Duration(res.Latency.MaxNS))
 	}
 	// The 60ms budget splits the run: arrivals early in the window miss it
-	// (their journey spans the rest of the window), arrivals after the
-	// window finish in microseconds. Both classes must be represented.
+	// (they wait out the rest of the window), arrivals after the window
+	// finish in microseconds. Both classes must be represented.
 	if res.Late == 0 {
 		t.Fatal("early-window arrivals should have missed the 60ms budget")
 	}

@@ -181,8 +181,9 @@ loop:
 				results, err = c.DecideBatchDeadline(ctx, plan.ids[req.session], deadline, req.rounds)
 			}
 			// Latency from the SCHEDULED arrival (coordinated-omission
-			// correction): a request that was shed and retried still counts
-			// its full shed-backoff-retry journey against the server.
+			// correction): whatever delayed the answer — a queue, a
+			// server-side hold, the client's one transport retry — counts
+			// against the server.
 			lat := time.Since(scheduled).Nanoseconds()
 			mu.Lock()
 			defer mu.Unlock()

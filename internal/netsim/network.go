@@ -70,12 +70,6 @@ func (n *Network) ConnectDistance(a, b NodeID, meters float64) {
 	n.Connect(a, b, PropagationDelay(meters))
 }
 
-// LinkDelay returns the one-way delay between two connected nodes.
-func (n *Network) LinkDelay(a, b NodeID) (time.Duration, bool) {
-	d, ok := n.delays[linkKey(a, b)]
-	return d, ok
-}
-
 // Send schedules delivery of a message across the link; the destination
 // handler runs after exactly the link's propagation delay. It panics if the
 // nodes are not connected — silent drops would corrupt timing experiments.

@@ -92,18 +92,19 @@ func TestDuplicateNodePanics(t *testing.T) {
 	n.AddNode(1, nil)
 }
 
+// TestLinkDelayLookup: a link installed from a fiber distance is found in
+// either direction and delays delivery by the distance's propagation time.
 func TestLinkDelayLookup(t *testing.T) {
 	var e Engine
 	n := NewNetwork(&e)
-	n.AddNode(1, nil)
+	var got Message
+	n.AddNode(1, func(_ *Network, m Message) { got = m })
 	n.AddNode(2, nil)
 	n.ConnectDistance(1, 2, 100_000)
-	d, ok := n.LinkDelay(2, 1) // either direction
-	if !ok || d != 500*time.Microsecond {
-		t.Fatalf("LinkDelay = %v, %v", d, ok)
-	}
-	if _, ok := n.LinkDelay(1, 3); ok {
-		t.Fatal("nonexistent link reported present")
+	n.Send(2, 1, "ping") // either direction
+	e.Run(0)
+	if got.DeliveredAt-got.SentAt != 500*time.Microsecond {
+		t.Fatalf("100 km link delivered after %v, want 500µs", got.DeliveredAt-got.SentAt)
 	}
 }
 

@@ -88,15 +88,6 @@ type Result struct {
 	Aborted bool
 }
 
-// SiftedKeyRate returns key bits per distributed pair.
-func (r Result) SiftedKeyRate() float64 {
-	total := r.KeyRounds + r.CHSHRounds + r.Discarded
-	if total == 0 {
-		return 0
-	}
-	return float64(len(r.Key)) / float64(total)
-}
-
 // Run executes the protocol.
 func Run(cfg Config) Result {
 	if cfg.Rounds <= 0 {
@@ -220,11 +211,6 @@ func (t *pairTable) measure(ai, bi int, rng *xrand.RNG) (a, b int) {
 	o := table.Sample(ai*len(bobAngles)+bi, rng)
 	return o >> 1 & 1, o & 1
 }
-
-// ExpectedQBER returns the key-round error rate implied by a Werner channel
-// without interception: equal-angle measurements on Werner(V) disagree with
-// probability (1−V)/2.
-func ExpectedQBER(visibility float64) float64 { return (1 - visibility) / 2 }
 
 // ExpectedS returns the no-interception CHSH estimate: 2√2·V.
 func ExpectedS(visibility float64) float64 { return 2 * math.Sqrt2 * visibility }

@@ -108,7 +108,7 @@ func (b Basis) Observable() *linalg.Mat {
 	return b.Projector(0).Sub(b.Projector(1))
 }
 
-// Common single-qubit gates, exposed for tests and circuit construction.
+// The Pauli matrices: the Kraus operators of the noise channels.
 
 // GateX returns the Pauli-X matrix.
 func GateX() *linalg.Mat {
@@ -123,27 +123,4 @@ func GateZ() *linalg.Mat {
 // GateY returns the Pauli-Y matrix.
 func GateY() *linalg.Mat {
 	return linalg.MatFromRows([][]complex128{{0, -1i}, {1i, 0}})
-}
-
-// GateH returns the Hadamard matrix.
-func GateH() *linalg.Mat {
-	r := complex(1/math.Sqrt2, 0)
-	return linalg.MatFromRows([][]complex128{{r, r}, {r, -r}})
-}
-
-// GateRY returns the rotation exp(−iθY/2) = [[cos θ/2, −sin θ/2], [sin θ/2, cos θ/2]].
-func GateRY(theta float64) *linalg.Mat {
-	c, s := math.Cos(theta/2), math.Sin(theta/2)
-	return linalg.MatFromRows([][]complex128{
-		{complex(c, 0), complex(-s, 0)},
-		{complex(s, 0), complex(c, 0)},
-	})
-}
-
-// GatePhase returns diag(1, e^{iφ}).
-func GatePhase(phi float64) *linalg.Mat {
-	return linalg.MatFromRows([][]complex128{
-		{1, 0},
-		{0, complex(math.Cos(phi), math.Sin(phi))},
-	})
 }

@@ -72,7 +72,7 @@ func TestQuickUnitaryPreservesDistSum(t *testing.T) {
 			th = 0.3
 		}
 		rng := xrand.New(seed, 2)
-		s.ApplyUnitary1(rng.IntN(s.NumQubits), GateRY(th))
+		s.ApplyUnitary1(rng.IntN(s.NumQubits), RotatedReal(th/2).matrix())
 		return s.NormError() < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

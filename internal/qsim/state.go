@@ -185,26 +185,6 @@ func (s *State) Probability(bits int) float64 {
 	return a * a
 }
 
-// MeasureAll samples a full computational-basis measurement, collapsing the
-// state, and returns the outcome bits.
-func (s *State) MeasureAll(rng *xrand.RNG) int {
-	u := rng.Float64()
-	var acc float64
-	outcome := len(s.Amp) - 1
-	for i, a := range s.Amp {
-		acc += real(a)*real(a) + imag(a)*imag(a)
-		if u < acc {
-			outcome = i
-			break
-		}
-	}
-	for i := range s.Amp {
-		s.Amp[i] = 0
-	}
-	s.Amp[outcome] = 1
-	return outcome
-}
-
 // MeasureQubit measures qubit k in the given single-qubit basis, collapses
 // the state, and returns the outcome (0 or 1). Outcome o means "the state was
 // projected onto basis vector o".

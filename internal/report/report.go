@@ -37,15 +37,6 @@ func (t *Table) AddRow(cells ...string) *Table {
 	return t
 }
 
-// AddFloats appends a row of float64 cells rendered at the given precision.
-func (t *Table) AddFloats(precision int, values ...float64) *Table {
-	cells := make([]string, len(values))
-	for i, v := range values {
-		cells[i] = strconv.FormatFloat(v, 'f', precision, 64)
-	}
-	return t.AddRow(cells...)
-}
-
 // WriteText renders an aligned monospace table.
 func (t *Table) WriteText(w io.Writer) {
 	widths := make([]int, len(t.Columns))

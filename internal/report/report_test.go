@@ -38,14 +38,6 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
-func TestAddFloats(t *testing.T) {
-	tb := NewTable("", "x", "y")
-	tb.AddFloats(2, 1.234, 5.678)
-	if tb.Rows[0][0] != "1.23" || tb.Rows[0][1] != "5.68" {
-		t.Fatalf("floats rendered %v", tb.Rows[0])
-	}
-}
-
 func TestRowArityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

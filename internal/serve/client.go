@@ -9,10 +9,10 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 )
@@ -20,130 +20,40 @@ import (
 // Client is the typed qcoordd API client used by the tests, the smoke
 // harness and the load-test driver. It is safe for concurrent use.
 //
-// Retries are budgeted: transport failures on idempotent GETs (a killed
-// connection mid-read, a stale pooled connection the server closed) retry
-// automatically, and — when RetryConfig.StatusRetry is enabled — so do the
-// server's retryable statuses (429 shed, 503 drain), honoring Retry-After.
-// A token bucket caps the retry-to-request ratio so a fleet of clients
-// cannot amplify an overloaded server's offered load into a retry storm:
-// each original request earns Budget tokens, each retry spends one, so the
-// sustained retry ratio never exceeds Budget regardless of how hard the
-// server sheds.
+// One retry is automatic: an idempotent GET whose connection died without
+// a response (a killed connection mid-read, a stale pooled connection the
+// server closed) is replayed once after a jittered backoff. POSTs are never
+// replayed — the request may have executed — and every HTTP error status,
+// including the server's retryable 429 (shed) and 503 (drain), surfaces to
+// the caller. A token bucket caps the retry-to-request ratio so a fleet of
+// clients cannot amplify a failing server's load into a retry storm: each
+// request earns retryBudget tokens, each retry spends one.
 type Client struct {
-	base  string
-	hc    *http.Client
-	retry RetryConfig
+	base string
+	hc   *http.Client
 
 	tokMu  sync.Mutex
 	tokens float64
-
-	nRequests     atomic.Int64
-	nAttempts     atomic.Int64
-	nRetries      atomic.Int64
-	nBudgetDenied atomic.Int64
-	nHedges       atomic.Int64
 }
 
-// RetryConfig tunes the client's retry and hedging behavior. The zero value
-// is usable: withDefaults fills every field. The defaults preserve the
-// pre-retry contract for everything except idempotent-GET transport errors:
-// POSTs are never replayed on a dead connection (the request may have
-// executed), and retryable statuses surface to the caller unless
-// StatusRetry opts in.
-type RetryConfig struct {
-	// MaxAttempts bounds total attempts per call (1 = no retries).
-	// Default 2.
-	MaxAttempts int
-	// StatusRetry also retries the server's retryable statuses — 429 (shed)
-	// and 503 (drain) — for any method. The server sheds before touching
-	// session state, so replaying a shed POST never double-plays a round.
-	// Default false: those statuses surface to the caller.
-	StatusRetry bool
-	// Budget is the retry-token earn rate per original request; each retry
-	// spends one token. Default 0.1 — at most ~10% sustained retry ratio.
-	Budget float64
-	// Burst caps banked retry tokens (and seeds the bucket). Default 10.
-	Burst float64
-	// BaseBackoff is the first retry's backoff; attempts double it. The
-	// server's Retry-After, when present, overrides the exponential.
-	// Default 5ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps any single backoff, including Retry-After hints.
-	// Default 1s.
-	MaxBackoff time.Duration
-	// HedgeAfter, when positive, hedges Session info reads: if the first
-	// GET has not answered within this delay, a second identical GET races
-	// it and the first response wins. Info reads are idempotent and cheap
-	// server-side, so hedging trims tail latency without risking
-	// double-played rounds. Default 0 (disabled).
-	HedgeAfter time.Duration
-	// Sleep and Rand are injectable for deterministic tests (defaults
-	// time.Sleep and math/rand.Float64; Rand jitters the exponential
-	// backoff across a fleet so retries do not arrive in lockstep).
-	Sleep func(time.Duration)
-	Rand  func() float64
-}
-
-func (rc RetryConfig) withDefaults() RetryConfig {
-	if rc.MaxAttempts <= 0 {
-		rc.MaxAttempts = 2
-	}
-	if rc.Budget <= 0 {
-		rc.Budget = 0.1
-	}
-	if rc.Burst <= 0 {
-		rc.Burst = 10
-	}
-	if rc.BaseBackoff <= 0 {
-		rc.BaseBackoff = 5 * time.Millisecond
-	}
-	if rc.MaxBackoff <= 0 {
-		rc.MaxBackoff = time.Second
-	}
-	if rc.Sleep == nil {
-		rc.Sleep = time.Sleep
-	}
-	if rc.Rand == nil {
-		rc.Rand = rand.Float64
-	}
-	return rc
-}
-
-// ClientStats is a snapshot of the client's retry accounting.
-type ClientStats struct {
-	// Requests is the number of API calls issued (hedge duplicates count
-	// as their own requests).
-	Requests int64
-	// Attempts is the total HTTP exchanges, including retries.
-	Attempts int64
-	// Retries is how many attempts were retries of a failed exchange.
-	Retries int64
-	// BudgetDenied counts retries suppressed by an empty token bucket.
-	BudgetDenied int64
-	// Hedges counts hedged info reads that actually fired a second GET.
-	Hedges int64
-}
-
-// Stats snapshots the retry accounting.
-func (c *Client) Stats() ClientStats {
-	return ClientStats{
-		Requests:     c.nRequests.Load(),
-		Attempts:     c.nAttempts.Load(),
-		Retries:      c.nRetries.Load(),
-		BudgetDenied: c.nBudgetDenied.Load(),
-		Hedges:       c.nHedges.Load(),
-	}
-}
+// The retry policy: each request earns retryBudget tokens (at most ~10 %
+// sustained retries), the bucket holds at most retryBurst (its initial
+// fill), and the one retry waits a jittered [retryBackoff/2, retryBackoff).
+const (
+	retryBudget  = 0.1
+	retryBurst   = 10
+	retryBackoff = 5 * time.Millisecond
+)
 
 // NewClient targets a qcoordd base URL ("http://host:port", no trailing
 // slash needed). The client rides a dedicated transport tuned for a
-// high-rate decide workload against a single host (see newTransport); for
-// the default pooling behavior use NewRetryClient(base, nil, RetryConfig{}).
+// high-rate decide workload against a single host (see newTransport).
 func NewClient(base string) *Client {
-	return NewRetryClient(base, &http.Client{
-		Timeout:   30 * time.Second,
-		Transport: newTransport(defaultClientConns),
-	}, RetryConfig{})
+	return &Client{
+		base:   strings.TrimRight(base, "/"),
+		hc:     &http.Client{Timeout: 30 * time.Second, Transport: newTransport()},
+		tokens: retryBurst,
+	}
 }
 
 // defaultClientConns sizes the per-host idle-connection pool. The load-test
@@ -158,31 +68,14 @@ const defaultClientConns = 64
 // means constant re-dials), idle pool sized to the expected concurrency, and
 // a generous idle timeout so a bursty open-loop generator reuses connections
 // across gaps in the schedule.
-func newTransport(conns int) *http.Transport {
-	if conns <= 0 {
-		conns = defaultClientConns
-	}
+func newTransport() *http.Transport {
 	return &http.Transport{
-		MaxIdleConns:        conns,
-		MaxIdleConnsPerHost: conns,
+		MaxIdleConns:        defaultClientConns,
+		MaxIdleConnsPerHost: defaultClientConns,
 		MaxConnsPerHost:     0, // unbounded; the generator bounds concurrency
 		IdleConnTimeout:     90 * time.Second,
 		ForceAttemptHTTP2:   false, // one host, many short exchanges: HTTP/1.1 pipelining via pooled conns wins
 	}
-}
-
-// NewRetryClient targets base using a caller-supplied http.Client (nil means
-// a default-transport client with a 30 s timeout) and retry tuning (the zero
-// RetryConfig is the default behavior).
-func NewRetryClient(base string, hc *http.Client, rc RetryConfig) *Client {
-	for len(base) > 0 && base[len(base)-1] == '/' {
-		base = base[:len(base)-1]
-	}
-	if hc == nil {
-		hc = &http.Client{Timeout: 30 * time.Second}
-	}
-	rc = rc.withDefaults()
-	return &Client{base: base, hc: hc, retry: rc, tokens: rc.Burst}
 }
 
 // APIError is a non-2xx response, carrying the server's error message.
@@ -224,10 +117,7 @@ func isTransientNetErr(err error) bool {
 // refillTokens credits one original request's worth of retry budget.
 func (c *Client) refillTokens() {
 	c.tokMu.Lock()
-	c.tokens += c.retry.Budget
-	if c.tokens > c.retry.Burst {
-		c.tokens = c.retry.Burst
-	}
+	c.tokens = min(c.tokens+retryBudget, retryBurst)
 	c.tokMu.Unlock()
 }
 
@@ -242,46 +132,9 @@ func (c *Client) takeToken() bool {
 	return ok
 }
 
-// backoff is the jittered exponential delay before retry `attempt`
-// (1-based count of completed attempts): base×2^(attempt−1), capped, then
-// spread over [d/2, d) so fleet retries decorrelate.
-func (c *Client) backoff(attempt int) time.Duration {
-	d := c.retry.BaseBackoff << (attempt - 1)
-	if d > c.retry.MaxBackoff || d <= 0 {
-		d = c.retry.MaxBackoff
-	}
-	return d/2 + time.Duration(c.retry.Rand()*float64(d/2))
-}
-
-// retryDelay classifies a failed attempt: (delay, true) when the attempt
-// may be retried after delay, (0, false) when the error must surface.
-func (c *Client) retryDelay(method string, err error, attempt int) (time.Duration, bool) {
-	var ae *APIError
-	if errors.As(err, &ae) {
-		if !c.retry.StatusRetry || !ae.Retryable() {
-			return 0, false
-		}
-		if ae.RetryAfter > 0 {
-			// Honor the server's hint — it knows when its backlog drains —
-			// capped so a pathological header cannot park the client.
-			d := ae.RetryAfter
-			if d > c.retry.MaxBackoff {
-				d = c.retry.MaxBackoff
-			}
-			return d, true
-		}
-		return c.backoff(attempt), true
-	}
-	// Transport error: the connection died. Only idempotent GETs are safe
-	// to replay — a POST may have executed before the connection dropped.
-	if method == http.MethodGet && isTransientNetErr(err) {
-		return c.backoff(attempt), true
-	}
-	return 0, false
-}
-
-// do issues one API call with retries, decoding the JSON response into out
-// (ignored when nil).
+// do issues one API call, decoding the JSON response into out (ignored when
+// nil). A GET whose connection died without a response is retried once,
+// budget permitting.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var body []byte
 	if in != nil {
@@ -291,28 +144,19 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		}
 		body = b
 	}
-	c.nRequests.Add(1)
 	c.refillTokens()
-	for attempt := 1; ; attempt++ {
-		c.nAttempts.Add(1)
-		err := c.once(ctx, method, path, body, out)
-		if err == nil {
-			return nil
-		}
-		if attempt >= c.retry.MaxAttempts || ctx.Err() != nil {
-			return err
-		}
-		delay, retryable := c.retryDelay(method, err, attempt)
-		if !retryable {
-			return err
-		}
-		if !c.takeToken() {
-			c.nBudgetDenied.Add(1)
-			return err
-		}
-		c.nRetries.Add(1)
-		c.retry.Sleep(delay)
+	err := c.once(ctx, method, path, body, out)
+	if err == nil || ctx.Err() != nil || method != http.MethodGet {
+		return err
 	}
+	// Only a dead connection is replayed: an HTTP status is the server's
+	// answer.
+	var ae *APIError
+	if errors.As(err, &ae) || !isTransientNetErr(err) || !c.takeToken() {
+		return err
+	}
+	time.Sleep(retryBackoff/2 + time.Duration(rand.Float64()*float64(retryBackoff/2)))
+	return c.once(ctx, method, path, body, out)
 }
 
 // once performs a single HTTP exchange.
@@ -387,54 +231,11 @@ func (c *Client) DecideBatchDeadline(ctx context.Context, session string, deadli
 	return resp.Results, err
 }
 
-// Session fetches a session's current health and degradation rung. With
-// RetryConfig.HedgeAfter set, a slow read is hedged with a second identical
-// GET and the first response wins.
+// Session fetches a session's current health and degradation rung.
 func (c *Client) Session(ctx context.Context, id string) (SessionInfo, error) {
-	path := "/v1/sessions/" + id
-	if c.retry.HedgeAfter <= 0 {
-		var info SessionInfo
-		err := c.do(ctx, http.MethodGet, path, nil, &info)
-		return info, err
-	}
-	type result struct {
-		info SessionInfo
-		err  error
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel() // reels in the losing read
-	ch := make(chan result, 2)
-	fire := func() {
-		var info SessionInfo
-		err := c.do(hctx, http.MethodGet, path, nil, &info)
-		ch <- result{info, err}
-	}
-	go fire()
-	timer := time.NewTimer(c.retry.HedgeAfter)
-	defer timer.Stop()
-	pending, hedged := 1, false
-	var firstErr error
-	for {
-		select {
-		case r := <-ch:
-			if r.err == nil {
-				return r.info, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if pending--; pending == 0 {
-				return SessionInfo{}, firstErr
-			}
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				pending++
-				c.nHedges.Add(1)
-				go fire()
-			}
-		}
-	}
+	var info SessionInfo
+	err := c.do(ctx, http.MethodGet, "/v1/sessions/"+url.PathEscape(id), nil, &info)
+	return info, err
 }
 
 // Metrics fetches the raw /metrics rendering.

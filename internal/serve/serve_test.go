@@ -28,6 +28,32 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 // twoEndpoints is the minimal valid endpoint group.
 func twoEndpoints() []string { return []string{"lb-a", "lb-b"} }
 
+// TestClientSessionIDRoundTrip: every ID CreateSession accepts must be
+// readable back through the client. IDs carrying URL syntax ('?', '#', '/',
+// '%') used to be spliced raw into the request path and came back 404 (or
+// failed to parse); the client path-escapes the ID and the mux hands the
+// handler the unescaped value.
+func TestClientSessionIDRoundTrip(t *testing.T) {
+	srv, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	for _, id := range []string{"plain", "a?b", "a#b", "a/b", "50%", "sp ace", "ünï"} {
+		if _, err := c.CreateSession(ctx, SessionRequest{ID: id, Endpoints: twoEndpoints()}); err != nil {
+			t.Fatalf("create %q: %v", id, err)
+		}
+		got, err := c.Session(ctx, id)
+		if err != nil {
+			t.Fatalf("Session(%q): %v", id, err)
+		}
+		if got.ID != id {
+			t.Fatalf("Session(%q) returned session %q", id, got.ID)
+		}
+		info, err := srv.Info(id)
+		if err != nil || info.ID != id {
+			t.Fatalf("Info(%q) = %q, %v", id, info.ID, err)
+		}
+	}
+}
+
 func TestCreateSessionAndInfo(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	ctx := context.Background()

@@ -4,9 +4,9 @@ import "math/bits"
 
 // HDRHistogram is a log-bucketed latency histogram in the HdrHistogram
 // family: fixed relative error across the full int64 range, O(1) Record,
-// and quantile queries that resolve the far tail (p999, p9999) that a
-// linear-bin Histogram cannot. Values are non-negative integers — the
-// serving stack records nanoseconds.
+// and quantile queries that resolve the far tail (p999, p9999) that
+// linear bins cannot. Values are non-negative integers — the serving stack
+// records nanoseconds.
 //
 // Bucketing is log-linear: values below 2^subBits are recorded exactly;
 // above that, each octave [2^e, 2^(e+1)) is split into 2^(subBits-1)
@@ -116,14 +116,16 @@ func (h *HDRHistogram) Max() int64 {
 	return h.max
 }
 
-// Quantile returns the q-th quantile (q in [0, 1]) as the upper bound of
-// the bucket holding that rank, clamped to the exact observed min/max.
-// Returns 0 for an empty histogram.
+// Quantile returns the q-th quantile (q in [0, 1], NaN read as 0) as the
+// upper bound of the bucket holding that rank, clamped to the exact
+// observed min/max. Returns 0 for an empty histogram.
 func (h *HDRHistogram) Quantile(q float64) int64 {
 	if h.count == 0 {
 		return 0
 	}
-	if q < 0 {
+	// !(q >= 0) also catches NaN, whose int64 conversion below would be
+	// platform-dependent.
+	if !(q >= 0) {
 		q = 0
 	}
 	if q > 1 {

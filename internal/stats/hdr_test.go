@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/binary"
 	"math"
 	"slices"
 	"testing"
@@ -151,4 +152,70 @@ func TestHDRRecordAllocs(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("Record allocates %v per op", avg)
 	}
+}
+
+// FuzzHDRQuantileBound pins HDRHistogram's stated error bound against the
+// exact sorted sample. The input bytes are read as little-endian int64
+// values (negatives record as 0), q is the quantile asked for and split
+// cuts the sequence in two for the Merge check. For every input:
+//
+//   - Quantile(q) is never below the exact value at rank ⌊q·n + ½⌋
+//     (clamped to 1…n; q is clamped to [0, 1] and NaN reads as 0), never
+//     above it by more than 1/32 of it, and values under 64 come back
+//     exactly;
+//   - Min and Max are the exact extremes;
+//   - merging the two halves equals recording the whole.
+func FuzzHDRQuantileBound(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, q float64, split uint16) {
+		const maxValues = 4096
+		vals := make([]int64, 0, min(len(data)/8, maxValues))
+		for len(data) >= 8 && len(vals) < maxValues {
+			vals = append(vals, max(int64(binary.LittleEndian.Uint64(data)), 0))
+			data = data[8:]
+		}
+		k := int(split) % (len(vals) + 1)
+		whole, left, right := NewHDRHistogram(), NewHDRHistogram(), NewHDRHistogram()
+		for i, v := range vals {
+			whole.Record(v)
+			if i < k {
+				left.Record(v)
+			} else {
+				right.Record(v)
+			}
+		}
+		left.Merge(right)
+		if !slices.Equal(left.counts, whole.counts) || left.count != whole.count ||
+			left.min != whole.min || left.max != whole.max {
+			t.Fatalf("merge of the split at %d differs from recording the whole", k)
+		}
+
+		got := whole.Quantile(q)
+		n := int64(len(vals))
+		if n == 0 {
+			if got != 0 || whole.Min() != 0 || whole.Max() != 0 {
+				t.Fatalf("empty histogram reads quantile %d, min %d, max %d", got, whole.Min(), whole.Max())
+			}
+			return
+		}
+		sorted := slices.Clone(vals)
+		slices.Sort(sorted)
+		if whole.Min() != sorted[0] || whole.Max() != sorted[n-1] {
+			t.Fatalf("min/max = %d/%d, exact %d/%d", whole.Min(), whole.Max(), sorted[0], sorted[n-1])
+		}
+		qc := q
+		if !(qc >= 0) {
+			qc = 0
+		}
+		qc = min(qc, 1)
+		rank := min(max(int64(math.Floor(qc*float64(n)+0.5)), 1), n)
+		want := sorted[rank-1]
+		switch {
+		case got < want:
+			t.Fatalf("Quantile(%v) = %d under-reports the rank-%d value %d", q, got, rank, want)
+		case got-want > want/32:
+			t.Fatalf("Quantile(%v) = %d exceeds the rank-%d value %d by more than 1/32", q, got, rank, want)
+		case want < 64 && got != want:
+			t.Fatalf("Quantile(%v) = %d, want exactly %d below 64", q, got, want)
+		}
+	})
 }

@@ -1,12 +1,12 @@
 // Package stats provides the small statistics toolkit the experiment
-// harnesses rely on: streaming moments (Welford), confidence intervals,
-// percentiles, histograms and simple two-sample comparisons.
+// harnesses rely on: streaming moments (Welford, exact integer moments),
+// confidence intervals, batch means, a rolling window, a log-bucketed HDR
+// histogram and swept series.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Welford accumulates a stream's count, mean and variance in one pass with
@@ -35,33 +35,6 @@ func (w *Welford) Add(x float64) {
 	d := x - w.mean
 	w.mean += d / float64(w.n)
 	w.m2 += d * (x - w.mean)
-}
-
-// AddN folds n copies of x into the accumulator (useful for slot-weighted
-// queue-length averages). It is the closed-form merge of a degenerate
-// accumulator holding n copies of x (mean x, m2 contribution 0), so it runs
-// in O(1) regardless of n instead of looping Add.
-func (w *Welford) AddN(x float64, n int64) {
-	if n <= 0 {
-		return
-	}
-	if w.n == 0 {
-		w.n = n
-		w.mean = x
-		w.min, w.max = x, x
-		return
-	}
-	if x < w.min {
-		w.min = x
-	}
-	if x > w.max {
-		w.max = x
-	}
-	nn := w.n + n
-	d := x - w.mean
-	w.m2 += d * d * float64(w.n) * float64(n) / float64(nn)
-	w.mean += d * float64(n) / float64(nn)
-	w.n = nn
 }
 
 // Merge combines another accumulator into w (parallel Welford merge).
@@ -181,27 +154,6 @@ func (p *Proportion) Contains95(v float64) bool {
 	return v >= lo && v <= hi
 }
 
-// Percentile returns the q-th percentile (0 ≤ q ≤ 100) of the data using
-// linear interpolation. The input slice is not modified.
-func Percentile(data []float64, q float64) float64 {
-	if len(data) == 0 {
-		return math.NaN()
-	}
-	if q < 0 || q > 100 {
-		panic("stats: percentile out of range")
-	}
-	sorted := append([]float64(nil), data...)
-	sort.Float64s(sorted)
-	pos := q / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // Mean returns the arithmetic mean of the slice (NaN when empty).
 func Mean(data []float64) float64 {
 	if len(data) == 0 {
@@ -212,57 +164,6 @@ func Mean(data []float64) float64 {
 		s += x
 	}
 	return s / float64(len(data))
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi); samples outside the range
-// are clamped into the edge bins so mass is never silently dropped. NaN
-// samples are counted separately (int(NaN) is platform-dependent in Go — on
-// amd64 it clamps negative and would silently land in bin 0) and excluded
-// from Total and Fraction.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	total  int64
-	nan    int64
-}
-
-// NewHistogram creates a histogram with the given bin count over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}
-}
-
-// Add records a sample. NaN samples go to the NaN counter, not a bin.
-func (h *Histogram) Add(x float64) {
-	if math.IsNaN(x) {
-		h.nan++
-		return
-	}
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of recorded samples, excluding NaN samples.
-func (h *Histogram) Total() int64 { return h.total }
-
-// NaN returns the number of NaN samples recorded (and excluded from bins).
-func (h *Histogram) NaN() int64 { return h.nan }
-
-// Fraction returns the share of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
 }
 
 // Series is an (x, y±ci) table for a swept experiment — one row per sweep

@@ -247,21 +247,3 @@ func (p *PoissonArrivals) Next(rng *xrand.RNG) time.Duration {
 
 // Reset restarts the clock.
 func (p *PoissonArrivals) Reset() { p.last = 0 }
-
-// ZipfWeights returns k popularity weights following a Zipf law with
-// exponent s: weight(i) ∝ 1/(i+1)^s. Real request popularity (textures,
-// functions, keys) is heavy-tailed; the cache experiments use these weights
-// to stress realistic skew. s = 0 gives uniform weights.
-func ZipfWeights(k int, s float64) []float64 {
-	if k <= 0 {
-		panic("workload: need a positive class count")
-	}
-	if s < 0 {
-		panic("workload: Zipf exponent must be non-negative")
-	}
-	w := make([]float64, k)
-	for i := range w {
-		w[i] = 1 / math.Pow(float64(i+1), s)
-	}
-	return w
-}

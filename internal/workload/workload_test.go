@@ -297,42 +297,3 @@ func TestTaskTypeString(t *testing.T) {
 		t.Fatal("unknown type should still render")
 	}
 }
-
-func TestZipfWeights(t *testing.T) {
-	w := ZipfWeights(4, 1)
-	want := []float64{1, 0.5, 1.0 / 3, 0.25}
-	for i := range w {
-		if math.Abs(w[i]-want[i]) > 1e-12 {
-			t.Fatalf("weight %d = %v, want %v", i, w[i], want[i])
-		}
-	}
-	// s = 0 is uniform.
-	for _, v := range ZipfWeights(5, 0) {
-		if v != 1 {
-			t.Fatal("s=0 should give uniform weights")
-		}
-	}
-	// Monotone decreasing for s > 0.
-	w2 := ZipfWeights(10, 0.8)
-	for i := 1; i < len(w2); i++ {
-		if w2[i] >= w2[i-1] {
-			t.Fatal("Zipf weights must decrease")
-		}
-	}
-}
-
-func TestZipfWeightsPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { ZipfWeights(0, 1) },
-		func() { ZipfWeights(3, -1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}

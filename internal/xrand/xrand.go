@@ -73,32 +73,6 @@ func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 // ExpFloat64 returns an Exp(1) sample; divide by rate for Exp(rate).
 func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
 
-// Poisson returns a Poisson(λ) sample. For small λ it uses Knuth's product
-// method; for large λ a normal approximation with continuity correction,
-// which is accurate to well under the noise floor of our experiments.
-func (g *RNG) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda < 30 {
-		l := math.Exp(-lambda)
-		k := 0
-		p := 1.0
-		for {
-			p *= g.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	n := lambda + math.Sqrt(lambda)*g.r.NormFloat64() + 0.5
-	if n < 0 {
-		return 0
-	}
-	return int(n)
-}
-
 // Perm returns a uniform random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 

@@ -94,45 +94,6 @@ func TestBool(t *testing.T) {
 	}
 }
 
-func TestPoissonSmallLambdaMean(t *testing.T) {
-	g := New(5, 5)
-	const lambda, trials = 3.5, 200000
-	var sum, sumsq float64
-	for i := 0; i < trials; i++ {
-		k := float64(g.Poisson(lambda))
-		sum += k
-		sumsq += k * k
-	}
-	mean := sum / trials
-	variance := sumsq/trials - mean*mean
-	if math.Abs(mean-lambda) > 0.05 {
-		t.Fatalf("Poisson mean = %v, want %v", mean, lambda)
-	}
-	if math.Abs(variance-lambda) > 0.15 {
-		t.Fatalf("Poisson variance = %v, want %v", variance, lambda)
-	}
-}
-
-func TestPoissonLargeLambdaMean(t *testing.T) {
-	g := New(6, 6)
-	const lambda, trials = 200.0, 50000
-	var sum float64
-	for i := 0; i < trials; i++ {
-		sum += float64(g.Poisson(lambda))
-	}
-	mean := sum / trials
-	if math.Abs(mean-lambda) > 1.0 {
-		t.Fatalf("Poisson(%v) mean = %v", lambda, mean)
-	}
-}
-
-func TestPoissonZeroAndNegative(t *testing.T) {
-	g := New(7, 7)
-	if g.Poisson(0) != 0 || g.Poisson(-1) != 0 {
-		t.Fatal("Poisson of non-positive rate must be 0")
-	}
-}
-
 func TestCategorical(t *testing.T) {
 	g := New(8, 8)
 	weights := []float64{1, 3, 0, 6}
