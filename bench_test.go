@@ -34,7 +34,7 @@ func BenchmarkExperiments(b *testing.B) {
 // BenchmarkServeHotPath isolates the simulator's inner loop: one overloaded
 // load-balancing run per iteration, dominated by World push/serve traffic on
 // queues that grow to hundreds of tasks. The per-type FIFOs keep each serve
-// O(1) at any queue length, and the reused scratch buffers keep the
+// O(1) at any queue length, and the reused assignment buffer keeps the
 // steady-state allocation count flat in Slots.
 func BenchmarkServeHotPath(b *testing.B) {
 	b.ReportAllocs()

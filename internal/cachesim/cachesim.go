@@ -14,6 +14,8 @@ package cachesim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/loadbalance"
 	"repro/internal/stats"
@@ -112,7 +114,14 @@ func Run(cfg Config, strat loadbalance.Strategy) Result {
 			}
 		}
 
-		// Service: one tick of work per server.
+		// Service, one tick of work per server, then the stale view's refresh
+		// and the backlog sample, in one pass. Sojourns and backlogs
+		// accumulate in locals (count, Σ, 128-bit Σ², min, max) that fold
+		// into their moments once per tick.
+		var sN, sSum, qSum int64
+		var sSqHi, sSqLo, qSqHi, qSqLo, c uint64
+		sMin, sMax := int64(math.MaxInt64), int64(math.MinInt64)
+		qMin, qMax := int64(math.MaxInt64), int64(math.MinInt64)
 		for s := range servers {
 			sv := &servers[s]
 			if !sv.busy && len(sv.queue) > 0 {
@@ -133,24 +142,28 @@ func Run(cfg Config, strat loadbalance.Strategy) Result {
 				sv.remaining--
 				if sv.remaining == 0 {
 					sv.busy = false
-					if measured {
-						res.Completed++
-						sojourn.Add(int64(tick - sv.current.arrived + 1))
-					}
+					x := int64(tick - sv.current.arrived + 1)
+					sN, sSum = sN+1, sSum+x
+					sSqLo, c = bits.Add64(sSqLo, uint64(x*x), 0)
+					sSqHi += c
+					sMin, sMax = min(sMin, x), max(sMax, x)
 				}
 			}
-		}
-
-		// Refresh the stale view and sample queue lengths.
-		for s := range servers {
-			l := len(servers[s].queue)
-			if servers[s].busy {
+			l := len(sv.queue)
+			if sv.busy {
 				l++
 			}
 			view.lens[s] = l
-			if measured {
-				qlen.Add(int64(l))
-			}
+			q := int64(l)
+			qSum += q
+			qSqLo, c = bits.Add64(qSqLo, uint64(q*q), 0)
+			qSqHi += c
+			qMin, qMax = min(qMin, q), max(qMax, q)
+		}
+		if measured {
+			res.Completed += sN
+			sojourn.Fold(sN, sSum, sSqHi, sSqLo, sMin, sMax)
+			qlen.Fold(int64(len(servers)), qSum, qSqHi, qSqLo, qMin, qMax)
 		}
 	}
 	res.Sojourn, res.QueueLen = sojourn.Welford(), qlen.Welford()

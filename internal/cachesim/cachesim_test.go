@@ -81,6 +81,33 @@ func TestConservation(t *testing.T) {
 	}
 }
 
+// TestRunMomentsMatchPerSample pins Run's per-tick folds against the
+// per-sample oracle runPerSample: the whole Result — hit rate, sojourn and
+// backlog moments bit for bit, arrival and completion counts — with and
+// without warm-up, for an unpaired and a paired strategy, at the test load
+// and overloaded (queues that never drain).
+func TestRunMomentsMatchPerSample(t *testing.T) {
+	for _, servers := range []int{42, 20} {
+		for _, warmup := range []int{0, 500} {
+			cfg := testConfig()
+			cfg.NumServers, cfg.Warmup, cfg.Ticks = servers, warmup, 1500
+			strats := func() []loadbalance.Strategy {
+				return []loadbalance.Strategy{
+					loadbalance.RandomStrategy{},
+					loadbalance.NewGraphPairedStrategy(texturesGame(cfg), 1.0, xrand.New(31, 2)),
+				}
+			}
+			twins := strats()
+			for i, strat := range strats() {
+				if got, want := Run(cfg, strat), runPerSample(cfg, twins[i]); got != want {
+					t.Fatalf("servers %d warmup %d %s:\nRun        %+v\nper-sample %+v",
+						servers, warmup, strat.Name(), got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	cfg := testConfig()
 	a := Run(cfg, loadbalance.RandomStrategy{})

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/stats"
+	"repro/internal/xrand"
 )
 
 // Bell certification: before a deployment trusts its QNICs, it should verify
@@ -38,7 +39,7 @@ var TsirelsonBound = 2 * math.Sqrt2
 // CertifyCHSH drives the sampler with each of the four CHSH settings
 // roundsPerSetting times and estimates S. The sampler is treated as a black
 // box — exactly how a real certification run treats hardware.
-func CertifyCHSH(s JointSampler, roundsPerSetting int, rng RoundRNG) CHSHCertificate {
+func CertifyCHSH(s JointSampler, roundsPerSetting int, rng *xrand.RNG) CHSHCertificate {
 	cert := CHSHCertificate{RoundsPerSetting: roundsPerSetting}
 	for x := 0; x < 2; x++ {
 		for y := 0; y < 2; y++ {

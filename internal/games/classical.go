@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+
+	"repro/internal/xrand"
 )
 
 // Classical values. By convexity, shared randomness is a mixture of
@@ -297,7 +299,7 @@ type DeterministicSampler struct {
 }
 
 // Sample returns the strategy's answers; the rng is unused (deterministic).
-func (d *DeterministicSampler) Sample(x, y int, _ RoundRNG) (a, b int) {
+func (d *DeterministicSampler) Sample(x, y int, _ *xrand.RNG) (a, b int) {
 	return d.A[x] & 1, d.B[y] & 1
 }
 
@@ -318,7 +320,7 @@ type MixtureSampler struct {
 }
 
 // Sample picks a component strategy with the shared coin and delegates.
-func (ms *MixtureSampler) Sample(x, y int, rng RoundRNG) (a, b int) {
+func (ms *MixtureSampler) Sample(x, y int, rng *xrand.RNG) (a, b int) {
 	i := rng.Categorical(ms.Weights)
 	return ms.Strategies[i].Sample(x, y, rng)
 }
@@ -346,7 +348,7 @@ func (g *XORGame) Value(p [][][][]float64) float64 {
 
 // EmpiricalValue estimates a sampler's winning probability over the given
 // number of rounds with referee-drawn inputs.
-func (g *XORGame) EmpiricalValue(s JointSampler, rounds int, rng RoundRNG) float64 {
+func (g *XORGame) EmpiricalValue(s JointSampler, rounds int, rng *xrand.RNG) float64 {
 	wins := 0
 	for i := 0; i < rounds; i++ {
 		x, y := g.SampleInput(rng)

@@ -24,6 +24,8 @@ package games
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/xrand"
 )
 
 // XORGame is a two-party binary game whose win condition depends only on the
@@ -91,7 +93,7 @@ func ValueFromBias(bias float64) float64 { return (1 + bias) / 2 }
 func BiasFromValue(v float64) float64 { return 2*v - 1 }
 
 // SampleInput draws an input pair (x, y) from the referee's distribution.
-func (g *XORGame) SampleInput(rng RoundRNG) (x, y int) {
+func (g *XORGame) SampleInput(rng *xrand.RNG) (x, y int) {
 	u := rng.Float64()
 	var acc float64
 	for x := 0; x < g.NA; x++ {
@@ -187,7 +189,7 @@ func GraphXORGame(name string, n int, labels [][]EdgeLabel) *XORGame {
 // RandomGraphXORGame samples the Figure 3 ensemble: a complete graph on n
 // vertices where each edge is independently Exclusive with probability
 // pExclusive (else Colocate).
-func RandomGraphXORGame(n int, pExclusive float64, rng RoundRNG) *XORGame {
+func RandomGraphXORGame(n int, pExclusive float64, rng *xrand.RNG) *XORGame {
 	labels := make([][]EdgeLabel, n)
 	for i := range labels {
 		labels[i] = make([]EdgeLabel, n)

@@ -106,7 +106,7 @@ func (g *NPartyXORGame) ClassicalValue() float64 {
 }
 
 // SampleInput draws a joint input according to the referee's distribution.
-func (g *NPartyXORGame) SampleInput(rng RoundRNG) int {
+func (g *NPartyXORGame) SampleInput(rng *xrand.RNG) int {
 	return g.Inputs[rng.Categorical(g.Prob)]
 }
 
@@ -153,7 +153,7 @@ func yEigenBasis() qsim.Basis {
 // Sample measures a fresh GHZ state in the input-selected bases and returns
 // the packed outcome bits (player 0 most significant; only the XOR of the
 // bits matters to Wins, so packing order is irrelevant to scoring).
-func (s *GHZSampler) Sample(joint int, _ RoundRNG) int {
+func (s *GHZSampler) Sample(joint int, _ *xrand.RNG) int {
 	return s.table.Sample(joint, s.rng)
 }
 
@@ -176,7 +176,7 @@ func (s *GHZSampler) ExactValue(g *NPartyXORGame) float64 {
 
 // EmpiricalValue estimates the sampler's winning probability by playing
 // rounds.
-func (g *NPartyXORGame) EmpiricalValue(s *GHZSampler, rounds int, rng RoundRNG) float64 {
+func (g *NPartyXORGame) EmpiricalValue(s *GHZSampler, rounds int, rng *xrand.RNG) float64 {
 	wins := 0
 	for r := 0; r < rounds; r++ {
 		idx := rng.Categorical(g.Prob)

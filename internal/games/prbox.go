@@ -1,5 +1,7 @@
 package games
 
+import "repro/internal/xrand"
+
 // PRBoxSampler is a Popescu–Rohrlich box: the strongest NO-SIGNALING
 // correlation, which wins any XOR game with certainty while keeping both
 // marginals uniform. It is super-quantum — physics forbids it (Tsirelson's
@@ -18,7 +20,7 @@ type PRBoxSampler struct {
 // condition holds always, each output alone is a fair coin, and neither
 // party's marginal depends on the other's input — no-signaling, yet beyond
 // quantum.
-func (p *PRBoxSampler) Sample(x, y int, rng RoundRNG) (a, b int) {
+func (p *PRBoxSampler) Sample(x, y int, rng *xrand.RNG) (a, b int) {
 	a = rng.IntN(2)
 	return a, a ^ p.Game.Parity[x][y]
 }

@@ -7,25 +7,13 @@ import (
 	"repro/internal/xrand"
 )
 
-// RoundRNG is the randomness a sampler may consume in one round. *xrand.RNG
-// satisfies it; the interface exists so tests can inject counted or fixed
-// streams.
-type RoundRNG interface {
-	Float64() float64
-	IntN(n int) int
-	Bool(p float64) bool
-	Categorical(weights []float64) int
-}
-
-var _ RoundRNG = (*xrand.RNG)(nil)
-
 // JointSampler produces one round of joint answers given both inputs. This
 // is the simulation-level ("referee's eye") view: inside a simulation we may
 // sample (a, b) jointly even though the physical parties act independently —
 // the behaviors sampled are exactly those realizable without communication
 // (deterministic tables, shared randomness, or quantum correlations).
 type JointSampler interface {
-	Sample(x, y int, rng RoundRNG) (a, b int)
+	Sample(x, y int, rng *xrand.RNG) (a, b int)
 }
 
 // XORQuantumSampler samples from the Tsirelson behavior of an XOR-game
@@ -46,7 +34,7 @@ type XORQuantumSampler struct {
 
 // Sample draws one round: a is a fair coin; b agrees with a with probability
 // (1 + V·⟨u_x,v_y⟩)/2.
-func (s *XORQuantumSampler) Sample(x, y int, rng RoundRNG) (a, b int) {
+func (s *XORQuantumSampler) Sample(x, y int, rng *xrand.RNG) (a, b int) {
 	c := s.Visibility * s.Dot[x][y]
 	if c > 1 {
 		c = 1
@@ -147,7 +135,7 @@ func (bs *BellSampler) cell(x, y int) int {
 }
 
 // Sample measures a fresh entangled pair in the input-dependent bases.
-func (bs *BellSampler) Sample(x, y int, _ RoundRNG) (a, b int) {
+func (bs *BellSampler) Sample(x, y int, _ *xrand.RNG) (a, b int) {
 	return bs.bits(bs.table.Sample(bs.cell(x, y), bs.rng))
 }
 
@@ -192,7 +180,7 @@ type TableSampler struct {
 }
 
 // Sample draws one round from the table.
-func (t *TableSampler) Sample(x, y int, rng RoundRNG) (a, b int) {
+func (t *TableSampler) Sample(x, y int, rng *xrand.RNG) (a, b int) {
 	p := t.P[x][y]
 	t.w[0], t.w[1] = p[0][0], p[0][1]
 	t.w[2], t.w[3] = p[1][0], p[1][1]
@@ -204,7 +192,7 @@ func (t *TableSampler) Sample(x, y int, rng RoundRNG) (a, b int) {
 // inputs are task types (true = type-C), outputs are "send to server 0 or 1
 // of the agreed pair"; the pair succeeds when servers match iff both tasks
 // are type-C.
-func ColocationDecision(s JointSampler, aIsC, bIsC bool, rng RoundRNG) (serverA, serverB int) {
+func ColocationDecision(s JointSampler, aIsC, bIsC bool, rng *xrand.RNG) (serverA, serverB int) {
 	x, y := 0, 0
 	if aIsC {
 		x = 1

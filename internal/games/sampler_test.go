@@ -188,7 +188,7 @@ func TestColocationDecision(t *testing.T) {
 
 type recordingSampler struct{ x, y int }
 
-func (r *recordingSampler) Sample(x, y int, _ RoundRNG) (int, int) {
+func (r *recordingSampler) Sample(x, y int, _ *xrand.RNG) (int, int) {
 	r.x, r.y = x, y
 	return 0, 0
 }

@@ -176,17 +176,24 @@ func (w *scanWorld) serve(id int, d Discipline, out []rec) []rec {
 	}
 }
 
-// runFloatMoments replays RunE's slot loop for a stateless workload with the
-// per-sample float Welford chain the exact integer moments replaced, kept as
-// their oracle, and returns every measured queue-length and delay sample
-// beside the two accumulators.
-func runFloatMoments(cfg Config, strat Strategy) (qlen, delay stats.Welford, qs, ds []int64) {
+// floatRun is what runFloatMoments measured.
+type floatRun struct {
+	qlen, delay                  stats.Welford // the per-sample float chains
+	qs, ds                       []int64       // every measured sample
+	arrived, served, queuedAtEnd int64
+}
+
+// runFloatMoments replays RunE's slot loop for a stateless workload the way
+// it ran before the per-slot folds: every server served and sampled one by
+// one, each sample fed to the float Welford chain the exact integer moments
+// replaced. It is their oracle, and returns every measured queue-length and
+// delay sample beside the two accumulators and the task counts.
+func runFloatMoments(cfg Config, strat Strategy) (r floatRun) {
 	rng := xrand.New(cfg.Seed, 0x10adba1)
 	world := NewWorld(cfg.NumServers)
 	view := &clusterView{lens: world.qlen}
 	tasks := make([]workload.Task, cfg.NumBalancers)
 	assign := make([]int, cfg.NumBalancers)
-	var scratch []rec
 	for slot := 0; slot < cfg.Warmup+cfg.Slots; slot++ {
 		measured := slot >= cfg.Warmup
 		for i := range tasks {
@@ -194,22 +201,27 @@ func runFloatMoments(cfg Config, strat Strategy) (qlen, delay stats.Welford, qs,
 		}
 		for i, srv := range strat.Assign(assign, tasks, view, rng) {
 			world.push(srv, rec{meta: packTask(tasks[i]), arrival: int32(slot)})
+			if measured {
+				r.arrived++
+			}
 		}
 		for s := 0; s < cfg.NumServers; s++ {
-			scratch = world.serve(s, cfg.Discipline, scratch[:0])
-			for _, done := range scratch {
+			first, second, n := world.serve(s, cfg.Discipline)
+			for _, done := range []rec{first, second}[:n] {
 				if measured {
-					delay.Add(float64(slot - int(done.arrival)))
-					ds = append(ds, int64(slot-int(done.arrival)))
+					r.served++
+					r.delay.Add(float64(slot - int(done.arrival)))
+					r.ds = append(r.ds, int64(slot-int(done.arrival)))
 				}
 			}
 		}
 		if measured {
 			for _, l := range world.qlen {
-				qlen.Add(float64(l))
-				qs = append(qs, int64(l))
+				r.qlen.Add(float64(l))
+				r.qs = append(r.qs, int64(l))
 			}
 		}
 	}
-	return qlen, delay, qs, ds
+	r.queuedAtEnd = world.totalQueued()
+	return r
 }

@@ -14,6 +14,7 @@ package loadbalance
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/metrics"
 	"repro/internal/stats"
@@ -102,8 +103,8 @@ func (s *Server) numOfType(t workload.TaskType) int { return s.world().numOfType
 // serve applies one slot of the discipline, removing the served tasks from
 // the queue and appending them to out.
 func (s *Server) serve(d Discipline, out []queued) []queued {
-	var scratch [2]rec
-	for _, r := range s.world().serve(s.id, d, scratch[:0]) {
+	first, second, n := s.world().serve(s.id, d)
+	for r := first; n > 0; r, n = second, n-1 {
 		out = append(out, queued{task: r.task(), arrivalSlot: int(r.arrival)})
 	}
 	return out
@@ -260,10 +261,9 @@ func RunE(cfg Config, strat Strategy) (Result, error) {
 	world := NewWorld(cfg.NumServers)
 	view := &clusterView{lens: world.qlen}
 	tasks := make([]workload.Task, cfg.NumBalancers)
-	// The assignment buffer and the serve scratch are allocated once and
-	// reused every slot; strategies fill assign in place (see Strategy).
+	// The assignment buffer is allocated once and reused every slot;
+	// strategies fill it in place (see Strategy).
 	assign := make([]int, cfg.NumBalancers)
-	scratch := make([]rec, 0, 2)
 
 	res := Result{
 		Strategy:   strat.Name(),
@@ -304,43 +304,40 @@ func RunE(cfg Config, strat Strategy) (Result, error) {
 					strat.Name(), srv)
 			}
 			world.push(srv, rec{meta: packTask(tasks[i]), arrival: int32(slot)})
-			if measured {
-				res.Arrived++
-			}
 		}
 
-		// 3. Service.
-		slotServed := 0
-		slotDelay := 0.0
-		for s := 0; s < cfg.NumServers; s++ {
-			scratch = world.serve(s, cfg.Discipline, scratch[:0])
-			for _, done := range scratch {
-				if measured {
-					res.Served++
-					delayM.Add(int64(slot - int(done.arrival)))
+		// 3. Service and measurement, one pass over the servers. The slot's
+		// delays and queue lengths accumulate in locals (count, Σ, 128-bit
+		// Σ², min, max) that fold into delayM and qlenM once per slot. An
+		// empty server is not served, but its zero length is sampled. The
+		// view needs no refresh: it aliases world.qlen.
+		var dN, dSum, qSum, qMax int64
+		var dSqHi, dSqLo, qSqHi, qSqLo, c uint64
+		dMin, dMax, qMin := int64(math.MaxInt64), int64(math.MinInt64), int64(math.MaxInt64)
+		for s, l := range world.qlen {
+			if l != 0 {
+				first, second, n := world.serve(s, cfg.Discipline)
+				for done := first; n > 0; done, n = second, n-1 {
+					d := int64(slot) - int64(done.arrival)
+					dN, dSum = dN+1, dSum+d
+					dSqLo, c = bits.Add64(dSqLo, uint64(d*d), 0)
+					dSqHi += c
+					dMin, dMax = min(dMin, d), max(dMax, d)
 				}
-				if cfg.Recorder != nil {
-					slotServed++
-					slotDelay += float64(slot - int(done.arrival))
-				}
+				l = world.qlen[s]
 			}
-		}
-
-		// 4. Measurement. The view needs no refresh: it aliases world.qlen.
-		slotTotal := 0
-		slotMax := 0
-		for _, l32 := range world.qlen {
-			l := int(l32)
-			slotTotal += l
-			if l > slotMax {
-				slotMax = l
-			}
-			if measured {
-				qlenM.Add(int64(l))
-			}
+			q := int64(l)
+			qSum += q
+			qSqLo, c = bits.Add64(qSqLo, uint64(q*q), 0)
+			qSqHi += c
+			qMin, qMax = min(qMin, q), max(qMax, q)
 		}
 		if measured {
-			res.QueueLenBM.Add(float64(slotTotal) / float64(cfg.NumServers))
+			res.Arrived += int64(len(got))
+			res.Served += dN
+			delayM.Fold(dN, dSum, dSqHi, dSqLo, dMin, dMax)
+			qlenM.Fold(int64(cfg.NumServers), qSum, qSqHi, qSqLo, qMin, qMax)
+			res.QueueLenBM.Add(float64(qSum) / float64(cfg.NumServers))
 		}
 		if cfg.Recorder != nil {
 			coloc := math.NaN()
@@ -350,11 +347,11 @@ func RunE(cfg Config, strat Strategy) (Result, error) {
 			cfg.Recorder.RecordSlot(SlotSample{
 				Slot:           slot,
 				Measured:       measured,
-				QueueTotal:     slotTotal,
-				QueueMax:       slotMax,
+				QueueTotal:     int(qSum),
+				QueueMax:       int(qMax),
 				Arrived:        len(got),
-				Served:         slotServed,
-				DelaySum:       slotDelay,
+				Served:         int(dN),
+				DelaySum:       float64(dSum),
 				ColocationRate: coloc,
 			})
 		}

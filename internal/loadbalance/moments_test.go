@@ -3,7 +3,6 @@ package loadbalance
 import (
 	"fmt"
 	"math"
-	"math/big"
 	"testing"
 
 	"repro/internal/stats"
@@ -11,57 +10,82 @@ import (
 	"repro/internal/xrand"
 )
 
-// TestRunMomentsMatchFloatChain pins RunE's exact integer moments against
-// the per-sample float Welford chain they replaced (runFloatMoments), below,
-// at and past the knee, under three disciplines. Count, min and max
-// must be equal; the mean must be the float64 nearest Σx/n; mean and
-// standard deviation may differ from the float chain only by its rounding,
-// and not in any digit E3 or qlbsim prints.
+// TestRunMomentsMatchFloatChain pins RunE's per-slot folds against the
+// per-sample replay runFloatMoments keeps as their oracle, below, at and past
+// the knee, under every discipline, with and without warm-up and with and
+// without a Recorder. Result.QueueLen and Result.Delay must be bit for bit
+// what a per-sample IntMoments makes of the oracle's samples (count, mean,
+// variance, min, max); Arrived, Served and QueuedAtEnd must equal the
+// oracle's. Mean and standard deviation may differ from the oracle's float
+// Welford chain only by its rounding, and not in any digit E3 or qlbsim
+// prints.
 //
 // Mutants killed: sampling queue lengths in warm-up slots; a delay off by
-// one slot; dropping the class partner's delay under BatchSameClassC.
+// one slot; dropping the class partner's delay under BatchSameClassC; the
+// skipped empty servers also dropped from the queue moments; the delay fold
+// applied outside the measured window; the last slot not folded.
 func TestRunMomentsMatchFloatChain(t *testing.T) {
 	for _, tc := range []struct {
 		load float64
 		d    Discipline
-	}{{0.8, BatchCFirst}, {1.1, BatchCFirst}, {1.3, FIFOBatch}, {1.2, BatchSameClassC}} {
+	}{
+		{0.8, BatchCFirst}, {1.1, BatchCFirst}, {1.0, SingleCFirst},
+		{1.3, FIFOBatch}, {1.1, EFirst}, {1.2, BatchSameClassC},
+	} {
 		t.Run(fmt.Sprintf("%v/%.1f", tc.d, tc.load), func(t *testing.T) {
-			cfg := Config{
-				NumBalancers: 40, NumServers: serversForLoad(40, tc.load),
-				Warmup: 300, Slots: 3000, Discipline: tc.d,
-				Workload: workload.MultiClass{Weights: []float64{1, 1, 1},
-					ClassTypes: []workload.TaskType{workload.TypeC, workload.TypeE, workload.TypeC}},
-				Seed: 13,
-			}
-			strat := func() Strategy { return NewQuantumPairedStrategy(1.0, xrand.New(13, 3)) }
-			res := Run(cfg, strat())
-			fq, fd, qs, ds := runFloatMoments(cfg, strat())
-			check := func(name string, got, float stats.Welford, xs []int64) {
-				t.Helper()
-				if got.Count() != float.Count() || got.Min() != float.Min() || got.Max() != float.Max() {
-					t.Fatalf("%s count/min/max %d/%v/%v, float chain %d/%v/%v",
-						name, got.Count(), got.Min(), got.Max(), float.Count(), float.Min(), float.Max())
-				}
-				sum := new(big.Int)
-				for _, x := range xs {
-					sum.Add(sum, big.NewInt(x))
-				}
-				if exact, _ := new(big.Rat).SetFrac(sum, big.NewInt(int64(len(xs)))).Float64(); got.Mean() != exact {
-					t.Fatalf("%s mean %v, exact %v", name, got.Mean(), exact)
-				}
-				for _, p := range [][2]float64{{got.Mean(), float.Mean()}, {got.StdDev(), float.StdDev()}} {
-					if math.Abs(p[0]-p[1]) > 1e-9*math.Abs(p[1]) {
-						t.Fatalf("%s moments %v, float chain %v", name, p[0], p[1])
-					}
-				}
-				for _, f := range []string{"%.2f ±%.2f", "%.4f ±%.4f"} {
-					if a, b := fmt.Sprintf(f, got.Mean(), got.CI95()), fmt.Sprintf(f, float.Mean(), float.CI95()); a != b {
-						t.Fatalf("%s prints %s, float chain %s", name, a, b)
-					}
+			for _, warmup := range []int{0, 300} {
+				for _, recorded := range []bool{false, true} {
+					t.Run(fmt.Sprintf("warmup=%d/recorder=%v", warmup, recorded), func(t *testing.T) {
+						checkRunMoments(t, tc.load, tc.d, warmup, recorded)
+					})
 				}
 			}
-			check("queue length", res.QueueLen, fq, qs)
-			check("delay", res.Delay, fd, ds)
 		})
 	}
+}
+
+func checkRunMoments(t *testing.T, load float64, d Discipline, warmup int, recorded bool) {
+	cfg := Config{
+		NumBalancers: 40, NumServers: serversForLoad(40, load),
+		Warmup: warmup, Slots: 3000, Discipline: d,
+		Workload: workload.MultiClass{Weights: []float64{1, 1, 1},
+			ClassTypes: []workload.TaskType{workload.TypeC, workload.TypeE, workload.TypeC}},
+		Seed: 13,
+	}
+	strat := func() Strategy { return NewQuantumPairedStrategy(1.0, xrand.New(13, 3)) }
+	want := runFloatMoments(cfg, strat())
+	if recorded {
+		cfg.Recorder = &SlotSeries{}
+	}
+	res := Run(cfg, strat())
+	if res.Arrived != want.arrived || res.Served != want.served || res.QueuedAtEnd != want.queuedAtEnd {
+		t.Fatalf("arrived/served/queued %d/%d/%d, oracle %d/%d/%d",
+			res.Arrived, res.Served, res.QueuedAtEnd, want.arrived, want.served, want.queuedAtEnd)
+	}
+	check := func(name string, got, float stats.Welford, xs []int64) {
+		t.Helper()
+		var m stats.IntMoments
+		for _, x := range xs {
+			m.Add(x)
+		}
+		exact := m.Welford()
+		if got.Count() != exact.Count() || got.Mean() != exact.Mean() || got.Variance() != exact.Variance() ||
+			got.Min() != exact.Min() || got.Max() != exact.Max() {
+			t.Fatalf("%s count/mean/var/min/max %d/%v/%v/%v/%v, per-sample %d/%v/%v/%v/%v", name,
+				got.Count(), got.Mean(), got.Variance(), got.Min(), got.Max(),
+				exact.Count(), exact.Mean(), exact.Variance(), exact.Min(), exact.Max())
+		}
+		for _, p := range [][2]float64{{got.Mean(), float.Mean()}, {got.StdDev(), float.StdDev()}} {
+			if math.Abs(p[0]-p[1]) > 1e-9*math.Abs(p[1]) {
+				t.Fatalf("%s moments %v, float chain %v", name, p[0], p[1])
+			}
+		}
+		for _, f := range []string{"%.2f ±%.2f", "%.4f ±%.4f"} {
+			if a, b := fmt.Sprintf(f, got.Mean(), got.CI95()), fmt.Sprintf(f, float.Mean(), float.CI95()); a != b {
+				t.Fatalf("%s prints %s, float chain %s", name, a, b)
+			}
+		}
+	}
+	check("queue length", res.QueueLen, want.qlen, want.qs)
+	check("delay", res.Delay, want.delay, want.ds)
 }

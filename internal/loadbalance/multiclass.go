@@ -62,7 +62,7 @@ func (g *GraphPairedStrategy) Assign(dst []int, tasks []workload.Task, view View
 			panic(fmt.Sprintf("loadbalance: class %d/%d outside game alphabet %dx%d",
 				cx, cy, g.game.NA, g.game.NB))
 		}
-		s0, s1 := rng.TwoDistinct(m)
+		s0, s1 := serverPair(m, rng)
 		a, b := g.sampler.Sample(cx, cy, rng)
 		out[i] = pick(s0, s1, a)
 		out[j] = pick(s0, s1, b)

@@ -4,7 +4,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/games"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 	"repro/internal/xrand"
@@ -83,6 +85,37 @@ func TestDedicatedSingleServer(t *testing.T) {
 	}
 	if r.Served == 0 {
 		t.Fatal("single-server dedicated run served nothing")
+	}
+}
+
+// TestEveryStrategyRunsOnOneServer: a one-server cluster admits exactly one
+// assignment, and every exported strategy must make it instead of panicking.
+// The pairing strategies used to draw xrand.TwoDistinct(1) and panic; the
+// odd balancer count also exercises each pairing strategy's unpaired tail.
+func TestEveryStrategyRunsOnOneServer(t *testing.T) {
+	rng := xrand.New(31, 1)
+	chsh := games.NewColocationCHSH()
+	for _, strat := range []Strategy{
+		RandomStrategy{},
+		&RoundRobinStrategy{},
+		PowerOfTwoStrategy{},
+		NewQuantumPairedStrategy(1.0, rng),
+		NewClassicalPairedStrategy(),
+		DedicatedStrategy{FractionC: 0.5},
+		OracleStrategy{},
+		NewSupplyLimitedStrategy(NewRatedSupplier(1e6, 1, 8), time.Microsecond, rng),
+		NewGraphPairedStrategy(chsh, 1.0, rng),
+		NewGraphClassicalStrategy(chsh),
+	} {
+		cfg := Config{NumBalancers: 5, NumServers: 1, Slots: 200, Discipline: BatchCFirst,
+			Workload: workload.Bernoulli{PC: 0.5}, Seed: 31}
+		r, err := RunE(cfg, strat)
+		if err != nil {
+			t.Fatalf("%s: %v", strat.Name(), err)
+		}
+		if r.Arrived != int64(cfg.NumBalancers*cfg.Slots) || r.Arrived != r.Served+r.QueuedAtEnd {
+			t.Fatalf("%s: arrived %d, served %d + queued %d", strat.Name(), r.Arrived, r.Served, r.QueuedAtEnd)
+		}
 	}
 }
 

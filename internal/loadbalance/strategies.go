@@ -64,7 +64,7 @@ func (PowerOfTwoStrategy) Name() string { return "power-of-two" }
 func (PowerOfTwoStrategy) Assign(dst []int, tasks []workload.Task, view View, rng *xrand.RNG) []int {
 	out := dst
 	for i := range out {
-		a, b := rng.TwoDistinct(view.NumServers())
+		a, b := serverPair(view.NumServers(), rng)
 		if view.QueueLen(b) < view.QueueLen(a) {
 			a = b
 		}
@@ -120,7 +120,7 @@ func (p *PairedStrategy) Assign(dst []int, tasks []workload.Task, view View, rng
 	for i := 0; i+1 < n; i += 2 {
 		j := i + 1
 		// Shared randomness: the pair agrees on two distinct servers.
-		s0, s1 := rng.TwoDistinct(m)
+		s0, s1 := serverPair(m, rng)
 		xIsC := tasks[i].Type == workload.TypeC
 		yIsC := tasks[j].Type == workload.TypeC
 		a, b := games.ColocationDecision(p.sampler, xIsC, yIsC, rng)
@@ -136,6 +136,16 @@ func (p *PairedStrategy) Assign(dst []int, tasks []workload.Task, view View, rng
 		out[n-1] = rng.IntN(m)
 	}
 	return out
+}
+
+// serverPair draws the two distinct servers a pair of balancers agrees on.
+// A single server admits one assignment, so at m < 2 both are server 0 and
+// nothing is drawn, as in DedicatedStrategy.
+func serverPair(m int, rng *xrand.RNG) (int, int) {
+	if m < 2 {
+		return 0, 0
+	}
+	return rng.TwoDistinct(m)
 }
 
 func pick(s0, s1, bit int) int {

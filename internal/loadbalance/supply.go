@@ -61,7 +61,7 @@ func (s *SupplyLimitedStrategy) Assign(dst []int, tasks []workload.Task, view Vi
 	out := dst
 	for k := 0; k+1 < n; k += 2 {
 		i, j := k, k+1
-		s0, s1 := rng.TwoDistinct(m)
+		s0, s1 := serverPair(m, rng)
 		xIsC := tasks[i].Type == workload.TypeC
 		yIsC := tasks[j].Type == workload.TypeC
 

@@ -62,9 +62,17 @@ func (f *fifo) push(r rec) {
 	f.n++
 }
 
+// pop removes and returns the oldest rec: every removal but
+// BatchSameClassC's class partner.
+func (f *fifo) pop() rec {
+	r := f.buf[f.head]
+	f.head = (f.head + 1) & uint32(len(f.buf)-1)
+	f.n--
+	return r
+}
+
 // removeAt removes and returns the i-th oldest rec, preserving the order of
-// the rest: the i older ones shift one place toward the tail. For i == 0 —
-// every removal but BatchSameClassC's class partner — that is a head bump.
+// the rest: the i older ones shift one place toward the tail.
 func (f *fifo) removeAt(i int) rec {
 	mask, h := len(f.buf)-1, int(f.head)
 	r := f.buf[(h+i)&mask]
@@ -126,27 +134,19 @@ func (w *World) numOfType(id int, t workload.TaskType) int {
 	return int(w.qlen[id] - w.numC[id])
 }
 
-// take removes the i-th oldest rec of f, one of server id's two FIFOs.
-func (w *World) take(id int, f *fifo, i int) rec {
-	r := f.removeAt(i)
-	w.qlen[id]--
-	w.numC[id] -= r.meta & recTypeC
-	return r
-}
-
 // older reports whether push sequence a precedes b on one server. The
 // counter wraps, but a server's live tasks span fewer than 2³¹ pushes (qlen
 // is an int32), so the sign of the wrapped difference decides.
 func older(a, b uint32) bool { return int32(a-b) < 0 }
 
 // serve applies one slot of the discipline to server id, removing the served
-// tasks from the queue and appending them to out (the caller's reused
-// scratch buffer, at most two entries per slot). Every discipline serves the
-// front of one of the two FIFOs and, when that task is type-C and the
-// discipline batches, one more type-C with it.
-func (w *World) serve(id int, d Discipline, out []rec) []rec {
+// tasks from the queue and returning them: n of them (0 on an empty queue,
+// else 1 or 2), first and then second. Every discipline serves the front of
+// one of the two FIFOs and, when that task is type-C and the discipline
+// batches, one more type-C with it.
+func (w *World) serve(id int, d Discipline) (first, second rec, n int) {
 	if w.qlen[id] == 0 {
-		return out
+		return first, second, 0
 	}
 	nC := w.numC[id]
 	nE := w.qlen[id] - nC
@@ -170,23 +170,25 @@ func (w *World) serve(id int, d Discipline, out []rec) []rec {
 		// Config.Validate rejects these before a run starts.
 		panic("loadbalance: unknown discipline")
 	}
-	first := w.take(id, &q[lead], 0)
-	out = append(out, first)
-	if lead != recTypeC || nC == 1 || d == SingleCFirst {
-		return out
-	}
-	c := &q[recTypeC]
-	if d != BatchSameClassC {
-		return append(out, w.take(id, c, 0))
-	}
-	// Only a type-C task of the first one's class may ride along, and only
-	// the type-C FIFO can hold it.
-	for i := 0; i < int(c.n); i++ {
-		if c.at(i).meta == first.meta {
-			return append(out, w.take(id, c, i))
+	first, n = q[lead].pop(), 1
+	if c := &q[recTypeC]; lead == recTypeC && nC > 1 && d != SingleCFirst {
+		if d != BatchSameClassC {
+			second, n = c.pop(), 2
+		} else {
+			// Only a type-C task of the first one's class may ride along,
+			// and only the type-C FIFO can hold it.
+			for i := 0; i < int(c.n); i++ {
+				if c.at(i).meta == first.meta {
+					second, n = c.removeAt(i), 2
+					break
+				}
+			}
 		}
 	}
-	return out
+	// Everything served is of the lead type.
+	w.qlen[id] -= int32(n)
+	w.numC[id] -= int32(n) * lead
+	return first, second, n
 }
 
 // totalQueued sums the live queue lengths.

@@ -39,8 +39,9 @@ func (p *worldPair) push(id int, task workload.Task, slot int) {
 
 func (p *worldPair) serve(id int) {
 	p.t.Helper()
-	var a, b [2]rec
-	got, want := p.w.serve(id, p.d, a[:0]), p.o.serve(id, p.d, b[:0])
+	var b [2]rec
+	first, second, n := p.w.serve(id, p.d)
+	got, want := []rec{first, second}[:n], p.o.serve(id, p.d, b[:0])
 	if len(got) != len(want) {
 		p.t.Fatalf("%v server %d: served %d tasks, oracle %d", p.d, id, len(got), len(want))
 	}

@@ -164,21 +164,6 @@ func (s *State) applyPairwise(k int, a, b, c, d complex128) {
 	}
 }
 
-// ApplyCNOT applies a controlled-NOT with the given control and target.
-func (s *State) ApplyCNOT(control, target int) {
-	if control == target {
-		panic("qsim: CNOT control equals target")
-	}
-	cb := 1 << (s.NumQubits - 1 - control)
-	tb := 1 << (s.NumQubits - 1 - target)
-	for i := range s.Amp {
-		if i&cb != 0 && i&tb == 0 {
-			j := i | tb
-			s.Amp[i], s.Amp[j] = s.Amp[j], s.Amp[i]
-		}
-	}
-}
-
 // Probability returns |⟨bits|ψ⟩|² for a full computational-basis outcome.
 func (s *State) Probability(bits int) float64 {
 	a := cmplx.Abs(s.Amp[bits])

@@ -177,12 +177,21 @@ func TestTensorProduct(t *testing.T) {
 	}
 }
 
-func TestCNOTCreatesBell(t *testing.T) {
-	s := NewState(2)
-	s.ApplyUnitary1(0, Hadamard().matrix()) // |0⟩ ↦ |+⟩
-	s.ApplyCNOT(0, 1)
-	if s.Fidelity(Bell()) < 1-tol {
-		t.Fatalf("H+CNOT fidelity with Bell = %v", s.Fidelity(Bell()))
+// (O⊗O)|Φ⁺⟩ = |Φ⁺⟩ for every real orthogonal O — the invariance behind
+// "only the angle difference matters" in the CHSH strategies — while a
+// rotation by θ on one qubit alone leaves fidelity cos²θ.
+func TestRealRotationPairFixesBell(t *testing.T) {
+	for _, theta := range []float64{math.Pi / 4, math.Pi / 8, 1} {
+		u := RotatedReal(theta).matrix()
+		s := Bell()
+		s.ApplyUnitary1(0, u)
+		if c := math.Cos(theta); math.Abs(s.Fidelity(Bell())-c*c) > tol {
+			t.Fatalf("θ=%v on qubit 0: fidelity %v, want cos²θ = %v", theta, s.Fidelity(Bell()), c*c)
+		}
+		s.ApplyUnitary1(1, u)
+		if s.Fidelity(Bell()) < 1-tol {
+			t.Fatalf("θ=%v on both qubits: fidelity with Bell = %v", theta, s.Fidelity(Bell()))
+		}
 	}
 }
 

@@ -43,6 +43,8 @@ type decideScratch struct {
 	req  DecideRequest      // single-round decode target
 	breq DecideBatchRequest // batch decode target (Rounds capacity reused)
 	bres []DecideResponse   // batch responses (capacity reused)
+	sess *session           // the decoded request's session (nil if unknown)
+	idx  int                // and its shard index
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -64,17 +66,21 @@ func (sc *decideScratch) results(n int) []DecideResponse {
 
 // decodeSingle reads a POST /v1/decide body into the pooled buffer and
 // decodes it into sc.req: by the fast path when it accepts, else by
-// json.Unmarshal into a zeroed target.
+// json.Unmarshal into a zeroed target. Either way it looks the session up
+// once, into sc.sess and sc.idx, for play.
 func (s *Server) decodeSingle(sc *decideScratch, r *http.Request) (err error) {
 	if sc.body, err = readBody(r.Body, sc.body, maxBodyBytes); err != nil {
 		return err
 	}
 	if id, ok := fastDecodeSingle(sc.body, &sc.req); ok {
-		sc.req.Session = s.sessionID(id)
+		sc.req.Session = s.resolve(sc, id)
 		return nil
 	}
 	sc.req = DecideRequest{}
-	return json.Unmarshal(sc.body, &sc.req)
+	if err = json.Unmarshal(sc.body, &sc.req); err == nil {
+		sc.sess, sc.idx = s.lookup(sc.req.Session)
+	}
+	return err
 }
 
 // decodeBatch is decodeSingle for POST /v1/decide/batch and sc.breq.
@@ -83,21 +89,24 @@ func (s *Server) decodeBatch(sc *decideScratch, r *http.Request) (err error) {
 		return err
 	}
 	if id, ok := fastDecodeBatch(sc.body, &sc.breq); ok {
-		sc.breq.Session = s.sessionID(id)
+		sc.breq.Session = s.resolve(sc, id)
 		return nil
 	}
 	rounds := sc.breq.Rounds[:cap(sc.breq.Rounds)]
 	clear(rounds)
 	sc.breq = DecideBatchRequest{Rounds: rounds[:0]}
-	return json.Unmarshal(sc.body, &sc.breq)
+	if err = json.Unmarshal(sc.body, &sc.breq); err == nil {
+		sc.sess, sc.idx = s.lookup(sc.breq.Session)
+	}
+	return err
 }
 
-// sessionID resolves a view of a session ID to a string without copying it:
-// a registered session lends its own ID. Only an unknown ID — a 404 in the
-// making — is allocated.
-func (s *Server) sessionID(view []byte) string {
-	if sess, _ := find(s, view); sess != nil {
-		return sess.id
+// resolve looks a view of a session ID up into sc.sess and sc.idx and
+// returns the ID as a string without copying it: a registered session lends
+// its own ID. Only an unknown ID — a 404 in the making — is allocated.
+func (s *Server) resolve(sc *decideScratch, view []byte) string {
+	if sc.sess, sc.idx = find(s, view); sc.sess != nil {
+		return sc.sess.id
 	}
 	return string(view)
 }

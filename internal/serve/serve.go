@@ -303,9 +303,12 @@ func (s *Server) CreateSession(req SessionRequest) (SessionInfo, error) {
 //     accept. The HTTP handlers decode before calling play: "in flight"
 //     means "past the gate, doing session work", and a slow body read or
 //     response write holds neither Drain nor a limiter slot.
-//  2. Lookup and input validation. Both read only immutable state, so a
-//     malformed request is refused before it can take a limiter slot or
-//     charge the shard's modeled backlog.
+//  2. Input validation against sess, which the caller looked up in shard
+//     idx (nil when unknown): the in-process entry points just before play,
+//     the HTTP decoders while decoding, so every decide takes the shard lock
+//     once. Both read only immutable state, so a malformed request is
+//     refused before it can take a limiter slot or charge the shard's
+//     modeled backlog.
 //  3. Concurrency limiter, bounding concurrency before any admission math.
 //     The one stage that differs by caller: blocking (HTTP) queues FIFO in
 //     Acquire, bounded by the deadline; non-blocking (in-process) takes
@@ -325,7 +328,7 @@ func (s *Server) CreateSession(req SessionRequest) (SessionInfo, error) {
 //
 // Results land in out[:len(rounds)] in request order; on error nothing was
 // played.
-func (s *Server) play(id string, deadline time.Time, rounds []Round, out []DecideResponse, blocking bool) (start time.Time, err error) {
+func (s *Server) play(sess *session, idx int, deadline time.Time, rounds []Round, out []DecideResponse, blocking bool) (start time.Time, err error) {
 	if len(rounds) == 0 {
 		return start, errEmptyBatch
 	}
@@ -338,7 +341,6 @@ func (s *Server) play(id string, deadline time.Time, rounds []Round, out []Decid
 		s.mDrainRejects.Inc()
 		return start, ErrDraining
 	}
-	sess, idx := s.lookup(id)
 	if sess == nil {
 		return start, ErrNoSession
 	}
@@ -416,7 +418,8 @@ func (s *Server) accountDeadline(start, deadline time.Time, out []DecideResponse
 func (s *Server) Decide(session string, x, y int, out *DecideResponse) error {
 	rounds := [1]Round{{X: x, Y: y}}
 	var res [1]DecideResponse
-	if _, err := s.play(session, time.Time{}, rounds[:], res[:], false); err != nil {
+	sess, idx := s.lookup(session)
+	if _, err := s.play(sess, idx, time.Time{}, rounds[:], res[:], false); err != nil {
 		return singleRound(err)
 	}
 	*out = res[0]
@@ -437,7 +440,8 @@ func (s *Server) DecideBatch(session string, rounds []Round, out []DecideRespons
 // late. A zero deadline means unstamped. The admission-enabled path stays
 // allocation-free on accept.
 func (s *Server) DecideBatchDeadline(session string, deadline time.Time, rounds []Round, out []DecideResponse) error {
-	if _, err := s.play(session, deadline, rounds, out, false); err != nil {
+	sess, idx := s.lookup(session)
+	if _, err := s.play(sess, idx, deadline, rounds, out, false); err != nil {
 		return err
 	}
 	s.mBatches.Inc()
@@ -524,7 +528,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	}
 	rounds := [1]Round{{X: sc.req.X, Y: sc.req.Y}}
 	var res [1]DecideResponse
-	start, err := s.play(sc.req.Session, deadlineOf(sc.req.DeadlineUnixNS), rounds[:], res[:], true)
+	start, err := s.play(sc.sess, sc.idx, deadlineOf(sc.req.DeadlineUnixNS), rounds[:], res[:], true)
 	if err != nil {
 		writePlayError(w, sc.req.Session, singleRound(err))
 		return
@@ -545,7 +549,7 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results := sc.results(len(sc.breq.Rounds))
-	start, err := s.play(sc.breq.Session, deadlineOf(sc.breq.DeadlineUnixNS), sc.breq.Rounds, results, true)
+	start, err := s.play(sc.sess, sc.idx, deadlineOf(sc.breq.DeadlineUnixNS), sc.breq.Rounds, results, true)
 	if err != nil {
 		writePlayError(w, sc.breq.Session, err)
 		return

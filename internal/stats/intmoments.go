@@ -38,6 +38,28 @@ func (m *IntMoments) Add(x int64) {
 	m.sqHi += hi + c
 }
 
+// Fold adds a block of n samples given by their sum, their sum of squares
+// sqHi·2⁶⁴ + sqLo and their min and max, leaving the state n calls of Add
+// would: a hot loop keeps these in locals and folds once per block. The
+// block's Σx must fit in an int64. A block with n == 0 adds nothing.
+func (m *IntMoments) Fold(n, sum int64, sqHi, sqLo uint64, lo, hi int64) {
+	if n == 0 {
+		return
+	}
+	if m.n == 0 || lo < m.min {
+		m.min = lo
+	}
+	if m.n == 0 || hi > m.max {
+		m.max = hi
+	}
+	m.n += n
+	var c uint64
+	m.sumLo, c = bits.Add64(m.sumLo, uint64(sum), 0)
+	m.sumHi += sum>>63 + int64(c)
+	m.sqLo, c = bits.Add64(m.sqLo, sqLo, 0)
+	m.sqHi += sqHi + c
+}
+
 // Welford returns the moments as a Welford accumulator holding the float64s
 // nearest the exact mean Σx/n and the exact sum of squared deviations
 // (n·Σx² − (Σx)²)/n, computed in math/big once per stream.

@@ -1,9 +1,11 @@
 package stats
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 	"math/rand/v2"
 	"testing"
 )
@@ -106,6 +108,67 @@ func TestIntMomentsExact(t *testing.T) {
 	if empty := (&IntMoments{}).Welford(); empty != (Welford{}) {
 		t.Fatalf("empty stream converts to %+v", empty)
 	}
+}
+
+// foldBlock folds xs into m the way a hot loop does: count, Σx, 128-bit Σx²,
+// min and max kept in locals, one Fold per block. A block is cut early
+// wherever the next x would overflow its int64 Σx, and an empty xs folds one
+// empty block, carrying the sentinel min and max a loop starts from.
+func foldBlock(m *IntMoments, xs []int64) {
+	var n, sum int64
+	var sqHi, sqLo, c uint64
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, x := range xs {
+		if s := sum + x; (x > 0 && s < sum) || (x < 0 && s > sum) {
+			m.Fold(n, sum, sqHi, sqLo, lo, hi)
+			n, sum, sqHi, sqLo = 0, 0, 0, 0
+			lo, hi = math.MaxInt64, math.MinInt64
+		}
+		a := uint64(x)
+		if x < 0 {
+			a = -a
+		}
+		h, l := bits.Mul64(a, a)
+		sqLo, c = bits.Add64(sqLo, l, 0)
+		sqHi += h + c
+		n, sum = n+1, sum+x
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	m.Fold(n, sum, sqHi, sqLo, lo, hi)
+}
+
+// FuzzIntMomentsFold splits an int64 stream (data, read as little-endian
+// words) into blocks whose lengths are the bytes of cuts, a zero byte being
+// an empty block and the words left after the last cut one final block.
+// Folding every block's (n, Σx, Σx², min, max) must leave IntMoments bit for
+// bit where per-sample Add leaves it. Named seeds under testdata cover
+// values near ±2³¹ and ±2⁶², empty blocks, extremes, and blocks whose Σx²
+// carries past 2⁶⁴.
+func FuzzIntMomentsFold(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		const maxValues = 4096
+		xs := make([]int64, 0, min(len(data)/8, maxValues))
+		for len(data) >= 8 && len(xs) < maxValues {
+			xs = append(xs, int64(binary.LittleEndian.Uint64(data)))
+			data = data[8:]
+		}
+		var per, folded IntMoments
+		for _, x := range xs {
+			per.Add(x)
+		}
+		rest := xs
+		for _, cut := range cuts {
+			k := min(int(cut), len(rest))
+			foldBlock(&folded, rest[:k])
+			rest = rest[k:]
+		}
+		if len(rest) > 0 {
+			foldBlock(&folded, rest)
+		}
+		if folded != per {
+			t.Fatalf("folded %+v, per-sample %+v", folded, per)
+		}
+	})
 }
 
 // ExampleIntMoments shows the end-of-stream conversion.

@@ -24,15 +24,24 @@ func TestBoolMatchesFloatCompareOnStream(t *testing.T) {
 
 // The RNG keeps the concrete *rand.PCG beside the *rand.Rand wrapping it and
 // draws from either; they must be one stream — rand/v2.Rand holds no state
-// of its own. Interleave direct draws (Uint64, Float64, Bool) with wrapped
-// ones (IntN, NormFloat64, Perm, …) against a plain rand.Rand.
+// of its own. Interleave direct draws (Uint64, Float64, Bool, IntN,
+// TwoDistinct) with wrapped ones (NormFloat64, Perm, …) against a plain
+// rand.Rand. IntN also runs at the bounds its branches split on: 1, every
+// power of two, 2³² ± 1, 2⁶² + 1 (which rejects about a quarter of its
+// draws) and MaxInt64.
+//
+// Mutant killed: dropping IntN's rejection loop.
 func TestDirectPCGMatchesRand(t *testing.T) {
 	const seed, salt = 2024, 0xfeed
 	g := New(seed, salt)
 	ref := rand.New(rand.NewPCG(seed, salt))
 	pick := rand.New(rand.NewPCG(1, 2))
+	bounds := []int{1, 1<<32 - 1, 1<<32 + 1, 1<<62 + 1, math.MaxInt64}
+	for k := 1; k <= 62; k++ {
+		bounds = append(bounds, 1<<k)
+	}
 	for step := 0; step < 100000; step++ {
-		switch op := pick.IntN(8); op {
+		switch op := pick.IntN(10); op {
 		case 0:
 			if a, b := g.Uint64(), ref.Uint64(); a != b {
 				t.Fatalf("step %d Uint64: %d vs %d", step, a, b)
@@ -74,7 +83,32 @@ func TestDirectPCGMatchesRand(t *testing.T) {
 			if a, b := child.Uint64(), want.Uint64(); a != b {
 				t.Fatalf("step %d Split(%d): child %d vs %d", step, i, a, b)
 			}
+		case 8:
+			n := bounds[pick.IntN(len(bounds))]
+			if a, b := g.IntN(n), ref.IntN(n); a != b {
+				t.Fatalf("step %d IntN(%d): %d vs %d", step, n, a, b)
+			}
+		case 9:
+			n := 2 + pick.IntN(50)
+			a0, a1 := g.TwoDistinct(n)
+			b0, b1 := ref.IntN(n), ref.IntN(n-1)
+			if b1 >= b0 {
+				b1++
+			}
+			if a0 != b0 || a1 != b1 {
+				t.Fatalf("step %d TwoDistinct(%d): %d,%d vs %d,%d", step, n, a0, a1, b0, b1)
+			}
 		}
+	}
+	for _, n := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("IntN(%d) did not panic", n)
+				}
+			}()
+			g.IntN(n)
+		}()
 	}
 	d, want := Derive(77, 3), rand.New(rand.NewPCG(77, mix(3)))
 	for i := 0; i < 100; i++ {

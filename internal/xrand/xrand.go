@@ -4,11 +4,14 @@
 //
 // The generator is PCG-64 (via math/rand/v2), and Split derives independent
 // child streams from a parent so concurrent simulation entities (balancers,
-// switches, sources) do not share state.
+// switches, sources) do not share state. The hot draws — Uint64, Float64,
+// Bool and IntN — read the PCG directly and return exactly what rand/v2's
+// methods return on the same stream.
 package xrand
 
 import (
 	"math"
+	"math/bits"
 	"math/rand/v2"
 )
 
@@ -16,7 +19,7 @@ import (
 // streams with New or Split.
 //
 // r wraps src and holds no state of its own (rand/v2.Rand buffers nothing),
-// so the two are one stream: the hot draws (Uint64, Float64, Bool) call
+// so the two are one stream: the hot draws (Uint64, Float64, Bool, IntN) call
 // the concrete PCG and skip rand.Source's interface dispatch, everything else
 // goes through r. TestDirectPCGMatchesRand pins that.
 type RNG struct {
@@ -58,8 +61,26 @@ func mix(x uint64) uint64 {
 // LOW 53 bits of one word over 2⁵³.
 func (g *RNG) Float64() float64 { return float64(g.src.Uint64()<<11>>11) / (1 << 53) }
 
-// IntN returns a uniform sample in [0, n).
-func (g *RNG) IntN(n int) int { return g.r.IntN(n) }
+// IntN returns a uniform sample in [0, n) as rand/v2's IntN draws it: a mask
+// for a power of two, otherwise Lemire's multiply, rejecting low words below
+// 2⁶⁴ mod n. rand/v2's 32-bit path draws the same sequence, so the stream is
+// the same on every platform. It panics if n <= 0.
+func (g *RNG) IntN(n int) int {
+	if n <= 0 {
+		panic("xrand: IntN needs n > 0")
+	}
+	u := uint64(n)
+	if u&(u-1) == 0 {
+		return int(g.src.Uint64() & (u - 1))
+	}
+	hi, lo := bits.Mul64(g.src.Uint64(), u)
+	if lo < u {
+		for thresh := -u % u; lo < thresh; {
+			hi, lo = bits.Mul64(g.src.Uint64(), u)
+		}
+	}
+	return int(hi)
+}
 
 // Uint64 returns a uniform 64-bit value.
 func (g *RNG) Uint64() uint64 { return g.src.Uint64() }
@@ -108,8 +129,8 @@ func (g *RNG) TwoDistinct(n int) (int, int) {
 	if n < 2 {
 		panic("xrand: TwoDistinct needs n >= 2")
 	}
-	a := g.r.IntN(n)
-	b := g.r.IntN(n - 1)
+	a := g.IntN(n)
+	b := g.IntN(n - 1)
 	if b >= a {
 		b++
 	}
@@ -125,7 +146,7 @@ func (g *RNG) SampleWithoutReplacement(n, k int) []int {
 	chosen := make(map[int]struct{}, k)
 	out := make([]int, 0, k)
 	for j := n - k; j < n; j++ {
-		t := g.r.IntN(j + 1)
+		t := g.IntN(j + 1)
 		if _, ok := chosen[t]; ok {
 			t = j
 		}
