@@ -33,14 +33,13 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # Regenerate BENCH_loadtest.json: the deterministic serving-path load test
-# (virtual-time open-loop generator, internal/loadtest), including the
-# goodput-vs-offered-load overload curve (EXPERIMENTS.md E21). The report is
-# a pure function of the seed — CI regenerates it and requires a
-# byte-for-byte match with the committed copy. Add -loadtest-wall for an
-# uncommitted wall-clock section. Timings are benchmark/'s job
-# (bash benchmark/run.sh, declared by BENCHMARK.json).
+# (virtual-time open-loop generator, internal/loadtest) — the E18 traffic
+# mixes and the E21 goodput-vs-offered-load curve. The report is a pure
+# function of the seed — CI regenerates it at three worker counts and
+# requires a byte-for-byte match with the committed copy. Timings are
+# benchmark/'s job (bash benchmark/run.sh, declared by BENCHMARK.json).
 bench-loadtest:
-	$(GO) run ./cmd/bench
+	$(GO) run ./cmd/repro -serving BENCH_loadtest.json
 
 repro:
 	$(GO) run ./cmd/repro
@@ -48,7 +47,7 @@ repro:
 # Regenerate FRONTIER_advantage.csv: the E20 quantum-vs-classical advantage
 # frontier (decision deadline × fiber distance × source visibility). The
 # grid is a pure function of the seed — every point simulates on its own
-# derived stream — so CI regenerates it at two worker counts and requires a
+# derived stream — so CI regenerates it at three worker counts and requires a
 # byte-for-byte match with the committed copy.
 frontier:
 	$(GO) run ./cmd/repro -frontier FRONTIER_advantage.csv

@@ -2,16 +2,17 @@
 // length (and queueing delay) versus system load N/M for N = 100 load
 // balancers, comparing the paper's classical-random and quantum CHSH-paired
 // strategies, with optional context baselines (-all), the server-discipline
-// ablation, the cell-sharded scale-up (-scale, -shards) and the
-// -csv/-series knee-curve artifacts. It is the tunable companion to
+// ablation, the cell-sharded scale-up (-scale, -shards) and the -series
+// knee-curve artifact. It is the tunable companion to
 // cmd/repro, whose E3 block is the committed number and whose E6 block is
 // the one noise sweep.
 //
 // One context governs a run: SIGINT/SIGTERM or the -timeout deadline stops
 // it between sweep units instead of killing the process mid-write —
-// completed series are still printed, the -csv/-series files are flushed
-// whole, a second signal kills the process, and the exit status is 130 on
-// interrupt and 1 on timeout.
+// completed series are still printed, the -series file is flushed whole, a
+// second signal kills the process, and the exit status is 130 on interrupt
+// and 1 on timeout. A flag value that cannot describe a run exits 2 with a
+// one-line message before anything runs.
 package main
 
 import (
@@ -22,6 +23,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 
@@ -43,13 +45,14 @@ func main() {
 	shards := flag.Int("shards", 0, "worker goroutines for the sharded runner (0 = GOMAXPROCS); never affects results, only wall time")
 	timeout := flag.Duration("timeout", 0, "whole-run deadline (0 = none)")
 	loadsFlag := flag.String("loads", "0.5,0.7,0.85,0.95,1.0,1.05,1.1,1.15,1.2,1.25,1.3,1.4", "comma-separated N/M load points")
-	csvPath := flag.String("csv", "", "also write the Figure 4 series to this CSV file")
 	seriesPath := flag.String("series", "", "write the full Figure 4 knee curve (queue length AND delay, ±95% CI per strategy) to this CSV file")
 	flag.Parse()
-	csvOut = *csvPath
-	seriesOut = *seriesPath
 
-	loads := parseLoads(*loadsFlag)
+	loads, err := checkFlags(*n, *slots, *warmup, *scale, *loadsFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "qlbsim:", err)
+		os.Exit(2)
+	}
 	base := loadbalance.Config{
 		NumBalancers: *n,
 		Warmup:       *warmup,
@@ -75,7 +78,7 @@ func main() {
 	case *ablation:
 		runDisciplineAblation(ctx, base, loads, *seed)
 	default:
-		runFigure4(ctx, base, loads, *seed, *all)
+		runFigure4(ctx, base, loads, *seed, *all, *seriesPath)
 	}
 	if err := ctx.Err(); err != nil {
 		fmt.Printf("\nsweep interrupted: %v (completed units were flushed)\n", err)
@@ -86,19 +89,46 @@ func main() {
 	}
 }
 
-func parseLoads(s string) []float64 {
+// maxServers caps the servers one load point simulates, cells × round(N/load):
+// a load of 1e-9 at N = 100 would otherwise ask for 10¹¹ server queues and
+// die out of memory.
+const maxServers = 1 << 20
+
+// checkFlags rejects the numeric flags no run can use and returns the
+// parsed -loads list.
+func checkFlags(n, slots, warmup, cells int, loads string) ([]float64, error) {
+	switch {
+	case n < 1:
+		return nil, fmt.Errorf("-balancers %d: want at least 1", n)
+	case slots < 1:
+		return nil, fmt.Errorf("-slots %d: want at least 1", slots)
+	case warmup < 0:
+		return nil, fmt.Errorf("-warmup %d: want at least 0", warmup)
+	case cells < 1:
+		return nil, fmt.Errorf("-scale %d: want at least 1", cells)
+	}
+	return parseLoads(loads, n, cells)
+}
+
+// parseLoads parses the comma-separated -loads list for n balancers in each
+// of cells cells: every load must be finite and positive, and its server
+// count at most maxServers.
+func parseLoads(s string, n, cells int) ([]float64, error) {
 	var loads []float64
 	for _, tok := range strings.Split(s, ",") {
-		var v float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(tok), "%g", &v); err != nil || v <= 0 {
-			panic(fmt.Sprintf("bad load value %q", tok))
+		v, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
+		if err != nil || !(v > 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("-loads: bad load value %q: want a finite number > 0", tok)
+		}
+		if servers := float64(cells) * math.Round(float64(n)/v); servers > maxServers {
+			return nil, fmt.Errorf("-loads: load %g needs %.0f servers, over the %d cap", v, servers, maxServers)
 		}
 		loads = append(loads, v)
 	}
-	return loads
+	return loads, nil
 }
 
-func runFigure4(ctx context.Context, base loadbalance.Config, loads []float64, seed uint64, all bool) {
+func runFigure4(ctx context.Context, base loadbalance.Config, loads []float64, seed uint64, all bool, seriesPath string) {
 	fmt.Printf("=== E3 / Figure 4: mean queue length vs load (N=%d, P(C)=0.5, discipline=%v) ===\n\n",
 		base.NumBalancers, base.Discipline)
 
@@ -120,7 +150,7 @@ func runFigure4(ctx context.Context, base loadbalance.Config, loads []float64, s
 
 	// One sweep per strategy; a cancellation between sweeps keeps the
 	// completed series (each a pure function of the seed) and drops the
-	// rest, so the table and CSVs below stay internally consistent.
+	// rest, so the table and CSV below stay internally consistent.
 	series := map[string]stats.Series{}
 	delays := map[string]stats.Series{}
 	var swept []string
@@ -164,14 +194,7 @@ func runFigure4(ctx context.Context, base loadbalance.Config, loads []float64, s
 	fmt.Printf("theory: classical saturates near %.2f, perfect colocation near %.2f;\n", tc, tp)
 	fmt.Println("the quantum knee lands between, later than classical — Figure 4's claim")
 
-	if csvOut != "" {
-		all := make([]stats.Series, 0, len(order))
-		for _, name := range order {
-			all = append(all, series[name])
-		}
-		writeCSV(csvOut, report.FromSeries("figure4", "load", all...))
-	}
-	if seriesOut != "" {
+	if seriesPath != "" {
 		// The full knee curve: queue length and delay side by side, so a
 		// replot needs exactly one file. Suffixes distinguish the two
 		// metrics for each strategy.
@@ -183,13 +206,9 @@ func runFigure4(ctx context.Context, base loadbalance.Config, loads []float64, s
 			d.Name = name + "/delay"
 			both = append(both, q, d)
 		}
-		writeCSV(seriesOut, report.FromSeries("figure4-knee", "load", both...))
+		writeCSV(seriesPath, report.FromSeries("figure4-knee", "load", both...))
 	}
 }
-
-// csvOut and seriesOut are the optional CSV destinations set by -csv and
-// -series.
-var csvOut, seriesOut string
 
 func writeCSV(path string, t *report.Table) {
 	f, err := os.Create(path)

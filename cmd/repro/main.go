@@ -1,8 +1,14 @@
-// Command repro runs every experiment end-to-end (E1–E20, E18 reserved) with reduced but
+// Command repro runs every experiment end-to-end (E1–E20) with reduced but
 // statistically meaningful sizes and prints the consolidated tables recorded
 // in EXPERIMENTS.md. Use -full for publication-scale runs (5× every round,
 // slot and trial count). Each experiment has one implementation, in
 // internal/experiments, and this is the one command that regenerates it.
+//
+// It also writes the two committed artifacts and exits: -frontier PATH the
+// E20 advantage-frontier grid (FRONTIER_advantage.csv), -serving PATH the
+// E18 traffic mixes and E21 overload curve (BENCH_loadtest.json, which
+// ignores -full). Both are pure functions of -seed, byte-identical at any
+// -workers.
 //
 // Independent experiments fan out over a worker pool (-workers, default
 // GOMAXPROCS); output is buffered per experiment and emitted in E1..E20
@@ -27,6 +33,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -46,6 +53,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "whole-run deadline (0 = none)")
 	metricsPath := flag.String("metrics", "", "write a JSON run artifact to this path (- for stdout)")
 	frontier := flag.String("frontier", "", "write the E20 advantage-frontier CSV artifact to this path (- for stdout) and exit")
+	serving := flag.String("serving", "", "write the E18/E21 serving-path JSON artifact to this path (- for stdout) and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this path")
 	flag.Parse()
@@ -72,27 +80,19 @@ func main() {
 		scale = 5
 	}
 
-	// Artifact mode: regenerate the committed advantage-frontier grid
-	// (byte-identical at any -workers and at any shard of the grid — each
-	// point has its own derived stream) and exit. The committed
-	// FRONTIER_advantage.csv is this command at the default seed and scale.
-	if *frontier != "" {
-		out := os.Stdout
-		if *frontier != "-" {
-			f, err := os.Create(*frontier)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "repro:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
+	if *frontier != "" || *serving != "" {
+		var err error
+		if *frontier != "" {
+			err = writeArtifact(*frontier, func(w io.Writer) error {
+				return experiments.WriteFrontierCSV(w, experiments.Options{Seed: *seed, Scale: scale})
+			})
 		}
-		if err := experiments.WriteFrontierCSV(out, experiments.Options{Seed: *seed, Scale: scale}); err != nil {
+		if err == nil && *serving != "" {
+			err = writeArtifact(*serving, func(w io.Writer) error { return experiments.WriteServingJSON(w, *seed) })
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
 			os.Exit(1)
-		}
-		if *frontier != "-" {
-			fmt.Fprintln(os.Stderr, "wrote", *frontier)
 		}
 		return
 	}
@@ -166,4 +166,25 @@ func main() {
 		}
 		os.Exit(1)
 	}
+}
+
+// writeArtifact writes one artifact to path (- for stdout) and reports the
+// file it wrote on stderr.
+func writeArtifact(path string, write func(io.Writer) error) error {
+	if path == "-" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintln(os.Stderr, "wrote", path)
+	return nil
 }

@@ -1,6 +1,8 @@
-// Package experiments holds the paper's experiments (E1–E20, E18 reserved) as
+// Package experiments holds the paper's experiments (E1–E21) as
 // self-contained, writer-directed jobs, plus the parallel runner that
-// regenerates them all. cmd/repro is a thin CLI over RunAll.
+// regenerates them all. cmd/repro is a thin CLI over RunAll and the two
+// artifact writers: WriteFrontierCSV (E20's full grid) and WriteServingJSON
+// (E18 and E21, which report only through that artifact).
 //
 // Every experiment derives all of its randomness from xrand.New(Seed, k)
 // with a per-experiment constant k, writes only to the io.Writer it is
@@ -92,9 +94,8 @@ type Experiment struct {
 	Run   func(w io.Writer, o Options)
 }
 
-// All returns the experiments in their presentation order. E18 is reserved
-// by the serving-path load-test family (see EXPERIMENTS.md), which reports
-// through BENCH_loadtest.json rather than a repro block.
+// All returns the experiments in their presentation order. E18 and E21 have
+// no block here: they are the WriteServingJSON artifact.
 func All() []Experiment {
 	return []Experiment{
 		{"E1", "E1: CHSH values (§2)", e1},

@@ -64,52 +64,6 @@ func (d Discipline) String() string {
 	}
 }
 
-// queued is one waiting task with its arrival slot (for delay accounting).
-type queued struct {
-	task        workload.Task
-	arrivalSlot int
-}
-
-// Server is a thin single-queue view over a World, kept for API (and test)
-// compatibility with the pre-SoA simulator. The simulation hot path no
-// longer touches it — Run works on the World columns directly — but the
-// discipline semantics exercised through a Server are exactly the World's:
-// every method delegates to the same code the full simulation runs.
-type Server struct {
-	w  *World
-	id int
-}
-
-// world returns the backing single-server World, creating it on first use so
-// the zero value stays ready.
-func (s *Server) world() *World {
-	if s.w == nil {
-		s.w = NewWorld(1)
-	}
-	return s.w
-}
-
-// Len returns the server's queue length.
-func (s *Server) Len() int { return s.world().QueueLen(s.id) }
-
-// push appends a task to the queue tail.
-func (s *Server) push(q queued) {
-	s.world().push(s.id, rec{meta: packTask(q.task), arrival: int32(q.arrivalSlot)})
-}
-
-// numOfType returns how many queued tasks have the given type.
-func (s *Server) numOfType(t workload.TaskType) int { return s.world().numOfType(s.id, t) }
-
-// serve applies one slot of the discipline, removing the served tasks from
-// the queue and appending them to out.
-func (s *Server) serve(d Discipline, out []queued) []queued {
-	first, second, n := s.world().serve(s.id, d)
-	for r := first; n > 0; r, n = second, n-1 {
-		out = append(out, queued{task: r.task(), arrivalSlot: int(r.arrival)})
-	}
-	return out
-}
-
 // View is the (possibly stale) cluster state a strategy may consult.
 // Queue lengths are as of the end of the previous slot — information a
 // balancer could realistically have from periodic polling, unlike the

@@ -49,122 +49,137 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// pushTask queues t on server 0 of w as arriving in the given slot.
+func pushTask(w *World, t workload.Task, slot int) {
+	w.push(0, rec{meta: packTask(t), arrival: int32(slot)})
+}
+
+// serveSlot applies one slot of d to server 0 of w and returns what it
+// served, in order.
+func serveSlot(w *World, d Discipline) []rec {
+	first, second, n := w.serve(0, d)
+	return []rec{first, second}[:n]
+}
+
 func TestServerDisciplineBatchCFirst(t *testing.T) {
-	s := &Server{}
-	s.push(queued{task: workload.Task{Type: workload.TypeE}})
-	s.push(queued{task: workload.Task{Type: workload.TypeC}})
-	s.push(queued{task: workload.Task{Type: workload.TypeC}})
-	served := s.serve(BatchCFirst, nil)
+	w := NewWorld(1)
+	pushTask(w, workload.Task{Type: workload.TypeE}, 0)
+	pushTask(w, workload.Task{Type: workload.TypeC}, 0)
+	pushTask(w, workload.Task{Type: workload.TypeC}, 0)
+	served := serveSlot(w, BatchCFirst)
 	if len(served) != 2 {
 		t.Fatalf("served %d tasks, want 2 (C batch)", len(served))
 	}
-	for _, q := range served {
-		if q.task.Type != workload.TypeC {
+	for _, r := range served {
+		if r.task().Type != workload.TypeC {
 			t.Fatal("batch must be type-C")
 		}
 	}
 	// Only the E remains; next slot serves it alone.
-	served = s.serve(BatchCFirst, nil)
-	if len(served) != 1 || served[0].task.Type != workload.TypeE {
+	served = serveSlot(w, BatchCFirst)
+	if len(served) != 1 || served[0].task().Type != workload.TypeE {
 		t.Fatalf("second slot served %v", served)
 	}
-	if s.Len() != 0 {
+	if w.QueueLen(0) != 0 {
 		t.Fatal("queue should be empty")
 	}
 }
 
 func TestServerDisciplineSingleC(t *testing.T) {
-	s := &Server{}
-	s.push(queued{task: workload.Task{Type: workload.TypeC}})
-	s.push(queued{task: workload.Task{Type: workload.TypeC}})
-	if got := s.serve(SingleCFirst, nil); len(got) != 1 {
+	w := NewWorld(1)
+	pushTask(w, workload.Task{Type: workload.TypeC}, 0)
+	pushTask(w, workload.Task{Type: workload.TypeC}, 0)
+	if got := serveSlot(w, SingleCFirst); len(got) != 1 {
 		t.Fatalf("SingleCFirst served %d", len(got))
 	}
 }
 
 func TestServerDisciplineFIFOBatch(t *testing.T) {
-	s := &Server{}
-	s.push(queued{task: workload.Task{Type: workload.TypeC}})
-	s.push(queued{task: workload.Task{Type: workload.TypeE}})
-	s.push(queued{task: workload.Task{Type: workload.TypeC}})
-	got := s.serve(FIFOBatch, nil)
-	if len(got) != 2 || got[0].task.Type != workload.TypeC || got[1].task.Type != workload.TypeC {
+	w := NewWorld(1)
+	pushTask(w, workload.Task{Type: workload.TypeC}, 0)
+	pushTask(w, workload.Task{Type: workload.TypeE}, 0)
+	pushTask(w, workload.Task{Type: workload.TypeC}, 0)
+	got := serveSlot(w, FIFOBatch)
+	if len(got) != 2 || got[0].task().Type != workload.TypeC || got[1].task().Type != workload.TypeC {
 		t.Fatalf("FIFOBatch head-C should pull the next C: %v", got)
 	}
 	// E head rides alone.
-	got = s.serve(FIFOBatch, nil)
-	if len(got) != 1 || got[0].task.Type != workload.TypeE {
+	got = serveSlot(w, FIFOBatch)
+	if len(got) != 1 || got[0].task().Type != workload.TypeE {
 		t.Fatalf("FIFOBatch E head: %v", got)
 	}
 }
 
 func TestServerDisciplineEFirst(t *testing.T) {
-	s := &Server{}
-	s.push(queued{task: workload.Task{Type: workload.TypeC}})
-	s.push(queued{task: workload.Task{Type: workload.TypeC}})
-	s.push(queued{task: workload.Task{Type: workload.TypeE}})
-	got := s.serve(EFirst, nil)
-	if len(got) != 1 || got[0].task.Type != workload.TypeE {
+	w := NewWorld(1)
+	pushTask(w, workload.Task{Type: workload.TypeC}, 0)
+	pushTask(w, workload.Task{Type: workload.TypeC}, 0)
+	pushTask(w, workload.Task{Type: workload.TypeE}, 0)
+	got := serveSlot(w, EFirst)
+	if len(got) != 1 || got[0].task().Type != workload.TypeE {
 		t.Fatalf("EFirst should serve the E: %v", got)
 	}
-	got = s.serve(EFirst, nil)
+	got = serveSlot(w, EFirst)
 	if len(got) != 2 {
 		t.Fatalf("EFirst with no E serves the C batch: %v", got)
 	}
 }
 
 func TestServeEmpty(t *testing.T) {
-	s := &Server{}
+	w := NewWorld(1)
 	for d := BatchCFirst; d <= BatchSameClassC; d++ {
-		if got := s.serve(d, nil); got != nil {
+		if got := serveSlot(w, d); len(got) != 0 {
 			t.Fatalf("%v on empty queue served %v", d, got)
 		}
 	}
 }
 
 // TestServerQueueBookkeeping drives the two per-type FIFOs through pushes,
-// out-of-arrival-order serves and strict-order drains, checking Len and the
-// type counts the disciplines branch on.
+// out-of-arrival-order serves and strict-order drains, checking the queue
+// length and the type counts the disciplines branch on.
 func TestServerQueueBookkeeping(t *testing.T) {
-	s := &Server{}
+	w := NewWorld(1)
+	lens := func() (int, int, int) {
+		return w.QueueLen(0), w.numOfType(0, workload.TypeC), w.numOfType(0, workload.TypeE)
+	}
 	for i := 0; i < 5; i++ {
 		typ := workload.TypeE
 		if i%2 == 1 {
 			typ = workload.TypeC
 		}
-		s.push(queued{task: workload.Task{Type: typ}, arrivalSlot: i})
+		pushTask(w, workload.Task{Type: typ}, i)
 	}
 	// Queue: E0 C1 E2 C3 E4 — numC = 2.
-	if s.Len() != 5 || s.numOfType(workload.TypeC) != 2 || s.numOfType(workload.TypeE) != 3 {
-		t.Fatalf("Len=%d numC=%d numE=%d", s.Len(), s.numOfType(workload.TypeC), s.numOfType(workload.TypeE))
+	if n, c, e := lens(); n != 5 || c != 2 || e != 3 {
+		t.Fatalf("Len=%d numC=%d numE=%d", n, c, e)
 	}
 	// Serving the first C from behind an E preserves the arrival order of the
 	// rest: a strict-order drain then sees 0, 2, 3, 4 (C3 finds no partner).
-	if got := s.serve(SingleCFirst, nil); len(got) != 1 || got[0].arrivalSlot != 1 {
+	if got := serveSlot(w, SingleCFirst); len(got) != 1 || got[0].arrival != 1 {
 		t.Fatalf("first C served %v, want slot 1", got)
 	}
-	if s.Len() != 4 || s.numOfType(workload.TypeC) != 1 {
-		t.Fatalf("after one C: Len=%d numC=%d, want 4/1", s.Len(), s.numOfType(workload.TypeC))
+	if n, c, _ := lens(); n != 4 || c != 1 {
+		t.Fatalf("after one C: Len=%d numC=%d, want 4/1", n, c)
 	}
-	for _, want := range []int{0, 2, 3, 4} {
-		if got := s.serve(FIFOBatch, nil); len(got) != 1 || got[0].arrivalSlot != want {
+	for _, want := range []int32{0, 2, 3, 4} {
+		if got := serveSlot(w, FIFOBatch); len(got) != 1 || got[0].arrival != want {
 			t.Fatalf("strict-order serve got %v, want slot %d", got, want)
 		}
 	}
-	if s.Len() != 0 || s.numOfType(workload.TypeC) != 0 {
-		t.Fatalf("queue not empty after draining: Len=%d numC=%d", s.Len(), s.numOfType(workload.TypeC))
+	if n, c, _ := lens(); n != 0 || c != 0 {
+		t.Fatalf("queue not empty after draining: Len=%d numC=%d", n, c)
 	}
-	// Interleave pushes and serves long enough to force prefix reclaim.
+	// Interleave pushes and serves long enough to wrap and grow the ring.
 	for i := 0; i < 1000; i++ {
-		s.push(queued{task: workload.Task{Type: workload.TypeC}, arrivalSlot: i})
+		pushTask(w, workload.Task{Type: workload.TypeC}, i)
 		if i%2 == 1 {
-			if got := s.serve(SingleCFirst, nil); len(got) != 1 || got[0].arrivalSlot != i/2 {
+			if got := serveSlot(w, SingleCFirst); len(got) != 1 || int(got[0].arrival) != i/2 {
 				t.Fatalf("churn serve %d got %v, want slot %d", i, got, i/2)
 			}
 		}
 	}
-	if s.Len() != 500 || s.numOfType(workload.TypeC) != 500 {
-		t.Fatalf("after churn: Len=%d numC=%d, want 500/500", s.Len(), s.numOfType(workload.TypeC))
+	if n, c, _ := lens(); n != 500 || c != 500 {
+		t.Fatalf("after churn: Len=%d numC=%d, want 500/500", n, c)
 	}
 }
 

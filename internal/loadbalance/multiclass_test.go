@@ -141,26 +141,26 @@ func TestGraphStrategyClassOutOfRangePanics(t *testing.T) {
 }
 
 func TestBatchSameClassCDiscipline(t *testing.T) {
-	s := &Server{}
-	s.push(queued{task: workload.Task{Type: workload.TypeC, Class: 2}})
-	s.push(queued{task: workload.Task{Type: workload.TypeC, Class: 3}})
-	s.push(queued{task: workload.Task{Type: workload.TypeC, Class: 2}})
-	got := s.serve(BatchSameClassC, nil)
-	if len(got) != 2 || got[0].task.Class != 2 || got[1].task.Class != 2 {
+	w := NewWorld(1)
+	pushTask(w, workload.Task{Type: workload.TypeC, Class: 2}, 0)
+	pushTask(w, workload.Task{Type: workload.TypeC, Class: 3}, 0)
+	pushTask(w, workload.Task{Type: workload.TypeC, Class: 2}, 0)
+	got := serveSlot(w, BatchSameClassC)
+	if len(got) != 2 || got[0].task().Class != 2 || got[1].task().Class != 2 {
 		t.Fatalf("same-class batch wrong: %v", got)
 	}
 	// The lone class-3 C now rides alone.
-	got = s.serve(BatchSameClassC, nil)
-	if len(got) != 1 || got[0].task.Class != 3 {
+	got = serveSlot(w, BatchSameClassC)
+	if len(got) != 1 || got[0].task().Class != 3 {
 		t.Fatalf("lone C should ride alone: %v", got)
 	}
 	// Empty and E-only behavior.
-	s = &Server{}
-	s.push(queued{task: workload.Task{Type: workload.TypeE}})
-	if got := s.serve(BatchSameClassC, nil); len(got) != 1 {
+	w = NewWorld(1)
+	pushTask(w, workload.Task{Type: workload.TypeE}, 0)
+	if got := serveSlot(w, BatchSameClassC); len(got) != 1 {
 		t.Fatalf("E should serve singly: %v", got)
 	}
-	if got := s.serve(BatchSameClassC, nil); got != nil {
+	if got := serveSlot(w, BatchSameClassC); len(got) != 0 {
 		t.Fatal("empty queue should serve nothing")
 	}
 }

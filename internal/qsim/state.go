@@ -11,7 +11,6 @@
 package qsim
 
 import (
-	"fmt"
 	"math"
 	"math/cmplx"
 
@@ -23,16 +22,6 @@ import (
 type State struct {
 	NumQubits int
 	Amp       linalg.Vec
-}
-
-// NewState returns the all-zeros computational basis state |00…0⟩.
-func NewState(numQubits int) *State {
-	if numQubits < 1 || numQubits > 20 {
-		panic(fmt.Sprintf("qsim: unsupported qubit count %d", numQubits))
-	}
-	s := &State{NumQubits: numQubits, Amp: linalg.NewVec(1 << numQubits)}
-	s.Amp[0] = 1
-	return s
 }
 
 // BasisState returns |bits⟩, e.g. BasisState(0b10, 2) = |10⟩.
