@@ -41,11 +41,6 @@ func main() {
 		os.Exit(2)
 	}
 	n := len(names)
-	if n < 2 {
-		fmt.Fprintln(os.Stderr, "affinity: need at least two classes")
-		os.Exit(2)
-	}
-
 	game := buildGame(n, labels, diag)
 	rng := xrand.New(*seed, 0)
 	c := game.ClassicalValue()
@@ -101,7 +96,8 @@ func main() {
 // parseGraph reads the -graph and -caching flags. A self-edge is rejected
 // rather than ignored (the diagonal comes from -caching alone), and so is an
 // edge listed twice with different labels, which would otherwise keep
-// whichever came last.
+// whichever came last. The class count must lie in [2, games.MaxEnumInputs]:
+// the exact classical value enumerates 2^n strategies.
 func parseGraph(spec, caching string) (names []string, labels [][]games.EdgeLabel, diag []bool, err error) {
 	idx := map[string]int{}
 	intern := func(name string) {
@@ -156,6 +152,12 @@ func parseGraph(spec, caching string) (names []string, labels [][]games.EdgeLabe
 	}
 
 	n := len(names)
+	if n < 2 {
+		return nil, nil, nil, fmt.Errorf("need at least two classes")
+	}
+	if n > games.MaxEnumInputs {
+		return nil, nil, nil, fmt.Errorf("%d classes: the exact classical value handles at most %d", n, games.MaxEnumInputs)
+	}
 	labels = make([][]games.EdgeLabel, n)
 	for i := range labels {
 		labels[i] = make([]games.EdgeLabel, n)

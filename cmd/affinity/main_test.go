@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -113,5 +114,27 @@ func TestParseGraphRejectsMalformed(t *testing.T) {
 		if _, _, _, err := parseGraph(tc.graph, tc.caching); err == nil {
 			t.Errorf("parseGraph(%q, %q) accepted", tc.graph, tc.caching)
 		}
+	}
+}
+
+// TestParseGraphRejectsClassCount: fewer than two classes leaves no game,
+// and more than games.MaxEnumInputs used to panic in the classical solver
+// after the banner was printed.
+func TestParseGraphRejectsClassCount(t *testing.T) {
+	chain := func(n int) string {
+		edges := make([]string, n-1)
+		for i := range edges {
+			edges[i] = fmt.Sprintf("c%d-c%d:x", i, i+1)
+		}
+		return strings.Join(edges, ",")
+	}
+	for _, graph := range []string{"", " , ", chain(games.MaxEnumInputs + 1), chain(games.MaxEnumInputs + 2)} {
+		if _, _, _, err := parseGraph(graph, ""); err == nil {
+			t.Errorf("parseGraph(%.40q) accepted", graph)
+		}
+	}
+	names, _, _, err := parseGraph(chain(games.MaxEnumInputs), "")
+	if err != nil || len(names) != games.MaxEnumInputs {
+		t.Fatalf("%d classes: names %d, err %v", games.MaxEnumInputs, len(names), err)
 	}
 }

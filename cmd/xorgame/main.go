@@ -107,13 +107,17 @@ func checkTrials(trials int) error {
 // probability; point i draws its ensemble from xrand.New(seed, i). A step of
 // zero or less never reaches p = 1, so the plan would grow until memory runs
 // out, and one above 1 sweeps p = 0 alone; both are errors, as are fewer than
-// two vertices (no edge to label).
+// two vertices (no edge to label) and more than games.MaxEnumInputs (the
+// exact classical value enumerates 2^n strategies).
 func probabilitySweepPlan(n, trials int, step float64, seed uint64, gaps bool) (sweep, error) {
 	if !(step > 0 && step <= 1) {
 		return sweep{}, fmt.Errorf("-step %g: want 0 < step ≤ 1", step)
 	}
 	if n < 2 {
 		return sweep{}, fmt.Errorf("-vertices %d: want at least 2", n)
+	}
+	if n > games.MaxEnumInputs {
+		return sweep{}, fmt.Errorf("-vertices %d: want at most %d", n, games.MaxEnumInputs)
 	}
 	if err := checkTrials(trials); err != nil {
 		return sweep{}, err

@@ -3,11 +3,14 @@ package main
 import (
 	"math"
 	"testing"
+
+	"repro/internal/games"
 )
 
 // TestPlansRejectBadInput pins the inputs that used to hang (a step that
 // never reaches p = 1), print an empty interval for every point (no
-// trials), or panic (negative trials, a single vertex).
+// trials), or panic (negative trials, a single vertex, more vertices than
+// the exact classical value enumerates).
 func TestPlansRejectBadInput(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -22,6 +25,7 @@ func TestPlansRejectBadInput(t *testing.T) {
 		{"trials zero", 5, 0, 0.5},
 		{"trials negative", 5, -1, 0.5},
 		{"one vertex", 1, 10, 0.5},
+		{"25 vertices", games.MaxEnumInputs + 1, 1, 1},
 	} {
 		if _, err := probabilitySweepPlan(tc.vertices, tc.trials, tc.step, 2, false); err == nil {
 			t.Errorf("%s: probabilitySweepPlan(%d, %d, %g) accepted", tc.name, tc.vertices, tc.trials, tc.step)

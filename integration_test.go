@@ -82,8 +82,8 @@ func TestIntegrationGameSolversAgree(t *testing.T) {
 		g := games.RandomGraphXORGame(4, 0.5, rng)
 		full := g.QuantumValue(rng).Value
 		pr, q2 := g.PlanarRealize(rng)
-		phys := pr.ExactValue(g, 1.0)
-		seesaw := games.FromXOR(g).SeeSawOnState(qsim.DensityFromPure(qsim.Bell()), rng).Value
+		phys := g.ValueOn(qsim.Werner(1.0), games.CHSHAngles{ThetaA: pr.AnglesA, ThetaB: pr.AnglesB})
+		seesaw := g.SeeSawOnState(qsim.DensityFromPure(qsim.Bell()), rng).Value
 
 		if math.Abs(phys-q2.Value) > 1e-9 {
 			t.Fatalf("planar physics %v != rank-2 vectors %v", phys, q2.Value)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/entangle"
 	"repro/internal/games"
+	"repro/internal/netsim"
 	"repro/internal/xrand"
 )
 
@@ -159,12 +160,18 @@ func TestRunTimingParetoFrontier(t *testing.T) {
 	if quantum.Latency.Mean() <= 0 || quantum.Latency.Mean() > 10e-6 {
 		t.Fatalf("quantum latency %v s, want ~1µs", quantum.Latency.Mean())
 	}
-	if coord.Latency.Mean() < 1e-3 {
-		t.Fatalf("coordinated latency %v s, want ≥ 1 ms RTT", coord.Latency.Mean())
+	// Every coordinated decision costs exactly one fiber round trip.
+	rtt := (2 * netsim.PropagationDelay(cfg.DistanceM)).Seconds()
+	if l := &coord.Latency; l.Count() != int64(cfg.Rounds) || l.Min() != rtt || l.Max() != rtt || l.Mean() != rtt {
+		t.Fatalf("coordinated latency n=%d min=%v max=%v mean=%v s, want %d × RTT %v s",
+			l.Count(), l.Min(), l.Max(), l.Mean(), cfg.Rounds, rtt)
+	}
+	if rtt < 1e-3 {
+		t.Fatalf("RTT %v s at %v m, want ≥ 1 ms", rtt, cfg.DistanceM)
 	}
 	// Win-rate ordering: local 0.75 < quantum < coordinated 1.0.
-	if coord.WinRate.Rate() != 1 {
-		t.Fatalf("coordinated win rate %v", coord.WinRate.Rate())
+	if coord.WinRate.Trials() != int64(cfg.Rounds) || coord.WinRate.Rate() != 1 {
+		t.Fatalf("coordinated win rate %v over %d rounds", coord.WinRate.Rate(), coord.WinRate.Trials())
 	}
 	lo, _ := quantum.WinRate.Wilson95()
 	if lo <= 0.75 {

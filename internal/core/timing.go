@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/entangle"
 	"repro/internal/games"
@@ -77,7 +76,7 @@ func RunTiming(cfg TimingConfig) []TimingResult {
 
 	local := runLocalClassical(cfg, game)
 	quantum := runQuantumPreShared(cfg, game)
-	coordinated := runCoordinated(cfg, game)
+	coordinated := runCoordinated(cfg)
 
 	return []TimingResult{local, quantum, coordinated}
 }
@@ -135,43 +134,16 @@ func runQuantumPreShared(cfg TimingConfig, game *games.XORGame) TimingResult {
 	return res
 }
 
-// runCoordinated: server A ships its input to server B over the fiber;
-// B answers for both with full knowledge (the colocation game is winnable
-// with certainty given both inputs) and replies. A's decision completes
-// after a full RTT.
-func runCoordinated(cfg TimingConfig, game *games.XORGame) TimingResult {
-	rng := xrand.New(cfg.Seed, 3)
-	var engine netsim.Engine
-	net := netsim.NewNetwork(&engine)
+// runCoordinated: server A ships its input to server B over the fiber and
+// B replies with both answers, so every decision completes one round trip,
+// 2·PropagationDelay(DistanceM), after its arrival. Knowing both inputs, B
+// picks a = 0, b = Parity[x][y], which wins any XOR game with certainty.
+func runCoordinated(cfg TimingConfig) TimingResult {
+	rtt := (2 * netsim.PropagationDelay(cfg.DistanceM)).Seconds()
 	res := TimingResult{Architecture: "coordinated-classical"}
-
-	type roundState struct {
-		x, y    int
-		started time.Duration
-	}
-	var cur roundState
-
-	const a, b netsim.NodeID = 0, 1
-	net.AddNode(a, func(n *netsim.Network, m netsim.Message) {
-		// Reply received: decision complete after the round trip.
-		res.Latency.Add((n.Engine.Now() - cur.started).Seconds())
-		// With both inputs known B picks a = 0, b = Parity[x][y], which
-		// satisfies any XOR win condition with certainty.
-		res.WinRate.Add(game.Wins(cur.x, cur.y, 0, game.Parity[cur.x][cur.y]))
-	})
-	net.AddNode(b, func(n *netsim.Network, m netsim.Message) {
-		n.Send(b, a, "answer")
-	})
-	net.ConnectDistance(a, b, cfg.DistanceM)
-
-	arrivals := &workload.PoissonArrivals{Rate: cfg.RequestRate}
 	for i := 0; i < cfg.Rounds; i++ {
-		at := arrivals.Next(rng)
-		engine.RunUntil(at)
-		x, y := game.SampleInput(rng)
-		cur = roundState{x: x, y: y, started: engine.Now()}
-		net.Send(a, b, "input")
-		engine.Run(0) // drain this round's exchange before the next
+		res.Latency.Add(rtt)
+		res.WinRate.Add(true)
 	}
 	return res
 }

@@ -214,9 +214,8 @@ func e1(w io.Writer, o Options) {
 	g := games.NewCHSH()
 	c := g.ClassicalValue()
 	q := g.QuantumValue(rng)
-	bell := games.NewBellSampler(games.OptimalCHSHAngles(), 1.0, rng)
 	fmt.Fprintf(w, "classical %.6f (paper 0.75) | quantum SDP %.6f | Born rule %.6f (paper cos²(π/8)=%.6f)\n",
-		c.Value, q.Value, bell.ExactValue(g), math.Pow(math.Cos(math.Pi/8), 2))
+		c.Value, q.Value, g.ValueOn(qsim.Werner(1.0), games.OptimalCHSHAngles()), math.Pow(math.Cos(math.Pi/8), 2))
 
 	var p stats.Proportion
 	s := q.QuantumSampler(1.0)

@@ -1,6 +1,8 @@
 package games
 
 import (
+	"math"
+
 	"repro/internal/linalg"
 	"repro/internal/qsim"
 	"repro/internal/xrand"
@@ -11,22 +13,111 @@ import (
 // shrinks all correlators uniformly) — but real channels are anisotropic.
 // Under dephasing, for example, the Z-correlations survive while the X-
 // correlations decay, and the best measurement angles shift toward the
-// computational basis. This file generalizes the Liang–Doherty see-saw to
-// an ARBITRARY shared two-qubit state, letting a deployment re-tune its
-// measurements to the noise its certification run actually reveals.
+// computational basis. This file runs the Liang–Doherty see-saw (the
+// paper's reference [39]) on an ARBITRARY shared two-qubit state, letting a
+// deployment re-tune its measurements to the noise its certification run
+// actually reveals.
 
-// SeeSawOnState computes a locally optimal strategy for a binary-output
-// game played on the given shared two-qubit state (the Bell pair is
+// SeeSawResult is the outcome of the see-saw iteration: a certified-feasible
+// quantum strategy (a lower bound on the quantum value) with the projectors
+// that realize it on the shared state.
+type SeeSawResult struct {
+	Value float64
+	// AliceProj[x] / BobProj[y] are the outcome-0 projectors on C².
+	AliceProj, BobProj []*linalg.Mat
+}
+
+// bobEffectInto returns the effect operator for outcome o given the
+// outcome-0 projector p: p itself for o = 0 (out untouched), and for o = 1
+// the complement I − p written into out. The complement subtracts from
+// explicit identity entries, matching Identity(2).Sub(p) bit for bit.
+func bobEffectInto(out, p *linalg.Mat, o int) *linalg.Mat {
+	if o == 0 {
+		return p
+	}
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 2; j++ {
+			var id complex128
+			if i == j {
+				id = 1
+			}
+			out.Set(i, j, id-p.At(i, j))
+		}
+	}
+	return out
+}
+
+// positiveEigenprojector returns the projector onto the strictly positive
+// eigenspace of a 2×2 Hermitian matrix.
+func positiveEigenprojector(h *linalg.Mat) *linalg.Mat {
+	// Hermitize numerical dust before decomposing.
+	hh := h.Add(h.Dagger()).Scale(0.5)
+	eig := linalg.EigHermitian(hh)
+	out := linalg.NewMat(2, 2)
+	for k, v := range eig.Values {
+		if v > 0 {
+			col := linalg.Vec{eig.Vectors.At(0, k), eig.Vectors.At(1, k)}
+			out = out.Add(col.Outer(col))
+		}
+	}
+	return out
+}
+
+func randomProjector(rng *xrand.RNG) *linalg.Mat {
+	v := linalg.Vec{
+		complex(rng.NormFloat64(), rng.NormFloat64()),
+		complex(rng.NormFloat64(), rng.NormFloat64()),
+	}
+	v.Normalize()
+	return v.Outer(v)
+}
+
+// VerifyBehaviorNoSignaling checks that a behavior's marginals are
+// input-independent — every physical strategy must pass. Returns the largest
+// violation found.
+func VerifyBehaviorNoSignaling(p [][][][]float64) float64 {
+	var worst float64
+	na := len(p)
+	if na == 0 {
+		return 0
+	}
+	nb := len(p[0])
+	// Alice's marginal must not depend on y.
+	for x := 0; x < na; x++ {
+		for a := 0; a < 2; a++ {
+			ref := p[x][0][a][0] + p[x][0][a][1]
+			for y := 1; y < nb; y++ {
+				m := p[x][y][a][0] + p[x][y][a][1]
+				if d := math.Abs(m - ref); d > worst {
+					worst = d
+				}
+			}
+		}
+	}
+	// Bob's marginal must not depend on x.
+	for y := 0; y < nb; y++ {
+		for b := 0; b < 2; b++ {
+			ref := p[0][y][0][b] + p[0][y][1][b]
+			for x := 1; x < na; x++ {
+				m := p[x][y][0][b] + p[x][y][1][b]
+				if d := math.Abs(m - ref); d > worst {
+					worst = d
+				}
+			}
+		}
+	}
+	return worst
+}
+
+// SeeSawOnState computes a locally optimal strategy for the game played on
+// the given shared two-qubit state (the Bell pair is
 // qsim.DensityFromPure(qsim.Bell())). Each half-step is an exact best
 // response (positive-eigenspace projector of the conditional score
 // operator), so the value is monotone and converges; restarts guard
 // against poor basins. The result is a valid quantum strategy, hence a
 // lower bound on the quantum value (the general decision problem is
 // undecidable, so a lower-bound method is the honest tool).
-func (g *GeneralGame) SeeSawOnState(rho *qsim.Density, rng *xrand.RNG) SeeSawResult {
-	if g.KA != 2 || g.KB != 2 {
-		panic("games: SeeSawOnState supports binary outputs only")
-	}
+func (g *XORGame) SeeSawOnState(rho *qsim.Density, rng *xrand.RNG) SeeSawResult {
 	if rho.NumQubits != 2 {
 		panic("games: SeeSawOnState needs a two-qubit state")
 	}
@@ -41,7 +132,7 @@ func (g *GeneralGame) SeeSawOnState(rho *qsim.Density, rng *xrand.RNG) SeeSawRes
 	return best
 }
 
-func (g *GeneralGame) seeSawOnceOnState(rho *qsim.Density, rng *xrand.RNG) SeeSawResult {
+func (g *XORGame) seeSawOnceOnState(rho *qsim.Density, rng *xrand.RNG) SeeSawResult {
 	alice := make([]*linalg.Mat, g.NA)
 	bob := make([]*linalg.Mat, g.NB)
 	for x := range alice {
@@ -73,7 +164,7 @@ func (g *GeneralGame) seeSawOnceOnState(rho *qsim.Density, rng *xrand.RNG) SeeSa
 				}
 				for a := 0; a < 2; a++ {
 					for b := 0; b < 2; b++ {
-						if g.Win(x, y, a, b) {
+						if g.Wins(x, y, a, b) {
 							v += g.Prob[x][y] * prob(alice[x], bob[y], a, b)
 						}
 					}
@@ -94,10 +185,10 @@ func (g *GeneralGame) seeSawOnceOnState(rho *qsim.Density, rng *xrand.RNG) SeeSa
 				for b := 0; b < 2; b++ {
 					conditionalOnAliceInto(cond, rho, bobEffectInto(effB, bob[y], b))
 					c := complex(g.Prob[x][y], 0)
-					if g.Win(x, y, 0, b) {
+					if g.Wins(x, y, 0, b) {
 						diff.AddScaledInPlace(c, cond)
 					}
-					if g.Win(x, y, 1, b) {
+					if g.Wins(x, y, 1, b) {
 						diff.SubScaledInPlace(c, cond)
 					}
 				}
@@ -113,10 +204,10 @@ func (g *GeneralGame) seeSawOnceOnState(rho *qsim.Density, rng *xrand.RNG) SeeSa
 				for a := 0; a < 2; a++ {
 					conditionalOnBobInto(cond, rho, bobEffectInto(effA, alice[x], a))
 					c := complex(g.Prob[x][y], 0)
-					if g.Win(x, y, a, 0) {
+					if g.Wins(x, y, a, 0) {
 						diff.AddScaledInPlace(c, cond)
 					}
-					if g.Win(x, y, a, 1) {
+					if g.Wins(x, y, a, 1) {
 						diff.SubScaledInPlace(c, cond)
 					}
 				}
@@ -203,9 +294,8 @@ func BehaviorOnState(rho *qsim.Density, alice, bob []*linalg.Mat) [][][][]float6
 // the played strategy is the best the certified state supports. Returns
 // the sampler and its exact value on the state.
 func ReoptimizedSampler(g *XORGame, visibility float64, rng *xrand.RNG) (JointSampler, float64) {
-	gg := FromXOR(g)
 	rho := qsim.Werner(visibility)
-	res := gg.SeeSawOnState(rho, rng)
+	res := g.SeeSawOnState(rho, rng)
 	return &TableSampler{P: BehaviorOnState(rho, res.AliceProj, res.BobProj)}, res.Value
 }
 
@@ -213,29 +303,5 @@ func ReoptimizedSampler(g *XORGame, visibility float64, rng *xrand.RNG) (JointSa
 // actual noisy state recovers over playing the noiseless-optimal angles:
 // it returns (fixed-angle value, adapted value) of the game on the state.
 func AdaptiveGain(g *XORGame, rho *qsim.Density, fixed CHSHAngles, rng *xrand.RNG) (fixedValue, adaptedValue float64) {
-	gg := FromXOR(g)
-	// Score the fixed angles on the state exactly.
-	var v float64
-	for x := 0; x < g.NA; x++ {
-		for y := 0; y < g.NB; y++ {
-			if g.Prob[x][y] == 0 {
-				continue
-			}
-			dist := rho.OutcomeDistribution([]qsim.Basis{
-				qsim.RotatedReal(fixed.ThetaA[x]), qsim.RotatedReal(fixed.ThetaB[y]),
-			})
-			for o, p := range dist {
-				a := o >> 1 & 1
-				b := o & 1
-				if fixed.FlipB {
-					b = 1 - b
-				}
-				if g.Wins(x, y, a, b) {
-					v += g.Prob[x][y] * p
-				}
-			}
-		}
-	}
-	adapted := gg.SeeSawOnState(rho, rng)
-	return v, adapted.Value
+	return g.ValueOn(rho, fixed), g.SeeSawOnState(rho, rng).Value
 }

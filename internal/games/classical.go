@@ -21,9 +21,10 @@ type ClassicalResult struct {
 	A, B []int
 }
 
-// classicalEnumLimit caps the enumerated side: 2^24 strategies is the
-// largest sweep the exact solver will attempt.
-const classicalEnumLimit = 24
+// MaxEnumInputs caps the enumerated side: 2^24 strategies is the largest
+// sweep the exact solver will attempt, so ClassicalValue panics on a game
+// whose input alphabets both exceed it.
+const MaxEnumInputs = 24
 
 // ClassicalValue computes the exact classical value of an XOR game by
 // enumerating one party's deterministic strategies with a Gray-code sweep;
@@ -49,14 +50,14 @@ func (g *XORGame) ClassicalValueUncached() ClassicalResult {
 // classicalValueUncached dispatches the enumeration, run on cache misses.
 func (g *XORGame) classicalValueUncached() ClassicalResult {
 	switch {
-	case g.NA <= classicalEnumLimit:
+	case g.NA <= MaxEnumInputs:
 		return g.classicalGray(false)
-	case g.NB <= classicalEnumLimit:
+	case g.NB <= MaxEnumInputs:
 		return g.classicalGray(true)
 	default:
 		panic(fmt.Sprintf(
 			"games: %s: ClassicalValue enumeration too large: needs one input alphabet ≤ %d, got NA=%d, NB=%d",
-			g.Name, classicalEnumLimit, g.NA, g.NB))
+			g.Name, MaxEnumInputs, g.NA, g.NB))
 	}
 }
 

@@ -179,7 +179,7 @@ func TestQuantumAtLeastClassical(t *testing.T) {
 // agree with the brute-force solve of its explicitly transposed twin.
 func TestClassicalTransposedTallGame(t *testing.T) {
 	rng := xrand.New(904, 1)
-	na, nb := classicalEnumLimit+4, 3
+	na, nb := MaxEnumInputs+4, 3
 	g := &XORGame{Name: "tall", NA: na, NB: nb}
 	g.Prob = make([][]float64, na)
 	g.Parity = make([][]int, na)

@@ -1,7 +1,7 @@
 // Package games implements the non-local games at the center of the paper:
 // the CHSH game, its colocation variant used for load balancing, general
-// graph-labeled XOR games (paper §4.1 / Figure 3), the three-player
-// Mermin–GHZ game, and general two-party binary games.
+// graph-labeled XOR games (paper §4.1 / Figure 3) and the three-player
+// Mermin–GHZ game.
 //
 // For every game the package can compute
 //
@@ -11,8 +11,8 @@
 //   - the quantum value: for XOR games via Tsirelson's vector
 //     characterization solved with full-rank Burer–Monteiro coordinate
 //     ascent (replacing the paper's use of the Toqito Python package), and
-//     for general games via the Liang–Doherty see-saw iteration the paper
-//     cites as [39].
+//     on an arbitrary shared two-qubit state via the Liang–Doherty see-saw
+//     iteration the paper cites as [39].
 //
 // It also provides correlation samplers: given a strategy, produce joint
 // outputs for simulation rounds. Quantum samplers draw from the exact

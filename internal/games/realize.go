@@ -70,14 +70,6 @@ func (g *XORGame) PlanarRealize(rng *xrand.RNG) (PlanarRealization, QuantumResul
 	return pr, q2
 }
 
-// ExactValue scores the realization on the game with a Werner state of the
-// given visibility, via the exact Born rule — the physical cross-check that
-// the angle construction really attains the vector bias.
-func (pr PlanarRealization) ExactValue(g *XORGame, visibility float64) float64 {
-	gg := FromXOR(g)
-	return gg.ExactBellValue(pr.AnglesA, pr.AnglesB, visibility)
-}
-
 // Sampler returns a physical sampler playing the realization on a Werner
 // state (fresh pair per round).
 func (pr PlanarRealization) Sampler(visibility float64, rng *xrand.RNG) *BellSampler {

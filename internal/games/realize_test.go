@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/qsim"
 	"repro/internal/xrand"
 )
 
@@ -55,7 +56,7 @@ func TestPlanarRealizationAttainsVectorBias(t *testing.T) {
 	rng := xrand.New(73, 1)
 	for _, g := range []*XORGame{NewCHSH(), NewColocationCHSH()} {
 		pr, q2 := g.PlanarRealize(rng)
-		phys := pr.ExactValue(g, 1.0)
+		phys := g.ValueOn(qsim.Werner(1.0), CHSHAngles{ThetaA: pr.AnglesA, ThetaB: pr.AnglesB})
 		if math.Abs(phys-q2.Value) > 1e-9 {
 			t.Fatalf("%s: physical value %v != vector value %v", g.Name, phys, q2.Value)
 		}
@@ -70,7 +71,7 @@ func TestPlanarRealizationRandomGraphGames(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		g := RandomGraphXORGame(4, 0.5, rng)
 		pr, q2 := g.PlanarRealize(rng)
-		phys := pr.ExactValue(g, 1.0)
+		phys := g.ValueOn(qsim.Werner(1.0), CHSHAngles{ThetaA: pr.AnglesA, ThetaB: pr.AnglesB})
 		if math.Abs(phys-q2.Value) > 1e-9 {
 			t.Fatalf("trial %d: physical %v != vector %v", trial, phys, q2.Value)
 		}

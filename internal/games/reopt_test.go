@@ -12,7 +12,7 @@ func TestBehaviorOnStateIsNormalizedAndNonSignaling(t *testing.T) {
 	g := NewColocationCHSH()
 	rng := xrand.New(7, 1)
 	rho := qsim.Werner(0.8)
-	res := FromXOR(g).SeeSawOnState(rho, rng)
+	res := g.SeeSawOnState(rho, rng)
 	p := BehaviorOnState(rho, res.AliceProj, res.BobProj)
 	for x := range p {
 		for y := range p[x] {
@@ -41,7 +41,7 @@ func TestBehaviorOnStateMatchesSeeSawValue(t *testing.T) {
 	g := NewColocationCHSH()
 	rng := xrand.New(3, 9)
 	rho := qsim.Werner(0.9)
-	res := FromXOR(g).SeeSawOnState(rho, rng)
+	res := g.SeeSawOnState(rho, rng)
 	p := BehaviorOnState(rho, res.AliceProj, res.BobProj)
 	var v float64
 	for x := 0; x < g.NA; x++ {

@@ -136,31 +136,34 @@ func (bs *BellSampler) cell(x, y int) int {
 
 // Sample measures a fresh entangled pair in the input-dependent bases.
 func (bs *BellSampler) Sample(x, y int, _ *xrand.RNG) (a, b int) {
-	return bs.bits(bs.table.Sample(bs.cell(x, y), bs.rng))
+	return outcomeBits(bs.table.Sample(bs.cell(x, y), bs.rng), bs.flipB)
 }
 
-// bits unpacks a joint outcome into the players' answers.
-func (bs *BellSampler) bits(o int) (a, b int) {
+// outcomeBits unpacks a joint two-qubit outcome into the players' answers.
+func outcomeBits(o int, flipB bool) (a, b int) {
 	a = o >> 1 & 1
 	b = o & 1
-	if bs.flipB {
+	if flipB {
 		b = 1 - b
 	}
 	return a, b
 }
 
-// ExactValue computes the strategy's exact winning probability on g from
-// the Born rule (no sampling). It fills table cells, so like Sample it is not
-// safe for concurrent use.
-func (bs *BellSampler) ExactValue(g *XORGame) float64 {
+// ValueOn is the strategy's exact winning probability on g when played on
+// the shared two-qubit state rho: qubit 0 measured at s.ThetaA[x], qubit 1
+// at s.ThetaB[y], scored by the Born rule (no sampling).
+func (g *XORGame) ValueOn(rho *qsim.Density, s CHSHAngles) float64 {
 	var v float64
 	for x := 0; x < g.NA; x++ {
 		for y := 0; y < g.NB; y++ {
 			if g.Prob[x][y] == 0 {
 				continue
 			}
-			for o, p := range bs.table.Distribution(bs.cell(x, y)) {
-				if a, b := bs.bits(o); g.Wins(x, y, a, b) {
+			dist := rho.OutcomeDistribution([]qsim.Basis{
+				qsim.RotatedReal(s.ThetaA[x]), qsim.RotatedReal(s.ThetaB[y]),
+			})
+			for o, p := range dist {
+				if a, b := outcomeBits(o, s.FlipB); g.Wins(x, y, a, b) {
 					v += g.Prob[x][y] * p
 				}
 			}

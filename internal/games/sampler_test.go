@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/qsim"
 	"repro/internal/stats"
 	"repro/internal/xrand"
 )
@@ -81,18 +82,14 @@ func TestXORQuantumSamplerUniformMarginals(t *testing.T) {
 }
 
 func TestBellSamplerExactValueCHSH(t *testing.T) {
-	rng := xrand.New(13, 1)
-	bs := NewBellSampler(OptimalCHSHAngles(), 1.0, rng)
-	v := bs.ExactValue(NewCHSH())
+	v := NewCHSH().ValueOn(qsim.Werner(1.0), OptimalCHSHAngles())
 	if math.Abs(v-chshQuantum) > tol {
 		t.Fatalf("Bell sampler exact CHSH value = %v, want %v", v, chshQuantum)
 	}
 }
 
 func TestBellSamplerColocationVariant(t *testing.T) {
-	rng := xrand.New(14, 1)
-	bs := NewBellSampler(OptimalColocationAngles(), 1.0, rng)
-	v := bs.ExactValue(NewColocationCHSH())
+	v := NewColocationCHSH().ValueOn(qsim.Werner(1.0), OptimalColocationAngles())
 	if math.Abs(v-chshQuantum) > tol {
 		t.Fatalf("colocation Bell value = %v, want %v", v, chshQuantum)
 	}
@@ -125,12 +122,10 @@ func TestBellSamplerAgreesWithCorrelationSampler(t *testing.T) {
 // V·cos²(π/8) + (1−V)/2, both for the physical Werner-state sampler and the
 // visibility-scaled analytic sampler.
 func TestWernerVisibilityClosedForm(t *testing.T) {
-	rng := xrand.New(16, 1)
 	g := NewCHSH()
 	for _, vis := range []float64{1.0, 0.95, 0.9, 0.85, 0.8, 0.75, 1 / math.Sqrt2, 0.65, 0.5, 0} {
 		want := vis*chshQuantum + (1-vis)/2
-		bs := NewBellSampler(OptimalCHSHAngles(), vis, rng)
-		got := bs.ExactValue(g)
+		got := g.ValueOn(qsim.Werner(vis), OptimalCHSHAngles())
 		if math.Abs(got-want) > tol {
 			t.Fatalf("V=%v: exact value %v, want %v", vis, got, want)
 		}
@@ -142,15 +137,15 @@ func TestWernerVisibilityClosedForm(t *testing.T) {
 // a deployment must beat (paper §3: "all quantum technologies operate with
 // an error margin").
 func TestCriticalVisibility(t *testing.T) {
-	rng := xrand.New(17, 1)
 	g := NewCHSH()
+	a := OptimalCHSHAngles()
 	vc := 1 / math.Sqrt2
-	at := NewBellSampler(OptimalCHSHAngles(), vc, rng).ExactValue(g)
+	at := g.ValueOn(qsim.Werner(vc), a)
 	if math.Abs(at-0.75) > 1e-9 {
 		t.Fatalf("value at critical visibility = %v, want 0.75", at)
 	}
-	above := NewBellSampler(OptimalCHSHAngles(), vc+0.05, rng).ExactValue(g)
-	below := NewBellSampler(OptimalCHSHAngles(), vc-0.05, rng).ExactValue(g)
+	above := g.ValueOn(qsim.Werner(vc+0.05), a)
+	below := g.ValueOn(qsim.Werner(vc-0.05), a)
 	if above <= 0.75 || below >= 0.75 {
 		t.Fatalf("advantage should flip around V=1/√2: above=%v below=%v", above, below)
 	}

@@ -55,6 +55,34 @@ func TestRateProfilePlanDeterministicAndShaped(t *testing.T) {
 	}
 }
 
+// TestRateProfilePlanTracksIntensity checks the thinning construction bin
+// by bin: folded over 20 diurnal cycles, the plan's arrival rate in every
+// 50 ms phase bin must follow λ(t) at the bin's midpoint within 15 %.
+func TestRateProfilePlanTracksIntensity(t *testing.T) {
+	cfg := testConfig()
+	cfg.Duration = 20 * time.Second
+	cfg.Rate = workload.DiurnalProfile(2000, 0.6, time.Second)
+	cfg.Scenarios = []Scenario{{Name: "info", Weight: 1, Info: true}}
+	plan, err := BuildPlan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const window = 50 * time.Millisecond
+	const cycles = 20
+	perCycle := int(time.Second / window)
+	counts := make([]int, perCycle)
+	for _, r := range plan.reqs {
+		counts[int(r.at%time.Second/window)]++
+	}
+	for bin, n := range counts {
+		got := float64(n) / cycles / window.Seconds()
+		want := cfg.Rate.Rate(time.Duration(bin)*window + window/2)
+		if math.Abs(got-want)/want > 0.15 {
+			t.Fatalf("bin %d: empirical rate %.0f, λ(t) %.0f", bin, got, want)
+		}
+	}
+}
+
 func TestFlashCrowdPlanConcentratesArrivals(t *testing.T) {
 	cfg := testConfig()
 	cfg.Duration = time.Second

@@ -1,8 +1,9 @@
-// Package netsim is a small discrete-event network simulator used for the
-// paper's timing arguments (Figure 2): classical messages crossing links
-// incur speed-of-light propagation delay, while decisions backed by
-// pre-shared entangled qubits complete locally. The engine is deterministic:
-// identical schedules replay identically.
+// Package netsim is a small discrete-event simulator with the fiber model
+// behind the paper's timing arguments (Figure 2): a classical message
+// crossing a link incurs speed-of-light propagation delay
+// (PropagationDelay), while decisions backed by pre-shared entangled qubits
+// complete locally. The engine drives the entangled-pair supply chain and is
+// deterministic: identical schedules replay identically.
 //
 // The Engine runs on one scheduler, a calendar queue (O(1) amortized, built
 // for 10⁵–10⁶ pending events), ordering events by (at, seq). The binary heap

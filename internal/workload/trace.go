@@ -12,8 +12,8 @@ import (
 // rate/mix modulation, flash crowds, heavy-tailed sizes and cross-balancer-
 // correlated bursts. Real request streams are none of the stationary
 // processes the base experiments use — popularity follows daily cycles,
-// launches and incidents produce flash crowds, service demand is Pareto- or
-// lognormal-tailed, and type mixes shift everywhere at once when a global
+// launches and incidents produce flash crowds, service demand is
+// Pareto-tailed, and type mixes shift everywhere at once when a global
 // event lands. Every generator here draws all of its randomness from the
 // caller's xrand stream, so sharded and parallel runs stay byte-identical.
 
@@ -29,14 +29,7 @@ var (
 )
 
 // ---------------------------------------------------------------------------
-// Heavy-tailed size samplers.
-
-// SizeSampler draws positive sizes: batch sizes, service demands, payload
-// bytes. The heavy-tailed implementations model the empirical reality that
-// a small fraction of requests carries most of the work.
-type SizeSampler interface {
-	Sample(rng *xrand.RNG) float64
-}
+// Heavy-tailed sizes.
 
 // Pareto samples from a Pareto(shape, scale) law: P(X > x) = (scale/x)^shape
 // for x ≥ scale. Shapes ≤ 2 have infinite variance — the classic
@@ -60,27 +53,6 @@ func (p Pareto) Validate() error {
 	return nil
 }
 
-// Lognormal samples exp(Mu + Sigma·Z) — the other standard heavy-tailed
-// service-time model (multiplicative noise; all moments finite but the tail
-// still dwarfs the exponential).
-type Lognormal struct {
-	Mu    float64 // mean of the underlying normal
-	Sigma float64 // std dev of the underlying normal (≥ 0)
-}
-
-// Sample draws one value.
-func (l Lognormal) Sample(rng *xrand.RNG) float64 {
-	return math.Exp(l.Mu + l.Sigma*rng.NormFloat64())
-}
-
-// Validate checks the law's parameters.
-func (l Lognormal) Validate() error {
-	if l.Sigma < 0 || math.IsNaN(l.Mu) || math.IsNaN(l.Sigma) {
-		return fmt.Errorf("workload: Lognormal needs sigma ≥ 0 (mu %v, sigma %v)", l.Mu, l.Sigma)
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // Time-varying arrival intensity: diurnal modulation and flash crowds.
 
@@ -95,8 +67,8 @@ type Flash struct {
 
 // RateProfile is a deterministic time-varying arrival intensity λ(t):
 // a base rate, an optional diurnal sinusoid, and any number of flash
-// crowds. It is pure data — JSON-able, comparable, and usable from both the
-// loadtest harness and the experiments.
+// crowds. It is pure data (JSON-able); loadtest.BuildPlan turns it into
+// arrivals by Lewis–Shedler thinning.
 type RateProfile struct {
 	// Base is the stationary rate in requests/second.
 	Base float64 `json:"base_rps"`
@@ -174,38 +146,6 @@ func DiurnalProfile(base, amp float64, period time.Duration) *RateProfile {
 func FlashProfile(base float64, at time.Duration, magnitude float64, decay time.Duration) *RateProfile {
 	return &RateProfile{Base: base, Flashes: []Flash{{At: at, Magnitude: magnitude, Decay: decay}}}
 }
-
-// ModulatedArrivals generates arrival timestamps from a non-homogeneous
-// Poisson process with intensity Profile.Rate(t), via Lewis–Shedler
-// thinning: candidates arrive at the constant envelope rate MaxRate() and
-// survive with probability λ(t)/MaxRate(). Deterministic in the rng stream,
-// like PoissonArrivals (whose saturation semantics it shares).
-type ModulatedArrivals struct {
-	Profile RateProfile
-	last    time.Duration
-}
-
-// Next returns the next accepted arrival time.
-func (m *ModulatedArrivals) Next(rng *xrand.RNG) time.Duration {
-	if err := m.Profile.Validate(); err != nil {
-		panic(err)
-	}
-	env := m.Profile.MaxRate()
-	for {
-		gapF := rng.ExpFloat64() / env * float64(time.Second)
-		if gapF >= float64(math.MaxInt64) || m.last > math.MaxInt64-time.Duration(gapF) {
-			m.last = math.MaxInt64
-			return m.last
-		}
-		m.last += time.Duration(gapF)
-		if rng.Bool(m.Profile.Rate(m.last) / env) {
-			return m.last
-		}
-	}
-}
-
-// Reset restarts the clock.
-func (m *ModulatedArrivals) Reset() { m.last = 0 }
 
 // ---------------------------------------------------------------------------
 // Slot-based mix modulation for the queueing simulator.
