@@ -235,10 +235,10 @@ func (tc catchUpCase) start() (src SourceConfig, svc *Service, catchUp func()) {
 // TestServiceCatchUpAllocs gates the supply chain's steady state at zero
 // allocations: once the pool and in-flight rings have reached their working
 // size, an engine catch-up — a handful of pairs or thousands — queues
-// nothing and allocates nothing. That working size is itself gated: the bulk
-// catch-up pushes a chunk of ticks before it lands any, so the in-flight
-// ring may hold one chunk beside the pairs really in flight, never the
-// window's 2 500.
+// nothing and allocates nothing. That working size is itself gated: the
+// in-flight ring holds only the pairs really in flight, at most
+// latency/interval + 1, in the smallest ring that fits them — never a chunk,
+// nor the window's 2 500.
 func TestServiceCatchUpAllocs(t *testing.T) {
 	for _, tc := range []catchUpCase{
 		{"default/20us", defaultRate, 20 * time.Microsecond},
@@ -254,8 +254,12 @@ func TestServiceCatchUpAllocs(t *testing.T) {
 				t.Fatal("nothing was delivered: the gate measured an idle source")
 			}
 			inFlight := int(src.DeliveryLatency()/src.Interval()) + 1
-			if got, most := len(svc.flights.buf), 2*(bulkChunk+inFlight); got > most {
-				t.Fatalf("in-flight ring grew to %d slots; a chunk plus %d in flight fits in %d", got, inFlight, most)
+			most := minRing
+			for most < inFlight {
+				most *= 2
+			}
+			if got := len(svc.flights.buf); got > most {
+				t.Fatalf("in-flight ring grew to %d slots; %d in flight fit in %d", got, inFlight, most)
 			}
 		})
 	}

@@ -1,7 +1,7 @@
 package entangle
 
 import (
-	"sort"
+	"math/bits"
 	"time"
 
 	"repro/internal/metrics"
@@ -151,8 +151,8 @@ func (s *Service) RunBefore(at time.Duration, seq uint64) {
 }
 
 // Bulk catch-up shape: windows shorter than bulkMinTicks are not worth the
-// set-up, and a long window runs bulkChunk ticks at a time so the flights
-// ring holds one chunk's pairs plus those in flight, not the whole window's.
+// set-up, and a long window runs bulkChunk ticks at a time, one survivor
+// mask per chunk.
 const (
 	bulkMinTicks = 32
 	bulkChunk    = 256
@@ -160,14 +160,14 @@ const (
 
 // bulkBefore runs the whole ticks of a long catch-up window, and the
 // arrivals before the last of them, as the same events in a cheaper order:
-// per chunk, every tick (phase A), then every arrival the ticks' end bounds
-// (phase B, Pool.addArrived). It is a re-association of tick and arrive, not
-// a second source model. Inside one RunBefore no callback runs, a tick reads
+// per chunk, every tick's draw into one survivor mask, then every arrival
+// the ticks' end bounds. It is a re-association of tick and arrive, not a
+// second source model. Inside one RunBefore no callback runs, a tick reads
 // only stopped/outage/deliveryScale, the RNG and Engine.NextSeq, and an
 // arrival writes none of those unless it exhausts a budget — so under the
-// three guards below the ticks draw the same numbers and sequence numbers in
-// the same order as the (at, seq) merge, the arrivals land in the same order
-// at the same times, and every counter ends where the merge leaves it:
+// three guards below the ticks draw the same numbers and sequence numbers
+// as the (at, seq) merge, the arrivals land in the same order at the same
+// times, and every counter ends where the merge leaves it:
 //
 //   - the source is up: ticking, not stopped, no outage (a dead or
 //     suppressed tick is the reference loop's business);
@@ -197,30 +197,120 @@ func (s *Service) bulkBefore(at time.Duration) (expired int) {
 		return 0
 	}
 	p := s.delivery * s.deliveryScale
+	// A pair is still stored at a chunk's last landing if it arrived at most
+	// StorageLimit before it: a survivor at most keep ticks before the last.
+	keep := int64(pool.QNIC.StorageLimit / s.interval)
+	var mask survivors
 	for ticks > 0 {
-		n := min(ticks, bulkChunk)
-		ticks -= n
-		lost := int64(0)
-		for i := int64(0); i < n; i++ {
-			if s.rng.Bool(p) {
-				s.flights.push(flight{at: s.tickAt + s.latency, seq: s.engine.NextSeq()})
-			} else {
-				lost++
-			}
-			s.tickAt += s.interval
-			s.tickSeq = s.engine.NextSeq()
+		n := int(min(ticks, bulkChunk))
+		ticks -= int64(n)
+		s.rng.BoolMask(p, mask[:], n)
+		k := mask.rank(n)
+		// The merge stamps tick i's pair, then the tick after it, so the
+		// chunk draws n + k sequence numbers and survivor i holds
+		// s0 + i + rank(i).
+		t0, s0 := s.tickAt, s.engine.ReserveSeq(uint64(n+k))
+		s.tickAt += time.Duration(n) * s.interval
+		s.tickSeq = s0 + uint64(n+k) - 1
+		s.stats.Generated += int64(n)
+		s.stats.LostFiber += int64(n - k)
+
+		// Arrivals before the chunk's end, (tickAt, 0): the pairs in flight
+		// from before it that land by then, and the chunk's survivors from
+		// the first c ticks — tick i's pair lands at t0 + i·interval +
+		// latency.
+		c := 0
+		if span := time.Duration(n)*s.interval - s.latency; span > 0 {
+			c = int((span-1)/s.interval) + 1
 		}
-		s.stats.Generated += n
-		s.stats.LostFiber += lost
-		// (tickAt, 0) bounds exactly the ticks just run and the arrivals
-		// stamped before the next one.
-		if k := sort.Search(s.flights.n, func(i int) bool { return s.flights.at(i).at >= s.tickAt }); k > 0 {
-			expired += pool.addArrived(&s.flights, k, s.Source.BaseVisibility)
-			s.flights.drop(k)
-			s.stats.Delivered += int64(k)
+		kOld := s.flights.n
+		for kOld > 0 && s.flights.at(kOld-1).at >= s.tickAt {
+			kOld--
+		}
+		kNew := mask.rank(c)
+		if kOld+kNew > 0 {
+			// Each add expires as of its own arrival, so after the last one
+			// exactly the pairs — old or new — that arrived within
+			// StorageLimit of it are stored; the rest are counted as added
+			// and expired and never stored. The cutoff is the last arrival
+			// and not the chunk's end because expiry is lazy: a Flush or Len
+			// after the catch-up sees the stale pairs the last add left.
+			j := mask.last(c)
+			last := t0 + time.Duration(j)*s.interval + s.latency
+			if j < 0 {
+				last = s.flights.at(kOld - 1).at
+			}
+			expired += pool.expire(last)
+			stale := 0
+			for stale < kOld && (Pair{ArrivedAt: s.flights.at(stale).at}).Expired(last, pool.QNIC) {
+				stale++
+			}
+			for i := stale; i < kOld; i++ {
+				pool.pairs.push(Pair{ArrivedAt: s.flights.at(i).at, V0: s.Source.BaseVisibility})
+			}
+			s.flights.drop(kOld)
+			if kNew > 0 {
+				lo := int(max(int64(j)-keep, 0))
+				stale += mask.rank(lo)
+				for w := lo / 64; w*64 < c; w++ {
+					for x := mask.word(w, lo, c); x != 0; x &= x - 1 {
+						i := w*64 + bits.TrailingZeros64(x)
+						pool.pairs.push(Pair{ArrivedAt: t0 + time.Duration(i)*s.interval + s.latency, V0: s.Source.BaseVisibility})
+					}
+				}
+			}
+			pool.stats.Added += int64(kOld + kNew)
+			pool.stats.Expired += int64(stale)
+			s.stats.Delivered += int64(kOld + kNew)
+			expired += stale
+		}
+		// The survivors still in flight at the chunk's end.
+		r := kNew
+		for w := c / 64; w*64 < n; w++ {
+			for x := mask.word(w, c, n); x != 0; x &= x - 1 {
+				i := w*64 + bits.TrailingZeros64(x)
+				s.flights.push(flight{at: t0 + time.Duration(i)*s.interval + s.latency, seq: s0 + uint64(i+r)})
+				r++
+			}
 		}
 	}
 	return expired
+}
+
+// survivors is one chunk's survivor mask: bit i is set when tick i's pair
+// survived the fiber.
+type survivors [bulkChunk / 64]uint64
+
+// word returns word w of the mask with only the survivors among ticks
+// [lo, hi) kept; w·64 must not exceed hi.
+func (m *survivors) word(w, lo, hi int) uint64 {
+	x := m[w]
+	if lo > w*64 {
+		x &= ^uint64(0) << (lo - w*64)
+	}
+	if hi < w*64+64 {
+		x &= 1<<(hi-w*64) - 1
+	}
+	return x
+}
+
+// rank counts the survivors among the first i ticks.
+func (m *survivors) rank(i int) int {
+	r := 0
+	for w := 0; w*64 < i; w++ {
+		r += bits.OnesCount64(m.word(w, 0, i))
+	}
+	return r
+}
+
+// last returns the last survivor before tick end, or −1 if there is none.
+func (m *survivors) last(end int) int {
+	for w := (end - 1) / 64; w >= 0; w-- {
+		if x := m.word(w, 0, end); x != 0 {
+			return w*64 + 63 - bits.LeadingZeros64(x)
+		}
+	}
+	return -1
 }
 
 // tick is one generation attempt.

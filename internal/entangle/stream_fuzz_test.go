@@ -98,8 +98,10 @@ func play(start startFunc, seed uint64, data []byte) outcome {
 	// numbers than any tick, so on a shared timestamp they run before the
 	// tick; the injector's, armed after, run behind it.
 	for i, n := 0, s.next()%3; i < n; i++ {
+		// Scale 0 is last so the entries recorded with four actions decode
+		// as they did.
 		action := pick(s, func() { svc.SetOutage(true) }, func() { svc.SetOutage(false) },
-			func() { svc.SetDeliveryScale(0.5) }, consume)
+			func() { svc.SetDeliveryScale(0.5) }, consume, func() { svc.SetDeliveryScale(0) })
 		e.Schedule(pick(s, interval, 2*interval, interval+src.DeliveryLatency()), action)
 	}
 	rng := xrand.New(seed, 1)

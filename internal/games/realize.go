@@ -69,9 +69,3 @@ func (g *XORGame) PlanarRealize(rng *xrand.RNG) (PlanarRealization, QuantumResul
 	}
 	return pr, q2
 }
-
-// Sampler returns a physical sampler playing the realization on a Werner
-// state (fresh pair per round).
-func (pr PlanarRealization) Sampler(visibility float64, rng *xrand.RNG) *BellSampler {
-	return NewBellSampler(CHSHAngles{ThetaA: pr.AnglesA, ThetaB: pr.AnglesB}, visibility, rng)
-}

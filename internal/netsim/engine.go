@@ -72,6 +72,15 @@ func (e *Engine) NextSeq() uint64 {
 	return s
 }
 
+// ReserveSeq draws k consecutive sequence numbers at once and returns the
+// first: the same numbers k calls of NextSeq would return, for a Stream that
+// knows how many it will stamp in a batch.
+func (e *Engine) ReserveSeq(k uint64) uint64 {
+	s := e.seq
+	e.seq += k
+	return s
+}
+
 // NewEngine returns a ready engine (equivalent to a zero-value Engine).
 func NewEngine() *Engine { return &Engine{} }
 

@@ -35,6 +35,23 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	}
 }
 
+// ReserveSeq(k) hands out the numbers k calls of NextSeq would and leaves
+// the counter where they leave it.
+func TestReserveSeqMatchesNextSeq(t *testing.T) {
+	var a, b Engine
+	for _, k := range []uint64{0, 1, 5, 256 + 231} {
+		first := a.ReserveSeq(k)
+		for i := uint64(0); i < k; i++ {
+			if want := b.NextSeq(); want != first+i {
+				t.Fatalf("ReserveSeq(%d): number %d is %d, NextSeq drew %d", k, i, first+i, want)
+			}
+		}
+	}
+	if x, y := a.NextSeq(), b.NextSeq(); x != y {
+		t.Fatalf("after the reservations NextSeq draws %d, want %d", x, y)
+	}
+}
+
 func TestClockMonotonic(t *testing.T) {
 	var e Engine
 	var last time.Duration

@@ -194,8 +194,9 @@ const maxPairRate = 1e7
 // it, simulated time lags wall time under overload instead: supply/decision
 // dynamics stay physical, and each request does bounded engine work: 25 ms
 // at the default pair rate is 2 500 generated pairs, which the source runs
-// as one in-engine batch (≈ 9 ns of host time per pair on its bulk pass,
-// README § Serving), and maxPairRate bounds it for any session.
+// as one in-engine batch (3.4–7 ns of host time per pair on its bulk pass,
+// BenchmarkServiceCatchUp/default-25ms on a 2-vCPU Xeon guest, README
+// § Serving), and maxPairRate bounds it for any session.
 const maxAdvancePerStep = 25 * time.Millisecond
 
 // session is one registered endpoint group: a discrete-event supply chain

@@ -22,13 +22,14 @@ func TestBoolMatchesFloatCompareOnStream(t *testing.T) {
 	}
 }
 
-// The RNG keeps the concrete *rand.PCG beside the *rand.Rand wrapping it and
-// draws from either; they must be one stream — rand/v2.Rand holds no state
-// of its own. Interleave direct draws (Uint64, Float64, Bool, IntN,
-// TwoDistinct) with wrapped ones (NormFloat64, Perm, …) against a plain
-// rand.Rand. IntN also runs at the bounds its branches split on: 1, every
-// power of two, 2³² ± 1, 2⁶² + 1 (which rejects about a quarter of its
-// draws) and MaxInt64.
+// The RNG owns its PCG state beside the *rand.Rand wrapping it and draws
+// from either; they must be one stream — rand/v2.Rand holds no state of its
+// own — and that stream must be rand/v2's PCG. Interleave direct draws
+// (Uint64, Float64, Bool, BoolMask, IntN, TwoDistinct) with wrapped ones
+// (NormFloat64, Perm, …) against a plain rand.Rand over rand.NewPCG. IntN
+// also runs at the bounds its branches split on: 1, every power of two,
+// 2³² ± 1, 2⁶² + 1 (which rejects about a quarter of its draws) and
+// MaxInt64.
 //
 // Mutant killed: dropping IntN's rejection loop.
 func TestDirectPCGMatchesRand(t *testing.T) {
@@ -41,7 +42,7 @@ func TestDirectPCGMatchesRand(t *testing.T) {
 		bounds = append(bounds, 1<<k)
 	}
 	for step := 0; step < 100000; step++ {
-		switch op := pick.IntN(10); op {
+		switch op := pick.IntN(11); op {
 		case 0:
 			if a, b := g.Uint64(), ref.Uint64(); a != b {
 				t.Fatalf("step %d Uint64: %d vs %d", step, a, b)
@@ -98,6 +99,15 @@ func TestDirectPCGMatchesRand(t *testing.T) {
 			if a0 != b0 || a1 != b1 {
 				t.Fatalf("step %d TwoDistinct(%d): %d,%d vs %d,%d", step, n, a0, a1, b0, b1)
 			}
+		case 10:
+			n, p := 1+pick.IntN(200), pick.Float64()
+			var mask [4]uint64
+			g.BoolMask(p, mask[:], n)
+			for i := 0; i < n; i++ {
+				if a, b := mask[i/64]>>(i%64)&1 == 1, ref.Float64() < p; a != b {
+					t.Fatalf("step %d BoolMask(%v, %d) bit %d: %v vs %v", step, p, n, i, a, b)
+				}
+			}
 		}
 	}
 	for _, n := range []int{0, -1} {
@@ -115,5 +125,74 @@ func TestDirectPCGMatchesRand(t *testing.T) {
 		if a, b := d.Float64(), want.Float64(); a != b {
 			t.Fatalf("Derive draw %d: %v vs %v", i, a, b)
 		}
+	}
+}
+
+// boolMaskCases are the probabilities BoolMask's threshold splits on: the
+// clamped ends (NaN, negative, 0, 1, above 1), the smallest positive
+// threshold (2⁻⁵³), the largest below 2⁵³ (1 − 2⁻⁵³), and 0.9 with its
+// predecessor, whose products with 2⁵³ are not integers.
+var boolMaskCases = []float64{0, 0x1p-53, 0.3, 0.5, math.Nextafter(0.9, 0), 0.9, 1 - 0x1p-53, 1, 1.5, -0.1, math.NaN()}
+
+// checkBoolMask fills a mask of n draws from New(seed, salt) and checks it
+// against n calls of Bool(p) on a twin stream: the bits agree, the bits at or
+// past n in the words written are 0, and both streams end on the same word.
+func checkBoolMask(t *testing.T, seed, salt uint64, p float64, n int) {
+	t.Helper()
+	g, twin := New(seed, salt), New(seed, salt)
+	words := (n + 63) / 64
+	mask := make([]uint64, words+1)
+	for i := range mask {
+		mask[i] = ^uint64(0) // stale bits BoolMask must clear or leave past its words
+	}
+	g.BoolMask(p, mask, n)
+	for i := 0; i < n; i++ {
+		if got, want := mask[i/64]>>(i%64)&1 == 1, twin.Bool(p); got != want {
+			t.Fatalf("p=%v n=%d: bit %d is %v, Bool drew %v", p, n, i, got, want)
+		}
+	}
+	if n%64 != 0 && mask[words-1]>>(n%64) != 0 {
+		t.Fatalf("p=%v n=%d: bits past n set in the last word: %#x", p, n, mask[words-1])
+	}
+	if mask[words] != ^uint64(0) {
+		t.Fatalf("p=%v n=%d: BoolMask wrote word %d past the %d it needs", p, n, words, words)
+	}
+	if a, b := g.Uint64(), twin.Uint64(); a != b {
+		t.Fatalf("p=%v n=%d: BoolMask left the stream on a different word than %d Bool calls", p, n, n)
+	}
+}
+
+// BoolMask is n calls of Bool(p), bit for bit, at every threshold edge and
+// every word boundary a 256-tick chunk can end on. A random stream almost
+// never draws the one 53-bit value next to the threshold, so the threshold
+// is also checked there: the draw just below it passes Float64() < p, the
+// draw at it fails.
+func TestBoolMaskMatchesBool(t *testing.T) {
+	for _, p := range append(boolMaskCases, 1e-300, 0x1p-60, 0.1) {
+		th := boolThreshold(p)
+		if th > 1<<53 || th > 0 && !(float64(th-1)/(1<<53) < p) || th < 1<<53 && float64(th)/(1<<53) < p {
+			t.Fatalf("p=%v: threshold %d is not the count of 53-bit draws below p", p, th)
+		}
+		for _, n := range []int{1, 63, 64, 65, 255, 256} {
+			checkBoolMask(t, 31, 7, p, n)
+		}
+	}
+}
+
+// FuzzBoolMask checks BoolMask against Bool for any stream, probability
+// (pBits read as a float64, NaNs and infinities included) and length.
+func FuzzBoolMask(f *testing.F) {
+	f.Add(uint64(1), uint64(2), math.Float64bits(0.3), uint16(256))
+	f.Fuzz(func(t *testing.T, seed, salt, pBits uint64, n uint16) {
+		checkBoolMask(t, seed, salt, math.Float64frombits(pBits), 1+int(n%512))
+	})
+}
+
+// A short-lived stream stays on the stack: Derive(base, i).Uint64(), the
+// seeding idiom of every parallel fan-out, allocates nothing.
+func TestDerivedDrawAllocs(t *testing.T) {
+	var sink uint64
+	if avg := testing.AllocsPerRun(100, func() { sink += Derive(sink, 3).Uint64() }); avg != 0 {
+		t.Fatalf("Derive(…).Uint64() allocates %v per call", avg)
 	}
 }

@@ -2,11 +2,12 @@
 // every experiment in this repository. All randomness flows from explicit
 // seeds so any figure or table can be regenerated bit-for-bit.
 //
-// The generator is PCG-64 (via math/rand/v2), and Split derives independent
-// child streams from a parent so concurrent simulation entities (balancers,
-// switches, sources) do not share state. The hot draws — Uint64, Float64,
-// Bool and IntN — read the PCG directly and return exactly what rand/v2's
-// methods return on the same stream.
+// The generator is math/rand/v2's PCG-DXSM, whose 128-bit state the RNG
+// owns, and Split derives independent child streams from a parent so
+// concurrent simulation entities (balancers, switches, sources) do not share
+// state. The hot draws — Uint64, Float64, Bool, IntN and the bulk BoolMask —
+// step the state directly and return exactly what rand/v2's methods return
+// on the same stream.
 package xrand
 
 import (
@@ -19,18 +20,56 @@ import (
 // streams with New or Split.
 //
 // r wraps src and holds no state of its own (rand/v2.Rand buffers nothing),
-// so the two are one stream: the hot draws (Uint64, Float64, Bool, IntN) call
-// the concrete PCG and skip rand.Source's interface dispatch, everything else
-// goes through r. TestDirectPCGMatchesRand pins that.
+// so the two are one stream: the hot draws (Uint64, Float64, Bool, IntN,
+// BoolMask) step src in place and skip rand.Source's interface dispatch,
+// everything else goes through r. TestDirectPCGMatchesRand pins that, and
+// pins src to rand/v2's own PCG.
 type RNG struct {
 	r   *rand.Rand
-	src *rand.PCG
+	src *pcg
+}
+
+// pcg is rand/v2's PCG: a 128-bit LCG with the DXSM output function, same
+// constants, same seeding (NewPCG(seed1, seed2) sets hi, lo). Owning the
+// state lets BoolMask keep it in registers across a run of draws.
+type pcg struct{ hi, lo uint64 }
+
+// PCG-DXSM constants, as math/rand/v2 defines them: the 128-bit LCG
+// multiplier and increment, and the DXSM output multiplier.
+const (
+	pcgMulHi   = 2549297995355413924
+	pcgMulLo   = 4865540595714422341
+	pcgIncHi   = 6364136223846793005
+	pcgIncLo   = 1442695040888963407
+	pcgDXSMMul = 0xda942042e4dd58b5
+)
+
+// pcgNext advances the state once and returns the output word for it.
+func pcgNext(hi, lo uint64) (nhi, nlo, out uint64) {
+	// state = state * mul + inc
+	nhi, nlo = bits.Mul64(lo, pcgMulLo)
+	nhi += hi*pcgMulLo + lo*pcgMulHi
+	nlo, c := bits.Add64(nlo, pcgIncLo, 0)
+	nhi, _ = bits.Add64(nhi, pcgIncHi, c)
+	// DXSM "double xorshift multiply".
+	out = nhi ^ nhi>>32
+	out *= pcgDXSMMul
+	out ^= out >> 48
+	out *= nlo | 1
+	return nhi, nlo, out
+}
+
+// Uint64 implements rand.Source.
+func (p *pcg) Uint64() uint64 {
+	var out uint64
+	p.hi, p.lo, out = pcgNext(p.hi, p.lo)
+	return out
 }
 
 // New returns a stream seeded from the two words. Using the pair (seed, salt)
 // rather than one word makes derived-stream construction collision-resistant.
 func New(seed, salt uint64) *RNG {
-	src := rand.NewPCG(seed, salt)
+	src := &pcg{hi: seed, lo: salt}
 	return &RNG{r: rand.New(src), src: src}
 }
 
@@ -87,6 +126,41 @@ func (g *RNG) Uint64() uint64 { return g.src.Uint64() }
 
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.Float64() < p }
+
+// BoolMask makes n draws of Bool(p) and stores them as bits: draw i is bit
+// i%64 of mask[i/64]. Bits at or past n in the words it writes are 0, and the
+// stream ends where n calls of Bool(p) leave it. It compares each draw's low
+// 53 bits against one integer threshold instead of converting it to a float,
+// which is the same test: Float64() < p ⇔ u53 < p·2⁵³ ⇔ u53 < ⌈p·2⁵³⌉.
+func (g *RNG) BoolMask(p float64, mask []uint64, n int) {
+	t := boolThreshold(p)
+	hi, lo := g.src.hi, g.src.lo
+	for w := 0; n > 0; w++ {
+		var m, u uint64
+		for j := 0; j < min(n, 64); j++ {
+			hi, lo, u = pcgNext(hi, lo)
+			// u53 < t ≤ 2⁵³ exactly when u53 − t wraps, setting the top bit.
+			m |= (u<<11>>11 - t) >> 63 << j
+		}
+		mask[w] = m
+		n -= 64
+	}
+	g.src.hi, g.src.lo = hi, lo
+}
+
+// boolThreshold is ⌈p·2⁵³⌉ clamped to [0, 2⁵³]: no draw passes a p that is
+// NaN or ≤ 0, every draw passes a p ≥ 1. The clamp comes before the
+// conversion because uint64 of a NaN or a negative float is
+// platform-dependent. For p in (0, 1) the product is exact.
+func boolThreshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
 
 // NormFloat64 returns a standard normal sample.
 func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
