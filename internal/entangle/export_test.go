@@ -7,11 +7,11 @@ import (
 
 // StartEventService is the callback-per-event source the stream Service
 // replaced, kept as its differential oracle: one queued closure per
-// generation tick (netsim.Engine.Every's body, with the service's stopped
-// flag as its cancel switch) and one per pair in flight. It returns a
-// *Service so the fault injector and the fuzz driver steer both
-// implementations through the same SetOutage/SetDeliveryScale/SetBudget/
-// Stop surface; it never attaches to the engine's stream slot.
+// generation tick (the tick reschedules itself until the service's stopped
+// flag is set) and one per pair in flight. It returns a *Service so the
+// fault injector and the fuzz driver steer both implementations through the
+// same SetOutage/SetDeliveryScale/SetBudget/Stop surface; it never attaches
+// to the engine's stream slot.
 func StartEventService(e *netsim.Engine, src SourceConfig, pool *Pool, rng *xrand.RNG) *Service {
 	if err := src.Validate(); err != nil {
 		panic(err)

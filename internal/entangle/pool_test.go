@@ -175,15 +175,17 @@ func TestSupplyDemandBalance(t *testing.T) {
 
 	var quantum, classical int
 	// Demand at 2× the supply rate.
-	cancel := e.Every(50*time.Microsecond, func() {
+	var demand func()
+	demand = func() {
 		if _, ok := pool.TryConsume(e.Now()); ok {
 			quantum++
 		} else {
 			classical++
 		}
-	})
+		e.Schedule(50*time.Microsecond, demand)
+	}
+	e.Schedule(50*time.Microsecond, demand)
 	e.RunUntil(100 * time.Millisecond)
-	cancel()
 	svc.Stop()
 
 	total := quantum + classical

@@ -71,10 +71,9 @@ func play(start startFunc, seed uint64, data []byte) outcome {
 	budget := pick[int64](s, 0, 0, 0, 1, 40, 1000)
 	e := netsim.NewEngine()
 	// One byte is consumed and ignored: the committed corpus was recorded
-	// when it chose between the calendar queue and netsim's heap scheduler,
-	// and skipping it keeps every entry decoding to the same scenario. (The
-	// heap is now netsim's own test oracle; TestCalendarHeapDifferential*
-	// pin the two against each other with a stream attached.)
+	// when it chose between two event-queue implementations netsim no
+	// longer has, and skipping it keeps every entry decoding to the same
+	// scenario.
 	s.next()
 
 	var sched faults.Schedule

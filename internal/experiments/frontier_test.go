@@ -19,10 +19,9 @@ func extractBlockFrom(t *testing.T, s, banner string) string {
 }
 
 // TestE19E20WorkerInvariance: the two new experiment blocks must be
-// byte-identical at -workers 1, 4 and 8 — E19 because its loadbalance and
-// loadtest runs are already single-stream, E20 because every frontier grid
-// point draws from its own derived stream regardless of which worker
-// simulates it.
+// byte-identical at -workers 1, 4 and 8 — E19 because its loadbalance runs
+// are already single-stream, E20 because every frontier grid point draws
+// from its own derived stream regardless of which worker simulates it.
 func TestE19E20WorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full experiment passes")
@@ -44,7 +43,7 @@ func TestE19E20WorkerInvariance(t *testing.T) {
 				workers, one20, workers, got20)
 		}
 	}
-	for _, want := range []string{"type mix", "gpu-scheduler", "serverless-affinity", "serving path"} {
+	for _, want := range []string{"type mix", "gpu-scheduler", "serverless-affinity"} {
 		if !strings.Contains(one19, want) {
 			t.Fatalf("E19 block missing its %q section:\n%s", want, one19)
 		}

@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/games"
 	"repro/internal/loadbalance"
-	"repro/internal/loadtest"
-	"repro/internal/serve"
 	"repro/internal/workload"
 	"repro/internal/xrand"
 )
@@ -79,13 +76,12 @@ func ServerlessAffinityWorkload() workload.MultiClass {
 	}
 }
 
-// e19 is the scenario-diversity experiment: the queueing and serving
-// results of E3–E6 re-examined under trace-shaped workloads (diurnal type
-// mixes, bursty and cross-balancer-correlated phases), plus the two
-// promoted examples/ scenarios run as first-class rows, plus the serving
-// path itself under non-stationary arrival profiles.
+// e19 is the scenario-diversity experiment: the queueing results of E3–E6
+// re-examined under trace-shaped workloads (diurnal type mixes, bursty and
+// cross-balancer-correlated phases), plus the two promoted examples/
+// scenarios run as first-class rows.
 func e19(w io.Writer, o Options) {
-	// The block's eighteen simulations are independent, so they are
+	// The block's fourteen simulations are independent, so they are
 	// registered here in presentation order, run together (see batch), and
 	// printed from the collected results.
 	var runs batch
@@ -151,38 +147,6 @@ func e19(w io.Writer, o Options) {
 	rq := runs.run(saCfg, sq)
 	rc := runs.run(saCfg, sc)
 
-	// Part 4: the serving path under non-stationary arrivals — the virtual
-	// load harness (byte-deterministic) across steady, diurnal, flash-crowd
-	// and heavy-tailed-batch profiles. Durations scale with o.Scale like
-	// every other count.
-	window := time.Duration(o.n(400)) * time.Millisecond
-	serving := []struct {
-		name string
-		cfg  loadtest.Config
-	}{
-		{"steady", loadtest.Config{}},
-		{"diurnal", loadtest.Config{Rate: workload.DiurnalProfile(2000, 0.6, window/2)}},
-		{"flash-crowd", loadtest.Config{Rate: workload.FlashProfile(1500, window/2, 6, window/16)}},
-		{"heavy-tail", loadtest.Config{Scenarios: []loadtest.Scenario{
-			{Name: "decide", Weight: 0.7, Batch: 1},
-			{Name: "heavy", Weight: 0.3, HeavyTail: &loadtest.HeavyTailBatch{Shape: 1.2, Scale: 2, Max: 256}},
-		}}},
-	}
-	served := make([]*loadtest.Result, len(serving))
-	for i, s := range serving {
-		cfg := s.cfg
-		cfg.Seed = xrand.Derive(o.Seed, uint64(1950+i)).Uint64()
-		cfg.Duration = window
-		cfg.SessionTemplate = serve.SessionRequest{PairRate: 1e6, PoolCap: 512}
-		runs.do(func() {
-			res, err := loadtest.RunVirtual(cfg)
-			if err != nil {
-				panic(err)
-			}
-			served[i] = res
-		})
-	}
-
 	runs.wait()
 
 	fmt.Fprintln(w, "type mix            random queue  quantum queue  ratio  colocation")
@@ -204,12 +168,4 @@ func e19(w io.Writer, o Options) {
 	fmt.Fprintf(w, "  mean queue: graph-classical %.2f | graph-quantum %.2f | preference %.4f vs %.4f\n",
 		rc.QueueLen.Mean(), rq.QueueLen.Mean(),
 		sc.ColocationStats().Rate(), sq.ColocationStats().Rate())
-	fmt.Fprintln(w, "serving path (virtual):")
-	fmt.Fprintln(w, "  profile      requests  decisions  win-rate  p99 latency")
-	for i, s := range serving {
-		res := served[i]
-		fmt.Fprintf(w, "  %-11s %8d  %9d  %.4f    %s\n",
-			s.name, res.Requests, res.Decisions, res.WinRate,
-			time.Duration(res.Latency.P99NS))
-	}
 }

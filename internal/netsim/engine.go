@@ -5,15 +5,12 @@
 // complete locally. The engine drives the entangled-pair supply chain and is
 // deterministic: identical schedules replay identically.
 //
-// The Engine runs on one scheduler, a calendar queue (O(1) amortized, built
-// for 10⁵–10⁶ pending events), ordering events by (at, seq). The binary heap
-// it replaced lives in export_test.go as the differential-test oracle,
-// plugged in through the unexported scheduler interface.
-//
-// Beside the queue of one-shot callbacks the engine has one Stream slot: a
+// The engine has two kinds of pending event, both in one (at, seq) order.
+// One-shot callbacks (fault windows opening and closing) wait in a binary
+// heap; a handful are pending at a time. The one Stream slot holds a
 // self-rescheduling event source (the entangled-pair supply) that keeps its
-// own pending events and is merged with the queue head in the same
-// (at, seq) order, so a fixed-rate source costs no queue traffic at all.
+// own pending events and is merged with the heap's head, so a fixed-rate
+// source costs no queue traffic at all.
 package netsim
 
 import (
@@ -25,8 +22,7 @@ import (
 // Engine is a discrete-event scheduler. The zero value is ready to use.
 type Engine struct {
 	now     time.Duration
-	sched   scheduler
-	cal     *calendarQueue // non-nil unless a test plugged in its oracle: devirtualized hot path
+	queue   eventQueue
 	seq     uint64
 	stopped bool
 
@@ -99,25 +95,62 @@ func (e event) less(o event) bool {
 	return e.seq < o.seq
 }
 
-// scheduler is the priority-queue contract, and the seam the test oracle
-// plugs into: push accepts any event at or after the last popped time, pop
-// returns events in (at, seq) order, and peek exposes the next event's key
-// without dequeuing.
-type scheduler interface {
-	push(event)
-	pop() (event, bool)
-	peek() (at time.Duration, seq uint64, ok bool)
-	len() int
+// eventQueue is a binary min-heap of events in (at, seq) order.
+type eventQueue []event
+
+func (q *eventQueue) push(ev event) {
+	h := append(*q, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.less(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+	*q = h
 }
 
-// scheduler returns the engine's event queue, installing the calendar queue
-// on first use so the zero value stays ready.
-func (e *Engine) scheduler() scheduler {
-	if e.sched == nil {
-		e.cal = newCalendarQueue()
-		e.sched = e.cal
+func (q *eventQueue) pop() (event, bool) {
+	h := *q
+	n := len(h) - 1
+	if n < 0 {
+		return event{}, false
 	}
-	return e.sched
+	top, last := h[0], h[n]
+	h[n] = event{} // the backing array keeps no reference to a moved closure
+	h = h[:n]
+	// Sift the last event down from the root into the hole top left.
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].less(h[c]) {
+			c++
+		}
+		if !h[c].less(last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	*q = h
+	return top, true
+}
+
+// peek returns the head's key.
+func (q eventQueue) peek() (at time.Duration, seq uint64, ok bool) {
+	if len(q) == 0 {
+		return 0, 0, false
+	}
+	return q[0].at, q[0].seq, true
 }
 
 // Now returns the current simulated time.
@@ -125,12 +158,7 @@ func (e *Engine) Now() time.Duration { return e.now }
 
 // Pending returns the number of queued callbacks. Events a Stream holds are
 // not counted: only the stream knows them.
-func (e *Engine) Pending() int {
-	if e.sched == nil {
-		return 0
-	}
-	return e.sched.len()
-}
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // Schedule queues fn to run delay after the current simulated time.
 // Negative delays panic: the simulator enforces causality.
@@ -150,15 +178,7 @@ func (e *Engine) ScheduleAt(at time.Duration, fn func()) {
 	if e.inStream {
 		panic("netsim: a Stream event scheduled a callback")
 	}
-	ev := event{at: at, seq: e.NextSeq(), fn: fn}
-	// Static dispatch for the default scheduler: the push/pop pair runs once
-	// per simulated event, and the interface call is measurable at 10⁵+
-	// events per simulated second.
-	if e.cal != nil {
-		e.cal.push(ev)
-		return
-	}
-	e.scheduler().push(ev)
+	e.queue.push(event{at: at, seq: e.NextSeq(), fn: fn})
 }
 
 // Step executes the next event — the stream's head or the queue's,
@@ -173,13 +193,7 @@ func (e *Engine) Step() bool {
 
 // stepQueue executes the queue's head callback.
 func (e *Engine) stepQueue() bool {
-	var ev event
-	var ok bool
-	if e.cal != nil {
-		ev, ok = e.cal.pop()
-	} else {
-		ev, ok = e.scheduler().pop()
-	}
+	ev, ok := e.queue.pop()
 	if !ok {
 		return false
 	}
@@ -191,21 +205,13 @@ func (e *Engine) stepQueue() bool {
 	return true
 }
 
-// peek returns the queue head's key.
-func (e *Engine) peek() (time.Duration, uint64, bool) {
-	if e.cal != nil {
-		return e.cal.peek()
-	}
-	return e.scheduler().peek()
-}
-
 // stepStream runs the stream's head event if it sorts before the queue's.
 func (e *Engine) stepStream() bool {
 	at, seq, ok := e.stream.Head()
 	if !ok {
 		return false
 	}
-	if qat, qseq, qok := e.peek(); qok && !(event{at: at, seq: seq}).less(event{at: qat, seq: qseq}) {
+	if qat, qseq, qok := e.queue.peek(); qok && !(event{at: at, seq: seq}).less(event{at: qat, seq: qseq}) {
 		return false
 	}
 	if at < e.now {
@@ -245,7 +251,7 @@ func (e *Engine) Run(maxEvents int) int {
 func (e *Engine) RunUntil(t time.Duration) {
 	e.stopped = false
 	for !e.stopped {
-		at, seq, ok := e.peek()
+		at, seq, ok := e.queue.peek()
 		ok = ok && at <= t
 		if e.stream != nil {
 			if ok {
@@ -266,26 +272,3 @@ func (e *Engine) RunUntil(t time.Duration) {
 
 // Stop halts Run/RunUntil after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Every schedules fn at now+interval, then repeatedly every interval, until
-// the returned cancel function is called: one queued callback per period,
-// for periodic drivers (demand generators, samplers). The entangled-pair
-// source, which ticks 10⁵–10⁶ times a simulated second, is a Stream instead.
-func (e *Engine) Every(interval time.Duration, fn func()) (cancel func()) {
-	if interval <= 0 {
-		panic("netsim: Every needs a positive interval")
-	}
-	active := true
-	var tick func()
-	tick = func() {
-		if !active {
-			return
-		}
-		fn()
-		if active {
-			e.Schedule(interval, tick)
-		}
-	}
-	e.Schedule(interval, tick)
-	return func() { active = false }
-}

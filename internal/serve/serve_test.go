@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -379,6 +380,55 @@ func TestFaultWindowDegradesAndRecovers(t *testing.T) {
 		time.Sleep(200 * time.Microsecond)
 	}
 	t.Fatalf("no degrade+recover cycle observed (sawDegraded=%v)", sawDegraded)
+}
+
+// TestFarFutureFaultWindowKeepsSessionLive: a fault window ~158 years out
+// passes validation and leaves an event past 2⁶² ns in the session's engine
+// behind the near window's two. Once the near window closes, decides and
+// info reads must still be answered. Each call has its own deadline: a
+// decide that panics while holding the session lock leaves every later call
+// blocked, and the test must fail rather than hang.
+func TestFarFutureFaultWindowKeepsSessionLive(t *testing.T) {
+	clk := newManualClock(testEpoch)
+	srv := NewServer(Config{Clock: clk.Now})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		if !t.Failed() { // Close would wait for a handler blocked on the wedged session
+			ts.Close()
+			srv.StopSessions()
+		}
+	})
+	c := NewClient(ts.URL)
+	call := func(what string, fn func(ctx context.Context) error) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		if err := fn(ctx); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	call("create", func(ctx context.Context) error {
+		_, err := c.CreateSession(ctx, SessionRequest{
+			ID:        "t-far",
+			Endpoints: twoEndpoints(),
+			Faults: []FaultWindow{
+				{Kind: "source-outage", StartMS: 1, EndMS: 2},
+				{Kind: "pool-flush", StartMS: 5e12, EndMS: 5e12},
+			},
+		})
+		return err
+	})
+	for i := 0; i < 3; i++ {
+		clk.Advance(3 * time.Millisecond)
+		call(fmt.Sprintf("decide %d", i), func(ctx context.Context) error {
+			_, err := c.Decide(ctx, "t-far", i%2, 0)
+			return err
+		})
+	}
+	call("info", func(ctx context.Context) error {
+		_, err := c.Session(ctx, "t-far")
+		return err
+	})
 }
 
 func TestDrainRejectsNewWorkAndCompletesInflight(t *testing.T) {
