@@ -30,7 +30,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7117", "listen address (use :0 for an ephemeral port)")
-	shards := flag.Int("shards", 16, "session-store stripe width (rounded up to a power of two)")
+	shards := flag.Int("shards", 16, fmt.Sprintf("session-store stripe width in [1, %d] (rounded up to a power of two)", serve.MaxShards))
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight decisions at shutdown")
 	metricsOut := flag.String("metrics-out", "qcoordd_metrics.json", "final metrics artifact path (empty to skip)")
 	admissionOn := flag.Bool("admission", false, "enable overload admission control (concurrency limiter -> deadline gate -> priority shedding; rejects carry 429 + Retry-After)")
@@ -38,6 +38,10 @@ func main() {
 	admBacklog := flag.Duration("admission-max-backlog", 50*time.Millisecond, "with -admission: modeled per-shard backlog cap; requests beyond it shed regardless of priority")
 	admBudget := flag.Duration("admission-default-budget", 0, "with -admission: deadline applied to requests that arrive unstamped (0 = none)")
 	flag.Parse()
+	if *shards < 1 || *shards > serve.MaxShards {
+		fmt.Fprintf(os.Stderr, "qcoordd: -shards %d outside [1, %d]\n", *shards, serve.MaxShards)
+		os.Exit(2)
+	}
 
 	cfg := serve.Config{Shards: *shards}
 	if *admissionOn {

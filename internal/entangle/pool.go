@@ -3,8 +3,6 @@ package entangle
 import (
 	"math"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // Supplier is what a coordination session consumes: one entangled pair per
@@ -23,16 +21,6 @@ type PoolStats struct {
 	Expired  int64 // pairs discarded at the storage limit
 	Flushed  int64 // pairs dropped by a corruption/flush event
 }
-
-// Pool lifecycle counters, aggregated process-wide in the default metrics
-// registry (one uncontended atomic add per pair event; instrumentation
-// never touches an RNG stream, so enabling -metrics cannot change results).
-var (
-	mPoolAdded    = metrics.Default().Counter("entangle_pool_added_total")
-	mPoolConsumed = metrics.Default().Counter("entangle_pool_consumed_total")
-	mPoolExpired  = metrics.Default().Counter("entangle_pool_expired_total")
-	mPoolFlushed  = metrics.Default().Counter("entangle_pool_flushed_total")
-)
 
 // Pool is a buffer of stored pairs at a pair of QNICs. Consumption is
 // freshest-first (LIFO): the newest pair has decohered the least, so it
@@ -70,27 +58,13 @@ func NewPool(q QNICConfig, capacity int) *Pool {
 // photons are measured out / discarded). Expiry runs first, so a slot freed
 // by a pair aging out in the same tick is immediately reusable.
 func (p *Pool) Add(pair Pair) bool {
-	stored, expired := p.add(pair)
-	if expired > 0 {
-		mPoolExpired.Add(int64(expired))
-	}
-	if stored {
-		mPoolAdded.Inc()
-	}
-	return stored
-}
-
-// add is Add without the process-wide counters: it reports how many pairs
-// expired on the way in, so the source service can publish a whole
-// catch-up's worth in one atomic add per counter.
-func (p *Pool) add(pair Pair) (stored bool, expired int) {
-	expired = p.expire(pair.ArrivedAt)
+	p.Expire(pair.ArrivedAt)
 	if p.Cap > 0 && p.pairs.n >= p.Cap {
-		return false, expired
+		return false
 	}
 	p.pairs.push(pair)
 	p.stats.Added++
-	return true, expired
+	return true
 }
 
 // Len returns the number of stored (possibly stale) pairs; call Expire first
@@ -99,21 +73,12 @@ func (p *Pool) Len() int { return p.pairs.n }
 
 // Expire drops pairs past the storage limit as of now.
 func (p *Pool) Expire(now time.Duration) {
-	if expired := p.expire(now); expired > 0 {
-		mPoolExpired.Add(int64(expired))
-	}
-}
-
-// expire drops the expired prefix and returns its length; the caller
-// publishes it to the process-wide counter.
-func (p *Pool) expire(now time.Duration) int {
 	i := 0
 	for i < p.pairs.n && p.pairs.at(i).Expired(now, p.QNIC) {
 		i++
 	}
 	p.pairs.drop(i)
 	p.stats.Expired += int64(i)
-	return i
 }
 
 // TryConsume implements Supplier: pops the freshest live pair.
@@ -125,7 +90,6 @@ func (p *Pool) TryConsume(now time.Duration) (float64, bool) {
 	p.pairs.n--
 	pair := *p.pairs.at(p.pairs.n)
 	p.stats.Consumed++
-	mPoolConsumed.Inc()
 	v := pair.VisibilityAt(now, p.QNIC)
 	if p.extraRate != 0 {
 		from := p.extraSince
@@ -181,7 +145,6 @@ func (p *Pool) Flush() int {
 	if n > 0 {
 		p.pairs.drop(n)
 		p.stats.Flushed += int64(n)
-		mPoolFlushed.Add(int64(n))
 	}
 	return n
 }

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/xrand"
 )
@@ -18,17 +17,6 @@ type ServiceStats struct {
 	Suppressed       int64 // generation ticks skipped while the source was down
 	DroppedAfterStop int64 // in-flight pairs discarded because Stop preceded arrival
 }
-
-// Source-side counters, aggregated process-wide in the default metrics
-// registry (see the pool counters above for the instrumentation contract).
-var (
-	mSvcGenerated  = metrics.Default().Counter("entangle_source_generated_total")
-	mSvcLostFiber  = metrics.Default().Counter("entangle_source_lost_fiber_total")
-	mSvcDelivered  = metrics.Default().Counter("entangle_source_delivered_total")
-	mSvcRejected   = metrics.Default().Counter("entangle_source_rejected_total")
-	mSvcSuppressed = metrics.Default().Counter("entangle_source_suppressed_total")
-	mSvcDropped    = metrics.Default().Counter("entangle_source_dropped_after_stop_total")
-)
 
 // Service drives a Pool from an SPDC source on a discrete-event engine:
 // every source interval a pair is emitted; with the fiber's delivery
@@ -123,17 +111,13 @@ func (s *Service) Head() (time.Duration, uint64, bool) {
 }
 
 // RunBefore implements netsim.Stream: it runs ticks and arrivals in
-// (at, seq) order up to the bound, then publishes what they counted to the
-// process-wide registry — one atomic add per counter that moved, however
-// many pairs the catch-up covered.
+// (at, seq) order up to the bound.
 //
 // A window of bulkMinTicks or more first goes through bulkBefore; the loop
 // below is the reference, and finishes whatever the bulk pass left.
 func (s *Service) RunBefore(at time.Duration, seq uint64) {
-	before := s.stats
-	expired := 0
 	if at-s.tickAt >= bulkMinTicks*s.interval {
-		expired = s.bulkBefore(at)
+		s.bulkBefore(at)
 	}
 	for {
 		eat, eseq, arrival, ok := s.next()
@@ -142,12 +126,11 @@ func (s *Service) RunBefore(at time.Duration, seq uint64) {
 		}
 		if arrival {
 			s.flights.drop(1)
-			expired += s.arrive(eat)
+			s.arrive(eat)
 		} else {
 			s.tick()
 		}
 	}
-	s.publish(before, expired)
 }
 
 // Bulk catch-up shape: windows shorter than bulkMinTicks are not worth the
@@ -182,19 +165,19 @@ const (
 // decide, and stays the code it was but for one compare.
 //
 //go:noinline
-func (s *Service) bulkBefore(at time.Duration) (expired int) {
+func (s *Service) bulkBefore(at time.Duration) {
 	if !s.ticking || s.stopped || s.outage || s.budget != 0 {
-		return 0
+		return
 	}
 	pool := s.Pool
 	if pool.Cap > 0 && int64(pool.pairs.n)+int64(pool.QNIC.StorageLimit/s.interval)+2 > int64(pool.Cap) {
-		return 0
+		return
 	}
 	// Counted in ticks, by division: a product of the interval can overflow
 	// for a source slower than one pair in nine years.
 	ticks := int64((at - s.tickAt) / s.interval)
 	if ticks < bulkMinTicks {
-		return 0
+		return
 	}
 	p := s.delivery * s.deliveryScale
 	// A pair is still stored at a chunk's last landing if it arrived at most
@@ -240,7 +223,7 @@ func (s *Service) bulkBefore(at time.Duration) (expired int) {
 			if j < 0 {
 				last = s.flights.at(kOld - 1).at
 			}
-			expired += pool.expire(last)
+			pool.Expire(last)
 			stale := 0
 			for stale < kOld && (Pair{ArrivedAt: s.flights.at(stale).at}).Expired(last, pool.QNIC) {
 				stale++
@@ -262,7 +245,6 @@ func (s *Service) bulkBefore(at time.Duration) (expired int) {
 			pool.stats.Added += int64(kOld + kNew)
 			pool.stats.Expired += int64(stale)
 			s.stats.Delivered += int64(kOld + kNew)
-			expired += stale
 		}
 		// The survivors still in flight at the chunk's end.
 		r := kNew
@@ -274,7 +256,6 @@ func (s *Service) bulkBefore(at time.Duration) (expired int) {
 			}
 		}
 	}
-	return expired
 }
 
 // survivors is one chunk's survivor mask: bit i is set when tick i's pair
@@ -333,45 +314,23 @@ func (s *Service) tick() {
 	s.tickSeq = s.engine.NextSeq()
 }
 
-// arrive lands one pair at the QNICs and returns how many stored pairs its
-// arrival expired from the pool.
-func (s *Service) arrive(at time.Duration) (expired int) {
+// arrive lands one pair at the QNICs.
+func (s *Service) arrive(at time.Duration) {
 	// A pair emitted before Stop may land after it; a stopped source must be
 	// silent, so the photons are discarded at the QNIC instead of mutating a
 	// pool the owner believes quiescent.
 	if s.stopped {
 		s.stats.DroppedAfterStop++
-		return 0
+		return
 	}
-	stored, expired := s.Pool.add(Pair{ArrivedAt: at, V0: s.Source.BaseVisibility})
-	if !stored {
+	if !s.Pool.Add(Pair{ArrivedAt: at, V0: s.Source.BaseVisibility}) {
 		s.stats.Rejected++
-		return expired
+		return
 	}
 	s.stats.Delivered++
 	if s.stats.Delivered == s.budget {
 		s.stopped = true
 	}
-	return expired
-}
-
-// publish adds the counts accumulated since before to the process-wide
-// registry. Every stored pair is a delivered one, so the pool's added
-// counter moves with Delivered.
-func (s *Service) publish(before ServiceStats, poolExpired int) {
-	add := func(c *metrics.Counter, d int64) {
-		if d != 0 {
-			c.Add(d)
-		}
-	}
-	add(mSvcGenerated, s.stats.Generated-before.Generated)
-	add(mSvcLostFiber, s.stats.LostFiber-before.LostFiber)
-	add(mSvcDelivered, s.stats.Delivered-before.Delivered)
-	add(mPoolAdded, s.stats.Delivered-before.Delivered)
-	add(mSvcRejected, s.stats.Rejected-before.Rejected)
-	add(mSvcSuppressed, s.stats.Suppressed-before.Suppressed)
-	add(mSvcDropped, s.stats.DroppedAfterStop-before.DroppedAfterStop)
-	add(mPoolExpired, int64(poolExpired))
 }
 
 // Stop halts the source. Pairs already in flight are discarded on arrival

@@ -27,7 +27,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/games"
 	"repro/internal/loadbalance"
-	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/qkd"
 	"repro/internal/qsim"
@@ -131,10 +130,8 @@ type Timing struct {
 // block to w in list order as soon as it and all of its predecessors have
 // finished. Output bytes are identical at any worker count.
 //
-// Each streamed block's wall time is returned in list order and recorded in
-// the default metrics registry (experiment_wall{id=...} timers plus an
-// experiments_completed counter), so a -metrics artifact written after the
-// run carries the per-experiment breakdown.
+// Each streamed block's wall time is returned in list order, so a -metrics
+// artifact written after the run carries the per-experiment breakdown.
 //
 // An experiment that panics becomes an error naming its ID, with the panic
 // value and stack, and cancels the experiments not yet started; so does ctx
@@ -145,7 +142,6 @@ type Timing struct {
 func RunAll(ctx context.Context, w io.Writer, exps []Experiment, o Options, workers int) ([]Timing, error) {
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
-	completed := metrics.Default().Counter("experiments_completed")
 	// Every job sends exactly one result, so each buffered slot is filled
 	// once and the streamer below never waits on a job that will not run.
 	ready := make([]chan blockResult, len(exps))
@@ -159,8 +155,6 @@ func RunAll(ctx context.Context, w io.Writer, exps []Experiment, o Options, work
 			r := runBlock(ctx, exps[i], o)
 			if r.err != nil {
 				cancel(r.err)
-			} else {
-				completed.Inc()
 			}
 			ready[i] <- r
 		})
@@ -204,7 +198,9 @@ func runBlock(ctx context.Context, e Experiment, o Options) (r blockResult) {
 	}()
 	var b strings.Builder
 	b.WriteString("\n──── " + e.Title + " ────\n")
-	r.wall = metrics.Default().Timer("experiment_wall", "id", e.ID).Time(func() { e.Run(&b, o) })
+	start := time.Now()
+	e.Run(&b, o)
+	r.wall = time.Since(start)
 	r.block = b.String()
 	return r
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/entangle"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 )
 
@@ -27,15 +26,6 @@ type Stats struct {
 	// FlushedPairs counts pairs lost to pool-flush events.
 	FlushedPairs int64
 }
-
-// Injection counters in the default registry, labeled by fault kind.
-var mWindows = func() map[Kind]*metrics.Counter {
-	m := make(map[Kind]*metrics.Counter, NumKinds)
-	for k := KindNone + 1; k < numKinds; k++ {
-		m[k] = metrics.Default().Counter("faults_windows_total", "kind", k.String())
-	}
-	return m
-}()
 
 // Injector replays a Schedule against a Target on a discrete-event engine.
 // Arm schedules every window's start and end as engine events, so fault
@@ -86,7 +76,6 @@ func (inj *Injector) Arm() {
 func (inj *Injector) open(w Window) {
 	inj.stats.Windows[w.Kind]++
 	inj.stats.FaultedTime[w.Kind] += w.Duration()
-	mWindows[w.Kind].Inc()
 	if w.Kind == KindPoolFlush {
 		inj.stats.FlushedPairs += int64(inj.tgt.Pool.Flush())
 		return

@@ -16,7 +16,6 @@ import (
 	"math"
 	"math/bits"
 
-	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/workload"
 	"repro/internal/xrand"
@@ -159,18 +158,6 @@ type Result struct {
 // loads the experiments sweep. Sharded runs use the same size so per-cell
 // estimators merge exactly.
 const batchMeansSlots = 200
-
-// Run accounting: aggregate task flow across every simulation this process
-// executes, folded in once per run (no per-slot atomics). "queued_at_end"
-// is this infinite-queue model's drop column: work admitted but never
-// served within the simulated horizon.
-var (
-	lbRuns        = metrics.Default().Counter("loadbalance_runs_total")
-	lbSlots       = metrics.Default().Counter("loadbalance_slots_total")
-	lbArrived     = metrics.Default().Counter("loadbalance_tasks_arrived_total")
-	lbServed      = metrics.Default().Counter("loadbalance_tasks_served_total")
-	lbQueuedAtEnd = metrics.Default().Counter("loadbalance_tasks_queued_at_end_total")
-)
 
 // clusterView implements View by aliasing the World's live qlen column.
 // Strategies only read it during Assign, which runs strictly between one
@@ -316,10 +303,5 @@ func RunE(cfg Config, strat Strategy) (Result, error) {
 	if tracksColoc {
 		res.Colocation = *tracker.ColocationStats()
 	}
-	lbRuns.Inc()
-	lbSlots.Add(int64(total))
-	lbArrived.Add(res.Arrived)
-	lbServed.Add(res.Served)
-	lbQueuedAtEnd.Add(res.QueuedAtEnd)
 	return res, nil
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/games"
-	"repro/internal/metrics"
 	"repro/internal/workload"
 	"repro/internal/xrand"
 )
@@ -219,66 +218,6 @@ func TestSlotSeriesContents(t *testing.T) {
 	}
 	if servedMeasured != float64(res.Served) {
 		t.Fatalf("series served %v != result served %d", servedMeasured, res.Served)
-	}
-
-	series := rec.Series("test")
-	names := make(map[string]bool, len(series))
-	for _, s := range series {
-		names[s.Name] = true
-		if len(s.X) != rec.Len() || len(s.Y) != rec.Len() {
-			t.Fatalf("series %s length %d/%d, want %d", s.Name, len(s.X), len(s.Y), rec.Len())
-		}
-	}
-	// A colocation-tracking strategy must export the colocation curve.
-	if !names["test/colocation_rate"] || !names["test/queue_total"] {
-		t.Fatalf("series set incomplete: %v", names)
-	}
-}
-
-// TestSlotSeriesStride checks the Every sampling stride.
-func TestSlotSeriesStride(t *testing.T) {
-	cfg := Config{
-		NumBalancers: 10,
-		NumServers:   10,
-		Warmup:       0,
-		Slots:        100,
-		Discipline:   BatchCFirst,
-		Workload:     workload.Bernoulli{PC: 0.5},
-		Seed:         31,
-	}
-	rec := &SlotSeries{Every: 10}
-	cfg.Recorder = rec
-	Run(cfg, RandomStrategy{})
-	if rec.Len() != 10 {
-		t.Fatalf("stride-10 recording has %d samples over 100 slots, want 10", rec.Len())
-	}
-}
-
-// TestRunAccountingReachesRegistry: RunE folds its task flow into the
-// default metrics registry once per run.
-func TestRunAccountingReachesRegistry(t *testing.T) {
-	reg := metrics.Default()
-	runsBefore, _ := reg.Get("loadbalance_runs_total")
-	arrivedBefore, _ := reg.Get("loadbalance_tasks_arrived_total")
-
-	cfg := Config{
-		NumBalancers: 10,
-		NumServers:   10,
-		Warmup:       0,
-		Slots:        50,
-		Discipline:   BatchCFirst,
-		Workload:     workload.Bernoulli{PC: 0.5},
-		Seed:         37,
-	}
-	res := Run(cfg, RandomStrategy{})
-
-	runsAfter, _ := reg.Get("loadbalance_runs_total")
-	arrivedAfter, _ := reg.Get("loadbalance_tasks_arrived_total")
-	if runsAfter != runsBefore+1 {
-		t.Fatalf("runs counter moved %v -> %v, want +1", runsBefore, runsAfter)
-	}
-	if arrivedAfter != arrivedBefore+float64(res.Arrived) {
-		t.Fatalf("arrived counter moved %v -> %v, want +%d", arrivedBefore, arrivedAfter, res.Arrived)
 	}
 }
 

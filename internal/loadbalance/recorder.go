@@ -1,11 +1,5 @@
 package loadbalance
 
-import (
-	"math"
-
-	"repro/internal/metrics"
-)
-
 // SlotSample is what a Recorder sees after each simulated slot: the slot's
 // arrival/service totals, the post-service queue state, and the strategy's
 // cumulative colocation tally (NaN when the strategy does not track one).
@@ -38,15 +32,11 @@ type Recorder interface {
 	RecordSlot(s SlotSample)
 }
 
-// SlotSeries is the standard Recorder: it retains per-slot time series
-// (queue totals, arrivals, services, delay, colocation) for the whole run,
-// ready to embed in a metrics artifact. Every is the sampling stride
-// (0 or 1 records every slot); warmup slots are retained too, flagged via
-// the Measured column, because watching the transient drain is half the
-// point of a time series.
+// SlotSeries is the standard Recorder: it retains one sample per simulated
+// slot (queue totals, arrivals, services, delay, colocation) for the whole
+// run; warmup slots are retained too, flagged via the Measured column,
+// because watching the transient drain is half the point of a time series.
 type SlotSeries struct {
-	Every int
-
 	Slots          []float64
 	Measured       []float64 // 1 inside the measured window, 0 during warmup
 	QueueTotal     []float64
@@ -59,9 +49,6 @@ type SlotSeries struct {
 
 // RecordSlot implements Recorder.
 func (r *SlotSeries) RecordSlot(s SlotSample) {
-	if r.Every > 1 && s.Slot%r.Every != 0 {
-		return
-	}
 	measured := 0.0
 	if s.Measured {
 		measured = 1
@@ -78,26 +65,3 @@ func (r *SlotSeries) RecordSlot(s SlotSample) {
 
 // Len returns the number of recorded samples.
 func (r *SlotSeries) Len() int { return len(r.Slots) }
-
-// Series renders the recording as named time series (x = slot index) for a
-// metrics artifact. The name prefix distinguishes runs sharing one
-// artifact, e.g. "E3/quantum". The colocation series is omitted when the
-// strategy tracked none (all-NaN would poison JSON encoders).
-func (r *SlotSeries) Series(prefix string) []metrics.TimeSeries {
-	out := []metrics.TimeSeries{
-		{Name: prefix + "/queue_total", X: r.Slots, Y: r.QueueTotal},
-		{Name: prefix + "/queue_max", X: r.Slots, Y: r.QueueMax},
-		{Name: prefix + "/arrived", X: r.Slots, Y: r.Arrived},
-		{Name: prefix + "/served", X: r.Slots, Y: r.Served},
-		{Name: prefix + "/delay_sum", X: r.Slots, Y: r.DelaySum},
-		{Name: prefix + "/measured", X: r.Slots, Y: r.Measured},
-	}
-	for _, v := range r.ColocationRate {
-		if !math.IsNaN(v) {
-			out = append(out, metrics.TimeSeries{
-				Name: prefix + "/colocation_rate", X: r.Slots, Y: r.ColocationRate})
-			break
-		}
-	}
-	return out
-}

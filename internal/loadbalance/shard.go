@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -95,12 +94,6 @@ func SweepSharded(base ShardedConfig, factory func(point int, load float64) Cell
 	return qlen, delay, nil
 }
 
-// Sharded-run accounting, alongside the per-run counters in loadbalance.go.
-var (
-	lbShardedRuns  = metrics.Default().Counter("loadbalance_sharded_runs_total")
-	lbShardedCells = metrics.Default().Counter("loadbalance_sharded_cells_total")
-)
-
 // RunSharded executes every cell (concurrently, Shards at a time) and merges
 // the per-cell results in cell-index order into one Result. Determinism is
 // two-layered: each cell's simulation is a pure function of (Seed, cell),
@@ -154,7 +147,5 @@ func RunSharded(cfg ShardedConfig, factory CellStrategyFactory) (Result, error) 
 		merged.Colocation.AddBatch(r.Colocation.Successes(), r.Colocation.Trials())
 		merged.QueueLenBM.Merge(r.QueueLenBM)
 	}
-	lbShardedRuns.Inc()
-	lbShardedCells.Add(int64(cfg.Cells))
 	return merged, nil
 }

@@ -10,14 +10,6 @@ import (
 	"time"
 )
 
-// TimeSeries is one sampled curve for a run artifact — per-slot queue
-// lengths from a loadbalance recorder, a sweep's knee curve, etc.
-type TimeSeries struct {
-	Name string    `json:"name"`
-	X    []float64 `json:"x"`
-	Y    []float64 `json:"y"`
-}
-
 // ExperimentMetrics is one experiment's share of a run artifact.
 type ExperimentMetrics struct {
 	ID     string  `json:"id"`
@@ -26,8 +18,8 @@ type ExperimentMetrics struct {
 
 // Artifact is the machine-readable record of one instrumented run: enough
 // provenance (tool, seed, config, git describe, Go version) to reproduce
-// it, plus the registry snapshot and any captured time series. It is the
-// regression-tracking unit future BENCH comparisons diff against.
+// it, plus the per-experiment wall times and the registry snapshot. It is
+// the regression-tracking unit future BENCH comparisons diff against.
 type Artifact struct {
 	Tool        string              `json:"tool"`
 	GitDescribe string              `json:"git_describe"`
@@ -39,12 +31,12 @@ type Artifact struct {
 	WallMS      float64             `json:"wall_ms"`
 	Experiments []ExperimentMetrics `json:"experiments,omitempty"`
 	Metrics     []KV                `json:"metrics"`
-	Series      []TimeSeries        `json:"series,omitempty"`
 }
 
 // NewArtifact stamps tool/provenance fields; the caller fills the run
-// fields (Seed, Config, WallMS, Experiments, Series) and typically sets
-// Metrics = Default().Snapshot() after the work completes.
+// fields (Seed, Config, WallMS, Experiments) and sets
+// Metrics = Default().Snapshot() after the work completes — for a batch run
+// that is the solve cache's counters, for a daemon the serving stack's.
 func NewArtifact(tool string) *Artifact {
 	return &Artifact{
 		Tool:        tool,

@@ -3,12 +3,13 @@
 // Snapshot() renders ordered key/value pairs for machine-readable run
 // artifacts (cmd/repro -metrics, qcoordd -metrics-out).
 //
-// Instrumented packages fetch their instruments once (package init or
-// constructor) and update them with single atomic operations, so the hot
-// paths — the slot loop of the queueing simulator, the parallel worker
-// loop, the solve-cache lookup — pay one uncontended atomic add per event
-// and zero allocations. Instrumentation never touches any RNG stream:
-// enabling or reading metrics cannot change simulation results.
+// Instrumented packages — the serving stack (serve, admission, core's
+// health monitor) and the games solve cache — fetch their instruments once
+// (package init or constructor) and update them with single atomic
+// operations, so the decide path and the solve-cache lookup pay one atomic
+// add per event and zero allocations. The batch libraries keep their counts
+// in the values they return instead. Instrumentation never touches any RNG
+// stream: enabling or reading metrics cannot change simulation results.
 package metrics
 
 import (
@@ -74,15 +75,6 @@ func (t *Timer) ObserveN(total time.Duration, n int64, longest time.Duration) {
 			return
 		}
 	}
-}
-
-// Time runs fn, observes its wall time and returns it.
-func (t *Timer) Time(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	d := time.Since(start)
-	t.Observe(d)
-	return d
 }
 
 // Count returns the number of observations.

@@ -224,7 +224,6 @@ func TestArtifactRoundTrips(t *testing.T) {
 	a.Config = map[string]any{"scale": 1.0}
 	a.Experiments = []ExperimentMetrics{{ID: "E1", WallMS: 1.5}}
 	a.Metrics = r.Snapshot()
-	a.Series = []TimeSeries{{Name: "queue", X: []float64{0, 1}, Y: []float64{0, 2}}}
 
 	var buf bytes.Buffer
 	if err := a.Write(&buf); err != nil {
@@ -239,9 +238,6 @@ func TestArtifactRoundTrips(t *testing.T) {
 	}
 	if len(back.Metrics) != 1 || back.Metrics[0].Key != "solvecache_hits{solver=quantum}" || back.Metrics[0].Value != 7 {
 		t.Fatalf("metrics lost: %+v", back.Metrics)
-	}
-	if len(back.Series) != 1 || back.Series[0].Y[1] != 2 {
-		t.Fatalf("series lost: %+v", back.Series)
 	}
 	if back.GoVersion == "" || back.GitDescribe == "" {
 		t.Fatalf("missing build provenance: %+v", back)

@@ -21,9 +21,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"repro/internal/metrics"
 )
 
 // defaultWorkers overrides the GOMAXPROCS-derived default when positive.
@@ -50,36 +47,6 @@ func SetDefaultWorkers(n int) {
 	defaultWorkers.Store(int64(n))
 }
 
-// Pool accounting. Busy time is summed per worker and folded in once per
-// fan-out (one atomic add per worker, not per job); worker-seconds is the
-// fan-out's wall time × its worker count, so cumulative utilization is
-// busy_ns / worker_ns. The utilization gauge carries that cumulative ratio
-// after every fan-out. None of this touches any RNG stream — results stay
-// byte-identical with instrumentation in place.
-var (
-	fanouts    = metrics.Default().Counter("parallel_fanouts_total")
-	jobsTotal  = metrics.Default().Counter("parallel_jobs_total")
-	busyNs     = metrics.Default().Counter("parallel_busy_ns_total")
-	workerNs   = metrics.Default().Counter("parallel_worker_ns_total")
-	poolUtil   = metrics.Default().Gauge("parallel_utilization")
-	fanoutTime = metrics.Default().Timer("parallel_fanout_wall")
-	// jobWait is the queue wait: how long after the fan-out began each job
-	// was picked up by a worker. Its mean growing with job index is the
-	// signature of a pool narrower than the offered work.
-	jobWait = metrics.Default().Timer("parallel_job_wait")
-)
-
-// recordFanout folds one completed fan-out into the pool accounting.
-func recordFanout(workers, jobs int, wall time.Duration) {
-	fanouts.Inc()
-	jobsTotal.Add(int64(jobs))
-	workerNs.Add(int64(wall) * int64(workers))
-	fanoutTime.Observe(wall)
-	if wn := workerNs.Value(); wn > 0 {
-		poolUtil.Set(float64(busyNs.Value()) / float64(wn))
-	}
-}
-
 // jobPanic carries a worker panic to the caller's goroutine.
 type jobPanic struct {
 	index int
@@ -102,26 +69,13 @@ func dispatch(workers, n int, fn func(i int)) {
 		workers = n
 	}
 	if workers == 1 {
-		// Serial fast path: no goroutines, panics propagate natively. The
-		// whole loop is busy time. There is no queue, so queue wait is
-		// identically zero and is NOT observed per job — a clock read per
-		// job was measurable overhead inside benchmarked loops (the E2
-		// serial-vs-parallel comparison runs both passes through this path
-		// on a single-core machine, so any per-job cost lands directly in
-		// the reported speedup).
-		start := time.Now()
-		defer func() {
-			wall := time.Since(start)
-			busyNs.Add(int64(wall))
-			recordFanout(1, n, wall)
-		}()
+		// Serial fast path: no goroutines, panics propagate natively.
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
 
-	start := time.Now()
 	var next atomic.Int64
 	var failed atomic.Bool
 	panics := make(chan jobPanic, workers)
@@ -129,17 +83,12 @@ func dispatch(workers, n int, fn func(i int)) {
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			workerStart := time.Now()
-			defer func() {
-				busyNs.Add(int64(time.Since(workerStart)))
-				wg.Done()
-			}()
+			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n || failed.Load() {
 					return
 				}
-				jobWait.Observe(time.Since(start))
 				if err := protect(i, fn); err != nil {
 					failed.Store(true)
 					panics <- *err
@@ -149,7 +98,6 @@ func dispatch(workers, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-	recordFanout(workers, n, time.Since(start))
 	close(panics)
 	// Re-raise the lowest-index panic so the error is deterministic even
 	// when several workers fail in the same fan-out.

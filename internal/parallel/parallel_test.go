@@ -4,9 +4,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/xrand"
 )
 
@@ -121,61 +119,5 @@ func TestSetDefaultWorkers(t *testing.T) {
 	SetDefaultWorkers(0)
 	if DefaultWorkers() < 1 {
 		t.Fatalf("GOMAXPROCS default %d", DefaultWorkers())
-	}
-}
-
-// TestPoolAccounting checks the observability counters: a fan-out adds its
-// job count, accrues busy and worker time, and leaves the cumulative
-// utilization gauge in (0, 1].
-func TestPoolAccounting(t *testing.T) {
-	reg := metrics.Default()
-	get := func(k string) float64 { v, _ := reg.Get(k); return v }
-
-	fanouts0 := get("parallel_fanouts_total")
-	jobs0 := get("parallel_jobs_total")
-	busy0 := get("parallel_busy_ns_total")
-	worker0 := get("parallel_worker_ns_total")
-	waits0 := get("parallel_job_wait_count")
-
-	const n = 40
-	ForEachN(4, n, func(i int) { time.Sleep(100 * time.Microsecond) })
-
-	if d := get("parallel_fanouts_total") - fanouts0; d != 1 {
-		t.Fatalf("fanouts moved %v, want 1", d)
-	}
-	if d := get("parallel_jobs_total") - jobs0; d != n {
-		t.Fatalf("jobs moved %v, want %d", d, n)
-	}
-	if d := get("parallel_job_wait_count") - waits0; d != n {
-		t.Fatalf("job waits moved %v, want %d", d, n)
-	}
-	busy := get("parallel_busy_ns_total") - busy0
-	worker := get("parallel_worker_ns_total") - worker0
-	if busy <= 0 || worker <= 0 {
-		t.Fatalf("busy %v / worker %v time did not accrue", busy, worker)
-	}
-	// Workers cannot be busier than they exist; allow scheduling slop on
-	// the clock reads.
-	if busy > 1.05*worker {
-		t.Fatalf("busy %v exceeds worker time %v", busy, worker)
-	}
-	if util := get("parallel_utilization"); util <= 0 || util > 1.01 {
-		t.Fatalf("utilization %v outside (0, 1]", util)
-	}
-}
-
-// TestPoolAccountingSerialPath covers the workers==1 fast path, which has
-// no goroutines but must account identically.
-func TestPoolAccountingSerialPath(t *testing.T) {
-	reg := metrics.Default()
-	get := func(k string) float64 { v, _ := reg.Get(k); return v }
-	jobs0 := get("parallel_jobs_total")
-	fanouts0 := get("parallel_fanouts_total")
-	ForEachN(1, 7, func(i int) {})
-	if d := get("parallel_jobs_total") - jobs0; d != 7 {
-		t.Fatalf("serial path jobs moved %v, want 7", d)
-	}
-	if d := get("parallel_fanouts_total") - fanouts0; d != 1 {
-		t.Fatalf("serial path fanouts moved %v, want 1", d)
 	}
 }

@@ -34,8 +34,8 @@ import (
 
 // Config parametrizes a Server. The zero value serves with defaults.
 type Config struct {
-	// Shards is the stripe width of the session store, rounded up to a
-	// power of two (default 16).
+	// Shards is the stripe width of the session store, capped at MaxShards
+	// and rounded up to a power of two (default 16).
 	Shards int
 	// Clock supplies wall time for the session clocks (default time.Now).
 	// Injecting a clock makes the whole decide path deterministic: the
@@ -123,9 +123,13 @@ type Server struct {
 	mLate         *metrics.Counter // decisions delivered past their deadline
 }
 
+// MaxShards caps the session store's stripe width. The cap keeps the
+// power-of-two rounding from overflowing and the stripe array bounded.
+const MaxShards = 1 << 16
+
 // NewServer builds a ready-to-mount server.
 func NewServer(cfg Config) *Server {
-	n := cfg.Shards
+	n := min(cfg.Shards, MaxShards)
 	if n <= 0 {
 		n = 16
 	}
@@ -134,9 +138,10 @@ func NewServer(cfg Config) *Server {
 	for w < n {
 		w <<= 1
 	}
-	// Everything instruments the process-wide default registry, matching
-	// the repo-wide contract (sessions' HealthMonitors already export
-	// there), so /metrics is the one complete view.
+	// The server, its admission controller and its sessions' monitors share
+	// the process-wide default registry (until the registry becomes one per
+	// server), so /metrics is the one complete view of the serving stack.
+	// The batch libraries keep their counts in the values they return.
 	reg := metrics.Default()
 	clock := cfg.Clock
 	if clock == nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -34,6 +35,20 @@ func twoEndpoints() []string { return []string{"lb-a", "lb-b"} }
 // '%') used to be spliced raw into the request path and came back 404 (or
 // failed to parse); the client path-escapes the ID and the mux hands the
 // handler the unescaped value.
+// TestNewServerClampsShards: the stripe width is capped at MaxShards before
+// the power-of-two rounding, which would otherwise overflow past 2⁶² and
+// never end.
+func TestNewServerClampsShards(t *testing.T) {
+	for _, n := range []int{math.MaxInt, 1<<62 + 1, MaxShards + 1, MaxShards} {
+		if got := len(NewServer(Config{Shards: n}).shards); got != MaxShards {
+			t.Fatalf("Shards %d: %d stripes, want %d", n, got, MaxShards)
+		}
+	}
+	if got := len(NewServer(Config{Shards: 3}).shards); got != 4 {
+		t.Fatalf("Shards 3: %d stripes, want 4", got)
+	}
+}
+
 func TestClientSessionIDRoundTrip(t *testing.T) {
 	srv, c := newTestServer(t, Config{})
 	ctx := context.Background()
