@@ -5,7 +5,7 @@
 // every POST /v1/decide answers a routing decision from the session's
 // current strategy without any cross-endpoint communication. GET
 // /v1/sessions/{id} reports health and degradation rung; GET /metrics
-// renders the process-wide metrics registry.
+// renders the server's own counters, timers and admission state.
 //
 // Shutdown is graceful: the first SIGTERM/SIGINT stops accepting sessions
 // and makes further decisions return a retryable 503, in-flight decisions

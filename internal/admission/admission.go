@@ -29,14 +29,19 @@
 // Everything here is deterministic given its inputs: the controller holds
 // no clock — callers pass `now` — and consumes no randomness, so the
 // virtual-time loadtest backend can pin overload behavior byte-for-byte.
+//
+// The package counts nothing. Admit, TryAcquire and Acquire return every
+// outcome to the caller, which counts what it is handed (serve's play
+// does, into its own server's registry); the state held here — each
+// gate's backlog, estimate and brownout flips, the limiter's limit,
+// in-flight and queued counts — is read through accessors when someone
+// asks.
 package admission
 
 import (
 	"fmt"
 	"sync"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // Priority is a session-provisioned shedding tier. Lower values shed last.
@@ -222,6 +227,8 @@ type gate struct {
 	// (positive) or below the exit line (negative); brownout flips at
 	// ±BrownoutSustain.
 	strike int
+	// entered and exited count the brownout flips.
+	entered, exited int64
 }
 
 // Controller is the per-server admission state: one gate per session shard
@@ -232,17 +239,9 @@ type Controller struct {
 	cfg     Config
 	gates   []gate
 	limiter *Limiter
-
-	mAccepted *metrics.Counter
-	mShed     [6]*metrics.Counter // indexed by Outcome; [Accepted] unused
-	mBrownout *metrics.Counter
-	mRecover  *metrics.Counter
-	mBacklog  *metrics.Gauge
-	mEstimate *metrics.Gauge
 }
 
-// NewController builds a controller with one gate per shard. Counters land
-// in the default metrics registry.
+// NewController builds a controller with one gate per shard.
 func NewController(cfg Config, shards int) *Controller {
 	cfg = cfg.withDefaults()
 	if shards <= 0 {
@@ -253,24 +252,10 @@ func NewController(cfg Config, shards int) *Controller {
 	for shards&(shards-1) != 0 {
 		shards++
 	}
-	reg := metrics.Default()
-	c := &Controller{
-		cfg:       cfg,
-		gates:     make([]gate, shards),
-		mAccepted: reg.Counter("admission_accepted_total"),
-		mBrownout: reg.Counter("admission_brownout_entered_total"),
-		mRecover:  reg.Counter("admission_brownout_exited_total"),
-		mBacklog:  reg.Gauge("admission_backlog_ns"),
-		mEstimate: reg.Gauge("admission_service_estimate_ns"),
-	}
-	for o := ShedDeadline; o <= ShedExpired; o++ {
-		c.mShed[o] = reg.Counter(metrics.Key("admission_shed_total", "reason", o.String()))
-	}
-	c.limiter = NewLimiter(cfg.Limiter, c.mShed[ShedLimiter], c.mShed[ShedExpired])
+	c := &Controller{cfg: cfg, gates: make([]gate, shards), limiter: NewLimiter(cfg.Limiter)}
 	for i := range c.gates {
 		c.gates[i].est = float64(cfg.InitialService)
 	}
-	c.mEstimate.Set(float64(cfg.InitialService))
 	return c
 }
 
@@ -320,7 +305,7 @@ func (c *Controller) Admit(shard int, now time.Time, deadline time.Time, p Prior
 		}
 		if g.strike++; g.strike >= c.cfg.BrownoutSustain {
 			g.brownout, g.strike = true, 0
-			c.mBrownout.Inc()
+			g.entered++
 		}
 	case g.brownout && g.backlog < exit:
 		if g.strike > 0 {
@@ -328,7 +313,7 @@ func (c *Controller) Admit(shard int, now time.Time, deadline time.Time, p Prior
 		}
 		if g.strike--; g.strike <= -c.cfg.BrownoutSustain {
 			g.brownout, g.strike = false, 0
-			c.mRecover.Inc()
+			g.exited++
 		}
 	default:
 		g.strike = 0
@@ -350,11 +335,7 @@ func (c *Controller) Admit(shard int, now time.Time, deadline time.Time, p Prior
 
 	if dec.OK {
 		g.backlog += cost
-		c.mAccepted.Inc()
-	} else {
-		c.mShed[dec.Outcome].Inc()
 	}
-	c.mBacklog.Set(float64(g.backlog))
 	g.mu.Unlock()
 	return dec
 }
@@ -382,7 +363,6 @@ func (c *Controller) Observe(shard int, perRound time.Duration) {
 	g := &c.gates[shard&(len(c.gates)-1)]
 	g.mu.Lock()
 	g.est += c.cfg.EWMAAlpha * (float64(perRound) - g.est)
-	c.mEstimate.Set(g.est)
 	g.mu.Unlock()
 }
 
@@ -411,6 +391,16 @@ func (c *Controller) Brownout(shard int) bool {
 	b := g.brownout
 	g.mu.Unlock()
 	return b
+}
+
+// BrownoutFlips returns how many times the shard has entered and exited
+// brownout.
+func (c *Controller) BrownoutFlips(shard int) (entered, exited int64) {
+	g := &c.gates[shard&(len(c.gates)-1)]
+	g.mu.Lock()
+	entered, exited = g.entered, g.exited
+	g.mu.Unlock()
+	return entered, exited
 }
 
 // Estimate returns the shard's current per-round service estimate.

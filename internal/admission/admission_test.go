@@ -207,6 +207,9 @@ func TestBrownoutEngagesBeforeHighPriorityShedding(t *testing.T) {
 	if d = c.Admit(0, now, time.Time{}, PriorityHigh, 1); d.Brownout {
 		t.Fatalf("brownout still on after sustained drain: %+v", d)
 	}
+	if entered, exited := c.BrownoutFlips(0); entered != 1 || exited != 1 {
+		t.Fatalf("brownout flips: entered %d, exited %d; want 1 and 1", entered, exited)
+	}
 }
 
 // TestBrownoutHysteresisIgnoresBursts: a single excursion past the enter
@@ -231,7 +234,7 @@ func TestBrownoutHysteresisIgnoresBursts(t *testing.T) {
 	}
 	c.Admit(0, now, time.Time{}, PriorityHigh, 1)
 	c.Admit(0, now, time.Time{}, PriorityHigh, 1)
-	if c.Brownout(0) {
+	if entered, _ := c.BrownoutFlips(0); c.Brownout(0) || entered != 0 {
 		t.Fatal("brownout engaged by non-sustained excursions")
 	}
 }
@@ -286,7 +289,7 @@ func TestShardIsolation(t *testing.T) {
 }
 
 func TestLimiterTryAcquireRespectsLimit(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 2, Min: 1, Max: 4}, nil, nil)
+	l := NewLimiter(LimiterConfig{Initial: 2, Min: 1, Max: 4})
 	if !l.TryAcquire() || !l.TryAcquire() {
 		t.Fatal("limit 2: first two acquisitions must succeed")
 	}
@@ -303,7 +306,7 @@ func TestLimiterTryAcquireRespectsLimit(t *testing.T) {
 // utilization grows the limit additively; a latency-gradient trip shrinks
 // it multiplicatively and never below Min.
 func TestLimiterAIMD(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 4, Min: 2, Max: 8, Tolerance: 2, Backoff: 0.5}, nil, nil)
+	l := NewLimiter(LimiterConfig{Initial: 4, Min: 2, Max: 8, Tolerance: 2, Backoff: 0.5})
 
 	// Saturate and complete at a flat 1ms: additive increase.
 	for i := 0; i < 64; i++ {
@@ -348,7 +351,7 @@ func TestLimiterAIMD(t *testing.T) {
 // queue is bounded, and a waiter whose deadline lapses while queued is
 // expired instead of served (CoDel-on-dequeue).
 func TestLimiterQueueFIFOAndExpiry(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 1, Min: 1, Max: 1, QueueDepth: 2}, nil, nil)
+	l := NewLimiter(LimiterConfig{Initial: 1, Min: 1, Max: 1, QueueDepth: 2})
 	clock := func() time.Time { return time.Now() }
 
 	if got := l.Acquire(clock, time.Time{}); got != Accepted {
@@ -409,14 +412,37 @@ func TestLimiterQueueFIFOAndExpiry(t *testing.T) {
 	l.Release(time.Millisecond, clock)
 }
 
+// TestExpiredWaiterLeavesQueue: a waiter whose deadline lapses takes its
+// place in the queue with it. Left behind until the next Release, it
+// counted against QueueDepth, and the next live arrival was shed at once.
+func TestExpiredWaiterLeavesQueue(t *testing.T) {
+	l := NewLimiter(LimiterConfig{Initial: 4, Min: 4, Max: 4, QueueDepth: 1})
+	for i := 0; i < 4; i++ {
+		if !l.TryAcquire() {
+			t.Fatalf("slot %d refused", i)
+		}
+	}
+	if got := l.Acquire(time.Now, time.Now().Add(5*time.Millisecond)); got != ShedExpired {
+		t.Fatalf("lapsed waiter: %v, want ShedExpired", got)
+	}
+	if n := l.Queued(); n != 0 {
+		t.Fatalf("expired waiter still queued: %d waiting", n)
+	}
+	// The next live arrival queues in the freed place and gets the next slot.
+	got := make(chan Outcome, 1)
+	go func() { got <- l.Acquire(time.Now, time.Now().Add(5*time.Second)) }()
+	waitQueued(t, l, 1)
+	l.Release(time.Millisecond, time.Now)
+	if o := <-got; o != Accepted {
+		t.Fatalf("live arrival after an expiry: %v, want Accepted", o)
+	}
+}
+
 func waitQueued(t *testing.T, l *Limiter, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		l.mu.Lock()
-		q := len(l.queue)
-		l.mu.Unlock()
-		if q >= n {
+		if l.Queued() >= n {
 			return
 		}
 		time.Sleep(time.Millisecond)

@@ -48,7 +48,7 @@ func BenchmarkAdmissionAdmitShed(b *testing.B) {
 // the concurrency limiter — the in-process fast path (TryAcquire + the
 // latency-free Release).
 func BenchmarkLimiterTryAcquireRelease(b *testing.B) {
-	l := NewLimiter(LimiterConfig{}, nil, nil)
+	l := NewLimiter(LimiterConfig{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,10 +1,9 @@
 package admission
 
 import (
+	"slices"
 	"sync"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // LimiterConfig tunes the adaptive concurrency limiter. The zero value is
@@ -51,21 +50,22 @@ func (c LimiterConfig) withDefaults() LimiterConfig {
 	return c
 }
 
-// waiter is one queued acquisition. The grant channel carries true when a
-// slot is handed over and is closed without a value never — a waiter that
-// times out marks itself abandoned under the limiter lock so a racing
-// grant is returned to the pool instead of leaking.
+// waiter is one queued acquisition. The grant channel receives one value
+// when a slot is handed over. A waiter is in the queue exactly until it is
+// granted or expired: both happen under the limiter lock, so a waiter that
+// times out either finds the racing grant (and passes the slot on) or
+// takes itself out of the queue.
 type waiter struct {
-	grant     chan struct{}
-	deadline  time.Time
-	abandoned bool
+	grant    chan struct{}
+	deadline time.Time
 }
 
 // Limiter is an AIMD adaptive concurrency limiter (additive increase while
 // the limit is utilized and latency is healthy, multiplicative decrease on
 // a latency-gradient trip), with a bounded FIFO whose entries are expired
-// CoDel-style — each dequeue discards waiters whose deadline lapsed while
-// they queued, so a stale request never occupies a concurrency slot.
+// CoDel-style — a waiter whose deadline lapses leaves the queue, and each
+// release sweeps out any whose timer has not fired yet, so a stale request
+// never occupies a concurrency slot or a queue place.
 //
 // The latency gradient compares a fast EWMA of recent completion latencies
 // against a slow EWMA baseline; both ignore non-positive samples, so
@@ -81,36 +81,13 @@ type Limiter struct {
 
 	fast float64 // short-window latency EWMA, ns
 	slow float64 // long-window baseline EWMA, ns
-
-	mLimit    *metrics.Gauge
-	mInflight *metrics.Gauge
-	mQueued   *metrics.Gauge
-	mRejects  *metrics.Counter
-	mExpired  *metrics.Counter
 }
 
-// NewLimiter builds a limiter; reject/expired counters are shared with the
-// controller's shed accounting.
-func NewLimiter(cfg LimiterConfig, rejects, expired *metrics.Counter) *Limiter {
+// NewLimiter builds a limiter. It counts nothing: the caller sees every
+// outcome TryAcquire and Acquire return.
+func NewLimiter(cfg LimiterConfig) *Limiter {
 	cfg = cfg.withDefaults()
-	reg := metrics.Default()
-	l := &Limiter{
-		cfg:       cfg,
-		limit:     float64(cfg.Initial),
-		mLimit:    reg.Gauge("admission_limit"),
-		mInflight: reg.Gauge("admission_inflight"),
-		mQueued:   reg.Gauge("admission_queued"),
-		mRejects:  rejects,
-		mExpired:  expired,
-	}
-	if l.mRejects == nil {
-		l.mRejects = reg.Counter(metrics.Key("admission_shed_total", "reason", ShedLimiter.String()))
-	}
-	if l.mExpired == nil {
-		l.mExpired = reg.Counter(metrics.Key("admission_shed_total", "reason", ShedExpired.String()))
-	}
-	l.mLimit.Set(l.limit)
-	return l
+	return &Limiter{cfg: cfg, limit: float64(cfg.Initial)}
 }
 
 // TryAcquire takes a slot without queueing (the in-process fast path; it
@@ -120,9 +97,6 @@ func (l *Limiter) TryAcquire() bool {
 	ok := l.inflight < int(l.limit)
 	if ok {
 		l.inflight++
-		l.mInflight.Set(float64(l.inflight))
-	} else {
-		l.mRejects.Inc()
 	}
 	l.mu.Unlock()
 	return ok
@@ -138,18 +112,15 @@ func (l *Limiter) Acquire(now func() time.Time, deadline time.Time) Outcome {
 	l.mu.Lock()
 	if l.inflight < int(l.limit) && len(l.queue) == 0 {
 		l.inflight++
-		l.mInflight.Set(float64(l.inflight))
 		l.mu.Unlock()
 		return Accepted
 	}
 	if len(l.queue) >= l.cfg.QueueDepth {
-		l.mRejects.Inc()
 		l.mu.Unlock()
 		return ShedLimiter
 	}
 	w := &waiter{grant: make(chan struct{}, 1), deadline: deadline}
 	l.queue = append(l.queue, w)
-	l.mQueued.Set(float64(len(l.queue)))
 	l.mu.Unlock()
 
 	if deadline.IsZero() {
@@ -167,8 +138,9 @@ func (l *Limiter) Acquire(now func() time.Time, deadline time.Time) Outcome {
 		return Accepted
 	case <-timer.C:
 	}
-	// Deadline lapsed while queued. Mark abandoned under the lock; if a
-	// grant raced in anyway, pass the slot on (or release it).
+	// Deadline lapsed while queued. If a grant raced in anyway, pass the
+	// slot on (or release it); otherwise leave the queue, so an expired
+	// waiter never counts against QueueDepth.
 	l.mu.Lock()
 	select {
 	case <-w.grant:
@@ -176,9 +148,8 @@ func (l *Limiter) Acquire(now func() time.Time, deadline time.Time) Outcome {
 		// the next live waiter instead of wasting it.
 		l.releaseSlotLocked()
 	default:
-		w.abandoned = true
+		l.queue = slices.DeleteFunc(l.queue, func(q *waiter) bool { return q == w })
 	}
-	l.mExpired.Inc()
 	l.mu.Unlock()
 	return ShedExpired
 }
@@ -193,40 +164,22 @@ func (l *Limiter) Release(latency time.Duration, now func() time.Time) {
 	// burst of stale entries cannot delay live ones behind them.
 	if len(l.queue) > 0 && now != nil {
 		t := now()
-		kept := l.queue[:0]
-		for _, w := range l.queue {
-			if w.abandoned {
-				continue
-			}
-			if !w.deadline.IsZero() && t.After(w.deadline) {
-				w.abandoned = true
-				continue
-			}
-			kept = append(kept, w)
-		}
-		l.queue = kept
-		l.mQueued.Set(float64(len(l.queue)))
+		l.queue = slices.DeleteFunc(l.queue, func(w *waiter) bool { return !w.deadline.IsZero() && t.After(w.deadline) })
 	}
 	l.mu.Unlock()
 }
 
-// releaseSlotLocked frees one slot, granting it to the first live queued
-// waiter if any.
+// releaseSlotLocked frees one slot, granting it to the first queued waiter
+// if any.
 func (l *Limiter) releaseSlotLocked() {
-	for len(l.queue) > 0 {
-		w := l.queue[0]
-		l.queue = l.queue[1:]
-		if w.abandoned {
-			continue
-		}
-		// Hand the slot over without decrementing inflight.
-		w.grant <- struct{}{}
-		l.mQueued.Set(float64(len(l.queue)))
+	if len(l.queue) == 0 {
+		l.inflight--
 		return
 	}
-	l.inflight--
-	l.mInflight.Set(float64(l.inflight))
-	l.mQueued.Set(float64(len(l.queue)))
+	w := l.queue[0]
+	l.queue = l.queue[1:]
+	// Hand the slot over without decrementing inflight.
+	w.grant <- struct{}{}
 }
 
 // aimdLocked is the Netflix-style gradient update: multiplicative decrease
@@ -256,7 +209,6 @@ func (l *Limiter) aimdLocked(latency time.Duration) {
 			l.limit = float64(l.cfg.Max)
 		}
 	}
-	l.mLimit.Set(l.limit)
 }
 
 // Limit returns the current adaptive limit.
@@ -271,6 +223,14 @@ func (l *Limiter) Limit() int {
 func (l *Limiter) Inflight() int {
 	l.mu.Lock()
 	v := l.inflight
+	l.mu.Unlock()
+	return v
+}
+
+// Queued returns the number of waiters in the queue.
+func (l *Limiter) Queued() int {
+	l.mu.Lock()
+	v := len(l.queue)
 	l.mu.Unlock()
 	return v
 }

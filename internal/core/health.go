@@ -93,8 +93,9 @@ type HealthConfig struct {
 	// metrics registry (session_visibility{session=...} etc.). The gauges
 	// are a published copy of the monitor: Publish, SetBrownout and Force
 	// write them, ObserveAttempt does not. Whoever serializes access to the
-	// session calls Publish before letting go (serve does, under its session
-	// mutex), so no reader sees gauges older than the last finished request.
+	// session calls Publish before letting go, so no reader sees gauges
+	// older than the last finished request. serve leaves it empty: a
+	// session's health is its info route's to report.
 	MetricsName string
 }
 

@@ -3,12 +3,19 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/admission"
 	"repro/internal/loadbalance"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
+	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
@@ -200,14 +207,7 @@ func TestE6E9E10WorkerInvariance(t *testing.T) {
 // entangle, faults, core, loadbalance.RunE and parallel; only the solve cache
 // (games) may move a key.
 func TestBatchLibrariesLeaveRegistryAlone(t *testing.T) {
-	snapshot := func() map[string]float64 {
-		m := make(map[string]float64)
-		for _, kv := range metrics.Default().Snapshot() {
-			m[kv.Key] = kv.Value
-		}
-		return m
-	}
-	before := snapshot()
+	before := defaultRegistry()
 
 	var e17 []Experiment
 	for _, e := range All() {
@@ -226,8 +226,23 @@ func TestBatchLibrariesLeaveRegistryAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	parallel.ForEachN(4, 16, func(int) {})
+	registryUnmoved(t, before)
+}
 
-	for k, v := range snapshot() {
+// defaultRegistry is the process-wide registry's snapshot by key.
+func defaultRegistry() map[string]float64 {
+	m := make(map[string]float64)
+	for _, kv := range metrics.Default().Snapshot() {
+		m[kv.Key] = kv.Value
+	}
+	return m
+}
+
+// registryUnmoved fails for every key outside solvecache_* that appeared in
+// or moved in the process-wide registry since before.
+func registryUnmoved(t *testing.T, before map[string]float64) {
+	t.Helper()
+	for k, v := range defaultRegistry() {
 		if strings.HasPrefix(k, "solvecache_") {
 			continue
 		}
@@ -235,4 +250,89 @@ func TestBatchLibrariesLeaveRegistryAlone(t *testing.T) {
 			t.Errorf("registry key %s moved: %v (present %v) -> %v", k, was, ok, v)
 		}
 	}
+}
+
+// TestServerLeavesProcessRegistryAlone pins where the serving stack's
+// numbers live: in the server that counted them. A full server life with
+// admission on — sessions, every decide door, each shed reason, brownout,
+// drain, the final artifact — moves no key in the process-wide registry.
+func TestServerLeavesProcessRegistryAlone(t *testing.T) {
+	before := defaultRegistry()
+
+	now := time.Unix(1_700_000_000, 0)
+	srv := serve.NewServer(serve.Config{
+		Shards: 1,
+		Clock:  func() time.Time { return now },
+		Admission: &admission.Config{
+			InitialService: 100 * time.Microsecond,
+			MaxBacklog:     10 * time.Millisecond,
+			Limiter:        admission.LimiterConfig{Initial: 1, Min: 1, Max: 1, QueueDepth: 1},
+		},
+	})
+	do := func(method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec
+	}
+	if rec := do(http.MethodPost, "/v1/sessions", `{"id":"hi","endpoints":["a","b"],"priority":"high"}`); rec.Code != http.StatusCreated {
+		t.Fatalf("create: %d %s", rec.Code, rec.Body)
+	}
+	if _, err := srv.CreateSession(serve.SessionRequest{ID: "lo", Endpoints: []string{"a", "b"}, Priority: "low"}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every door, accepted.
+	var out [1]serve.DecideResponse
+	if err := srv.Decide("hi", 0, 1, &out[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.DecideBatch("hi", []serve.Round{{X: 1, Y: 1}}, out[:]); err != nil {
+		t.Fatal(err)
+	}
+	do(http.MethodPost, "/v1/decide", `{"session":"hi","x":1,"y":0}`)
+	do(http.MethodPost, "/v1/decide/batch", `{"session":"hi","rounds":[{"x":0,"y":0}]}`)
+	do(http.MethodGet, "/v1/sessions/hi", "")
+
+	// Limiter: the one slot held, an in-process decide is refused and a
+	// lapsed HTTP request expires in the queue.
+	lim := srv.Admission().Limiter()
+	if !lim.TryAcquire() {
+		t.Fatal("the limiter's one slot is taken")
+	}
+	srv.Decide("hi", 0, 0, &out[0])
+	do(http.MethodPost, "/v1/decide", fmt.Sprintf(`{"session":"hi","x":0,"y":0,"deadline_unix_ns":%d}`, now.Add(-time.Second).UnixNano()))
+	lim.Release(0, nil)
+
+	// Deadline: a budget under one modeled service quantum.
+	srv.DecideBatchDeadline("hi", now.Add(50*time.Microsecond), []serve.Round{{}}, out[:])
+	// Backlog: a batch costing more than the cap.
+	srv.DecideBatch("hi", make([]serve.Round, 200), make([]serve.DecideResponse, 200))
+	// Brownout, then priority: 8ms of frozen-clock backlog keeps the gate
+	// past its enter line for the sustain count; the low tier sheds there.
+	srv.DecideBatch("hi", make([]serve.Round, 80), make([]serve.DecideResponse, 80))
+	for i := 0; i < 10; i++ {
+		srv.Decide("hi", 0, 0, &out[0])
+		srv.Decide("lo", 0, 0, &out[0])
+	}
+
+	metricsBody := do(http.MethodGet, "/metrics", "").Body.String()
+	for _, line := range []string{"admission_brownout_entered_total 1", "serve_sessions_active 2"} {
+		if !strings.Contains(metricsBody, line+"\n") {
+			t.Errorf("the server's /metrics lacks %q", line)
+		}
+	}
+	for o := admission.ShedDeadline; o <= admission.ShedExpired; o++ {
+		if key := metrics.Key("admission_shed_total", "reason", o.String()) + " "; !strings.Contains(metricsBody, key) || strings.Contains(metricsBody, key+"0\n") {
+			t.Errorf("the life never shed for %s:\n%s", o, metricsBody)
+		}
+	}
+
+	srv.StartDrain()
+	srv.Decide("hi", 0, 0, &out[0])
+	srv.Drain(time.Second)
+	srv.StopSessions()
+	if err := srv.WriteMetricsArtifact(filepath.Join(t.TempDir(), "metrics.json")); err != nil {
+		t.Fatal(err)
+	}
+	registryUnmoved(t, before)
 }

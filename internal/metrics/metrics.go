@@ -3,13 +3,14 @@
 // Snapshot() renders ordered key/value pairs for machine-readable run
 // artifacts (cmd/repro -metrics, qcoordd -metrics-out).
 //
-// Instrumented packages — the serving stack (serve, admission, core's
-// health monitor) and the games solve cache — fetch their instruments once
-// (package init or constructor) and update them with single atomic
-// operations, so the decide path and the solve-cache lookup pay one atomic
-// add per event and zero allocations. The batch libraries keep their counts
-// in the values they return instead. Instrumentation never touches any RNG
-// stream: enabling or reading metrics cannot change simulation results.
+// Instrumented code fetches its instruments once (package init or
+// constructor) and updates them with single atomic operations, so the
+// decide path and the solve-cache lookup pay one atomic add per event and
+// zero allocations. Each serve.Server counts into a registry of its own;
+// the process-wide Default() holds the games solve cache's counters. The
+// batch libraries keep their counts in the values they return instead.
+// Instrumentation never touches any RNG stream: enabling or reading metrics
+// cannot change simulation results.
 package metrics
 
 import (
@@ -122,8 +123,8 @@ func NewRegistry() *Registry {
 	}
 }
 
-// defaultRegistry is the process-wide registry every instrumented package
-// reports into; cmd binaries snapshot it for their -metrics artifacts.
+// defaultRegistry is the process-wide registry; cmd/repro snapshots it for
+// its -metrics artifact.
 var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry.

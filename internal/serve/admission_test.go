@@ -300,6 +300,45 @@ func TestAdmissionDisableSheddingObserveOnly(t *testing.T) {
 	}
 }
 
+// TestGateStateRenderedPerShard: each admission gate's backlog and service
+// estimate is its own /metrics key, so two gates under different load show
+// different numbers instead of whichever wrote last.
+func TestGateStateRenderedPerShard(t *testing.T) {
+	srv := NewServer(Config{Shards: 2, Clock: func() time.Time { return testEpoch }, Admission: testAdmission()})
+	t.Cleanup(srv.StopSessions)
+	// One session on each gate.
+	ids := [2]string{}
+	for i := 0; ids[0] == "" || ids[1] == ""; i++ {
+		id := fmt.Sprintf("t-gate-%d", i)
+		if g := fnv64a(id) & 1; ids[g] == "" {
+			ids[g] = id
+		}
+	}
+	for g, rounds := range []int{50, 1} { // 5ms and 100µs of modeled backlog
+		if _, err := srv.CreateSession(SessionRequest{ID: ids[g], Endpoints: twoEndpoints(), Seed: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.DecideBatch(ids[g], make([]Round, rounds), make([]DecideResponse, rounds)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.Admission().Observe(1, 200*time.Microsecond) // gate 1's estimate: 100µs → 110µs
+
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, line := range []string{
+		"admission_backlog_ns{shard=0} 5e+06",
+		"admission_backlog_ns{shard=1} 100000",
+		"admission_service_estimate_ns{shard=0} 100000",
+		"admission_service_estimate_ns{shard=1} 110000",
+		"admission_accepted_total 2",
+	} {
+		if !strings.Contains(rec.Body.String(), line+"\n") {
+			t.Fatalf("/metrics lacks %q:\n%s", line, rec.Body)
+		}
+	}
+}
+
 // TestAdmissionAcceptPathAllocs extends the zero-allocation gate to the
 // admission-enabled in-process accept path: limiter acquire, gate admit,
 // observe and release must all stay off the heap. The modeled service
@@ -354,8 +393,9 @@ func TestAdmissionAcceptPathAllocs(t *testing.T) {
 // brownout/priority fields added to SessionInfo must not break the
 // zero-copy immutable-endpoints read path under concurrent Decide /
 // DecideBatch / Info traffic with admission flipping brownout on and off.
-// Run under -race this pins the absence of data races; the content checks
-// pin that the shared endpoints slice is never mutated.
+// /metrics reads the gate and limiter state alongside. Run under -race
+// this pins the absence of data races; the content checks pin that the
+// shared endpoints slice is never mutated.
 func TestSessionInfoRaceFree(t *testing.T) {
 	clk := newManualClock(testEpoch)
 	cfg := testAdmission()
@@ -470,6 +510,10 @@ func TestSessionInfoRaceFree(t *testing.T) {
 			}
 			if !reflect.DeepEqual(info.Endpoints, want) {
 				errs <- fmt.Errorf("http endpoints corrupted: %v", info.Endpoints)
+				return
+			}
+			if _, err := c.Metrics(ctx); err != nil {
+				errs <- fmt.Errorf("metrics: %w", err)
 				return
 			}
 		}

@@ -121,10 +121,17 @@ type doorTally struct {
 	Batches, DecideTimer, BatchTimer         int64
 }
 
-func shedTotal() int64 {
+// count reads one key of the server's own registry; a key the server never
+// registered (admission off) reads 0.
+func (srv *Server) count(key string) int64 {
+	v, _ := srv.reg.Get(key)
+	return int64(v)
+}
+
+func (srv *Server) shedTotal() int64 {
 	var n int64
 	for o := admission.ShedDeadline; o <= admission.ShedExpired; o++ {
-		n += metrics.Default().Counter(metrics.Key("admission_shed_total", "reason", o.String())).Value()
+		n += srv.count(metrics.Key("admission_shed_total", "reason", o.String()))
 	}
 	return n
 }
@@ -134,8 +141,8 @@ func (srv *Server) tally() doorTally {
 		Decisions:   srv.mDecisions.Value(),
 		Goodput:     srv.mGoodput.Count(),
 		Late:        srv.mLate.Value(),
-		Accepted:    metrics.Default().Counter("admission_accepted_total").Value(),
-		Shed:        shedTotal(),
+		Accepted:    srv.count("admission_accepted_total"),
+		Shed:        srv.shedTotal(),
 		Batches:     srv.mBatches.Value(),
 		DecideTimer: srv.mDecideTimer.Count(),
 		BatchTimer:  srv.mBatchTimer.Count(),
@@ -317,12 +324,9 @@ func decideWireCases() []wireCase {
 	// released (and must succeed) when the test ends.
 	fillQueue := func(t *testing.T, srv *Server) {
 		holdSlot(t, srv)
-		// The gauge is process-wide and an expired waiter leaves it stale.
-		queued := metrics.Default().Gauge("admission_queued")
-		queued.Set(0)
 		parked := make(chan int, 1)
 		go func() { parked <- post(srv, single, `{"session":"t-wire","x":0,"y":0}`).Code }()
-		for queued.Value() != 1 {
+		for srv.Admission().Limiter().Queued() != 1 {
 			time.Sleep(100 * time.Microsecond)
 		}
 		t.Cleanup(func() {
@@ -463,14 +467,12 @@ func TestInvalidInputsTakeNoAdmission(t *testing.T) {
 			}
 			adm := srv.Admission()
 			est := adm.Estimate(0)
-			accepted := metrics.Default().Counter("admission_accepted_total")
-			before := accepted.Value()
 			for i := 0; i < 50; i++ {
 				if err := send.bad(srv); err == nil {
 					t.Fatal("out-of-alphabet input was not refused")
 				}
 			}
-			if got := accepted.Value() - before; got != 0 {
+			if got := srv.count("admission_accepted_total"); got != 0 {
 				t.Fatalf("%d invalid requests were admitted", got)
 			}
 			if got := adm.Backlog(0, clock()); got != 0 {

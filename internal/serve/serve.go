@@ -16,6 +16,10 @@
 // decisions return a retryable 503 while in-flight decisions complete
 // (Drain bounds the wait), after which the owner flushes a final metrics
 // artifact and exits cleanly.
+//
+// Each Server owns its numbers in a registry of its own, which nothing
+// else in the process shares; the state it holds is read when /metrics
+// asks. A session's health is GET /v1/sessions/{id}'s to report.
 package serve
 
 import (
@@ -23,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -112,7 +117,6 @@ type Server struct {
 	nextID   atomic.Uint64
 
 	mSessions     *metrics.Counter
-	mSessionGauge *metrics.Gauge
 	mDecisions    *metrics.Counter
 	mBatches      *metrics.Counter
 	mDecideErrs   *metrics.Counter
@@ -121,13 +125,18 @@ type Server struct {
 	mBatchTimer   *metrics.Timer
 	mGoodput      *metrics.Timer   // in-deadline decision latency
 	mLate         *metrics.Counter // decisions delivered past their deadline
+	// Admission outcomes as play is handed them (nil with admission off);
+	// mShed is indexed by Outcome.
+	mAccepted *metrics.Counter
+	mShed     [admission.ShedExpired + 1]*metrics.Counter
 }
 
 // MaxShards caps the session store's stripe width. The cap keeps the
 // power-of-two rounding from overflowing and the stripe array bounded.
 const MaxShards = 1 << 16
 
-// NewServer builds a ready-to-mount server.
+// NewServer builds a ready-to-mount server with a metrics registry of its
+// own, which /metrics and WriteMetricsArtifact render.
 func NewServer(cfg Config) *Server {
 	n := min(cfg.Shards, MaxShards)
 	if n <= 0 {
@@ -138,11 +147,7 @@ func NewServer(cfg Config) *Server {
 	for w < n {
 		w <<= 1
 	}
-	// The server, its admission controller and its sessions' monitors share
-	// the process-wide default registry (until the registry becomes one per
-	// server), so /metrics is the one complete view of the serving stack.
-	// The batch libraries keep their counts in the values they return.
-	reg := metrics.Default()
+	reg := metrics.NewRegistry()
 	clock := cfg.Clock
 	if clock == nil {
 		clock = time.Now
@@ -153,7 +158,6 @@ func NewServer(cfg Config) *Server {
 		reg:           reg,
 		clock:         clock,
 		mSessions:     reg.Counter("serve_sessions_created_total"),
-		mSessionGauge: reg.Gauge("serve_sessions_active"),
 		mDecisions:    reg.Counter("serve_decisions_total"),
 		mBatches:      reg.Counter("serve_decide_batches_total"),
 		mDecideErrs:   reg.Counter("serve_decide_errors_total"),
@@ -167,6 +171,10 @@ func NewServer(cfg Config) *Server {
 		// One admission gate per session shard: the gate's virtual queue
 		// models exactly the state the shard's sessions contend on.
 		s.adm = admission.NewController(*cfg.Admission, w)
+		s.mAccepted = reg.Counter("admission_accepted_total")
+		for o := admission.ShedDeadline; o <= admission.ShedExpired; o++ {
+			s.mShed[o] = reg.Counter(metrics.Key("admission_shed_total", "reason", o.String()))
+		}
 	}
 	for i := range s.shards {
 		s.shards[i] = &shard{sessions: make(map[string]*session)}
@@ -294,7 +302,6 @@ func (s *Server) CreateSession(req SessionRequest) (SessionInfo, error) {
 	sh.sessions[id] = sess
 	sh.mu.Unlock()
 	s.mSessions.Inc()
-	s.mSessionGauge.Set(float64(s.SessionCount()))
 	return sess.info(false, s.clock()), nil
 }
 
@@ -323,7 +330,8 @@ func (s *Server) CreateSession(req SessionRequest) (SessionInfo, error) {
 //     handlers' timers.
 //  5. Deadline gate: Admit refuses what cannot finish inside its budget
 //     before it contends on the session's mutex. A batch is one admission
-//     unit costed at len(rounds) service quanta.
+//     unit costed at len(rounds) service quanta. Stages 3 and 5 return
+//     every admission outcome here, and play counts each one, once.
 //  6. Session play: one lock hold, one engine catch-up, len(rounds) draws.
 //  7. Accounting, once per request (accountDeadline): one pass over the
 //     results, then one goodput observation, one late add and the decision
@@ -358,9 +366,11 @@ func (s *Server) play(sess *session, idx int, deadline time.Time, rounds []Round
 		lim = s.adm.Limiter()
 		if blocking {
 			if o := lim.Acquire(s.clock, deadline); o != admission.Accepted {
+				s.mShed[o].Inc()
 				return start, &ShedError{Outcome: o}
 			}
 		} else if !lim.TryAcquire() {
+			s.mShed[admission.ShedLimiter].Inc()
 			return start, errShedLimiter
 		}
 	}
@@ -371,8 +381,10 @@ func (s *Server) play(sess *session, idx int, deadline time.Time, rounds []Round
 		dec := s.adm.Admit(idx, start, deadline, sess.priority, len(rounds))
 		if !dec.OK {
 			lim.Release(0, nil)
+			s.mShed[dec.Outcome].Inc()
 			return start, &ShedError{Outcome: dec.Outcome, RetryAfter: dec.RetryAfter}
 		}
+		s.mAccepted.Inc()
 		queueNS, brownout = dec.QueueNS, dec.Brownout
 		defer func() {
 			elapsed := s.clock().Sub(start)
@@ -570,9 +582,37 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 	writeRaw(w, sc.out)
 }
 
-// handleMetrics renders the registry snapshot as "key value" lines.
+// snapshot is the server's registry plus the state it and its admission
+// controller hold, read now, as key-sorted pairs: what /metrics renders
+// and WriteMetricsArtifact writes.
+func (s *Server) snapshot() []metrics.KV {
+	out := append(s.reg.Snapshot(), metrics.KV{Key: "serve_sessions_active", Value: float64(s.SessionCount())})
+	if s.adm != nil {
+		now := s.clock()
+		var entered, exited int64
+		for i := 0; i < s.adm.Shards(); i++ {
+			shard := strconv.Itoa(i)
+			e, x := s.adm.BrownoutFlips(i)
+			entered, exited = entered+e, exited+x
+			out = append(out,
+				metrics.KV{Key: metrics.Key("admission_backlog_ns", "shard", shard), Value: float64(s.adm.Backlog(i, now))},
+				metrics.KV{Key: metrics.Key("admission_service_estimate_ns", "shard", shard), Value: float64(s.adm.Estimate(i))})
+		}
+		lim := s.adm.Limiter()
+		out = append(out,
+			metrics.KV{Key: "admission_brownout_entered_total", Value: float64(entered)},
+			metrics.KV{Key: "admission_brownout_exited_total", Value: float64(exited)},
+			metrics.KV{Key: "admission_limit", Value: float64(lim.Limit())},
+			metrics.KV{Key: "admission_inflight", Value: float64(lim.Inflight())},
+			metrics.KV{Key: "admission_queued", Value: float64(lim.Queued())})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
+}
+
+// handleMetrics renders the server's snapshot as "key value" lines.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.reg.Snapshot()
+	snap := s.snapshot()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	for _, kv := range snap {
 		fmt.Fprintf(w, "%s %s\n", kv.Key, strconv.FormatFloat(kv.Value, 'g', -1, 64))
@@ -617,14 +657,15 @@ func (s *Server) StopSessions() {
 	}
 }
 
-// WriteMetricsArtifact flushes the registry snapshot to path as a
-// machine-readable artifact — the daemon's final act before exit 0.
+// WriteMetricsArtifact flushes the server's snapshot (what /metrics shows)
+// to path as a machine-readable artifact — the daemon's final act before
+// exit 0.
 func (s *Server) WriteMetricsArtifact(path string) error {
 	a := metrics.NewArtifact("qcoordd")
 	a.Config = map[string]any{
 		"shards":   len(s.shards),
 		"sessions": s.SessionCount(),
 	}
-	a.Metrics = s.reg.Snapshot()
+	a.Metrics = s.snapshot()
 	return a.WriteFile(path)
 }

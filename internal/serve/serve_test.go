@@ -227,8 +227,8 @@ func TestDecideRoundTrip(t *testing.T) {
 	if got.QuantumRounds+got.FallbackRounds != rounds {
 		t.Fatalf("mode split %d+%d != %d", got.QuantumRounds, got.FallbackRounds, rounds)
 	}
-	if got.ServerDecisions < rounds {
-		t.Fatalf("server decisions = %d, want >= %d", got.ServerDecisions, rounds)
+	if got.ServerDecisions != rounds {
+		t.Fatalf("server decisions = %d, want %d", got.ServerDecisions, rounds)
 	}
 	if got.WinRate < 0.5 {
 		t.Fatalf("win rate %v below random play", got.WinRate)
@@ -275,11 +275,57 @@ func TestMetricsEndpoint(t *testing.T) {
 		"serve_sessions_created_total",
 		"serve_decisions_total",
 		"serve_decide_count",
-		"session_degrade_level{session=t-metrics}",
 	} {
 		if !strings.Contains(body, key) {
 			t.Fatalf("metrics missing %q:\n%s", key, body)
 		}
+	}
+	// A session's health is GET /v1/sessions/{id}'s to report.
+	if strings.Contains(body, "session_") {
+		t.Fatalf("metrics carry per-session keys:\n%s", body)
+	}
+}
+
+// TestServersShareNothing: two servers in one process, the same session
+// ID on each. What the first does moves none of the second's numbers.
+func TestServersShareNothing(t *testing.T) {
+	ctx := context.Background()
+	_, a := newTestServer(t, Config{})
+	_, b := newTestServer(t, Config{})
+	if _, err := a.CreateSession(ctx, SessionRequest{ID: "x", Endpoints: twoEndpoints(), Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := a.Decide(ctx, "x", i%2, (i/2)%2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.CreateSession(ctx, SessionRequest{ID: "x", Endpoints: twoEndpoints(), Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	info, err := b.Session(ctx, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.ServerDecisions != 0 || info.Rounds != 0 || info.Transitions != 0 {
+		t.Fatalf("B reports %d server decisions, %d rounds, %d transitions; A made all of them",
+			info.ServerDecisions, info.Rounds, info.Transitions)
+	}
+	body, err := b.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]string{
+		"serve_sessions_created_total": "1",
+		"serve_sessions_active":        "1",
+		"serve_decisions_total":        "0",
+	} {
+		if !strings.Contains("\n"+body, "\n"+key+" "+want+"\n") {
+			t.Fatalf("B's metrics want %s %s:\n%s", key, want, body)
+		}
+	}
+	if strings.Contains(body, "session_") {
+		t.Fatalf("B's metrics carry per-session keys:\n%s", body)
 	}
 }
 

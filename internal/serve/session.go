@@ -347,7 +347,6 @@ func newSession(id string, req SessionRequest, now time.Time) (*session, error) 
 		Health: &core.HealthConfig{
 			Window:         window,
 			BaseVisibility: src.BaseVisibility,
-			MetricsName:    id,
 		},
 	})
 	if err != nil {
@@ -465,10 +464,6 @@ func (s *session) playAt(wall time.Time, rounds []Round, out []DecideResponse, q
 			s.fill(&out[i], r, &d, queueNS)
 		}
 	}
-	// Rounds move the monitor, not its gauges: publish once, before anyone
-	// else can take the lock, so the gauges equal the monitor whenever the
-	// session mutex is free.
-	s.core.Health().Publish()
 	s.mu.Unlock()
 }
 
