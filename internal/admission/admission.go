@@ -22,9 +22,8 @@
 //     releases with hysteresis once the backlog drains.
 //
 // The adaptive concurrency limiter (AIMD on the observed latency gradient)
-// lives in limiter.go and gates handler concurrency ahead of the
-// session-shard locks; the pipeline order is limiter → deadline gate →
-// shard lock.
+// lives in limiter.go and gates handler concurrency ahead of the session
+// locks; the pipeline order is limiter → deadline gate → session lock.
 //
 // Everything here is deterministic given its inputs: the controller holds
 // no clock — callers pass `now` — and consumes no randomness, so the

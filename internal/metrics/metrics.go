@@ -103,6 +103,23 @@ type KV struct {
 	Value float64 `json:"value"`
 }
 
+// AppendTimer appends a timer's four snapshot entries — name_count,
+// name_total_ns, name_mean_ns and name_max_ns — for count observations
+// summing to total, the largest of them longest. Snapshot expands every
+// registry timer through it; a caller that keeps a timer's parts itself
+// renders them with it under the same keys.
+func AppendTimer(out []KV, name string, count int64, total, longest time.Duration) []KV {
+	var mean time.Duration
+	if count > 0 {
+		mean = total / time.Duration(count)
+	}
+	return append(out,
+		KV{Key: name + "_count", Value: float64(count)},
+		KV{Key: name + "_total_ns", Value: float64(total)},
+		KV{Key: name + "_mean_ns", Value: float64(mean)},
+		KV{Key: name + "_max_ns", Value: float64(longest)})
+}
+
 // Registry is a labeled instrument store. Instruments are created on first
 // request and live for the registry's lifetime; request-time is the only
 // synchronized path, so callers should fetch instruments once and reuse
@@ -209,11 +226,7 @@ func (r *Registry) Snapshot() []KV {
 		out = append(out, KV{Key: k, Value: g.Value()})
 	}
 	for k, t := range r.timers {
-		out = append(out,
-			KV{Key: k + "_count", Value: float64(t.Count())},
-			KV{Key: k + "_total_ns", Value: float64(t.Total())},
-			KV{Key: k + "_mean_ns", Value: float64(t.Mean())},
-			KV{Key: k + "_max_ns", Value: float64(t.Max())})
+		out = AppendTimer(out, k, t.Count(), t.Total(), t.Max())
 	}
 	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })

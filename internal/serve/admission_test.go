@@ -562,7 +562,7 @@ func TestAdmissionNilIsPreAdmissionBehavior(t *testing.T) {
 }
 
 // TestSlowClientsDoNotHoldLimiterSlots pins the admission-pipeline
-// ordering contract (DESIGN.md: limiter → deadline gate → shard lock,
+// ordering contract (DESIGN.md: limiter → deadline gate → session lock,
 // with the limiter AFTER the body read): a slow-loris client that sends
 // headers plus a partial body and then stalls occupies only its
 // connection goroutine, never a concurrency slot. With a hard limit of 2

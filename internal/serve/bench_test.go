@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -16,6 +19,7 @@ import (
 //	BenchmarkDecideInProcess   — session lock + strategy draw only (the
 //	                             zero-allocation floor; run with -benchmem
 //	                             to watch the 0 allocs/op gate)
+//	BenchmarkDecideInProcessParallel — the same, one session per goroutine
 //	BenchmarkDecideHTTP        — one round per HTTP exchange (the pre-batch
 //	                             serving path)
 //	BenchmarkDecideBatchHTTP64 — 64 rounds per HTTP exchange; decisions/sec
@@ -23,11 +27,27 @@ import (
 //
 // BenchmarkDecodeSingle and BenchmarkDecodeBatch64 isolate the request
 // decode underneath the handler numbers: the fast path against json.Unmarshal
-// on the same bytes.
+// on the same bytes. BenchmarkCreateSession times registration as the store
+// fills.
 //
 // Each reports decisions/sec via b.ReportMetric so benchstat can trend the
 // throughput claim directly. Baselines live in
 // .github/bench-serve-baseline.txt (informational trend check in CI).
+
+// BenchmarkCreateSession registers b.N sessions on one server, so ns/op is
+// the mean create cost while the store fills to b.N: a create whose cost
+// grows with the store shows as ns/op growing with -benchtime (compare
+// 1000x with 100000x; each session holds ~2.5 KB).
+func BenchmarkCreateSession(b *testing.B) {
+	srv := NewServer(Config{})
+	b.Cleanup(srv.StopSessions)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := srv.CreateSession(SessionRequest{ID: fmt.Sprintf("bench-%d", i), Endpoints: []string{"lb-a", "lb-b"}, Seed: uint64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // benchServer builds a server with a real clock and one warm session.
 func benchServer(b testing.TB) *Server {
@@ -56,6 +76,43 @@ func BenchmarkDecideInProcess(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "decisions/s")
+}
+
+// BenchmarkDecideInProcessParallel is BenchmarkDecideInProcess with one
+// session per goroutine: the sessions share nothing but the server, so
+// ns/op across -cpu settings shows what a decide still contends on.
+func BenchmarkDecideInProcessParallel(b *testing.B) {
+	srv := NewServer(Config{})
+	b.Cleanup(srv.StopSessions)
+	// RunParallel starts GOMAXPROCS goroutines; each takes the next ID.
+	ids := make([]string, runtime.GOMAXPROCS(0))
+	for g := range ids {
+		ids[g] = fmt.Sprintf("bench-%d", g)
+		if _, err := srv.CreateSession(SessionRequest{ID: ids[g], Endpoints: []string{"lb-a", "lb-b"}, Seed: 42}); err != nil {
+			b.Fatal(err)
+		}
+		var out DecideResponse
+		for i := 0; i < 256; i++ {
+			if err := srv.Decide(ids[g], i%2, (i/2)%2, &out); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		id := ids[next.Add(1)-1]
+		var out DecideResponse
+		for i := 0; pb.Next(); i++ {
+			if err := srv.Decide(id, i%2, (i/2)%2, &out); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "decisions/s")
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -121,31 +122,45 @@ type doorTally struct {
 	Batches, DecideTimer, BatchTimer         int64
 }
 
-// count reads one key of the server's own registry; a key the server never
-// registered (admission off) reads 0.
-func (srv *Server) count(key string) int64 {
-	v, _ := srv.reg.Get(key)
-	return int64(v)
+// scrape reads the server's GET /metrics into a map.
+func scrape(srv *Server) map[string]float64 {
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	m := make(map[string]float64)
+	for _, line := range strings.Split(strings.TrimSpace(rec.Body.String()), "\n") {
+		key, val, _ := strings.Cut(line, " ")
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			panic(fmt.Sprintf("metrics line %q: %v", line, err))
+		}
+		m[key] = v
+	}
+	return m
 }
 
-func (srv *Server) shedTotal() int64 {
+// count reads one key of the server's /metrics; a key it does not render
+// (admission off) reads 0.
+func (srv *Server) count(key string) int64 { return int64(scrape(srv)[key]) }
+
+func shedTotal(m map[string]float64) int64 {
 	var n int64
 	for o := admission.ShedDeadline; o <= admission.ShedExpired; o++ {
-		n += srv.count(metrics.Key("admission_shed_total", "reason", o.String()))
+		n += int64(m[metrics.Key("admission_shed_total", "reason", o.String())])
 	}
 	return n
 }
 
 func (srv *Server) tally() doorTally {
+	m := scrape(srv)
 	return doorTally{
-		Decisions:   srv.mDecisions.Value(),
-		Goodput:     srv.mGoodput.Count(),
-		Late:        srv.mLate.Value(),
-		Accepted:    srv.count("admission_accepted_total"),
-		Shed:        srv.shedTotal(),
-		Batches:     srv.mBatches.Value(),
-		DecideTimer: srv.mDecideTimer.Count(),
-		BatchTimer:  srv.mBatchTimer.Count(),
+		Decisions:   int64(m["serve_decisions_total"]),
+		Goodput:     int64(m["serve_goodput_count"]),
+		Late:        int64(m["serve_late_total"]),
+		Accepted:    int64(m["admission_accepted_total"]),
+		Shed:        shedTotal(m),
+		Batches:     int64(m["serve_decide_batches_total"]),
+		DecideTimer: int64(m["serve_decide_count"]),
+		BatchTimer:  int64(m["serve_decide_batch_count"]),
 	}
 }
 
@@ -506,14 +521,14 @@ func TestClientZeroDeadlineIsUnstamped(t *testing.T) {
 		if _, err := c.CreateSession(ctx, SessionRequest{ID: "t-zero", Endpoints: twoEndpoints(), Seed: 1}); err != nil {
 			t.Fatal(err)
 		}
-		late := srv.mLate.Value()
+		late := srv.count("serve_late_total")
 		if _, err := c.DecideBatchDeadline(ctx, "t-zero", time.Time{}, rounds); err != nil {
 			t.Fatalf("admission=%v: zero deadline: %v", adm != nil, err)
 		}
 		if _, err := c.DecideBatch(ctx, "t-zero", rounds); err != nil {
 			t.Fatalf("admission=%v: DecideBatch: %v", adm != nil, err)
 		}
-		if got := srv.mLate.Value() - late; got != 0 {
+		if got := srv.count("serve_late_total") - late; got != 0 {
 			t.Fatalf("admission=%v: %d unstamped decisions counted late", adm != nil, got)
 		}
 		// A real deadline still travels.

@@ -6,11 +6,19 @@
 // supply fault steps that session down the degradation ladder without
 // touching its neighbors. Decisions (POST /v1/decide) answer in a single
 // session-local lock hold: no cross-endpoint communication, which is the
-// point (Figure 2).
+// point (Figure 2). With admission off, that hold is the only lock an
+// in-process decision takes and the server's in-flight count the only
+// server-wide value it writes; the HTTP handlers also time each request
+// into the server's registry, and admission adds its limiter's lock and
+// its shard gate's.
 //
-// Session state is sharded: FNV-64a(session ID) picks one of N
-// mutex-striped shards, so registration and lookup never take a global
-// lock, and each session's own mutex serializes only its rounds.
+// Session state is sharded: FNV-64a(session ID) picks one of N shards, each
+// an insert-only hash table. Lookup probes a shard's table with atomic
+// loads and takes no lock; registration places a session under the shard's
+// writer mutex, doubling a table about to pass half full. Each session's
+// own mutex serializes only its rounds, and what its rounds did to the
+// server's counters is kept on the session, written under that same hold
+// and summed without it when /metrics asks.
 //
 // Shutdown is cooperative: StartDrain stops new sessions and makes further
 // decisions return a retryable 503 while in-flight decisions complete
@@ -26,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"sort"
 	"strconv"
@@ -95,12 +104,83 @@ func (e *ShedError) Error() string {
 // pooled buffers).
 const maxBodyBytes = 1 << 20
 
-// shard is one stripe of the session store: a mutex guarding an ID→session
-// map. The shard lock covers only map access; round-playing work happens
-// under the individual session's lock.
+// shard is one stripe of the session store: an insert-only open-addressing
+// table of its sessions keyed by ID. Readers probe the table through slots
+// and take no lock. mu serializes the writers — CreateSession places a
+// session, and a table about to pass half full is replaced by one twice its
+// size — and StopSessions reads the table under it, so a create either lands
+// before that read or sees the drain.
 type shard struct {
-	mu       sync.Mutex
-	sessions map[string]*session
+	mu    sync.Mutex
+	slots atomic.Pointer[table]
+	n     int    // sessions placed; guarded by mu
+	key   uint64 // keys the slot hash (see slotOf); random per shard
+}
+
+// table is a shard's slot array, its length a power of two. A slot, once
+// filled, is never written again, so a reader holding a table that has been
+// replaced still finds every session that table had.
+type table []atomic.Pointer[session]
+
+// slotOf maps an ID's shard hash h onto its home slot's hash: the shard's
+// random key, then a 64-bit finalizer (MurmurHash3's fmix64). The shard
+// index stays plain FNV, so which sessions share an admission gate is
+// reproducible; the slots are not, so a client choosing session IDs cannot
+// line them up on one probe chain.
+func (sh *shard) slotOf(h uint64) uint64 {
+	h ^= sh.key
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
+}
+
+// get returns the session with ID id, whose hash is h, from sh (nil when
+// absent). The probe runs from the ID's home slot to the first empty one,
+// which a table at most half full always has.
+func get[S string | []byte](sh *shard, id S, h uint64) *session {
+	t := *sh.slots.Load()
+	mask := uint64(len(t) - 1)
+	for i := sh.slotOf(h); ; i++ {
+		if sess := t[i&mask].Load(); sess == nil || sess.id == string(id) {
+			return sess
+		}
+	}
+}
+
+// put places sess, whose ID hashes to h and is not in sh yet; the caller
+// holds sh.mu. Doubling the table when it would pass half full makes n puts
+// move O(n) sessions in all.
+func (sh *shard) put(sess *session, h uint64) {
+	t := *sh.slots.Load()
+	if 2*(sh.n+1) > len(t) {
+		next := make(table, 2*len(t))
+		t.each(func(old *session) { next.place(old, sh.slotOf(fnv64a(old.id))) })
+		sh.slots.Store(&next)
+		t = next
+	}
+	t.place(sess, sh.slotOf(h))
+	sh.n++
+}
+
+// place stores sess in the first empty slot from its home slot on.
+func (t table) place(sess *session, home uint64) {
+	mask := uint64(len(t) - 1)
+	i := home
+	for t[i&mask].Load() != nil {
+		i++
+	}
+	t[i&mask].Store(sess)
+}
+
+// each calls f on every session in t.
+func (t table) each(f func(*session)) {
+	for i := range t {
+		if sess := t[i].Load(); sess != nil {
+			f(sess)
+		}
+	}
 }
 
 // Server implements the qcoordd HTTP API. Create one with NewServer and
@@ -116,19 +196,17 @@ type Server struct {
 	inflight atomic.Int64 // decisions currently executing
 	nextID   atomic.Uint64
 
+	// Sessions created, requests that never reach a session, and the HTTP
+	// handlers' timers. What a request that does reach one did is in that
+	// session's tally (see snapshot).
 	mSessions     *metrics.Counter
-	mDecisions    *metrics.Counter
-	mBatches      *metrics.Counter
 	mDecideErrs   *metrics.Counter
 	mDrainRejects *metrics.Counter
 	mDecideTimer  *metrics.Timer
 	mBatchTimer   *metrics.Timer
-	mGoodput      *metrics.Timer   // in-deadline decision latency
-	mLate         *metrics.Counter // decisions delivered past their deadline
-	// Admission outcomes as play is handed them (nil with admission off);
-	// mShed is indexed by Outcome.
-	mAccepted *metrics.Counter
-	mShed     [admission.ShedExpired + 1]*metrics.Counter
+	// Admission sheds as play is handed them (nil with admission off),
+	// indexed by Outcome.
+	mShed [admission.ShedExpired + 1]*metrics.Counter
 }
 
 // MaxShards caps the session store's stripe width. The cap keeps the
@@ -158,26 +236,23 @@ func NewServer(cfg Config) *Server {
 		reg:           reg,
 		clock:         clock,
 		mSessions:     reg.Counter("serve_sessions_created_total"),
-		mDecisions:    reg.Counter("serve_decisions_total"),
-		mBatches:      reg.Counter("serve_decide_batches_total"),
 		mDecideErrs:   reg.Counter("serve_decide_errors_total"),
 		mDrainRejects: reg.Counter("serve_drain_rejected_total"),
 		mDecideTimer:  reg.Timer("serve_decide"),
 		mBatchTimer:   reg.Timer("serve_decide_batch"),
-		mGoodput:      reg.Timer("serve_goodput"),
-		mLate:         reg.Counter("serve_late_total"),
 	}
 	if cfg.Admission != nil {
 		// One admission gate per session shard: the gate's virtual queue
 		// models exactly the state the shard's sessions contend on.
 		s.adm = admission.NewController(*cfg.Admission, w)
-		s.mAccepted = reg.Counter("admission_accepted_total")
 		for o := admission.ShedDeadline; o <= admission.ShedExpired; o++ {
 			s.mShed[o] = reg.Counter(metrics.Key("admission_shed_total", "reason", o.String()))
 		}
 	}
 	for i := range s.shards {
-		s.shards[i] = &shard{sessions: make(map[string]*session)}
+		s.shards[i] = &shard{key: rand.Uint64()}
+		t := make(table, 2)
+		s.shards[i].slots.Store(&t)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sessions", s.handleCreateSession)
@@ -211,15 +286,13 @@ func fnv64a[S string | []byte](s S) uint64 {
 func (s *Server) Admission() *admission.Controller { return s.adm }
 
 // find resolves a session ID — a string, or the request decoder's byte view
-// of one, which the map lookup does not copy — in one hash pass (nil when
-// unknown), also returning the index of its shard, which is its admission
-// gate's index.
+// of one, which the map lookup does not copy — in one hash pass and no lock
+// (nil when unknown), also returning the index of its shard, which is its
+// admission gate's index.
 func find[S string | []byte](s *Server, id S) (*session, int) {
-	idx := int(fnv64a(id) & s.mask)
-	sh := s.shards[idx]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.sessions[string(id)], idx
+	h := fnv64a(id)
+	idx := int(h & s.mask)
+	return get(s.shards[idx], id, h), idx
 }
 
 // lookup is find for an ID held as a string.
@@ -229,9 +302,7 @@ func (s *Server) lookup(id string) (*session, int) { return find(s, id) }
 func (s *Server) SessionCount() int {
 	n := 0
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += len(sh.sessions)
-		sh.mu.Unlock()
+		sh.slots.Load().each(func(*session) { n++ })
 	}
 	return n
 }
@@ -292,35 +363,51 @@ func (s *Server) CreateSession(req SessionRequest) (SessionInfo, error) {
 	if err != nil {
 		return SessionInfo{}, err
 	}
-	sh := s.shards[fnv64a(id)&s.mask]
+	h := fnv64a(id)
+	sh := s.shards[h&s.mask]
 	sh.mu.Lock()
-	if _, exists := sh.sessions[id]; exists {
-		sh.mu.Unlock()
+	// Drain is checked again under the writer lock StopSessions reads the
+	// shard under: a drain that began while the session was being built
+	// refuses it here instead of leaving its source running.
+	draining := s.draining.Load()
+	exists := get(sh, id, h) != nil
+	if !draining && !exists {
+		sh.put(sess, h)
+	}
+	sh.mu.Unlock()
+	switch {
+	case draining:
+		sess.stop()
+		s.mDrainRejects.Inc()
+		return SessionInfo{}, ErrDraining
+	case exists:
 		sess.stop()
 		return SessionInfo{}, fmt.Errorf("session %q %w", id, ErrSessionExists)
 	}
-	sh.sessions[id] = sess
-	sh.mu.Unlock()
 	s.mSessions.Inc()
 	return sess.info(false, s.clock()), nil
 }
 
 // play is the decide pipeline. Every entry point — in-process or HTTP,
 // single or batched — is a thin wrapper over it, and a single decision is a
-// batch of one. The stages, in order, and why each sits where it does:
+// batch of one; batch says whether the entry point counts as a batch. The
+// stages, in order, and why each sits where it does:
 //
 //  1. Inflight gate, then drain check. Drain waits on the in-flight count,
 //     so a request past the gate completes even if StartDrain lands right
 //     after, and a draining server refuses even what admission would
 //     accept. The HTTP handlers decode before calling play: "in flight"
 //     means "past the gate, doing session work", and a slow body read or
-//     response write holds neither Drain nor a limiter slot.
+//     response write holds neither Drain nor a limiter slot. play itself
+//     is only the gate; playInflight runs the rest, so that each has one
+//     deferred call and few enough returns for the compiler to open-code
+//     it.
 //  2. Input validation against sess, which the caller looked up in shard
 //     idx (nil when unknown): the in-process entry points just before play,
-//     the HTTP decoders while decoding, so every decide takes the shard lock
-//     once. Both read only immutable state, so a malformed request is
-//     refused before it can take a limiter slot or charge the shard's
-//     modeled backlog.
+//     the HTTP decoders while decoding, so every decide resolves its
+//     session once, with no lock. Both read only immutable state, so a
+//     malformed request is refused before it can take a limiter slot or
+//     charge the shard's modeled backlog.
 //  3. Concurrency limiter, bounding concurrency before any admission math.
 //     The one stage that differs by caller: blocking (HTTP) queues FIFO in
 //     Acquire, bounded by the deadline; non-blocking (in-process) takes
@@ -331,25 +418,34 @@ func (s *Server) CreateSession(req SessionRequest) (SessionInfo, error) {
 //  5. Deadline gate: Admit refuses what cannot finish inside its budget
 //     before it contends on the session's mutex. A batch is one admission
 //     unit costed at len(rounds) service quanta. Stages 3 and 5 return
-//     every admission outcome here, and play counts each one, once.
+//     every admission outcome here, and play counts each shed, once.
 //  6. Session play: one lock hold, one engine catch-up, len(rounds) draws.
-//  7. Accounting, once per request (accountDeadline): one pass over the
-//     results, then one goodput observation, one late add and the decision
-//     counter — a batch of 256 costs the shared counters what a single
-//     decide does. Then (deferred) the service-time sample for the gate's
-//     EWMA and the limiter release.
+//  7. Accounting, once per request, inside the stage-6 hold: the session's
+//     tally sorts the results into goodput and late in one pass and counts
+//     the request beside them (see (*tally).account). No server-wide
+//     counter is written — /metrics sums the tallies — so a decide, single
+//     or batched, shares no cache line with other sessions' decides but
+//     the in-flight count (and, with admission on, the limiter and its
+//     shard's gate). Then (deferred) the service-time sample for the
+//     gate's EWMA and the limiter release.
 //
 // Results land in out[:len(rounds)] in request order; on error nothing was
 // played.
-func (s *Server) play(sess *session, idx int, deadline time.Time, rounds []Round, out []DecideResponse, blocking bool) (start time.Time, err error) {
+func (s *Server) play(sess *session, idx int, deadline time.Time, rounds []Round, out []DecideResponse, blocking, batch bool) (time.Time, error) {
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
+	return s.playInflight(sess, idx, deadline, rounds, out, blocking, batch)
+}
+
+// playInflight is play past its inflight gate: stages 1 (the drain check)
+// to 7.
+func (s *Server) playInflight(sess *session, idx int, deadline time.Time, rounds []Round, out []DecideResponse, blocking, batch bool) (start time.Time, err error) {
 	if len(rounds) == 0 {
 		return start, errEmptyBatch
 	}
 	if len(out) < len(rounds) {
 		return start, fmt.Errorf("out holds %d responses for %d rounds", len(out), len(rounds))
 	}
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
 	if s.draining.Load() {
 		s.mDrainRejects.Inc()
 		return start, ErrDraining
@@ -384,7 +480,6 @@ func (s *Server) play(sess *session, idx int, deadline time.Time, rounds []Round
 			s.mShed[dec.Outcome].Inc()
 			return start, &ShedError{Outcome: dec.Outcome, RetryAfter: dec.RetryAfter}
 		}
-		s.mAccepted.Inc()
 		queueNS, brownout = dec.QueueNS, dec.Brownout
 		defer func() {
 			elapsed := s.clock().Sub(start)
@@ -392,41 +487,13 @@ func (s *Server) play(sess *session, idx int, deadline time.Time, rounds []Round
 			lim.Release(elapsed, s.clock)
 		}()
 	}
-	sess.playAt(start, rounds, out, queueNS, brownout)
-	s.accountDeadline(start, deadline, out[:len(rounds)])
-	s.mDecisions.Add(int64(len(rounds)))
+	sess.playAt(start, deadline, rounds, out, queueNS, brownout, batch)
 	return start, nil
 }
 
 // errShedLimiter is the preallocated limiter rejection so the in-process
 // fast path sheds without allocating.
 var errShedLimiter = &ShedError{Outcome: admission.ShedLimiter}
-
-// accountDeadline classifies one request's delivered decisions against its
-// deadline and publishes them in one step: the in-deadline ones as a single
-// batched goodput observation, the rest as one add to the late counter. A
-// decision's modeled latency is queue wait + decision latency + supply wait
-// — the same sum the loadtest harness records — and it is late when that
-// overruns what was left of the deadline at start. Unstamped requests are
-// goodput by definition.
-func (s *Server) accountDeadline(start, deadline time.Time, out []DecideResponse) {
-	stamped, budget := !deadline.IsZero(), int64(deadline.Sub(start))
-	var good, late, sum, longest int64
-	for i := range out {
-		total := out[i].QueueNS + out[i].LatencyNS + out[i].WaitedNS
-		if stamped && total > budget {
-			late++
-			continue
-		}
-		good++
-		sum += total
-		longest = max(longest, total)
-	}
-	s.mGoodput.ObserveN(time.Duration(sum), good, time.Duration(longest))
-	if late > 0 {
-		s.mLate.Add(late)
-	}
-}
 
 // Decide plays one coordination round in-process, bypassing HTTP and JSON
 // entirely — the zero-allocation fast path the paper's microsecond claim
@@ -436,7 +503,7 @@ func (s *Server) Decide(session string, x, y int, out *DecideResponse) error {
 	rounds := [1]Round{{X: x, Y: y}}
 	var res [1]DecideResponse
 	sess, idx := s.lookup(session)
-	if _, err := s.play(sess, idx, time.Time{}, rounds[:], res[:], false); err != nil {
+	if _, err := s.play(sess, idx, time.Time{}, rounds[:], res[:], false, false); err != nil {
 		return singleRound(err)
 	}
 	*out = res[0]
@@ -458,11 +525,8 @@ func (s *Server) DecideBatch(session string, rounds []Round, out []DecideRespons
 // allocation-free on accept.
 func (s *Server) DecideBatchDeadline(session string, deadline time.Time, rounds []Round, out []DecideResponse) error {
 	sess, idx := s.lookup(session)
-	if _, err := s.play(sess, idx, deadline, rounds, out, false); err != nil {
-		return err
-	}
-	s.mBatches.Inc()
-	return nil
+	_, err := s.play(sess, idx, deadline, rounds, out, false, true)
+	return err
 }
 
 // Info reports a session's health in-process (the load-test harness's
@@ -501,10 +565,6 @@ func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no session %q", id)
 		return
 	}
-	// Health responses carry the server-wide decide latency so a polling
-	// client sees serving load next to session health.
-	info.DecideMeanNS = float64(s.mDecideTimer.Mean())
-	info.ServerDecisions = s.mDecisions.Value()
 	writeJSON(w, http.StatusOK, info)
 }
 
@@ -545,7 +605,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	}
 	rounds := [1]Round{{X: sc.req.X, Y: sc.req.Y}}
 	var res [1]DecideResponse
-	start, err := s.play(sc.sess, sc.idx, deadlineOf(sc.req.DeadlineUnixNS), rounds[:], res[:], true)
+	start, err := s.play(sc.sess, sc.idx, deadlineOf(sc.req.DeadlineUnixNS), rounds[:], res[:], true, false)
 	if err != nil {
 		writePlayError(w, sc.req.Session, singleRound(err))
 		return
@@ -566,7 +626,7 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results := sc.results(len(sc.breq.Rounds))
-	start, err := s.play(sc.sess, sc.idx, deadlineOf(sc.breq.DeadlineUnixNS), sc.breq.Rounds, results, true)
+	start, err := s.play(sc.sess, sc.idx, deadlineOf(sc.breq.DeadlineUnixNS), sc.breq.Rounds, results, true, true)
 	if err != nil {
 		writePlayError(w, sc.breq.Session, err)
 		return
@@ -577,16 +637,30 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 	// share of count and total but no per-decision max (serve_batch has the
 	// batch's own).
 	s.mDecideTimer.ObserveN(elapsed, int64(len(results)), 0)
-	s.mBatches.Inc()
 	sc.out = appendBatchJSON(sc.out[:0], sc.breq.Session, results)
 	writeRaw(w, sc.out)
 }
 
-// snapshot is the server's registry plus the state it and its admission
-// controller hold, read now, as key-sorted pairs: what /metrics renders
-// and WriteMetricsArtifact writes.
+// snapshot is the server's registry plus the state it, its sessions and its
+// admission controller hold, read now, as key-sorted pairs: what /metrics
+// renders and WriteMetricsArtifact writes. The decide counters are the
+// sessions' tallies summed; reading them takes no session lock, so a
+// scrape neither waits behind nor delays a decide.
 func (s *Server) snapshot() []metrics.KV {
-	out := append(s.reg.Snapshot(), metrics.KV{Key: "serve_sessions_active", Value: float64(s.SessionCount())})
+	var sum [tallyFields]int64
+	sessions := 0
+	for _, sh := range s.shards {
+		sh.slots.Load().each(func(sess *session) {
+			sess.tally.addTo(&sum)
+			sessions++
+		})
+	}
+	out := append(s.reg.Snapshot(),
+		metrics.KV{Key: "serve_sessions_active", Value: float64(sessions)},
+		metrics.KV{Key: "serve_decisions_total", Value: float64(sum[tGoodput] + sum[tLate])},
+		metrics.KV{Key: "serve_decide_batches_total", Value: float64(sum[tBatches])},
+		metrics.KV{Key: "serve_late_total", Value: float64(sum[tLate])})
+	out = metrics.AppendTimer(out, "serve_goodput", sum[tGoodput], time.Duration(sum[tGoodputNS]), time.Duration(sum[tGoodputMaxNS]))
 	if s.adm != nil {
 		now := s.clock()
 		var entered, exited int64
@@ -600,6 +674,8 @@ func (s *Server) snapshot() []metrics.KV {
 		}
 		lim := s.adm.Limiter()
 		out = append(out,
+			// Only an accepted request reaches its session.
+			metrics.KV{Key: "admission_accepted_total", Value: float64(sum[tSingles] + sum[tBatches])},
 			metrics.KV{Key: "admission_brownout_entered_total", Value: float64(entered)},
 			metrics.KV{Key: "admission_brownout_exited_total", Value: float64(exited)},
 			metrics.KV{Key: "admission_limit", Value: float64(lim.Limit())},
@@ -645,15 +721,13 @@ func (s *Server) Drain(deadline time.Duration) int64 {
 // no session engine owes catch-up work past shutdown).
 func (s *Server) StopSessions() {
 	for _, sh := range s.shards {
+		// Under the writer lock, so a CreateSession racing the drain
+		// either inserted before this read or sees the drain (see
+		// CreateSession).
 		sh.mu.Lock()
-		sessions := make([]*session, 0, len(sh.sessions))
-		for _, sess := range sh.sessions {
-			sessions = append(sessions, sess)
-		}
+		t := sh.slots.Load()
 		sh.mu.Unlock()
-		for _, sess := range sessions {
-			sess.stop()
-		}
+		t.each((*session).stop)
 	}
 }
 

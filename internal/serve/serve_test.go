@@ -8,8 +8,10 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -227,8 +229,12 @@ func TestDecideRoundTrip(t *testing.T) {
 	if got.QuantumRounds+got.FallbackRounds != rounds {
 		t.Fatalf("mode split %d+%d != %d", got.QuantumRounds, got.FallbackRounds, rounds)
 	}
-	if got.ServerDecisions != rounds {
-		t.Fatalf("server decisions = %d, want %d", got.ServerDecisions, rounds)
+	body, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("\nserve_decisions_total %d\n", rounds); !strings.Contains("\n"+body, want) {
+		t.Fatalf("metrics want %q:\n%s", strings.TrimSpace(want), body)
 	}
 	if got.WinRate < 0.5 {
 		t.Fatalf("win rate %v below random play", got.WinRate)
@@ -307,9 +313,8 @@ func TestServersShareNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.ServerDecisions != 0 || info.Rounds != 0 || info.Transitions != 0 {
-		t.Fatalf("B reports %d server decisions, %d rounds, %d transitions; A made all of them",
-			info.ServerDecisions, info.Rounds, info.Transitions)
+	if info.Rounds != 0 || info.Transitions != 0 {
+		t.Fatalf("B reports %d rounds, %d transitions; A made all of them", info.Rounds, info.Transitions)
 	}
 	body, err := b.Metrics(ctx)
 	if err != nil {
@@ -326,6 +331,12 @@ func TestServersShareNothing(t *testing.T) {
 	}
 	if strings.Contains(body, "session_") {
 		t.Fatalf("B's metrics carry per-session keys:\n%s", body)
+	}
+	if body, err = a.Metrics(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains("\n"+body, "\nserve_decisions_total 10\n") {
+		t.Fatalf("A's metrics want serve_decisions_total 10:\n%s", body)
 	}
 }
 
@@ -553,6 +564,63 @@ func TestDrainRejectsNewWorkAndCompletesInflight(t *testing.T) {
 	}
 }
 
+// TestCreateRacingDrainIsStoppedOrRefused: sessions created while the
+// server drains either land before StopSessions reads their shard, and are
+// stopped with the rest, or are refused with ErrDraining — never registered
+// after StopSessions has passed their shard with their source running.
+func TestCreateRacingDrainIsStoppedOrRefused(t *testing.T) {
+	const trials, creators = 60, 4
+	for trial := 0; trial < trials; trial++ {
+		srv := NewServer(Config{Shards: 4, Clock: func() time.Time { return testEpoch }})
+		var created atomic.Int64
+		var wg sync.WaitGroup
+		for c := 0; c < creators; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					_, err := srv.CreateSession(SessionRequest{Endpoints: twoEndpoints()})
+					if errors.Is(err, ErrDraining) {
+						return
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					created.Add(1)
+				}
+			}()
+		}
+		// Vary where the drain lands in the creators' loops: after 0 to 20
+		// creates (the bound only matters if a creator failed).
+		for start := time.Now(); created.Load() < int64(trial%6*4) && time.Since(start) < time.Second; {
+			runtime.Gosched()
+		}
+		srv.StartDrain()
+		srv.StopSessions()
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		if n := int64(srv.SessionCount()); n != created.Load() {
+			t.Fatalf("trial %d: %d sessions registered, %d creates succeeded", trial, n, created.Load())
+		}
+		// A stopped source generates nothing however far its engine runs.
+		for _, sh := range srv.shards {
+			sh.slots.Load().each(func(sess *session) {
+				sess.mu.Lock()
+				before := sess.svc.Stats().Generated
+				sess.engine.RunUntil(sess.engine.Now() + time.Millisecond)
+				after := sess.svc.Stats().Generated
+				sess.mu.Unlock()
+				if after != before {
+					t.Fatalf("trial %d: session %s generated %d pairs after StopSessions", trial, sess.id, after-before)
+				}
+			})
+		}
+	}
+}
+
 func TestConcurrentSessionsAndDecides(t *testing.T) {
 	srv, c := newTestServer(t, Config{Shards: 8})
 	ctx := context.Background()
@@ -628,5 +696,93 @@ func TestShardDistribution(t *testing.T) {
 	srv2 := NewServer(Config{Shards: 5})
 	if len(srv2.shards) != 8 {
 		t.Fatalf("rounded shard count = %d, want 8", len(srv2.shards))
+	}
+}
+
+// TestShardTableFindsEverySession: one shard's table grows from two slots
+// past a thousand sessions while a reader keeps finding the sessions already
+// created, by string and by the decoder's byte view, and never finds one
+// that is not there.
+func TestShardTableFindsEverySession(t *testing.T) {
+	srv := NewServer(Config{Shards: 1, Clock: func() time.Time { return testEpoch }})
+	defer srv.StopSessions()
+	const n = 1200
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("t-table-%d", i)
+	}
+	var created atomic.Int64
+	defer created.Store(n) // a failed create still ends the reader
+	found := make(chan error, 1)
+	go func() {
+		for k := 0; created.Load() < n; k++ {
+			have := int(created.Load())
+			if have == 0 {
+				runtime.Gosched()
+				continue
+			}
+			id := ids[k%have]
+			byString, _ := srv.lookup(id)
+			byView, _ := find(srv, []byte(id))
+			absent, _ := srv.lookup(id + "-absent")
+			if byString == nil || byString.id != id || byView != byString || absent != nil {
+				found <- fmt.Errorf("after %d creates, %s: by string %v, by view %v, absent %v", have, id, byString, byView, absent)
+				return
+			}
+		}
+		found <- nil
+	}()
+	for i, id := range ids {
+		if _, err := srv.CreateSession(SessionRequest{ID: id, Endpoints: twoEndpoints()}); err != nil {
+			t.Fatal(err)
+		}
+		created.Store(int64(i + 1))
+	}
+	if err := <-found; err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.SessionCount(); got != n {
+		t.Fatalf("SessionCount = %d, want %d", got, n)
+	}
+	for _, id := range ids {
+		if sess, _ := srv.lookup(id); sess == nil || sess.id != id {
+			t.Fatalf("%s not found after every create", id)
+		}
+	}
+	if _, err := srv.CreateSession(SessionRequest{ID: ids[n/2], Endpoints: twoEndpoints()}); !errors.Is(err, ErrSessionExists) {
+		t.Fatalf("duplicate create: %v, want ErrSessionExists", err)
+	}
+	if slots := len(*srv.shards[0].slots.Load()); slots < 2*n {
+		t.Fatalf("%d sessions in %d slots: the table is past half full", n, slots)
+	}
+}
+
+// TestScrapeDoesNotWaitOnSessionLock: /metrics reads the tallies without
+// taking session locks, so a session held mid-decide — or left locked by a
+// bug — neither delays a scrape nor hides its own count or its neighbors'.
+func TestScrapeDoesNotWaitOnSessionLock(t *testing.T) {
+	srv := NewServer(Config{Clock: func() time.Time { return testEpoch }})
+	defer srv.StopSessions()
+	var out DecideResponse
+	for _, id := range []string{"t-held", "t-free"} {
+		if _, err := srv.CreateSession(SessionRequest{ID: id, Endpoints: twoEndpoints()}); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Decide(id, 0, 1, &out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held, _ := srv.lookup("t-held")
+	held.mu.Lock()
+	defer held.mu.Unlock()
+	scraped := make(chan map[string]float64, 1)
+	go func() { scraped <- scrape(srv) }()
+	select {
+	case m := <-scraped:
+		if got := m["serve_decisions_total"]; got != 2 {
+			t.Fatalf("serve_decisions_total = %v with one session held, want 2", got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("GET /metrics is waiting on a held session lock")
 	}
 }

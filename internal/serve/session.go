@@ -2,7 +2,9 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/admission"
@@ -164,11 +166,6 @@ type SessionInfo struct {
 	QuantumValue       float64 `json:"quantum_value"`
 	SimNowNS           int64   `json:"sim_now_ns"`
 	Draining           bool    `json:"draining"`
-
-	// Server-wide serving load, read from the server's own instruments on
-	// the HTTP health path (see handleSessionInfo).
-	DecideMeanNS    float64 `json:"decide_mean_ns"`
-	ServerDecisions int64   `json:"server_decisions"`
 }
 
 // Serving defaults. PairRate matches the simulator binaries' 1e5/s default.
@@ -205,6 +202,9 @@ const maxAdvancePerStep = 25 * time.Millisecond
 // engine's simulated clock. All fields past mu are guarded by it; sessions
 // are independently locked, so decisions in different sessions never contend.
 type session struct {
+	// tally is written inside mu's hold and read without it.
+	tally tally
+
 	mu sync.Mutex
 
 	id        string
@@ -225,6 +225,78 @@ type session struct {
 	game   *games.XORGame
 
 	pairBudget int64
+}
+
+// tally is what the requests a session served did to the server's decide
+// counters, one atomic.Int64 per field below. Only the decide holding the
+// session's lock writes it, so its writes never contend; (*Server).snapshot
+// sums it over every session with atomic loads and takes no session lock,
+// and no decide writes a server-wide counter. A request is a single or a
+// batch, and a decision goodput or late, so neither total is kept: each is
+// the sum of its two parts.
+type tally [tallyFields]atomic.Int64
+
+// The tally's fields.
+const (
+	tSingles      = iota // requests from the single-decision entry points
+	tBatches             // requests from the batch ones
+	tLate                // decisions delivered past their deadline
+	tGoodput             // decisions delivered inside it (all of an unstamped request's)
+	tGoodputNS           // their summed modeled latency
+	tGoodputMaxNS        // the largest of them: folded by max, not summed
+	tallyFields
+)
+
+// account is stage 7 of the decide pipeline: it counts one request and
+// classifies its delivered decisions against its deadline in one pass. A
+// decision's modeled latency is queue wait + decision latency + supply wait
+// — the same sum the loadtest harness records — and it is late when that
+// overruns what was left of the deadline at start. Unstamped requests are
+// goodput by definition, so they skip the deadline arithmetic. The caller
+// holds the session's lock, which makes the maximum's load-then-store safe;
+// a field the request leaves alone is not written.
+func (t *tally) account(start, deadline time.Time, out []DecideResponse, batch bool) {
+	budget := int64(math.MaxInt64)
+	if !deadline.IsZero() {
+		budget = int64(deadline.Sub(start))
+	}
+	var late, goodput, goodputNS, longest int64
+	for i := range out {
+		total := out[i].QueueNS + out[i].LatencyNS + out[i].WaitedNS
+		if total > budget {
+			late++
+			continue
+		}
+		goodput++
+		goodputNS += total
+		longest = max(longest, total)
+	}
+	if batch {
+		t[tBatches].Add(1)
+	} else {
+		t[tSingles].Add(1)
+	}
+	if late > 0 {
+		t[tLate].Add(late)
+	}
+	if goodput > 0 {
+		t[tGoodput].Add(goodput)
+		t[tGoodputNS].Add(goodputNS)
+		if longest > t[tGoodputMaxNS].Load() {
+			t[tGoodputMaxNS].Store(longest)
+		}
+	}
+}
+
+// addTo folds t into sum: every field summed but the maximum.
+func (t *tally) addTo(sum *[tallyFields]int64) {
+	for f := range sum {
+		if v := t[f].Load(); f == tGoodputMaxNS {
+			sum[f] = max(sum[f], v)
+		} else {
+			sum[f] += v
+		}
+	}
 }
 
 // parseFaultKind maps the wire spelling onto faults.Kind.
@@ -441,7 +513,8 @@ func (s *session) fill(out *DecideResponse, r Round, d *core.Decision, queueNS i
 }
 
 // playAt plays len(rounds) validated rounds in one lock hold at a single
-// wall reading: one engine catch-up, len(rounds) strategy draws. out must
+// wall reading — one engine catch-up, len(rounds) strategy draws — and
+// accounts for them in the session's tally against deadline. out must
 // have len(rounds) elements; results land in request order.
 //
 // queueNS and brownout come from the admission decision that let the
@@ -449,8 +522,9 @@ func (s *session) fill(out *DecideResponse, r Round, d *core.Decision, queueNS i
 // session plays core.BrownoutRound — the cheap best-classical strategy
 // with no engine catch-up, no supply probe and no pool consumption — so
 // sustained overload sheds compute before it sheds high-priority traffic.
-func (s *session) playAt(wall time.Time, rounds []Round, out []DecideResponse, queueNS int64, brownout bool) {
+func (s *session) playAt(wall, deadline time.Time, rounds []Round, out []DecideResponse, queueNS int64, brownout, batch bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.core.Health().SetBrownout(brownout)
 	if brownout {
 		for i, r := range rounds {
@@ -464,7 +538,7 @@ func (s *session) playAt(wall time.Time, rounds []Round, out []DecideResponse, q
 			s.fill(&out[i], r, &d, queueNS)
 		}
 	}
-	s.mu.Unlock()
+	s.tally.account(wall, deadline, out[:len(rounds)], batch)
 }
 
 // infoAdvanceTick bounds how often the read path may fast-forward the
