@@ -93,10 +93,10 @@ func main() {
 	fmt.Println("the outcome bit selects which of the pair's two agreed servers to use")
 }
 
-// parseGraph reads the -graph and -caching flags. A self-edge is rejected
-// rather than ignored (the diagonal comes from -caching alone), and so is an
-// edge listed twice with different labels, which would otherwise keep
-// whichever came last. The class count must lie in [2, games.MaxEnumInputs]:
+// parseGraph reads the -graph and -caching flags. An empty class name is
+// rejected, a self-edge is rejected rather than ignored (the diagonal comes
+// from -caching alone), and so is an edge listed twice with different
+// labels, which would otherwise keep whichever came last. The class count must lie in [2, games.MaxEnumInputs]:
 // the exact classical value enumerates 2^n strategies.
 func parseGraph(spec, caching string) (names []string, labels [][]games.EdgeLabel, diag []bool, err error) {
 	idx := map[string]int{}
@@ -130,6 +130,9 @@ func parseGraph(spec, caching string) (names []string, labels [][]games.EdgeLabe
 			return nil, nil, nil, fmt.Errorf("bad label %q (want c or x)", parts[1])
 		}
 		a, b := strings.TrimSpace(ends[0]), strings.TrimSpace(ends[1])
+		if a == "" || b == "" {
+			return nil, nil, nil, fmt.Errorf("bad edge %q: empty class name", tok)
+		}
 		if a == b {
 			return nil, nil, nil, fmt.Errorf("self-edge %q: list %s in -caching to make its same-class pairs colocate", tok, a)
 		}

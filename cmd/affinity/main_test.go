@@ -110,6 +110,8 @@ func TestParseGraphRejectsMalformed(t *testing.T) {
 		{"a-b-c:x", ""},
 		{"a-b:y", ""},
 		{"a-b:c", "z"},
+		{"a-:x", ""},
+		{"-b:c", ""},
 	} {
 		if _, _, _, err := parseGraph(tc.graph, tc.caching); err == nil {
 			t.Errorf("parseGraph(%q, %q) accepted", tc.graph, tc.caching)

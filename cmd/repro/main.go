@@ -58,7 +58,7 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this path")
 	flag.Parse()
 
-	// Inner fan-outs (sweeps, advantage trials, quantum searches) share the
+	// Inner fan-outs (sweeps, class solves, quantum searches) share the
 	// same pool width as the experiment-level fan-out.
 	parallel.SetDefaultWorkers(*workers)
 

@@ -98,7 +98,7 @@ type Experiment struct {
 func All() []Experiment {
 	return []Experiment{
 		{"E1", "E1: CHSH values (§2)", e1},
-		{"E2", "E2 / Figure 3: P(quantum advantage), random XOR games on K5", e2},
+		{"E2", "E2 / Figure 3: P(quantum advantage), random XOR games on Kn, counted exactly", e2},
 		{"E3", "E3 / Figure 4: mean queue length vs load, N=100", e3},
 		{"E4", "E4 / Figure 2: decision latency vs quality", e4},
 		{"E5", "E5 / §4.2: ECMP no quantum advantage", e5},
@@ -225,13 +225,31 @@ func e1(w io.Writer, o Options) {
 	fmt.Fprintf(w, "sampled quantum win rate (n=%d): %.4f [%.4f, %.4f]\n", rounds, p.Rate(), lo, hi)
 }
 
-func e2(w io.Writer, o Options) {
-	rng := xrand.New(o.Seed, 2)
-	trials := o.n(150)
+func e2(w io.Writer, _ Options) {
+	var counts [8][]int64
+	for n := 3; n < len(counts); n++ {
+		counts[n] = games.AdvantageCensus(n, 0)
+	}
+	k5 := counts[5]
+	m := len(k5) - 1
+	fmt.Fprintf(w, "exact over all %d labelings of K5\n", 1<<m)
 	fmt.Fprintln(w, "p_exclusive  P(advantage)")
 	for _, p := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0} {
-		rate := games.AdvantageProbability(5, p, trials, rng)
+		var rate float64
+		for e, k := range k5 {
+			rate += float64(k) * math.Pow(p, float64(e)) * math.Pow(1-p, float64(m-e))
+		}
 		fmt.Fprintf(w, "%.1f          %.3f\n", p, rate)
+	}
+	fmt.Fprintln(w, "\nFigure 3 caption: P(advantage) at p_exclusive = 0.5 by vertex count")
+	fmt.Fprintln(w, "n  advantaged/labelings  P(advantage)")
+	for n := 3; n < len(counts); n++ {
+		var adv int64
+		for _, k := range counts[n] {
+			adv += k
+		}
+		total := int64(1) << (len(counts[n]) - 1)
+		fmt.Fprintf(w, "%d  %-20s  %.3f\n", n, fmt.Sprintf("%d/%d", adv, total), float64(adv)/float64(total))
 	}
 }
 

@@ -4,12 +4,11 @@ import (
 	"repro/internal/parallel"
 )
 
-// Batched solving: large sweeps (the Figure 3 ensemble, randomized
-// robustness studies) need thousands of games solved per sweep point, and
-// the per-game cost is small enough that fan-out overhead matters. The
-// batch pipeline runs games through the internal/parallel pool in chunks,
-// so each worker amortizes its scratch arenas (the classical and quantum
-// solver pools) over a run of games instead of a single solve.
+// Batched solving: AdvantageCensus solves one game per switching class (54
+// on K7), and the per-game cost is small enough that fan-out overhead
+// matters. The batch pipeline runs games through the internal/parallel pool
+// in chunks, so each worker amortizes its scratch arenas (the classical and
+// quantum solver pools) over a run of games instead of a single solve.
 //
 // Determinism: each solve is a pure function of its game — the classical
 // enumeration is deterministic and the quantum restart stream is derived
@@ -37,11 +36,10 @@ const batchChunk = 16
 
 // chunkFor picks the actual chunk size: at most batchChunk, but never so
 // coarse that the pool sees fewer than ~4 chunks per worker. A fixed
-// 16-game chunk left a 150-trial Figure 3 batch with only 10 chunks — on a
-// wide pool most workers sat idle through the tail, which is exactly the
-// granularity loss the E2 speedup measurement exposed. Chunk size only
-// affects scheduling, never results: each game is solved from its own
-// index regardless of which chunk carried it.
+// 16-game chunk would hand K7's 54 class representatives to 4 chunks, and
+// on a wide pool most workers would sit idle. Chunk size only affects
+// scheduling, never results: each game is solved from its own index
+// regardless of which chunk carried it.
 func chunkFor(n, workers int) int {
 	c := batchChunk
 	if byBalance := n / (4 * workers); byBalance < c {
@@ -58,16 +56,8 @@ func chunkFor(n, workers int) int {
 // returns the results in input order. Solves go through the solve cache, so
 // duplicate games within a batch cost one solve plus lookups.
 func SolveBatch(gs []*XORGame, workers int) []BatchResult {
-	return SolveBatchFrom(len(gs), func(i int) *XORGame { return gs[i] }, workers)
-}
-
-// SolveBatchFrom is SolveBatch for generated inputs: gen(i) must be a pure
-// function of i (callers that need randomness derive a per-index stream
-// from a base seed drawn before the fan-out, per the internal/parallel
-// contract). The generator runs inside the worker chunks, so game
-// construction parallelizes along with the solving.
-func SolveBatchFrom(n int, gen func(i int) *XORGame, workers int) []BatchResult {
-	if n <= 0 {
+	n := len(gs)
+	if n == 0 {
 		return nil
 	}
 	out := make([]BatchResult, n)
@@ -79,14 +69,10 @@ func SolveBatchFrom(n int, gen func(i int) *XORGame, workers int) []BatchResult 
 	chunks := (n + chunk - 1) / chunk
 	parallel.ForEachN(workers, chunks, func(c int) {
 		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			g := gen(i)
+		hi := min(lo+chunk, n)
+		for i, g := range gs[lo:hi] {
 			c := g.cachedClassical()
-			out[i] = BatchResult{Classical: c, Quantum: g.cachedQuantum(&c)}
+			out[lo+i] = BatchResult{Classical: c, Quantum: g.cachedQuantum(&c)}
 		}
 	})
 	return out

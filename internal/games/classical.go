@@ -35,7 +35,7 @@ const MaxEnumInputs = 24
 // both alphabets exceed 24 inputs.
 //
 // Results are memoized per sign matrix (see QuantumValue): strategy
-// constructors and the Figure 3 trial loop re-solve identical games freely.
+// constructors re-solve identical games freely.
 func (g *XORGame) ClassicalValue() ClassicalResult {
 	return g.cachedClassical()
 }

@@ -1,35 +1,31 @@
 package games
 
 import (
+	"slices"
 	"testing"
-
-	"repro/internal/parallel"
-	"repro/internal/xrand"
 )
 
-// TestAdvantageProbabilityWorkerInvariance pins the tentpole guarantee at
-// the trial-fan-out layer: each trial draws from its own derived stream, so
-// the measured rate is identical at any worker count.
-func TestAdvantageProbabilityWorkerInvariance(t *testing.T) {
-	run := func(workers int) float64 {
-		parallel.SetDefaultWorkers(workers)
-		defer parallel.SetDefaultWorkers(0)
-		return AdvantageProbability(4, 0.5, 60, xrand.New(99, 1))
-	}
-	a, b := run(1), run(8)
-	if a != b {
-		t.Fatalf("advantage probability differs across worker counts: %v vs %v", a, b)
+// TestAdvantageCensusWorkerInvariance: the class solves fan out over the
+// pool, and the counts are the same at any worker count, each run cold.
+func TestAdvantageCensusWorkerInvariance(t *testing.T) {
+	ResetSolveCache()
+	want := AdvantageCensus(6, 1)
+	for _, workers := range []int{2, 8} {
+		ResetSolveCache()
+		if got := AdvantageCensus(6, workers); !slices.Equal(got, want) {
+			t.Fatalf("workers=%d: %v, workers=1: %v", workers, got, want)
+		}
 	}
 }
 
-// TestAdvantageProbabilityColdVsWarmCache confirms the solve cache is
-// semantically invisible: the same seed gives the same rate whether every
-// solve is a miss or a hit.
-func TestAdvantageProbabilityColdVsWarmCache(t *testing.T) {
+// TestAdvantageCensusColdVsWarmCache confirms the solve cache is
+// semantically invisible: the counts are the same whether every class solve
+// is a miss or a hit.
+func TestAdvantageCensusColdVsWarmCache(t *testing.T) {
 	ResetSolveCache()
-	cold := AdvantageProbability(4, 0.3, 40, xrand.New(5, 2))
-	warm := AdvantageProbability(4, 0.3, 40, xrand.New(5, 2))
-	if cold != warm {
+	cold := AdvantageCensus(6, 0)
+	warm := AdvantageCensus(6, 0)
+	if !slices.Equal(cold, warm) {
 		t.Fatalf("cache changed results: cold %v, warm %v", cold, warm)
 	}
 }

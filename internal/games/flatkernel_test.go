@@ -287,36 +287,30 @@ func TestSolveBatchMatchesSequential(t *testing.T) {
 	check(ordered, "reversed")
 }
 
-// TestSolveBatchEmpty covers the degenerate sizes.
+// TestSolveBatchEmpty covers the degenerate size.
 func TestSolveBatchEmpty(t *testing.T) {
 	if got := SolveBatch(nil, 4); got != nil {
 		t.Fatalf("SolveBatch(nil) = %v, want nil", got)
 	}
-	if got := SolveBatchFrom(0, nil, 4); got != nil {
-		t.Fatalf("SolveBatchFrom(0) = %v, want nil", got)
-	}
 }
 
-// TestAdvantageProbabilityMatchesDirectTrials pins the SolveBatch rewiring
-// of AdvantageProbability to the pre-batch trial loop: same derived
-// streams, same games, same rate.
-func TestAdvantageProbabilityMatchesDirectTrials(t *testing.T) {
+// TestSolveBatchMatchesDirectTrials holds a cold batch's advantage predicate
+// to a serial loop of HasQuantumAdvantage over Figure 3 games drawn from
+// derived streams.
+func TestSolveBatchMatchesDirectTrials(t *testing.T) {
 	const n, p, trials = 4, 0.45, 48
-	rng := xrand.New(906, 1)
-	base := xrand.New(906, 1).Uint64() // mirror the single draw inside
-	got := AdvantageProbability(n, p, trials, rng)
-	hits := 0
-	for i := 0; i < trials; i++ {
-		trng := xrand.Derive(base, uint64(i))
-		g := RandomGraphXORGame(n, p, trng)
-		won, _, _ := g.HasQuantumAdvantage(trng)
-		if won {
-			hits++
-		}
+	base := xrand.New(906, 1).Uint64()
+	gs := make([]*XORGame, trials)
+	for i := range gs {
+		gs[i] = RandomGraphXORGame(n, p, xrand.Derive(base, uint64(i)))
 	}
-	want := float64(hits) / float64(trials)
-	if got != want {
-		t.Fatalf("AdvantageProbability = %v, direct loop = %v", got, want)
+	ResetSolveCache()
+	got := SolveBatch(gs, 0)
+	for i, g := range gs {
+		want, _, _ := g.HasQuantumAdvantage(nil)
+		if got[i].HasAdvantage() != want {
+			t.Fatalf("game %d: batch advantage %v, direct %v", i, got[i].HasAdvantage(), want)
+		}
 	}
 }
 

@@ -34,8 +34,7 @@ type QuantumResult struct {
 // Toqito Python package.
 //
 // Results are memoized per sign matrix: repeated solves of the same game
-// (every paired-strategy constructor solves colocation-CHSH; the Figure 3
-// ensemble re-draws the same K5 labelings thousands of times) return the
+// (every paired-strategy constructor solves colocation-CHSH) return the
 // cached optimum. To keep the solve a pure function of the game — and
 // therefore identical whether this call hits or misses the cache, and no
 // matter how many goroutines race to populate it — the restart stream is
@@ -153,7 +152,7 @@ func (g *XORGame) quantumValueUncached(rng *xrand.RNG, d, restarts int) QuantumR
 // response, a zero gradient row (input never occurs) keeps its vector.
 //
 // The axpy/norm/dot kernels are inlined by hand: the vectors here are tiny
-// (d = NA+NB, a dozen elements for the Figure 3 ensemble), so call overhead
+// (d = NA+NB, a dozen elements for a Figure 3 game), so call overhead
 // into the linalg kernels costs more than the arithmetic. Every loop keeps
 // the exact operation order of the jagged oracle (element-wise multiply-add
 // in ascending index, single sequential accumulator for norms and dots,
@@ -305,33 +304,4 @@ func (g *XORGame) HasQuantumAdvantage(rng *xrand.RNG) (bool, ClassicalResult, Qu
 	c := g.ClassicalValue()
 	q := g.cachedQuantum(&c) // rng is never read, as in QuantumValue
 	return q.Bias > c.Bias+AdvantageTolerance, c, q
-}
-
-// AdvantageProbability estimates Figure 3's quantity: the probability that a
-// random XOR game on the complete graph K_n — each edge independently
-// Exclusive with probability pExclusive — has a quantum advantage.
-//
-// The trials run through SolveBatchFrom: each trial draws its game from its
-// own stream derived from (one draw of rng, trial index), so the estimate
-// is identical at any worker count — and, because both solves are memoized
-// per game and the K_n ensemble has at most 2^(n(n−1)/2) distinct
-// labelings, repeat labelings cost a cache lookup instead of an SDP solve.
-func AdvantageProbability(n int, pExclusive float64, trials int, rng *xrand.RNG) float64 {
-	// No trials means no evidence either way: report 0 rather than the 0/0
-	// NaN the hits/trials ratio would produce (without consuming rng, so a
-	// caller's stream is unaffected by a degenerate call).
-	if trials <= 0 {
-		return 0
-	}
-	base := rng.Uint64()
-	results := SolveBatchFrom(trials, func(i int) *XORGame {
-		return RandomGraphXORGame(n, pExclusive, xrand.Derive(base, uint64(i)))
-	}, 0)
-	hits := 0
-	for _, r := range results {
-		if r.HasAdvantage() {
-			hits++
-		}
-	}
-	return float64(hits) / float64(trials)
 }

@@ -11,9 +11,9 @@ import (
 
 // Solve cache: both ClassicalValue and QuantumValue depend on a game only
 // through its sign matrix M[x][y] = π(x,y)·(−1)^parity, so identical games
-// (CHSH solved by every paired-strategy constructor, the ≤2^10 labelings of
-// the Figure 3 K5 ensemble re-drawn thousands of times) are solved once per
-// process instead of once per construction.
+// (colocation-CHSH solved by every paired-strategy constructor and every
+// core session) are solved once per process instead of once per
+// construction.
 //
 // One mutex over two maps. Both decisions were measured (PR 23 in
 // CHANGES.md, 2-vCPU box) and should be revisited only on new evidence:
@@ -25,19 +25,17 @@ import (
 //     Building the key and copying the result out dominate a lookup; the
 //     critical section is one map operation.
 //   - Drop-all at the cap, not CLOCK eviction: a cold seed-42 sweep makes
-//     3 695 lookups, holds 1 144 entries and evicts 0; a default cmd/xorgame
-//     run solves ≈ 10 k games. The cap is a memory bound that no committed
-//     workload reaches, so the cheapest policy that honours it is the right
-//     one, and a drop only costs re-solving (results are pure functions of
-//     the game).
+//     527 lookups, holds 174 entries and evicts 0. The cap is a memory
+//     bound that no committed workload reaches, so the cheapest policy that
+//     honours it is the right one, and a drop only costs re-solving
+//     (results are pure functions of the game).
 //
 // What would justify revisiting either: a committed workload that fills the
 // cache, or games.cache_hit_ns (benchmark/) growing with workers on a host
 // with more than two cores.
 
-// solveCacheMaxEntries bounds each map. Far above any experiment's working
-// set (Figure 3 on K_n has at most 2^(n(n−1)/2) distinct labelings; n=5
-// gives 1024).
+// solveCacheMaxEntries bounds each map, far above any experiment's working
+// set.
 const solveCacheMaxEntries = 1 << 16
 
 var solveCache = struct {

@@ -1,7 +1,7 @@
 // Package parallel is the deterministic fan-out layer used by every
 // embarrassingly parallel site in this repository: the E1–E20 experiment
-// driver and the runs inside its blocks, the Figure 3 advantage-probability
-// trials, the Figure 4 load sweeps, and the ECMP candidate searches.
+// driver and the runs inside its blocks, the Figure 3 census's class solves,
+// the Figure 4 load sweeps, and the ECMP candidate searches.
 //
 // The contract that keeps results byte-identical to a serial run at any
 // worker count is simple: a job is a pure function of its index. Callers
