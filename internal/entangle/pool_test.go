@@ -1,6 +1,7 @@
 package entangle
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -270,13 +271,21 @@ func TestServiceCatchUpAllocs(t *testing.T) {
 // BenchmarkServiceCatchUp times one engine catch-up per iteration at the
 // three window shapes serving sees — the daemon's 25 ms idle cap, a busy
 // session's one or two ticks, and a provisioned source with its ring of
-// pairs in flight — and reports host time per generation tick.
+// pairs in flight — and at windows of 2, 4, 8, 16 and 32 ticks of the
+// default source, the span bulkMinTicks is chosen from (run it with the
+// threshold moved below and above a window to time both paths there). It
+// reports host time per generation tick.
 func BenchmarkServiceCatchUp(b *testing.B) {
-	for _, tc := range []catchUpCase{
+	cases := []catchUpCase{
 		{"default-25ms", defaultRate, 25 * time.Millisecond},
 		{"default-16us", defaultRate, 16 * time.Microsecond},
 		{"provisioned-1ms", provisionedRate, time.Millisecond},
-	} {
+	}
+	interval := DefaultSource().Interval()
+	for _, ticks := range []int{2, 4, 8, 16, 32} {
+		cases = append(cases, catchUpCase{fmt.Sprintf("default-%dticks", ticks), defaultRate, time.Duration(ticks) * interval})
+	}
+	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			_, svc, catchUp := tc.start()
 			ticks := svc.Stats().Generated

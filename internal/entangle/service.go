@@ -135,9 +135,13 @@ func (s *Service) RunBefore(at time.Duration, seq uint64) {
 
 // Bulk catch-up shape: windows shorter than bulkMinTicks are not worth the
 // set-up, and a long window runs bulkChunk ticks at a time, one survivor
-// mask per chunk.
+// mask per chunk. bulkMinTicks counts the whole ticks before the bound, so
+// a window of bulkMinTicks+1 ticks is the shortest the bulk pass takes. It
+// is BenchmarkServiceCatchUp's crossover on the default source (median
+// ns/tick over 12–16 alternating runs, per-event loop → bulk): 47 → 53 on
+// 3-tick windows, 46 → 44.5 on 4, 45 → 39 on 5, 43 → 30 on 8, 41 → 13 on 32.
 const (
-	bulkMinTicks = 32
+	bulkMinTicks = 3
 	bulkChunk    = 256
 )
 

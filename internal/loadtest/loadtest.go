@@ -28,6 +28,7 @@ package loadtest
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/admission"
@@ -63,16 +64,17 @@ type HeavyTailBatch struct {
 	Max   int     `json:"max"`
 }
 
-// draw samples one batch size.
+// draw samples one batch size. The draw is clamped as a float: one at or
+// past 2⁶³ (or +Inf, for a small Shape) has no int to convert to.
 func (h HeavyTailBatch) draw(rng *xrand.RNG) int {
-	n := int(workload.Pareto{Shape: h.Shape, Scale: h.Scale}.Sample(rng))
-	if n < 1 {
-		n = 1
+	x := workload.Pareto{Shape: h.Shape, Scale: h.Scale}.Sample(rng)
+	switch {
+	case !(x >= 1):
+		return 1
+	case x >= float64(h.Max):
+		return h.Max
 	}
-	if h.Max > 0 && n > h.Max {
-		n = h.Max
-	}
-	return n
+	return int(x)
 }
 
 // validate checks the law.
@@ -153,12 +155,13 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// request is one precomputed arrival.
+// request is one precomputed arrival. It holds no pointer: a plan of any
+// size is two flat slices the collector never scans.
 type request struct {
 	at       time.Duration // offset from run start
-	scenario int           // index into Plan.Scenarios
-	session  int           // index into the session set
-	rounds   []serve.Round // inputs; nil for info polls
+	scenario int32         // index into Plan.Scenarios
+	session  int32         // index into the session set
+	first, n uint32        // inputs are Plan.inputs[first:first+n]; n is 0 for info polls
 }
 
 // Plan is a fully materialized request schedule: every arrival time,
@@ -171,6 +174,8 @@ type Plan struct {
 	// reqs is in arrival order (BuildPlan appends it so); the runners
 	// replay the slice as it stands.
 	reqs []request
+	// inputs holds every request's rounds back to back, in request order.
+	inputs []serve.Round
 	// ids names the session set, indexed by request.session. The plan owns
 	// the strings so a replay formats nothing per request.
 	ids []string
@@ -178,6 +183,21 @@ type Plan struct {
 
 // Requests returns the number of scheduled arrivals.
 func (p *Plan) Requests() int { return len(p.reqs) }
+
+// rounds returns r's round inputs (empty for an info poll), capped at their
+// end so an append by the callee cannot reach the next request's.
+func (p *Plan) rounds(r request) []serve.Round {
+	end := r.first + r.n
+	return p.inputs[r.first:end:end]
+}
+
+// Presizing caps: BuildPlan reserves room for the expected plan, but never
+// more than this many requests (48 MB) or round inputs (64 MB); a longer
+// plan grows by append.
+const (
+	presizeRequests = 1 << 21
+	presizeInputs   = 1 << 22
+)
 
 // Stream indices for xrand.Derive: each independent random choice gets its
 // own derived stream so adding a scenario never perturbs the arrival
@@ -218,6 +238,9 @@ func BuildPlan(cfg Config) (*Plan, error) {
 	}
 	if total <= 0 {
 		return nil, fmt.Errorf("scenario weights sum to %v", total)
+	}
+	if cfg.Sessions > math.MaxInt32 {
+		return nil, fmt.Errorf("%d sessions: a plan routes to at most %d", cfg.Sessions, math.MaxInt32)
 	}
 	// A mean gap under 1 ns (or NaN) truncates every gap to 0: the clock would
 	// never leave the window.
@@ -272,6 +295,7 @@ func BuildPlan(cfg Config) (*Plan, error) {
 	}
 	// Both generators only ever add a non-negative gap to at, so reqs is
 	// appended in arrival order — the one place that order is established.
+	reqs, rounds := presize(cfg, weights, total)
 	at := time.Duration(0)
 	for {
 		var ok bool
@@ -282,8 +306,9 @@ func BuildPlan(cfg Config) (*Plan, error) {
 		sc := scenarios.Categorical(weights)
 		req := request{
 			at:       at,
-			scenario: sc,
-			session:  sessions.IntN(cfg.Sessions),
+			scenario: int32(sc),
+			session:  int32(sessions.IntN(cfg.Sessions)),
+			first:    uint32(len(rounds)),
 		}
 		if !cfg.Scenarios[sc].Info {
 			n := cfg.Scenarios[sc].Batch
@@ -293,17 +318,58 @@ func BuildPlan(cfg Config) (*Plan, error) {
 			if n < 1 {
 				n = 1
 			}
-			req.rounds = make([]serve.Round, n)
-			for i := range req.rounds {
-				req.rounds[i] = serve.Round{X: inputs.IntN(2), Y: inputs.IntN(2)}
+			if uint64(len(rounds))+uint64(n) > math.MaxUint32 {
+				return nil, fmt.Errorf("plan needs more than %d round inputs", uint32(math.MaxUint32))
+			}
+			req.n = uint32(n)
+			for range n {
+				rounds = append(rounds, serve.Round{X: inputs.IntN(2), Y: inputs.IntN(2)})
 			}
 		}
-		p.reqs = append(p.reqs, req)
+		reqs = append(reqs, req)
 	}
-	if len(p.reqs) == 0 {
+	if len(reqs) == 0 {
 		return nil, fmt.Errorf("plan is empty: duration %v at %v rps schedules no arrivals", cfg.Duration, cfg.TargetRPS)
 	}
+	p.reqs, p.inputs = reqs, rounds
 	return p, nil
+}
+
+// presize returns empty request and input slices with room for the plan cfg
+// is expected to draw. Arrivals are Poisson with mean λ = rate × window
+// (TargetRPS, or a profile's Base) and rounds compound Poisson with mean
+// λ·E[b] and variance λ·E[b²] over the mix's batch sizes b (a heavy tail
+// counted at its floor, Scale); each gets four standard deviations of room.
+// Both are capped, so an absurd rate or window reserves no more than the caps.
+func presize(cfg Config, weights []float64, total float64) ([]request, []serve.Round) {
+	rate := cfg.TargetRPS
+	if cfg.Rate != nil {
+		rate = cfg.Rate.Base
+	}
+	mean := rate * cfg.Duration.Seconds()
+	var m1, m2 float64
+	for i, sc := range cfg.Scenarios {
+		var b float64
+		switch {
+		case sc.Info:
+		case sc.HeavyTail != nil:
+			b = math.Min(math.Max(sc.HeavyTail.Scale, 1), float64(sc.HeavyTail.Max))
+		default:
+			b = float64(max(sc.Batch, 1))
+		}
+		m1 += weights[i] / total * b
+		m2 += weights[i] / total * b * b
+	}
+	reqs := mean + 4*math.Sqrt(mean) + 16
+	rounds := mean*m1 + 4*math.Sqrt(mean*m2) + 16
+	// The negated compares also catch NaN.
+	if !(reqs < presizeRequests) {
+		reqs = presizeRequests
+	}
+	if !(rounds < presizeInputs) {
+		rounds = presizeInputs
+	}
+	return make([]request, 0, int(reqs)), make([]serve.Round, 0, int(rounds))
 }
 
 // sessionRequests expands the template into the plan's session set, with
@@ -326,19 +392,20 @@ func (p *Plan) sessionRequests() []serve.SessionRequest {
 }
 
 // scenarioNames returns the mix's names in result order (plan order, which
-// is stable; names are de-duplicated defensively for results keyed by name).
+// is stable). Results are keyed by name, so a name already taken gets the
+// first suffix #1, #2, ... that is not.
 func (p *Plan) scenarioNames() []string {
 	names := make([]string, len(p.Scenarios))
-	seen := map[string]int{}
+	taken := make(map[string]bool, len(p.Scenarios))
 	for i, sc := range p.Scenarios {
 		name := sc.Name
 		if name == "" {
 			name = fmt.Sprintf("scenario%d", i)
 		}
-		if n := seen[name]; n > 0 {
-			name = fmt.Sprintf("%s#%d", name, n)
+		for k, base := 1, name; taken[name]; k++ {
+			name = fmt.Sprintf("%s#%d", base, k)
 		}
-		seen[sc.Name]++
+		taken[name] = true
 		names[i] = name
 	}
 	return names

@@ -32,7 +32,7 @@ func TestBuildPlanDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.reqs, b.reqs) {
+	if !reflect.DeepEqual(a.reqs, b.reqs) || !reflect.DeepEqual(a.inputs, b.inputs) {
 		t.Fatal("same config produced different plans")
 	}
 	if a.Requests() < 100 {
@@ -58,11 +58,11 @@ func TestBuildPlanScenarioMix(t *testing.T) {
 	counts := make([]int, len(plan.Scenarios))
 	for _, r := range plan.reqs {
 		counts[r.scenario]++
-		if plan.Scenarios[r.scenario].Info != (r.rounds == nil) {
+		if plan.Scenarios[r.scenario].Info != (r.n == 0) {
 			t.Fatal("info requests must carry no rounds, decide requests must")
 		}
-		if n := plan.Scenarios[r.scenario].Batch; n > 1 && len(r.rounds) != n {
-			t.Fatalf("scenario batch %d but %d rounds", n, len(r.rounds))
+		if n := plan.Scenarios[r.scenario].Batch; n > 1 && int(r.n) != n {
+			t.Fatalf("scenario batch %d but %d rounds", n, r.n)
 		}
 	}
 	total := float64(plan.Requests())

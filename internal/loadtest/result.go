@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"time"
 
+	"repro/internal/serve"
 	"repro/internal/stats"
 )
 
@@ -120,6 +121,39 @@ func (rec *recorder) decision(scenario int, latencyNS int64, win bool, budgetNS 
 	}
 	rec.perScen[scenario].Record(latencyNS)
 	rec.sumNS[scenario] += latencyNS
+}
+
+// decisions records one request's delivered decisions, as decision would
+// one by one: wins, late and in-deadline are counted in one pass, and each
+// run of equal latency goes into the histogram as one RecordN. The latency
+// is the one RunVirtualPlan charges: admission queueing (QueueNS) counts
+// against the decision just like simulated propagation and wait time.
+func (rec *recorder) decisions(scenario int, out []serve.DecideResponse, budgetNS int64) {
+	h := rec.perScen[scenario]
+	var wins, late, sum int64
+	var run, runN int64
+	for i := range out {
+		lat := out[i].QueueNS + out[i].LatencyNS + out[i].WaitedNS
+		if out[i].Win {
+			wins++
+		}
+		if budgetNS > 0 && lat > budgetNS {
+			late++
+		}
+		sum += lat
+		if lat != run {
+			h.RecordN(run, runN) // a no-op while runN is 0
+			run, runN = lat, 0
+		}
+		runN++
+	}
+	h.RecordN(run, runN)
+	sc := &rec.scen[scenario]
+	sc.Decisions += int64(len(out))
+	sc.Wins += wins
+	sc.Late += late
+	sc.InDeadline += int64(len(out)) - late
+	rec.sumNS[scenario] += sum
 }
 
 // poll records a completed info request's latency (wall mode measures it;

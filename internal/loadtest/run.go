@@ -61,13 +61,14 @@ func RunVirtualPlan(plan *Plan) (*Result, error) {
 
 	for _, req := range plan.reqs {
 		now = virtualEpoch.Add(req.at)
-		rec.request(req.scenario)
-		if plan.Scenarios[req.scenario].Info {
+		sc := int(req.scenario)
+		rec.request(sc)
+		if plan.Scenarios[sc].Info {
 			if _, err := srv.Info(plan.ids[req.session]); err != nil {
-				rec.errorKind(req.scenario, classify(err))
+				rec.errorKind(sc, classify(err))
 				continue
 			}
-			rec.poll(req.scenario, 0)
+			rec.poll(sc, 0)
 			continue
 		}
 		// With a deadline budget each batch carries an absolute deadline of
@@ -76,16 +77,12 @@ func RunVirtualPlan(plan *Plan) (*Result, error) {
 		if budget > 0 {
 			deadline = now.Add(budget)
 		}
-		if err := srv.DecideBatchDeadline(plan.ids[req.session], deadline, req.rounds, out); err != nil {
-			rec.errorKind(req.scenario, classify(err))
+		rounds := plan.rounds(req)
+		if err := srv.DecideBatchDeadline(plan.ids[req.session], deadline, rounds, out); err != nil {
+			rec.errorKind(sc, classify(err))
 			continue
 		}
-		for i := range req.rounds {
-			// Admission queueing (QueueNS) counts against the decision just
-			// like simulated propagation/wait time: it is latency the caller
-			// experienced before the answer arrived.
-			rec.decision(req.scenario, out[i].QueueNS+out[i].LatencyNS+out[i].WaitedNS, out[i].Win, int64(budget))
-		}
+		rec.decisions(sc, out[:len(rounds)], int64(budget))
 	}
 	return rec.finish("virtual", plan.Config, plan.Config.Duration), nil
 }
@@ -174,11 +171,12 @@ loop:
 			}
 			var err error
 			var results []serve.DecideResponse
-			info := plan.Scenarios[req.scenario].Info
+			sc := int(req.scenario)
+			info := plan.Scenarios[sc].Info
 			if info {
 				_, err = c.Session(ctx, plan.ids[req.session])
 			} else {
-				results, err = c.DecideBatchDeadline(ctx, plan.ids[req.session], deadline, req.rounds)
+				results, err = c.DecideBatchDeadline(ctx, plan.ids[req.session], deadline, plan.rounds(req))
 			}
 			// Latency from the SCHEDULED arrival (coordinated-omission
 			// correction): whatever delayed the answer — a queue, a
@@ -187,17 +185,17 @@ loop:
 			lat := time.Since(scheduled).Nanoseconds()
 			mu.Lock()
 			defer mu.Unlock()
-			rec.request(req.scenario)
+			rec.request(sc)
 			if err != nil {
-				rec.errorKind(req.scenario, classify(err))
+				rec.errorKind(sc, classify(err))
 				return
 			}
 			if info {
-				rec.poll(req.scenario, lat)
+				rec.poll(sc, lat)
 				return
 			}
 			for i := range results {
-				rec.decision(req.scenario, lat, results[i].Win, int64(budget))
+				rec.decision(sc, lat, results[i].Win, int64(budget))
 			}
 		}(req)
 	}

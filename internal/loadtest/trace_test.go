@@ -27,7 +27,7 @@ func TestRateProfilePlanDeterministicAndShaped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.reqs, b.reqs) {
+	if !reflect.DeepEqual(a.reqs, b.reqs) || !reflect.DeepEqual(a.inputs, b.inputs) {
 		t.Fatal("same profiled config produced different plans")
 	}
 	// Fold arrivals by phase over the 4 cycles the window spans: the second
@@ -131,9 +131,9 @@ func TestRateProfileLeavesSizeStreamAlone(t *testing.T) {
 		n = flat.Requests()
 	}
 	for i := 0; i < n; i++ {
-		if len(flat.reqs[i].rounds) != len(prof.reqs[i].rounds) {
+		if flat.reqs[i].n != prof.reqs[i].n {
 			t.Fatalf("request %d: size draw changed when a rate profile was added (%d vs %d rounds)",
-				i, len(flat.reqs[i].rounds), len(prof.reqs[i].rounds))
+				i, flat.reqs[i].n, prof.reqs[i].n)
 		}
 	}
 }
@@ -150,7 +150,7 @@ func TestHeavyTailBatchSizes(t *testing.T) {
 	}
 	maxSeen, over16 := 0, 0
 	for _, r := range plan.reqs {
-		n := len(r.rounds)
+		n := int(r.n)
 		if n < 1 || n > 512 {
 			t.Fatalf("batch size %d outside [1, 512]", n)
 		}

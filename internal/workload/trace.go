@@ -45,10 +45,10 @@ func (p Pareto) Sample(rng *xrand.RNG) float64 {
 	return p.Scale * math.Pow(u, -1/p.Shape)
 }
 
-// Validate checks the law's parameters.
+// Validate checks the law's parameters: both positive and finite.
 func (p Pareto) Validate() error {
-	if p.Shape <= 0 || p.Scale <= 0 || math.IsNaN(p.Shape) || math.IsNaN(p.Scale) {
-		return fmt.Errorf("workload: Pareto needs positive shape and scale (shape %v, scale %v)", p.Shape, p.Scale)
+	if !(p.Shape > 0) || !(p.Scale > 0) || math.IsInf(p.Shape, 1) || math.IsInf(p.Scale, 1) {
+		return fmt.Errorf("workload: Pareto needs positive, finite shape and scale (shape %v, scale %v)", p.Shape, p.Scale)
 	}
 	return nil
 }

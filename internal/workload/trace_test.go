@@ -39,7 +39,8 @@ func TestParetoSampler(t *testing.T) {
 	if max < 100*p.Scale {
 		t.Fatalf("no heavy tail observed: max %v", max)
 	}
-	for _, bad := range []Pareto{{Shape: 0, Scale: 1}, {Shape: 1, Scale: 0}, {Shape: -1, Scale: 1}} {
+	for _, bad := range []Pareto{{Shape: 0, Scale: 1}, {Shape: 1, Scale: 0}, {Shape: -1, Scale: 1},
+		{Shape: 1, Scale: math.Inf(1)}, {Shape: math.Inf(1), Scale: 1}, {Shape: math.NaN(), Scale: 1}} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("invalid Pareto %+v accepted", bad)
 		}
