@@ -30,20 +30,33 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7117", "listen address (use :0 for an ephemeral port)")
-	shards := flag.Int("shards", 16, fmt.Sprintf("session-store stripe width in [1, %d] (rounded up to a power of two)", serve.MaxShards))
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight decisions at shutdown")
 	metricsOut := flag.String("metrics-out", "qcoordd_metrics.json", "final metrics artifact path (empty to skip)")
 	admissionOn := flag.Bool("admission", false, "enable overload admission control (concurrency limiter -> deadline gate -> priority shedding; rejects carry 429 + Retry-After)")
 	admService := flag.Duration("admission-service", 50*time.Microsecond, "with -admission: initial per-round service-time estimate (the EWMA adapts from here)")
-	admBacklog := flag.Duration("admission-max-backlog", 50*time.Millisecond, "with -admission: modeled per-shard backlog cap; requests beyond it shed regardless of priority")
+	admBacklog := flag.Duration("admission-max-backlog", 50*time.Millisecond, "with -admission: modeled admission-queue backlog cap; requests beyond it shed regardless of priority")
 	admBudget := flag.Duration("admission-default-budget", 0, "with -admission: deadline applied to requests that arrive unstamped (0 = none)")
 	flag.Parse()
-	if *shards < 1 || *shards > serve.MaxShards {
-		fmt.Fprintf(os.Stderr, "qcoordd: -shards %d outside [1, %d]\n", *shards, serve.MaxShards)
-		os.Exit(2)
+	// A negative duration would not be refused downstream but reread: a
+	// negative drain timeout skips the drain, the admission defaults replace
+	// a negative service seed or backlog cap, and a negative budget means
+	// none.
+	for _, d := range []struct {
+		name string
+		v    time.Duration
+	}{
+		{"drain-timeout", *drainTimeout},
+		{"admission-service", *admService},
+		{"admission-max-backlog", *admBacklog},
+		{"admission-default-budget", *admBudget},
+	} {
+		if d.v < 0 {
+			fmt.Fprintf(os.Stderr, "qcoordd: -%s %v is negative\n", d.name, d.v)
+			os.Exit(2)
+		}
 	}
 
-	cfg := serve.Config{Shards: *shards}
+	var cfg serve.Config
 	if *admissionOn {
 		cfg.Admission = &admission.Config{
 			InitialService: *admService,

@@ -49,7 +49,7 @@ func TestQcoorddDrainUnderOverload(t *testing.T) {
 		"-drain-timeout", "15s",
 		"-metrics-out", metricsOut,
 		"-admission",
-		// A 20ms seed against a 20ms cap models 50 decisions/sec per shard:
+		// A 20ms seed against a 20ms cap models 50 decisions/sec for the server:
 		// every accepted request fills the modeled queue and the next ones
 		// shed until it drains. The EWMA moves 10% per accepted sample
 		// toward the real (much faster) service time, so shedding is

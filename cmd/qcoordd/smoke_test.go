@@ -47,7 +47,6 @@ func TestQcoorddSmoke(t *testing.T) {
 
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0",
-		"-shards", "32",
 		"-drain-timeout", "15s",
 		"-metrics-out", metricsOut,
 	)

@@ -5,7 +5,7 @@
 // 100% of its traffic into worthless late answers. This package instead
 // sheds the excess and keeps the remainder in-deadline:
 //
-//   - Deadline gate: each request carries an absolute deadline. A per-shard
+//   - Deadline gate: each request carries an absolute deadline. A per-gate
 //     EWMA service-time estimator and a virtual-backlog model (a Lindley
 //     queue draining in wall time) predict the request's sojourn; requests
 //     that cannot finish inside their budget are rejected immediately with
@@ -15,7 +15,7 @@
 //     normal; high-priority traffic is only ever refused by the hard
 //     backlog cap or its own deadline.
 //   - Brownout: between "shed normal" and "touch high-priority" sits a
-//     cheaper rung — sustained backlog flips the shard into brownout, and
+//     cheaper rung — sustained backlog flips the gate into brownout, and
 //     its sessions play the best-classical strategy without consuming
 //     pool pairs or quantum sampling (core.HealthMonitor's load-driven
 //     rung). Brownout engages before any high-priority shedding and
@@ -87,7 +87,7 @@ func ParsePriority(s string) (Priority, error) {
 // Config tunes the admission controller. The zero value is usable:
 // withDefaults fills every field.
 type Config struct {
-	// InitialService seeds the per-shard EWMA estimate of per-round service
+	// InitialService seeds each gate's EWMA estimate of per-round service
 	// time. In virtual-time runs the wall clock never advances during a
 	// request, measured samples are zero and discarded, and this seed IS
 	// the model — making the whole gate a pure function of the arrival
@@ -95,7 +95,7 @@ type Config struct {
 	InitialService time.Duration
 	// EWMAAlpha is the weight of a new service-time sample. Default 0.1.
 	EWMAAlpha float64
-	// MaxBacklog caps the modeled per-shard queue: requests that would push
+	// MaxBacklog caps each gate's modeled queue: requests that would push
 	// the backlog past it are shed regardless of priority or deadline.
 	// Default 50ms.
 	MaxBacklog time.Duration
@@ -230,10 +230,11 @@ type gate struct {
 	entered, exited int64
 }
 
-// Controller is the per-server admission state: one gate per session shard
-// plus one shared concurrency limiter. Admit/Observe are safe for
-// concurrent use; determinism is per-gate (each shard's decisions depend
-// only on the order of its own arrivals, which the virtual backend fixes).
+// Controller is the per-server admission state: its gates (serve runs one,
+// the server's single queue) plus one shared concurrency limiter.
+// Admit/Observe are safe for concurrent use; determinism is per-gate (each
+// gate's decisions depend only on the order of its own arrivals, which the
+// virtual backend fixes).
 type Controller struct {
 	cfg     Config
 	gates   []gate
@@ -247,7 +248,7 @@ func NewController(cfg Config, shards int) *Controller {
 		shards = 1
 	}
 	// Gates are indexed with a mask, so the count rounds up to a power of
-	// two (the serve shard width already is one).
+	// two.
 	for shards&(shards-1) != 0 {
 		shards++
 	}

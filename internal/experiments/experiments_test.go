@@ -261,8 +261,7 @@ func TestServerLeavesProcessRegistryAlone(t *testing.T) {
 
 	now := time.Unix(1_700_000_000, 0)
 	srv := serve.NewServer(serve.Config{
-		Shards: 1,
-		Clock:  func() time.Time { return now },
+		Clock: func() time.Time { return now },
 		Admission: &admission.Config{
 			InitialService: 100 * time.Microsecond,
 			MaxBacklog:     10 * time.Millisecond,

@@ -91,9 +91,6 @@ func RunVirtualPlan(plan *Plan) (*Result, error) {
 type WallOptions struct {
 	// Client targets the daemon; required.
 	Client *serve.Client
-	// CreateSessions provisions the plan's session set before generating
-	// load (default true; disable when the harness pre-created them).
-	SkipCreateSessions bool
 	// Context cancels the run early (default background). In-flight
 	// requests finish; unsent ones are not issued and not counted.
 	Context context.Context
@@ -128,11 +125,9 @@ func RunWallPlan(plan *Plan, opts WallOptions) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if !opts.SkipCreateSessions {
-		for _, req := range plan.sessionRequests() {
-			if _, err := opts.Client.CreateSession(ctx, req); err != nil {
-				return nil, fmt.Errorf("create %s: %w", req.ID, err)
-			}
+	for _, req := range plan.sessionRequests() {
+		if _, err := opts.Client.CreateSession(ctx, req); err != nil {
+			return nil, fmt.Errorf("create %s: %w", req.ID, err)
 		}
 	}
 

@@ -84,7 +84,7 @@ func TestBatchAccountingMatchesPerRound(t *testing.T) {
 // server's registry, while /metrics shows every one of them.
 func TestDecidePathLeavesRegistryAlone(t *testing.T) {
 	for _, adm := range []*admission.Config{nil, {InitialService: time.Nanosecond, MaxBacklog: 10 * time.Millisecond}} {
-		srv := NewServer(Config{Shards: 2, Clock: func() time.Time { return testEpoch }, Admission: adm})
+		srv := NewServer(Config{Clock: func() time.Time { return testEpoch }, Admission: adm})
 		t.Cleanup(srv.StopSessions)
 		for _, id := range []string{"t-reg-a", "t-reg-b"} {
 			if _, err := srv.CreateSession(SessionRequest{ID: id, Endpoints: twoEndpoints(), Seed: 3}); err != nil {
@@ -166,7 +166,7 @@ func TestDecidePathLeavesRegistryAlone(t *testing.T) {
 // equal the calls made.
 func TestTalliesSumUnderConcurrency(t *testing.T) {
 	clk := newManualClock(testEpoch)
-	srv := NewServer(Config{Shards: 4, Clock: clk.Now, Admission: &admission.Config{
+	srv := NewServer(Config{Clock: clk.Now, Admission: &admission.Config{
 		InitialService: time.Nanosecond,
 		MaxBacklog:     time.Second,
 	}})

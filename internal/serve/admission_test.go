@@ -79,7 +79,7 @@ func (r *stringReader) Read(p []byte) (int, error) {
 // *APIError carrying the status.
 func TestDecideShedsOverHTTP(t *testing.T) {
 	clk := newManualClock(testEpoch)
-	_, c, url := newAdmissionServer(t, Config{Shards: 1, Clock: clk.Now, Admission: testAdmission()})
+	_, c, url := newAdmissionServer(t, Config{Clock: clk.Now, Admission: testAdmission()})
 	ctx := context.Background()
 	if _, err := c.CreateSession(ctx, SessionRequest{ID: "t-shed", Endpoints: twoEndpoints(), Seed: 1}); err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestDecideShedsOverHTTP(t *testing.T) {
 // request's response carries the modeled queue wait in queue_ns.
 func TestDeadlinePropagationOverHTTP(t *testing.T) {
 	clk := newManualClock(testEpoch)
-	_, c, url := newAdmissionServer(t, Config{Shards: 1, Clock: clk.Now, Admission: testAdmission()})
+	_, c, url := newAdmissionServer(t, Config{Clock: clk.Now, Admission: testAdmission()})
 	ctx := context.Background()
 	if _, err := c.CreateSession(ctx, SessionRequest{ID: "t-dl", Endpoints: twoEndpoints(), Seed: 2}); err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestBrownoutVisibleThroughServing(t *testing.T) {
 	clk := newManualClock(testEpoch)
 	cfg := testAdmission()
 	cfg.BrownoutSustain = 3
-	srv, c, _ := newAdmissionServer(t, Config{Shards: 1, Clock: clk.Now, Admission: cfg})
+	srv, c, _ := newAdmissionServer(t, Config{Clock: clk.Now, Admission: cfg})
 	ctx := context.Background()
 	if _, err := c.CreateSession(ctx, SessionRequest{
 		ID: "t-brown", Endpoints: twoEndpoints(), Seed: 3, Priority: "high",
@@ -283,7 +283,7 @@ func TestAdmissionDisableSheddingObserveOnly(t *testing.T) {
 	clk := newManualClock(testEpoch)
 	cfg := testAdmission()
 	cfg.DisableShedding = true
-	srv, c, _ := newAdmissionServer(t, Config{Shards: 1, Clock: clk.Now, Admission: cfg})
+	srv, c, _ := newAdmissionServer(t, Config{Clock: clk.Now, Admission: cfg})
 	ctx := context.Background()
 	if _, err := c.CreateSession(ctx, SessionRequest{ID: "t-obs", Endpoints: twoEndpoints(), Seed: 4, Priority: "low"}); err != nil {
 		t.Fatal(err)
@@ -300,37 +300,41 @@ func TestAdmissionDisableSheddingObserveOnly(t *testing.T) {
 	}
 }
 
-// TestGateStateRenderedPerShard: each admission gate's backlog and service
-// estimate is its own /metrics key, so two gates under different load show
-// different numbers instead of whichever wrote last.
-func TestGateStateRenderedPerShard(t *testing.T) {
-	srv := NewServer(Config{Shards: 2, Clock: func() time.Time { return testEpoch }, Admission: testAdmission()})
+// TestSessionsShareOneGate: the server is one admission queue. Backlog that
+// one session's decides charge is queue ahead of every other session's,
+// whatever their IDs hash to, and /metrics renders the one gate's backlog
+// and service estimate under unlabelled keys.
+func TestSessionsShareOneGate(t *testing.T) {
+	srv := NewServer(Config{Clock: func() time.Time { return testEpoch }, Admission: testAdmission()})
 	t.Cleanup(srv.StopSessions)
-	// One session on each gate.
-	ids := [2]string{}
-	for i := 0; ids[0] == "" || ids[1] == ""; i++ {
-		id := fmt.Sprintf("t-gate-%d", i)
-		if g := fnv64a(id) & 1; ids[g] == "" {
-			ids[g] = id
-		}
+	// IDs whose hashes differ in the low bits, which a gate chosen by hash
+	// would have split.
+	a, b := "t-gate-a", "t-gate-b"
+	if fnv64a(a)&15 == fnv64a(b)&15 {
+		t.Fatalf("%s and %s share their low hash bits", a, b)
 	}
-	for g, rounds := range []int{50, 1} { // 5ms and 100µs of modeled backlog
-		if _, err := srv.CreateSession(SessionRequest{ID: ids[g], Endpoints: twoEndpoints(), Seed: 2}); err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.DecideBatch(ids[g], make([]Round, rounds), make([]DecideResponse, rounds)); err != nil {
+	for _, id := range []string{a, b} {
+		if _, err := srv.CreateSession(SessionRequest{ID: id, Endpoints: twoEndpoints(), Seed: 2}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	srv.Admission().Observe(1, 200*time.Microsecond) // gate 1's estimate: 100µs → 110µs
+	// 50 rounds at the 100µs seed estimate: 5ms of modeled backlog.
+	if err := srv.DecideBatch(a, make([]Round, 50), make([]DecideResponse, 50)); err != nil {
+		t.Fatal(err)
+	}
+	var out DecideResponse
+	if err := srv.Decide(b, 0, 0, &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := (5 * time.Millisecond).Nanoseconds(); out.QueueNS != want {
+		t.Fatalf("%s queued %dns behind %s's batch, want %d", b, out.QueueNS, a, want)
+	}
 
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	for _, line := range []string{
-		"admission_backlog_ns{shard=0} 5e+06",
-		"admission_backlog_ns{shard=1} 100000",
-		"admission_service_estimate_ns{shard=0} 100000",
-		"admission_service_estimate_ns{shard=1} 110000",
+		"admission_backlog_ns 5.1e+06",
+		"admission_service_estimate_ns 100000",
 		"admission_accepted_total 2",
 	} {
 		if !strings.Contains(rec.Body.String(), line+"\n") {
@@ -346,8 +350,7 @@ func TestGateStateRenderedPerShard(t *testing.T) {
 // reach a shed threshold.
 func TestAdmissionAcceptPathAllocs(t *testing.T) {
 	srv := NewServer(Config{
-		Shards: 1,
-		Clock:  func() time.Time { return testEpoch },
+		Clock: func() time.Time { return testEpoch },
 		Admission: &admission.Config{
 			InitialService: time.Nanosecond,
 			MaxBacklog:     10 * time.Millisecond,
@@ -400,7 +403,7 @@ func TestSessionInfoRaceFree(t *testing.T) {
 	clk := newManualClock(testEpoch)
 	cfg := testAdmission()
 	cfg.BrownoutSustain = 2
-	srv, c, _ := newAdmissionServer(t, Config{Shards: 1, Clock: clk.Now, Admission: cfg})
+	srv, c, _ := newAdmissionServer(t, Config{Clock: clk.Now, Admission: cfg})
 	ctx := context.Background()
 	if _, err := c.CreateSession(ctx, SessionRequest{
 		ID: "t-race", Endpoints: twoEndpoints(), Seed: 6, Priority: "high",
@@ -531,7 +534,7 @@ func TestSessionInfoRaceFree(t *testing.T) {
 // however late, the pre-PR contract.
 func TestAdmissionNilIsPreAdmissionBehavior(t *testing.T) {
 	clk := newManualClock(testEpoch)
-	_, _, url := newAdmissionServer(t, Config{Shards: 1, Clock: clk.Now})
+	_, _, url := newAdmissionServer(t, Config{Clock: clk.Now})
 	srv2 := NewServer(Config{Clock: clk.Now})
 	t.Cleanup(srv2.StopSessions)
 	if _, err := srv2.CreateSession(SessionRequest{ID: "t-nil", Endpoints: twoEndpoints(), Seed: 7}); err != nil {
@@ -572,7 +575,7 @@ func TestSlowClientsDoNotHoldLimiterSlots(t *testing.T) {
 	clk := newManualClock(testEpoch)
 	cfg := testAdmission()
 	cfg.Limiter = admission.LimiterConfig{Initial: 2, Min: 2, Max: 2, QueueDepth: 2}
-	_, c, url := newAdmissionServer(t, Config{Shards: 1, Clock: clk.Now, Admission: cfg})
+	_, c, url := newAdmissionServer(t, Config{Clock: clk.Now, Admission: cfg})
 	ctx := context.Background()
 	if _, err := c.CreateSession(ctx, SessionRequest{ID: "t-slow", Endpoints: twoEndpoints(), Seed: 9}); err != nil {
 		t.Fatal(err)

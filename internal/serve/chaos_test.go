@@ -31,7 +31,7 @@ func TestChaosOutageUnderOverload(t *testing.T) {
 	clk := newManualClock(testEpoch)
 	cfg := testAdmission()
 	cfg.BrownoutSustain = 3
-	srv, c, _ := newAdmissionServer(t, Config{Shards: 1, Clock: clk.Now, Admission: cfg})
+	srv, c, _ := newAdmissionServer(t, Config{Clock: clk.Now, Admission: cfg})
 	ctx := context.Background()
 
 	// High priority: the hard 10ms cap is the only shed line, so every

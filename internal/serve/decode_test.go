@@ -60,7 +60,7 @@ func FuzzFastDecode(f *testing.F) {
 		f.Add(append(append(append([]byte(nil), batch[:i]...), " \t\n\r"[i%4]), batch[i:]...))
 	}
 
-	srv := NewServer(Config{Shards: 1, Clock: func() time.Time { return testEpoch }})
+	srv := NewServer(Config{Clock: func() time.Time { return testEpoch }})
 	f.Cleanup(srv.StopSessions)
 	if _, err := srv.CreateSession(SessionRequest{ID: "f", Endpoints: twoEndpoints(), Seed: 1}); err != nil {
 		f.Fatal(err)
@@ -171,7 +171,7 @@ func TestFastDecodeTakesTheHotShapes(t *testing.T) {
 // both sides: the poisoning request and the probing one each go once
 // through the fast path and once through encoding/json.
 func TestBatchRoundsDoNotBleedAcrossRequests(t *testing.T) {
-	srv := NewServer(Config{Shards: 1, Clock: func() time.Time { return testEpoch }})
+	srv := NewServer(Config{Clock: func() time.Time { return testEpoch }})
 	t.Cleanup(srv.StopSessions)
 	if _, err := srv.CreateSession(SessionRequest{ID: "t-bleed", Endpoints: twoEndpoints(), Seed: 1}); err != nil {
 		t.Fatal(err)

@@ -44,7 +44,6 @@ type decideScratch struct {
 	breq DecideBatchRequest // batch decode target (Rounds capacity reused)
 	bres []DecideResponse   // batch responses (capacity reused)
 	sess *session           // the decoded request's session (nil if unknown)
-	idx  int                // and its shard index
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -67,7 +66,7 @@ func (sc *decideScratch) results(n int) []DecideResponse {
 // decodeSingle reads a POST /v1/decide body into the pooled buffer and
 // decodes it into sc.req: by the fast path when it accepts, else by
 // json.Unmarshal into a zeroed target. Either way it looks the session up
-// once, into sc.sess and sc.idx, for play.
+// once, into sc.sess, for play.
 func (s *Server) decodeSingle(sc *decideScratch, r *http.Request) (err error) {
 	if sc.body, err = readBody(r.Body, sc.body, maxBodyBytes); err != nil {
 		return err
@@ -78,7 +77,7 @@ func (s *Server) decodeSingle(sc *decideScratch, r *http.Request) (err error) {
 	}
 	sc.req = DecideRequest{}
 	if err = json.Unmarshal(sc.body, &sc.req); err == nil {
-		sc.sess, sc.idx = s.lookup(sc.req.Session)
+		sc.sess = s.lookup(sc.req.Session)
 	}
 	return err
 }
@@ -96,16 +95,16 @@ func (s *Server) decodeBatch(sc *decideScratch, r *http.Request) (err error) {
 	clear(rounds)
 	sc.breq = DecideBatchRequest{Rounds: rounds[:0]}
 	if err = json.Unmarshal(sc.body, &sc.breq); err == nil {
-		sc.sess, sc.idx = s.lookup(sc.breq.Session)
+		sc.sess = s.lookup(sc.breq.Session)
 	}
 	return err
 }
 
-// resolve looks a view of a session ID up into sc.sess and sc.idx and
-// returns the ID as a string without copying it: a registered session lends
-// its own ID. Only an unknown ID — a 404 in the making — is allocated.
+// resolve looks a view of a session ID up into sc.sess and returns the ID
+// as a string without copying it: a registered session lends its own ID.
+// Only an unknown ID — a 404 in the making — is allocated.
 func (s *Server) resolve(sc *decideScratch, view []byte) string {
-	if sc.sess, sc.idx = find(s, view); sc.sess != nil {
+	if sc.sess = find(s, view); sc.sess != nil {
 		return sc.sess.id
 	}
 	return string(view)

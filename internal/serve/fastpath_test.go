@@ -118,7 +118,7 @@ func TestInfoDoesNotAdvancePerPoll(t *testing.T) {
 	if _, err := srv.CreateSession(SessionRequest{ID: "t-info", Endpoints: twoEndpoints(), Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	sess, _ := srv.lookup("t-info")
+	sess := srv.lookup("t-info")
 
 	// Sub-tick polls: virtual clock frozen.
 	clk.Advance(infoAdvanceTick / 2)

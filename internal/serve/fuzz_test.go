@@ -6,6 +6,9 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/faults"
 )
 
 // FuzzDecideHandlers throws arbitrary bodies at both decide endpoints. Each
@@ -21,7 +24,7 @@ import (
 func FuzzDecideHandlers(f *testing.F) {
 	f.Add(append([]byte(`{"session":"f","x":0,"y":0,"rounds":[`), bytes.Repeat([]byte(" "), maxBodyBytes+1)...))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		srv := NewServer(Config{Shards: 1, Clock: func() time.Time { return testEpoch }, Admission: testAdmission()})
+		srv := NewServer(Config{Clock: func() time.Time { return testEpoch }, Admission: testAdmission()})
 		defer srv.StopSessions()
 		if _, err := srv.CreateSession(SessionRequest{ID: "f", Endpoints: twoEndpoints(), Seed: 1}); err != nil {
 			t.Fatal(err)
@@ -70,6 +73,59 @@ func FuzzDecideHandlers(f *testing.F) {
 		srv.StartDrain()
 		if left := srv.Drain(time.Second); left != 0 {
 			t.Fatalf("drain left %d in flight", left)
+		}
+	})
+}
+
+// FuzzCreateSession throws arbitrary supply provisioning at CreateSession —
+// pair rate, fiber run, pool capacity, base visibility, health window, pair
+// budget and one fault window (kind 0 = none) together — and plays whatever
+// it accepts: a 4-round batch at +1 ms and again at +30 ms on an injected
+// clock. Either creation errors, or every round answers with binary
+// outputs, a visibility in [0, 1], a non-negative latency and a level of
+// the ladder. Nothing may panic.
+//
+// The named seeds live in testdata/fuzz/FuzzCreateSession.
+func FuzzCreateSession(f *testing.F) {
+	levels := map[string]bool{}
+	for l := 0; l < core.NumLevels; l++ {
+		levels[core.DegradeLevel(l).String()] = true
+	}
+	f.Fuzz(func(t *testing.T, pairRate, fiberM float64, poolCap int, baseVis float64, healthWindow int, pairBudget int64,
+		kind uint8, startMS, endMS, severity float64) {
+		clk := newManualClock(testEpoch)
+		srv := NewServer(Config{Clock: clk.Now})
+		defer srv.StopSessions()
+		req := SessionRequest{
+			ID:             "f",
+			Endpoints:      twoEndpoints(),
+			Seed:           1,
+			PairRate:       pairRate,
+			FiberLengthM:   fiberM,
+			PoolCap:        poolCap,
+			BaseVisibility: baseVis,
+			HealthWindow:   healthWindow,
+			PairBudget:     pairBudget,
+		}
+		if kind != 0 {
+			k := faults.Kind(1 + int(kind-1)%faults.NumKinds)
+			req.Faults = []FaultWindow{{Kind: k.String(), StartMS: startMS, EndMS: endMS, Severity: severity}}
+		}
+		if _, err := srv.CreateSession(req); err != nil {
+			return
+		}
+		rounds := []Round{{X: 0, Y: 0}, {X: 0, Y: 1}, {X: 1, Y: 0}, {X: 1, Y: 1}}
+		out := make([]DecideResponse, len(rounds))
+		for _, at := range []time.Duration{time.Millisecond, 30 * time.Millisecond} {
+			clk.Advance(testEpoch.Add(at).Sub(clk.Now()))
+			if err := srv.DecideBatch("f", rounds, out); err != nil {
+				t.Fatalf("+%v: %v", at, err)
+			}
+			for i, d := range out {
+				if d.A&^1 != 0 || d.B&^1 != 0 || !(d.Visibility >= 0 && d.Visibility <= 1) || d.LatencyNS < 0 || !levels[d.Level] {
+					t.Fatalf("+%v: round %d malformed: %+v", at, i, d)
+				}
+			}
 		}
 	})
 }

@@ -228,7 +228,7 @@ func TestInProcessDecideMatchesHTTP(t *testing.T) {
 					continue
 				}
 				clk := newManualClock(testEpoch)
-				cfg := Config{Shards: 1, Clock: clk.Now}
+				cfg := Config{Clock: clk.Now}
 				if tc.admission {
 					cfg.Admission = testAdmission()
 				}
@@ -398,7 +398,7 @@ func TestDecideWireErrors(t *testing.T) {
 		t.Run(tc.name+" "+tc.path, func(t *testing.T) {
 			cfg := testAdmission()
 			cfg.Limiter = admission.LimiterConfig{Initial: 1, Min: 1, Max: 1, QueueDepth: 1}
-			srv := NewServer(Config{Shards: 1, Clock: func() time.Time { return testEpoch }, Admission: cfg})
+			srv := NewServer(Config{Clock: func() time.Time { return testEpoch }, Admission: cfg})
 			t.Cleanup(srv.StopSessions)
 			if _, err := srv.CreateSession(SessionRequest{ID: "t-wire", Endpoints: twoEndpoints(), Seed: 1}); err != nil {
 				t.Fatal(err)
@@ -434,10 +434,10 @@ func TestDecideWireErrors(t *testing.T) {
 }
 
 // TestInvalidInputsTakeNoAdmission: a request with an out-of-alphabet round
-// plays nothing, so it must cost the shard nothing either — no limiter
-// slot, no charge to the modeled backlog, no sample into the service-time
-// EWMA. Validating after admission let a client posting invalid batches
-// shed every well-formed session on its shard.
+// plays nothing, so it must cost the admission gate nothing either — no
+// limiter slot, no charge to the modeled backlog, no sample into the
+// service-time EWMA. Validating after admission let a client posting invalid
+// batches shed every well-formed session on the server.
 func TestInvalidInputsTakeNoAdmission(t *testing.T) {
 	bad := []Round{{X: 0, Y: 0}, {X: 1, Y: 1}, {X: 0, Y: 1}, {X: 1, Y: 0}, {X: 0, Y: 0},
 		{X: 1, Y: 1}, {X: 0, Y: 1}, {X: 1, Y: 0}, {X: 0, Y: 0}, {X: 2, Y: 0}}
@@ -475,7 +475,7 @@ func TestInvalidInputsTakeNoAdmission(t *testing.T) {
 			// service time.
 			now := testEpoch
 			clock := func() time.Time { now = now.Add(time.Microsecond); return now }
-			srv := NewServer(Config{Shards: 1, Clock: clock, Admission: testAdmission()})
+			srv := NewServer(Config{Clock: clock, Admission: testAdmission()})
 			t.Cleanup(srv.StopSessions)
 			if _, err := srv.CreateSession(SessionRequest{ID: "t-invalid", Endpoints: twoEndpoints(), Seed: 1}); err != nil {
 				t.Fatal(err)
@@ -517,7 +517,7 @@ func TestClientZeroDeadlineIsUnstamped(t *testing.T) {
 	ctx := context.Background()
 	rounds := []Round{{X: 0, Y: 1}}
 	for _, adm := range []*admission.Config{nil, testAdmission()} {
-		srv, c, _ := newAdmissionServer(t, Config{Shards: 1, Clock: func() time.Time { return testEpoch }, Admission: adm})
+		srv, c, _ := newAdmissionServer(t, Config{Clock: func() time.Time { return testEpoch }, Admission: adm})
 		if _, err := c.CreateSession(ctx, SessionRequest{ID: "t-zero", Endpoints: twoEndpoints(), Seed: 1}); err != nil {
 			t.Fatal(err)
 		}

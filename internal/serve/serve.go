@@ -10,11 +10,10 @@
 // in-process decision takes and the server's in-flight count the only
 // server-wide value it writes; the HTTP handlers also time each request
 // into the server's registry, and admission adds its limiter's lock and
-// its shard gate's.
+// its one admission gate's.
 //
-// Session state is sharded: FNV-64a(session ID) picks one of N shards, each
-// an insert-only hash table. Lookup probes a shard's table with atomic
-// loads and takes no lock; registration places a session under the shard's
+// Sessions live in one insert-only hash table. Lookup probes it with atomic
+// loads and takes no lock; registration places a session under the table's
 // writer mutex, doubling a table about to pass half full. Each session's
 // own mutex serializes only its rounds, and what its rounds did to the
 // server's counters is kept on the session, written under that same hold
@@ -48,16 +47,13 @@ import (
 
 // Config parametrizes a Server. The zero value serves with defaults.
 type Config struct {
-	// Shards is the stripe width of the session store, capped at MaxShards
-	// and rounded up to a power of two (default 16).
-	Shards int
 	// Clock supplies wall time for the session clocks (default time.Now).
 	// Injecting a clock makes the whole decide path deterministic: the
 	// in-process load-test backend drives sessions on a virtual time axis,
 	// and decide-path tests stop racing the real clock.
 	Clock func() time.Time
 	// Admission, when non-nil, enables overload resilience on the decide
-	// paths: the adaptive concurrency limiter, the per-shard deadline
+	// paths: the adaptive concurrency limiter, the server's deadline
 	// gate, priority shedding and the load-driven brownout rung (see
 	// internal/admission). Nil preserves the pre-admission behavior
 	// exactly — every request is served, however late. Where the stages
@@ -99,36 +95,35 @@ func (e *ShedError) Error() string {
 	return fmt.Sprintf("serve: overloaded (shed: %s)", e.Outcome)
 }
 
-// maxBodyBytes bounds a decide request body (a 4096-round batch is ~64 KiB;
-// the limit leaves ample headroom without letting a client balloon the
-// pooled buffers).
+// maxBodyBytes bounds a request body: a decide (a 4096-round batch is
+// ~64 KiB; the limit leaves ample headroom without letting a client balloon
+// the pooled buffers) or a session registration.
 const maxBodyBytes = 1 << 20
 
-// shard is one stripe of the session store: an insert-only open-addressing
-// table of its sessions keyed by ID. Readers probe the table through slots
-// and take no lock. mu serializes the writers — CreateSession places a
-// session, and a table about to pass half full is replaced by one twice its
-// size — and StopSessions reads the table under it, so a create either lands
+// store is the session store: an insert-only open-addressing table of the
+// server's sessions keyed by ID. Readers probe the table through slots and
+// take no lock. mu serializes the writers — CreateSession places a session,
+// and a table about to pass half full is replaced by one twice its size —
+// and StopSessions reads the table under it, so a create either lands
 // before that read or sees the drain.
-type shard struct {
+type store struct {
 	mu    sync.Mutex
 	slots atomic.Pointer[table]
 	n     int    // sessions placed; guarded by mu
-	key   uint64 // keys the slot hash (see slotOf); random per shard
+	key   uint64 // keys the slot hash (see slotOf); random per server
 }
 
-// table is a shard's slot array, its length a power of two. A slot, once
+// table is the store's slot array, its length a power of two. A slot, once
 // filled, is never written again, so a reader holding a table that has been
 // replaced still finds every session that table had.
 type table []atomic.Pointer[session]
 
-// slotOf maps an ID's shard hash h onto its home slot's hash: the shard's
-// random key, then a 64-bit finalizer (MurmurHash3's fmix64). The shard
-// index stays plain FNV, so which sessions share an admission gate is
-// reproducible; the slots are not, so a client choosing session IDs cannot
-// line them up on one probe chain.
-func (sh *shard) slotOf(h uint64) uint64 {
-	h ^= sh.key
+// slotOf maps an ID to its home slot's hash: FNV-64a of the ID, the store's
+// random key, then a 64-bit finalizer (MurmurHash3's fmix64). The key makes
+// the slots differ from server to server, so a client choosing session IDs
+// cannot line them up on one probe chain.
+func slotOf[S string | []byte](st *store, id S) uint64 {
+	h := fnv64a(id) ^ st.key
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
@@ -136,32 +131,19 @@ func (sh *shard) slotOf(h uint64) uint64 {
 	return h ^ h>>33
 }
 
-// get returns the session with ID id, whose hash is h, from sh (nil when
-// absent). The probe runs from the ID's home slot to the first empty one,
-// which a table at most half full always has.
-func get[S string | []byte](sh *shard, id S, h uint64) *session {
-	t := *sh.slots.Load()
-	mask := uint64(len(t) - 1)
-	for i := sh.slotOf(h); ; i++ {
-		if sess := t[i&mask].Load(); sess == nil || sess.id == string(id) {
-			return sess
-		}
-	}
-}
-
-// put places sess, whose ID hashes to h and is not in sh yet; the caller
-// holds sh.mu. Doubling the table when it would pass half full makes n puts
-// move O(n) sessions in all.
-func (sh *shard) put(sess *session, h uint64) {
-	t := *sh.slots.Load()
-	if 2*(sh.n+1) > len(t) {
+// put places sess, whose ID is not in st yet; the caller holds st.mu.
+// Doubling the table when it would pass half full makes n puts move O(n)
+// sessions in all.
+func (st *store) put(sess *session) {
+	t := *st.slots.Load()
+	if 2*(st.n+1) > len(t) {
 		next := make(table, 2*len(t))
-		t.each(func(old *session) { next.place(old, sh.slotOf(fnv64a(old.id))) })
-		sh.slots.Store(&next)
+		t.each(func(old *session) { next.place(old, slotOf(st, old.id)) })
+		st.slots.Store(&next)
 		t = next
 	}
-	t.place(sess, sh.slotOf(h))
-	sh.n++
+	t.place(sess, slotOf(st, sess.id))
+	st.n++
 }
 
 // place stores sess in the first empty slot from its home slot on.
@@ -187,8 +169,7 @@ func (t table) each(f func(*session)) {
 // mount it (it implements http.Handler).
 type Server struct {
 	mux      *http.ServeMux
-	shards   []*shard
-	mask     uint64
+	sessions store
 	reg      *metrics.Registry
 	clock    func() time.Time
 	adm      *admission.Controller // nil = admission disabled
@@ -209,30 +190,15 @@ type Server struct {
 	mShed [admission.ShedExpired + 1]*metrics.Counter
 }
 
-// MaxShards caps the session store's stripe width. The cap keeps the
-// power-of-two rounding from overflowing and the stripe array bounded.
-const MaxShards = 1 << 16
-
 // NewServer builds a ready-to-mount server with a metrics registry of its
 // own, which /metrics and WriteMetricsArtifact render.
 func NewServer(cfg Config) *Server {
-	n := min(cfg.Shards, MaxShards)
-	if n <= 0 {
-		n = 16
-	}
-	// Round up to a power of two so shard selection is a mask, not a mod.
-	w := 1
-	for w < n {
-		w <<= 1
-	}
 	reg := metrics.NewRegistry()
 	clock := cfg.Clock
 	if clock == nil {
 		clock = time.Now
 	}
 	s := &Server{
-		shards:        make([]*shard, w),
-		mask:          uint64(w - 1),
 		reg:           reg,
 		clock:         clock,
 		mSessions:     reg.Counter("serve_sessions_created_total"),
@@ -242,18 +208,16 @@ func NewServer(cfg Config) *Server {
 		mBatchTimer:   reg.Timer("serve_decide_batch"),
 	}
 	if cfg.Admission != nil {
-		// One admission gate per session shard: the gate's virtual queue
-		// models exactly the state the shard's sessions contend on.
-		s.adm = admission.NewController(*cfg.Admission, w)
+		// One admission gate: the server is one queue, whose virtual
+		// backlog every session's decides charge and wait behind.
+		s.adm = admission.NewController(*cfg.Admission, 1)
 		for o := admission.ShedDeadline; o <= admission.ShedExpired; o++ {
 			s.mShed[o] = reg.Counter(metrics.Key("admission_shed_total", "reason", o.String()))
 		}
 	}
-	for i := range s.shards {
-		s.shards[i] = &shard{key: rand.Uint64()}
-		t := make(table, 2)
-		s.shards[i].slots.Store(&t)
-	}
+	s.sessions.key = rand.Uint64()
+	t := make(table, 2)
+	s.sessions.slots.Store(&t)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sessions", s.handleCreateSession)
 	mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionInfo)
@@ -267,8 +231,8 @@ func NewServer(cfg Config) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// fnv64a is the shard hash. It takes the ID as a string or as the decoder's
-// byte view of one.
+// fnv64a is the session-ID hash. It takes the ID as a string or as the
+// decoder's byte view of one.
 func fnv64a[S string | []byte](s S) uint64 {
 	const (
 		offset = 14695981039346656037
@@ -286,24 +250,26 @@ func fnv64a[S string | []byte](s S) uint64 {
 func (s *Server) Admission() *admission.Controller { return s.adm }
 
 // find resolves a session ID — a string, or the request decoder's byte view
-// of one, which the map lookup does not copy — in one hash pass and no lock
-// (nil when unknown), also returning the index of its shard, which is its
-// admission gate's index.
-func find[S string | []byte](s *Server, id S) (*session, int) {
-	h := fnv64a(id)
-	idx := int(h & s.mask)
-	return get(s.shards[idx], id, h), idx
+// of one, which the probe does not copy — in one hash pass and no lock (nil
+// when unknown). The probe runs from the ID's home slot to the first empty
+// one, which a table at most half full always has.
+func find[S string | []byte](s *Server, id S) *session {
+	t := *s.sessions.slots.Load()
+	mask := uint64(len(t) - 1)
+	for i := slotOf(&s.sessions, id); ; i++ {
+		if sess := t[i&mask].Load(); sess == nil || sess.id == string(id) {
+			return sess
+		}
+	}
 }
 
 // lookup is find for an ID held as a string.
-func (s *Server) lookup(id string) (*session, int) { return find(s, id) }
+func (s *Server) lookup(id string) *session { return find(s, id) }
 
-// SessionCount returns the number of registered sessions across all shards.
+// SessionCount returns the number of registered sessions.
 func (s *Server) SessionCount() int {
 	n := 0
-	for _, sh := range s.shards {
-		sh.slots.Load().each(func(*session) { n++ })
-	}
+	s.sessions.slots.Load().each(func(*session) { n++ })
 	return n
 }
 
@@ -363,18 +329,17 @@ func (s *Server) CreateSession(req SessionRequest) (SessionInfo, error) {
 	if err != nil {
 		return SessionInfo{}, err
 	}
-	h := fnv64a(id)
-	sh := s.shards[h&s.mask]
-	sh.mu.Lock()
+	st := &s.sessions
+	st.mu.Lock()
 	// Drain is checked again under the writer lock StopSessions reads the
-	// shard under: a drain that began while the session was being built
+	// table under: a drain that began while the session was being built
 	// refuses it here instead of leaving its source running.
 	draining := s.draining.Load()
-	exists := get(sh, id, h) != nil
+	exists := find(s, id) != nil
 	if !draining && !exists {
-		sh.put(sess, h)
+		st.put(sess)
 	}
-	sh.mu.Unlock()
+	st.mu.Unlock()
 	switch {
 	case draining:
 		sess.stop()
@@ -402,12 +367,12 @@ func (s *Server) CreateSession(req SessionRequest) (SessionInfo, error) {
 //     is only the gate; playInflight runs the rest, so that each has one
 //     deferred call and few enough returns for the compiler to open-code
 //     it.
-//  2. Input validation against sess, which the caller looked up in shard
-//     idx (nil when unknown): the in-process entry points just before play,
-//     the HTTP decoders while decoding, so every decide resolves its
-//     session once, with no lock. Both read only immutable state, so a
-//     malformed request is refused before it can take a limiter slot or
-//     charge the shard's modeled backlog.
+//  2. Input validation against sess, which the caller looked up (nil when
+//     unknown): the in-process entry points just before play, the HTTP
+//     decoders while decoding, so every decide resolves its session once,
+//     with no lock. Both read only immutable state, so a malformed request
+//     is refused before it can take a limiter slot or charge the modeled
+//     backlog.
 //  3. Concurrency limiter, bounding concurrency before any admission math.
 //     The one stage that differs by caller: blocking (HTTP) queues FIFO in
 //     Acquire, bounded by the deadline; non-blocking (in-process) takes
@@ -425,21 +390,21 @@ func (s *Server) CreateSession(req SessionRequest) (SessionInfo, error) {
 //     the request beside them (see (*tally).account). No server-wide
 //     counter is written — /metrics sums the tallies — so a decide, single
 //     or batched, shares no cache line with other sessions' decides but
-//     the in-flight count (and, with admission on, the limiter and its
-//     shard's gate). Then (deferred) the service-time sample for the
+//     the in-flight count (and, with admission on, the limiter and the
+//     server's gate). Then (deferred) the service-time sample for the
 //     gate's EWMA and the limiter release.
 //
 // Results land in out[:len(rounds)] in request order; on error nothing was
 // played.
-func (s *Server) play(sess *session, idx int, deadline time.Time, rounds []Round, out []DecideResponse, blocking, batch bool) (time.Time, error) {
+func (s *Server) play(sess *session, deadline time.Time, rounds []Round, out []DecideResponse, blocking, batch bool) (time.Time, error) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	return s.playInflight(sess, idx, deadline, rounds, out, blocking, batch)
+	return s.playInflight(sess, deadline, rounds, out, blocking, batch)
 }
 
 // playInflight is play past its inflight gate: stages 1 (the drain check)
 // to 7.
-func (s *Server) playInflight(sess *session, idx int, deadline time.Time, rounds []Round, out []DecideResponse, blocking, batch bool) (start time.Time, err error) {
+func (s *Server) playInflight(sess *session, deadline time.Time, rounds []Round, out []DecideResponse, blocking, batch bool) (start time.Time, err error) {
 	if len(rounds) == 0 {
 		return start, errEmptyBatch
 	}
@@ -474,7 +439,7 @@ func (s *Server) playInflight(sess *session, idx int, deadline time.Time, rounds
 	var queueNS int64
 	var brownout bool
 	if s.adm != nil {
-		dec := s.adm.Admit(idx, start, deadline, sess.priority, len(rounds))
+		dec := s.adm.Admit(0, start, deadline, sess.priority, len(rounds))
 		if !dec.OK {
 			lim.Release(0, nil)
 			s.mShed[dec.Outcome].Inc()
@@ -483,7 +448,7 @@ func (s *Server) playInflight(sess *session, idx int, deadline time.Time, rounds
 		queueNS, brownout = dec.QueueNS, dec.Brownout
 		defer func() {
 			elapsed := s.clock().Sub(start)
-			s.adm.Observe(idx, elapsed/time.Duration(len(rounds)))
+			s.adm.Observe(0, elapsed/time.Duration(len(rounds)))
 			lim.Release(elapsed, s.clock)
 		}()
 	}
@@ -502,8 +467,7 @@ var errShedLimiter = &ShedError{Outcome: admission.ShedLimiter}
 func (s *Server) Decide(session string, x, y int, out *DecideResponse) error {
 	rounds := [1]Round{{X: x, Y: y}}
 	var res [1]DecideResponse
-	sess, idx := s.lookup(session)
-	if _, err := s.play(sess, idx, time.Time{}, rounds[:], res[:], false, false); err != nil {
+	if _, err := s.play(s.lookup(session), time.Time{}, rounds[:], res[:], false, false); err != nil {
 		return singleRound(err)
 	}
 	*out = res[0]
@@ -524,15 +488,14 @@ func (s *Server) DecideBatch(session string, rounds []Round, out []DecideRespons
 // late. A zero deadline means unstamped. The admission-enabled path stays
 // allocation-free on accept.
 func (s *Server) DecideBatchDeadline(session string, deadline time.Time, rounds []Round, out []DecideResponse) error {
-	sess, idx := s.lookup(session)
-	_, err := s.play(sess, idx, deadline, rounds, out, false, true)
+	_, err := s.play(s.lookup(session), deadline, rounds, out, false, true)
 	return err
 }
 
 // Info reports a session's health in-process (the load-test harness's
 // health-poll scenario; the HTTP equivalent is GET /v1/sessions/{id}).
 func (s *Server) Info(id string) (SessionInfo, error) {
-	sess, _ := s.lookup(id)
+	sess := s.lookup(id)
 	if sess == nil {
 		return SessionInfo{}, ErrNoSession
 	}
@@ -541,7 +504,7 @@ func (s *Server) Info(id string) (SessionInfo, error) {
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req SessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad session request: %v", err)
 		return
 	}
@@ -605,7 +568,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	}
 	rounds := [1]Round{{X: sc.req.X, Y: sc.req.Y}}
 	var res [1]DecideResponse
-	start, err := s.play(sc.sess, sc.idx, deadlineOf(sc.req.DeadlineUnixNS), rounds[:], res[:], true, false)
+	start, err := s.play(sc.sess, deadlineOf(sc.req.DeadlineUnixNS), rounds[:], res[:], true, false)
 	if err != nil {
 		writePlayError(w, sc.req.Session, singleRound(err))
 		return
@@ -626,7 +589,7 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results := sc.results(len(sc.breq.Rounds))
-	start, err := s.play(sc.sess, sc.idx, deadlineOf(sc.breq.DeadlineUnixNS), sc.breq.Rounds, results, true, true)
+	start, err := s.play(sc.sess, deadlineOf(sc.breq.DeadlineUnixNS), sc.breq.Rounds, results, true, true)
 	if err != nil {
 		writePlayError(w, sc.breq.Session, err)
 		return
@@ -649,12 +612,10 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) snapshot() []metrics.KV {
 	var sum [tallyFields]int64
 	sessions := 0
-	for _, sh := range s.shards {
-		sh.slots.Load().each(func(sess *session) {
-			sess.tally.addTo(&sum)
-			sessions++
-		})
-	}
+	s.sessions.slots.Load().each(func(sess *session) {
+		sess.tally.addTo(&sum)
+		sessions++
+	})
 	out := append(s.reg.Snapshot(),
 		metrics.KV{Key: "serve_sessions_active", Value: float64(sessions)},
 		metrics.KV{Key: "serve_decisions_total", Value: float64(sum[tGoodput] + sum[tLate])},
@@ -662,18 +623,11 @@ func (s *Server) snapshot() []metrics.KV {
 		metrics.KV{Key: "serve_late_total", Value: float64(sum[tLate])})
 	out = metrics.AppendTimer(out, "serve_goodput", sum[tGoodput], time.Duration(sum[tGoodputNS]), time.Duration(sum[tGoodputMaxNS]))
 	if s.adm != nil {
-		now := s.clock()
-		var entered, exited int64
-		for i := 0; i < s.adm.Shards(); i++ {
-			shard := strconv.Itoa(i)
-			e, x := s.adm.BrownoutFlips(i)
-			entered, exited = entered+e, exited+x
-			out = append(out,
-				metrics.KV{Key: metrics.Key("admission_backlog_ns", "shard", shard), Value: float64(s.adm.Backlog(i, now))},
-				metrics.KV{Key: metrics.Key("admission_service_estimate_ns", "shard", shard), Value: float64(s.adm.Estimate(i))})
-		}
+		entered, exited := s.adm.BrownoutFlips(0)
 		lim := s.adm.Limiter()
 		out = append(out,
+			metrics.KV{Key: "admission_backlog_ns", Value: float64(s.adm.Backlog(0, s.clock()))},
+			metrics.KV{Key: "admission_service_estimate_ns", Value: float64(s.adm.Estimate(0))},
 			// Only an accepted request reaches its session.
 			metrics.KV{Key: "admission_accepted_total", Value: float64(sum[tSingles] + sum[tBatches])},
 			metrics.KV{Key: "admission_brownout_entered_total", Value: float64(entered)},
@@ -720,15 +674,12 @@ func (s *Server) Drain(deadline time.Duration) int64 {
 // StopSessions halts every session's entanglement source (after drain, so
 // no session engine owes catch-up work past shutdown).
 func (s *Server) StopSessions() {
-	for _, sh := range s.shards {
-		// Under the writer lock, so a CreateSession racing the drain
-		// either inserted before this read or sees the drain (see
-		// CreateSession).
-		sh.mu.Lock()
-		t := sh.slots.Load()
-		sh.mu.Unlock()
-		t.each((*session).stop)
-	}
+	// Under the writer lock, so a CreateSession racing the drain either
+	// inserted before this read or sees the drain (see CreateSession).
+	s.sessions.mu.Lock()
+	t := s.sessions.slots.Load()
+	s.sessions.mu.Unlock()
+	t.each((*session).stop)
 }
 
 // WriteMetricsArtifact flushes the server's snapshot (what /metrics shows)
@@ -737,7 +688,6 @@ func (s *Server) StopSessions() {
 func (s *Server) WriteMetricsArtifact(path string) error {
 	a := metrics.NewArtifact("qcoordd")
 	a.Config = map[string]any{
-		"shards":   len(s.shards),
 		"sessions": s.SessionCount(),
 	}
 	a.Metrics = s.snapshot()

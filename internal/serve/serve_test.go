@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -37,20 +36,6 @@ func twoEndpoints() []string { return []string{"lb-a", "lb-b"} }
 // '%') used to be spliced raw into the request path and came back 404 (or
 // failed to parse); the client path-escapes the ID and the mux hands the
 // handler the unescaped value.
-// TestNewServerClampsShards: the stripe width is capped at MaxShards before
-// the power-of-two rounding, which would otherwise overflow past 2⁶² and
-// never end.
-func TestNewServerClampsShards(t *testing.T) {
-	for _, n := range []int{math.MaxInt, 1<<62 + 1, MaxShards + 1, MaxShards} {
-		if got := len(NewServer(Config{Shards: n}).shards); got != MaxShards {
-			t.Fatalf("Shards %d: %d stripes, want %d", n, got, MaxShards)
-		}
-	}
-	if got := len(NewServer(Config{Shards: 3}).shards); got != 4 {
-		t.Fatalf("Shards 3: %d stripes, want 4", got)
-	}
-}
-
 func TestClientSessionIDRoundTrip(t *testing.T) {
 	srv, c := newTestServer(t, Config{})
 	ctx := context.Background()
@@ -158,6 +143,8 @@ func TestCreateSessionConflictAndValidation(t *testing.T) {
 // request is ticks-per-25-ms, so the pair rate must be capped, and the two
 // sizes whose negative values silently meant something else (an unlimited
 // pool, core's health window instead of serve's) are refused, not reread.
+// The health window is allocated at creation, so it is capped too: 2⁶² once
+// panicked the handler in makeslice.
 func TestCreateSessionRejectsUnboundedSupply(t *testing.T) {
 	srv := NewServer(Config{})
 	t.Cleanup(srv.StopSessions)
@@ -170,6 +157,9 @@ func TestCreateSessionRejectsUnboundedSupply(t *testing.T) {
 		{"pair rate just over the cap", SessionRequest{PairRate: 1.0001e7}, http.StatusBadRequest},
 		{"negative pool cap", SessionRequest{PoolCap: -1}, http.StatusBadRequest},
 		{"negative health window", SessionRequest{HealthWindow: -1}, http.StatusBadRequest},
+		{"health window 2⁶²", SessionRequest{HealthWindow: 1 << 62}, http.StatusBadRequest},
+		{"health window past the cap", SessionRequest{HealthWindow: maxHealthWindow + 1}, http.StatusBadRequest},
+		{"health window at the cap", SessionRequest{HealthWindow: maxHealthWindow}, http.StatusCreated},
 		{"fiber delay overflows a Duration", SessionRequest{FiberLengthM: 1e19}, http.StatusBadRequest},
 		{"pair rate at the cap", SessionRequest{PairRate: 1e7}, http.StatusCreated},
 		{"defaults", SessionRequest{}, http.StatusCreated},
@@ -182,6 +172,26 @@ func TestCreateSessionRejectsUnboundedSupply(t *testing.T) {
 		if rec := post(srv, "/v1/sessions", string(body)); rec.Code != tc.want {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.want, rec.Body)
 		}
+	}
+}
+
+// TestCreateSessionBodyIsBounded: POST /v1/sessions reads at most
+// maxBodyBytes, as the decide routes do. A registration padded just past the
+// limit is refused and registers nothing.
+func TestCreateSessionBodyIsBounded(t *testing.T) {
+	srv := NewServer(Config{})
+	t.Cleanup(srv.StopSessions)
+	body := `{"endpoints":["a","b"],` + strings.Repeat(" ", maxBodyBytes) + `"id":"t-big"}`
+	rec := post(srv, "/v1/sessions", body)
+	if rec.Code < 400 || rec.Code >= 500 {
+		t.Fatalf("status %d for a %d-byte registration, want 4xx (%s)", rec.Code, len(body), rec.Body)
+	}
+	if n := srv.SessionCount(); n != 0 {
+		t.Fatalf("%d sessions registered", n)
+	}
+	// The same registration within the limit is taken.
+	if rec := post(srv, "/v1/sessions", `{"endpoints":["a","b"],"id":"t-big"}`); rec.Code != http.StatusCreated {
+		t.Fatalf("status %d for the unpadded registration (%s)", rec.Code, rec.Body)
 	}
 }
 
@@ -513,7 +523,7 @@ func TestDrainRejectsNewWorkAndCompletesInflight(t *testing.T) {
 
 	// Hold the session lock so a decide is genuinely in flight (past the
 	// drain gate, blocked mid-request) when drain starts.
-	sess, _ := srv.lookup(info.ID)
+	sess := srv.lookup(info.ID)
 	sess.mu.Lock()
 	type result struct {
 		resp DecideResponse
@@ -565,13 +575,13 @@ func TestDrainRejectsNewWorkAndCompletesInflight(t *testing.T) {
 }
 
 // TestCreateRacingDrainIsStoppedOrRefused: sessions created while the
-// server drains either land before StopSessions reads their shard, and are
-// stopped with the rest, or are refused with ErrDraining — never registered
-// after StopSessions has passed their shard with their source running.
+// server drains either land before StopSessions reads the session table, and
+// are stopped with the rest, or are refused with ErrDraining — never
+// registered after StopSessions has read it with their source running.
 func TestCreateRacingDrainIsStoppedOrRefused(t *testing.T) {
 	const trials, creators = 60, 4
 	for trial := 0; trial < trials; trial++ {
-		srv := NewServer(Config{Shards: 4, Clock: func() time.Time { return testEpoch }})
+		srv := NewServer(Config{Clock: func() time.Time { return testEpoch }})
 		var created atomic.Int64
 		var wg sync.WaitGroup
 		for c := 0; c < creators; c++ {
@@ -606,23 +616,21 @@ func TestCreateRacingDrainIsStoppedOrRefused(t *testing.T) {
 			t.Fatalf("trial %d: %d sessions registered, %d creates succeeded", trial, n, created.Load())
 		}
 		// A stopped source generates nothing however far its engine runs.
-		for _, sh := range srv.shards {
-			sh.slots.Load().each(func(sess *session) {
-				sess.mu.Lock()
-				before := sess.svc.Stats().Generated
-				sess.engine.RunUntil(sess.engine.Now() + time.Millisecond)
-				after := sess.svc.Stats().Generated
-				sess.mu.Unlock()
-				if after != before {
-					t.Fatalf("trial %d: session %s generated %d pairs after StopSessions", trial, sess.id, after-before)
-				}
-			})
-		}
+		srv.sessions.slots.Load().each(func(sess *session) {
+			sess.mu.Lock()
+			before := sess.svc.Stats().Generated
+			sess.engine.RunUntil(sess.engine.Now() + time.Millisecond)
+			after := sess.svc.Stats().Generated
+			sess.mu.Unlock()
+			if after != before {
+				t.Fatalf("trial %d: session %s generated %d pairs after StopSessions", trial, sess.id, after-before)
+			}
+		})
 	}
 }
 
 func TestConcurrentSessionsAndDecides(t *testing.T) {
-	srv, c := newTestServer(t, Config{Shards: 8})
+	srv, c := newTestServer(t, Config{})
 	ctx := context.Background()
 	const sessions = 16
 	const perSession = 40
@@ -677,34 +685,12 @@ func TestConcurrentSessionsAndDecides(t *testing.T) {
 	}
 }
 
-func TestShardDistribution(t *testing.T) {
-	srv := NewServer(Config{Shards: 8})
-	defer srv.StopSessions()
-	if len(srv.shards) != 8 {
-		t.Fatalf("shard count = %d", len(srv.shards))
-	}
-	// FNV should not funnel distinct IDs into one stripe.
-	seen := map[int]bool{}
-	for _, id := range []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india", "juliet"} {
-		_, idx := srv.lookup(id)
-		seen[idx] = true
-	}
-	if len(seen) < 3 {
-		t.Fatalf("10 IDs landed in only %d shards", len(seen))
-	}
-	// Non-power-of-two widths round up.
-	srv2 := NewServer(Config{Shards: 5})
-	if len(srv2.shards) != 8 {
-		t.Fatalf("rounded shard count = %d, want 8", len(srv2.shards))
-	}
-}
-
-// TestShardTableFindsEverySession: one shard's table grows from two slots
+// TestShardTableFindsEverySession: the session table grows from two slots
 // past a thousand sessions while a reader keeps finding the sessions already
 // created, by string and by the decoder's byte view, and never finds one
 // that is not there.
 func TestShardTableFindsEverySession(t *testing.T) {
-	srv := NewServer(Config{Shards: 1, Clock: func() time.Time { return testEpoch }})
+	srv := NewServer(Config{Clock: func() time.Time { return testEpoch }})
 	defer srv.StopSessions()
 	const n = 1200
 	ids := make([]string, n)
@@ -722,9 +708,9 @@ func TestShardTableFindsEverySession(t *testing.T) {
 				continue
 			}
 			id := ids[k%have]
-			byString, _ := srv.lookup(id)
-			byView, _ := find(srv, []byte(id))
-			absent, _ := srv.lookup(id + "-absent")
+			byString := srv.lookup(id)
+			byView := find(srv, []byte(id))
+			absent := srv.lookup(id + "-absent")
 			if byString == nil || byString.id != id || byView != byString || absent != nil {
 				found <- fmt.Errorf("after %d creates, %s: by string %v, by view %v, absent %v", have, id, byString, byView, absent)
 				return
@@ -745,14 +731,14 @@ func TestShardTableFindsEverySession(t *testing.T) {
 		t.Fatalf("SessionCount = %d, want %d", got, n)
 	}
 	for _, id := range ids {
-		if sess, _ := srv.lookup(id); sess == nil || sess.id != id {
+		if sess := srv.lookup(id); sess == nil || sess.id != id {
 			t.Fatalf("%s not found after every create", id)
 		}
 	}
 	if _, err := srv.CreateSession(SessionRequest{ID: ids[n/2], Endpoints: twoEndpoints()}); !errors.Is(err, ErrSessionExists) {
 		t.Fatalf("duplicate create: %v, want ErrSessionExists", err)
 	}
-	if slots := len(*srv.shards[0].slots.Load()); slots < 2*n {
+	if slots := len(*srv.sessions.slots.Load()); slots < 2*n {
 		t.Fatalf("%d sessions in %d slots: the table is past half full", n, slots)
 	}
 }
@@ -772,7 +758,7 @@ func TestScrapeDoesNotWaitOnSessionLock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	held, _ := srv.lookup("t-held")
+	held := srv.lookup("t-held")
 	held.mu.Lock()
 	defer held.mu.Unlock()
 	scraped := make(chan map[string]float64, 1)

@@ -175,6 +175,13 @@ const (
 	defaultHealthWindow = 16
 )
 
+// maxHealthWindow is the largest health window a session may register. The
+// monitor keeps two rolling buffers of that many float64s, allocated at
+// creation, so an uncapped window lets one request ask for gigabytes (or
+// panic the handler past the largest slice length). 2¹⁶ attempts is 4096×
+// the default and 1 MiB of buffers.
+const maxHealthWindow = 1 << 16
+
 // maxPairRate is the highest generation rate a session may register: the top
 // of the paper's §3 range. Catch-up work per request is one generation tick
 // per source interval over at most maxAdvancePerStep, run under the session
@@ -362,8 +369,8 @@ func newSession(id string, req SessionRequest, now time.Time) (*session, error) 
 	if req.PoolCap < 0 {
 		return nil, fmt.Errorf("pool capacity must be non-negative")
 	}
-	if req.HealthWindow < 0 {
-		return nil, fmt.Errorf("health window must be non-negative")
+	if req.HealthWindow < 0 || req.HealthWindow > maxHealthWindow {
+		return nil, fmt.Errorf("health window %d outside [0, %d]", req.HealthWindow, maxHealthWindow)
 	}
 	sched, err := buildSchedule(req.Faults)
 	if err != nil {
@@ -485,9 +492,9 @@ func singleRound(err error) error {
 
 // checkRounds validates every round's inputs against the game alphabet. It
 // reads only immutable session fields, so it runs outside the lock — and
-// before admission, so a malformed request costs the shard nothing. One bad
-// round fails the whole batch (all-or-nothing, so a client never has to
-// guess which prefix executed).
+// before admission, so a malformed request costs the admission gate
+// nothing. One bad round fails the whole batch (all-or-nothing, so a client
+// never has to guess which prefix executed).
 func (s *session) checkRounds(rounds []Round) error {
 	for i, r := range rounds {
 		if r.X < 0 || r.X >= s.game.NA || r.Y < 0 || r.Y >= s.game.NB {

@@ -82,7 +82,7 @@ func TestWireParity(t *testing.T) {
 
 	got := make([]wireRecord, 0, len(inputs))
 	for _, in := range inputs {
-		srv := NewServer(Config{Shards: 1, Clock: func() time.Time { return testEpoch }, Admission: testAdmission()})
+		srv := NewServer(Config{Clock: func() time.Time { return testEpoch }, Admission: testAdmission()})
 		for _, id := range []string{"f", "t-wire"} {
 			if _, err := srv.CreateSession(SessionRequest{ID: id, Endpoints: twoEndpoints(), Seed: 1}); err != nil {
 				t.Fatal(err)
