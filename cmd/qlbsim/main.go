@@ -158,7 +158,7 @@ func runFigure4(ctx context.Context, base loadbalance.Config, loads []float64, s
 		if ctx.Err() != nil {
 			break
 		}
-		series[name], delays[name] = loadbalance.SweepBoth(base, factories[name], loads)
+		series[name], delays[name] = loadbalance.SweepBoth(base, factories[name], loads, 0)
 		swept = append(swept, name)
 	}
 	if len(swept) == 0 {
@@ -239,8 +239,8 @@ func runDisciplineAblation(ctx context.Context, base loadbalance.Config, loads [
 		var p pair
 		p.q = loadbalance.SweepLoad(cfg, func() loadbalance.Strategy {
 			return loadbalance.NewQuantumPairedStrategy(1.0, xrand.New(seed, uint64(j)+200))
-		}, loads)
-		p.c = loadbalance.SweepLoad(cfg, func() loadbalance.Strategy { return loadbalance.RandomStrategy{} }, loads)
+		}, loads, 0)
+		p.c = loadbalance.SweepLoad(cfg, func() loadbalance.Strategy { return loadbalance.RandomStrategy{} }, loads, 0)
 		results = append(results, p)
 	}
 	if len(results) == 0 {

@@ -10,9 +10,11 @@
 // ignores -full). Both are pure functions of -seed, byte-identical at any
 // -workers.
 //
-// Independent experiments fan out over a worker pool (-workers, default
-// GOMAXPROCS); output is buffered per experiment and emitted in E1..E20
-// order, byte-identical at any worker count for a fixed seed.
+// Independent experiments fan out over a worker pool whose width is
+// -workers (default GOMAXPROCS), and so do the sweeps, class solves and
+// quantum searches inside them: the one width is passed down in
+// experiments.Options. Output is buffered per experiment and emitted in
+// E1..E20 order, byte-identical at any worker count for a fixed seed.
 //
 // One context governs the run: SIGINT/SIGTERM or the -timeout deadline
 // stops it. Experiments already running finish and every block whose
@@ -43,13 +45,12 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 )
 
 func main() {
 	full := flag.Bool("full", false, "publication-scale runs (slower)")
 	seed := flag.Uint64("seed", 42, "master seed")
-	workers := flag.Int("workers", 0, "worker goroutines for the experiment fan-out (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "width of every fan-out: experiments and the sweeps and solves inside them (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "whole-run deadline (0 = none)")
 	metricsPath := flag.String("metrics", "", "write a JSON run artifact to this path (- for stdout)")
 	frontier := flag.String("frontier", "", "write the E20 advantage-frontier CSV artifact to this path (- for stdout) and exit")
@@ -57,10 +58,6 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this path")
 	flag.Parse()
-
-	// Inner fan-outs (sweeps, class solves, quantum searches) share the
-	// same pool width as the experiment-level fan-out.
-	parallel.SetDefaultWorkers(*workers)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -79,16 +76,17 @@ func main() {
 	if *full {
 		scale = 5
 	}
+	opts := experiments.Options{Seed: *seed, Scale: scale, Workers: *workers}
 
 	if *frontier != "" || *serving != "" {
 		var err error
 		if *frontier != "" {
 			err = writeArtifact(*frontier, func(w io.Writer) error {
-				return experiments.WriteFrontierCSV(w, experiments.Options{Seed: *seed, Scale: scale})
+				return experiments.WriteFrontierCSV(w, opts)
 			})
 		}
 		if err == nil && *serving != "" {
-			err = writeArtifact(*serving, func(w io.Writer) error { return experiments.WriteServingJSON(w, *seed) })
+			err = writeArtifact(*serving, func(w io.Writer) error { return experiments.WriteServingJSON(w, opts) })
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
@@ -108,8 +106,7 @@ func main() {
 	context.AfterFunc(ctx, stop)
 
 	start := time.Now()
-	timings, runErr := experiments.RunAll(ctx, os.Stdout, experiments.All(),
-		experiments.Options{Seed: *seed, Scale: scale}, *workers)
+	timings, runErr := experiments.RunAll(ctx, os.Stdout, experiments.All(), opts)
 	wall := time.Since(start)
 	if runErr != nil {
 		fmt.Printf("\nrun interrupted after %v: %v\n", wall.Round(time.Millisecond), runErr)

@@ -40,7 +40,7 @@ func main() {
 	fmt.Printf("\nproved classical optimum: %.4f\n", best)
 
 	rng := xrand.New(13, 1)
-	q := ecmp.QuantumSearchBestCollisions(cfg.NumSwitches, cfg.ActiveK, 300, rng)
+	q := ecmp.QuantumSearchBestCollisions(cfg.NumSwitches, cfg.ActiveK, 300, 0, rng)
 	fmt.Printf("best of 300 arbitrary quantum strategies: %.4f (pigeonhole bound %.4f)\n",
 		q, ecmp.PigeonholeLowerBound(cfg.NumSwitches, cfg.NumPaths, cfg.ActiveK))
 

@@ -132,4 +132,4 @@ func CertifyCHSH(s JointSampler, roundsPerSetting int, rng *xrand.RNG) CHSHCerti
 }
 
 // STsirelsonBound is the quantum limit on S (2√2).
-var STsirelsonBound = games.TsirelsonBound
+const STsirelsonBound = games.TsirelsonBound

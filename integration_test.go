@@ -139,7 +139,7 @@ func TestIntegrationCertifyThenDeploy(t *testing.T) {
 	if !cert.ViolatesClassicalBound(3) {
 		t.Fatal("device failed certification")
 	}
-	estVis := games.VisibilityFromS(cert.S)
+	estVis := cert.S / games.TsirelsonBound
 	if math.Abs(estVis-trueVis) > 0.02 {
 		t.Fatalf("estimated visibility %v, true %v", estVis, trueVis)
 	}

@@ -54,8 +54,6 @@ const (
 	PriorityNormal
 	// PriorityLow traffic sheds first under load.
 	PriorityLow
-
-	numPriorities
 )
 
 // String names the tier (the wire spelling accepted by ParsePriority).
@@ -159,7 +157,7 @@ func (c Config) withDefaults() Config {
 type Outcome int
 
 const (
-	// Accepted: the request proceeds to its shard.
+	// Accepted: the request proceeds past its gate.
 	Accepted Outcome = iota
 	// ShedDeadline: the modeled sojourn exceeds the request's remaining
 	// budget — serving it would produce a late, worthless answer.
@@ -200,7 +198,7 @@ type Decision struct {
 	OK bool
 	// Outcome is Accepted, or the shed reason when !OK.
 	Outcome Outcome
-	// QueueNS is the modeled wait already in the shard's queue ahead of an
+	// QueueNS is the modeled wait already in the gate's queue ahead of an
 	// accepted request (excluding the request's own service time); the
 	// server charges it into the response so deadline accounting sees the
 	// queueing delay virtual time cannot measure.
@@ -208,12 +206,12 @@ type Decision struct {
 	// RetryAfter is the suggested client backoff for a shed request —
 	// roughly when the modeled backlog will have drained.
 	RetryAfter time.Duration
-	// Brownout reports whether the shard is in load-driven brownout; the
+	// Brownout reports whether the gate is in load-driven brownout; the
 	// session then plays the cheap best-classical round.
 	Brownout bool
 }
 
-// gate is one shard's admission state. The virtual backlog is a Lindley
+// gate is one queue's admission state. The virtual backlog is a Lindley
 // recursion: it drains in wall time between arrivals and grows by the
 // modeled cost of each accepted request.
 type gate struct {
@@ -241,18 +239,19 @@ type Controller struct {
 	limiter *Limiter
 }
 
-// NewController builds a controller with one gate per shard.
-func NewController(cfg Config, shards int) *Controller {
+// NewController builds a controller with `gates` gates (serve asks for
+// one).
+func NewController(cfg Config, gates int) *Controller {
 	cfg = cfg.withDefaults()
-	if shards <= 0 {
-		shards = 1
+	if gates <= 0 {
+		gates = 1
 	}
 	// Gates are indexed with a mask, so the count rounds up to a power of
 	// two.
-	for shards&(shards-1) != 0 {
-		shards++
+	for gates&(gates-1) != 0 {
+		gates++
 	}
-	c := &Controller{cfg: cfg, gates: make([]gate, shards), limiter: NewLimiter(cfg.Limiter)}
+	c := &Controller{cfg: cfg, gates: make([]gate, gates), limiter: NewLimiter(cfg.Limiter)}
 	for i := range c.gates {
 		c.gates[i].est = float64(cfg.InitialService)
 	}
@@ -265,15 +264,15 @@ func (c *Controller) Limiter() *Limiter { return c.limiter }
 // Shards returns the number of gates.
 func (c *Controller) Shards() int { return len(c.gates) }
 
-// Admit gates one request of `rounds` decision rounds for a session on
-// `shard` at tier `p`. `deadline` is the request's absolute deadline (zero
+// Admit gates one request of `rounds` decision rounds for a session at
+// gate index `gate` and tier `p`. `deadline` is the request's absolute deadline (zero
 // = unstamped → DefaultBudget applies, if configured). The call is
 // allocation-free.
-func (c *Controller) Admit(shard int, now time.Time, deadline time.Time, p Priority, rounds int) Decision {
+func (c *Controller) Admit(gate int, now time.Time, deadline time.Time, p Priority, rounds int) Decision {
 	if rounds < 1 {
 		rounds = 1
 	}
-	g := &c.gates[shard&(len(c.gates)-1)]
+	g := &c.gates[gate&(len(c.gates)-1)]
 	g.mu.Lock()
 
 	// Drain: the backlog empties in wall time between arrivals. A
@@ -294,7 +293,7 @@ func (c *Controller) Admit(shard int, now time.Time, deadline time.Time, p Prior
 	}
 
 	// Brownout hysteresis observes every arrival, accepted or shed, so the
-	// rung engages while the shard is refusing work, not only while it is
+	// rung engages while the gate is refusing work, not only while it is
 	// absorbing it.
 	enter := time.Duration(c.cfg.BrownoutEnterFrac * float64(c.cfg.MaxBacklog))
 	exit := time.Duration(c.cfg.BrownoutExitFrac * float64(c.cfg.MaxBacklog))
@@ -352,24 +351,24 @@ func (c *Controller) shedThreshold(p Priority) time.Duration {
 	return c.cfg.MaxBacklog
 }
 
-// Observe feeds a measured per-round wall service time into the shard's
+// Observe feeds a measured per-round wall service time into the gate's
 // EWMA estimator. Non-positive samples are discarded — in virtual-time
 // runs the clock is frozen during a request, so the estimate stays at its
 // InitialService seed and the gate remains a pure function of the plan.
-func (c *Controller) Observe(shard int, perRound time.Duration) {
+func (c *Controller) Observe(gate int, perRound time.Duration) {
 	if perRound <= 0 {
 		return
 	}
-	g := &c.gates[shard&(len(c.gates)-1)]
+	g := &c.gates[gate&(len(c.gates)-1)]
 	g.mu.Lock()
 	g.est += c.cfg.EWMAAlpha * (float64(perRound) - g.est)
 	g.mu.Unlock()
 }
 
-// Backlog returns the shard's current modeled backlog after draining to
+// Backlog returns the gate's current modeled backlog after draining to
 // `now` (test/introspection hook; does not mutate the drain clock).
-func (c *Controller) Backlog(shard int, now time.Time) time.Duration {
-	g := &c.gates[shard&(len(c.gates)-1)]
+func (c *Controller) Backlog(gate int, now time.Time) time.Duration {
+	g := &c.gates[gate&(len(c.gates)-1)]
 	g.mu.Lock()
 	b := g.backlog
 	if !g.last.IsZero() {
@@ -384,28 +383,28 @@ func (c *Controller) Backlog(shard int, now time.Time) time.Duration {
 	return b
 }
 
-// Brownout reports whether the shard is currently in brownout.
-func (c *Controller) Brownout(shard int) bool {
-	g := &c.gates[shard&(len(c.gates)-1)]
+// Brownout reports whether the gate is currently in brownout.
+func (c *Controller) Brownout(gate int) bool {
+	g := &c.gates[gate&(len(c.gates)-1)]
 	g.mu.Lock()
 	b := g.brownout
 	g.mu.Unlock()
 	return b
 }
 
-// BrownoutFlips returns how many times the shard has entered and exited
+// BrownoutFlips returns how many times the gate has entered and exited
 // brownout.
-func (c *Controller) BrownoutFlips(shard int) (entered, exited int64) {
-	g := &c.gates[shard&(len(c.gates)-1)]
+func (c *Controller) BrownoutFlips(gate int) (entered, exited int64) {
+	g := &c.gates[gate&(len(c.gates)-1)]
 	g.mu.Lock()
 	entered, exited = g.entered, g.exited
 	g.mu.Unlock()
 	return entered, exited
 }
 
-// Estimate returns the shard's current per-round service estimate.
-func (c *Controller) Estimate(shard int) time.Duration {
-	g := &c.gates[shard&(len(c.gates)-1)]
+// Estimate returns the gate's current per-round service estimate.
+func (c *Controller) Estimate(gate int) time.Duration {
+	g := &c.gates[gate&(len(c.gates)-1)]
 	g.mu.Lock()
 	e := time.Duration(g.est)
 	g.mu.Unlock()

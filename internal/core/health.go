@@ -38,8 +38,8 @@ const (
 	// play the best classical pair strategy (the 0.75 floor for CHSH).
 	DegradeClassical
 	// DegradeRandom: no usable health signal at all; answer uniformly at
-	// random. Only reachable by Force — the monitor itself never chooses
-	// to do worse than classical.
+	// random. Only a pin (Force, in the package's tests) reaches it — the
+	// monitor itself never chooses to do worse than classical.
 	DegradeRandom
 
 	numLevels
@@ -91,8 +91,8 @@ type HealthConfig struct {
 	BaseVisibility float64
 	// MetricsName, when non-empty, labels session gauges in the default
 	// metrics registry (session_visibility{session=...} etc.). The gauges
-	// are a published copy of the monitor: Publish, SetBrownout and Force
-	// write them, ObserveAttempt does not. Whoever serializes access to the
+	// are a published copy of the monitor: Publish and SetBrownout write
+	// them, ObserveAttempt does not. Whoever serializes access to the
 	// session calls Publish before letting go, so no reader sees gauges
 	// older than the last finished request. serve leaves it empty: a
 	// session's health is its info route's to report.
@@ -320,19 +320,4 @@ func (h *HealthMonitor) ShouldProbe(round int64) bool {
 		return true
 	}
 	return round%int64(h.cfg.ProbeEvery) == 0
-}
-
-// Force pins the monitor to a level, disabling automatic transitions
-// (operator override, or DegradeRandom for a dead monitor). Force(-1)
-// releases the pin.
-func (h *HealthMonitor) Force(l DegradeLevel) {
-	h.stale = true
-	if l < 0 {
-		h.forced = false
-		h.evaluate()
-		return
-	}
-	h.forced = true
-	h.setLevel(l)
-	h.Publish()
 }

@@ -48,40 +48,6 @@ func ExactBestClassical(n, m, k int) float64 {
 	return pairActiveProb(n, k) * float64(MinMonochromaticPairs(n, m))
 }
 
-// ExactBestClassicalEnumerated cross-checks ExactBestClassical by brute
-// force over all m^n assignments. Panics if the search space exceeds ~16M.
-func ExactBestClassicalEnumerated(n, m, k int) float64 {
-	total := 1
-	for i := 0; i < n; i++ {
-		total *= m
-		if total > 1<<24 {
-			panic("ecmp: enumeration too large")
-		}
-	}
-	p2 := pairActiveProb(n, k)
-	best := math.Inf(1)
-	assign := make([]int, n)
-	for code := 0; code < total; code++ {
-		c := code
-		for i := 0; i < n; i++ {
-			assign[i] = c % m
-			c /= m
-		}
-		mono := 0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if assign[i] == assign[j] {
-					mono++
-				}
-			}
-		}
-		if v := p2 * float64(mono); v < best {
-			best = v
-		}
-	}
-	return best
-}
-
 // QuantumCandidate is a fully general no-input quantum strategy for binary
 // path choice: an arbitrary n-qubit pure state with an arbitrary per-switch
 // measurement basis. (Since a switch's basis cannot depend on the active
@@ -146,11 +112,12 @@ func (qc QuantumCandidate) ExpectedCollisions(k int) float64 {
 // (plus GHZ candidates with random angles) for the lowest expected
 // collisions, supporting the conjecture numerically: the returned value can
 // approach but never beat ExactBestClassical(n, 2, k). Candidates fan out
-// over the worker pool; trial t draws from its own stream derived from
-// (one draw of rng, t), so the minimum is worker-count invariant.
-func QuantumSearchBestCollisions(n, k, trials int, rng *xrand.RNG) float64 {
+// over `workers` goroutines (<= 0 means GOMAXPROCS); trial t draws from its
+// own stream derived from (one draw of rng, t), so the minimum is
+// worker-count invariant.
+func QuantumSearchBestCollisions(n, k, trials, workers int, rng *xrand.RNG) float64 {
 	base := rng.Uint64()
-	vals := parallel.Map(trials, func(t int) float64 {
+	vals := parallel.MapN(workers, trials, func(t int) float64 {
 		trng := xrand.Derive(base, uint64(t))
 		var cand QuantumCandidate
 		if t%2 == 0 {

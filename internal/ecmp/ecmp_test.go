@@ -163,7 +163,7 @@ func TestQuantumSearchNeverBeatsPigeonhole(t *testing.T) {
 	rng := xrand.New(21, 2)
 	for _, n := range []int{3, 4, 5} {
 		bound := PigeonholeLowerBound(n, 2, 2)
-		got := QuantumSearchBestCollisions(n, 2, 200, rng)
+		got := QuantumSearchBestCollisions(n, 2, 200, 0, rng)
 		if got < bound-1e-9 {
 			t.Fatalf("n=%d: quantum search found %v below the proven bound %v",
 				n, got, bound)

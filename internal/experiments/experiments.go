@@ -44,6 +44,9 @@ type Options struct {
 	// statistically meaningful default; cmd/repro -full uses 5; tests and
 	// benchmarks use fractions.
 	Scale float64
+	// Workers is the width of every fan-out in the run, RunAll's and the
+	// blocks' own (<= 0 means GOMAXPROCS); output is the same at any width.
+	Workers int
 }
 
 // n scales a base count, never below 1.
@@ -60,7 +63,7 @@ func (o Options) n(base int) int {
 }
 
 // batch collects the independent simulations of one experiment block and
-// runs them together on the default worker pool — SweepLoad's contract one
+// runs them together on Options.Workers goroutines — SweepLoad's contract one
 // level up. The block builds its strategies serially, in the order it always
 // has (so construction-time draws keep their order), registers one job per
 // run, waits, and only then prints from the collected results; each job
@@ -80,8 +83,9 @@ func (b *batch) run(cfg loadbalance.Config, s loadbalance.Strategy) *loadbalance
 	return res
 }
 
-// wait runs every registered job and returns when all have finished.
-func (b batch) wait() { parallel.ForEach(len(b), func(i int) { b[i]() }) }
+// wait runs every registered job on o.Workers goroutines and returns when
+// all have finished.
+func (b batch) wait(o Options) { parallel.ForEachN(o.Workers, len(b), func(i int) { b[i]() }) }
 
 // Experiment is one reproducible unit: a figure or table of the paper.
 // Title is the full banner line (it includes the ID, matching the historical
@@ -125,8 +129,8 @@ type Timing struct {
 	Wall time.Duration
 }
 
-// RunAll regenerates exps, fanning them out over `workers` goroutines (<= 0
-// means the parallel package default) while emitting each experiment's output
+// RunAll regenerates exps, fanning them out over o.Workers goroutines (<= 0
+// means GOMAXPROCS) while emitting each experiment's output
 // block to w in list order as soon as it and all of its predecessors have
 // finished. Output bytes are identical at any worker count.
 //
@@ -139,7 +143,7 @@ type Timing struct {
 // predecessors all finished are still streamed, so an interrupted run prints
 // everything up to the first gap. The error returned is the one that stopped
 // the first missing block: the panic, or ctx's cause.
-func RunAll(ctx context.Context, w io.Writer, exps []Experiment, o Options, workers int) ([]Timing, error) {
+func RunAll(ctx context.Context, w io.Writer, exps []Experiment, o Options) ([]Timing, error) {
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	// Every job sends exactly one result, so each buffered slot is filled
@@ -151,7 +155,7 @@ func RunAll(ctx context.Context, w io.Writer, exps []Experiment, o Options, work
 	fanned := make(chan struct{})
 	go func() {
 		defer close(fanned)
-		parallel.ForEachN(workers, len(exps), func(i int) {
+		parallel.ForEachN(o.Workers, len(exps), func(i int) {
 			r := runBlock(ctx, exps[i], o)
 			if r.err != nil {
 				cancel(r.err)
@@ -225,10 +229,10 @@ func e1(w io.Writer, o Options) {
 	fmt.Fprintf(w, "sampled quantum win rate (n=%d): %.4f [%.4f, %.4f]\n", rounds, p.Rate(), lo, hi)
 }
 
-func e2(w io.Writer, _ Options) {
+func e2(w io.Writer, o Options) {
 	var counts [8][]int64
 	for n := 3; n < len(counts); n++ {
-		counts[n] = games.AdvantageCensus(n, 0)
+		counts[n] = games.AdvantageCensus(n, o.Workers)
 	}
 	k5 := counts[5]
 	m := len(k5) - 1
@@ -263,10 +267,10 @@ func e3(w io.Writer, o Options) {
 		Seed:         o.Seed,
 	}
 	loads := []float64{0.7, 0.85, 0.95, 1.0, 1.05, 1.1, 1.2, 1.3}
-	cls := loadbalance.SweepLoad(base, func() loadbalance.Strategy { return loadbalance.RandomStrategy{} }, loads)
+	cls := loadbalance.SweepLoad(base, func() loadbalance.Strategy { return loadbalance.RandomStrategy{} }, loads, o.Workers)
 	qnt := loadbalance.SweepLoad(base, func() loadbalance.Strategy {
 		return loadbalance.NewQuantumPairedStrategy(1.0, xrand.New(o.Seed, 3))
-	}, loads)
+	}, loads, o.Workers)
 	fmt.Fprintln(w, "load   classical-random   quantum-chsh")
 	for i, l := range loads {
 		fmt.Fprintf(w, "%.2f   %12.2f     %12.2f\n", l, cls.Y[i], qnt.Y[i])
@@ -293,7 +297,7 @@ func e5(w io.Writer, o Options) {
 	}
 	fmt.Fprintf(w, "exact classical optimum %.4f | quantum search best %.4f (bound %.4f)\n",
 		ecmp.ExactBestClassical(6, 2, 2),
-		ecmp.QuantumSearchBestCollisions(6, 2, o.n(100), xrand.New(o.Seed, 5)),
+		ecmp.QuantumSearchBestCollisions(6, 2, o.n(100), o.Workers, xrand.New(o.Seed, 5)),
 		ecmp.PigeonholeLowerBound(6, 2, 2))
 	rep := ecmp.StandardReductionDemo()
 	fmt.Fprintf(w, "reduction demo: marginal shift %.1e, mixture error %.1e (both ≈ 0)\n",
@@ -315,7 +319,7 @@ func e6(w io.Writer, o Options) {
 		quantum[i] = runs.run(base, loadbalance.NewQuantumPairedStrategy(v, xrand.New(o.Seed, 6)))
 	}
 	random := runs.run(base, loadbalance.RandomStrategy{})
-	runs.wait()
+	runs.wait(o)
 	fmt.Fprintln(w, "visibility  mean queue  colocation rate")
 	for i, v := range vis {
 		r := quantum[i]
@@ -369,7 +373,7 @@ func e9(w io.Writer, o Options) {
 		strats[i] = loadbalance.NewSupplyLimitedStrategy(supplier, time.Millisecond, xrand.New(o.Seed, 9))
 		results[i] = runs.run(cfg, strats[i])
 	}
-	runs.wait()
+	runs.wait(o)
 	fmt.Fprintln(w, "supply/demand  quantum-fraction  colocation  mean queue")
 	for i, mult := range mults {
 		sl := strats[i]
@@ -405,7 +409,7 @@ func e10(w io.Writer, o Options) {
 	rq := runs.run(cfg, qs)
 	rc := runs.run(cfg, cs)
 	rr := runs.run(cfg, loadbalance.RandomStrategy{})
-	runs.wait()
+	runs.wait(o)
 	fmt.Fprintf(w, "mean queue: random %.2f | graph-classical %.2f | graph-quantum %.2f\n",
 		rr.QueueLen.Mean(), rc.QueueLen.Mean(), rq.QueueLen.Mean())
 	fmt.Fprintf(w, "preference satisfaction: classical %.4f vs quantum %.4f\n",

@@ -23,11 +23,13 @@ import (
 // test can afford two full E1–E20 passes.
 func tinyOpts() Options { return Options{Seed: 42, Scale: 0.02} }
 
-// runAll runs every experiment at o and returns the streamed output.
+// runAll runs every experiment at o on a pool `workers` wide and returns the
+// streamed output.
 func runAll(t *testing.T, o Options, workers int) string {
 	t.Helper()
+	o.Workers = workers
 	var out bytes.Buffer
-	if _, err := RunAll(context.Background(), &out, All(), o, workers); err != nil {
+	if _, err := RunAll(context.Background(), &out, All(), o); err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	return out.String()
@@ -103,7 +105,9 @@ func TestRunAllReturnsTimings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment pass")
 	}
-	timings, err := RunAll(context.Background(), &bytes.Buffer{}, All(), tinyOpts(), 4)
+	o := tinyOpts()
+	o.Workers = 4
+	timings, err := RunAll(context.Background(), &bytes.Buffer{}, All(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +155,10 @@ func TestE17WorkerInvariance(t *testing.T) {
 	}
 }
 
-// checkBlockWorkerInvariance runs one experiment block with the process-wide
-// default pool — the one a block's own fan-out (batch, SweepLoad) runs on —
-// pinned to 1, 2 and 8 workers and requires identical bytes, mirroring
-// loadbalance.TestSweepLoadWorkerInvariance one level up. RunAll's workers
-// argument only spreads whole blocks, so the RunAll invariance tests never
-// vary this inner width.
+// checkBlockWorkerInvariance runs one experiment block with Options.Workers
+// — the width its own fan-out (batch, SweepLoad) runs on — at 1, 2 and 8 and
+// requires identical bytes, mirroring
+// loadbalance.TestSweepLoadWorkerInvariance one level up.
 func checkBlockWorkerInvariance(t *testing.T, id string) {
 	t.Helper()
 	var exp Experiment
@@ -169,10 +171,8 @@ func checkBlockWorkerInvariance(t *testing.T, id string) {
 		t.Fatalf("no experiment %s", id)
 	}
 	block := func(workers int) string {
-		parallel.SetDefaultWorkers(workers)
-		defer parallel.SetDefaultWorkers(0)
 		var out bytes.Buffer
-		exp.Run(&out, Options{Seed: 42, Scale: 0.05})
+		exp.Run(&out, Options{Seed: 42, Scale: 0.05, Workers: workers})
 		return out.String()
 	}
 	one := block(1)
@@ -191,11 +191,15 @@ func checkBlockWorkerInvariance(t *testing.T, id string) {
 // mix row sharing one DiurnalMix/Bursty/CorrelatedBursts prototype (cloned
 // per run by RunE), and must print what the serial loop printed. CI also
 // runs it under the race detector.
-func TestE19WorkerInvariance(t *testing.T) { checkBlockWorkerInvariance(t, "E19") }
+func TestE19WorkerInvariance(t *testing.T) {
+	t.Parallel()
+	checkBlockWorkerInvariance(t, "E19")
+}
 
 // TestE6E9E10WorkerInvariance covers the other blocks whose row loops now
 // run as one batch.
 func TestE6E9E10WorkerInvariance(t *testing.T) {
+	t.Parallel()
 	for _, id := range []string{"E6", "E9", "E10"} {
 		checkBlockWorkerInvariance(t, id)
 	}
@@ -215,7 +219,9 @@ func TestBatchLibrariesLeaveRegistryAlone(t *testing.T) {
 			e17 = append(e17, e)
 		}
 	}
-	if timings, err := RunAll(context.Background(), &bytes.Buffer{}, e17, tinyOpts(), 2); err != nil || len(timings) != 1 {
+	o := tinyOpts()
+	o.Workers = 2
+	if timings, err := RunAll(context.Background(), &bytes.Buffer{}, e17, o); err != nil || len(timings) != 1 {
 		t.Fatalf("E17: %d timings, err %v", len(timings), err)
 	}
 	cfg := loadbalance.ShardedConfig{

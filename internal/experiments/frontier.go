@@ -100,7 +100,7 @@ func frontierRows(o Options) []FrontierRow {
 	rounds := o.n(2500)
 	baseSeed := xrand.New(o.Seed, 2020).Uint64()
 	n := len(deadlines) * len(dists) * len(viss)
-	return parallel.Map(n, func(i int) FrontierRow {
+	return parallel.MapN(o.Workers, n, func(i int) FrontierRow {
 		d := deadlines[i/(len(dists)*len(viss))]
 		dist := dists[(i/len(viss))%len(dists)]
 		vis := viss[i%len(viss)]

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/parallel"
 )
 
 // extractBlockFrom returns the output from an experiment's banner onward.
@@ -56,10 +54,9 @@ func TestE19E20WorkerInvariance(t *testing.T) {
 // TestFrontierCSVWorkerInvariance pins the committed-artifact contract:
 // WriteFrontierCSV emits identical bytes at any worker-pool width.
 func TestFrontierCSVWorkerInvariance(t *testing.T) {
-	o := Options{Seed: 42, Scale: 0.02}
+	t.Parallel()
 	write := func(workers int) string {
-		defer parallel.SetDefaultWorkers(0)
-		parallel.SetDefaultWorkers(workers)
+		o := Options{Seed: 42, Scale: 0.02, Workers: workers}
 		var out bytes.Buffer
 		if err := WriteFrontierCSV(&out, o); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -38,7 +38,7 @@ func runBounded(t *testing.T, ctx context.Context, exps []Experiment, workers in
 	done := make(chan result, 1)
 	go func() {
 		var out bytes.Buffer
-		_, err := RunAll(ctx, &out, exps, Options{Seed: 9, Scale: 1}, workers)
+		_, err := RunAll(ctx, &out, exps, Options{Seed: 9, Scale: 1, Workers: workers})
 		done <- result{out.String(), err}
 	}()
 	select {

@@ -147,7 +147,7 @@ func e19(w io.Writer, o Options) {
 	rq := runs.run(saCfg, sq)
 	rc := runs.run(saCfg, sc)
 
-	runs.wait()
+	runs.wait(o)
 
 	fmt.Fprintln(w, "type mix            random queue  quantum queue  ratio  colocation")
 	for i, m := range mixes {

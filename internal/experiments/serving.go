@@ -161,19 +161,20 @@ func overloadCurve(seed uint64) []servingRun {
 	return out
 }
 
-// WriteServingJSON writes the serving artifact for seed: E18's traffic mixes
-// and E21's overload curve as indented JSON. The nine runs are independent —
-// each builds its own server and derives every draw from its own seed — so
-// they fan out on the default worker pool and the bytes are identical at any
-// width.
-func WriteServingJSON(w io.Writer, seed uint64) error {
+// WriteServingJSON writes the serving artifact for o.Seed (o.Scale is
+// ignored): E18's traffic mixes and E21's overload curve as indented JSON.
+// The nine runs are independent — each builds its own server and derives
+// every draw from its own seed — so they fan out on o.Workers goroutines and
+// the bytes are identical at any width.
+func WriteServingJSON(w io.Writer, o Options) error {
+	seed := o.Seed
 	mixes := servingMixes(seed)
 	runs := append(mixes, overloadCurve(seed)...)
 	type outcome struct {
 		res *loadtest.Result
 		err error
 	}
-	done := parallel.Map(len(runs), func(i int) outcome {
+	done := parallel.MapN(o.Workers, len(runs), func(i int) outcome {
 		res, err := loadtest.RunVirtual(runs[i].cfg)
 		return outcome{res, err}
 	})

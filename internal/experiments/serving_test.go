@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"testing"
-
-	"repro/internal/parallel"
 )
 
 // TestCommittedArtifactsMatch regenerates both committed artifacts at the
@@ -15,13 +14,13 @@ func TestCommittedArtifactsMatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates both committed artifacts twice")
 	}
-	defer parallel.SetDefaultWorkers(0)
+	t.Parallel()
 	artifacts := []struct {
 		file  string
-		write func(*bytes.Buffer) error
+		write func(io.Writer, Options) error
 	}{
-		{"BENCH_loadtest.json", func(b *bytes.Buffer) error { return WriteServingJSON(b, 42) }},
-		{"FRONTIER_advantage.csv", func(b *bytes.Buffer) error { return WriteFrontierCSV(b, Options{Seed: 42, Scale: 1}) }},
+		{"BENCH_loadtest.json", WriteServingJSON},
+		{"FRONTIER_advantage.csv", WriteFrontierCSV},
 	}
 	for _, a := range artifacts {
 		want, err := os.ReadFile("../../" + a.file)
@@ -29,9 +28,8 @@ func TestCommittedArtifactsMatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 8} {
-			parallel.SetDefaultWorkers(workers)
 			var got bytes.Buffer
-			if err := a.write(&got); err != nil {
+			if err := a.write(&got, Options{Seed: 42, Scale: 1, Workers: workers}); err != nil {
 				t.Fatalf("%s at %d workers: %v", a.file, workers, err)
 			}
 			if !bytes.Equal(got.Bytes(), want) {

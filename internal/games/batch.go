@@ -1,6 +1,8 @@
 package games
 
 import (
+	"runtime"
+
 	"repro/internal/parallel"
 )
 
@@ -52,7 +54,7 @@ func chunkFor(n, workers int) int {
 }
 
 // SolveBatch solves every game both classically and quantum over the
-// parallel pool (workers <= 0 means the pool default; 1 runs serially) and
+// parallel pool (workers <= 0 means GOMAXPROCS; 1 runs serially) and
 // returns the results in input order. Solves go through the solve cache, so
 // duplicate games within a batch cost one solve plus lookups.
 func SolveBatch(gs []*XORGame, workers int) []BatchResult {
@@ -63,7 +65,7 @@ func SolveBatch(gs []*XORGame, workers int) []BatchResult {
 	out := make([]BatchResult, n)
 	w := workers
 	if w <= 0 {
-		w = parallel.DefaultWorkers()
+		w = runtime.GOMAXPROCS(0)
 	}
 	chunk := chunkFor(n, w)
 	chunks := (n + chunk - 1) / chunk

@@ -151,7 +151,7 @@ func (c *switchingCensus) verdicts(workers int) []bool {
 //	P(advantage) = Σ_e count[e] · p^e · (1−p)^(C(n,2)−e).
 //
 // One game per switching class is solved, over the parallel pool (workers
-// <= 0 means the pool default); the counts are the same at any worker count.
+// <= 0 means GOMAXPROCS); the counts are the same at any worker count.
 // n must lie in [2, 8].
 func AdvantageCensus(n, workers int) []int64 {
 	c := newSwitchingCensus(n)

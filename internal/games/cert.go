@@ -34,7 +34,7 @@ type CHSHCertificate struct {
 const ClassicalBound = 2.0
 
 // TsirelsonBound is the quantum limit on |S|.
-var TsirelsonBound = 2 * math.Sqrt2
+const TsirelsonBound = 2 * math.Sqrt2
 
 // CertifyCHSH drives the sampler with each of the four CHSH settings
 // roundsPerSetting times and estimates S. The sampler is treated as a black
@@ -78,12 +78,3 @@ func (c CHSHCertificate) ViolatesClassicalBound(z float64) bool {
 func (c CHSHCertificate) WithinTsirelson(z float64) bool {
 	return c.S-z*c.SE <= TsirelsonBound
 }
-
-// ExpectedS returns the S-value a Werner state of the given visibility
-// achieves with the optimal angles: 2√2·V. Used to size certification runs
-// and to convert measured S back into an effective visibility estimate.
-func ExpectedS(visibility float64) float64 { return TsirelsonBound * visibility }
-
-// VisibilityFromS inverts ExpectedS: the effective visibility implied by a
-// measured S-value under optimal measurements.
-func VisibilityFromS(s float64) float64 { return s / TsirelsonBound }

@@ -189,7 +189,7 @@ func ascend(m [][]float64, u, v [][]float64) float64 {
 			grad.Zero()
 			for y := 0; y < nb; y++ {
 				if m[x][y] != 0 {
-					grad.AddScaled(m[x][y], v[y])
+					addScaled(grad, m[x][y], v[y])
 				}
 			}
 			if grad.Norm() < 1e-300 {
@@ -203,7 +203,7 @@ func ascend(m [][]float64, u, v [][]float64) float64 {
 			grad.Zero()
 			for x := 0; x < na; x++ {
 				if m[x][y] != 0 {
-					grad.AddScaled(m[x][y], u[x])
+					addScaled(grad, m[x][y], u[x])
 				}
 			}
 			if grad.Norm() < 1e-300 {
@@ -248,4 +248,68 @@ func randomUnitVectors(n, d int, rng *xrand.RNG) [][]float64 {
 		out[i] = v
 	}
 	return out
+}
+
+// SignMatrix returns M[x][y] = π(x,y)·(−1)^{Parity[x][y]} — the cost matrix
+// of the bias optimization. Bias of a behavior with correlators
+// c(x,y) = E[(−1)^{a⊕b}] is Σ M·c, and value = (1 + bias)/2.
+func (g *XORGame) SignMatrix() [][]float64 {
+	m := make([][]float64, g.NA)
+	for x := range m {
+		m[x] = make([]float64, g.NB)
+		for y := 0; y < g.NB; y++ {
+			s := 1.0
+			if g.Parity[x][y] == 1 {
+				s = -1
+			}
+			m[x][y] = g.Prob[x][y] * s
+		}
+	}
+	return m
+}
+
+// HasQuantumAdvantage reports whether the game's quantum value strictly
+// exceeds its classical value, together with both results.
+func (g *XORGame) HasQuantumAdvantage(rng *xrand.RNG) (bool, ClassicalResult, QuantumResult) {
+	c := g.ClassicalValue()
+	q := g.cachedQuantum(&c) // rng is never read, as in QuantumValue
+	return q.Bias > c.Bias+AdvantageTolerance, c, q
+}
+
+// LeaderElection runs one W-state election round among n parties and
+// returns the elected leader's index. It always succeeds.
+func LeaderElection(n int, rng *xrand.RNG) int {
+	return electLeader(wElectionTable(n), n, rng)
+}
+
+// ExpectedS returns the S-value a Werner state of the given visibility
+// achieves with the optimal angles: 2√2·V. Used to size certification runs
+// and to convert measured S back into an effective visibility estimate.
+func ExpectedS(visibility float64) float64 { return TsirelsonBound * visibility }
+
+// VisibilityFromS inverts ExpectedS: the effective visibility implied by a
+// measured S-value under optimal measurements.
+func VisibilityFromS(s float64) float64 { return s / TsirelsonBound }
+
+// Behavior returns the full conditional distribution P[x][y][a][b].
+func (s *XORQuantumSampler) Behavior(na, nb int) [][][][]float64 {
+	p := make([][][][]float64, na)
+	for x := 0; x < na; x++ {
+		p[x] = make([][][]float64, nb)
+		for y := 0; y < nb; y++ {
+			c := s.Visibility * s.Dot[x][y]
+			p[x][y] = [][]float64{
+				{(1 + c) / 4, (1 - c) / 4},
+				{(1 - c) / 4, (1 + c) / 4},
+			}
+		}
+	}
+	return p
+}
+
+// addScaled sets v ← v + c·w in place.
+func addScaled(v linalg.RVec, c float64, w linalg.RVec) {
+	for i := range v {
+		v[i] += c * w[i]
+	}
 }

@@ -68,29 +68,8 @@ func (g *XORGame) Validate() error {
 	return nil
 }
 
-// SignMatrix returns M[x][y] = π(x,y)·(−1)^{Parity[x][y]} — the cost matrix
-// of the bias optimization. Bias of a behavior with correlators
-// c(x,y) = E[(−1)^{a⊕b}] is Σ M·c, and value = (1 + bias)/2.
-func (g *XORGame) SignMatrix() [][]float64 {
-	m := make([][]float64, g.NA)
-	for x := range m {
-		m[x] = make([]float64, g.NB)
-		for y := 0; y < g.NB; y++ {
-			s := 1.0
-			if g.Parity[x][y] == 1 {
-				s = -1
-			}
-			m[x][y] = g.Prob[x][y] * s
-		}
-	}
-	return m
-}
-
 // ValueFromBias converts a bias ε ∈ [−1, 1] into a win probability.
 func ValueFromBias(bias float64) float64 { return (1 + bias) / 2 }
-
-// BiasFromValue converts a win probability into a bias.
-func BiasFromValue(v float64) float64 { return 2*v - 1 }
 
 // SampleInput draws an input pair (x, y) from the referee's distribution.
 func (g *XORGame) SampleInput(rng *xrand.RNG) (x, y int) {

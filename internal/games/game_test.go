@@ -251,7 +251,7 @@ func TestMixtureNeverBeatsBestDeterministic(t *testing.T) {
 
 func TestValueFromBiasRoundTrip(t *testing.T) {
 	for _, v := range []float64{0, 0.25, 0.75, 1} {
-		if math.Abs(ValueFromBias(BiasFromValue(v))-v) > tol {
+		if math.Abs(ValueFromBias(2*v-1)-v) > tol {
 			t.Fatalf("round trip failed for %v", v)
 		}
 	}

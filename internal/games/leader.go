@@ -40,12 +40,6 @@ func ClassicalLeaderElectionValue(n int) float64 {
 	return math.Pow(1-1/float64(n), float64(n-1))
 }
 
-// LeaderElection runs one W-state election round among n parties and
-// returns the elected leader's index. It always succeeds.
-func LeaderElection(n int, rng *xrand.RNG) int {
-	return electLeader(wElectionTable(n), n, rng)
-}
-
 // wElectionTable is the W(n) election measured once: every party measures in
 // the computational basis, so the whole protocol is one distribution.
 func wElectionTable(n int) *qsim.OutcomeTable {

@@ -60,7 +60,3 @@ func MultiClassColocationGame(kinds []ClassKind, weights []float64) *XORGame {
 	mustValidate(g)
 	return g
 }
-
-// TwoClassKinds is the paper's base case: class 0 exclusive (type-E),
-// class 1 caching (type-C).
-func TwoClassKinds() []ClassKind { return []ClassKind{KindExclusive, KindCaching} }

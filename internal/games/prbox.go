@@ -24,19 +24,3 @@ func (p *PRBoxSampler) Sample(x, y int, rng *xrand.RNG) (a, b int) {
 	a = rng.IntN(2)
 	return a, a ^ p.Game.Parity[x][y]
 }
-
-// Behavior returns the box's conditional distribution, for no-signaling
-// verification in tests.
-func (p *PRBoxSampler) Behavior() [][][][]float64 {
-	out := make([][][][]float64, p.Game.NA)
-	for x := 0; x < p.Game.NA; x++ {
-		out[x] = make([][][]float64, p.Game.NB)
-		for y := 0; y < p.Game.NB; y++ {
-			out[x][y] = [][]float64{{0, 0}, {0, 0}}
-			par := p.Game.Parity[x][y]
-			out[x][y][0][par] = 0.5
-			out[x][y][1][1^par] = 0.5
-		}
-	}
-	return out
-}

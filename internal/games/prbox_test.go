@@ -20,9 +20,26 @@ func TestPRBoxWinsAlways(t *testing.T) {
 	}
 }
 
+// TestPRBoxIsNoSignaling estimates the box's behavior P[x][y][a][b] from
+// Sample: each party's marginal must not depend on the other's input,
+// within sampling error.
 func TestPRBoxIsNoSignaling(t *testing.T) {
-	pr := &PRBoxSampler{Game: NewColocationCHSH()}
-	if v := VerifyBehaviorNoSignaling(pr.Behavior()); v > 1e-12 {
+	rng := xrand.New(112, 1)
+	g := NewColocationCHSH()
+	pr := &PRBoxSampler{Game: g}
+	const rounds = 40000
+	p := make([][][][]float64, g.NA)
+	for x := range p {
+		p[x] = make([][][]float64, g.NB)
+		for y := range p[x] {
+			p[x][y] = [][]float64{{0, 0}, {0, 0}}
+			for i := 0; i < rounds; i++ {
+				a, b := pr.Sample(x, y, rng)
+				p[x][y][a][b] += 1.0 / rounds
+			}
+		}
+	}
+	if v := VerifyBehaviorNoSignaling(p); v > 0.02 {
 		t.Fatalf("PR box signals by %v — it must not", v)
 	}
 }

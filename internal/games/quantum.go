@@ -297,11 +297,3 @@ func (qr QuantumResult) QuantumSampler(visibility float64) *XORQuantumSampler {
 // counts as a quantum advantage. The solver converges far tighter than this;
 // the tolerance guards against calling a tie an advantage.
 const AdvantageTolerance = 1e-7
-
-// HasQuantumAdvantage reports whether the game's quantum value strictly
-// exceeds its classical value, together with both results.
-func (g *XORGame) HasQuantumAdvantage(rng *xrand.RNG) (bool, ClassicalResult, QuantumResult) {
-	c := g.ClassicalValue()
-	q := g.cachedQuantum(&c) // rng is never read, as in QuantumValue
-	return q.Bias > c.Bias+AdvantageTolerance, c, q
-}

@@ -49,27 +49,6 @@ func (s *XORQuantumSampler) Sample(x, y int, rng *xrand.RNG) (a, b int) {
 	return a, b
 }
 
-// Correlator returns E[(−1)^{a⊕b} | x, y] for this sampler.
-func (s *XORQuantumSampler) Correlator(x, y int) float64 {
-	return s.Visibility * s.Dot[x][y]
-}
-
-// Behavior returns the full conditional distribution P[x][y][a][b].
-func (s *XORQuantumSampler) Behavior(na, nb int) [][][][]float64 {
-	p := make([][][][]float64, na)
-	for x := 0; x < na; x++ {
-		p[x] = make([][][]float64, nb)
-		for y := 0; y < nb; y++ {
-			c := s.Correlator(x, y)
-			p[x][y] = [][]float64{
-				{(1 + c) / 4, (1 - c) / 4},
-				{(1 - c) / 4, (1 + c) / 4},
-			}
-		}
-	}
-	return p
-}
-
 // CHSHAngles holds the per-input measurement angles for a two-player
 // real-basis strategy on a Bell pair.
 type CHSHAngles struct {

@@ -298,17 +298,6 @@ func (m *Mat) ApproxEqual(b *Mat, tol float64) bool {
 	return true
 }
 
-// MaxAbs returns the largest entrywise modulus, a cheap matrix "norm".
-func (m *Mat) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Data {
-		if a := cmplx.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
 // FrobeniusNorm returns sqrt(Σ |m_ij|²).
 func (m *Mat) FrobeniusNorm() float64 {
 	var s float64

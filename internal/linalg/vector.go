@@ -17,9 +17,6 @@ import (
 // Vec is a dense complex column vector.
 type Vec []complex128
 
-// NewVec returns a zero vector of dimension n.
-func NewVec(n int) Vec { return make(Vec, n) }
-
 // Clone returns a deep copy of v.
 func (v Vec) Clone() Vec {
 	w := make(Vec, len(v))
@@ -134,13 +131,6 @@ func (v Vec) ApproxEqual(w Vec, tol float64) bool {
 // RVec is a dense real vector, used by the XOR-game vector optimization.
 type RVec []float64
 
-// Clone returns a deep copy.
-func (v RVec) Clone() RVec {
-	w := make(RVec, len(v))
-	copy(w, v)
-	return w
-}
-
 // Dot returns Σ v_i w_i.
 func (v RVec) Dot(w RVec) float64 {
 	if len(v) != len(w) {
@@ -175,17 +165,6 @@ func (v RVec) Normalize() RVec {
 func (v RVec) Zero() RVec {
 	for i := range v {
 		v[i] = 0
-	}
-	return v
-}
-
-// AddScaled sets v ← v + c·w in place and returns v.
-func (v RVec) AddScaled(c float64, w RVec) RVec {
-	if len(v) != len(w) {
-		panic("linalg: RVec.AddScaled dimension mismatch")
-	}
-	for i := range v {
-		v[i] += c * w[i]
 	}
 	return v
 }

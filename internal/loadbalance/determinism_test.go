@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/workload"
 	"repro/internal/xrand"
@@ -12,8 +11,6 @@ import (
 
 // sweepAt runs the E3 sweep (shrunk) with a fixed worker-pool width.
 func sweepAt(workers int, seed uint64) stats.Series {
-	parallel.SetDefaultWorkers(workers)
-	defer parallel.SetDefaultWorkers(0)
 	base := Config{
 		NumBalancers: 40,
 		Warmup:       200,
@@ -25,13 +22,14 @@ func sweepAt(workers int, seed uint64) stats.Series {
 	loads := []float64{0.8, 0.95, 1.05, 1.2}
 	return SweepLoad(base, func() Strategy {
 		return NewQuantumPairedStrategy(1.0, xrand.New(seed, 3))
-	}, loads)
+	}, loads, workers)
 }
 
 // TestSweepLoadWorkerInvariance is the tentpole's core guarantee at the
 // sweep layer: the series is byte-identical whether the points run on one
 // worker or eight.
 func TestSweepLoadWorkerInvariance(t *testing.T) {
+	t.Parallel()
 	a := sweepAt(1, 42)
 	b := sweepAt(8, 42)
 	if !reflect.DeepEqual(a, b) {
@@ -40,6 +38,7 @@ func TestSweepLoadWorkerInvariance(t *testing.T) {
 }
 
 func TestSweepDelayWorkerInvariance(t *testing.T) {
+	t.Parallel()
 	base := Config{
 		NumBalancers: 40,
 		Warmup:       200,
@@ -50,9 +49,7 @@ func TestSweepDelayWorkerInvariance(t *testing.T) {
 	}
 	loads := []float64{0.9, 1.1}
 	run := func(workers int) stats.Series {
-		parallel.SetDefaultWorkers(workers)
-		defer parallel.SetDefaultWorkers(0)
-		_, delay := SweepBoth(base, func() Strategy { return RandomStrategy{} }, loads)
+		_, delay := SweepBoth(base, func() Strategy { return RandomStrategy{} }, loads, workers)
 		return delay
 	}
 	if a, b := run(1), run(8); !reflect.DeepEqual(a, b) {

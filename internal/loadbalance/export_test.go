@@ -225,3 +225,20 @@ func runFloatMoments(cfg Config, strat Strategy) (r floatRun) {
 	r.queuedAtEnd = world.totalQueued()
 	return r
 }
+
+// task unpacks the workload task.
+func (r rec) task() workload.Task {
+	typ := workload.TypeE
+	if r.meta&recTypeC != 0 {
+		typ = workload.TypeC
+	}
+	return workload.Task{Type: typ, Class: int(r.meta >> 1)}
+}
+
+// numOfType returns how many of server id's queued tasks have type t.
+func (w *World) numOfType(id int, t workload.TaskType) int {
+	if t == workload.TypeC {
+		return int(w.numC[id])
+	}
+	return int(w.qlen[id] - w.numC[id])
+}

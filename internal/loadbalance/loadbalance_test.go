@@ -260,8 +260,8 @@ func TestQuantumBeatsRandomAtKnee(t *testing.T) {
 func TestKneeShift(t *testing.T) {
 	loads := []float64{0.7, 0.85, 1.0, 1.1, 1.2, 1.3}
 	base := testConfig(1)
-	classical := SweepLoad(base, func() Strategy { return RandomStrategy{} }, loads)
-	quantum := SweepLoad(base, func() Strategy { return NewQuantumPairedStrategy(1.0, xrand.New(4, 4)) }, loads)
+	classical := SweepLoad(base, func() Strategy { return RandomStrategy{} }, loads, 0)
+	quantum := SweepLoad(base, func() Strategy { return NewQuantumPairedStrategy(1.0, xrand.New(4, 4)) }, loads, 0)
 	const threshold = 5.0
 	kc := classical.KneeX(threshold)
 	kq := quantum.KneeX(threshold)
@@ -392,11 +392,11 @@ func TestSweepProducesMonotoneSeriesNames(t *testing.T) {
 	base := testConfig(1)
 	base.Slots = 500
 	base.Warmup = 100
-	s := SweepLoad(base, func() Strategy { return RandomStrategy{} }, []float64{0.5, 1.0})
+	s := SweepLoad(base, func() Strategy { return RandomStrategy{} }, []float64{0.5, 1.0}, 0)
 	if s.Name != "classical-random" || s.Len() != 2 {
 		t.Fatalf("series %+v", s)
 	}
-	_, d := SweepBoth(base, func() Strategy { return RandomStrategy{} }, []float64{0.5, 1.0})
+	_, d := SweepBoth(base, func() Strategy { return RandomStrategy{} }, []float64{0.5, 1.0}, 0)
 	if d.Len() != 2 {
 		t.Fatal("delay sweep wrong length")
 	}

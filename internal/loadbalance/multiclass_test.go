@@ -29,7 +29,7 @@ func threeClassSetup() (*games.XORGame, workload.MultiClass) {
 }
 
 func TestMultiClassGameReducesToColocationCHSH(t *testing.T) {
-	g := games.MultiClassColocationGame(games.TwoClassKinds(), []float64{1, 1})
+	g := games.MultiClassColocationGame([]games.ClassKind{games.KindExclusive, games.KindCaching}, []float64{1, 1})
 	base := games.NewColocationCHSH()
 	for x := 0; x < 2; x++ {
 		for y := 0; y < 2; y++ {
@@ -121,7 +121,7 @@ func TestGraphQuantumBeatsGraphClassical(t *testing.T) {
 
 func TestGraphStrategyClassOutOfRangePanics(t *testing.T) {
 	rng := xrand.New(103, 1)
-	game := games.MultiClassColocationGame(games.TwoClassKinds(), []float64{1, 1})
+	game := games.MultiClassColocationGame([]games.ClassKind{games.KindExclusive, games.KindCaching}, []float64{1, 1})
 	s := NewGraphPairedStrategy(game, 1.0, rng)
 	cfg := Config{
 		NumBalancers: 4, NumServers: 4,

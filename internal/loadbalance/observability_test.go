@@ -234,8 +234,8 @@ func TestSweepBothMatchesSingleSweeps(t *testing.T) {
 	}
 	loads := []float64{0.8, 1.0, 1.2}
 	factory := func() Strategy { return RandomStrategy{} }
-	q, _ := SweepBoth(base, factory, loads)
-	q2 := SweepLoad(base, factory, loads)
+	q, _ := SweepBoth(base, factory, loads, 0)
+	q2 := SweepLoad(base, factory, loads, 0)
 	for i := range loads {
 		if q.Y[i] != q2.Y[i] || q.CI[i] != q2.CI[i] {
 			t.Fatalf("point %d: SweepBoth (%v ±%v) != SweepLoad (%v ±%v)",

@@ -55,9 +55,6 @@ func (c ShardedConfig) Validate() error {
 // NumBalancers returns the total modeled balancer count.
 func (c ShardedConfig) NumBalancers() int { return c.Cells * c.CellBalancers }
 
-// NumServers returns the total modeled server count.
-func (c ShardedConfig) NumServers() int { return c.Cells * c.CellServers }
-
 // CellStrategyFactory builds the strategy for one cell. It is called from
 // worker goroutines, so it must derive any randomness from the cell index
 // (e.g. xrand.Derive(strategySeed, uint64(cell))) rather than drawing from

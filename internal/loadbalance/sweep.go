@@ -16,15 +16,15 @@ import (
 type StrategyFactory func() Strategy
 
 // sweepPoints builds one strategy per load (serially, so factory-side RNG
-// draws keep their order) and runs the simulations on the default worker
-// pool. Each run derives all randomness from base.Seed, so the result slice
-// is identical at any worker count.
-func sweepPoints(base Config, factory StrategyFactory, loads []float64) []Result {
+// draws keep their order) and runs the simulations on a pool of `workers`
+// goroutines (<= 0 means GOMAXPROCS). Each run derives all randomness from
+// base.Seed, so the result slice is identical at any worker count.
+func sweepPoints(base Config, factory StrategyFactory, loads []float64, workers int) []Result {
 	strats := make([]Strategy, len(loads))
 	for i := range strats {
 		strats[i] = factory()
 	}
-	return parallel.Map(len(loads), func(i int) Result {
+	return parallel.MapN(workers, len(loads), func(i int) Result {
 		cfg := base
 		cfg.NumServers = serversForLoad(base.NumBalancers, loads[i])
 		return Run(cfg, strats[i])
@@ -33,11 +33,11 @@ func sweepPoints(base Config, factory StrategyFactory, loads []float64) []Result
 
 // SweepBoth regenerates both Figure 4 series — mean queue length and mean
 // queueing delay — from a single sweep: one simulation per load point,
-// fanned out over the worker pool. Callers needing only the queue length
+// fanned out over `workers` goroutines. Callers needing only the queue length
 // use the SweepLoad wrapper; callers exporting both (cmd/qlbsim -series)
 // avoid simulating every point twice.
-func SweepBoth(base Config, factory StrategyFactory, loads []float64) (qlen, delay stats.Series) {
-	for _, r := range sweepPoints(base, factory, loads) {
+func SweepBoth(base Config, factory StrategyFactory, loads []float64, workers int) (qlen, delay stats.Series) {
+	for _, r := range sweepPoints(base, factory, loads, workers) {
 		if qlen.Name == "" {
 			qlen.Name = r.Strategy
 			delay.Name = r.Strategy
@@ -58,8 +58,8 @@ func SweepBoth(base Config, factory StrategyFactory, loads []float64) (qlen, del
 // SweepLoad regenerates a Figure 4 series: it holds NumBalancers fixed and
 // varies the server count so the load ratio N/M traverses `loads`, running
 // one simulation per point and recording mean queue length with its 95% CI.
-func SweepLoad(base Config, factory StrategyFactory, loads []float64) stats.Series {
-	qlen, _ := SweepBoth(base, factory, loads)
+func SweepLoad(base Config, factory StrategyFactory, loads []float64, workers int) stats.Series {
+	qlen, _ := SweepBoth(base, factory, loads, workers)
 	return qlen
 }
 

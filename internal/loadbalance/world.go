@@ -25,15 +25,6 @@ func packTask(t workload.Task) int32 {
 	return m
 }
 
-// task unpacks the workload task.
-func (r rec) task() workload.Task {
-	typ := workload.TypeE
-	if r.meta&recTypeC != 0 {
-		typ = workload.TypeC
-	}
-	return workload.Task{Type: typ, Class: int(r.meta >> 1)}
-}
-
 // fifo is one arrival-ordered queue of recs in a power-of-two ring: the i-th
 // oldest of the n live recs sits at buf[(head+i)&mask], mask = len(buf)-1, so
 // a queue in steady state never reallocates. The zero value is empty.
@@ -109,9 +100,6 @@ func NewWorld(m int) *World {
 	}
 }
 
-// NumServers returns the number of server queues.
-func (w *World) NumServers() int { return len(w.qlen) }
-
 // QueueLen returns server id's queue length (it also implements View, so a
 // single-world run can expose live lengths without copying).
 func (w *World) QueueLen(id int) int { return int(w.qlen[id]) }
@@ -124,14 +112,6 @@ func (w *World) push(id int, r rec) {
 	w.q[id][r.meta&recTypeC].push(r)
 	w.qlen[id]++
 	w.numC[id] += r.meta & recTypeC
-}
-
-// numOfType returns how many of server id's queued tasks have type t.
-func (w *World) numOfType(id int, t workload.TaskType) int {
-	if t == workload.TypeC {
-		return int(w.numC[id])
-	}
-	return int(w.qlen[id] - w.numC[id])
 }
 
 // older reports whether push sequence a precedes b on one server. The

@@ -156,10 +156,6 @@ func (q eventQueue) peek() (at time.Duration, seq uint64, ok bool) {
 // Now returns the current simulated time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Pending returns the number of queued callbacks. Events a Stream holds are
-// not counted: only the stream knows them.
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // Schedule queues fn to run delay after the current simulated time.
 // Negative delays panic: the simulator enforces causality.
 func (e *Engine) Schedule(delay time.Duration, fn func()) {

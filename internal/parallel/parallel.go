@@ -10,10 +10,12 @@
 // no job ever touches a shared RNG. Results are collected into a slice
 // indexed by job, so scheduling order cannot leak into output order.
 //
-// Pools are per-call (no global state), so nested fan-outs — a parallel
+// Every call takes its width as an argument (workers <= 0 means GOMAXPROCS,
+// 1 runs serially on the calling goroutine); there is no process-wide
+// default to set. Pools are per-call, so nested fan-outs — a parallel
 // experiment driver running a parallel sweep — compose without deadlock;
 // the total goroutine count is bounded by the product of the active calls'
-// worker counts, all of which default to GOMAXPROCS.
+// widths. Results never depend on the width — only wall-clock time does.
 package parallel
 
 import (
@@ -22,30 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// defaultWorkers overrides the GOMAXPROCS-derived default when positive.
-// It is set once at startup by binaries exposing a -workers flag.
-var defaultWorkers atomic.Int64
-
-// DefaultWorkers returns the worker count used when a call passes
-// workers <= 0: the last SetDefaultWorkers value if positive, else
-// GOMAXPROCS.
-func DefaultWorkers() int {
-	if n := defaultWorkers.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetDefaultWorkers sets the process-wide default worker count (the
-// -workers flag of the cmd/ binaries). n <= 0 restores the GOMAXPROCS
-// default. Results never depend on this value — only wall-clock time does.
-func SetDefaultWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultWorkers.Store(int64(n))
-}
 
 // jobPanic carries a worker panic to the caller's goroutine.
 type jobPanic struct {
@@ -63,7 +41,7 @@ func dispatch(workers, n int, fn func(i int)) {
 		return
 	}
 	if workers <= 0 {
-		workers = DefaultWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
@@ -124,21 +102,13 @@ func protect(i int, fn func(int)) (jp *jobPanic) {
 	return nil
 }
 
-// ForEach runs fn(i) for every i in [0, n) on the default worker pool.
-// fn must be safe for concurrent invocation and must not depend on
-// cross-job ordering.
-func ForEach(n int, fn func(i int)) { dispatch(0, n, fn) }
-
-// ForEachN is ForEach with an explicit worker count (<= 0 means default;
-// 1 runs serially on the calling goroutine).
+// ForEachN runs fn(i) for every i in [0, n) on a pool of `workers`
+// goroutines. fn must be safe for concurrent invocation and must not depend
+// on cross-job ordering.
 func ForEachN(workers, n int, fn func(i int)) { dispatch(workers, n, fn) }
 
-// Map runs fn(i) for every i in [0, n) on the default worker pool and
-// returns the results in index order, independent of scheduling.
-func Map[R any](n int, fn func(i int) R) []R { return MapN[R](0, n, fn) }
-
-// MapN is Map with an explicit worker count (<= 0 means default; 1 runs
-// serially on the calling goroutine).
+// MapN runs fn(i) for every i in [0, n) on a pool of `workers` goroutines
+// and returns the results in index order, independent of scheduling.
 func MapN[R any](workers, n int, fn func(i int) R) []R {
 	out := make([]R, n)
 	dispatch(workers, n, func(i int) { out[i] = fn(i) })

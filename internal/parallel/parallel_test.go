@@ -53,8 +53,8 @@ func TestForEachRunsEveryJobExactlyOnce(t *testing.T) {
 
 func TestForEachZeroAndNegativeJobs(t *testing.T) {
 	ran := false
-	ForEach(0, func(int) { ran = true })
-	ForEach(-3, func(int) { ran = true })
+	ForEachN(0, 0, func(int) { ran = true })
+	ForEachN(4, -3, func(int) { ran = true })
 	if ran {
 		t.Fatal("jobs ran for empty fan-out")
 	}
@@ -107,17 +107,5 @@ func TestPanicPropagatesWithLowestIndex(t *testing.T) {
 				}
 			})
 		}()
-	}
-}
-
-func TestSetDefaultWorkers(t *testing.T) {
-	defer SetDefaultWorkers(0)
-	SetDefaultWorkers(3)
-	if DefaultWorkers() != 3 {
-		t.Fatalf("DefaultWorkers %d, want 3", DefaultWorkers())
-	}
-	SetDefaultWorkers(0)
-	if DefaultWorkers() < 1 {
-		t.Fatalf("GOMAXPROCS default %d", DefaultWorkers())
 	}
 }

@@ -1,6 +1,8 @@
 package qkd
 
 import (
+	"math"
+
 	"repro/internal/qsim"
 	"repro/internal/xrand"
 )
@@ -40,3 +42,11 @@ func runOracle(cfg Config) Result {
 		return measurePairOracle(cfg, ai, bi, rng)
 	})
 }
+
+// DefaultConfig returns a 20k-round noiseless session aborting at S ≤ 2.
+func DefaultConfig() Config {
+	return Config{Rounds: 20000, Visibility: 1.0, AbortS: 2.0, Seed: 1}
+}
+
+// ExpectedS returns the no-interception CHSH estimate: 2√2·V.
+func ExpectedS(visibility float64) float64 { return 2 * math.Sqrt2 * visibility }

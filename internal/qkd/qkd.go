@@ -66,11 +66,6 @@ type Config struct {
 	Seed   uint64
 }
 
-// DefaultConfig returns a 20k-round noiseless session aborting at S ≤ 2.
-func DefaultConfig() Config {
-	return Config{Rounds: 20000, Visibility: 1.0, AbortS: 2.0, Seed: 1}
-}
-
 // Result summarizes a session.
 type Result struct {
 	// Key is Alice's sifted key; Bob's agrees except at QBER positions.
@@ -211,9 +206,6 @@ func (t *pairTable) measure(ai, bi int, rng *xrand.RNG) (a, b int) {
 	o := table.Sample(ai*len(bobAngles)+bi, rng)
 	return o >> 1 & 1, o & 1
 }
-
-// ExpectedS returns the no-interception CHSH estimate: 2√2·V.
-func ExpectedS(visibility float64) float64 { return 2 * math.Sqrt2 * visibility }
 
 // String renders a compact summary.
 func (r Result) String() string {

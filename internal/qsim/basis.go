@@ -83,15 +83,6 @@ func (b Basis) Vector(o int) linalg.Vec {
 	return linalg.Vec{b.u.At(0, o), b.u.At(1, o)}
 }
 
-// Angle returns atan2 of the outcome-0 vector's components when it is real,
-// primarily for debugging; it is not meaningful for complex bases.
-func (b Basis) Angle() float64 {
-	return math.Atan2(real(b.u.At(1, 0)), real(b.u.At(0, 0)))
-}
-
-// matrix returns the unitary (columns = basis vectors).
-func (b Basis) matrix() *linalg.Mat { return b.u }
-
 // dagger returns the inverse rotation used to map the basis onto the
 // computational basis before measuring.
 func (b Basis) dagger() *linalg.Mat { return b.u.Dagger() }
@@ -102,25 +93,9 @@ func (b Basis) Projector(o int) *linalg.Mat {
 	return v.Outer(v)
 }
 
-// Observable returns the ±1 observable P₀ − P₁ for this basis, used by the
-// XOR-game machinery (outcome bit 0 ↦ eigenvalue +1).
-func (b Basis) Observable() *linalg.Mat {
-	return b.Projector(0).Sub(b.Projector(1))
-}
-
 // The Pauli matrices: the Kraus operators of the noise channels.
-
-// GateX returns the Pauli-X matrix.
-func GateX() *linalg.Mat {
-	return linalg.MatFromRows([][]complex128{{0, 1}, {1, 0}})
-}
 
 // GateZ returns the Pauli-Z matrix.
 func GateZ() *linalg.Mat {
 	return linalg.MatFromRows([][]complex128{{1, 0}, {0, -1}})
-}
-
-// GateY returns the Pauli-Y matrix.
-func GateY() *linalg.Mat {
-	return linalg.MatFromRows([][]complex128{{0, -1i}, {1i, 0}})
 }

@@ -31,24 +31,6 @@ func (c Channel) Validate(tol float64) bool {
 	return sum.ApproxEqual(linalg.Identity(d), tol)
 }
 
-// Depolarizing returns the single-qubit depolarizing channel with error
-// probability p: ρ ↦ (1−p)ρ + p·I/2.
-func Depolarizing(p float64) Channel {
-	checkProb(p)
-	// Kraus: √(1−3p/4)·I, √(p/4)·X, √(p/4)·Y, √(p/4)·Z.
-	a := complex(math.Sqrt(1-3*p/4), 0)
-	b := complex(math.Sqrt(p/4), 0)
-	return Channel{
-		Name: "depolarizing",
-		Kraus: []*linalg.Mat{
-			linalg.Identity(2).Scale(a),
-			GateX().Scale(b),
-			GateY().Scale(b),
-			GateZ().Scale(b),
-		},
-	}
-}
-
 // Dephasing returns the phase-damping channel with probability p: coherences
 // shrink by (1−p) while populations are untouched — the dominant noise for
 // photonic qubits in storage.
@@ -59,33 +41,6 @@ func Dephasing(p float64) Channel {
 		Kraus: []*linalg.Mat{
 			linalg.Identity(2).Scale(complex(math.Sqrt(1-p/2), 0)),
 			GateZ().Scale(complex(math.Sqrt(p/2), 0)),
-		},
-	}
-}
-
-// AmplitudeDamping returns the T1 relaxation channel with decay probability
-// γ (|1⟩ decays to |0⟩).
-func AmplitudeDamping(gamma float64) Channel {
-	checkProb(gamma)
-	k0 := linalg.MatFromRows([][]complex128{
-		{1, 0},
-		{0, complex(math.Sqrt(1-gamma), 0)},
-	})
-	k1 := linalg.MatFromRows([][]complex128{
-		{0, complex(math.Sqrt(gamma), 0)},
-		{0, 0},
-	})
-	return Channel{Name: "amplitude-damping", Kraus: []*linalg.Mat{k0, k1}}
-}
-
-// BitFlip returns the channel flipping the qubit with probability p.
-func BitFlip(p float64) Channel {
-	checkProb(p)
-	return Channel{
-		Name: "bit-flip",
-		Kraus: []*linalg.Mat{
-			linalg.Identity(2).Scale(complex(math.Sqrt(1-p), 0)),
-			GateX().Scale(complex(math.Sqrt(p), 0)),
 		},
 	}
 }
@@ -128,13 +83,4 @@ func expandOperator(numQubits, k int, op *linalg.Mat) *linalg.Mat {
 		}
 	}
 	return out
-}
-
-// WernerFromDepolarizing documents the bridge between the two noise
-// parametrizations used in this repository: applying single-qubit
-// depolarizing noise with probability p to ONE qubit of a perfect Bell pair
-// yields exactly the Werner state with visibility V = 1 − p. (Applying it
-// to both sides composes multiplicatively.)
-func WernerFromDepolarizing(p float64) *Density {
-	return DensityFromPure(Bell()).ApplyChannel(1, Depolarizing(p))
 }

@@ -7,8 +7,7 @@ import (
 
 func TestChannelsTracePreserving(t *testing.T) {
 	for _, c := range []Channel{
-		Depolarizing(0.3), Dephasing(0.5), AmplitudeDamping(0.2), BitFlip(0.7),
-		Depolarizing(0), Depolarizing(1),
+		Dephasing(0.5), Dephasing(0), Dephasing(1),
 	} {
 		if !c.Validate(1e-10) {
 			t.Fatalf("channel %s is not trace preserving", c.Name)
@@ -22,41 +21,16 @@ func TestChannelProbabilityRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Depolarizing(1.5)
+	Dephasing(1.5)
 }
 
 func TestApplyChannelPreservesValidity(t *testing.T) {
 	d := DensityFromPure(GHZ(3))
-	for _, c := range []Channel{Depolarizing(0.25), Dephasing(0.6), AmplitudeDamping(0.4)} {
+	for _, c := range []Channel{Dephasing(0.25), Dephasing(0.6), Dephasing(1)} {
 		out := d.ApplyChannel(1, c)
 		if !out.IsValid(1e-9) {
 			t.Fatalf("channel %s produced an invalid state", c.Name)
 		}
-	}
-}
-
-// TestWernerFromDepolarizing: depolarizing one half of a Bell pair with
-// probability p gives exactly Werner(1−p) — bridging the two noise
-// parametrizations.
-func TestWernerFromDepolarizing(t *testing.T) {
-	for _, p := range []float64{0, 0.1, 0.4, 1} {
-		got := WernerFromDepolarizing(p)
-		want := Werner(1 - p)
-		if !got.Rho.ApproxEqual(want.Rho, 1e-10) {
-			t.Fatalf("p=%v: depolarized Bell != Werner(1-p)", p)
-		}
-	}
-}
-
-func TestDepolarizingBothSidesComposes(t *testing.T) {
-	// Depolarizing both halves at p gives visibility (1−p)².
-	p := 0.2
-	d := DensityFromPure(Bell()).
-		ApplyChannel(0, Depolarizing(p)).
-		ApplyChannel(1, Depolarizing(p))
-	want := Werner((1 - p) * (1 - p))
-	if !d.Rho.ApproxEqual(want.Rho, 1e-10) {
-		t.Fatal("two-sided depolarizing should compose multiplicatively")
 	}
 }
 
@@ -74,37 +48,10 @@ func TestDephasingKillsCoherenceKeepsPopulations(t *testing.T) {
 	}
 }
 
-func TestAmplitudeDampingDecaysExcitedState(t *testing.T) {
-	one := DensityFromPure(BasisState(1, 1)).ApplyChannel(0, AmplitudeDamping(0.3))
-	if math.Abs(real(one.Rho.At(1, 1))-0.7) > 1e-10 {
-		t.Fatalf("excited population %v, want 0.7", real(one.Rho.At(1, 1)))
-	}
-	if math.Abs(real(one.Rho.At(0, 0))-0.3) > 1e-10 {
-		t.Fatal("ground population wrong")
-	}
-	// Ground state is a fixed point.
-	zero := DensityFromPure(BasisState(0, 1)).ApplyChannel(0, AmplitudeDamping(0.9))
-	if math.Abs(real(zero.Rho.At(0, 0))-1) > 1e-10 {
-		t.Fatal("|0⟩ must be fixed under amplitude damping")
-	}
-}
-
-func TestBitFlipOnBellCorrelations(t *testing.T) {
-	// Flipping one side of Φ+ with probability p makes computational-basis
-	// outcomes agree with probability 1−p.
-	p := 0.25
-	d := DensityFromPure(Bell()).ApplyChannel(1, BitFlip(p))
-	dist := d.OutcomeDistribution([]Basis{Computational(), Computational()})
-	pSame := dist[0b00] + dist[0b11]
-	if math.Abs(pSame-(1-p)) > 1e-10 {
-		t.Fatalf("P(same) = %v, want %v", pSame, 1-p)
-	}
-}
-
 // TestChannelNoSignaling: local noise on Bob's qubit cannot change Alice's
 // statistics.
 func TestChannelNoSignaling(t *testing.T) {
-	d := DensityFromPure(Bell()).ApplyChannel(1, AmplitudeDamping(0.5))
+	d := DensityFromPure(Bell()).ApplyChannel(1, Dephasing(0.5))
 	v := NoSignalingViolation(d, []int{0}, 1, Computational(), Hadamard(),
 		[]Basis{Hadamard(), Hadamard()})
 	if v > 1e-10 {
@@ -150,7 +97,7 @@ func TestCHSHUnderDephasing(t *testing.T) {
 
 func BenchmarkApplyChannelGHZ4(b *testing.B) {
 	d := DensityFromPure(GHZ(4))
-	c := Depolarizing(0.1)
+	c := Dephasing(0.1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.ApplyChannel(2, c)

@@ -1,9 +1,6 @@
 package qsim
 
 import (
-	"math"
-	"math/cmplx"
-
 	"repro/internal/linalg"
 	"repro/internal/xrand"
 )
@@ -45,55 +42,6 @@ func Werner(v float64) *Density {
 	mixed := MaximallyMixed(2)
 	rho := bell.Rho.Scale(complex(v, 0)).Add(mixed.Rho.Scale(complex(1-v, 0)))
 	return &Density{NumQubits: 2, Rho: rho}
-}
-
-// Mix returns Σ pᵢ·ρᵢ. Weights must be non-negative and sum to ~1.
-func Mix(weights []float64, states []*Density) *Density {
-	if len(weights) != len(states) || len(states) == 0 {
-		panic("qsim: Mix needs matching non-empty weights and states")
-	}
-	var total float64
-	n := states[0].NumQubits
-	acc := linalg.NewMat(1<<n, 1<<n)
-	for i, w := range weights {
-		if w < 0 {
-			panic("qsim: negative mixture weight")
-		}
-		if states[i].NumQubits != n {
-			panic("qsim: mixture across different system sizes")
-		}
-		total += w
-		acc = acc.Add(states[i].Rho.Scale(complex(w, 0)))
-	}
-	if math.Abs(total-1) > 1e-9 {
-		panic("qsim: mixture weights must sum to 1")
-	}
-	return &Density{NumQubits: n, Rho: acc}
-}
-
-// Clone returns a deep copy.
-func (d *Density) Clone() *Density {
-	return &Density{NumQubits: d.NumQubits, Rho: d.Rho.Clone()}
-}
-
-// TraceError returns |Tr ρ − 1|.
-func (d *Density) TraceError() float64 {
-	return cmplx.Abs(d.Rho.Trace() - 1)
-}
-
-// IsValid reports whether ρ is Hermitian, unit trace, and positive
-// semidefinite within tol.
-func (d *Density) IsValid(tol float64) bool {
-	if !d.Rho.IsHermitian(tol) || d.TraceError() > tol {
-		return false
-	}
-	eig := linalg.EigHermitian(d.Rho)
-	return eig.Values[0] > -tol
-}
-
-// Purity returns Tr ρ², which is 1 exactly for pure states.
-func (d *Density) Purity() float64 {
-	return real(d.Rho.Mul(d.Rho).Trace())
 }
 
 // FidelityPure returns ⟨ψ|ρ|ψ⟩, the fidelity with a pure target state.

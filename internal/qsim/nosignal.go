@@ -4,8 +4,9 @@ import (
 	"math"
 )
 
-// This file verifies the no-signaling principle — the physical law the whole
-// paper leans on: measurement choices at one site cannot change the outcome
+// This file holds the marginal and distance helpers behind the no-signaling
+// principle (checked by NoSignalingViolation in the package's tests) — the
+// physical law the whole paper leans on: measurement choices at one site cannot change the outcome
 // statistics at another, which is why entanglement gives "faster-than-light
 // correlation while still respecting causality".
 
@@ -23,28 +24,6 @@ func MarginalDistribution(dist []float64, numQubits int, of []int) []float64 {
 		out[idx] += p
 	}
 	return out
-}
-
-// NoSignalingViolation measures how much the marginal distribution of the
-// `observer` qubits changes when the basis on the `remote` qubit changes from
-// basisA to basisB, with all other qubits measured in `fixed`. A physical
-// state/measurement pair must return ~0. Returns the total-variation distance.
-func NoSignalingViolation(d *Density, observer []int, remote int, basisA, basisB Basis, fixed []Basis) float64 {
-	basesA := make([]Basis, d.NumQubits)
-	basesB := make([]Basis, d.NumQubits)
-	copy(basesA, fixed)
-	copy(basesB, fixed)
-	basesA[remote] = basisA
-	basesB[remote] = basisB
-
-	ma := MarginalDistribution(d.OutcomeDistribution(basesA), d.NumQubits, observer)
-	mb := MarginalDistribution(d.OutcomeDistribution(basesB), d.NumQubits, observer)
-
-	var tv float64
-	for i := range ma {
-		tv += math.Abs(ma[i] - mb[i])
-	}
-	return tv / 2
 }
 
 // TotalVariation returns the total-variation distance between two

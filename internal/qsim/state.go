@@ -12,7 +12,6 @@ package qsim
 
 import (
 	"math"
-	"math/cmplx"
 
 	"repro/internal/linalg"
 	"repro/internal/xrand"
@@ -22,16 +21,6 @@ import (
 type State struct {
 	NumQubits int
 	Amp       linalg.Vec
-}
-
-// BasisState returns |bits⟩, e.g. BasisState(0b10, 2) = |10⟩.
-func BasisState(bits, numQubits int) *State {
-	if bits < 0 || bits >= 1<<numQubits {
-		panic("qsim: basis index out of range")
-	}
-	s := &State{NumQubits: numQubits, Amp: linalg.NewVec(1 << numQubits)}
-	s.Amp[bits] = 1
-	return s
 }
 
 // FromAmplitudes builds a state from raw amplitudes, normalizing them.
@@ -55,23 +44,6 @@ func FromAmplitudes(amp []complex128) *State {
 func Bell() *State {
 	r := 1 / math.Sqrt2
 	return FromAmplitudes([]complex128{complex(r, 0), 0, 0, complex(r, 0)})
-}
-
-// BellPhi returns one of the four Bell states selected by (bitFlip, phase):
-// (false,false)=Φ+, (false,true)=Φ−, (true,false)=Ψ+, (true,true)=Ψ−.
-func BellPhi(bitFlip, phase bool) *State {
-	r := complex(1/math.Sqrt2, 0)
-	amp := make([]complex128, 4)
-	sign := r
-	if phase {
-		sign = -r
-	}
-	if bitFlip {
-		amp[0b01], amp[0b10] = r, sign
-	} else {
-		amp[0b00], amp[0b11] = r, sign
-	}
-	return FromAmplitudes(amp)
 }
 
 // GHZ returns the n-qubit GHZ state (|0…0⟩ + |1…1⟩)/√2.
@@ -105,28 +77,6 @@ func (s *State) Clone() *State {
 	return &State{NumQubits: s.NumQubits, Amp: s.Amp.Clone()}
 }
 
-// Tensor returns s ⊗ t, the combined system with s's qubits first.
-func (s *State) Tensor(t *State) *State {
-	return &State{NumQubits: s.NumQubits + t.NumQubits, Amp: s.Amp.Kron(t.Amp)}
-}
-
-// NormError returns |‖ψ‖ − 1|, a cheap invariant check.
-func (s *State) NormError() float64 { return math.Abs(s.Amp.Norm() - 1) }
-
-// InnerProduct returns ⟨s|t⟩.
-func (s *State) InnerProduct(t *State) complex128 {
-	if s.NumQubits != t.NumQubits {
-		panic("qsim: inner product across different system sizes")
-	}
-	return s.Amp.Dot(t.Amp)
-}
-
-// Fidelity returns |⟨s|t⟩|², the overlap probability between pure states.
-func (s *State) Fidelity(t *State) float64 {
-	a := cmplx.Abs(s.InnerProduct(t))
-	return a * a
-}
-
 // ApplyUnitary1 applies the 2×2 unitary u to qubit k in place.
 func (s *State) ApplyUnitary1(k int, u *linalg.Mat) {
 	if u.Rows != 2 || u.Cols != 2 {
@@ -151,48 +101,6 @@ func (s *State) applyPairwise(k int, a, b, c, d complex128) {
 		s.Amp[i] = a*a0 + b*a1
 		s.Amp[j] = c*a0 + d*a1
 	}
-}
-
-// Probability returns |⟨bits|ψ⟩|² for a full computational-basis outcome.
-func (s *State) Probability(bits int) float64 {
-	a := cmplx.Abs(s.Amp[bits])
-	return a * a
-}
-
-// MeasureQubit measures qubit k in the given single-qubit basis, collapses
-// the state, and returns the outcome (0 or 1). Outcome o means "the state was
-// projected onto basis vector o".
-func (s *State) MeasureQubit(k int, b Basis, rng *xrand.RNG) int {
-	// Rotate so the desired basis becomes the computational basis…
-	s.ApplyUnitary1(k, b.dagger())
-	bit := 1 << (s.NumQubits - 1 - k)
-	var p1 float64
-	for i, a := range s.Amp {
-		if i&bit != 0 {
-			p1 += real(a)*real(a) + imag(a)*imag(a)
-		}
-	}
-	outcome := 0
-	if rng.Float64() < p1 {
-		outcome = 1
-	}
-	// …collapse…
-	var norm float64
-	for i := range s.Amp {
-		hit := (i&bit != 0) == (outcome == 1)
-		if !hit {
-			s.Amp[i] = 0
-		} else {
-			norm += real(s.Amp[i])*real(s.Amp[i]) + imag(s.Amp[i])*imag(s.Amp[i])
-		}
-	}
-	if norm > 0 {
-		s.Amp.Scale(complex(1/math.Sqrt(norm), 0))
-	}
-	// …and rotate back so remaining qubits are untouched and qubit k holds
-	// the post-measurement basis vector.
-	s.ApplyUnitary1(k, b.matrix())
-	return outcome
 }
 
 // OutcomeDistribution returns the joint probability distribution over all

@@ -274,7 +274,7 @@ func TestFromAmplitudesRejectsNonPowerOfTwo(t *testing.T) {
 
 func TestGateUnitarity(t *testing.T) {
 	for name, g := range map[string]*linalg.Mat{
-		"X": GateX(), "Y": GateY(), "Z": GateZ(),
+		"X": GateX(), "Z": GateZ(),
 		"RotatedReal(0.35)": RotatedReal(0.35).matrix(),
 	} {
 		if !g.IsUnitary(tol) {

@@ -503,8 +503,14 @@ func (s *Server) Info(id string) (SessionInfo, error) {
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
+	// The bounded body is read whole and unmarshalled, so bytes after the
+	// JSON object are refused here as on the decide routes.
 	var req SessionRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+	body, err := readBody(r.Body, nil, maxBodyBytes)
+	if err == nil {
+		err = json.Unmarshal(body, &req)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad session request: %v", err)
 		return
 	}

@@ -195,6 +195,27 @@ func TestCreateSessionBodyIsBounded(t *testing.T) {
 	}
 }
 
+// TestCreateSessionRejectsTrailingBytes: POST /v1/sessions takes exactly one
+// JSON object, as the decide routes do. Bytes after it are a 400 and
+// register nothing.
+func TestCreateSessionRejectsTrailingBytes(t *testing.T) {
+	srv := NewServer(Config{})
+	t.Cleanup(srv.StopSessions)
+	for _, tail := range []string{" trailing junk {", "{}", `{"id":"t-second","endpoints":["a","b"]}`} {
+		rec := post(srv, "/v1/sessions", `{"id":"t-trail","endpoints":["a","b"]}`+tail)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("tail %q: status %d, want 400 (%s)", tail, rec.Code, rec.Body)
+		}
+	}
+	if n := srv.SessionCount(); n != 0 {
+		t.Fatalf("%d sessions registered", n)
+	}
+	// Trailing white space is not a second value.
+	if rec := post(srv, "/v1/sessions", `{"id":"t-trail","endpoints":["a","b"]}`+" \n"); rec.Code != http.StatusCreated {
+		t.Fatalf("status %d for a registration with trailing white space (%s)", rec.Code, rec.Body)
+	}
+}
+
 func TestDecideRoundTrip(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	ctx := context.Background()

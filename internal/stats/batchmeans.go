@@ -63,14 +63,6 @@ func (b *BatchMeans) CI95() float64 {
 	return b.batches.CI95()
 }
 
-// StdErr returns the batch-means standard error of the mean.
-func (b *BatchMeans) StdErr() float64 {
-	if b.batches.Count() < 2 {
-		return math.Inf(1)
-	}
-	return b.batches.StdErr()
-}
-
 // Merge combines another estimator's completed batches into b (parallel
 // batch-means merge, used by the sharded simulation runner). Both estimators
 // must use the same batch size. An in-progress partial batch in o is

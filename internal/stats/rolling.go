@@ -37,9 +37,6 @@ func (r *Rolling) Count() int { return r.n }
 // Window returns the configured window length.
 func (r *Rolling) Window() int { return len(r.buf) }
 
-// Full reports whether the window has filled.
-func (r *Rolling) Full() bool { return r.n == len(r.buf) }
-
 // Mean returns the mean of the retained samples (0 when empty).
 func (r *Rolling) Mean() float64 {
 	if r.n == 0 {

@@ -204,9 +204,6 @@ func (g *DiurnalMix) Next(balancer int, rng *xrand.RNG) Task {
 	return Task{Type: TypeE, Class: 0}
 }
 
-// NumClasses is 2.
-func (*DiurnalMix) NumClasses() int { return 2 }
-
 // Reset rewinds the slot clock.
 func (g *DiurnalMix) Reset() { g.clock.reset() }
 
@@ -292,9 +289,6 @@ func (g *CorrelatedBursts) Next(balancer int, rng *xrand.RNG) Task {
 	}
 	return Task{Type: TypeE, Class: 0}
 }
-
-// NumClasses is 2.
-func (*CorrelatedBursts) NumClasses() int { return 2 }
 
 // Reset clears both phase chains and the slot clock.
 func (g *CorrelatedBursts) Reset() {

@@ -50,8 +50,6 @@ type Task struct {
 type Generator interface {
 	// Next returns the task for the given balancer in the current slot.
 	Next(balancer int, rng *xrand.RNG) Task
-	// NumClasses reports how many distinct Class values the stream uses.
-	NumClasses() int
 }
 
 // Cloner is implemented by stateful generators (phase machines, slot
@@ -85,9 +83,6 @@ func (g Bernoulli) Next(_ int, rng *xrand.RNG) Task {
 	return Task{Type: TypeE, Class: 0}
 }
 
-// NumClasses is 2 (C and E).
-func (Bernoulli) NumClasses() int { return 2 }
-
 // MultiClass draws a class from a categorical distribution over k classes;
 // ClassTypes[k] says whether class k behaves as type-C or type-E at the
 // servers. Used by the XOR-game scheduling experiments where affinity is a
@@ -102,9 +97,6 @@ func (g MultiClass) Next(_ int, rng *xrand.RNG) Task {
 	c := rng.Categorical(g.Weights)
 	return Task{Type: g.ClassTypes[c], Class: c}
 }
-
-// NumClasses reports the class count.
-func (g MultiClass) NumClasses() int { return len(g.Weights) }
 
 // Validate checks the weight/type tables agree. A short ClassTypes would
 // otherwise surface as a bare index panic on whatever draw first lands in
@@ -181,9 +173,6 @@ func (g *Bursty) Next(balancer int, rng *xrand.RNG) Task {
 	}
 	return Task{Type: TypeE, Class: 0}
 }
-
-// NumClasses is 2.
-func (*Bursty) NumClasses() int { return 2 }
 
 // Reset clears every balancer back to the cold phase and (re)allocates the
 // presized table, so repeated runs from one prototype start identically.
