@@ -92,6 +92,9 @@ type Decision struct {
 	// Waited is the simulated time spent waiting for an in-flight pair
 	// before this round's strategy was chosen (0 unless Retry is set).
 	Waited time.Duration
+	// Win reports whether the answers (A, B) win the game on the round's
+	// inputs, as the session's win statistics counted it.
+	Win bool
 }
 
 // Stats aggregates a session's history.
@@ -221,7 +224,8 @@ func (s *Session) Round(now time.Duration, x, y int) (d Decision) {
 		d = Decision{A: a, B: b, Mode: ModeFallback, Level: DegradeClassical}
 		s.st.FallbackRounds++
 	}
-	s.st.Wins.Add(s.cfg.Game.Wins(x, y, d.A, d.B))
+	d.Win = s.cfg.Game.Wins(x, y, d.A, d.B)
+	s.st.Wins.Add(d.Win)
 	return d
 }
 
@@ -294,7 +298,8 @@ func (s *Session) resilientRound(d *Decision, now time.Duration, x, y int) {
 		d.Level = level
 	}
 	s.st.LevelRounds[d.Level]++
-	s.st.Wins.Add(s.cfg.Game.Wins(x, y, d.A, d.B))
+	d.Win = s.cfg.Game.Wins(x, y, d.A, d.B)
+	s.st.Wins.Add(d.Win)
 }
 
 // BrownoutRound plays one round at the load-driven brownout rung: the best
@@ -309,10 +314,10 @@ func (s *Session) resilientRound(d *Decision, now time.Duration, x, y int) {
 func (s *Session) BrownoutRound(x, y int) Decision {
 	s.st.Rounds++
 	a, b := s.fallback.Sample(x, y, s.rng)
-	d := Decision{A: a, B: b, Mode: ModeFallback, Level: DegradeClassical}
+	d := Decision{A: a, B: b, Mode: ModeFallback, Level: DegradeClassical, Win: s.cfg.Game.Wins(x, y, a, b)}
 	s.st.FallbackRounds++
 	s.st.LevelRounds[DegradeClassical]++
-	s.st.Wins.Add(s.cfg.Game.Wins(x, y, d.A, d.B))
+	s.st.Wins.Add(d.Win)
 	return d
 }
 

@@ -48,20 +48,25 @@ const (
 // NumLevels is the number of ladder rungs.
 const NumLevels = int(numLevels)
 
-// String names the level.
-func (l DegradeLevel) String() string {
-	switch l {
-	case DegradeNone:
-		return "quantum"
-	case DegradeReoptimize:
-		return "reoptimized"
-	case DegradeClassical:
-		return "classical"
-	case DegradeRandom:
-		return "random"
-	}
-	return fmt.Sprintf("DegradeLevel(%d)", int(l))
+// levelNames names the rungs, indexed by level.
+var levelNames = [NumLevels]string{
+	DegradeNone:       "quantum",
+	DegradeReoptimize: "reoptimized",
+	DegradeClassical:  "classical",
+	DegradeRandom:     "random",
 }
+
+// String names the level. A rung is one table load, small enough to inline
+// into the serving layer's per-round response fill.
+func (l DegradeLevel) String() string {
+	if uint(l) < uint(NumLevels) {
+		return levelNames[l]
+	}
+	return unknownLevel(l)
+}
+
+// unknownLevel names a value outside the ladder.
+func unknownLevel(l DegradeLevel) string { return fmt.Sprintf("DegradeLevel(%d)", int(l)) }
 
 // HealthConfig tunes the session's health monitor. The zero value is usable:
 // withDefaults fills every field.

@@ -163,9 +163,10 @@ func overloadCurve(seed uint64) []servingRun {
 
 // WriteServingJSON writes the serving artifact for o.Seed (o.Scale is
 // ignored): E18's traffic mixes and E21's overload curve as indented JSON.
-// The nine runs are independent — each builds its own server and derives
-// every draw from its own seed — so they fan out on o.Workers goroutines and
-// the bytes are identical at any width.
+// The nine runs are independent — each builds its own servers and derives
+// every draw from its own seed — so they fan out on o.Workers goroutines,
+// each replaying its sessions o.Workers wide, and the bytes are identical at
+// any width.
 func WriteServingJSON(w io.Writer, o Options) error {
 	seed := o.Seed
 	mixes := servingMixes(seed)
@@ -175,7 +176,9 @@ func WriteServingJSON(w io.Writer, o Options) error {
 		err error
 	}
 	done := parallel.MapN(o.Workers, len(runs), func(i int) outcome {
-		res, err := loadtest.RunVirtual(runs[i].cfg)
+		cfg := runs[i].cfg
+		cfg.Workers = o.Workers
+		res, err := loadtest.RunVirtual(cfg)
 		return outcome{res, err}
 	})
 	rows := make([]servingRow, len(runs))

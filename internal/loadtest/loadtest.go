@@ -10,13 +10,15 @@
 //
 // Two execution modes share that plan:
 //
-//   - Virtual (RunVirtual): single-threaded against an in-process
-//     serve.Server whose clock is the plan's arrival schedule. Nothing
-//     reads the real clock, so the full Result — counts, win rates, and
-//     latency quantiles (the simulated decision latency, LatencyNS +
-//     WaitedNS) — is byte-identical across runs and machines. This is the
-//     mode CI trends; its report answers "what does the coordination layer
-//     itself do under this workload", with zero measurement noise.
+//   - Virtual (RunVirtual): against in-process serve.Servers whose clock is
+//     the plan's arrival schedule, the sessions split over Config.Workers
+//     goroutines, each replaying its own sessions' requests in arrival
+//     order. Nothing reads the real clock, so the full Result — counts, win
+//     rates, and latency quantiles (the simulated decision latency,
+//     QueueNS + LatencyNS + WaitedNS) — is byte-identical across runs,
+//     machines and widths. This is the mode CI trends; its report answers
+//     "what does the coordination layer itself do under this workload",
+//     with zero measurement noise.
 //
 //   - Wall (RunWall): open-loop against a live HTTP endpoint with real
 //     sleeps and real concurrency. Latency is wall time from the request's
@@ -29,6 +31,7 @@ package loadtest
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"repro/internal/admission"
@@ -133,6 +136,11 @@ type Config struct {
 	// SessionTemplate seeds each created session's parameters; ID and Seed
 	// are set per session by the harness.
 	SessionTemplate serve.SessionRequest `json:"-"`
+	// Workers is the virtual replay's width: how many goroutines replay the
+	// plan's sessions (<= 0 means GOMAXPROCS; at most Sessions, and 1 with
+	// Admission set). The Result is the same at every width. Wall runs
+	// ignore it.
+	Workers int `json:"-"`
 }
 
 // withDefaults returns cfg with zero fields filled in.
@@ -261,7 +269,7 @@ func BuildPlan(cfg Config) (*Plan, error) {
 
 	p := &Plan{Config: cfg, Scenarios: cfg.Scenarios, ids: make([]string, cfg.Sessions)}
 	for i := range p.ids {
-		p.ids[i] = fmt.Sprintf("lt-%03d", i)
+		p.ids[i] = sessionID(i)
 	}
 	// next returns the following arrival offset, or false when the window is
 	// exhausted. Constant rate draws exponential gaps directly; a profile uses
@@ -333,6 +341,14 @@ func BuildPlan(cfg Config) (*Plan, error) {
 	}
 	p.reqs, p.inputs = reqs, rounds
 	return p, nil
+}
+
+// sessionID names session i as fmt's "lt-%03d" would, without fmt's pooled
+// printer: the race detector drops pooled objects at random, and a plan's
+// allocations are counted exactly (TestBuildPlanAllocsIndependentOfRequests).
+func sessionID(i int) string {
+	d := strconv.Itoa(i)
+	return "lt-" + "000"[min(len(d), 3):] + d
 }
 
 // presize returns empty request and input slices with room for the plan cfg

@@ -1,6 +1,7 @@
 package loadtest
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -93,6 +94,14 @@ func TestBuildPlanAllocsIndependentOfRequests(t *testing.T) {
 		if large != small {
 			t.Errorf("%s: %d requests cost %v allocations, %d cost %v: BuildPlan allocates per request or regrows its slices",
 				name, n, small, n5, large)
+		}
+	}
+}
+
+func TestSessionIDMatchesFormat(t *testing.T) {
+	for i := range 12_000 {
+		if got, want := sessionID(i), fmt.Sprintf("lt-%03d", i); got != want {
+			t.Fatalf("sessionID(%d) = %q, want %q", i, got, want)
 		}
 	}
 }

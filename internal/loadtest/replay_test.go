@@ -1,6 +1,7 @@
 package loadtest
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -158,32 +159,98 @@ func replayConfigs() map[string]Config {
 }
 
 func TestVirtualReplayAllocsIndependentOfRequests(t *testing.T) {
-	// A run allocates for its server, sessions, recorder and result; none of
-	// that may scale with the number of requests replayed. (It did: one
-	// formatted session ID per request.) Count-based, so it holds on any
-	// host. Single decides only: a request the deadline gate sheds costs
-	// serve one ShedError, which is not the harness's to save.
-	cfg := replayConfigs()["decide"]
-	allocs := func(window time.Duration) (float64, int) {
-		cfg.Duration = window
-		plan, err := BuildPlan(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(3, func() {
-			if _, err := RunVirtualPlan(plan); err != nil {
+	// A run allocates for its servers, sessions, recorders and result, and
+	// at width 2 for its two replay goroutines; none of that may scale with
+	// the number of requests replayed. (It did: one formatted session ID per
+	// request.) Count-based, so it holds on any host. Single decides only: a
+	// request the deadline gate sheds costs serve one ShedError, which is
+	// not the harness's to save.
+	for _, width := range []int{1, 2} {
+		cfg := replayConfigs()["decide"]
+		cfg.Workers = width
+		allocs := func(window time.Duration) (float64, int) {
+			cfg.Duration = window
+			plan, err := BuildPlan(cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}), plan.Requests()
+			return testing.AllocsPerRun(3, func() {
+				if _, err := RunVirtualPlan(plan); err != nil {
+					t.Fatal(err)
+				}
+			}), plan.Requests()
+		}
+		small, n := allocs(25 * time.Millisecond)
+		large, n4 := allocs(100 * time.Millisecond)
+		t.Logf("width %d: %v allocs for %d requests, %v for %d", width, small, n, large, n4)
+		if n4 < 3*n {
+			t.Fatalf("plans of %d and %d requests do not separate", n, n4)
+		}
+		if large-small > 16 {
+			t.Errorf("width %d: %d more requests cost %v more allocations: the replay loop allocates per request", width, n4-n, large-small)
+		}
 	}
-	small, n := allocs(25 * time.Millisecond)
-	large, n4 := allocs(100 * time.Millisecond)
-	t.Logf("%v allocs for %d requests, %v for %d", small, n, large, n4)
-	if n4 < 3*n {
-		t.Fatalf("plans of %d and %d requests do not separate", n, n4)
+}
+
+// widthPlans are the plan shapes the width-invariance test replays: every
+// request kind the replay loop has, both arrival generators, session counts
+// at, below and above the widths, and admission, which couples sessions.
+func widthPlans() map[string]Config {
+	decide := Config{Seed: 42, Duration: 20 * time.Millisecond, TargetRPS: 100_000, Sessions: 8,
+		Scenarios: []Scenario{{Name: "decide", Weight: 1, Batch: 1}}}
+	batch := decide
+	batch.TargetRPS = 20_000
+	batch.Scenarios = []Scenario{
+		{Name: "batch64", Weight: 0.8, Batch: 64},
+		{Name: "batch256", Weight: 0.2, Batch: 256},
 	}
-	if large-small > 16 {
-		t.Errorf("%d more requests cost %v more allocations: the replay loop allocates per request", n4-n, large-small)
+	mixed := Config{Seed: 7, Duration: 100 * time.Millisecond, TargetRPS: 4000, Sessions: 5,
+		Scenarios: append(DefaultScenarios(),
+			Scenario{Name: "heavy", Weight: 0.1, HeavyTail: &HeavyTailBatch{Shape: 1.2, Scale: 2, Max: 512}})}
+	profiled := Config{Seed: 9, Duration: 200 * time.Millisecond, Sessions: 6,
+		Rate: workload.FlashProfile(5000, 60*time.Millisecond, 6, 40*time.Millisecond)}
+	one := decide
+	one.Sessions = 1
+	two := mixed
+	two.Sessions = 2
+	gated := overloadConfig(30_000)
+	gated.Duration = 50 * time.Millisecond
+	gated.Sessions = 4
+	return map[string]Config{
+		"decide": decide, "batch mix": batch, "default mix + heavy tail": mixed,
+		"rate profile": profiled, "one session": one, "two sessions": two, "admission": gated,
+	}
+}
+
+func TestVirtualReplayWidthInvariance(t *testing.T) {
+	// The replay splits a plan's sessions over Workers goroutines, each with
+	// a server, clock and recorder of its own, and merges the recorders;
+	// the report must be the width-1 replay's, byte for byte. An admission
+	// plan replays at width 1 whatever Workers says: its sessions share one
+	// gate.
+	for name, cfg := range widthPlans() {
+		var want []byte
+		for _, width := range []int{1, 2, 3, 8} {
+			cfg.Workers = width
+			res, err := RunVirtual(cfg)
+			if err != nil {
+				t.Fatalf("%s at width %d: %v", name, width, err)
+			}
+			if res.Decisions == 0 {
+				t.Fatalf("%s: degenerate plan, no decisions", name)
+			}
+			got, err := res.MarshalIndent()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: width %d reports\n%s\nwidth 1 reports\n%s", name, width, got, want)
+			}
+		}
 	}
 }
 

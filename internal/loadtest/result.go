@@ -80,7 +80,8 @@ func (r *Result) MarshalIndent() ([]byte, error) {
 
 // recorder accumulates one run's counts and histograms; finish() folds it
 // into a Result. Not concurrency-safe — the wall runner serializes access
-// with its own mutex.
+// with its own mutex, and the virtual replay keeps one per group and merges
+// them.
 type recorder struct {
 	names   []string
 	perScen []*stats.HDRHistogram
@@ -163,6 +164,25 @@ func (rec *recorder) decisions(scenario int, out []serve.DecideResponse, budgetN
 func (rec *recorder) poll(scenario int, latencyNS int64) {
 	rec.perScen[scenario].Record(latencyNS)
 	rec.sumNS[scenario] += latencyNS
+}
+
+// merge folds o, a recorder over the same scenarios, into rec exactly:
+// counts and latency sums add, and histograms merge bucket by bucket.
+func (rec *recorder) merge(o *recorder) {
+	for i := range rec.scen {
+		sc, add := &rec.scen[i], &o.scen[i]
+		sc.Requests += add.Requests
+		sc.Decisions += add.Decisions
+		sc.Wins += add.Wins
+		sc.Errors += add.Errors
+		sc.Retryable += add.Retryable
+		sc.Transport += add.Transport
+		sc.Shed += add.Shed
+		sc.InDeadline += add.InDeadline
+		sc.Late += add.Late
+		rec.perScen[i].Merge(o.perScen[i])
+		rec.sumNS[i] += o.sumNS[i]
+	}
 }
 
 func (rec *recorder) errorKind(scenario int, kind errKind) {

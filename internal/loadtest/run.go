@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sync"
 	"time"
 
+	"repro/internal/parallel"
 	"repro/internal/serve"
 )
 
@@ -15,12 +17,12 @@ import (
 // fixed: committed reports must not depend on when the run happened.
 var virtualEpoch = time.Unix(1_700_000_000, 0)
 
-// RunVirtual executes the plan single-threaded against a fresh in-process
-// serve.Server driven by the plan's own arrival schedule: request i runs at
-// virtual wall time epoch+at_i. Recorded latency is the simulated decision
-// latency (LatencyNS + WaitedNS) — the physics-derived quantity the paper
+// RunVirtual executes the plan against fresh in-process serve.Servers driven
+// by the plan's own arrival schedule: request i runs at virtual wall time
+// epoch+at_i. Recorded latency is the simulated decision latency
+// (QueueNS + LatencyNS + WaitedNS) — the physics-derived quantity the paper
 // reports — not host wall time, so the full Result is byte-identical across
-// runs and machines.
+// runs, machines and replay widths (Config.Workers; see RunVirtualPlan).
 func RunVirtual(cfg Config) (*Result, error) {
 	plan, err := BuildPlan(cfg)
 	if err != nil {
@@ -29,8 +31,50 @@ func RunVirtual(cfg Config) (*Result, error) {
 	return RunVirtualPlan(plan)
 }
 
-// RunVirtualPlan is RunVirtual for a pre-built plan.
+// RunVirtualPlan is RunVirtual for a pre-built plan. It replays the plan's
+// sessions on w = min(Config.Workers, Sessions) goroutines: session i goes to
+// group i mod w, and each group plays only its own sessions' requests, in
+// arrival order, on a server, clock and recorder of its own. With admission
+// off nothing on a server couples its sessions, so the groups' recorders
+// merge into exactly the Result one server replaying the whole plan would
+// report. With admission on, every session waits behind one gate in arrival
+// order, so the replay is one group on the calling goroutine.
 func RunVirtualPlan(plan *Plan) (*Result, error) {
+	w := plan.Config.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	if plan.Config.Admission != nil {
+		w = 1
+	}
+	w = min(w, plan.Config.Sessions)
+	sessions := plan.sessionRequests()
+	names := plan.scenarioNames()
+	groups := parallel.MapN(w, w, func(g int) replayed {
+		return replayGroup(plan, sessions, names, g, w)
+	})
+	for _, gr := range groups {
+		if gr.err != nil {
+			return nil, gr.err
+		}
+	}
+	rec := groups[0].rec
+	for _, gr := range groups[1:] {
+		rec.merge(gr.rec)
+	}
+	return rec.finish("virtual", plan.Config, plan.Config.Duration), nil
+}
+
+// replayed is one replay group's recorder, or the error that stopped it.
+type replayed struct {
+	rec *recorder
+	err error
+}
+
+// replayGroup replays group g of w: the sessions whose index is g mod w, and
+// their requests in arrival order, against a server of its own whose clock
+// is the requests' arrival schedule.
+func replayGroup(plan *Plan, sessions []serve.SessionRequest, names []string, g, w int) replayed {
 	now := virtualEpoch
 	srv := serve.NewServer(serve.Config{
 		Clock:     func() time.Time { return now },
@@ -38,13 +82,13 @@ func RunVirtualPlan(plan *Plan) (*Result, error) {
 	})
 	defer srv.StopSessions()
 
-	for _, req := range plan.sessionRequests() {
-		if _, err := srv.CreateSession(req); err != nil {
-			return nil, fmt.Errorf("create %s: %w", req.ID, err)
+	for i := g; i < len(sessions); i += w {
+		if _, err := srv.CreateSession(sessions[i]); err != nil {
+			return replayed{err: fmt.Errorf("create %s: %w", sessions[i].ID, err)}
 		}
 	}
 
-	rec := newRecorder(plan.scenarioNames())
+	rec := newRecorder(names)
 	// One response buffer sized to the largest batch, reused for every
 	// request — the runner itself stays off the allocator's hot path.
 	maxBatch := 1
@@ -60,6 +104,9 @@ func RunVirtualPlan(plan *Plan) (*Result, error) {
 	budget := plan.Config.DeadlineBudget
 
 	for _, req := range plan.reqs {
+		if w > 1 && int(req.session)%w != g {
+			continue
+		}
 		now = virtualEpoch.Add(req.at)
 		sc := int(req.scenario)
 		rec.request(sc)
@@ -84,7 +131,7 @@ func RunVirtualPlan(plan *Plan) (*Result, error) {
 		}
 		rec.decisions(sc, out[:len(rounds)], int64(budget))
 	}
-	return rec.finish("virtual", plan.Config, plan.Config.Duration), nil
+	return replayed{rec: rec}
 }
 
 // WallOptions tunes RunWall.

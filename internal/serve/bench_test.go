@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,6 +23,8 @@ import (
 //	                             zero-allocation floor; run with -benchmem
 //	                             to watch the 0 allocs/op gate)
 //	BenchmarkDecideInProcessParallel — the same, one session per goroutine
+//	BenchmarkDecideDisjointSessions — two goroutines on disjoint sessions
+//	                             of one server, against one goroutine
 //	BenchmarkDecideHTTP        — one round per HTTP exchange (the pre-batch
 //	                             serving path)
 //	BenchmarkDecideBatchHTTP64 — 64 rounds per HTTP exchange; decisions/sec
@@ -115,6 +120,65 @@ func BenchmarkDecideInProcessParallel(b *testing.B) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "decisions/s")
+}
+
+// BenchmarkDecideDisjointSessions times one server's decides from two
+// goroutines on disjoint halves of 8 sessions: ns/op is the pair's time per
+// decision, and "scale" is how many times faster the pair runs than one
+// goroutine cycling through all 8 — 2 when decides on different sessions
+// share nothing, 1 when they serialize. The two are timed in alternating
+// rounds and each keeps its fastest round, so a noisy neighbour on a shared
+// host slows a round, not the ratio. The clock is frozen, so every round
+// rides the classical rung and what is timed is the pipeline, not the
+// supply chain. Run it with -cpu 2 or more; at -cpu 1 scale is about 1 by
+// construction.
+func BenchmarkDecideDisjointSessions(b *testing.B) {
+	srv := NewServer(Config{Clock: func() time.Time { return testEpoch }})
+	b.Cleanup(srv.StopSessions)
+	ids := make([]string, 8)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("bench-%d", i)
+		if _, err := srv.CreateSession(SessionRequest{ID: ids[i], Endpoints: []string{"lb-a", "lb-b"}, Seed: uint64(i + 1)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	decide := func(ids []string, n int) error {
+		var out DecideResponse
+		for i := 0; i < n; i++ {
+			if err := srv.Decide(ids[i%len(ids)], i%2, (i/2)%2, &out); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	const rounds = 8
+	n := max(b.N/rounds, 2)
+	single, pair := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range rounds {
+		b.StopTimer()
+		start := time.Now()
+		if err := decide(ids, n); err != nil {
+			b.Fatal(err)
+		}
+		single = min(single, time.Since(start))
+		b.StartTimer()
+		start = time.Now()
+		var errA, errB error
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); errA = decide(ids[:4], n/2) }()
+		go func() { defer wg.Done(); errB = decide(ids[4:], n-n/2) }()
+		wg.Wait()
+		pair = min(pair, time.Since(start))
+		if err := errors.Join(errA, errB); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds*n), "ns/op")
+	b.ReportMetric(single.Seconds()/pair.Seconds(), "scale")
 }
 
 func BenchmarkDecideInProcessBatch64(b *testing.B) {

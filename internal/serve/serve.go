@@ -7,10 +7,12 @@
 // touching its neighbors. Decisions (POST /v1/decide) answer in a single
 // session-local lock hold: no cross-endpoint communication, which is the
 // point (Figure 2). With admission off, that hold is the only lock an
-// in-process decision takes and the server's in-flight count the only
-// server-wide value it writes; the HTTP handlers also time each request
-// into the server's registry, and admission adds its limiter's lock and
-// its one admission gate's.
+// in-process decision takes and it writes no server-wide value: its
+// in-flight count and its counters live on its session, so decides on
+// different sessions share no written cache line and one server scales
+// across cores. The HTTP handlers also time each request into the server's
+// registry, and admission adds its limiter's lock and its one admission
+// gate's.
 //
 // Sessions live in one insert-only hash table. Lookup probes it with atomic
 // loads and takes no lock; registration places a session under the table's
@@ -174,7 +176,6 @@ type Server struct {
 	clock    func() time.Time
 	adm      *admission.Controller // nil = admission disabled
 	draining atomic.Bool
-	inflight atomic.Int64 // decisions currently executing
 	nextID   atomic.Uint64
 
 	// Sessions created, requests that never reach a session, and the HTTP
@@ -358,8 +359,10 @@ func (s *Server) CreateSession(req SessionRequest) (SessionInfo, error) {
 // batch of one; batch says whether the entry point counts as a batch. The
 // stages, in order, and why each sits where it does:
 //
-//  1. Inflight gate, then drain check. Drain waits on the in-flight count,
-//     so a request past the gate completes even if StartDrain lands right
+//  1. Inflight gate, then drain check. The gate counts the request on its
+//     session (a request for no session does no session work and is not
+//     counted), and Drain waits until the sessions' counts sum to zero, so
+//     a request past the gate completes even if StartDrain lands right
 //     after, and a draining server refuses even what admission would
 //     accept. The HTTP handlers decode before calling play: "in flight"
 //     means "past the gate, doing session work", and a slow body read or
@@ -389,16 +392,18 @@ func (s *Server) CreateSession(req SessionRequest) (SessionInfo, error) {
 //     tally sorts the results into goodput and late in one pass and counts
 //     the request beside them (see (*tally).account). No server-wide
 //     counter is written — /metrics sums the tallies — so a decide, single
-//     or batched, shares no cache line with other sessions' decides but
-//     the in-flight count (and, with admission on, the limiter and the
+//     or batched, shares no written cache line with other sessions'
+//     decides (with admission on, it still shares the limiter and the
 //     server's gate). Then (deferred) the service-time sample for the
 //     gate's EWMA and the limiter release.
 //
 // Results land in out[:len(rounds)] in request order; on error nothing was
 // played.
 func (s *Server) play(sess *session, deadline time.Time, rounds []Round, out []DecideResponse, blocking, batch bool) (time.Time, error) {
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
+	if sess != nil {
+		sess.inflight.Add(1)
+		defer sess.inflight.Add(-1)
+	}
 	return s.playInflight(sess, deadline, rounds, out, blocking, batch)
 }
 
@@ -662,14 +667,19 @@ func (s *Server) StartDrain() { s.draining.Store(true) }
 
 // Drain waits until every in-flight decision has completed, or the deadline
 // elapses. It returns the number of decisions still in flight (0 on a clean
-// drain). Call StartDrain first.
+// drain), summed over the sessions' own counts each time it looks. Call
+// StartDrain first: a decide increments its session's count and then
+// checks the drain flag, and StartDrain stores the flag before Drain sums,
+// so a decide that saw no drain is already in the sum (the session it found
+// is in the table Drain reads), and one that comes later is refused.
 func (s *Server) Drain(deadline time.Duration) int64 {
 	if !s.draining.Load() {
 		panic("serve: Drain before StartDrain")
 	}
 	limit := time.Now().Add(deadline)
 	for {
-		n := s.inflight.Load()
+		var n int64
+		s.sessions.slots.Load().each(func(sess *session) { n += sess.inflight.Load() })
 		if n == 0 || time.Now().After(limit) {
 			return n
 		}

@@ -442,7 +442,12 @@ func TestPairBudgetIsExact(t *testing.T) {
 }
 
 func TestFaultWindowDegradesAndRecovers(t *testing.T) {
-	_, c := newTestServer(t, Config{})
+	// The session clock is injected and steps 250 µs per decide: on the
+	// real clock a loaded host spaced the decides so far apart in simulated
+	// time that the outage could pass between a handful of them, too few
+	// for the health window to see, and the test failed now and then.
+	clk := newManualClock(testEpoch)
+	_, c := newTestServer(t, Config{Clock: clk.Now})
 	ctx := context.Background()
 	info, err := c.CreateSession(ctx, SessionRequest{
 		ID:        "t-fault",
@@ -458,10 +463,10 @@ func TestFaultWindowDegradesAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	sawDegraded := false
-	deadline := time.Now().Add(2 * time.Second)
 	// Drive decisions through the outage window; the session must step off
 	// the quantum rung while the source is down.
-	for time.Now().Before(deadline) {
+	for step := 0; step < 2000; step++ {
+		clk.Advance(250 * time.Microsecond)
 		d, err := c.Decide(ctx, info.ID, 0, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -480,7 +485,6 @@ func TestFaultWindowDegradesAndRecovers(t *testing.T) {
 			}
 			return
 		}
-		time.Sleep(200 * time.Microsecond)
 	}
 	t.Fatalf("no degrade+recover cycle observed (sawDegraded=%v)", sawDegraded)
 }
@@ -555,7 +559,7 @@ func TestDrainRejectsNewWorkAndCompletesInflight(t *testing.T) {
 		d, err := c.Decide(ctx, info.ID, 1, 1)
 		inflight <- result{d, err}
 	}()
-	for srv.inflight.Load() == 0 {
+	for sess.inflight.Load() == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
 	srv.StartDrain()
@@ -592,6 +596,48 @@ func TestDrainRejectsNewWorkAndCompletesInflight(t *testing.T) {
 	}
 	if !got.Draining {
 		t.Fatal("info should report draining")
+	}
+}
+
+// TestDrainCountsEverySession: each session keeps its own in-flight count,
+// and Drain sums them all. Two sessions each hold a decide past the gate
+// (blocked on the session lock); Drain must report both, then none once
+// both locks are released.
+func TestDrainCountsEverySession(t *testing.T) {
+	srv := NewServer(Config{Clock: func() time.Time { return testEpoch }})
+	t.Cleanup(srv.StopSessions)
+	ids := []string{"t-drain-a", "t-drain-b"}
+	errs := make(chan error, len(ids))
+	var held []*session
+	for _, id := range ids {
+		if _, err := srv.CreateSession(SessionRequest{ID: id, Endpoints: twoEndpoints()}); err != nil {
+			t.Fatal(err)
+		}
+		sess := srv.lookup(id)
+		sess.mu.Lock()
+		held = append(held, sess)
+		go func() {
+			var out DecideResponse
+			errs <- srv.Decide(id, 1, 1, &out)
+		}()
+		for sess.inflight.Load() == 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	srv.StartDrain()
+	if left := srv.Drain(5 * time.Millisecond); left != 2 {
+		t.Fatalf("Drain with two decides held reports %d in flight, want 2", left)
+	}
+	for _, sess := range held {
+		sess.mu.Unlock()
+	}
+	for range ids {
+		if err := <-errs; err != nil {
+			t.Fatalf("in-flight decide failed: %v", err)
+		}
+	}
+	if left := srv.Drain(5 * time.Second); left != 0 {
+		t.Fatalf("Drain after both decides completed reports %d in flight", left)
 	}
 }
 

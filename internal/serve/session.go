@@ -209,8 +209,12 @@ const maxAdvancePerStep = 25 * time.Millisecond
 // engine's simulated clock. All fields past mu are guarded by it; sessions
 // are independently locked, so decisions in different sessions never contend.
 type session struct {
-	// tally is written inside mu's hold and read without it.
-	tally tally
+	// tally is written inside mu's hold and read without it. inflight
+	// counts the decides past the drain gate on this session (see
+	// (*Server).play); it sits beside tally, which only this session's
+	// decides write.
+	tally    tally
+	inflight atomic.Int64
 
 	mu sync.Mutex
 
@@ -505,8 +509,9 @@ func (s *session) checkRounds(rounds []Round) error {
 }
 
 // fill maps a core round decision into the wire response. Alloc-free: the
-// Mode/Level names are fixed interned strings.
-func (s *session) fill(out *DecideResponse, r Round, d *core.Decision, queueNS int64) {
+// Mode/Level names are fixed interned strings, and the win is the one core
+// already scored for its stats.
+func (s *session) fill(out *DecideResponse, d *core.Decision, queueNS int64) {
 	out.Session = s.id
 	out.A = d.A
 	out.B = d.B
@@ -516,7 +521,7 @@ func (s *session) fill(out *DecideResponse, r Round, d *core.Decision, queueNS i
 	out.LatencyNS = int64(d.Latency)
 	out.WaitedNS = int64(d.Waited)
 	out.QueueNS = queueNS
-	out.Win = s.game.Wins(r.X, r.Y, d.A, d.B)
+	out.Win = d.Win
 }
 
 // playAt plays len(rounds) validated rounds in one lock hold at a single
@@ -536,13 +541,13 @@ func (s *session) playAt(wall, deadline time.Time, rounds []Round, out []DecideR
 	if brownout {
 		for i, r := range rounds {
 			d := s.core.BrownoutRound(r.X, r.Y)
-			s.fill(&out[i], r, &d, queueNS)
+			s.fill(&out[i], &d, queueNS)
 		}
 	} else {
 		now := s.advanceAt(wall)
 		for i, r := range rounds {
 			d := s.core.Round(now, r.X, r.Y)
-			s.fill(&out[i], r, &d, queueNS)
+			s.fill(&out[i], &d, queueNS)
 		}
 	}
 	s.tally.account(wall, deadline, out[:len(rounds)], batch)

@@ -35,11 +35,6 @@ func (b *BatchMeans) Add(x float64) {
 	}
 }
 
-// Count returns the number of raw samples folded in.
-func (b *BatchMeans) Count() int64 {
-	return b.batches.Count()*int64(b.batchSize) + b.current.Count()
-}
-
 // Batches returns the number of completed batches.
 func (b *BatchMeans) Batches() int64 { return b.batches.Count() }
 

@@ -99,14 +99,6 @@ func (h *HDRHistogram) RecordN(v int64, n int64) {
 // Count returns the number of recorded values.
 func (h *HDRHistogram) Count() int64 { return h.count }
 
-// Min returns the smallest recorded value (0 when empty).
-func (h *HDRHistogram) Min() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Max returns the largest recorded value exactly (0 when empty) — the tail
 // report's "max" column is the true maximum, not a bucket bound.
 func (h *HDRHistogram) Max() int64 {
@@ -181,12 +173,4 @@ func (h *HDRHistogram) Merge(o *HDRHistogram) {
 		}
 	}
 	h.count += o.count
-}
-
-// Reset zeroes the histogram in place, keeping the bucket array.
-func (h *HDRHistogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.count, h.min, h.max = 0, 0, 0
 }

@@ -154,18 +154,6 @@ func (p *Proportion) Contains95(v float64) bool {
 	return v >= lo && v <= hi
 }
 
-// Mean returns the arithmetic mean of the slice (NaN when empty).
-func Mean(data []float64) float64 {
-	if len(data) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range data {
-		s += x
-	}
-	return s / float64(len(data))
-}
-
 // Series is an (x, y±ci) table for a swept experiment — one row per sweep
 // point — matching how the paper's figures are laid out.
 type Series struct {

@@ -138,15 +138,6 @@ func TestProportionAdd(t *testing.T) {
 	}
 }
 
-func TestMeanHelper(t *testing.T) {
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Fatal("Mean wrong")
-	}
-	if !math.IsNaN(Mean(nil)) {
-		t.Fatal("Mean of empty should be NaN")
-	}
-}
-
 func TestSeriesKnee(t *testing.T) {
 	var s Series
 	s.Append(0.5, 1, 0)
