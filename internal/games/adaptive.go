@@ -1,6 +1,8 @@
 package games
 
 import (
+	"math/cmplx"
+
 	"repro/internal/linalg"
 	"repro/internal/qsim"
 	"repro/internal/xrand"
@@ -45,17 +47,40 @@ func bobEffectInto(out, p *linalg.Mat, o int) *linalg.Mat {
 	return out
 }
 
-// positiveEigenprojector returns the projector onto the strictly positive
-// eigenspace of a 2×2 Hermitian matrix.
-func positiveEigenprojector(h *linalg.Mat) *linalg.Mat {
-	// Hermitize numerical dust before decomposing.
-	hh := h.Add(h.Dagger()).Scale(0.5)
-	eig := linalg.EigHermitian(hh)
-	out := linalg.NewMat(2, 2)
-	for k, v := range eig.Values {
+// eigenScratch holds the 2×2 buffers one see-saw run computes its best
+// responses in: the hermitized operator and the eigensolver's workspace and
+// eigenvectors.
+type eigenScratch struct{ hh, w, v *linalg.Mat }
+
+func newEigenScratch() *eigenScratch {
+	return &eigenScratch{hh: linalg.NewMat(2, 2), w: linalg.NewMat(2, 2), v: linalg.NewMat(2, 2)}
+}
+
+// positiveEigenprojector writes the projector onto the strictly positive
+// eigenspace of the 2×2 Hermitian matrix h into out and returns out. It
+// allocates nothing, and its arithmetic is that of
+// h.Add(h.Dagger()).Scale(0.5) (hermitizing numerical dust), EigHermitian
+// and a sum of Outer products from a zero matrix, in that order, so the
+// projector is bit for bit theirs.
+func (sc *eigenScratch) positiveEigenprojector(out, h *linalg.Mat) *linalg.Mat {
+	half := complex(0.5, 0)
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 2; j++ {
+			sc.hh.Set(i, j, half*(h.At(i, j)+cmplx.Conj(h.At(j, i))))
+		}
+	}
+	values := linalg.EigHermitian2Into(sc.hh, sc.w, sc.v)
+	out.Zero()
+	for k, v := range values {
 		if v > 0 {
-			col := linalg.Vec{eig.Vectors.At(0, k), eig.Vectors.At(1, k)}
-			out = out.Add(col.Outer(col))
+			col := [2]complex128{sc.v.At(0, k), sc.v.At(1, k)}
+			for i := 0; i < 2; i++ {
+				for j := 0; j < 2; j++ {
+					// The conversion rounds the product before the sum, as
+					// Outer's stored entry is rounded before Add reads it.
+					out.Set(i, j, out.At(i, j)+complex128(col[i]*cmplx.Conj(col[j])))
+				}
+			}
 		}
 	}
 	return out
@@ -104,13 +129,15 @@ func (g *XORGame) seeSawOnceOnState(rho *qsim.Density, rng *xrand.RNG) SeeSawRes
 	}
 
 	// Shared scratch for the whole see-saw: effect buffers, the 4×4
-	// Kronecker product, the conditional operator, and the score
-	// accumulator are reused across iterations.
+	// Kronecker product, the conditional operator, the score accumulator
+	// and the best response's eigensolver buffers are reused across
+	// iterations; each best response overwrites its party's projector.
 	effA := linalg.NewMat(2, 2)
 	effB := linalg.NewMat(2, 2)
 	full := linalg.NewMat(4, 4)
 	cond := linalg.NewMat(2, 2)
 	diff := linalg.NewMat(2, 2)
+	eig := newEigenScratch()
 
 	prob := func(aProj, bProj *linalg.Mat, a, b int) float64 {
 		linalg.KronInto(full, bobEffectInto(effA, aProj, a), bobEffectInto(effB, bProj, b))
@@ -154,7 +181,7 @@ func (g *XORGame) seeSawOnceOnState(rho *qsim.Density, rng *xrand.RNG) SeeSawRes
 					}
 				}
 			}
-			alice[x] = positiveEigenprojector(diff)
+			eig.positiveEigenprojector(alice[x], diff)
 		}
 		for y := 0; y < g.NB; y++ {
 			diff.Zero()
@@ -173,7 +200,7 @@ func (g *XORGame) seeSawOnceOnState(rho *qsim.Density, rng *xrand.RNG) SeeSawRes
 					}
 				}
 			}
-			bob[y] = positiveEigenprojector(diff)
+			eig.positiveEigenprojector(bob[y], diff)
 		}
 		v := value()
 		if v-prev < 1e-12 {

@@ -202,3 +202,60 @@ func BenchmarkSeeSawOnState(b *testing.B) {
 		g.SeeSawOnState(rho, rng)
 	}
 }
+
+// TestPositiveEigenprojectorMatchesAllocatingOracle: the best response the
+// see-saw computes in its own buffers must be the allocating original's
+// projector bit for bit, −0 included, on random operators (Hermitian or
+// not: both hermitize first), on degenerate spectra and on the zero matrix.
+// The buffers are reused across cases, as a see-saw run reuses them.
+func TestPositiveEigenprojectorMatchesAllocatingOracle(t *testing.T) {
+	rng := xrand.New(136, 1)
+	negZero := math.Copysign(0, -1)
+	cases := []*linalg.Mat{
+		linalg.NewMat(2, 2),
+		linalg.MatFromRows([][]complex128{{complex(negZero, negZero), complex(negZero, 0)}, {complex(0, negZero), complex(negZero, negZero)}}),
+		linalg.Identity(2),
+		linalg.Identity(2).Scale(-1),
+		linalg.Identity(2).Scale(1e-300),
+		linalg.MatFromRows([][]complex128{{1, 0}, {0, -1}}),
+		linalg.MatFromRows([][]complex128{{-1, 0}, {0, 1}}),
+		linalg.MatFromRows([][]complex128{{0, 1}, {1, 0}}),
+		linalg.MatFromRows([][]complex128{{0, -1i}, {1i, 0}}),
+		linalg.MatFromRows([][]complex128{{1, 1}, {1, 1}}),
+		linalg.MatFromRows([][]complex128{{0.5, 0.5i}, {-0.5i, 0.5}}),
+		linalg.MatFromRows([][]complex128{{2, 0}, {0, 2}}),
+		linalg.MatFromRows([][]complex128{{0, 0}, {0, 1}}),
+		linalg.MatFromRows([][]complex128{{1, 3}, {-1, 0.25}}),
+	}
+	for i := 0; i < 2000; i++ {
+		m := linalg.NewMat(2, 2)
+		for k := range m.Data {
+			m.Data[k] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		if i%2 == 0 {
+			m = m.Add(m.Dagger())
+		}
+		if i%7 == 0 {
+			m.Data[1], m.Data[2] = 0, 0 // diagonal: no rotation at all
+		}
+		if i%11 == 0 {
+			m.Data[3] = m.Data[0] // equal diagonal: the θ = π/4 branch
+		}
+		cases = append(cases, m)
+	}
+	sc := newEigenScratch()
+	out := linalg.NewMat(2, 2)
+	for i, h := range cases {
+		want := positiveEigenprojectorOracle(h)
+		sc.positiveEigenprojector(out, h)
+		for k := range want.Data {
+			w, g := want.Data[k], out.Data[k]
+			if math.Float64bits(real(w)) != math.Float64bits(real(g)) || math.Float64bits(imag(w)) != math.Float64bits(imag(g)) {
+				t.Fatalf("case %d (%v): entry %d = %v, oracle %v", i, h.Data, k, g, w)
+			}
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() { sc.positiveEigenprojector(out, cases[20]) }); avg != 0 {
+		t.Fatalf("in-place projector allocates %v per call", avg)
+	}
+}

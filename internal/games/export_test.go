@@ -313,3 +313,19 @@ func addScaled(v linalg.RVec, c float64, w linalg.RVec) {
 		v[i] += c * w[i]
 	}
 }
+
+// positiveEigenprojectorOracle is the see-saw's best response as it was
+// written before it moved into a run's buffers: hermitize, EigHermitian,
+// then a sum of Outer products, each step a fresh matrix.
+func positiveEigenprojectorOracle(h *linalg.Mat) *linalg.Mat {
+	hh := h.Add(h.Dagger()).Scale(0.5)
+	eig := linalg.EigHermitian(hh)
+	out := linalg.NewMat(2, 2)
+	for k, v := range eig.Values {
+		if v > 0 {
+			col := linalg.Vec{eig.Vectors.At(0, k), eig.Vectors.At(1, k)}
+			out = out.Add(col.Outer(col))
+		}
+	}
+	return out
+}

@@ -31,7 +31,58 @@ func EigHermitian(a *Mat) EigResult {
 	n := a.Rows
 	w := a.Clone()
 	v := Identity(n)
+	jacobi(w, v)
 
+	res := EigResult{Values: make([]float64, n), Vectors: NewMat(n, n)}
+	type pair struct {
+		val float64
+		col int
+	}
+	pairs := make([]pair, n)
+	for i := 0; i < n; i++ {
+		pairs[i] = pair{real(w.At(i, i)), i}
+	}
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].val < pairs[j].val })
+	for k, pr := range pairs {
+		res.Values[k] = pr.val
+		for i := 0; i < n; i++ {
+			res.Vectors.Set(i, k, v.At(i, pr.col))
+		}
+	}
+	return res
+}
+
+// EigHermitian2Into is EigHermitian for a 2×2 matrix without allocating:
+// w and v are caller-owned 2×2 buffers. It runs the same Jacobi sweeps on
+// a copy of a in w and orders the eigenpairs as EigHermitian's sort does —
+// two values swap only when the second is smaller, so ties keep their
+// columns — and so returns the eigenvalues ascending, with eigenvector k in
+// column k of v, bit for bit as EigHermitian(a) returns them.
+func EigHermitian2Into(a, w, v *Mat) [2]float64 {
+	if a.Rows != 2 || a.Cols != 2 || w.Rows != 2 || w.Cols != 2 || v.Rows != 2 || v.Cols != 2 {
+		panic("linalg: EigHermitian2Into needs 2×2 matrices")
+	}
+	if !a.IsHermitian(1e-9) {
+		panic("linalg: EigHermitian2Into called on a non-Hermitian matrix")
+	}
+	copy(w.Data, a.Data)
+	v.Data[0], v.Data[1], v.Data[2], v.Data[3] = 1, 0, 0, 1
+	jacobi(w, v)
+	lo, hi := real(w.At(0, 0)), real(w.At(1, 1))
+	if hi < lo {
+		lo, hi = hi, lo
+		v.Data[0], v.Data[1] = v.Data[1], v.Data[0]
+		v.Data[2], v.Data[3] = v.Data[3], v.Data[2]
+	}
+	return [2]float64{lo, hi}
+}
+
+// jacobi runs the cyclic Jacobi sweeps of EigHermitian: it diagonalizes the
+// Hermitian matrix w in place and accumulates the rotations into v, which
+// enters as the identity and leaves with the eigenvector of w(k,k) in
+// column k.
+func jacobi(w, v *Mat) {
+	n := w.Rows
 	const maxSweeps = 100
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		off := offDiagNorm(w)
@@ -64,24 +115,6 @@ func EigHermitian(a *Mat) EigResult {
 			}
 		}
 	}
-
-	res := EigResult{Values: make([]float64, n), Vectors: NewMat(n, n)}
-	type pair struct {
-		val float64
-		col int
-	}
-	pairs := make([]pair, n)
-	for i := 0; i < n; i++ {
-		pairs[i] = pair{real(w.At(i, i)), i}
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].val < pairs[j].val })
-	for k, pr := range pairs {
-		res.Values[k] = pr.val
-		for i := 0; i < n; i++ {
-			res.Vectors.Set(i, k, v.At(i, pr.col))
-		}
-	}
-	return res
 }
 
 // applyRotation performs the two-sided complex Jacobi update on w and the

@@ -32,7 +32,9 @@ import (
 //
 // BenchmarkDecodeSingle and BenchmarkDecodeBatch64 isolate the request
 // decode underneath the handler numbers: the fast path against json.Unmarshal
-// on the same bytes. BenchmarkCreateSession times registration as the store
+// on the same bytes. BenchmarkEncodeBatch64 isolates the response encode,
+// BenchmarkSessionInfoHandler times the health-poll route through
+// ServeHTTP, and BenchmarkCreateSession times registration as the store
 // fills.
 //
 // Each reports decisions/sec via b.ReportMetric so benchstat can trend the
@@ -348,4 +350,59 @@ func BenchmarkDecodeSingle(b *testing.B) {
 
 func BenchmarkDecodeBatch64(b *testing.B) {
 	benchDecode(b, canonicalBatch("hm-003", 64), fastDecodeBatch)
+}
+
+// BenchmarkEncodeBatch64 times the append encoder on the 64 results a live
+// session answers a batch with on a frozen clock (as in handler_mix, whose
+// virtual clock stands still within a request), against json.Marshal of
+// the same response.
+func BenchmarkEncodeBatch64(b *testing.B) {
+	srv := NewServer(Config{Clock: func() time.Time { return testEpoch }})
+	b.Cleanup(srv.StopSessions)
+	if _, err := srv.CreateSession(SessionRequest{ID: "hm-003", Endpoints: twoEndpoints(), Seed: 42}); err != nil {
+		b.Fatal(err)
+	}
+	var req DecideBatchRequest
+	if err := json.Unmarshal(canonicalBatch("hm-003", 64), &req); err != nil {
+		b.Fatal(err)
+	}
+	results := make([]DecideResponse, len(req.Rounds))
+	if err := srv.DecideBatch(req.Session, req.Rounds, results); err != nil {
+		b.Fatal(err)
+	}
+	out := appendBatchJSON(nil, req.Session, results)
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(out)))
+		for i := 0; i < b.N; i++ {
+			out = appendBatchJSON(out[:0], req.Session, results)
+		}
+	})
+	b.Run("stdlib", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(out)))
+		for i := 0; i < b.N; i++ {
+			if _, err := json.Marshal(DecideBatchResponse{Session: req.Session, Results: results}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkSessionInfoHandler times GET /v1/sessions/{id} through
+// ServeHTTP on a frozen clock: routing, the session's info under its lock,
+// and the append encoder.
+func BenchmarkSessionInfoHandler(b *testing.B) {
+	srv := NewServer(Config{Clock: func() time.Time { return testEpoch }})
+	b.Cleanup(srv.StopSessions)
+	if _, err := srv.CreateSession(SessionRequest{ID: "hm-003", Endpoints: twoEndpoints(), Seed: 42}); err != nil {
+		b.Fatal(err)
+	}
+	rig := newHandlerRig(b, srv, http.MethodGet, "/v1/sessions/hm-003")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if status := rig.serve(nil); status != http.StatusOK {
+			b.Fatalf("status %d: %s", status, rig.w.body)
+		}
+	}
 }

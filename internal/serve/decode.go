@@ -141,8 +141,35 @@ func once(seen *uint, field uint) bool {
 	return fresh
 }
 
-// round consumes one round object. A key left out stays zero.
-func (c *cursor) round() (r Round, ok bool) {
+// compactRound is the length of a round in the form encoding/json (and so
+// the Client) writes for one-digit inputs: {"x":D,"y":D}.
+const compactRound = len(`{"x":0,"y":0}`)
+
+// matchCompact reads a round in the compact form from the start of b. It
+// matches the form whole or not at all.
+func matchCompact(b []byte) (r Round, ok bool) {
+	if len(b) < compactRound || string(b[:5]) != `{"x":` || b[5]-'0' > 9 ||
+		string(b[6:11]) != `,"y":` || b[11]-'0' > 9 || b[12] != '}' {
+		return r, false
+	}
+	return Round{X: int(b[5] - '0'), Y: int(b[11] - '0')}, true
+}
+
+// round consumes one round object. A key left out stays zero. The compact
+// form is matched whole; any other round, one that only starts like it
+// included, is read by the key loop from the same offset, which takes the
+// compact form to the same values.
+func (c *cursor) round() (Round, bool) {
+	if r, ok := matchCompact(c.b[c.i:]); ok {
+		c.i += compactRound
+		return r, true
+	}
+	return c.roundKeys()
+}
+
+// roundKeys is round's key loop: it consumes a round object of any shape
+// in the canonical subset.
+func (c *cursor) roundKeys() (r Round, ok bool) {
 	if !c.eat('{') {
 		return r, false
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -165,6 +166,93 @@ func TestFastDecodeTakesTheHotShapes(t *testing.T) {
 	}
 }
 
+// TestCompactRoundsMatchTheKeyLoop: each of the 100 compact rounds, alone
+// and inside a batch, reads through the compact match as the key loop reads
+// it, and as encoding/json does.
+func TestCompactRoundsMatchTheKeyLoop(t *testing.T) {
+	for x := 0; x <= 9; x++ {
+		for y := 0; y <= 9; y++ {
+			body := []byte(fmt.Sprintf(`{"x":%d,"y":%d}`, x, y))
+			if _, ok := matchCompact(body); !ok {
+				t.Fatalf("%s: not matched as compact", body)
+			}
+			fast, general := cursor{b: body}, cursor{b: body}
+			r, ok := fast.round()
+			want, wantOK := general.roundKeys()
+			if !ok || !wantOK || r != want || fast.i != general.i || r != (Round{X: x, Y: y}) {
+				t.Fatalf("%s: round %+v (ok=%v, at %d), key loop %+v (ok=%v, at %d)", body, r, ok, fast.i, want, wantOK, general.i)
+			}
+			batch := []byte(`{"session":"f","rounds":[` + string(body) + `,` + string(body) + `]}`)
+			var req, std DecideBatchRequest
+			if _, ok := fastDecodeBatch(batch, &req); !ok {
+				t.Fatalf("%s: batch declined", batch)
+			}
+			if err := json.Unmarshal(batch, &std); err != nil || !reflect.DeepEqual(req.Rounds, std.Rounds) {
+				t.Fatalf("%s: rounds %+v, encoding/json %+v (%v)", batch, req.Rounds, std.Rounds, err)
+			}
+		}
+	}
+}
+
+// TestCompactRoundMutations: a round that differs from {"x":1,"y":0} in
+// one byte is either still a compact round, read as one, or is not matched
+// and goes to the key loop, which reads it from the same offset or
+// declines. Every byte at every position is tried, and the named shapes
+// (also FuzzFastDecode seeds) are pinned to their path.
+func TestCompactRoundMutations(t *testing.T) {
+	const base = `{"x":1,"y":0}`
+	check := func(body []byte) {
+		t.Helper()
+		fast, general := cursor{b: body}, cursor{b: body}
+		r, ok := fast.round()
+		want, wantOK := general.roundKeys()
+		if ok != wantOK || ok && (r != want || fast.i != general.i) {
+			t.Fatalf("%q: round %+v (ok=%v, at %d), key loop %+v (ok=%v, at %d)", body, r, ok, fast.i, want, wantOK, general.i)
+		}
+		batch := append(append([]byte(`{"session":"f","rounds":[`), body...), "]}"...)
+		var req, std DecideBatchRequest
+		if _, ok := fastDecodeBatch(batch, &req); ok {
+			if err := json.Unmarshal(batch, &std); err != nil || !reflect.DeepEqual(req.Rounds, std.Rounds) {
+				t.Fatalf("%q: fast path read %+v, encoding/json %+v (%v)", batch, req.Rounds, std.Rounds, err)
+			}
+		}
+	}
+	for i := 0; i < len(base); i++ {
+		for c := 0; c < 256; c++ {
+			body := []byte(base)
+			body[i] = byte(c)
+			_, compact := matchCompact(body)
+			digit := (i == 5 || i == 11) && c >= '0' && c <= '9'
+			if compact != (digit || body[i] == base[i]) {
+				t.Fatalf("%q: compact match = %v", body, compact)
+			}
+			check(body)
+		}
+	}
+	for _, tc := range []struct {
+		name, round string
+		general     bool // the key loop accepts it
+	}{
+		{"leading zero", `{"x":01,"y":0}`, false},
+		{"minus", `{"x":-1,"y":0}`, true},
+		{"whitespace", `{"x": 1,"y":0}`, true},
+		{"folded key", `{"X":1,"y":0}`, false},
+		{"duplicate key", `{"x":1,"x":0}`, false},
+		{"missing brace", `{"x":1,"y":0`, false},
+		{"keys swapped", `{"y":0,"x":1}`, true},
+		{"two digits", `{"x":10,"y":0}`, true},
+	} {
+		body := []byte(tc.round)
+		if _, ok := matchCompact(body); ok {
+			t.Errorf("%s: %s matched as compact", tc.name, body)
+		}
+		if _, ok := (&cursor{b: body}).roundKeys(); ok != tc.general {
+			t.Errorf("%s: key loop accepted=%v, want %v", tc.name, ok, tc.general)
+		}
+		check(body)
+	}
+}
+
 // TestBatchRoundsDoNotBleedAcrossRequests: the pooled scratch recycles the
 // Rounds array, and a round that omits a key must read as zero, not as
 // whatever the scratch's previous request put there. Both decoders are on
@@ -253,10 +341,10 @@ func (w *rigWriter) Header() http.Header         { return w.header }
 func (w *rigWriter) WriteHeader(status int)      { w.status = status }
 func (w *rigWriter) Write(p []byte) (int, error) { w.body = append(w.body, p...); return len(p), nil }
 
-func newHandlerRig(t testing.TB, srv *Server, path string) *handlerRig {
+func newHandlerRig(t testing.TB, srv *Server, method, path string) *handlerRig {
 	t.Helper()
 	rig := &handlerRig{srv: srv, w: rigWriter{header: make(http.Header)}}
-	req, err := http.NewRequest(http.MethodPost, path, nil)
+	req, err := http.NewRequest(method, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,12 +362,25 @@ func (rig *handlerRig) serve(body []byte) int {
 	return rig.w.status
 }
 
+// leastAllocs is the fewest allocations any of many single runs of f makes,
+// not their mean: under the race detector sync.Pool drops a quarter of the
+// Puts, and a request that has to build a new scratch is not what the
+// handler gates pin.
+func leastAllocs(f func()) float64 {
+	got := math.Inf(1)
+	for i := 0; i < 200; i++ {
+		got = min(got, testing.AllocsPerRun(1, f))
+	}
+	return got
+}
+
 // TestDecideHandlerAllocs pins what one request through ServeHTTP
 // allocates on a frozen clock. With encoding/json decoding every body the
 // counts were 8 (single) and 11 (batch of 64); the fast path takes the
 // decoder's share away — the decode state, the session string, the
-// reflection scratch — and what is left is the response's two header values
-// and its Content-Length string.
+// reflection scratch — and the shared Content-Type slice the header's. What
+// is left is the Content-Length header: its one-element slice and its
+// string.
 func TestDecideHandlerAllocs(t *testing.T) {
 	srv := NewServer(Config{Clock: func() time.Time { return testEpoch }})
 	t.Cleanup(srv.StopSessions)
@@ -296,10 +397,10 @@ func TestDecideHandlerAllocs(t *testing.T) {
 		body []byte
 		want float64
 	}{
-		{"single", "/v1/decide", single, 3},
-		{"batch-64", "/v1/decide/batch", canonicalBatch("t-hallocs", 64), 3},
+		{"single", "/v1/decide", single, 2},
+		{"batch-64", "/v1/decide/batch", canonicalBatch("t-hallocs", 64), 2},
 	} {
-		rig := newHandlerRig(t, srv, tc.path)
+		rig := newHandlerRig(t, srv, http.MethodPost, tc.path)
 		serve := func() {
 			if status := rig.serve(tc.body); status != http.StatusOK {
 				t.Fatalf("%s: status %d: %s", tc.name, status, rig.w.body)
@@ -308,15 +409,32 @@ func TestDecideHandlerAllocs(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			serve() // grow the pooled buffers to their steady size
 		}
-		// The least of many single runs, not their mean: under the race
-		// detector sync.Pool drops a quarter of the Puts, and a request that
-		// has to build a new scratch is not what this pins.
-		got := math.Inf(1)
-		for i := 0; i < 200; i++ {
-			got = min(got, testing.AllocsPerRun(1, serve))
+		if got := leastAllocs(serve); got > tc.want {
+			t.Errorf("%s handler allocates %v per request, want at most %v", tc.name, got, tc.want)
 		}
-		if got != tc.want {
-			t.Errorf("%s handler allocates %v per request, want %v", tc.name, got, tc.want)
+	}
+}
+
+// TestSessionInfoHandlerAllocs pins GET /v1/sessions/{id} the same way.
+// The append encoder renders the body into the pooled scratch and the
+// Content-Type slice is shared, so what is left is the router's: the
+// wildcard match that r.PathValue reads.
+func TestSessionInfoHandlerAllocs(t *testing.T) {
+	srv := NewServer(Config{Clock: func() time.Time { return testEpoch }})
+	t.Cleanup(srv.StopSessions)
+	if _, err := srv.CreateSession(SessionRequest{ID: "t-iallocs", Endpoints: twoEndpoints(), Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	rig := newHandlerRig(t, srv, http.MethodGet, "/v1/sessions/t-iallocs")
+	serve := func() {
+		if status := rig.serve(nil); status != http.StatusOK {
+			t.Fatalf("status %d: %s", status, rig.w.body)
 		}
+	}
+	for i := 0; i < 64; i++ {
+		serve()
+	}
+	if got, want := leastAllocs(serve), float64(1); got > want {
+		t.Errorf("info handler allocates %v per request, want at most %v", got, want)
 	}
 }

@@ -18,23 +18,32 @@ import (
 //   - a body in the canonical subset (decode.go) is decoded by the
 //     hand-written fast path straight into the scratch's pooled request
 //     struct: no reflection, no allocation, every field and every round
-//     written whole, the session named by a view into the body;
+//     written whole, the session named by a view into the body; a round in
+//     the compact form encoding/json writes, {"x":D,"y":D}, is matched as
+//     13 bytes before the key loop is tried;
 //   - any other body goes to json.Unmarshal, into a target zeroed first —
 //     the recycled Rounds array included, because encoding/json extends a
 //     slice over its old elements without clearing them and a round that
 //     omits a key would otherwise inherit it from an earlier request;
-//   - responses are rendered by a hand-rolled append-style encoder into the
-//     same scratch — strconv.Append* into a []byte, no reflection, no
-//     intermediate allocations.
+//   - every 200 body — decide, batch, session info and session creation —
+//     is rendered by a hand-rolled append-style encoder into the same
+//     scratch: strconv.Append* into a []byte, one byte for a one-digit
+//     integer, no reflection, no intermediate allocations. A batch's
+//     responses copy the bytes they repeat from the one before (see
+//     roundWriter);
+//   - the Content-Type header is one shared slice, not a Header.Set.
 //
 // Both halves are pinned to encoding/json: the decoder accepts only what
 // the standard library accepts and agrees with it on every value
 // (FuzzFastDecode), and the encoder's output is byte-identical to
-// json.Marshal (TestAppendEncoderMatchesEncodingJSON), so clients keep
-// using the standard library.
+// json.Marshal, escapes included (TestAppendEncoderMatchesEncodingJSON),
+// and for a session's info to json.NewEncoder's, trailing newline included
+// (FuzzSessionInfoEncoding), so clients keep using the standard library.
+// Only the error envelopes are still rendered by reflection (writeJSON).
 
 // decideScratch is the pooled per-request workspace for the decide
-// handlers: one Get/Put per HTTP request, everything inside reused. The
+// handlers, whose response buffer the session routes borrow too: one
+// Get/Put per HTTP request, everything inside reused. The
 // decode methods overwrite their target completely, so nothing carries over
 // from the request that last held the scratch.
 type decideScratch struct {
@@ -136,27 +145,30 @@ func readBody(r io.Reader, buf []byte, limit int) ([]byte, error) {
 // hexDigits for control-character escapes.
 const hexDigits = "0123456789abcdef"
 
-// appendJSONString appends s as a quoted JSON string, escaping exactly what
-// RFC 8259 requires (quotes, backslash, control characters). Session IDs
-// and mode/level names are ASCII in practice, so the fast loop is a byte
-// copy; invalid UTF-8 falls back to the replacement rune like
-// encoding/json.
+// appendJSONString appends s as a quoted JSON string, escaped as
+// json.Marshal escapes it: quotes, backslash and control characters (\b,
+// \f, \n, \r and \t by their short forms), the HTML-sensitive <, > and &,
+// and U+2028 and U+2029. Session IDs and mode/level names are ASCII in
+// practice, so the fast loop is a byte copy; invalid UTF-8 falls back to
+// the replacement rune like encoding/json.
 func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {
 		c := s[i]
 		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
 				i++
 				continue
 			}
 			b = append(b, s[start:i]...)
 			switch c {
-			case '"':
-				b = append(b, '\\', '"')
-			case '\\':
-				b = append(b, '\\', '\\')
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
 			case '\n':
 				b = append(b, '\\', 'n')
 			case '\r':
@@ -177,6 +189,13 @@ func appendJSONString(b []byte, s string) []byte {
 			// matching it keeps the two encoders byte-identical.
 			b = append(b, '\\', 'u', 'f', 'f', 'f', 'd')
 			i++
+			start = i
+			continue
+		}
+		if r == '\u2028' || r == '\u2029' {
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
+			i += size
 			start = i
 			continue
 		}
@@ -211,6 +230,16 @@ func appendFloat(b []byte, f float64) []byte {
 	return b
 }
 
+// appendInt appends v in decimal. The decide responses are mostly
+// one-digit numbers — the output bits, and the zero latency, wait and
+// queue times of a frozen or virtual clock — which take one byte.
+func appendInt(b []byte, v int64) []byte {
+	if uint64(v) < 10 {
+		return append(b, byte('0'+v))
+	}
+	return strconv.AppendInt(b, v, 10)
+}
+
 // appendBool appends a JSON boolean.
 func appendBool(b []byte, v bool) []byte {
 	if v {
@@ -239,16 +268,25 @@ func appendName(b []byte, s string) []byte {
 }
 
 // roundWriter renders DecideResponses one after another into one buffer. It
-// remembers where the previous response's `{"session":"…","a":` and its
-// formatted visibility landed, so a response that repeats either — every
-// round of a batch shares the session, every fallback round the visibility
-// — copies those bytes instead of escaping and formatting them again. The
-// zero value is ready to use.
+// remembers where the previous response's head — `{"session":"…","a":` —
+// and its middle — from `,"mode":` to `"win":` — landed, so a response that
+// repeats either copies those bytes instead of escaping and formatting them
+// again: every round of a batch shares the session, and rounds on one rung
+// mostly share mode, level, visibility and times, and differ only in their
+// output bits and win. The zero value is ready to use.
 type roundWriter struct {
 	session        string
-	headLo, headHi int // the previous response's bytes up to `"a":`, in the buffer
-	visBits        uint64
-	visLo, visHi   int // the previous response's formatted visibility
+	headLo, headHi int // the previous response's head, in the buffer
+	mid            roundMiddle
+	midLo, midHi   int // the previous response's middle, in the buffer
+}
+
+// roundMiddle is what a response's middle bytes are rendered from. The
+// visibility is kept as bits: -0 equals 0 but renders differently.
+type roundMiddle struct {
+	mode, level                string
+	visBits                    uint64
+	latency, waited, queueTime int64
 }
 
 // append renders r as a JSON object. Field order matches the struct so the
@@ -264,29 +302,29 @@ func (w *roundWriter) append(b []byte, r *DecideResponse) []byte {
 		b = append(b, `,"a":`...)
 		w.headHi = len(b)
 	}
-	b = strconv.AppendInt(b, int64(r.A), 10)
+	b = appendInt(b, int64(r.A))
 	b = append(b, `,"b":`...)
-	b = strconv.AppendInt(b, int64(r.B), 10)
-	b = append(b, `,"mode":`...)
-	b = appendName(b, r.Mode)
-	b = append(b, `,"level":`...)
-	b = appendName(b, r.Level)
-	b = append(b, `,"visibility":`...)
-	// Compared as bits: -0 equals 0 but renders differently.
-	if bits := math.Float64bits(r.Visibility); w.visHi > 0 && bits == w.visBits {
-		b = append(b, b[w.visLo:w.visHi]...)
+	b = appendInt(b, int64(r.B))
+	mid := roundMiddle{r.Mode, r.Level, math.Float64bits(r.Visibility), r.LatencyNS, r.WaitedNS, r.QueueNS}
+	if w.midHi > 0 && mid == w.mid {
+		b = append(b, b[w.midLo:w.midHi]...)
 	} else {
-		w.visBits, w.visLo = bits, len(b)
+		w.mid, w.midLo = mid, len(b)
+		b = append(b, `,"mode":`...)
+		b = appendName(b, r.Mode)
+		b = append(b, `,"level":`...)
+		b = appendName(b, r.Level)
+		b = append(b, `,"visibility":`...)
 		b = appendFloat(b, r.Visibility)
-		w.visHi = len(b)
+		b = append(b, `,"latency_ns":`...)
+		b = appendInt(b, r.LatencyNS)
+		b = append(b, `,"waited_ns":`...)
+		b = appendInt(b, r.WaitedNS)
+		b = append(b, `,"queue_ns":`...)
+		b = appendInt(b, r.QueueNS)
+		b = append(b, `,"win":`...)
+		w.midHi = len(b)
 	}
-	b = append(b, `,"latency_ns":`...)
-	b = strconv.AppendInt(b, r.LatencyNS, 10)
-	b = append(b, `,"waited_ns":`...)
-	b = strconv.AppendInt(b, r.WaitedNS, 10)
-	b = append(b, `,"queue_ns":`...)
-	b = strconv.AppendInt(b, r.QueueNS, 10)
-	b = append(b, `,"win":`...)
 	b = appendBool(b, r.Win)
 	return append(b, '}')
 }
@@ -311,4 +349,73 @@ func appendBatchJSON(b []byte, session string, results []DecideResponse) []byte 
 		b = w.append(b, &results[i])
 	}
 	return append(b, ']', '}')
+}
+
+// appendJSON renders the info as json.NewEncoder(w).Encode does — field
+// order, nil endpoints as null, the trailing newline — and reports false,
+// with b's contents unspecified, when a float is NaN or infinite, which
+// encoding/json refuses to encode.
+func (in *SessionInfo) appendJSON(b []byte) ([]byte, bool) {
+	for _, f := range [...]float64{in.Visibility, in.SupplyRate, in.WinRate,
+		in.CriticalVisibility, in.ClassicalValue, in.QuantumValue} {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return b, false
+		}
+	}
+	b = append(b, `{"id":`...)
+	b = appendJSONString(b, in.ID)
+	b = append(b, `,"game":`...)
+	b = appendJSONString(b, in.Game)
+	b = append(b, `,"endpoints":`...)
+	if in.Endpoints == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, e := range in.Endpoints {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONString(b, e)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"level":`...)
+	b = appendName(b, in.Level)
+	b = append(b, `,"visibility":`...)
+	b = appendFloat(b, in.Visibility)
+	b = append(b, `,"supply_rate":`...)
+	b = appendFloat(b, in.SupplyRate)
+	b = append(b, `,"transitions":`...)
+	b = appendInt(b, in.Transitions)
+	b = append(b, `,"priority":`...)
+	b = appendJSONString(b, in.Priority)
+	b = append(b, `,"brownout":`...)
+	b = appendBool(b, in.Brownout)
+	b = append(b, `,"rounds":`...)
+	b = appendInt(b, in.Rounds)
+	b = append(b, `,"quantum_rounds":`...)
+	b = appendInt(b, in.QuantumRounds)
+	b = append(b, `,"fallback_rounds":`...)
+	b = appendInt(b, in.FallbackRounds)
+	b = append(b, `,"win_rate":`...)
+	b = appendFloat(b, in.WinRate)
+	b = append(b, `,"pool_pairs":`...)
+	b = appendInt(b, int64(in.PoolPairs))
+	b = append(b, `,"pairs_delivered":`...)
+	b = appendInt(b, in.PairsDelivered)
+	b = append(b, `,"pair_budget":`...)
+	b = appendInt(b, in.PairBudget)
+	b = append(b, `,"budget_exhausted":`...)
+	b = appendBool(b, in.BudgetExhausted)
+	b = append(b, `,"critical_visibility":`...)
+	b = appendFloat(b, in.CriticalVisibility)
+	b = append(b, `,"classical_value":`...)
+	b = appendFloat(b, in.ClassicalValue)
+	b = append(b, `,"quantum_value":`...)
+	b = appendFloat(b, in.QuantumValue)
+	b = append(b, `,"sim_now_ns":`...)
+	b = appendInt(b, in.SimNowNS)
+	b = append(b, `,"draining":`...)
+	b = appendBool(b, in.Draining)
+	return append(b, '}', '\n'), true
 }

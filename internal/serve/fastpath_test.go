@@ -1,9 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"testing"
 	"time"
@@ -146,6 +151,11 @@ func TestAppendEncoderMatchesEncodingJSON(t *testing.T) {
 		{Session: `we"ird\se√s` + "\n\tsion\x01", A: 0, B: 1, Mode: "classical",
 			Level: "classical-only", Visibility: 0.5, LatencyNS: -3, WaitedNS: 12345678901234, Win: false},
 		{Session: "bad-utf8-\xff-tail", Visibility: 1},
+		// encoding/json escapes <, > and & for HTML, U+2028 and U+2029 for
+		// JavaScript, and \b and \f by their short forms.
+		{Session: "x<y>&z", Mode: "<quantum>", Level: "a&b"},
+		{Session: "line\u2028para\u2029end", Level: "\u2028"},
+		{Session: "\b\f\x7f\x1f"},
 		{Visibility: 1e-9},
 		{Visibility: 2e21, LatencyNS: 9223372036854775807},
 	}
@@ -173,15 +183,73 @@ func TestAppendEncoderMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 
-	// Batch wrapper pin.
-	results := []DecideResponse{cases[1], cases[2]}
-	raw := appendBatchJSON(nil, "s-1", results)
-	std, err := json.Marshal(DecideBatchResponse{Session: "s-1", Results: results})
+	// Batch wrapper pin. The middle runs repeat, then differ from their
+	// predecessor in one field each, −0 against 0 included, so the reused
+	// bytes are checked against a fresh rendering of every field.
+	fallback := DecideResponse{Session: "s-1", Mode: "fallback", Level: "classical", Win: true}
+	results := []DecideResponse{cases[1], cases[2], cases[5], fallback, fallback}
+	for _, vary := range []func(*DecideResponse){
+		func(r *DecideResponse) { r.A, r.B, r.Win = 1, 1, false },
+		func(r *DecideResponse) { r.Visibility = math.Copysign(0, -1) },
+		func(r *DecideResponse) { r.Visibility = 0 },
+		func(r *DecideResponse) { r.Mode = "quantum" },
+		func(r *DecideResponse) { r.Level = "quantum" },
+		func(r *DecideResponse) { r.LatencyNS = 10 },
+		func(r *DecideResponse) { r.WaitedNS = 7 },
+		func(r *DecideResponse) { r.QueueNS = -1 },
+		func(r *DecideResponse) { r.Session = "s-2" },
+	} {
+		r := results[len(results)-1]
+		vary(&r)
+		results = append(results, r, r)
+	}
+	for _, session := range []string{"s-1", "x<y>&z"} {
+		raw := appendBatchJSON(nil, session, results)
+		std, err := json.Marshal(DecideBatchResponse{Session: session, Results: results})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(raw) != string(std) {
+			t.Fatalf("batch encoder\n %s\nencoding/json\n %s", raw, std)
+		}
+	}
+}
+
+// TestSessionBodiesMatchEncodingJSON: the create and info routes answer
+// with json.NewEncoder's rendering of the session's info, byte for byte,
+// for a session whose ID and endpoints need escaping.
+func TestSessionBodiesMatchEncodingJSON(t *testing.T) {
+	srv := NewServer(Config{Clock: func() time.Time { return testEpoch }})
+	t.Cleanup(srv.StopSessions)
+	req := SessionRequest{ID: "x<y>&z", Endpoints: []string{"a\u2028", "b&c"}, Seed: 4}
+	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(raw) != string(std) {
-		t.Fatalf("batch encoder\n %s\nencoding/json\n %s", raw, std)
+	created := post(srv, "/v1/sessions", string(body))
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/sessions/"+url.PathEscape(req.ID), nil))
+	for _, got := range []struct {
+		rec    *httptest.ResponseRecorder
+		status int
+	}{{created, http.StatusCreated}, {rec, http.StatusOK}} {
+		if got.rec.Code != got.status {
+			t.Fatalf("status %d, want %d: %s", got.rec.Code, got.status, got.rec.Body)
+		}
+		var info SessionInfo
+		if err := json.Unmarshal(got.rec.Body.Bytes(), &info); err != nil {
+			t.Fatal(err)
+		}
+		var std bytes.Buffer
+		if err := json.NewEncoder(&std).Encode(info); err != nil {
+			t.Fatal(err)
+		}
+		if got.rec.Body.String() != std.String() {
+			t.Fatalf("session body\n %s\njson.NewEncoder\n %s", got.rec.Body, std.String())
+		}
+		if ct := got.rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("Content-Type %q", ct)
+		}
 	}
 }
 

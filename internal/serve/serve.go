@@ -279,8 +279,16 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// contentTypeJSON is the Content-Type value of every JSON response. The
+// writers assign it to the header map instead of calling Header.Set, which
+// would allocate a fresh one-element slice per response; nothing writes to
+// the slice.
+var contentTypeJSON = []string{"application/json"}
+
+// writeJSON renders v by reflection: the error envelopes, and a session
+// info that appendJSON declines.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = contentTypeJSON
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
@@ -305,12 +313,32 @@ func deadlineOf(unixNS int64) time.Time {
 	return time.Unix(0, unixNS)
 }
 
-// writeRaw sends a pre-encoded JSON body (the append-encoder output) with a
-// Content-Length so net/http skips chunked framing.
+// writeRaw sends a pre-encoded decide response (the append-encoder output)
+// with a Content-Length so net/http skips chunked framing.
 func writeRaw(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	h := w.Header()
+	h["Content-Type"] = contentTypeJSON
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+}
+
+// writeInfo sends a session's info with status, rendered by the append
+// encoder into a pooled buffer. The headers are writeJSON's and no
+// Content-Length is set, so net/http frames the body as it frames
+// writeJSON's: the bytes on the wire are json.NewEncoder's.
+func writeInfo(w http.ResponseWriter, status int, info *SessionInfo) {
+	sc := scratchPool.Get().(*decideScratch)
+	defer scratchPool.Put(sc)
+	body, ok := info.appendJSON(sc.out[:0])
+	sc.out = body
+	if !ok {
+		// A copy, so that info itself stays off the heap on the fast path.
+		writeJSON(w, status, *info)
+		return
+	}
+	w.Header()["Content-Type"] = contentTypeJSON
+	w.WriteHeader(status)
 	_, _ = w.Write(body)
 }
 
@@ -522,7 +550,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	info, err := s.CreateSession(req)
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusCreated, info)
+		writeInfo(w, http.StatusCreated, &info)
 	case errors.Is(err, ErrDraining):
 		writeDraining(w)
 	case errors.Is(err, ErrSessionExists):
@@ -539,7 +567,7 @@ func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no session %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	writeInfo(w, http.StatusOK, &info)
 }
 
 // writePlayError renders a play error on the wire: drain is the retryable
