@@ -29,8 +29,8 @@ import (
 //     is rendered by a hand-rolled append-style encoder into the same
 //     scratch: strconv.Append* into a []byte, one byte for a one-digit
 //     integer, no reflection, no intermediate allocations. A batch's
-//     responses copy the bytes they repeat from the one before (see
-//     roundWriter);
+//     results copy the session head, and a run of fallback rounds the
+//     visibility, from the result before (see roundWriter);
 //   - the Content-Type header is one shared slice, not a Header.Set.
 //
 // Both halves are pinned to encoding/json: the decoder accepts only what
@@ -268,25 +268,18 @@ func appendName(b []byte, s string) []byte {
 }
 
 // roundWriter renders DecideResponses one after another into one buffer. It
-// remembers where the previous response's head — `{"session":"…","a":` —
-// and its middle — from `,"mode":` to `"win":` — landed, so a response that
-// repeats either copies those bytes instead of escaping and formatting them
-// again: every round of a batch shares the session, and rounds on one rung
-// mostly share mode, level, visibility and times, and differ only in their
-// output bits and win. The zero value is ready to use.
+// remembers where the previous response's `{"session":"…","a":` and its
+// formatted visibility landed, so a response that repeats either copies
+// those bytes instead of escaping and formatting them again. Every round of
+// a batch shares the session. The visibility copy pays only on a run of
+// fallback rounds, which all report 0: a quantum round reports its own
+// pair's decayed visibility, which the round before almost never shares.
+// The zero value is ready to use.
 type roundWriter struct {
 	session        string
-	headLo, headHi int // the previous response's head, in the buffer
-	mid            roundMiddle
-	midLo, midHi   int // the previous response's middle, in the buffer
-}
-
-// roundMiddle is what a response's middle bytes are rendered from. The
-// visibility is kept as bits: -0 equals 0 but renders differently.
-type roundMiddle struct {
-	mode, level                string
-	visBits                    uint64
-	latency, waited, queueTime int64
+	headLo, headHi int // the previous response's bytes up to `"a":`, in the buffer
+	visBits        uint64
+	visLo, visHi   int // the previous response's formatted visibility
 }
 
 // append renders r as a JSON object. Field order matches the struct so the
@@ -305,26 +298,26 @@ func (w *roundWriter) append(b []byte, r *DecideResponse) []byte {
 	b = appendInt(b, int64(r.A))
 	b = append(b, `,"b":`...)
 	b = appendInt(b, int64(r.B))
-	mid := roundMiddle{r.Mode, r.Level, math.Float64bits(r.Visibility), r.LatencyNS, r.WaitedNS, r.QueueNS}
-	if w.midHi > 0 && mid == w.mid {
-		b = append(b, b[w.midLo:w.midHi]...)
+	b = append(b, `,"mode":`...)
+	b = appendName(b, r.Mode)
+	b = append(b, `,"level":`...)
+	b = appendName(b, r.Level)
+	b = append(b, `,"visibility":`...)
+	// Compared as bits: -0 equals 0 but renders differently.
+	if bits := math.Float64bits(r.Visibility); w.visHi > 0 && bits == w.visBits {
+		b = append(b, b[w.visLo:w.visHi]...)
 	} else {
-		w.mid, w.midLo = mid, len(b)
-		b = append(b, `,"mode":`...)
-		b = appendName(b, r.Mode)
-		b = append(b, `,"level":`...)
-		b = appendName(b, r.Level)
-		b = append(b, `,"visibility":`...)
+		w.visBits, w.visLo = bits, len(b)
 		b = appendFloat(b, r.Visibility)
-		b = append(b, `,"latency_ns":`...)
-		b = appendInt(b, r.LatencyNS)
-		b = append(b, `,"waited_ns":`...)
-		b = appendInt(b, r.WaitedNS)
-		b = append(b, `,"queue_ns":`...)
-		b = appendInt(b, r.QueueNS)
-		b = append(b, `,"win":`...)
-		w.midHi = len(b)
+		w.visHi = len(b)
 	}
+	b = append(b, `,"latency_ns":`...)
+	b = appendInt(b, r.LatencyNS)
+	b = append(b, `,"waited_ns":`...)
+	b = appendInt(b, r.WaitedNS)
+	b = append(b, `,"queue_ns":`...)
+	b = appendInt(b, r.QueueNS)
+	b = append(b, `,"win":`...)
 	b = appendBool(b, r.Win)
 	return append(b, '}')
 }

@@ -183,9 +183,10 @@ func TestAppendEncoderMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 
-	// Batch wrapper pin. The middle runs repeat, then differ from their
-	// predecessor in one field each, −0 against 0 included, so the reused
-	// bytes are checked against a fresh rendering of every field.
+	// Batch wrapper pin. Runs of equal results repeat, then differ from
+	// their predecessor in one field each, −0 against 0 included, so the
+	// copied session head and visibility are checked against a fresh
+	// rendering of every field.
 	fallback := DecideResponse{Session: "s-1", Mode: "fallback", Level: "classical", Win: true}
 	results := []DecideResponse{cases[1], cases[2], cases[5], fallback, fallback}
 	for _, vary := range []func(*DecideResponse){
