@@ -24,22 +24,24 @@
 // The adaptive concurrency limiter (AIMD on the observed latency gradient)
 // lives in limiter.go and gates handler concurrency ahead of the session
 // locks; the pipeline order is limiter → deadline gate → session lock.
+// One mutex, the limiter's, covers the limiter and the gates, so a request
+// passes both in one hold (TryAdmit, AcquireAdmit) and completes in one
+// more (Done).
 //
 // Everything here is deterministic given its inputs: the controller holds
 // no clock — callers pass `now` — and consumes no randomness, so the
 // virtual-time loadtest backend can pin overload behavior byte-for-byte.
 //
-// The package counts nothing. Admit, TryAcquire and Acquire return every
-// outcome to the caller, which counts what it is handed (serve's play
-// does, into its own server's registry); the state held here — each
-// gate's backlog, estimate and brownout flips, the limiter's limit,
-// in-flight and queued counts — is read through accessors when someone
-// asks.
+// The package counts nothing. Its doors (Admit, TryAdmit, AcquireAdmit,
+// TryAcquire, Acquire) return every outcome to the caller, which counts
+// what it is handed (serve's play does, into its own server's registry);
+// the state held here — each gate's backlog, estimate and brownout flips,
+// the limiter's limit, in-flight and queued counts — is read through
+// accessors when someone asks, or all at one instant through State.
 package admission
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -211,11 +213,34 @@ type Decision struct {
 	Brownout bool
 }
 
+// Verdict is a Decision in three fields: what the one-hold doors, TryAdmit
+// and AcquireAdmit, return. The compiler keeps a struct this small in
+// registers; a Decision's five fields it keeps in memory and copies whole,
+// and a copy that reloads byte-wide stores as words stalls.
+type Verdict struct {
+	// Outcome is Accepted, or the shed reason.
+	Outcome Outcome
+	// Backlog is the modeled backlog ahead of the request: its queue wait
+	// when accepted (Decision.QueueNS), the retry hint when shed
+	// (Decision.RetryAfter).
+	Backlog time.Duration
+	// Brownout is Decision.Brownout.
+	Brownout bool
+}
+
+// decision spells the verdict out as Admit's Decision.
+func (v Verdict) decision() Decision {
+	if v.Outcome != Accepted {
+		return Decision{Outcome: v.Outcome, RetryAfter: v.Backlog, Brownout: v.Brownout}
+	}
+	return Decision{OK: true, QueueNS: int64(v.Backlog), Brownout: v.Brownout}
+}
+
 // gate is one queue's admission state. The virtual backlog is a Lindley
 // recursion: it drains in wall time between arrivals and grows by the
-// modeled cost of each accepted request.
+// modeled cost of each accepted request. The controller's one mutex (its
+// limiter's) guards it.
 type gate struct {
-	mu       sync.Mutex
 	est      float64 // EWMA per-round service estimate, ns
 	backlog  time.Duration
 	last     time.Time
@@ -229,14 +254,20 @@ type gate struct {
 }
 
 // Controller is the per-server admission state: its gates (serve runs one,
-// the server's single queue) plus one shared concurrency limiter.
-// Admit/Observe are safe for concurrent use; determinism is per-gate (each
-// gate's decisions depend only on the order of its own arrivals, which the
-// virtual backend fixes).
+// the server's single queue) plus one shared concurrency limiter. One
+// mutex, the limiter's, covers the limiter and every gate, so TryAdmit
+// takes a slot and gates the request in one hold, and Done observes and
+// releases in one more. Every method is safe for concurrent use;
+// determinism is per-gate (each gate's decisions depend only on the order
+// of its own arrivals, which the virtual backend fixes).
 type Controller struct {
-	cfg     Config
+	limiter Limiter
 	gates   []gate
-	limiter *Limiter
+	cfg     Config
+	// The backlog lines, fixed by cfg: brownout's enter and exit, and the
+	// shed threshold of each tier (indexed by Priority).
+	enter, exit time.Duration
+	shedAt      [PriorityLow + 1]time.Duration
 }
 
 // NewController builds a controller with `gates` gates (serve asks for
@@ -251,29 +282,95 @@ func NewController(cfg Config, gates int) *Controller {
 	for gates&(gates-1) != 0 {
 		gates++
 	}
-	c := &Controller{cfg: cfg, gates: make([]gate, gates), limiter: NewLimiter(cfg.Limiter)}
+	c := &Controller{cfg: cfg, gates: make([]gate, gates)}
+	c.limiter.init(cfg.Limiter)
 	for i := range c.gates {
 		c.gates[i].est = float64(cfg.InitialService)
+	}
+	c.enter = time.Duration(cfg.BrownoutEnterFrac * float64(cfg.MaxBacklog))
+	c.exit = time.Duration(cfg.BrownoutExitFrac * float64(cfg.MaxBacklog))
+	c.shedAt = [...]time.Duration{
+		PriorityHigh:   cfg.MaxBacklog,
+		PriorityNormal: time.Duration(cfg.NormalShedFrac * float64(cfg.MaxBacklog)),
+		PriorityLow:    time.Duration(cfg.LowShedFrac * float64(cfg.MaxBacklog)),
 	}
 	return c
 }
 
 // Limiter returns the controller's shared concurrency limiter.
-func (c *Controller) Limiter() *Limiter { return c.limiter }
+func (c *Controller) Limiter() *Limiter { return &c.limiter }
 
 // Shards returns the number of gates.
 func (c *Controller) Shards() int { return len(c.gates) }
+
+// gate returns gate i (masked into range).
+func (c *Controller) gate(i int) *gate { return &c.gates[i&(len(c.gates)-1)] }
 
 // Admit gates one request of `rounds` decision rounds for a session at
 // gate index `gate` and tier `p`. `deadline` is the request's absolute deadline (zero
 // = unstamped → DefaultBudget applies, if configured). The call is
 // allocation-free.
 func (c *Controller) Admit(gate int, now time.Time, deadline time.Time, p Priority, rounds int) Decision {
+	c.limiter.mu.Lock()
+	v := c.admitLocked(c.gate(gate), now, deadline, p, rounds)
+	c.limiter.mu.Unlock()
+	return v.decision()
+}
+
+// TryAdmit is the non-blocking door in one hold: it takes a limiter slot
+// without queueing (TryAcquire), gates the request at gate 0
+// (Admit(0, …)), and on a gate shed gives the slot back (Release with no
+// latency). A full limiter sheds with ShedLimiter and leaves the gate
+// untouched. Done must be called iff the verdict is Accepted. The call is
+// allocation-free.
+func (c *Controller) TryAdmit(now, deadline time.Time, p Priority, rounds int) Verdict {
+	l := &c.limiter
+	l.mu.Lock()
+	if l.inflight >= int(l.limit) {
+		l.mu.Unlock()
+		return Verdict{Outcome: ShedLimiter}
+	}
+	l.inflight++
+	v := c.admitLocked(&c.gates[0], now, deadline, p, rounds)
+	if v.Outcome != Accepted {
+		l.releaseSlotLocked()
+	}
+	l.mu.Unlock()
+	return v
+}
+
+// AcquireAdmit is the blocking door: Acquire, then a clock read, then
+// Admit(0, …), releasing the slot on a gate shed. The clock is read after
+// the limiter, so time queued there counts against the deadline; when the
+// limiter has room and no queue, all three happen in one hold. It returns
+// the clock reading (zero if the limiter shed) and the verdict; Done must
+// be called iff the verdict is Accepted.
+func (c *Controller) AcquireAdmit(clock func() time.Time, deadline time.Time, p Priority, rounds int) (time.Time, Verdict) {
+	l := &c.limiter
+	l.mu.Lock()
+	if l.inflight < int(l.limit) && len(l.queue) == 0 {
+		l.inflight++
+	} else {
+		l.mu.Unlock()
+		if o := l.Acquire(clock, deadline); o != Accepted {
+			return time.Time{}, Verdict{Outcome: o}
+		}
+		l.mu.Lock()
+	}
+	now := clock()
+	v := c.admitLocked(&c.gates[0], now, deadline, p, rounds)
+	if v.Outcome != Accepted {
+		l.releaseSlotLocked()
+	}
+	l.mu.Unlock()
+	return now, v
+}
+
+// admitLocked is Admit's body; the caller holds the controller's mutex.
+func (c *Controller) admitLocked(g *gate, now time.Time, deadline time.Time, p Priority, rounds int) Verdict {
 	if rounds < 1 {
 		rounds = 1
 	}
-	g := &c.gates[gate&(len(c.gates)-1)]
-	g.mu.Lock()
 
 	// Drain: the backlog empties in wall time between arrivals. A
 	// non-monotonic clock (or the frozen virtual clock) drains nothing.
@@ -295,10 +392,8 @@ func (c *Controller) Admit(gate int, now time.Time, deadline time.Time, p Priori
 	// Brownout hysteresis observes every arrival, accepted or shed, so the
 	// rung engages while the gate is refusing work, not only while it is
 	// absorbing it.
-	enter := time.Duration(c.cfg.BrownoutEnterFrac * float64(c.cfg.MaxBacklog))
-	exit := time.Duration(c.cfg.BrownoutExitFrac * float64(c.cfg.MaxBacklog))
 	switch {
-	case !g.brownout && g.backlog > enter:
+	case !g.brownout && g.backlog > c.enter:
 		if g.strike < 0 {
 			g.strike = 0
 		}
@@ -306,7 +401,7 @@ func (c *Controller) Admit(gate int, now time.Time, deadline time.Time, p Priori
 			g.brownout, g.strike = true, 0
 			g.entered++
 		}
-	case g.brownout && g.backlog < exit:
+	case g.brownout && g.backlog < c.exit:
 		if g.strike > 0 {
 			g.strike = 0
 		}
@@ -318,37 +413,44 @@ func (c *Controller) Admit(gate int, now time.Time, deadline time.Time, p Priori
 		g.strike = 0
 	}
 
-	dec := Decision{OK: true, Brownout: g.brownout, QueueNS: int64(g.backlog)}
-	retryAfter := g.backlog
-
+	outcome := Accepted
 	if !c.cfg.DisableShedding {
 		switch {
 		case g.backlog+cost > c.cfg.MaxBacklog:
-			dec = Decision{Outcome: ShedBacklog, RetryAfter: retryAfter, Brownout: g.brownout}
+			outcome = ShedBacklog
 		case g.backlog > c.shedThreshold(p):
-			dec = Decision{Outcome: ShedPriority, RetryAfter: retryAfter, Brownout: g.brownout}
+			outcome = ShedPriority
 		case !deadline.IsZero() && now.Add(g.backlog+cost).After(deadline):
-			dec = Decision{Outcome: ShedDeadline, RetryAfter: retryAfter, Brownout: g.brownout}
+			outcome = ShedDeadline
 		}
 	}
-
-	if dec.OK {
+	v := Verdict{Outcome: outcome, Backlog: g.backlog, Brownout: g.brownout}
+	if outcome == Accepted {
 		g.backlog += cost
 	}
-	g.mu.Unlock()
-	return dec
+	return v
 }
 
 // shedThreshold is the backlog above which tier p sheds. High-priority
 // traffic has no tier threshold — only the hard cap and its own deadline.
 func (c *Controller) shedThreshold(p Priority) time.Duration {
-	switch p {
-	case PriorityLow:
-		return time.Duration(c.cfg.LowShedFrac * float64(c.cfg.MaxBacklog))
-	case PriorityNormal:
-		return time.Duration(c.cfg.NormalShedFrac * float64(c.cfg.MaxBacklog))
+	if uint(p) < uint(len(c.shedAt)) {
+		return c.shedAt[p]
 	}
 	return c.cfg.MaxBacklog
+}
+
+// Done completes an admitted request in one hold: Observe(0, …) of its
+// per-round service time (elapsed over rounds) and Release(elapsed, now).
+func (c *Controller) Done(elapsed time.Duration, rounds int, now func() time.Time) {
+	if rounds < 1 {
+		rounds = 1
+	}
+	l := &c.limiter
+	l.mu.Lock()
+	c.observeLocked(&c.gates[0], elapsed/time.Duration(rounds))
+	l.releaseLocked(elapsed, now)
+	l.mu.Unlock()
 }
 
 // Observe feeds a measured per-round wall service time into the gate's
@@ -356,20 +458,30 @@ func (c *Controller) shedThreshold(p Priority) time.Duration {
 // runs the clock is frozen during a request, so the estimate stays at its
 // InitialService seed and the gate remains a pure function of the plan.
 func (c *Controller) Observe(gate int, perRound time.Duration) {
-	if perRound <= 0 {
-		return
+	c.limiter.mu.Lock()
+	c.observeLocked(c.gate(gate), perRound)
+	c.limiter.mu.Unlock()
+}
+
+// observeLocked is Observe's body; the caller holds the controller's mutex.
+func (c *Controller) observeLocked(g *gate, perRound time.Duration) {
+	if perRound > 0 {
+		g.est += c.cfg.EWMAAlpha * (float64(perRound) - g.est)
 	}
-	g := &c.gates[gate&(len(c.gates)-1)]
-	g.mu.Lock()
-	g.est += c.cfg.EWMAAlpha * (float64(perRound) - g.est)
-	g.mu.Unlock()
 }
 
 // Backlog returns the gate's current modeled backlog after draining to
 // `now` (test/introspection hook; does not mutate the drain clock).
 func (c *Controller) Backlog(gate int, now time.Time) time.Duration {
-	g := &c.gates[gate&(len(c.gates)-1)]
-	g.mu.Lock()
+	c.limiter.mu.Lock()
+	b := c.gate(gate).backlogAt(now)
+	c.limiter.mu.Unlock()
+	return b
+}
+
+// backlogAt is the gate's backlog drained to now, without moving its drain
+// clock.
+func (g *gate) backlogAt(now time.Time) time.Duration {
 	b := g.backlog
 	if !g.last.IsZero() {
 		if d := now.Sub(g.last); d > 0 {
@@ -379,34 +491,52 @@ func (c *Controller) Backlog(gate int, now time.Time) time.Duration {
 			}
 		}
 	}
-	g.mu.Unlock()
 	return b
 }
 
 // Brownout reports whether the gate is currently in brownout.
 func (c *Controller) Brownout(gate int) bool {
-	g := &c.gates[gate&(len(c.gates)-1)]
-	g.mu.Lock()
-	b := g.brownout
-	g.mu.Unlock()
+	c.limiter.mu.Lock()
+	b := c.gate(gate).brownout
+	c.limiter.mu.Unlock()
 	return b
-}
-
-// BrownoutFlips returns how many times the gate has entered and exited
-// brownout.
-func (c *Controller) BrownoutFlips(gate int) (entered, exited int64) {
-	g := &c.gates[gate&(len(c.gates)-1)]
-	g.mu.Lock()
-	entered, exited = g.entered, g.exited
-	g.mu.Unlock()
-	return entered, exited
 }
 
 // Estimate returns the gate's current per-round service estimate.
 func (c *Controller) Estimate(gate int) time.Duration {
-	g := &c.gates[gate&(len(c.gates)-1)]
-	g.mu.Lock()
-	e := time.Duration(g.est)
-	g.mu.Unlock()
+	c.limiter.mu.Lock()
+	e := time.Duration(c.gate(gate).est)
+	c.limiter.mu.Unlock()
 	return e
+}
+
+// State is gate 0 and the limiter read at one instant: what serve's
+// /metrics reports.
+type State struct {
+	// Backlog is drained to the read time, as Backlog reports it.
+	Backlog  time.Duration
+	Estimate time.Duration
+	// BrownoutEntered and BrownoutExited count the flips.
+	BrownoutEntered, BrownoutExited int64
+	Limit, Inflight, Queued         int
+}
+
+// State reads gate 0 (its backlog drained to now) and the limiter in one
+// hold, so no reading pairs one instant's backlog with another's in-flight
+// count.
+func (c *Controller) State(now time.Time) State {
+	l := &c.limiter
+	l.mu.Lock()
+	g := &c.gates[0]
+	st := State{
+		Backlog:         g.backlogAt(now),
+		Estimate:        time.Duration(g.est),
+		BrownoutEntered: g.entered,
+		BrownoutExited:  g.exited,
+		Limit:           int(l.limit),
+		Inflight:        l.inflight,
+		Queued:          len(l.queue),
+	}
+	l.mu.Unlock()
+	return st
 }

@@ -20,6 +20,11 @@ func newTestController(mut func(*Config)) *Controller {
 	return NewController(cfg, 1)
 }
 
+// newTestLimiter is a controller's limiter, the only kind there is.
+func newTestLimiter(cfg LimiterConfig) *Limiter {
+	return NewController(Config{Limiter: cfg}, 1).Limiter()
+}
+
 func TestParsePriority(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -289,7 +294,7 @@ func TestShardIsolation(t *testing.T) {
 }
 
 func TestLimiterTryAcquireRespectsLimit(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 2, Min: 1, Max: 4})
+	l := newTestLimiter(LimiterConfig{Initial: 2, Min: 1, Max: 4})
 	if !l.TryAcquire() || !l.TryAcquire() {
 		t.Fatal("limit 2: first two acquisitions must succeed")
 	}
@@ -306,7 +311,7 @@ func TestLimiterTryAcquireRespectsLimit(t *testing.T) {
 // utilization grows the limit additively; a latency-gradient trip shrinks
 // it multiplicatively and never below Min.
 func TestLimiterAIMD(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 4, Min: 2, Max: 8, Tolerance: 2, Backoff: 0.5})
+	l := newTestLimiter(LimiterConfig{Initial: 4, Min: 2, Max: 8, Tolerance: 2, Backoff: 0.5})
 
 	// Saturate and complete at a flat 1ms: additive increase.
 	for i := 0; i < 64; i++ {
@@ -351,7 +356,7 @@ func TestLimiterAIMD(t *testing.T) {
 // queue is bounded, and a waiter whose deadline lapses while queued is
 // expired instead of served (CoDel-on-dequeue).
 func TestLimiterQueueFIFOAndExpiry(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 1, Min: 1, Max: 1, QueueDepth: 2})
+	l := newTestLimiter(LimiterConfig{Initial: 1, Min: 1, Max: 1, QueueDepth: 2})
 	clock := func() time.Time { return time.Now() }
 
 	if got := l.Acquire(clock, time.Time{}); got != Accepted {
@@ -416,7 +421,7 @@ func TestLimiterQueueFIFOAndExpiry(t *testing.T) {
 // place in the queue with it. Left behind until the next Release, it
 // counted against QueueDepth, and the next live arrival was shed at once.
 func TestExpiredWaiterLeavesQueue(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 4, Min: 4, Max: 4, QueueDepth: 1})
+	l := newTestLimiter(LimiterConfig{Initial: 4, Min: 4, Max: 4, QueueDepth: 1})
 	for i := 0; i < 4; i++ {
 		if !l.TryAcquire() {
 			t.Fatalf("slot %d refused", i)
@@ -448,4 +453,108 @@ func waitQueued(t *testing.T, l *Limiter, n int) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("waiter %d never queued", n)
+}
+
+// TestAcquireAdmitQueuesThenGates pins the blocking door: with room it
+// reads the clock and gates in the one hold, with a full limiter it waits
+// in the FIFO first (and reads the clock only once granted), a lapsed
+// waiter sheds without reading it, and a gate shed gives the slot back.
+func TestAcquireAdmitQueuesThenGates(t *testing.T) {
+	c := newTestController(func(cfg *Config) { cfg.Limiter = LimiterConfig{Initial: 1, Min: 1, Max: 1} })
+	reads := 0
+	clock := func() time.Time { reads++; return epoch }
+	at, v := c.AcquireAdmit(clock, time.Time{}, PriorityNormal, 10)
+	if v.Outcome != Accepted || !at.Equal(epoch) || reads != 1 {
+		t.Fatalf("first request: %v %+v after %d clock reads", at, v, reads)
+	}
+	// Full: a waiter whose deadline has lapsed is expired, unread clock.
+	at, v = c.AcquireAdmit(time.Now, time.Now().Add(time.Millisecond), PriorityNormal, 1)
+	if v.Outcome != ShedExpired || !at.IsZero() {
+		t.Fatalf("lapsed waiter: %v %+v", at, v)
+	}
+	// A live waiter gets the slot Done frees, then is gated: 1ms of
+	// backlog is ahead of it.
+	got := make(chan Verdict, 1)
+	go func() {
+		_, v := c.AcquireAdmit(func() time.Time { return epoch }, time.Time{}, PriorityNormal, 1)
+		got <- v
+	}()
+	waitQueued(t, c.Limiter(), 1)
+	c.Done(0, 10, time.Now)
+	if v := <-got; v.Outcome != Accepted || v.Backlog != time.Millisecond {
+		t.Fatalf("granted waiter: %+v", v)
+	}
+	c.Done(0, 1, time.Now)
+	// A gate shed returns its slot.
+	if _, v := c.AcquireAdmit(clock, epoch.Add(time.Microsecond), PriorityNormal, 1); v.Outcome != ShedDeadline {
+		t.Fatalf("late request: %+v", v)
+	}
+	if n := c.Limiter().Inflight(); n != 0 {
+		t.Fatalf("%d slots left taken", n)
+	}
+}
+
+// TestGateKeepsTimeRules pins how the gate reads its clock: exactly as
+// time.Time's Sub and After do. Two monotonic readings compare by the
+// monotonic clock; a wall-only reading on either side makes it a wall
+// comparison. A reading behind the gate's last one drains nothing and
+// does not move the drain clock back. The deadline edge is exact: a
+// request whose queue wait plus cost ends on its deadline is accepted, one
+// nanosecond less budget sheds it.
+func TestGateKeepsTimeRules(t *testing.T) {
+	mono := time.Now() // carries a monotonic reading
+	wall := mono.Round(0)
+	if mono == wall {
+		t.Fatal("time.Now carries no monotonic reading")
+	}
+	for _, tc := range []struct {
+		name          string
+		base          time.Time // the clock's readings are base + offset
+		deadlineStrip bool      // stamp deadlines as wall-only readings
+	}{
+		{"monotonic clock, monotonic deadline", mono, false},
+		{"monotonic clock, wall deadline", mono, true},
+		{"wall clock, wall deadline", wall, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestController(nil)
+			at := func(d time.Duration) time.Time { return tc.base.Add(d) }
+			stamp := func(t time.Time) time.Time {
+				if tc.deadlineStrip {
+					return t.Round(0)
+				}
+				return t
+			}
+			// 1ms of backlog at 0; 0.5ms later, 0.5ms of it is left.
+			c.Admit(0, at(0), time.Time{}, PriorityHigh, 10)
+			now := at(500 * time.Microsecond)
+			if got := c.Backlog(0, now); got != 500*time.Microsecond {
+				t.Fatalf("backlog = %v, want 500µs", got)
+			}
+			// Queue 0.5ms + cost 0.1ms: a 0.6ms budget fits exactly.
+			if v := c.TryAdmit(now, stamp(now.Add(600*time.Microsecond-1)), PriorityHigh, 1); v.Outcome != ShedDeadline {
+				t.Fatalf("budget 1ns short of queue+cost: %+v", v)
+			}
+			if v := c.TryAdmit(now, stamp(now.Add(600*time.Microsecond)), PriorityHigh, 1); v.Outcome != Accepted || v.Backlog != 500*time.Microsecond {
+				t.Fatalf("budget equal to queue+cost: %+v", v)
+			}
+			c.Done(0, 1, nil)
+			// The clock steps back 0.3ms: nothing drains, and the drain
+			// clock stays at 0.5ms, so stepping forward to 0.7ms drains
+			// 0.2ms of the 0.6ms.
+			if v := c.Admit(0, at(200*time.Microsecond), time.Time{}, PriorityHigh, 0); v.QueueNS != int64(600*time.Microsecond) {
+				t.Fatalf("backwards reading drained the backlog: %+v", v)
+			}
+			if got := c.Backlog(0, at(700*time.Microsecond)); got != 400*time.Microsecond+100*time.Microsecond {
+				t.Fatalf("backlog after the step back = %v, want 500µs", got)
+			}
+		})
+	}
+	// A monotonic reading against a gate whose last reading was wall-only
+	// drains by the wall clock, as Sub does.
+	c := newTestController(nil)
+	c.Admit(0, wall, time.Time{}, PriorityHigh, 10)
+	if got, want := c.Backlog(0, mono.Add(400*time.Microsecond)), time.Millisecond-mono.Add(400*time.Microsecond).Sub(wall); got != want {
+		t.Fatalf("mixed readings: backlog %v, want %v", got, want)
+	}
 }

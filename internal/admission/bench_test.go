@@ -5,11 +5,10 @@ import (
 	"time"
 )
 
-// The admission gate sits on the serving hot path ahead of every decide, so
-// its accept path must stay allocation-free and cheap relative to the ~µs
-// decide itself. These benchmarks back the informational benchstat lane in
-// CI (baseline in .github/bench-overload-baseline.txt, refresh with
-// `make bench-overload-baseline`).
+// The admission controller sits on the serving hot path ahead of every
+// decide, so its accept and shed paths must stay allocation-free and cheap
+// relative to the ~µs decide itself. CI runs these as a smoke (they must
+// keep building and running); timings come from benchmark/run.sh.
 
 // BenchmarkAdmissionAdmitAccept measures the accept path: the virtual
 // backlog fully drains between arrivals, so every Admit succeeds.
@@ -44,11 +43,46 @@ func BenchmarkAdmissionAdmitShed(b *testing.B) {
 	}
 }
 
+// BenchmarkControllerTryAdmitShed measures the in-process door's refusal,
+// the overload case: with 3ms of backlog on a frozen clock, a request
+// stamped 1ms ahead passes the tier and cap lines and sheds on its
+// deadline, so every call runs the whole gate and gives its limiter slot
+// back, in one hold.
+func BenchmarkControllerTryAdmitShed(b *testing.B) {
+	c := NewController(Config{InitialService: 100 * time.Microsecond, MaxBacklog: 10 * time.Millisecond}, 1)
+	now := time.Unix(1_700_000_000, 0)
+	c.Admit(0, now, time.Time{}, PriorityHigh, 30)
+	deadline := now.Add(time.Millisecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v := c.TryAdmit(now, deadline, PriorityNormal, 1); v.Outcome != ShedDeadline {
+			b.Fatalf("shed-path benchmark: %+v", v)
+		}
+	}
+}
+
+// BenchmarkControllerTryAdmitAccept measures an admitted request's two
+// holds: TryAdmit with a deadline it meets (arrivals a millisecond apart
+// drain the backlog), then Done with a virtual-time (zero) latency.
+func BenchmarkControllerTryAdmitAccept(b *testing.B) {
+	c := NewController(Config{InitialService: 100 * time.Microsecond, MaxBacklog: 10 * time.Millisecond}, 1)
+	now := time.Unix(1_700_000_000, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now = now.Add(time.Millisecond)
+		if v := c.TryAdmit(now, now.Add(5*time.Millisecond), PriorityNormal, 1); v.Outcome != Accepted {
+			b.Fatalf("accept-path benchmark: %+v", v)
+		}
+		c.Done(0, 1, nil)
+	}
+}
+
 // BenchmarkLimiterTryAcquireRelease measures one uncontended pass through
-// the concurrency limiter — the in-process fast path (TryAcquire + the
-// latency-free Release).
+// the concurrency limiter alone (TryAcquire + the latency-free Release).
 func BenchmarkLimiterTryAcquireRelease(b *testing.B) {
-	l := NewLimiter(LimiterConfig{})
+	l := newTestLimiter(LimiterConfig{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

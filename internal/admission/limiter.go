@@ -71,6 +71,9 @@ type waiter struct {
 // against a slow EWMA baseline; both ignore non-positive samples, so
 // virtual-time runs (frozen clock, zero measured latency) never trip the
 // limiter and its behavior stays a pure function of arrival order.
+//
+// Every limiter belongs to a Controller, whose gates its mutex also
+// guards.
 type Limiter struct {
 	cfg LimiterConfig
 
@@ -83,15 +86,15 @@ type Limiter struct {
 	slow float64 // long-window baseline EWMA, ns
 }
 
-// NewLimiter builds a limiter. It counts nothing: the caller sees every
+// init configures a zero limiter. It counts nothing: the caller sees every
 // outcome TryAcquire and Acquire return.
-func NewLimiter(cfg LimiterConfig) *Limiter {
-	cfg = cfg.withDefaults()
-	return &Limiter{cfg: cfg, limit: float64(cfg.Initial)}
+func (l *Limiter) init(cfg LimiterConfig) {
+	l.cfg = cfg.withDefaults()
+	l.limit = float64(l.cfg.Initial)
 }
 
-// TryAcquire takes a slot without queueing (the in-process fast path; it
-// is allocation-free). Release must be called iff it returns true.
+// TryAcquire takes a slot without queueing (TryAdmit's first step, on its
+// own; it is allocation-free). Release must be called iff it returns true.
 func (l *Limiter) TryAcquire() bool {
 	l.mu.Lock()
 	ok := l.inflight < int(l.limit)
@@ -158,6 +161,12 @@ func (l *Limiter) Acquire(now func() time.Time, deadline time.Time) Outcome {
 // update. Non-positive latency (virtual time) skips the update.
 func (l *Limiter) Release(latency time.Duration, now func() time.Time) {
 	l.mu.Lock()
+	l.releaseLocked(latency, now)
+	l.mu.Unlock()
+}
+
+// releaseLocked is Release's body; the caller holds l.mu.
+func (l *Limiter) releaseLocked(latency time.Duration, now func() time.Time) {
 	l.aimdLocked(latency)
 	l.releaseSlotLocked()
 	// CoDel-style sweep: expire queued waiters whose deadline lapsed, so a
@@ -166,7 +175,6 @@ func (l *Limiter) Release(latency time.Duration, now func() time.Time) {
 		t := now()
 		l.queue = slices.DeleteFunc(l.queue, func(w *waiter) bool { return !w.deadline.IsZero() && t.After(w.deadline) })
 	}
-	l.mu.Unlock()
 }
 
 // releaseSlotLocked frees one slot, granting it to the first queued waiter

@@ -162,11 +162,16 @@ func TestVirtualReplayAllocsIndependentOfRequests(t *testing.T) {
 	// A run allocates for its servers, sessions, recorders and result, and
 	// at width 2 for its two replay goroutines; none of that may scale with
 	// the number of requests replayed. (It did: one formatted session ID per
-	// request.) Count-based, so it holds on any host. Single decides only: a
-	// request the deadline gate sheds costs serve one ShedError, which is
-	// not the harness's to save.
-	for _, width := range []int{1, 2} {
-		cfg := replayConfigs()["decide"]
+	// request; and each request the deadline gate shed cost serve one
+	// ShedError.) Count-based, so it holds on any host. The shed config
+	// runs one session with admission on, so it replays at width 1 whatever
+	// it asks for.
+	for _, run := range []struct {
+		name  string
+		width int
+	}{{"decide", 1}, {"decide", 2}, {"shed", 1}} {
+		name, width := run.name, run.width
+		cfg := replayConfigs()[name]
 		cfg.Workers = width
 		allocs := func(window time.Duration) (float64, int) {
 			cfg.Duration = window
@@ -182,12 +187,12 @@ func TestVirtualReplayAllocsIndependentOfRequests(t *testing.T) {
 		}
 		small, n := allocs(25 * time.Millisecond)
 		large, n4 := allocs(100 * time.Millisecond)
-		t.Logf("width %d: %v allocs for %d requests, %v for %d", width, small, n, large, n4)
+		t.Logf("%s, width %d: %v allocs for %d requests, %v for %d", name, width, small, n, large, n4)
 		if n4 < 3*n {
 			t.Fatalf("plans of %d and %d requests do not separate", n, n4)
 		}
 		if large-small > 16 {
-			t.Errorf("width %d: %d more requests cost %v more allocations: the replay loop allocates per request", width, n4-n, large-small)
+			t.Errorf("%s, width %d: %d more requests cost %v more allocations: the replay loop allocates per request", name, width, n4-n, large-small)
 		}
 	}
 }

@@ -11,8 +11,8 @@
 // in-flight count and its counters live on its session, so decides on
 // different sessions share no written cache line and one server scales
 // across cores. The HTTP handlers also time each request into the server's
-// registry, and admission adds its limiter's lock and its one admission
-// gate's.
+// registry, and admission adds its controller's one lock, which covers
+// the limiter and the admission gate.
 //
 // Sessions live in one insert-only hash table. Lookup probes it with atomic
 // loads and takes no lock; registration places a session under the table's
@@ -83,12 +83,16 @@ var (
 // ShedError reports a decide request rejected by admission control. Like
 // ErrDraining it is retryable — the server did no session work for it —
 // and the HTTP handlers map it onto 429 Too Many Requests with a
-// Retry-After hint.
+// Retry-After hint. The server returns one shared ShedError per outcome,
+// so a shed allocates nothing; treat it as read-only.
 type ShedError struct {
 	// Outcome is the shed reason (deadline, priority, backlog, limiter,
 	// expired).
 	Outcome admission.Outcome
-	// RetryAfter suggests when the modeled backlog will have drained.
+	// RetryAfter is zero on the errors the server returns: an in-process
+	// shed carries no hint. The 429 still has its Retry-After header,
+	// computed from the gate's modeled backlog, which play hands the HTTP
+	// handlers beside the error.
 	RetryAfter time.Duration
 }
 
@@ -394,10 +398,9 @@ func (s *Server) CreateSession(req SessionRequest) (SessionInfo, error) {
 //     after, and a draining server refuses even what admission would
 //     accept. The HTTP handlers decode before calling play: "in flight"
 //     means "past the gate, doing session work", and a slow body read or
-//     response write holds neither Drain nor a limiter slot. play itself
-//     is only the gate; playInflight runs the rest, so that each has one
-//     deferred call and few enough returns for the compiler to open-code
-//     it.
+//     response write holds neither Drain nor a limiter slot. The checks
+//     of stages 1 and 2 sit in admissible, which leaves play four returns:
+//     few enough for the compiler to open-code both its deferred calls.
 //  2. Input validation against sess, which the caller looked up (nil when
 //     unknown): the in-process entry points just before play, the HTTP
 //     decoders while decoding, so every decide resolves its session once,
@@ -405,93 +408,105 @@ func (s *Server) CreateSession(req SessionRequest) (SessionInfo, error) {
 //     is refused before it can take a limiter slot or charge the modeled
 //     backlog.
 //  3. Concurrency limiter, bounding concurrency before any admission math.
-//     The one stage that differs by caller: blocking (HTTP) queues FIFO in
-//     Acquire, bounded by the deadline; non-blocking (in-process) takes
-//     TryAcquire, which never waits and never allocates.
+//     The one stage that differs by caller: blocking (HTTP) queues FIFO,
+//     bounded by the deadline (AcquireAdmit); non-blocking (in-process)
+//     never waits (TryAdmit). Either way the limiter and the stage-5 gate
+//     are one controller call under the controller's one mutex: stages 3
+//     to 5 take one hold, or, for an HTTP request that finds the limiter
+//     full, its queue wait and then one hold.
 //  4. The request's one clock read — after the limiter, so time queued
-//     there counts against the deadline. Returned as start for the
-//     handlers' timers.
-//  5. Deadline gate: Admit refuses what cannot finish inside its budget
-//     before it contends on the session's mutex. A batch is one admission
-//     unit costed at len(rounds) service quanta. Stages 3 and 5 return
-//     every admission outcome here, and play counts each shed, once.
+//     there counts against the deadline. The in-process door reads it just
+//     before its one hold: with no queue to wait in, that is the same
+//     remaining budget. Returned as start for the handlers' timers.
+//  5. Deadline gate, in the stage-3 hold: it refuses what cannot finish
+//     inside its budget before the request contends on the session's
+//     mutex, and a refused request's limiter slot is given back before the
+//     hold ends. A batch is one admission unit costed at len(rounds)
+//     service quanta. The controller returns every admission outcome here,
+//     and play counts each shed, once. A shed's error is preallocated per
+//     outcome, so a shed allocates nothing; the gate's retry hint comes
+//     back beside it, for the HTTP handlers' Retry-After.
 //  6. Session play: one lock hold, one engine catch-up, len(rounds) draws.
 //  7. Accounting, once per request, inside the stage-6 hold: the session's
 //     tally sorts the results into goodput and late in one pass and counts
 //     the request beside them (see (*tally).account). No server-wide
 //     counter is written — /metrics sums the tallies — so a decide, single
 //     or batched, shares no written cache line with other sessions'
-//     decides (with admission on, it still shares the limiter and the
-//     server's gate). Then (deferred) the service-time sample for the
-//     gate's EWMA and the limiter release.
+//     decides (with admission on, it still shares the controller). Then
+//     (deferred) Done: the service-time sample for the gate's EWMA and the
+//     limiter release, in one more controller hold. An in-process shed
+//     thus takes one controller hold and an accepted request two.
 //
 // Results land in out[:len(rounds)] in request order; on error nothing was
 // played.
-func (s *Server) play(sess *session, deadline time.Time, rounds []Round, out []DecideResponse, blocking, batch bool) (time.Time, error) {
+func (s *Server) play(sess *session, deadline time.Time, rounds []Round, out []DecideResponse, blocking, batch bool) (start time.Time, retryAfter time.Duration, err error) {
 	if sess != nil {
 		sess.inflight.Add(1)
 		defer sess.inflight.Add(-1)
 	}
-	return s.playInflight(sess, deadline, rounds, out, blocking, batch)
+	if err := s.admissible(sess, rounds, out); err != nil {
+		return start, 0, err
+	}
+	if s.adm == nil {
+		start = s.clock()
+		sess.playAt(start, deadline, rounds, out, 0, false, batch)
+		return start, 0, nil
+	}
+	var v admission.Verdict
+	if blocking {
+		start, v = s.adm.AcquireAdmit(s.clock, deadline, sess.priority, len(rounds))
+	} else {
+		start = s.clock()
+		v = s.adm.TryAdmit(start, deadline, sess.priority, len(rounds))
+	}
+	if v.Outcome != admission.Accepted {
+		s.mShed[v.Outcome].Inc()
+		return start, v.Backlog, errShed[v.Outcome]
+	}
+	defer s.done(start, len(rounds))
+	sess.playAt(start, deadline, rounds, out, int64(v.Backlog), v.Brownout, batch)
+	return start, 0, nil
 }
 
-// playInflight is play past its inflight gate: stages 1 (the drain check)
-// to 7.
-func (s *Server) playInflight(sess *session, deadline time.Time, rounds []Round, out []DecideResponse, blocking, batch bool) (start time.Time, err error) {
+// admissible is play's stages 1 (the drain check, after the inflight gate)
+// and 2: nil, or why the request is refused before admission.
+func (s *Server) admissible(sess *session, rounds []Round, out []DecideResponse) error {
 	if len(rounds) == 0 {
-		return start, errEmptyBatch
+		return errEmptyBatch
 	}
 	if len(out) < len(rounds) {
-		return start, fmt.Errorf("out holds %d responses for %d rounds", len(out), len(rounds))
+		return fmt.Errorf("out holds %d responses for %d rounds", len(out), len(rounds))
 	}
 	if s.draining.Load() {
 		s.mDrainRejects.Inc()
-		return start, ErrDraining
+		return ErrDraining
 	}
 	if sess == nil {
-		return start, ErrNoSession
+		return ErrNoSession
 	}
 	if err := sess.checkRounds(rounds); err != nil {
 		s.mDecideErrs.Inc()
-		return start, err
+		return err
 	}
-	var lim *admission.Limiter
-	if s.adm != nil {
-		lim = s.adm.Limiter()
-		if blocking {
-			if o := lim.Acquire(s.clock, deadline); o != admission.Accepted {
-				s.mShed[o].Inc()
-				return start, &ShedError{Outcome: o}
-			}
-		} else if !lim.TryAcquire() {
-			s.mShed[admission.ShedLimiter].Inc()
-			return start, errShedLimiter
-		}
-	}
-	start = s.clock()
-	var queueNS int64
-	var brownout bool
-	if s.adm != nil {
-		dec := s.adm.Admit(0, start, deadline, sess.priority, len(rounds))
-		if !dec.OK {
-			lim.Release(0, nil)
-			s.mShed[dec.Outcome].Inc()
-			return start, &ShedError{Outcome: dec.Outcome, RetryAfter: dec.RetryAfter}
-		}
-		queueNS, brownout = dec.QueueNS, dec.Brownout
-		defer func() {
-			elapsed := s.clock().Sub(start)
-			s.adm.Observe(0, elapsed/time.Duration(len(rounds)))
-			lim.Release(elapsed, s.clock)
-		}()
-	}
-	sess.playAt(start, deadline, rounds, out, queueNS, brownout, batch)
-	return start, nil
+	return nil
 }
 
-// errShedLimiter is the preallocated limiter rejection so the in-process
-// fast path sheds without allocating.
-var errShedLimiter = &ShedError{Outcome: admission.ShedLimiter}
+// done is stage 7's completion: the service-time sample for the gate's
+// EWMA and the limiter release, in one controller hold.
+func (s *Server) done(start time.Time, rounds int) {
+	s.adm.Done(s.clock().Sub(start), rounds, s.clock)
+}
+
+// errShed holds one preallocated rejection per shed outcome, so a shed
+// allocates nothing. Their RetryAfter stays zero: play hands the gate's
+// hint back beside the error.
+var errShed = [...]*ShedError{
+	admission.ShedDeadline: {Outcome: admission.ShedDeadline},
+	admission.ShedPriority: {Outcome: admission.ShedPriority},
+	admission.ShedBacklog:  {Outcome: admission.ShedBacklog},
+	admission.ShedLimiter:  {Outcome: admission.ShedLimiter},
+	admission.ShedExpired:  {Outcome: admission.ShedExpired},
+}
 
 // Decide plays one coordination round in-process, bypassing HTTP and JSON
 // entirely — the zero-allocation fast path the paper's microsecond claim
@@ -500,7 +515,7 @@ var errShedLimiter = &ShedError{Outcome: admission.ShedLimiter}
 func (s *Server) Decide(session string, x, y int, out *DecideResponse) error {
 	rounds := [1]Round{{X: x, Y: y}}
 	var res [1]DecideResponse
-	if _, err := s.play(s.lookup(session), time.Time{}, rounds[:], res[:], false, false); err != nil {
+	if _, _, err := s.play(s.lookup(session), time.Time{}, rounds[:], res[:], false, false); err != nil {
 		return singleRound(err)
 	}
 	*out = res[0]
@@ -521,7 +536,7 @@ func (s *Server) DecideBatch(session string, rounds []Round, out []DecideRespons
 // late. A zero deadline means unstamped. The admission-enabled path stays
 // allocation-free on accept.
 func (s *Server) DecideBatchDeadline(session string, deadline time.Time, rounds []Round, out []DecideResponse) error {
-	_, err := s.play(s.lookup(session), deadline, rounds, out, false, true)
+	_, _, err := s.play(s.lookup(session), deadline, rounds, out, false, true)
 	return err
 }
 
@@ -575,7 +590,7 @@ func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 // the client's request — 400. A shed carries Retry-After in whole seconds,
 // rounded up, minimum 1 (the header has no sub-second resolution); clients
 // treat it exactly like the drain 503: retryable, after backoff.
-func writePlayError(w http.ResponseWriter, id string, err error) {
+func writePlayError(w http.ResponseWriter, id string, err error, retryAfter time.Duration) {
 	var shed *ShedError
 	switch {
 	case errors.Is(err, ErrDraining):
@@ -584,8 +599,8 @@ func writePlayError(w http.ResponseWriter, id string, err error) {
 		writeError(w, http.StatusNotFound, "no session %q", id)
 	case errors.As(err, &shed):
 		secs := int64(1)
-		if shed.RetryAfter > time.Second {
-			secs = int64((shed.RetryAfter + time.Second - 1) / time.Second)
+		if retryAfter > time.Second {
+			secs = int64((retryAfter + time.Second - 1) / time.Second)
 		}
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 		writeError(w, http.StatusTooManyRequests, "%v", shed)
@@ -607,9 +622,9 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	}
 	rounds := [1]Round{{X: sc.req.X, Y: sc.req.Y}}
 	var res [1]DecideResponse
-	start, err := s.play(sc.sess, deadlineOf(sc.req.DeadlineUnixNS), rounds[:], res[:], true, false)
+	start, retryAfter, err := s.play(sc.sess, deadlineOf(sc.req.DeadlineUnixNS), rounds[:], res[:], true, false)
 	if err != nil {
-		writePlayError(w, sc.req.Session, singleRound(err))
+		writePlayError(w, sc.req.Session, singleRound(err), retryAfter)
 		return
 	}
 	s.mDecideTimer.Observe(s.clock().Sub(start))
@@ -628,9 +643,9 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results := sc.results(len(sc.breq.Rounds))
-	start, err := s.play(sc.sess, deadlineOf(sc.breq.DeadlineUnixNS), sc.breq.Rounds, results, true, true)
+	start, retryAfter, err := s.play(sc.sess, deadlineOf(sc.breq.DeadlineUnixNS), sc.breq.Rounds, results, true, true)
 	if err != nil {
-		writePlayError(w, sc.breq.Session, err)
+		writePlayError(w, sc.breq.Session, err, retryAfter)
 		return
 	}
 	elapsed := s.clock().Sub(start)
@@ -662,18 +677,17 @@ func (s *Server) snapshot() []metrics.KV {
 		metrics.KV{Key: "serve_late_total", Value: float64(sum[tLate])})
 	out = metrics.AppendTimer(out, "serve_goodput", sum[tGoodput], time.Duration(sum[tGoodputNS]), time.Duration(sum[tGoodputMaxNS]))
 	if s.adm != nil {
-		entered, exited := s.adm.BrownoutFlips(0)
-		lim := s.adm.Limiter()
+		st := s.adm.State(s.clock())
 		out = append(out,
-			metrics.KV{Key: "admission_backlog_ns", Value: float64(s.adm.Backlog(0, s.clock()))},
-			metrics.KV{Key: "admission_service_estimate_ns", Value: float64(s.adm.Estimate(0))},
+			metrics.KV{Key: "admission_backlog_ns", Value: float64(st.Backlog)},
+			metrics.KV{Key: "admission_service_estimate_ns", Value: float64(st.Estimate)},
 			// Only an accepted request reaches its session.
 			metrics.KV{Key: "admission_accepted_total", Value: float64(sum[tSingles] + sum[tBatches])},
-			metrics.KV{Key: "admission_brownout_entered_total", Value: float64(entered)},
-			metrics.KV{Key: "admission_brownout_exited_total", Value: float64(exited)},
-			metrics.KV{Key: "admission_limit", Value: float64(lim.Limit())},
-			metrics.KV{Key: "admission_inflight", Value: float64(lim.Inflight())},
-			metrics.KV{Key: "admission_queued", Value: float64(lim.Queued())})
+			metrics.KV{Key: "admission_brownout_entered_total", Value: float64(st.BrownoutEntered)},
+			metrics.KV{Key: "admission_brownout_exited_total", Value: float64(st.BrownoutExited)},
+			metrics.KV{Key: "admission_limit", Value: float64(st.Limit)},
+			metrics.KV{Key: "admission_inflight", Value: float64(st.Inflight)},
+			metrics.KV{Key: "admission_queued", Value: float64(st.Queued)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out

@@ -45,6 +45,9 @@ var unreached = map[string]string{
 	"internal/games.ResetSolveCache":                "benchmark: trace/games.go times cold solves (item 15)",
 	"internal/games.XORGame.ClassicalValueUncached": "benchmark: trace/games.go times the uncached classical solve (item 15)",
 	"internal/games.XORGame.QuantumValueUncached":   "benchmark: trace/games.go times the uncached quantum solve (item 15)",
+	"internal/admission.Controller.Admit":           "benchmark: trace/admission.go times the gate alone (item 15)",
+	"internal/admission.Limiter.TryAcquire":         "benchmark: trace/admission.go times the limiter alone (item 15)",
+	"internal/admission.Limiter.Release":            "benchmark: trace/admission.go times the limiter alone (item 15)",
 	"internal/serve.Server.Decide":                  "benchmark: trace/serve.go drives the in-process decide (item 15)",
 	"internal/serve.Server.DecideBatch":             "benchmark: trace/serve.go drives the in-process batch (item 15)",
 	"internal/core.Session.ExpectedWinRate":         "oracle: integration_test.go (TestIntegrationSourceToSessionToGame predicts the measured win rate)",
